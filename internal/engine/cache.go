@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"cqa/internal/core"
+	"cqa/internal/schema"
 )
 
 // planCache is a thread-safe LRU cache of prepared plans keyed by the
@@ -19,6 +20,10 @@ type planCache struct {
 	order   *list.List
 	entries map[string]*list.Element
 
+	// flights holds the preparations in progress, by signature;
+	// concurrent misses wait on one instead of repeating the work.
+	flights map[string]*sync.WaitGroup
+
 	hits, misses, evictions uint64
 }
 
@@ -32,35 +37,61 @@ func newPlanCache(capacity int) *planCache {
 		cap:     capacity,
 		order:   list.New(),
 		entries: make(map[string]*list.Element),
+		flights: make(map[string]*sync.WaitGroup),
 	}
 }
 
-// get returns the cached plan for sig, promoting it to most recently
-// used.
-func (c *planCache) get(sig string) (*core.Prepared, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[sig]
-	if !ok {
-		c.misses++
-		return nil, false
+// getOrPrepare returns the plan for sig, preparing q on a miss; hit
+// reports whether the plan came from the cache. Concurrent misses for
+// one signature are single-flighted: the first prepares — outside the
+// cache lock, so other signatures are not serialized behind one slow
+// rewrite — and the rest wait for it, then find the plan cached and
+// count as hits. A failed preparation is neither cached nor shared:
+// each waiter retries and reports its own error.
+func (c *planCache) getOrPrepare(sig string, q schema.Query) (p *core.Prepared, hit bool, err error) {
+	for {
+		c.mu.Lock()
+		if el, ok := c.entries[sig]; ok {
+			c.hits++
+			c.order.MoveToFront(el)
+			p = el.Value.(*cacheEntry).plan
+			c.mu.Unlock()
+			return p, true, nil
+		}
+		f, waiting := c.flights[sig]
+		if !waiting {
+			c.misses++
+			f = new(sync.WaitGroup)
+			f.Add(1)
+			c.flights[sig] = f
+		}
+		c.mu.Unlock()
+		if !waiting {
+			return c.lead(sig, f, q)
+		}
+		f.Wait()
 	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).plan, true
 }
 
-// put inserts a plan, evicting the least recently used entry when over
-// capacity. Concurrent misses for the same signature may both call put;
-// the second call just refreshes the entry.
-func (c *planCache) put(sig string, plan *core.Prepared) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[sig]; ok {
-		el.Value.(*cacheEntry).plan = plan
-		c.order.MoveToFront(el)
-		return
-	}
+// lead prepares q as the flight's owner, publishes the plan, and
+// releases the waiters — also when core.Prepare fails or panics.
+func (c *planCache) lead(sig string, f *sync.WaitGroup, q schema.Query) (p *core.Prepared, hit bool, err error) {
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, sig)
+		if p != nil {
+			c.putLocked(sig, p)
+		}
+		c.mu.Unlock()
+		f.Done()
+	}()
+	p, err = core.Prepare(q)
+	return p, false, err
+}
+
+// putLocked inserts a plan, evicting the least recently used entry when
+// over capacity. The caller holds c.mu.
+func (c *planCache) putLocked(sig string, plan *core.Prepared) {
 	c.entries[sig] = c.order.PushFront(&cacheEntry{sig: sig, plan: plan})
 	for c.order.Len() > c.cap {
 		back := c.order.Back()

@@ -170,18 +170,8 @@ func (e *Engine) prepare(q schema.Query) (*core.Prepared, error) {
 // signature (batch grouping computes it anyway), saving the
 // re-canonicalization.
 func (e *Engine) prepareSig(sig string, q schema.Query) (*core.Prepared, error) {
-	if p, ok := e.cache.get(sig); ok {
-		return p, nil
-	}
-	// Prepare outside the cache lock: concurrent misses for the same
-	// signature duplicate work instead of serializing all queries behind
-	// one slow rewrite.
-	p, err := core.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	e.cache.put(sig, p)
-	return p, nil
+	p, _, err := e.cache.getOrPrepare(sig, q)
+	return p, err
 }
 
 // Certain answers CERTAINTY(q) on d using a cached plan, with the

@@ -102,51 +102,20 @@ func (e *Engine) PrepareCached(q schema.Query) (p *core.Prepared, hit bool, err 
 		return nil, false, err
 	}
 	defer e.end()
-	sig := q.Signature()
-	if p, ok := e.cache.get(sig); ok {
-		return p, true, nil
-	}
-	p, err = core.Prepare(q)
-	if err != nil {
-		return nil, false, err
-	}
-	e.cache.put(sig, p)
-	return p, false, nil
+	return e.cache.getOrPrepare(q.Signature(), q)
 }
 
-// Shard plan names, as reported by ShardPlanFor.
+// Shard plan names, as reported by ShardPlanFor (shard.Plan kinds).
 const (
-	// ShardPlanSingle: one shard holds everything; evaluate there.
-	ShardPlanSingle = "single"
-	// ShardPlanScatter: single positive atom; per-shard verdicts
-	// OR-combine over the touched shards.
-	ShardPlanScatter = "scatter"
-	// ShardPlanPinned: multi-atom query whose ground keys confine it to
-	// one shard's blocks.
-	ShardPlanPinned = "pinned"
-	// ShardPlanUnion: joins across shards; evaluate on the merged union.
-	ShardPlanUnion = "union"
+	ShardPlanSingle  = shard.PlanSingle
+	ShardPlanScatter = shard.PlanScatter
+	ShardPlanPinned  = shard.PlanPinned
+	ShardPlanUnion   = shard.PlanUnion
 )
 
 // ShardPlanFor reports, without evaluating, the plan certainSharded
-// takes for q on view and the shards it consults (every shard for the
-// union plan). The logic must mirror certainSharded exactly; the
-// sharded differential tests cross-check the two.
+// executes for q on view and the shards it consults.
 func ShardPlanFor(q schema.Query, view ShardView) (plan string, shards []int) {
-	n := view.NumShards()
-	if n == 1 {
-		return ShardPlanSingle, []int{0}
-	}
-	if len(q.Lits) == 1 && !q.Lits[0].Neg {
-		touched, _ := shard.TouchedOwned(q, n, view.Owner)
-		return ShardPlanScatter, touched
-	}
-	if touched, all := shard.TouchedOwned(q, n, view.Owner); !all && len(touched) == 1 {
-		return ShardPlanPinned, touched
-	}
-	shards = make([]int, n)
-	for i := range shards {
-		shards[i] = i
-	}
-	return ShardPlanUnion, shards
+	p := view.Plan(q)
+	return p.Kind, p.Shards
 }

@@ -114,34 +114,6 @@ func TestExplainSurfaces(t *testing.T) {
 	}
 }
 
-func TestShardPlanForMirrorsCertainSharded(t *testing.T) {
-	sh, err := shard.NewSharded("d", 4, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.ApplyDB(parse.MustDatabase("R(a | 1)\nR(b | 2)\nS(a | a)")); err != nil {
-		t.Fatal(err)
-	}
-	view := sh.View()
-
-	plan, shards := ShardPlanFor(mustQuery(t, "R(x | y)"), view)
-	if plan != ShardPlanScatter || len(shards) != 4 {
-		t.Errorf("open single atom: plan=%s shards=%v", plan, shards)
-	}
-	plan, shards = ShardPlanFor(mustQuery(t, "R('a' | y)"), view)
-	if plan != ShardPlanScatter || len(shards) != 1 {
-		t.Errorf("ground single atom: plan=%s shards=%v", plan, shards)
-	}
-	plan, shards = ShardPlanFor(mustQuery(t, "R('a' | y), !S('a' | y)"), view)
-	if plan != ShardPlanPinned || len(shards) != 1 {
-		t.Errorf("pinned multi-atom: plan=%s shards=%v", plan, shards)
-	}
-	plan, shards = ShardPlanFor(mustQuery(t, "R(x | y), !S(y | y)"), view)
-	if plan != ShardPlanUnion || !reflect.DeepEqual(shards, []int{0, 1, 2, 3}) {
-		t.Errorf("join: plan=%s shards=%v", plan, shards)
-	}
-}
-
 func TestShardPlanSingleShard(t *testing.T) {
 	sh, err := shard.NewSharded("d", 1, store.Options{})
 	if err != nil {

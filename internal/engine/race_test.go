@@ -7,9 +7,11 @@ import (
 	"sync"
 	"testing"
 
+	"cqa/internal/core"
 	"cqa/internal/db"
 	"cqa/internal/gen"
 	"cqa/internal/parse"
+	"cqa/internal/schema"
 )
 
 // TestConcurrentPreparedAndCache hammers one engine — and through it one
@@ -121,4 +123,53 @@ func TestConcurrentBatches(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPrepareSingleFlight releases 16 goroutines onto one engine at
+// once, each preparing the same cold signature: exactly one runs
+// core.Prepare (one miss), the rest share its plan. A signature whose
+// preparation fails reports the error to every caller and caches nothing.
+func TestPrepareSingleFlight(t *testing.T) {
+	const goroutines = 16
+	e := New(Options{})
+	good := parse.MustQuery("P(x | y), Q(y | z), !N(x | z)")
+	bad := schema.NewQuery(
+		schema.Pos(schema.NewAtom("R", 1, schema.Var("x"))),
+		schema.Neg(schema.NewAtom("N", 1, schema.Var("z"))), // unsafe: z not positive
+	)
+	run := func(q schema.Query) (plans map[*core.Prepared]bool, errs int) {
+		plans = make(map[*core.Prepared]bool)
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				p, err := e.Prepare(q)
+				mu.Lock()
+				defer mu.Unlock()
+				if err != nil {
+					errs++
+				} else {
+					plans[p] = true
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		return plans, errs
+	}
+
+	plans, errs := run(good)
+	if st := e.Stats(); errs != 0 || len(plans) != 1 || st.CacheMisses != 1 || st.CacheHits != goroutines-1 {
+		t.Fatalf("%d errors, %d distinct plans, stats %+v; want one shared plan from one miss", errs, len(plans), st)
+	}
+	if _, errs := run(bad); errs != goroutines {
+		t.Fatalf("%d of %d callers got the preparation error", errs, goroutines)
+	}
+	if st := e.Stats(); st.CachedPlans != 1 {
+		t.Fatalf("a failed preparation was cached: %+v", st)
+	}
 }

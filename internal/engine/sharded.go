@@ -1,23 +1,11 @@
 // Scatter-gather certainty over sharded views.
 //
-// Why the per-shard combination rules look the way they do: a repair
-// picks one fact per block, independently across blocks, and a
+// A repair picks one fact per block, independently across blocks, and a
 // block-hash partition keeps blocks whole, so the repairs of the full
-// database are exactly the products of per-shard repairs.
-//
-//   - A single positive atom is certain iff some block's every fact
-//     matches it. Blocks live on one shard, so the query is certain iff
-//     it is certain on some shard: per-shard verdicts OR-combine, and
-//     only shards that can own a matching block (shard.Touched) need
-//     evaluating at all.
-//
-//   - Multi-atom queries do NOT decompose into per-shard verdicts: with
-//     R(a|b) on shard 0 and S(b|c) on shard 1, the join R(x|y), S(y|z)
-//     is certain on neither shard alone yet certain on the database.
-//     Those queries evaluate on the merged union view — still one
-//     process-local evaluation, with the union memoized per version.
-//
-// See docs/SHARDING.md for the full argument.
+// database are exactly the products of per-shard repairs. Whether that
+// lets per-shard verdicts OR-combine or forces a join on the merged
+// union is decided in one place, shard.PlanFor; this file only executes
+// the plan. See docs/SHARDING.md for the full argument.
 package engine
 
 import (
@@ -35,9 +23,9 @@ type ShardView interface {
 	Shard(i int) *db.Database
 	Union() *db.Database
 	Version() uint64
-	// Owner reports which shard holds block (rel, key) under the
-	// placement that wrote this view.
-	Owner(rel string, key []string) int
+	// Plan is the shard-combine decision for q under the placement
+	// that wrote this view.
+	Plan(q schema.Query) shard.Plan
 }
 
 // CertainSharded evaluates CERTAINTY(q) on a sharded view, without the
@@ -81,27 +69,18 @@ func (e *Engine) CertainShardedVersioned(q schema.Query, dbID string, view Shard
 	return certain, false, nil
 }
 
-// certainSharded picks the evaluation strategy for a prepared query on
-// a view.
+// certainSharded executes view's plan for q: scatter plans OR the
+// verdicts of the planned shards, anything else joins across shards and
+// evaluates on the union.
 func (e *Engine) certainSharded(p *core.Prepared, q schema.Query, view ShardView) bool {
-	n := view.NumShards()
-	if n == 1 {
-		return e.certainWith(p, view.Shard(0))
+	plan := view.Plan(q)
+	if !plan.Scatter() {
+		return e.certainWith(p, view.Union())
 	}
-	if len(q.Lits) == 1 && !q.Lits[0].Neg {
-		shards, _ := shard.TouchedOwned(q, n, view.Owner)
-		for _, i := range shards {
-			if e.certainWith(p, view.Shard(i)) {
-				return true
-			}
+	for _, i := range plan.Shards {
+		if e.certainWith(p, view.Shard(i)) {
+			return true
 		}
-		return false
 	}
-	// A multi-atom query confined to one shard's blocks (every key
-	// ground, all owners equal) needs only that shard; anything else
-	// joins across shards and evaluates on the union.
-	if shards, all := shard.TouchedOwned(q, n, view.Owner); !all && len(shards) == 1 {
-		return e.certainWith(p, view.Shard(shards[0]))
-	}
-	return e.certainWith(p, view.Union())
+	return false
 }

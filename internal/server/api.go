@@ -71,8 +71,8 @@ type CertainResponse struct {
 // ExplainInfo is the `"explain": true` payload: what the engine chose
 // and what it cost, stage by stage. Strategy names come from
 // engine.Strategy ("compiled", "compiled-parallel", "tree-walk",
-// "naive-repair"); shard plans from engine.ShardPlanFor ("single",
-// "scatter", "pinned", "union"). See docs/OBSERVABILITY.md for the
+// "naive-repair"); shard plans are shard.PlanFor kinds ("single",
+// "pinned", "scatter", "union"). See docs/OBSERVABILITY.md for the
 // schema contract.
 type ExplainInfo struct {
 	// Strategy is the evaluation strategy actually executed.
@@ -90,7 +90,10 @@ type ExplainInfo struct {
 	// one line per binder slot ("s0 ∈ R.1", "s1 ∈ min(R.0, S.1)", …).
 	Quantifiers []string `json:"quantifiers,omitempty"`
 	// ShardPlan and Shards report how a named-database evaluation was
-	// spread over the store's shards (absent for inline facts).
+	// spread over the store's shards (absent for inline facts): the
+	// shard.PlanFor kind and the shards consulted. On a router's
+	// forwarded read they are the router's plan and the shards actually
+	// asked, around the answering shard's own explain.
 	ShardPlan string `json:"shardPlan,omitempty"`
 	Shards    []int  `json:"shards,omitempty"`
 	// PlanDecision is the planner's recorded strategy selection for

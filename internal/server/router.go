@@ -15,7 +15,6 @@ import (
 
 	"cqa/internal/core"
 	"cqa/internal/db"
-	"cqa/internal/engine"
 	"cqa/internal/metrics"
 	"cqa/internal/obs"
 	"cqa/internal/parse"
@@ -31,11 +30,15 @@ import (
 //   - Writes: each fact routes to shard.Owner(rel, key, N); relation
 //     signatures are broadcast to every shard so negated atoms find
 //     their (possibly empty) relations everywhere.
-//   - Single-positive-atom reads: the query's touched shards (ground
-//     keys pin blocks) answer locally and the verdicts OR-combine —
-//     sound because blocks are whole on one shard (docs/SHARDING.md).
-//   - Everything else: the touched shards' facts are fetched, merged
-//     locally, and evaluated on the router's own engine.
+//   - Co-located reads (scatter plans, shard.PlanFor): every valuation's
+//     facts lie on one shard — all keys ground with one owner, or every
+//     atom carrying the same key tuple — so the request is forwarded as
+//     it arrived to the planned shards, which answer locally, and the
+//     verdicts OR-combine (docs/SHARDING.md). The router prepares
+//     nothing and holds no facts on this path.
+//   - True cross-shard joins (union plans): the planned shards' facts —
+//     only the pinned blocks when every key is ground — are fetched,
+//     merged, and evaluated on the router's own engine (rt.gather).
 //
 // Reads prefer a shard's replica and fall back to its primary. A dead
 // shard degrades serving: queries whose touched set avoids it are
@@ -51,6 +54,8 @@ type Router struct {
 	// no overall timeout (client disconnect cancels via context).
 	watchClient *http.Client
 	handler     http.Handler
+	// scatterReads and gatherReads are router_read_total{plan}.
+	scatterReads, gatherReads *metrics.Counter
 }
 
 // Router0 is the local half of a Router: a plain Server with no stores,
@@ -72,7 +77,8 @@ type RouterOptions struct {
 	// ignored: the router holds no data.
 	Options Options
 	// Client issues the fan-out requests; nil selects a client with a
-	// 10s timeout.
+	// 10s timeout that keeps one idle connection per admitted request
+	// (Options.MaxInFlight) to each shard.
 	Client *http.Client
 }
 
@@ -87,9 +93,16 @@ func NewRouter(opt RouterOptions) *Router {
 		client:   opt.Client,
 	}
 	if rt.client == nil {
-		rt.client = &http.Client{Timeout: 10 * time.Second}
+		// Every admitted read may hold a connection to the same shard;
+		// the default pool of 2 per host would close and redial the rest.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConns = 0
+		tr.MaxIdleConnsPerHost = rt.inner.opt.MaxInFlight
+		rt.client = &http.Client{Timeout: 10 * time.Second, Transport: tr}
 	}
 	rt.watchClient = &http.Client{}
+	rt.scatterReads = rt.inner.reg.Counter(metrics.Label("router_read_total", "plan", "scatter"))
+	rt.gatherReads = rt.inner.reg.Counter(metrics.Label("router_read_total", "plan", "gather"))
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/certain", rt.inner.api("certain_total", rt.handleCertain))
 	// Watch streams are long-lived: registered outside the admission
@@ -126,14 +139,20 @@ func (rt *Router) readTargets(i int) []string {
 	return []string{rt.shards[i]}
 }
 
-// postJSON posts body to base+path and decodes the response into out.
-// Non-2xx responses decode the error envelope into an error.
+// postJSON posts body as JSON to base+path and decodes the response
+// into out.
 func (rt *Router) postJSON(ctx context.Context, base, path string, body, out any) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(buf))
+	return rt.post(ctx, base, path, buf, out)
+}
+
+// post posts an encoded JSON body to base+path and decodes the response
+// into out. Non-2xx responses decode the error envelope into an error.
+func (rt *Router) post(ctx context.Context, base, path string, body []byte, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -167,8 +186,11 @@ func (rt *Router) getJSON(ctx context.Context, base, path string, out any) error
 }
 
 // decodeShardResponse decodes a shard server's reply: the payload on
-// 2xx, the error envelope otherwise.
+// 2xx, the error envelope otherwise. The body is drained either way —
+// the transport only reuses a connection whose reply was read to EOF,
+// and the decoder stops at the end of the JSON value.
 func decodeShardResponse(resp *http.Response, out any) error {
+	defer io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	if resp.StatusCode/100 != 2 {
 		var eb ErrorBody
 		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb) == nil && eb.Error.Code != "" {
@@ -179,7 +201,9 @@ func decodeShardResponse(resp *http.Response, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// shardError is a structured error relayed from a shard server.
+// shardError is a structured failure of a shard interaction — a shard
+// server's own rejection, or unusable facts — relayed to the client
+// with its status.
 type shardError struct {
 	status int
 	code   string
@@ -239,7 +263,8 @@ func (rt *Router) writePartialResult(w http.ResponseWriter, r *http.Request, err
 }
 
 // handleCertain answers POST /v1/certain on the router. Inline-facts
-// requests evaluate locally; named databases scatter-gather.
+// requests evaluate locally; named databases follow the query's shard
+// plan: forwarded to the owning shards, or gathered and evaluated here.
 func (rt *Router) handleCertain(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -268,8 +293,65 @@ func (rt *Router) handleCertain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	psp.End()
+	plan := shard.PlanFor(q, len(rt.shards), nil)
+	if plan.Scatter() {
+		rt.scatterReads.Inc()
+		rt.forwardCertain(w, r, req, body, plan, clock)
+		return
+	}
+	rt.gatherReads.Inc()
+	rt.gatherCertain(w, r, req, q, plan, clock)
+}
+
+// forwardCertain answers a scatter plan: the request body, already
+// validated, goes as it arrived to the planned shards in turn, the
+// first true decides, and the last shard's reply is relayed. Preparing
+// and evaluating happen on the shards only. The reply carries no
+// version: a shard's own is not the global version write acks carry.
+func (rt *Router) forwardCertain(w http.ResponseWriter, r *http.Request, req CertainRequest, body []byte, plan shard.Plan, clock *stageClock) {
+	var ans CertainResponse
+	var err error
+	asked := make([]int, 0, len(plan.Shards))
+	clock.time("scatter", func() {
+		for _, i := range plan.Shards {
+			ans = CertainResponse{}
+			err = rt.readShard(r.Context(), i, func(base string) error {
+				return rt.post(r.Context(), base, "/v1/certain", body, &ans)
+			})
+			if err != nil {
+				return
+			}
+			asked = append(asked, i)
+			if ans.Certain {
+				return
+			}
+		}
+	})
+	if err != nil {
+		rt.relayShardError(w, r, err)
+		return
+	}
+	resp := CertainResponse{Certain: ans.Certain, Verdict: ans.Verdict, Database: req.Database}
+	if info := ans.Explain; info != nil {
+		// The shard explains its own evaluation; the routing around it is
+		// the router's to report.
+		info.ShardPlan, info.Shards = plan.Kind, asked
+		info.Stages = clock.stages
+		info.TraceID = obs.FromContext(r.Context()).ID()
+		resp.Explain = info
+	}
+	rt.inner.writeJSON(w, http.StatusOK, resp)
+}
+
+// gatherCertain answers a union plan: the facts the join ranges over
+// are gathered from the planned shards and evaluated on the router's
+// own engine. Ground-key joins confined to live shards stay answerable
+// when other shards are down.
+func (rt *Router) gatherCertain(w http.ResponseWriter, r *http.Request, req CertainRequest, q schema.Query, plan shard.Plan, clock *stageClock) {
+	tr := obs.FromContext(r.Context())
 	var p *core.Prepared
 	var planHit bool
+	var err error
 	sp := tr.StartSpan("prepare")
 	clock.time("prepare", func() { p, planHit, err = rt.inner.eng.PrepareCached(q) })
 	if err != nil {
@@ -281,81 +363,11 @@ func (rt *Router) handleCertain(w http.ResponseWriter, r *http.Request) {
 	strategy := rt.inner.eng.Strategy(p)
 	sp.SetAttr("planCache", cacheOutcome(planHit)).SetAttr("strategy", strategy)
 	sp.End()
-	verdict := string(p.Classification().Verdict)
-	n := len(rt.shards)
-	touched, _ := shard.Touched(q, n)
 
-	if len(q.Lits) == 1 && !q.Lits[0].Neg {
-		// Verdict scatter: per-shard answers OR-combine for a single
-		// positive atom, so only the touched shards are asked and the
-		// first true short-circuits. Evaluation runs on the shards; the
-		// explain reports the scatter plan and the contacted shards.
-		certain := false
-		asked := touched[:0:0]
-		clock.time("scatter", func() {
-			for _, i := range touched {
-				var ans CertainResponse
-				err = rt.readShard(r.Context(), i, func(base string) error {
-					return rt.postJSON(r.Context(), base, "/v1/certain",
-						CertainRequest{Query: req.Query, Database: req.Database}, &ans)
-				})
-				if err != nil {
-					return
-				}
-				asked = append(asked, i)
-				if ans.Certain {
-					certain = true
-					return
-				}
-			}
-		})
-		if err != nil {
-			rt.relayShardError(w, r, err)
-			return
-		}
-		resp := CertainResponse{
-			Certain: certain, Verdict: verdict, Database: req.Database,
-		}
-		if req.Explain {
-			info := explainFor(p, strategy, cacheOutcome(planHit), clock, tr)
-			info.ShardPlan = engine.ShardPlanScatter
-			info.Shards = asked
-			resp.Explain = info
-		}
-		rt.inner.writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	// Facts-merge evaluation: fetch the touched shards' slices at their
-	// served versions, merge, and evaluate locally. Ground-key
-	// multi-atom queries confined to live shards stay answerable when
-	// other shards are down.
-	merged := db.New()
-	var mergeErr error
-	clock.time("gather", func() {
-		for _, i := range touched {
-			var fr FactsResponse
-			err = rt.readShard(r.Context(), i, func(base string) error {
-				return rt.getJSON(r.Context(), base, "/v1/db/facts?db="+url.QueryEscape(req.Database), &fr)
-			})
-			if err != nil {
-				return
-			}
-			if mergeErr = mergeFacts(merged, fr); mergeErr != nil {
-				return
-			}
-		}
-	})
+	var merged *db.Database
+	clock.time("gather", func() { merged, err = rt.gather(r.Context(), q, req.Database, plan) })
 	if err != nil {
 		rt.relayShardError(w, r, err)
-		return
-	}
-	if mergeErr != nil {
-		rt.inner.writeError(w, http.StatusBadGateway, "bad_shard_facts", mergeErr.Error())
-		return
-	}
-	if err := parse.DeclareQueryRelations(merged, q); err != nil {
-		rt.inner.writeError(w, http.StatusUnprocessableEntity, "bad_query", err.Error())
 		return
 	}
 	v, err := rt.inner.bounded(r.Context(), func() (any, error) {
@@ -372,12 +384,11 @@ func (rt *Router) handleCertain(w http.ResponseWriter, r *http.Request) {
 		rt.inner.reg.Counter(metrics.Label("eval_total",
 			"strategy", strategy, "cache", "bypass")).Inc()
 		resp := CertainResponse{
-			Certain: certain, Verdict: verdict, Database: req.Database,
+			Certain: certain, Verdict: string(p.Classification().Verdict), Database: req.Database,
 		}
 		if req.Explain {
 			info := explainFor(p, strategy, cacheOutcome(planHit), clock, tr)
-			info.ShardPlan = "merge"
-			info.Shards = touched
+			info.ShardPlan, info.Shards = plan.Kind, plan.Shards
 			resp.Explain = info
 		}
 		return resp, nil
@@ -389,9 +400,47 @@ func (rt *Router) handleCertain(w http.ResponseWriter, r *http.Request) {
 	rt.inner.writeJSON(w, http.StatusOK, v)
 }
 
+// gather fetches the facts a union plan joins over — the planned
+// shards' slices at their served versions, or only the blocks the query
+// pins when every key is ground — into one database that declares every
+// relation of q.
+func (rt *Router) gather(ctx context.Context, q schema.Query, database string, plan shard.Plan) (*db.Database, error) {
+	path := "/v1/db/facts?db=" + url.QueryEscape(database)
+	if plan.Ground {
+		for _, l := range q.Lits {
+			block := []string{l.Atom.Rel}
+			for _, t := range l.Atom.KeyTerms() {
+				block = append(block, t.Name)
+			}
+			spec, err := json.Marshal(block)
+			if err != nil {
+				return nil, err
+			}
+			path += "&block=" + url.QueryEscape(string(spec))
+		}
+	}
+	merged := db.New()
+	for _, i := range plan.Shards {
+		var fr FactsResponse
+		err := rt.readShard(ctx, i, func(base string) error {
+			return rt.getJSON(ctx, base, path, &fr)
+		})
+		if err != nil {
+			return nil, err
+		}
+		if err := mergeFacts(merged, fr); err != nil {
+			return nil, &shardError{status: http.StatusBadGateway, code: "bad_shard_facts", msg: err.Error()}
+		}
+	}
+	if err := parse.DeclareQueryRelations(merged, q); err != nil {
+		return nil, &shardError{status: http.StatusUnprocessableEntity, code: "bad_query", msg: err.Error()}
+	}
+	return merged, nil
+}
+
 // relayShardError maps a fan-out failure: unknown_database and other
-// structured shard rejections relay with their status; connection
-// failures become the 503 partial_result of degraded serving.
+// structured rejections relay with their status; connection failures
+// become the 503 partial_result of degraded serving.
 func (rt *Router) relayShardError(w http.ResponseWriter, r *http.Request, err error) {
 	if se, ok := err.(*shardError); ok {
 		rt.inner.writeError(w, se.status, se.code, se.msg)

@@ -1,0 +1,239 @@
+package server
+
+import (
+	"fmt"
+	"math/rand"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"cqa/internal/db"
+	"cqa/internal/engine"
+	"cqa/internal/naive"
+	"cqa/internal/parse"
+	"cqa/internal/shard"
+)
+
+// countingShard is a shard server behind a per-path request counter.
+func countingShard(t *testing.T, hits *sync.Map) *httptest.Server {
+	t.Helper()
+	s := New(Options{Databases: map[string]*db.Database{}})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n, _ := hits.LoadOrStore(r.URL.Path, new(atomic.Int64))
+		n.(*atomic.Int64).Add(1)
+		s.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+func hitsOf(hits *sync.Map, path string) int64 {
+	if n, ok := hits.Load(path); ok {
+		return n.(*atomic.Int64).Load()
+	}
+	return 0
+}
+
+// TestRouterDifferential is the router-level oracle check for the
+// shard plan: over seeded databases with inconsistent blocks and empty
+// negated relations, and queries of every plan shape, the router's
+// answer equals a single store's and repair enumeration's — and the
+// shards' /v1/db/facts export is requested by union plans only.
+func TestRouterDifferential(t *testing.T) {
+	const n = 3
+	var hits sync.Map
+	shardURLs := make([]string, n)
+	for i := range shardURLs {
+		shardURLs[i] = countingShard(t, &hits).URL
+	}
+	rt := NewRouter(RouterOptions{Shards: shardURLs, Options: Options{Engine: engine.New(engine.Options{})}})
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+	_, single := newTestServer(t, Options{Databases: map[string]*db.Database{}})
+
+	rng := rand.New(rand.NewSource(20181018))
+	key := func() string { return fmt.Sprintf("k%d", rng.Intn(6)) }
+	val := func() string { return fmt.Sprintf("v%d", rng.Intn(3)) }
+	// farKey returns a key owned by another shard than k's.
+	farKey := func(k string) string {
+		for i := 0; ; i++ {
+			if f := fmt.Sprintf("k%d", i); shard.Owner("", []string{f}, n) != shard.Owner("", []string{k}, n) {
+				return f
+			}
+		}
+	}
+	// Each shape names the plan kind it must get on n shards.
+	shapes := []struct {
+		kind string
+		make func() string
+	}{
+		{shard.PlanPinned, func() string { k := key(); return fmt.Sprintf("R('%s' | x), !S('%s' | x)", k, k) }},
+		{shard.PlanPinned, func() string {
+			k := key()
+			return fmt.Sprintf("R('%s' | x), S('%s' | x), !T('%s' | '%s')", k, k, k, val())
+		}},
+		{shard.PlanPinned, func() string { return fmt.Sprintf("R('%s' | '%s')", key(), val()) }},
+		{shard.PlanScatter, func() string { return "R(x | y), !S(x | y)" }},
+		{shard.PlanScatter, func() string { return fmt.Sprintf("R(x | y), S(x | z), !T(x | '%s')", val()) }},
+		{shard.PlanScatter, func() string { return fmt.Sprintf("R(x | '%s'), !T(x | '%s')", val(), val()) }},
+		{shard.PlanScatter, func() string { return fmt.Sprintf("S(x | '%s')", val()) }},
+		{shard.PlanUnion, func() string { k := key(); return fmt.Sprintf("R('%s' | x), S('%s' | x)", k, farKey(k)) }},
+		{shard.PlanUnion, func() string { k := key(); return fmt.Sprintf("R('%s' | x), !T('%s' | x)", k, farKey(k)) }},
+		{shard.PlanUnion, func() string { return "R(x | y), S(y | z)" }},
+		{shard.PlanUnion, func() string { return fmt.Sprintf("R(x | y), !T(y | '%s')", val()) }},
+	}
+
+	byKind := map[string]int{}
+	cases := 0
+	for dbNo := 0; dbNo < 32; dbNo++ {
+		// Blocks of one or two facts (two = inconsistent); T is empty in
+		// every other database, declared on odd ones and unknown on the rest.
+		var facts strings.Builder
+		rels := []string{"R", "S", "T"}
+		if dbNo%2 == 1 {
+			rels = rels[:2]
+		}
+		for _, rel := range rels {
+			for b := 3 + rng.Intn(4); b > 0; b-- {
+				k := key()
+				for s := 1 + rng.Intn(2); s > 0; s-- {
+					fmt.Fprintf(&facts, "%s(%s | %s)\n", rel, k, val())
+				}
+			}
+		}
+		name := fmt.Sprintf("d%d", dbNo)
+		create := DBCreateRequest{Name: name, Facts: facts.String()}
+		if dbNo%4 == 1 {
+			create.Declare = []RelSig{{Name: "T", Arity: 2, Key: 1}}
+		}
+		mustCreate(t, rts.URL, create)
+		mustCreate(t, single.URL, create)
+		whole := parse.MustDatabase(facts.String())
+
+		for _, shape := range shapes {
+			src := shape.make()
+			q, err := parse.Query(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := shard.PlanFor(q, n, nil).Kind; got != shape.kind {
+				t.Fatalf("%s plans %s, the shape was built to plan %s", src, got, shape.kind)
+			}
+			oracle := whole.Clone()
+			if err := parse.DeclareQueryRelations(oracle, q); err != nil {
+				t.Fatal(err)
+			}
+			want := naive.IsCertain(q, oracle)
+
+			before := hitsOf(&hits, "/v1/db/facts")
+			req := CertainRequest{Query: src, Database: name, Explain: cases%2 == 0}
+			routed := decodeBody[CertainResponse](t, postJSON(t, rts.URL+"/v1/certain", req))
+			exports := hitsOf(&hits, "/v1/db/facts") - before
+			alone := decodeBody[CertainResponse](t, postJSON(t, single.URL+"/v1/certain", req))
+
+			if routed.Certain != want || alone.Certain != want || routed.Verdict != alone.Verdict {
+				t.Fatalf("db %s, %s: router %v (%s), single store %v (%s), naive %v\n%s",
+					name, src, routed.Certain, routed.Verdict, alone.Certain, alone.Verdict, want, facts.String())
+			}
+			if (exports > 0) != (shape.kind == shard.PlanUnion) {
+				t.Fatalf("%s (%s plan) fetched %d facts exports", src, shape.kind, exports)
+			}
+			if req.Explain && (routed.Explain == nil || routed.Explain.ShardPlan != shape.kind || len(routed.Explain.Shards) == 0) {
+				t.Fatalf("%s: explain = %+v, want plan %s with its shards", src, routed.Explain, shape.kind)
+			}
+			byKind[shape.kind]++
+			cases++
+		}
+	}
+	if cases < 300 {
+		t.Fatalf("only %d cases", cases)
+	}
+	reg := rt.Inner().Registry()
+	scatter := reg.Counter(`router_read_total{plan="scatter"}`).Value()
+	gather := reg.Counter(`router_read_total{plan="gather"}`).Value()
+	if int(scatter) != byKind[shard.PlanPinned]+byKind[shard.PlanScatter] || int(gather) != byKind[shard.PlanUnion] {
+		t.Errorf("router_read_total scatter=%d gather=%d, want %v", scatter, gather, byKind)
+	}
+}
+
+// TestFactsExportBlockFilter checks the key filter of GET /v1/db/facts:
+// only the named blocks' facts, every signature, and a structured 400
+// for a malformed block.
+func TestFactsExportBlockFilter(t *testing.T) {
+	_, ts := newTestServer(t, Options{Databases: map[string]*db.Database{
+		"d": parse.MustDatabase("R(a | 1)\nR(a | 2)\nR(b | 1)\nS(a | 1)\nS('x y' | 1)\n"),
+	}})
+	get := func(blocks ...string) (*http.Response, FactsResponse) {
+		resp, err := http.Get(ts.URL + "/v1/db/facts?" + url.Values{"db": {"d"}, "block": blocks}.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			return resp, FactsResponse{}
+		}
+		return resp, decodeBody[FactsResponse](t, resp)
+	}
+	_, all := get()
+	if strings.Count(all.Facts, "\n") != 5 {
+		t.Fatalf("unfiltered export: %q", all.Facts)
+	}
+	_, fr := get(`["R","a"]`, `["S","x y"]`, `["S","absent"]`, `["U","a"]`)
+	if fr.Facts != "R(a | 1)\nR(a | 2)\nS('x y' | 1)\n" {
+		t.Errorf("filtered export: %q", fr.Facts)
+	}
+	if len(fr.Relations) != len(all.Relations) || fr.Version != all.Version {
+		t.Errorf("filtered export changed signatures or version: %+v vs %+v", fr, all)
+	}
+	resp, _ := get(`R`)
+	if eb := decodeBody[ErrorBody](t, resp); resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_block" {
+		t.Errorf("malformed block: status %d, body %+v", resp.StatusCode, eb)
+	}
+}
+
+// TestRouterReusesShardConnections: with the idle pool sized from
+// MaxInFlight, 32 concurrent readers forwarding 2 000 reads to one shard
+// keep to about one connection each; the default pool of 2 per host
+// opens several hundred. (Not exactly one each: net/http hands a
+// connection back to the pool after the reply is read, so a reader's
+// next request can find the pool momentarily empty and dial a spare.)
+func TestRouterReusesShardConnections(t *testing.T) {
+	s := New(Options{Databases: map[string]*db.Database{"d": parse.MustDatabase("R(a | 1)\n")}})
+	var opened atomic.Int64
+	shardTS := httptest.NewUnstartedServer(s.Handler())
+	shardTS.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	shardTS.Start()
+	t.Cleanup(shardTS.Close)
+	rt := NewRouter(RouterOptions{Shards: []string{shardTS.URL}, Options: Options{Engine: engine.New(engine.Options{})}})
+
+	const readers, reads = 32, 2000
+	body := `{"database":"d","query":"R('a' | x)"}`
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= reads {
+				w := httptest.NewRecorder()
+				rt.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/certain", strings.NewReader(body)))
+				if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"certain":true`) {
+					t.Errorf("forwarded read: status %d, body %s", w.Code, w.Body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := opened.Load(); n > 2*readers {
+		t.Errorf("%d reads over %d readers opened %d connections to the shard", reads, readers, n)
+	}
+}

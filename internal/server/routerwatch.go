@@ -5,23 +5,19 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
-	"cqa/internal/core"
-	"cqa/internal/db"
 	"cqa/internal/parse"
-	"cqa/internal/schema"
 	"cqa/internal/shard"
 )
 
 // handleWatch answers POST /v1/watch on the router: it opens one watch
 // stream per shard (replica-preferring, reconnecting like the
 // follower's WAL streams) and merges them into one global flip stream.
-// For a single positive atom the global verdict is the OR of the shard
-// verdicts carried by the streams themselves; every other query
-// re-evaluates on the merged touched-shard facts whenever a touched
+// On a scatter plan (shard.PlanFor) the global verdict is the OR of the
+// shard verdicts carried by the streams themselves; a union plan
+// re-evaluates on the gathered facts (rt.gather) whenever a touched
 // shard reports a change. Untouched shards cannot affect the verdict
 // (the placement owns their blocks elsewhere) but their streams keep
 // the version accounting exact: the stream's version is the sum of all
@@ -53,12 +49,12 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := len(rt.shards)
-	touched, _ := shard.Touched(q, n)
+	plan := shard.PlanFor(q, n, nil)
+	touched, scatter := plan.Shards, plan.Scatter()
 	isTouched := make(map[int]bool, len(touched))
 	for _, i := range touched {
 		isTouched[i] = true
 	}
-	scatter := len(q.Lits) == 1 && !q.Lits[0].Neg
 
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
@@ -108,7 +104,11 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 			}
 			return false, nil
 		}
-		return rt.gatherEval(ctx, q, p, req.Database, touched)
+		merged, err := rt.gather(ctx, q, req.Database, plan)
+		if err != nil {
+			return false, err
+		}
+		return rt.inner.eng.CertainWith(p, merged)
 	}
 
 	headerSent := false
@@ -263,27 +263,4 @@ func (rt *Router) watchShardOnce(ctx context.Context, i int, database, query str
 		return sc.Err()
 	}
 	return lastErr
-}
-
-// gatherEval fetches the touched shards' slices and evaluates p on the
-// merged database: the watch-path twin of handleCertain's facts-merge
-// read, without the explain/trace scaffolding.
-func (rt *Router) gatherEval(ctx context.Context, q schema.Query, p *core.Prepared, database string, touched []int) (bool, error) {
-	merged := db.New()
-	for _, i := range touched {
-		var fr FactsResponse
-		err := rt.readShard(ctx, i, func(base string) error {
-			return rt.getJSON(ctx, base, "/v1/db/facts?db="+url.QueryEscape(database), &fr)
-		})
-		if err != nil {
-			return false, err
-		}
-		if err := mergeFacts(merged, fr); err != nil {
-			return false, err
-		}
-	}
-	if err := parse.DeclareQueryRelations(merged, q); err != nil {
-		return false, err
-	}
-	return rt.inner.eng.CertainWith(p, merged)
 }

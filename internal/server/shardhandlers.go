@@ -1,10 +1,12 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 
+	"cqa/internal/db"
 	"cqa/internal/parse"
 	"cqa/internal/store"
 )
@@ -49,10 +51,14 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleDBFacts answers GET /v1/db/facts?db=<name>[&shard=<i>]: the
-// named database's facts (one shard's slice, or the whole union) in the
-// cqa database syntax, with every relation signature alongside, at one
-// consistent version.
+// handleDBFacts answers GET /v1/db/facts?db=<name>[&shard=<i>]
+// [&block=<json>…]: the named database's facts (one shard's slice, or
+// the whole union) in the cqa database syntax, with every relation
+// signature alongside, at one consistent version. Each block parameter
+// is a JSON array naming one block — the relation, then its key values
+// — and restricts the export to the named blocks: what a router fetches
+// for a join whose keys are all ground. The signatures stay complete,
+// so negated atoms over relations with no exported fact still resolve.
 func (s *Server) handleDBFacts(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("db")
 	sh := s.stores.Get(name)
@@ -76,6 +82,13 @@ func (s *Server) handleDBFacts(w http.ResponseWriter, r *http.Request) {
 	if shardIdx >= 0 {
 		d = view.Shard(shardIdx)
 	}
+	if specs := r.URL.Query()["block"]; len(specs) > 0 {
+		var err error
+		if d, err = pickBlocks(d, specs); err != nil {
+			s.writeError(w, http.StatusBadRequest, "bad_block", err.Error())
+			return
+		}
+	}
 	facts, err := parse.FormatDatabase(d)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "unrenderable_facts", err.Error())
@@ -96,6 +109,31 @@ func (s *Server) handleDBFacts(w http.ResponseWriter, r *http.Request) {
 		resp.Relations = append(resp.Relations, RelSig{Name: rel, Arity: rr.Arity, Key: rr.Key})
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// pickBlocks copies the blocks named by specs out of d. A block d does
+// not hold — unknown relation, absent key — contributes nothing.
+func pickBlocks(d *db.Database, specs []string) (*db.Database, error) {
+	out := db.New()
+	for _, spec := range specs {
+		var block []string
+		if err := json.Unmarshal([]byte(spec), &block); err != nil || len(block) < 2 {
+			return nil, fmt.Errorf("block %q is not a JSON array of a relation and its key values", spec)
+		}
+		rel := d.Relation(block[0])
+		if rel == nil {
+			continue
+		}
+		if err := out.DeclareRelation(block[0], rel.Arity, rel.Key); err != nil {
+			return nil, err
+		}
+		for _, f := range d.Block(block[0], block[1:]) {
+			if err := out.Insert(f); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
 }
 
 // handleWALStream answers GET /v1/wal/stream?db=<name>&shard=<i>

@@ -7,10 +7,11 @@
 // blocks. That is what makes scatter-gather certainty sound (see
 // docs/SHARDING.md for the argument and its limits).
 //
-// Facts are routed by an FNV-1a hash of the relation name and the
-// canonical key strings — not the interned integer ids, which are
-// process-local and would route the same block differently across
-// restarts and replicas.
+// Facts are routed by an FNV-1a hash of the canonical key strings —
+// not the interned integer ids, which are process-local and would route
+// the same block differently across restarts and replicas, and not the
+// relation name, so same-key blocks of different relations co-locate
+// (the placement property PlanFor's co-keyed rule rests on).
 //
 // A Sharded store serializes writes across its shards and publishes a
 // combined View (per-shard snapshots plus a global version, the sum of
@@ -26,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"cqa/internal/db"
+	"cqa/internal/schema"
 	"cqa/internal/store"
 )
 
@@ -35,10 +37,10 @@ import (
 // deliberately NOT hashed: same-key blocks of different relations
 // co-locate, so a ground-key query over several relations (a join with
 // its negation guards on one key) touches exactly one shard — it stays
-// answerable when every other shard is down, and the router can serve
-// it from one slice instead of gathering several. Correctness never
-// depends on this choice (any per-block placement is sound); only
-// locality does.
+// answerable when every other shard is down, and so does any query
+// whose atoms all carry the same key tuple (PlanFor). Any per-block
+// placement keeps scatter-gather sound; only PlanFor's co-keyed rule
+// depends on this one, and it is withheld from overridden placements.
 func Owner(rel string, key []string, n int) int {
 	if n <= 1 {
 		return 0
@@ -59,8 +61,8 @@ func Owner(rel string, key []string, n int) int {
 	return int(h % uint64(n))
 }
 
-// HashFunc routes a block to a shard; the default is Owner. Tests
-// override it on a Sharded to force adversarial placements.
+// HashFunc routes a block to a shard; nil means Owner. Tests override
+// it on a Sharded to force adversarial placements.
 type HashFunc func(rel string, key []string, n int) int
 
 // View is one consistent cross-shard read view: per-shard snapshots
@@ -76,16 +78,9 @@ type View struct {
 	union     *db.Database
 }
 
-// Owner returns the shard owning block (rel, key) under the placement
-// this view was built with. Query pruning must use this — not the
-// package-level Owner — so a non-default placement (the adversarial
-// test hook) routes reads and writes identically.
-func (v *View) Owner(rel string, key []string) int {
-	if v.hash == nil {
-		return Owner(rel, key, len(v.snaps))
-	}
-	return v.hash(rel, key, len(v.snaps))
-}
+// Plan plans q under the placement this view was built with, so reads
+// follow whatever placement wrote the data.
+func (v *View) Plan(q schema.Query) Plan { return PlanFor(q, len(v.snaps), v.hash) }
 
 // NumShards returns the shard count.
 func (v *View) NumShards() int { return len(v.snaps) }
@@ -100,9 +95,8 @@ func (v *View) ShardVersion(i int) uint64 { return v.snaps[i].Version }
 func (v *View) Version() uint64 { return v.version }
 
 // Union returns the merged database — every shard's facts in one view,
-// built on first use and memoized for the View's lifetime. Queries
-// that join across blocks evaluate here; single-atom queries never
-// need it.
+// built on first use and memoized for the View's lifetime. Union
+// plans evaluate here; scatter plans never need it.
 func (v *View) Union() *db.Database {
 	v.unionOnce.Do(func() {
 		if len(v.snaps) == 1 {
@@ -148,7 +142,7 @@ func NewSharded(name string, n int, opt store.Options) (*Sharded, error) {
 	if n <= 0 {
 		n = 1
 	}
-	s := &Sharded{name: name, hash: Owner}
+	s := &Sharded{name: name}
 	for i := 0; i < n; i++ {
 		st, err := store.Open(shardStoreName(name, i, n), opt)
 		if err != nil {
@@ -166,7 +160,7 @@ func NewSharded(name string, n int, opt store.Options) (*Sharded, error) {
 // NewShardedFromStores wraps existing stores (typically follower
 // replicas, or a single adopted memory store) without opening anything.
 func NewShardedFromStores(name string, stores []*store.Store) *Sharded {
-	s := &Sharded{name: name, hash: Owner, shards: stores}
+	s := &Sharded{name: name, shards: stores}
 	s.publishLocked()
 	return s
 }
@@ -301,6 +295,9 @@ func (s *Sharded) route(f db.Fact, v *View, staged map[string]decl) (int, error)
 	if len(f.Args) != arity {
 		return 0, fmt.Errorf("shard: fact %s has %d args, relation has arity %d",
 			f.Rel, len(f.Args), arity)
+	}
+	if s.hash == nil {
+		return Owner(f.Rel, f.Args[:key], len(s.shards)), nil
 	}
 	return s.hash(f.Rel, f.Args[:key], len(s.shards)), nil
 }

@@ -33,16 +33,16 @@ func TestOwnerKeepsBlocksWholeAndSpreads(t *testing.T) {
 
 func TestTouchedPinsGroundKeys(t *testing.T) {
 	ground := schema.NewQuery(schema.Pos(schema.NewAtom("R", 1, schema.Const("k"), schema.Var("y"))))
-	shards, all := shard.Touched(ground, 4)
-	if all || len(shards) != 1 {
-		t.Fatalf("ground-key query touches %v (all=%v), want exactly one shard", shards, all)
+	plan := shard.PlanFor(ground, 4, nil)
+	if !plan.Ground || len(plan.Shards) != 1 {
+		t.Fatalf("ground-key query plans %+v, want exactly one pinned shard", plan)
 	}
-	if want := shard.Owner("R", []string{"k"}, 4); shards[0] != want {
-		t.Fatalf("touched shard %d, owner %d", shards[0], want)
+	if want := shard.Owner("R", []string{"k"}, 4); plan.Shards[0] != want {
+		t.Fatalf("touched shard %d, owner %d", plan.Shards[0], want)
 	}
 	free := schema.NewQuery(schema.Pos(schema.NewAtom("R", 1, schema.Var("x"), schema.Var("y"))))
-	if _, all := shard.Touched(free, 4); !all {
-		t.Fatal("variable-key query must touch all shards")
+	if plan := shard.PlanFor(free, 4, nil); plan.Ground || len(plan.Shards) != 4 {
+		t.Fatalf("variable-key query plans %+v, want all shards", plan)
 	}
 }
 
