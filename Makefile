@@ -1,16 +1,21 @@
 # Developer entry points. `make check` is the full pre-commit gate:
-# vet, tests, the race detector, fuzz seed corpora, and a benchmark
+# gofmt, vet, tests, the race detector, fuzz seed corpora, and a benchmark
 # smoke run. Individual targets exist for the impatient.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz bench bench-smoke planner-smoke experiments serve-smoke store-smoke shard-smoke obs-smoke watch-smoke chaos bench-shard clean
+.PHONY: check build fmt-check vet test race fuzz bench bench-smoke planner-smoke experiments serve-smoke store-smoke shard-smoke obs-smoke watch-smoke chaos bench-shard clean
 
-check: vet test race fuzz bench bench-smoke planner-smoke shard-smoke obs-smoke watch-smoke
+check: fmt-check vet test race fuzz bench bench-smoke planner-smoke shard-smoke obs-smoke watch-smoke
 
 build:
 	$(GO) build ./...
+
+# Fails, naming them, if any Go file is not gofmt-formatted.
+fmt-check:
+	@files=$$(gofmt -l .); \
+	if [ -n "$$files" ]; then echo "gofmt -l . lists:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

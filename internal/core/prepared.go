@@ -52,7 +52,17 @@ func Prepare(q schema.Query) (*Prepared, error) {
 	}
 	p := &Prepared{cls: cls, plan: planner.New(q, cls.Verdict == VerdictFO)}
 	if cls.Verdict == VerdictFO {
-		prog, err := fo.Compile(cls.Rewriting)
+		// A positive atom's constants must occur in their columns for any
+		// repair to satisfy q at all.
+		var needs []fo.Need
+		for _, a := range q.Positive() {
+			for col, t := range a.Terms {
+				if !t.IsVar {
+					needs = append(needs, fo.Need{Rel: a.Rel, Col: col, Const: t.Name})
+				}
+			}
+		}
+		prog, err := fo.Compile(cls.Rewriting, needs...)
 		if err != nil {
 			// Rewritings are sentences, so this is unreachable; fall back
 			// to the tree walker rather than failing the preparation.
@@ -209,6 +219,18 @@ func (p *Prepared) CertainBitmap(d *db.Database) bool {
 		if b := p.bound(d); b != nil {
 			return b.EvalBitmap()
 		}
+		return evalOn(d, p.cls.Query, p.cls.Rewriting)
+	}
+	return p.certainNonFO(d)
+}
+
+// CertainScratch answers like Certain on a database built for this one
+// question (the few-fact sub-databases of delta.Carry): the rewriting is
+// walked as is, since interning and binding a database nobody will ask
+// again costs more than the walk, and nothing is left in the bound and
+// decision caches, whose entries belong to the served snapshots.
+func (p *Prepared) CertainScratch(d *db.Database) bool {
+	if p.InFO() {
 		return evalOn(d, p.cls.Query, p.cls.Rewriting)
 	}
 	return p.certainNonFO(d)

@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"cqa/internal/core"
+	"cqa/internal/db"
 	"cqa/internal/gen"
 	"cqa/internal/naive"
 	"cqa/internal/parse"
+	"cqa/internal/schema"
 )
 
 func TestPreparedFO(t *testing.T) {
@@ -83,5 +85,88 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 				t.Fatalf("prepared = %v, one-shot = %v on %s", got, want, q)
 			}
 		}
+	}
+}
+
+// Bind-time empty-scan short-circuit: a positive atom's constant that
+// its column lacks makes the bound program constant-false. Random
+// queries with constants in key and non-key positions, over databases
+// where those constants are sometimes nowhere, sometimes only in another
+// column or relation, must answer on every compiled path what the tree
+// walker and repair enumeration answer.
+func TestEmptyScanMatchesOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	domain := []string{"a", "b", "c", "d"}
+	term := func(vars ...string) schema.Term {
+		if rng.Intn(2) == 0 {
+			return schema.Const(domain[rng.Intn(len(domain))])
+		}
+		return schema.Var(vars[rng.Intn(len(vars))])
+	}
+	falseByNeed := 0
+	for i := 0; i < 400; i++ {
+		lits := []schema.Literal{schema.Pos(schema.NewAtom("R", 1, term("x"), term("x", "y")))}
+		if rng.Intn(2) == 0 {
+			lits = append(lits, schema.Literal{Neg: rng.Intn(2) == 0, Atom: schema.NewAtom("S", 1, term("x"), term("x", "y"))})
+		}
+		if rng.Intn(3) == 0 {
+			lits = append(lits, schema.Pos(schema.NewAtom("Absent", 1, term("x"), term("x", "y"))))
+		}
+		q := schema.NewQuery(lits...)
+		p, err := core.Prepare(q)
+		if err != nil || !p.InFO() {
+			continue
+		}
+		d := db.New()
+		d.MustDeclare("R", 2, 1)
+		d.MustDeclare("S", 2, 1)
+		// Three of the four constants, so one is always out of the data.
+		for n := rng.Intn(8); n > 0; n-- {
+			d.MustInsert(db.F([]string{"R", "S"}[rng.Intn(2)], domain[rng.Intn(3)], domain[rng.Intn(3)]))
+		}
+		want := p.CertainTreeWalk(d)
+		if oracle := naive.IsCertain(q, d); oracle != want {
+			t.Fatalf("%s: tree walk %v, repair enumeration %v\n%s", q, want, oracle, d)
+		}
+		support, _, _ := p.CertainSupport(d)
+		for name, got := range map[string]bool{
+			"Certain": p.Certain(d), "CertainBitmap": p.CertainBitmap(d),
+			"CertainParallel": p.CertainParallel(d, 2, 1), "CertainSupport": support,
+		} {
+			if got != want {
+				t.Fatalf("%s: %s = %v, tree walk %v\n%s", q, name, got, want, d)
+			}
+		}
+		if !want && len(q.Constants()) > 0 {
+			falseByNeed++
+		}
+	}
+	if falseByNeed == 0 {
+		t.Fatal("no case had a constant to miss")
+	}
+}
+
+// The short-circuit is a property of one snapshot: the insert that
+// brings the constant into the column is answered on the next one.
+func TestEmptyScanFollowsLaterInsert(t *testing.T) {
+	q := parse.MustQuery("R(x | 'late'), !S(x | 'late')")
+	p, err := core.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 'late' is known to the dictionary — S holds it — but not to R's
+	// value column.
+	d := parse.MustDatabase("R(k | early)\nS(other | late)")
+	if p.Certain(d) || p.CertainBitmap(d) || p.CertainTreeWalk(d) {
+		t.Fatal("certain before any R-fact carries the constant")
+	}
+	next := d.CloneCOW("R")
+	next.MustInsert(db.F("R", "k2", "late"))
+	next.SeedInterned(db.InternNext(d.Interned(), next))
+	if !p.Certain(next) || !p.CertainBitmap(next) || !p.CertainTreeWalk(next) || !naive.IsCertain(q, next) {
+		t.Fatal("not certain once R(k2 | late) is in")
+	}
+	if p.Certain(d) {
+		t.Fatal("the earlier snapshot changed its answer")
 	}
 }

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -273,13 +274,27 @@ func InternNext(prev *Interned, next *Database) *Interned {
 func internWith(dc *dict, prev *Interned, d *Database) *Interned {
 	ix := &Interned{dc: dc, rels: make(map[string]*InternedRelation, len(d.rels))}
 
+	// Relations pointer-shared with the database prev was built from (the
+	// store's copy-on-write) keep prev's index, and their values are in
+	// the chained dictionary already; only the others are walked.
+	var rebuilt []*Relation
+	for name, r := range d.rels {
+		if prev != nil {
+			if pr, ok := prev.rels[name]; ok && pr.src == r {
+				ix.rels[name] = pr
+				continue
+			}
+		}
+		rebuilt = append(rebuilt, r)
+	}
+
 	// Collect the values the dictionary does not know yet, in one pass,
 	// and intern them in sorted order so ids are deterministic for a
 	// given build history.
 	var fresh []string
 	seen := make(map[string]bool)
 	dc.mu.Lock()
-	for _, r := range d.rels {
+	for _, r := range rebuilt {
 		for _, col := range r.colVals {
 			for v := range col {
 				if _, ok := dc.ids[v]; !ok && !seen[v] {
@@ -292,31 +307,31 @@ func internWith(dc *dict, prev *Interned, d *Database) *Interned {
 	dc.mu.Unlock()
 	ix.n, ix.vals = dc.addAll(fresh)
 
-	// Index every relation, reusing prev's indexes for shared relations.
-	for name, r := range d.rels {
-		if prev != nil {
-			if pr, ok := prev.rels[name]; ok && pr.src == r {
-				ix.rels[name] = pr
-				continue
-			}
-		}
-		ix.rels[name] = ix.buildRelation(r)
+	for _, r := range rebuilt {
+		ix.rels[r.Name] = ix.buildRelation(r)
 	}
 
-	// Active domain: ids of every value occurring in some column.
-	domSet := make(map[int32]bool)
+	// Active domain: ids of every value occurring in some column, in id
+	// order. Ids are dense below ix.n, so a mark table replaces hashing
+	// and sorting.
+	occurs := make([]bool, ix.n)
+	size := 0
 	for _, ir := range ix.rels {
 		for _, p := range ir.postings {
 			for _, id := range p {
-				domSet[id] = true
+				if !occurs[id] {
+					occurs[id] = true
+					size++
+				}
 			}
 		}
 	}
-	ix.domain = make([]int32, 0, len(domSet))
-	for id := range domSet {
-		ix.domain = append(ix.domain, id)
+	ix.domain = make([]int32, 0, size)
+	for id, ok := range occurs {
+		if ok {
+			ix.domain = append(ix.domain, int32(id))
+		}
 	}
-	sort.Slice(ix.domain, func(i, j int) bool { return ix.domain[i] < ix.domain[j] })
 	return ix
 }
 
@@ -330,30 +345,36 @@ func (ix *Interned) buildRelation(r *Relation) *InternedRelation {
 		}
 	}
 	ir.data = make([]int32, 0, ir.rows*r.Arity)
+	ir.postings = make([][]int32, r.Arity)
+	// Every value was interned by internWith, so one hold of the
+	// dictionary lock resolves the whole relation.
+	ix.dc.mu.Lock()
+	ids := ix.dc.ids
+	for _, f := range r.facts {
+		for _, a := range f.Args {
+			ir.data = append(ir.data, ids[a])
+		}
+	}
+	for i, col := range r.colVals {
+		p := make([]int32, 0, len(col))
+		for v := range col {
+			p = append(p, ids[v])
+		}
+		ir.postings[i] = p
+	}
+	ix.dc.mu.Unlock()
+
 	size := uint32(4)
 	for size < uint32(ir.rows)*2 {
 		size *= 2
 	}
 	ir.table = make([]int32, size)
 	ir.mask = size - 1
-	row := 0
-	for _, f := range r.facts {
-		for _, a := range f.Args {
-			id, _ := ix.dc.lookup(a)
-			ir.data = append(ir.data, id)
-		}
+	for row := 0; row < ir.rows; row++ {
 		ir.insert(row)
-		row++
 	}
-	ir.postings = make([][]int32, r.Arity)
-	for i, col := range r.colVals {
-		p := make([]int32, 0, len(col))
-		for v := range col {
-			id, _ := ix.dc.lookup(v)
-			p = append(p, id)
-		}
-		sort.Slice(p, func(a, b int) bool { return p[a] < p[b] })
-		ir.postings[i] = p
+	for _, p := range ir.postings {
+		slices.Sort(p)
 	}
 	return ir
 }

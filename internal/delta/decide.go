@@ -16,6 +16,9 @@ type changeCtx struct {
 	c    store.Change
 	prev *db.Database
 	cur  *db.Database
+	// prevVersion is the version of prev: the carry rule applies to
+	// verdicts settled on exactly that snapshot.
+	prevVersion uint64
 
 	inited  bool
 	chainOK bool // prev and cur share one dictionary chain
@@ -85,11 +88,38 @@ func (cc *changeCtx) init() {
 	}
 }
 
-// decide reports whether g must be re-evaluated for this change, plus
-// the dirty blocks of g's relations (the flip event's trigger blocks).
-// A false result is a proof that g's verdict is unchanged — see the
+// carry applies the block-local carry rule to a co-keyed group whose
+// verdict is settled on cc.prev. ok is false when the rule does not
+// apply or leaves the verdict open; decide then takes over, and with no
+// support recorded re-evaluates unless no relation of g was written.
+func (cc *changeCtx) carry(g *regGroup) (verdict, ok bool) {
+	if !g.coKeyed || cc.prev == nil || g.version != cc.prevVersion {
+		return false, false
+	}
+	q := g.prep.Classification().Query
+	keys, ok := DirtyKeys(q, cc.c)
+	if !ok {
+		return false, false
+	}
+	return Carry(q, g.verdict, keys, []*db.Database{cc.prev}, []*db.Database{cc.cur}, g.prep.CertainScratch)
+}
+
+// blocksOf returns the dirty blocks of g's relations: the trigger blocks
+// of a flip event.
+func (cc *changeCtx) blocksOf(g *regGroup) []store.BlockRef {
+	var out []store.BlockRef
+	for _, b := range cc.c.Blocks {
+		if g.rels[b.Rel] {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// decide reports whether g must be re-evaluated for this change. A
+// false result is a proof that g's verdict is unchanged — see the
 // package comment for the replay argument each rule discharges.
-func (cc *changeCtx) decide(g *regGroup) (reeval bool, triggers []store.BlockRef) {
+func (cc *changeCtx) decide(g *regGroup) bool {
 	touched := false
 	for _, r := range cc.c.Rels {
 		if g.rels[r] {
@@ -99,38 +129,35 @@ func (cc *changeCtx) decide(g *regGroup) (reeval bool, triggers []store.BlockRef
 	}
 	if !touched {
 		// Rule 0: no relation the query mentions changed.
-		return false, nil
+		return false
 	}
 	relBlocks := make(map[string]bool)
-	for _, b := range cc.c.Blocks {
-		if g.rels[b.Rel] {
-			triggers = append(triggers, b)
-			relBlocks[b.Rel] = true
-		}
+	for _, b := range cc.blocksOf(g) {
+		relBlocks[b.Rel] = true
 	}
 	if g.sup == nil {
 		// Relation-level mode: no support recorded (non-FO query,
 		// compile fallback, or domain-quantifying program).
-		return true, triggers
+		return true
 	}
 	cc.init()
 	if cc.prev == nil || !cc.chainOK || !g.sup.Ix.SameDict(cc.curIx) {
 		// The dictionary chain broke somewhere between the recorded run
 		// and this version; recorded ids are not comparable.
-		return true, triggers
+		return true
 	}
 	for _, r := range g.sup.AbsentRels {
 		if relBlocks[r] {
 			// The recorded run saw no relation at all here; any write to
 			// it changes probe answers from the constant false.
-			return true, triggers
+			return true
 		}
 	}
 	for _, r := range cc.c.Rels {
 		if g.rels[r] && !relBlocks[r] {
 			// A watched relation is reported touched without block
 			// detail; nothing to intersect against.
-			return true, triggers
+			return true
 		}
 	}
 	supN := g.sup.Ix.NumIDs()
@@ -144,22 +171,22 @@ func (cc *changeCtx) decide(g *regGroup) (reeval bool, triggers []store.BlockRef
 			// not know. Unresolved constants got synthetic ids in the
 			// recorded run, so hashes are not comparable — and a fresh
 			// value can extend candidate lists.
-			return true, triggers
+			return true
 		}
 		if g.sup.Holds(cc.hashes[i]) {
 			// Rule 3: the recorded run probed this block; its answer may
 			// have changed.
-			return true, triggers
+			return true
 		}
 		for _, col := range g.candCols[b.Rel] {
 			if cc.candChanged(i, b.Rel, ids, col) {
 				// Rule 2: the block's delta changes the value set of a
 				// candidate-source column.
-				return true, triggers
+				return true
 			}
 		}
 	}
-	return false, nil
+	return false
 }
 
 // candChanged reports whether dirty block i's row delta changes the

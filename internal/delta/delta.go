@@ -30,7 +30,13 @@
 // and the naive fallback) degrade to relation-level skipping: they are
 // re-evaluated whenever a write touches a relation they mention, which
 // is still exact — their deciders are near-linear — just not
-// block-proportional. See docs/DELTA.md.
+// block-proportional.
+//
+// Co-keyed queries take none of that: their verdict is a disjunction
+// over keys, so it is carried across a change by re-checking the dirty
+// blocks alone (carry.go), with no recorded run to replay and hence no
+// support set. The engine's result cache keeps its answers current with
+// the same rule. See docs/DELTA.md.
 package delta
 
 import (
@@ -505,7 +511,7 @@ func (st *dbState) processChange(o op) {
 	sp := tr.StartSpan("delta")
 	sp.SetAttr("db", st.name).SetAttr("version", fmt.Sprint(c.Version))
 
-	cc := &changeCtx{c: c, prev: prev, cur: cur}
+	cc := &changeCtx{c: c, prev: prev, prevVersion: st.lastVersion, cur: cur}
 	var nSkip, nReeval, nFlip int
 	for _, g := range st.groups {
 		if c.Version <= g.version {
@@ -514,40 +520,45 @@ func (st *dbState) processChange(o op) {
 			// its verdict already reflects it.
 			continue
 		}
-		reeval, triggers := cc.decide(g)
-		if !reeval {
-			// A proven skip settles the verdict at the new version too:
-			// advance the published state so heartbeats report progress.
-			g.setState(c.Version)
-			nSkip++
-			st.m.skipped.Add(1)
-			st.m.hookReeval(st.name, OutcomeSkipped)
-			continue
-		}
 		old := g.verdict
-		g.evaluate(cur)
+		outcome := OutcomeSkipped
+		if verdict, carried := cc.carry(g); carried {
+			g.verdict = verdict
+		} else if cc.decide(g) {
+			g.evaluate(cur)
+			outcome = OutcomeReevaluated
+		}
+		// A proven skip settles the verdict at the new version too:
+		// advance the published state so heartbeats report progress.
 		g.setState(c.Version)
+		var triggers []string
 		if g.verdict != old {
-			nFlip++
-			st.m.flipped.Add(1)
-			st.m.hookReeval(st.name, OutcomeFlipped)
+			outcome = OutcomeFlipped
+			triggers = formatBlocks(cc.blocksOf(g))
 			if st.m.opt.OnFlip != nil {
 				st.m.opt.OnFlip(st.name)
 			}
-			for w := range g.watches {
-				w.emit(Event{Version: c.Version, From: old, To: g.verdict, Blocks: formatBlocks(triggers)})
-			}
-		} else {
+		}
+		switch outcome {
+		case OutcomeSkipped:
+			nSkip++
+			st.m.skipped.Add(1)
+		case OutcomeReevaluated:
 			nReeval++
 			st.m.reevaled.Add(1)
-			st.m.hookReeval(st.name, OutcomeReevaluated)
-			for w := range g.watches {
-				if w.gapped {
-					// The consumer shed flips earlier; the settled state is
-					// the next deliverable event, collapsed into a Resync by
-					// emit.
-					w.emit(Event{Version: c.Version, From: old, To: g.verdict})
-				}
+		case OutcomeFlipped:
+			nFlip++
+			st.m.flipped.Add(1)
+		}
+		st.m.hookReeval(st.name, outcome)
+		for w := range g.watches {
+			switch {
+			case outcome == OutcomeFlipped:
+				w.emit(Event{Version: c.Version, From: old, To: g.verdict, Blocks: triggers})
+			case w.gapped:
+				// The consumer shed flips earlier; the settled state is the
+				// next deliverable event, collapsed into a Resync by emit.
+				w.emit(Event{Version: c.Version, From: old, To: g.verdict})
 			}
 		}
 	}
@@ -590,6 +601,9 @@ func formatBlocks(refs []store.BlockRef) []string {
 type regGroup struct {
 	signature string
 	prep      *core.Prepared
+	// coKeyed groups decide by the carry rule (carry.go) and keep no
+	// support: a carried verdict has no recorded run behind it.
+	coKeyed bool
 
 	// Static program analysis, set at group creation.
 	rels       map[string]bool  // relations the query/program mentions
@@ -612,6 +626,7 @@ func newRegGroup(signature string, prep *core.Prepared) *regGroup {
 		candCols:  make(map[string][]int),
 		watches:   make(map[*Watch]struct{}),
 	}
+	_, g.coKeyed = prep.Classification().Query.CoKey()
 	if prog := prep.Program(); prog != nil {
 		for _, r := range prog.Rels() {
 			g.rels[r] = true
@@ -633,6 +648,10 @@ func newRegGroup(signature string, prep *core.Prepared) *regGroup {
 // quantifies over the active domain; everything else keeps sup nil and
 // degrades to relation-level skipping.
 func (g *regGroup) evaluate(d *db.Database) {
+	if g.coKeyed {
+		g.verdict = g.prep.Certain(d)
+		return
+	}
 	verdict, sup, supported := g.prep.CertainSupport(d)
 	g.verdict = verdict
 	if supported && !g.usesDomain {

@@ -23,6 +23,7 @@ import (
 	"cqa/internal/db"
 	"cqa/internal/delta"
 	"cqa/internal/schema"
+	"cqa/internal/store"
 )
 
 // ErrClosed is returned by engine methods after Close.
@@ -211,9 +212,9 @@ func (e *Engine) certainWith(p *core.Prepared, d *db.Database) bool {
 // the database. cached reports whether the answer came from the cache.
 //
 // dbID must name the database stably across versions, and writes to it
-// must be reported via ApplyWrite in version order (wire the store's
-// OnApply hook to ApplyWrite). d must be the immutable snapshot at
-// exactly version.
+// must be reported via ApplyChange in version order (wire the store's
+// OnApply hook to it). d must be the immutable snapshot at exactly
+// version.
 func (e *Engine) CertainVersioned(q schema.Query, dbID string, version uint64, d *db.Database) (certain, cached bool, err error) {
 	if err := e.begin(); err != nil {
 		return false, false, err
@@ -230,20 +231,30 @@ func (e *Engine) CertainVersioned(q schema.Query, dbID string, version uint64, d
 		return false, false, err
 	}
 	certain = e.certainWith(p, d)
-	rels := make(map[string]bool)
-	for _, a := range q.Atoms() {
-		rels[a.Rel] = true
-	}
-	e.results.put(sig, dbID, version, rels, certain)
+	e.results.put(sig, dbID, version, q, certain)
 	return certain, false, nil
 }
 
-// ApplyWrite reports that dbID moved to newVersion by a write touching
-// touchedRels: cached answers for queries mentioning any touched
-// relation are invalidated, all other answers for dbID remain valid at
-// the new version. Calls must arrive in version order per database.
-func (e *Engine) ApplyWrite(dbID string, newVersion uint64, touchedRels []string) {
-	e.results.applyWrite(dbID, newVersion, touchedRels)
+// ApplyChange reports that the write c moved dbID from the view prev to
+// the view cur (cur.Version() == c.Version): cached answers of queries
+// mentioning no written relation stay valid at the new version, answers
+// of co-keyed queries are carried across by re-checking c.Blocks alone
+// (delta.Carry, evaluated here, on the writer's side), and the rest are
+// invalidated. Calls must arrive in version order per database.
+func (e *Engine) ApplyChange(dbID string, c store.Change, prev, cur ShardView) {
+	e.results.applyChange(dbID, c, prev.Version(), shardDBs(prev), shardDBs(cur), e.scratchEvaluator)
+}
+
+// scratchEvaluator returns what decides q on a throwaway database.
+func (e *Engine) scratchEvaluator(q schema.Query) (func(*db.Database) bool, error) {
+	p, err := e.prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	if e.opt.ForceTreeWalk {
+		return p.CertainTreeWalk, nil
+	}
+	return p.CertainScratch, nil
 }
 
 // DropDB forgets every cached answer for dbID and closes every watch

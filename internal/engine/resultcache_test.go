@@ -8,6 +8,7 @@ import (
 	"cqa/internal/db"
 	"cqa/internal/engine"
 	"cqa/internal/parse"
+	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
@@ -18,13 +19,12 @@ import (
 func TestResultCacheIncrementalInvalidation(t *testing.T) {
 	e := engine.New(engine.Options{})
 	defer e.Close()
-	st := store.NewMem("d", parse.MustDatabase("R(a | 1)\nR(a | 2)\nS(a | 1)\nT(z | z)"))
-	st.SetOnApply(func(c store.Change) { e.ApplyWrite("d", c.Version, c.Rels) })
+	st := carryStore(t, e, "d", 1, "R(a | 1)\nR(a | 2)\nS(a | 1)\nT(z | z)")
 
 	q := parse.MustQuery("R(x | y), !S(y | x)") // mentions R and S, not T
 	ask := func() (bool, bool) {
 		t.Helper()
-		snap := st.Snapshot()
+		snap := st.Shard(0).Snapshot()
 		certain, cached, err := e.CertainVersioned(q, "d", snap.Version, snap.DB)
 		if err != nil {
 			t.Fatal(err)
@@ -80,17 +80,16 @@ func TestResultCacheIncrementalInvalidation(t *testing.T) {
 func TestResultCacheNoOpWrite(t *testing.T) {
 	e := engine.New(engine.Options{})
 	defer e.Close()
-	st := store.NewMem("d", parse.MustDatabase("R(a | 1)"))
-	st.SetOnApply(func(c store.Change) { e.ApplyWrite("d", c.Version, c.Rels) })
+	st := carryStore(t, e, "d", 1, "R(a | 1)")
 	q := parse.MustQuery("R(x | y)")
-	snap := st.Snapshot()
+	snap := st.Shard(0).Snapshot()
 	if _, _, err := e.CertainVersioned(q, "d", snap.Version, snap.DB); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Insert(db.F("R", "a", "1")); err != nil { // duplicate: no-op
 		t.Fatal(err)
 	}
-	snap = st.Snapshot()
+	snap = st.Shard(0).Snapshot()
 	if _, cached, _ := e.CertainVersioned(q, "d", snap.Version, snap.DB); !cached {
 		t.Fatal("no-op write must keep the cache hit")
 	}
@@ -102,12 +101,11 @@ func TestResultCacheNoOpWrite(t *testing.T) {
 func TestResultCacheRejectsStalePut(t *testing.T) {
 	e := engine.New(engine.Options{})
 	defer e.Close()
-	st := store.NewMem("d", parse.MustDatabase("R(a | 1)\nR(a | 2)"))
-	st.SetOnApply(func(c store.Change) { e.ApplyWrite("d", c.Version, c.Rels) })
+	st := carryStore(t, e, "d", 1, "R(a | 1)\nR(a | 2)")
 	q := parse.MustQuery("R(x | y)")
 
 	// Take the snapshot before the write, evaluate after it.
-	old := st.Snapshot()
+	old := st.Shard(0).Snapshot()
 	if _, err := st.Delete(db.F("R", "a", "1"), db.F("R", "a", "2")); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +113,7 @@ func TestResultCacheRejectsStalePut(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The stale evaluation must not be served at the current version.
-	now := st.Snapshot()
+	now := st.Shard(0).Snapshot()
 	certain, cached, err := e.CertainVersioned(q, "d", now.Version, now.DB)
 	if err != nil {
 		t.Fatal(err)
@@ -134,16 +132,11 @@ func TestResultCachePerDatabaseIsolation(t *testing.T) {
 	e := engine.New(engine.Options{})
 	defer e.Close()
 	q := parse.MustQuery("R(x | y), !S(y | x)")
-	mk := func(id, facts string) *store.Store {
-		st := store.NewMem(id, parse.MustDatabase(facts))
-		st.SetOnApply(func(c store.Change) { e.ApplyWrite(id, c.Version, c.Rels) })
-		return st
-	}
-	a := mk("a", "R(a | 1)\nS(z | z)")
-	b := mk("b", "R(a | 1)\nS(1 | a)")
-	askOn := func(id string, st *store.Store) (bool, bool) {
+	a := carryStore(t, e, "a", 1, "R(a | 1)\nS(z | z)")
+	b := carryStore(t, e, "b", 1, "R(a | 1)\nS(1 | a)")
+	askOn := func(id string, st *shard.Sharded) (bool, bool) {
 		t.Helper()
-		snap := st.Snapshot()
+		snap := st.Shard(0).Snapshot()
 		certain, cached, err := e.CertainVersioned(q, id, snap.Version, snap.DB)
 		if err != nil {
 			t.Fatal(err)

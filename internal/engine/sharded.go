@@ -61,12 +61,17 @@ func (e *Engine) CertainShardedVersioned(q schema.Query, dbID string, view Shard
 		return false, false, err
 	}
 	certain = e.certainSharded(p, q, view)
-	rels := make(map[string]bool)
-	for _, a := range q.Atoms() {
-		rels[a.Rel] = true
-	}
-	e.results.put(sig, dbID, view.Version(), rels, certain)
+	e.results.put(sig, dbID, view.Version(), q, certain)
 	return certain, false, nil
+}
+
+// shardDBs lists a view's per-shard databases.
+func shardDBs(view ShardView) []*db.Database {
+	out := make([]*db.Database, view.NumShards())
+	for i := range out {
+		out[i] = view.Shard(i)
+	}
+	return out
 }
 
 // certainSharded executes view's plan for q: scatter plans OR the

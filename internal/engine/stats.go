@@ -35,11 +35,13 @@ type Stats struct {
 	CachedPlans                            int
 
 	// ResultHits and ResultMisses count CertainVersioned lookups in the
-	// versioned result cache; ResultInvalidations counts entries dropped
-	// because a write touched a relation their query mentions;
-	// CachedResults is the current population.
-	ResultHits, ResultMisses, ResultInvalidations uint64
-	CachedResults                                 int
+	// versioned result cache. A write that touches a relation an entry's
+	// query mentions either drops the entry (ResultInvalidations) or, for
+	// a co-keyed query, carries it to the new version by re-checking the
+	// written blocks alone (ResultCarried); CachedResults is the current
+	// population.
+	ResultHits, ResultMisses, ResultInvalidations, ResultCarried uint64
+	CachedResults                                                int
 
 	// Batches and BatchItems count CertainBatch calls and the items they
 	// completed; BatchErrors counts items that returned an error
@@ -64,34 +66,35 @@ type Stats struct {
 // flight is approximate.
 func (e *Engine) Stats() Stats {
 	hits, misses, evictions, size := e.cache.counters()
-	rhits, rmisses, rinval, rsize := e.results.counters()
+	rhits, rmisses, rinval, rcarried, rsize := e.results.counters()
 	return Stats{
-		CacheHits:       hits,
-		CacheMisses:     misses,
-		CacheEvictions:  evictions,
-		CachedPlans:     size,
+		CacheHits:      hits,
+		CacheMisses:    misses,
+		CacheEvictions: evictions,
+		CachedPlans:    size,
 
 		ResultHits:          rhits,
 		ResultMisses:        rmisses,
 		ResultInvalidations: rinval,
+		ResultCarried:       rcarried,
 		CachedResults:       rsize,
-		Batches:          e.stats.batches.Load(),
-		BatchItems:       e.stats.items.Load(),
-		BatchSharedItems: e.stats.sharedItems.Load(),
-		BatchErrors:      e.stats.errors.Load(),
-		CancelledItems:   e.stats.cancelled.Load(),
-		Workers:         e.opt.Workers,
-		BusyWorkers:     int(e.stats.busyWorkers.Load()),
-		PeakBusyWorkers: int(e.stats.peakBusy.Load()),
+		Batches:             e.stats.batches.Load(),
+		BatchItems:          e.stats.items.Load(),
+		BatchSharedItems:    e.stats.sharedItems.Load(),
+		BatchErrors:         e.stats.errors.Load(),
+		CancelledItems:      e.stats.cancelled.Load(),
+		Workers:             e.opt.Workers,
+		BusyWorkers:         int(e.stats.busyWorkers.Load()),
+		PeakBusyWorkers:     int(e.stats.peakBusy.Load()),
 	}
 }
 
 // String renders the snapshot as a single human-readable line.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"cache: %d hits, %d misses, %d evictions, %d plans | results: %d hits, %d misses, %d invalidations, %d cached | batch: %d batches, %d items, %d shared, %d errors, %d cancelled | workers: %d/%d busy (peak %d)",
+		"cache: %d hits, %d misses, %d evictions, %d plans | results: %d hits, %d misses, %d invalidations, %d carried, %d cached | batch: %d batches, %d items, %d shared, %d errors, %d cancelled | workers: %d/%d busy (peak %d)",
 		s.CacheHits, s.CacheMisses, s.CacheEvictions, s.CachedPlans,
-		s.ResultHits, s.ResultMisses, s.ResultInvalidations, s.CachedResults,
+		s.ResultHits, s.ResultMisses, s.ResultInvalidations, s.ResultCarried, s.CachedResults,
 		s.Batches, s.BatchItems, s.BatchSharedItems, s.BatchErrors, s.CancelledItems,
 		s.BusyWorkers, s.Workers, s.PeakBusyWorkers)
 }

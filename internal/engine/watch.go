@@ -29,6 +29,10 @@ type WatchHooks struct {
 	// invalidated by a write, with the touched relation that triggered
 	// the invalidation.
 	OnResultInvalidate func(rel string)
+	// OnResultCarry is invoked once per write with the number of
+	// result-cache entries it carried to the new version instead of
+	// invalidating (zero is not reported).
+	OnResultCarry func(n int)
 	// Tracer records a "delta" span per processed change.
 	Tracer *obs.Tracer
 }
@@ -38,7 +42,7 @@ type WatchHooks struct {
 func (e *Engine) SetWatchHooks(h WatchHooks) {
 	e.hooks.Store(&h)
 	e.delta.SetTracer(h.Tracer)
-	e.results.setOnInvalidate(h.OnResultInvalidate)
+	e.results.setHooks(h.OnResultInvalidate, h.OnResultCarry)
 }
 
 // newDeltaManager builds the engine's delta manager. The manager's

@@ -534,7 +534,7 @@ func (p *Program) VecQuants() int { return p.vecQuants }
 // vectorized. Safe for concurrent use; steady-state calls allocate
 // nothing once the lazy hole indexes are built.
 func (b *Bound) EvalBitmap() bool {
-	if b.p.bmRoot == nil {
+	if b.p.bmRoot == nil || b.unmet {
 		return b.Eval()
 	}
 	m := b.pool.Get().(*mach)

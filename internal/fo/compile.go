@@ -163,6 +163,22 @@ type Program struct {
 	nVSets    int
 	nVBits    int
 	nVIds     int
+
+	needs []Need
+}
+
+// Need is a necessary condition the caller of Compile knows about its
+// sentence: on a database where column Col of relation Rel lacks the
+// constant Const (or lacks the relation), the sentence is false. A
+// consistent rewriting has one per constant of a positive query atom —
+// no repair holds a fact the atom matches, so the query fails in all of
+// them — and Bind checks them against the posting lists, so a scan for
+// a value that occurs nowhere is answered without sweeping the blocks
+// it would find nothing in.
+type Need struct {
+	Rel   string
+	Col   int
+	Const string
 }
 
 // Slots returns the number of environment slots (binder occurrences).
@@ -179,13 +195,14 @@ type compiler struct {
 }
 
 // Compile lowers a sentence into a Program. It fails on free variables —
-// programs evaluate closed formulas only, like Eval.
-func Compile(f Formula) (*Program, error) {
+// programs evaluate closed formulas only, like Eval. needs are
+// conditions without which f is known to be false (see Need).
+func Compile(f Formula, needs ...Need) (*Program, error) {
 	if free := FreeVars(f); !free.Empty() {
 		return nil, fmt.Errorf("fo: Compile on non-sentence with free variables %s", free)
 	}
 	c := &compiler{
-		p:        &Program{source: f},
+		p:        &Program{source: f, needs: needs},
 		constIdx: make(map[string]int),
 		relIdx:   make(map[string]int),
 	}
@@ -451,6 +468,11 @@ type Bound struct {
 	// quantifiers as IDSets (nil entries for scalar-only cands). Only
 	// populated when the program has a bitmap lowering.
 	candSets []*db.IDSet
+
+	// unmet: ix fails one of the program's Needs, so every Eval variant
+	// answers false without running. EvalSupport still runs the tree —
+	// the delta layer replays what it records.
+	unmet bool
 }
 
 // Bind links the program against ix. Constants unknown to the database
@@ -460,6 +482,14 @@ type Bound struct {
 // constants).
 func (p *Program) Bind(ix *db.Interned) *Bound {
 	b := &Bound{p: p, ix: ix}
+	for _, n := range p.needs {
+		r := ix.Relation(n.Rel)
+		id, known := ix.ID(n.Const)
+		if r == nil || !known || n.Col >= r.Arity || !r.PostingHas(n.Col, id) {
+			b.unmet = true
+			break
+		}
+	}
 	b.consts = make([]int32, len(p.consts))
 	synth := ix.NumIDs()
 	for i, v := range p.consts {
@@ -494,7 +524,7 @@ func (p *Program) Bind(ix *db.Interned) *Bound {
 	for i, plan := range p.cands {
 		b.cands[i] = b.materialize(plan)
 	}
-	if p.bmRoot != nil {
+	if p.bmRoot != nil && !b.unmet {
 		b.candSets = make([]*db.IDSet, len(p.cands))
 		dom := ix.DomainIDs()
 		for i := range p.cands {
@@ -606,6 +636,9 @@ func (m *mach) get(t termRef) int32 {
 // Eval evaluates the bound program. Safe for concurrent use; steady-state
 // calls allocate nothing.
 func (b *Bound) Eval() bool {
+	if b.unmet {
+		return false
+	}
 	m := b.pool.Get().(*mach)
 	r := b.p.root.eval(m)
 	b.pool.Put(m)

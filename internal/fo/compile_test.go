@@ -180,3 +180,45 @@ func TestCompiledInternNextCOW(t *testing.T) {
 		t.Fatal("new snapshot misses the new fact")
 	}
 }
+
+// A Need the database fails answers every Eval variant without running
+// the program — shown here with a Need the sentence does not even depend
+// on — while EvalSupport still walks the tree, so what the delta layer
+// replays is a real run. A Need the database meets changes nothing.
+func TestNeedShortCircuitsBoundProgram(t *testing.T) {
+	f := fo.Exists{Vars: []string{"x", "y"}, Body: fo.Atom{Rel: "R", Key: 1, Terms: []schema.Term{schema.Var("x"), schema.Var("y")}}}
+	d := db.New()
+	d.MustDeclare("R", 2, 1)
+	d.MustInsert(db.F("R", "k", "v"))
+	ix := d.Interned()
+
+	for _, tc := range []struct {
+		name string
+		need fo.Need
+		met  bool
+	}{
+		{"value in its column", fo.Need{Rel: "R", Col: 1, Const: "v"}, true},
+		{"value in another column only", fo.Need{Rel: "R", Col: 1, Const: "k"}, false},
+		{"value nowhere", fo.Need{Rel: "R", Col: 0, Const: "zz"}, false},
+		{"relation absent", fo.Need{Rel: "S", Col: 0, Const: "k"}, false},
+		{"column out of range", fo.Need{Rel: "R", Col: 2, Const: "k"}, false},
+	} {
+		p, err := fo.Compile(f, tc.need)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := p.Bind(ix)
+		if got := b.Eval(); got != tc.met {
+			t.Errorf("%s: Eval = %v, want %v", tc.name, got, tc.met)
+		}
+		if got := b.EvalBitmap(); got != tc.met {
+			t.Errorf("%s: EvalBitmap = %v, want %v", tc.name, got, tc.met)
+		}
+		if got := b.EvalParallel(2, 1); got != tc.met {
+			t.Errorf("%s: EvalParallel = %v, want %v", tc.name, got, tc.met)
+		}
+		if got, sup := b.EvalSupport(); !got || len(sup.Blocks) == 0 {
+			t.Errorf("%s: EvalSupport = %v with %d blocks, want the run itself", tc.name, got, len(sup.Blocks))
+		}
+	}
+}

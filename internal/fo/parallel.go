@@ -94,6 +94,9 @@ func (pe *parEvaluator) eval(f Formula) bool {
 // GOMAXPROCS, minCandidates ≤ 0 selects DefaultMinParallelCandidates.
 // The answer is identical to Eval.
 func (b *Bound) EvalParallel(workers, minCandidates int) bool {
+	if b.unmet {
+		return false
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

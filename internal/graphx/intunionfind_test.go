@@ -44,7 +44,7 @@ func TestIntUnionFindAgainstStringUnionFind(t *testing.T) {
 	const n = 64
 	names := make([]string, n)
 	for i := range names {
-		names[i] = string(rune('A' + i%26)) + string(rune('0'+i/26))
+		names[i] = string(rune('A'+i%26)) + string(rune('0'+i/26))
 	}
 	iu := NewIntUnionFind(n)
 	su := NewUnionFind()

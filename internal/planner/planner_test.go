@@ -32,10 +32,10 @@ func TestRecognizeClasses(t *testing.T) {
 		{"E(x, y), !B(y | x), !C(x | y)", planner.ClassReachability},
 		{"!C(y | x), E(x, y), !B(y | x)", planner.ClassReachability},
 		// Near misses must fall through to the hard class.
-		{"R(x | y), S(y | x)", planner.ClassHard},        // no negation
-		{"R(x | y), !S(x | y)", planner.ClassHard},       // not mutual
-		{"R(x | y), !S('c' | x)", planner.ClassHard},     // constant key
-		{"R(x, y), !S(y | x)", planner.ClassHard},        // positive atom all-key
+		{"R(x | y), S(y | x)", planner.ClassHard},             // no negation
+		{"R(x | y), !S(x | y)", planner.ClassHard},            // not mutual
+		{"R(x | y), !S('c' | x)", planner.ClassHard},          // constant key
+		{"R(x, y), !S(y | x)", planner.ClassHard},             // positive atom all-key
 		{"E(x | y), !B(x | y), !C(y | x)", planner.ClassHard}, // edge atom not all-key
 		{"E(x, y), !B(x | y), !C(x | z), P(x | z)", planner.ClassHard},
 	}

@@ -32,12 +32,12 @@ func TestSignatureEquivalence(t *testing.T) {
 		}
 	}
 	distinct := [][2]string{
-		{"R(x | y)", "R(x, y)"},                      // different key
-		{"R(x | y)", "R(x | x)"},                     // variable pattern
+		{"R(x | y)", "R(x, y)"},                       // different key
+		{"R(x | y)", "R(x | x)"},                      // variable pattern
 		{"R(x | y), !S(y | x)", "R(x | y), S(y | x)"}, // polarity
-		{"R(x | 'c')", "R(x | 'd')"},                 // constants verbatim
-		{"R(x | y)", "T(x | y)"},                     // relation name
-		{"R(x | y), S(x | y)", "R(x | y), S(y | x)"}, // join pattern
+		{"R(x | 'c')", "R(x | 'd')"},                  // constants verbatim
+		{"R(x | y)", "T(x | y)"},                      // relation name
+		{"R(x | y), S(x | y)", "R(x | y), S(y | x)"},  // join pattern
 	}
 	for _, pair := range distinct {
 		if sig(t, pair[0]) == sig(t, pair[1]) {

@@ -3,6 +3,7 @@ package schema
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -67,6 +68,35 @@ func (q Query) IsNegated(rel string) bool {
 		}
 	}
 	return false
+}
+
+// CoKey returns the key tuple every literal of q carries — negated
+// literals included — and whether q is co-keyed, i.e. all those tuples
+// are term-wise identical (one constant or one shared variable per key
+// position; vacuously so for the empty query).
+//
+// Any valuation then gives every atom the same key values, so each
+// valuation's facts — the positive ones it needs and the negated ones it
+// must miss — lie in the blocks of one key k. Repairs choose per block,
+// independently, hence
+//
+//	CERTAINTY(q, D) = ∨ₖ CERTAINTY(q, D|ₖ)
+//
+// over the keys k the tuple's constants admit, where D|ₖ is D's facts of
+// q's relations keyed k: a falsifying repair of every D|ₖ unions to a
+// falsifying repair of D. Shard scatter plans (shard.PlanFor) and the
+// block-local carry rule (delta.Carry) both rest on this.
+func (q Query) CoKey() ([]Term, bool) {
+	if len(q.Lits) == 0 {
+		return nil, true
+	}
+	key := q.Lits[0].Atom.KeyTerms()
+	for _, l := range q.Lits[1:] {
+		if !slices.Equal(l.Atom.KeyTerms(), key) {
+			return nil, false
+		}
+	}
+	return key, true
 }
 
 // Vars returns vars(q).

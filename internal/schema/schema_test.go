@@ -1,6 +1,7 @@
 package schema_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -287,5 +288,30 @@ func TestConstants(t *testing.T) {
 	consts := q.Constants()
 	if !consts["c"] || !consts["d"] || len(consts) != 2 {
 		t.Errorf("constants = %v", consts)
+	}
+}
+
+func TestCoKey(t *testing.T) {
+	a, b := schema.Const("a"), schema.Const("b")
+	pos, neg := schema.Pos, schema.Neg
+	for _, tc := range []struct {
+		q    schema.Query
+		want []schema.Term // nil: not co-keyed
+	}{
+		{schema.NewQuery(pos(atom("R", 1, x, y)), neg(atom("S", 1, x, a))), []schema.Term{x}},
+		{schema.NewQuery(pos(atom("R", 2, a, x, y)), neg(atom("S", 2, a, x, z)), pos(atom("T", 2, a, x))), []schema.Term{a, x}},
+		{schema.NewQuery(pos(atom("R", 1, x, y))), []schema.Term{x}},
+		{schema.NewQuery(pos(atom("R", 1, x, y)), neg(atom("S", 1, y, x))), nil},                 // other variable
+		{schema.NewQuery(pos(atom("R", 1, a, y)), pos(atom("S", 1, b, y))), nil},                 // other constant
+		{schema.NewQuery(pos(atom("R", 1, x, y)), pos(atom("S", 2, x, y))), nil},                 // other key length
+		{schema.NewQuery(pos(atom("R", 1, x, y)), neg(atom("S", 1, schema.Const("x"), y))), nil}, // constant named like the variable
+	} {
+		got, ok := tc.q.CoKey()
+		if ok != (tc.want != nil) || (ok && !reflect.DeepEqual(got, tc.want)) {
+			t.Errorf("%s: CoKey = %v, %v; want %v", tc.q, got, ok, tc.want)
+		}
+	}
+	if _, ok := schema.NewQuery().CoKey(); !ok {
+		t.Error("the empty query is vacuously co-keyed")
 	}
 }

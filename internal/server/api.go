@@ -312,6 +312,7 @@ type EngineStats struct {
 	ResultHits          uint64  `json:"resultHits"`
 	ResultMisses        uint64  `json:"resultMisses"`
 	ResultInvalidations uint64  `json:"resultInvalidations"`
+	ResultCarried       uint64  `json:"resultCarried"`
 	CachedResults       int     `json:"cachedResults"`
 	ResultHitRate       float64 `json:"resultHitRate"`
 	Batches             uint64  `json:"batches"`

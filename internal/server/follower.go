@@ -185,14 +185,16 @@ func (f *Follower) track(ctx context.Context, d DBShards) {
 		r.SetOnBatch(func(c store.Change) {
 			fdb.hookMu.Lock()
 			defer fdb.hookMu.Unlock()
-			view := fdb.sh.Refresh()
-			v := view.Version()
-			f.srv.Engine().ApplyWrite(name, v, c.Rels)
-			// Watches on the follower see the replica's global versions;
-			// the per-shard change carries the dirty blocks.
+			// Only this shard moves in the published view: a sibling's
+			// committed batch stays out until its own hook reports it, so
+			// every view differs from the last by exactly one change.
+			prev, cur := fdb.sh.RefreshShard(shardIdx)
+			// Readers and watches on the follower see the replica's global
+			// versions; the per-shard change carries the dirty blocks.
 			gc := c
-			gc.Version = v
-			f.srv.Engine().DeltaApply(name, gc, func() *db.Database { return view.Union() })
+			gc.Version = cur.Version()
+			f.srv.Engine().ApplyChange(name, gc, prev, cur)
+			f.srv.Engine().DeltaApply(name, gc, func() *db.Database { return cur.Union() })
 		})
 		r.SetOnReset(func(version uint64) {
 			fdb.hookMu.Lock()

@@ -152,10 +152,11 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 		// Named databases are sharded versioned stores: answer on one
 		// consistent cross-shard view through the engine's result cache,
 		// so repeated checks at an unchanged global version — or a version
-		// moved only by writes to relations q does not mention — skip
-		// evaluation entirely. Evaluation itself scatter-gathers:
-		// single-atom queries OR per-shard verdicts, joins run on the
-		// memoized union (engine.CertainSharded).
+		// moved only by writes that leave the answer provably in place
+		// (relations q does not mention, or blocks re-checked by the carry
+		// rule) — skip evaluation entirely. Evaluation itself follows the
+		// view's shard plan: scatter plans OR per-shard verdicts, union
+		// plans run on the memoized union (engine.CertainSharded).
 		sh := s.stores.Get(req.Database)
 		if sh == nil {
 			s.writeError(w, http.StatusNotFound, "unknown_database",
@@ -457,6 +458,7 @@ func (s *Server) statsResponse() StatsResponse {
 			ResultHits:          st.ResultHits,
 			ResultMisses:        st.ResultMisses,
 			ResultInvalidations: st.ResultInvalidations,
+			ResultCarried:       st.ResultCarried,
 			CachedResults:       st.CachedResults,
 			Batches:             st.Batches,
 			BatchItems:          st.BatchItems,

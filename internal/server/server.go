@@ -141,6 +141,9 @@ func New(opt Options) *Server {
 		OnResultInvalidate: func(rel string) {
 			s.reg.Counter(metrics.Label("result_cache_invalidations_total", "rel", rel)).Inc()
 		},
+		OnResultCarry: func(n int) {
+			s.reg.Counter("result_cache_carried_total").Add(uint64(n))
+		},
 		Tracer: s.tracer,
 	})
 	// Preloaded databases become memory-only stores; a durable store that
@@ -166,6 +169,7 @@ func New(opt Options) *Server {
 	}
 	s.reg.Counter("partial_result_total")
 	s.reg.Counter("partial_write_total")
+	s.reg.Counter("result_cache_carried_total")
 	for _, outcome := range []string{"skipped", "reevaluated", "flipped"} {
 		s.reg.Counter(metrics.Label("delta_reeval_total", "outcome", outcome))
 	}
@@ -227,21 +231,18 @@ func New(opt Options) *Server {
 	return s
 }
 
-// attach wires one sharded store into the server: its batches
-// invalidate the engine's result cache (the hook runs under the
-// facade's write lock, so ApplyWrite sees global versions in order) and
-// feed the store metrics. Each effective mutation is one WAL record on
-// its owner shard.
+// attach wires one sharded store into the server: its batches carry or
+// invalidate the engine's cached results (the hook runs under the
+// facade's write lock, so ApplyChange sees global versions in order)
+// and feed the store metrics. Each effective mutation is one WAL record
+// on its owner shard.
 func (s *Server) attach(name string, sh *shard.Sharded) {
 	s.reg.Gauge("snapshot_version").Max(int64(sh.Version()))
-	sh.SetOnApply(func(c store.Change) {
-		s.eng.ApplyWrite(name, c.Version, c.Rels)
-		// The hook runs under the facade's write lock, so the published
-		// view is exactly the snapshot at c.Version. The union is
-		// resolved lazily inside the delta worker — an unwatched
-		// database never builds it.
-		view := sh.View()
-		s.eng.DeltaApply(name, c, func() *db.Database { return view.Union() })
+	sh.SetOnApply(func(c store.Change, prev, cur *shard.View) {
+		s.eng.ApplyChange(name, c, prev, cur)
+		// The union is resolved lazily inside the delta worker — an
+		// unwatched database never builds it.
+		s.eng.DeltaApply(name, c, func() *db.Database { return cur.Union() })
 		s.reg.Counter("wal_records").Add(uint64(c.Applied))
 		s.reg.Gauge("snapshot_version").Max(int64(c.Version))
 	})

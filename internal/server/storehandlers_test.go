@@ -1,10 +1,12 @@
 package server
 
 import (
+	"io"
 	"net/http"
 	"path/filepath"
 	"testing"
 
+	"cqa/internal/metrics"
 	"cqa/internal/shard"
 	"cqa/internal/store"
 )
@@ -123,6 +125,62 @@ func TestResultCacheInvalidationOverHTTP(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/db/insert", DBWriteRequest{Database: "d", Facts: "S(1 | a)"}).Body.Close()
 	if askCached(false) {
 		t.Fatal("write to mentioned relation must be a miss")
+	}
+}
+
+// The carry rule end to end over HTTP, and its instruments: a write to
+// a relation a co-keyed query mentions leaves the answer cached — with
+// the verdict of the new version — and is counted as carried on
+// /v1/stats and /metrics, not as an invalidation.
+func TestResultCacheCarryOverHTTP(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	mustCreate(t, ts.URL, DBCreateRequest{Name: "d", Facts: "R(a | 1)\nR(b | 2)\nS(b | 2)\n"})
+	ask := func(wantCertain, wantCached bool) {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: "R(x | y), !S(x | y)", Database: "d"})
+		ans := decodeBody[CertainResponse](t, resp)
+		if ans.Certain != wantCertain || ans.Cached == nil || *ans.Cached != wantCached {
+			t.Fatalf("certain = %v (want %v), cached = %v (want %v), version %d", ans.Certain, wantCertain, ans.Cached, wantCached, ans.Version)
+		}
+	}
+	ask(true, false)
+	postJSON(t, ts.URL+"/v1/db/insert", DBWriteRequest{Database: "d", Facts: "R(c | 3)"}).Body.Close()
+	ask(true, true)
+	// Block a, one of two witnesses: the open case, a real invalidation.
+	postJSON(t, ts.URL+"/v1/db/insert", DBWriteRequest{Database: "d", Facts: "S(a | 1)"}).Body.Close()
+	ask(true, false)
+	// Block c, the last one: open again. Then unblock it: b alone decides.
+	postJSON(t, ts.URL+"/v1/db/insert", DBWriteRequest{Database: "d", Facts: "S(c | 3)"}).Body.Close()
+	ask(false, false)
+	postJSON(t, ts.URL+"/v1/db/delete", DBWriteRequest{Database: "d", Facts: "S(c | 3)"}).Body.Close()
+	ask(true, true)
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := decodeBody[StatsResponse](t, resp)
+	if stats.Engine.ResultCarried != 2 || stats.Engine.ResultInvalidations != 2 {
+		t.Errorf("/v1/stats: carried %d, invalidations %d; want 2 and 2", stats.Engine.ResultCarried, stats.Engine.ResultInvalidations)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err := metrics.LintPrometheus(string(text)); err != nil {
+		t.Fatalf("/metrics fails exposition lint: %v", err)
+	}
+	exp, err := metrics.ParsePrometheus(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := exp.Value("result_cache_carried_total"); !ok || v != 2 {
+		t.Errorf("result_cache_carried_total = %v (present=%v), want 2", v, ok)
+	}
+	if v, ok := exp.Value("result_cache_invalidations_total", "rel", "S"); !ok || v != 2 {
+		t.Errorf(`result_cache_invalidations_total{rel="S"} = %v (present=%v), want 2: only real drops count`, v, ok)
 	}
 }
 

@@ -267,7 +267,9 @@ type statusError struct {
 	msg    string
 }
 
-func (e *statusError) Error() string { return fmt.Sprintf("status %d: %s: %s", e.status, e.code, e.msg) }
+func (e *statusError) Error() string {
+	return fmt.Sprintf("status %d: %s: %s", e.status, e.code, e.msg)
+}
 
 func (h *harness) post(url string, body, out any) error {
 	buf, err := json.Marshal(body)

@@ -49,28 +49,27 @@ var shardZero = []int{0}
 //
 //   - every atom's key is ground and all owners coincide (any placement:
 //     the owner is asked where each block is), and
-//   - every atom, negated ones included, carries the term-wise identical
-//     key tuple — one constant or one shared variable per key position —
-//     so any valuation gives all atoms the same key values. Owner does
-//     not hash the relation name, so equal keys co-locate; an overriding
-//     owner may hash anything, and gets this rule only for a single
-//     positive atom, whose facts are one block wherever it lives.
+//   - q is co-keyed (schema.Query.CoKey): any valuation gives all atoms,
+//     negated ones included, the same key values. Owner does not hash
+//     the relation name, so equal keys co-locate; an overriding owner
+//     may hash anything, and gets this rule only for a single positive
+//     atom, whose facts are one block wherever it lives.
 func PlanFor(q schema.Query, n int, owner HashFunc) Plan {
 	if n <= 1 {
 		return Plan{Kind: PlanSingle, Shards: shardZero}
 	}
-	coKeyed := owner == nil || (len(q.Lits) == 1 && !q.Lits[0].Neg)
+	_, coKeyed := q.CoKey()
+	coKeyed = coKeyed && (owner == nil || (len(q.Lits) == 1 && !q.Lits[0].Neg))
 	if owner == nil {
 		owner = Owner
 	}
 	ground := len(q.Lits) > 0
 	pinned := make([]bool, n)
 	for _, l := range q.Lits {
-		kt := l.Atom.KeyTerms()
-		coKeyed = coKeyed && sameTerms(kt, q.Lits[0].Atom.KeyTerms())
 		if !ground {
-			continue
+			break
 		}
+		kt := l.Atom.KeyTerms()
 		key := make([]string, len(kt))
 		for i, t := range kt {
 			ground = ground && !t.IsVar
@@ -93,16 +92,4 @@ func PlanFor(q schema.Query, n int, owner HashFunc) Plan {
 		return Plan{Kind: PlanScatter, Shards: shards}
 	}
 	return Plan{Kind: PlanUnion, Shards: shards, Ground: ground}
-}
-
-func sameTerms(a, b []schema.Term) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

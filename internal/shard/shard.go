@@ -128,7 +128,7 @@ type Sharded struct {
 	hash   HashFunc
 
 	mu      sync.Mutex // serializes writes and view publication
-	onApply func(store.Change)
+	onApply func(c store.Change, prev, cur *View)
 	closed  bool
 
 	cur atomic.Pointer[View]
@@ -206,10 +206,13 @@ func (s *Sharded) Durable() bool {
 	return len(s.shards) > 0 && s.shards[0].Durable()
 }
 
-// SetOnApply registers fn to run once per acknowledged batch, after
-// view publication and while the write lock is held — batches are
-// observed in global-version order.
-func (s *Sharded) SetOnApply(fn func(store.Change)) {
+// SetOnApply registers fn to run once per batch that changed anything,
+// after view publication and while the write lock is held — batches are
+// observed in global-version order. prev and cur are the views before
+// and after the batch; they differ in exactly c.Blocks. A batch that
+// failed on one shard after others applied their slice is reported too,
+// with what did apply: cur is what readers see from then on.
+func (s *Sharded) SetOnApply(fn func(c store.Change, prev, cur *View)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.onApply = fn
@@ -227,12 +230,30 @@ func (s *Sharded) publishLocked() *View {
 }
 
 // Refresh re-snapshots the shards and publishes a fresh view. The
-// follower path calls this after replica batches, which commit outside
+// follower path calls this after a replica reset, which lands outside
 // the Sharded facade.
 func (s *Sharded) Refresh() *View {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.publishLocked()
+}
+
+// RefreshShard re-snapshots shard i alone and publishes the result,
+// returning the views before and after. The follower path calls it from
+// shard i's batch hook, which runs before that replica moves on: the two
+// views then differ by exactly the hooked batch, even while a sibling
+// replica has committed a batch whose own hook is still to run.
+func (s *Sharded) RefreshShard(i int) (prev, cur *View) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	prev = s.cur.Load()
+	cur = &View{snaps: append([]store.Snapshot(nil), prev.snaps...), hash: s.hash}
+	cur.snaps[i] = s.shards[i].Snapshot()
+	for _, sn := range cur.snaps {
+		cur.version += sn.Version
+	}
+	s.cur.Store(cur)
+	return prev, cur
 }
 
 // shardOps is one shard's slice of a logical batch.
@@ -385,38 +406,10 @@ func (s *Sharded) applyFacts(ins, del []db.Fact, staged map[string]decl) (store.
 // readers of the facade still never observe a partial batch, because
 // the view is published once, after every shard has applied.
 func (s *Sharded) applyBatchLocked(per []shardOps) (store.Change, error) {
+	prev := s.cur.Load()
 	var agg store.Change
 	relSet := make(map[string]bool)
-	for i, ops := range per {
-		if len(ops.declares) == 0 && len(ops.inserts) == 0 && len(ops.deletes) == 0 {
-			continue
-		}
-		st := s.shards[i]
-		for _, d := range ops.declares {
-			ch, err := st.Declare(d.rel, d.arity, d.key)
-			if err != nil {
-				s.publishLocked()
-				return store.Change{}, err
-			}
-			mergeChange(&agg, ch, relSet)
-		}
-		if len(ops.inserts) > 0 {
-			ch, err := st.Insert(ops.inserts...)
-			if err != nil {
-				s.publishLocked()
-				return store.Change{}, err
-			}
-			mergeChange(&agg, ch, relSet)
-		}
-		if len(ops.deletes) > 0 {
-			ch, err := st.Delete(ops.deletes...)
-			if err != nil {
-				s.publishLocked()
-				return store.Change{}, err
-			}
-			mergeChange(&agg, ch, relSet)
-		}
-	}
+	err := s.applyShardsLocked(per, &agg, relSet)
 	v := s.publishLocked()
 	agg.Version = v.version
 	for r := range relSet {
@@ -424,9 +417,42 @@ func (s *Sharded) applyBatchLocked(per []shardOps) (store.Change, error) {
 	}
 	sort.Strings(agg.Rels)
 	if agg.Applied > 0 && s.onApply != nil {
-		s.onApply(agg)
+		s.onApply(agg, prev, v)
+	}
+	if err != nil {
+		return store.Change{}, err
 	}
 	return agg, nil
+}
+
+// applyShardsLocked applies each shard's slice in shard order, merging
+// the per-shard changes into agg, and stops at the first error.
+func (s *Sharded) applyShardsLocked(per []shardOps, agg *store.Change, relSet map[string]bool) error {
+	for i, ops := range per {
+		st := s.shards[i]
+		for _, d := range ops.declares {
+			ch, err := st.Declare(d.rel, d.arity, d.key)
+			if err != nil {
+				return err
+			}
+			mergeChange(agg, ch, relSet)
+		}
+		if len(ops.inserts) > 0 {
+			ch, err := st.Insert(ops.inserts...)
+			if err != nil {
+				return err
+			}
+			mergeChange(agg, ch, relSet)
+		}
+		if len(ops.deletes) > 0 {
+			ch, err := st.Delete(ops.deletes...)
+			if err != nil {
+				return err
+			}
+			mergeChange(agg, ch, relSet)
+		}
+	}
+	return nil
 }
 
 func mergeChange(agg *store.Change, ch store.Change, relSet map[string]bool) {

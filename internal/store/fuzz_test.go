@@ -89,7 +89,7 @@ func FuzzWALStream(f *testing.F) {
 	}
 	stream := full.Bytes()
 	f.Add(stream)
-	f.Add(stream[:len(stream)-3])             // torn final frame
+	f.Add(stream[:len(stream)-3])                         // torn final frame
 	f.Add(append(append([]byte{}, stream...), stream...)) // duplicated records
 	if i := bytes.IndexByte(stream, '\n'); i > 0 {
 		f.Add(stream[:i+9]) // torn first frame
