@@ -30,6 +30,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/parse
 	$(GO) test -run '^$$' -fuzz FuzzDatabase -fuzztime $(FUZZTIME) ./internal/parse
+	$(GO) test -run '^$$' -fuzz FuzzRelationVsModel -fuzztime $(FUZZTIME) ./internal/db
 	$(GO) test -run '^$$' -fuzz FuzzSQLExec -fuzztime $(FUZZTIME) ./internal/sqlexec
 	$(GO) test -run '^$$' -fuzz FuzzServerCertainRequest -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/store

@@ -377,3 +377,53 @@ func chainQueryBench(n int) schema.Query {
 	src += ", !N(x0 | x1)"
 	return parse.MustQuery(src)
 }
+
+// The load path of a cold inline request (docs/EVAL.md, "Loading"): fact
+// text through the scanner into dictionary ids and id rows.
+func BenchmarkLoadFacts(b *testing.B) {
+	text := gen.FactsText(rand.New(rand.NewSource(1)), 2000)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(text)))
+	for i := 0; i < b.N; i++ {
+		if _, err := parse.Database(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Freezing a loaded 2 000-fact database for the compiled evaluators. Each
+// iteration freezes a database nobody froze before (the parse is outside
+// the timer).
+func BenchmarkFreeze(b *testing.B) {
+	text := gen.FactsText(rand.New(rand.NewSource(1)), 2000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := parse.MustDatabase(text)
+		b.StartTimer()
+		d.Interned()
+	}
+}
+
+// The in-memory part of a one-fact store write at the served store's size
+// (34 000 facts): copy the written relation, insert, freeze the new
+// version beside the old one's untouched relations.
+func BenchmarkCloneOneFactWrite(b *testing.B) {
+	base := db.New()
+	base.MustDeclare("R", 2, 1)
+	base.MustDeclare("S", 2, 1)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 17000; i++ {
+		k := fmt.Sprintf("k%05d", i)
+		base.MustInsert(db.F("R", k, fmt.Sprintf("v%02d", rng.Intn(16))))
+		base.MustInsert(db.F("S", k, fmt.Sprintf("v%02d", rng.Intn(16))))
+	}
+	base.Interned() // readers froze the version being written over
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next := base.CloneCOW("R")
+		next.MustInsert(db.F("R", "k00007", "fresh"))
+		next.Interned()
+	}
+}

@@ -10,10 +10,10 @@ import (
 // depending on density, plus lazily built per-relation indexes — column
 // sets (posting lists as IDSets) and hole indexes (rows grouped by every
 // column but one, each group exposing the set of ids at the remaining
-// "hole" column). All indexes follow the blockIdx idiom: built at most
-// once per view behind an atomic pointer, racing builders may each build
-// identical indexes with the last published winning, and COW-shared
-// InternedRelations carry their indexes across versions for free.
+// "hole" column). All indexes are built at most once per view behind an
+// atomic pointer, racing builders may each build identical indexes with
+// the last published winning, and COW-shared InternedRelations carry
+// their indexes across versions for free.
 
 const (
 	// idsetDenseFloor: universes up to this many ids are always dense —
@@ -123,16 +123,18 @@ func (s *IDSet) Word(w int32) uint64 {
 	return out
 }
 
-func eqIDs(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if b[i] != v {
-			return false
+// hashKey64 is FNV-1a/64 over the int32 words of a rest-of-row; it keys
+// the hole indexes.
+func hashKey64(key []int32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range key {
+		u := uint32(v)
+		for s := 0; s < 32; s += 8 {
+			h ^= uint64(byte(u >> s))
+			h *= 1099511628211
 		}
 	}
-	return true
+	return h
 }
 
 // ColSet returns column col's posting list as an IDSet. Built lazily for
@@ -176,7 +178,7 @@ func (r *InternedRelation) buildHoleIndex(hole int) *holeIndex {
 	}
 	m := make(map[uint64][]*acc)
 	restbuf := make([]int32, 0, r.Arity-1)
-	for i := 0; i < r.rows; i++ {
+	for i := 0; i < r.n; i++ {
 		row := r.Row(i)
 		restbuf = restbuf[:0]
 		for c, v := range row {
@@ -223,7 +225,7 @@ func (r *InternedRelation) buildHoleIndex(hole int) *holeIndex {
 // hole column indexes the whole relation; later calls are one hash
 // lookup. rest is not retained.
 func (r *InternedRelation) HoleSet(hole int, rest []int32) *IDSet {
-	if r.rows == 0 || hole < 0 || hole >= r.Arity || len(rest) != r.Arity-1 {
+	if r.n == 0 || hole < 0 || hole >= r.Arity || len(rest) != r.Arity-1 {
 		return nil
 	}
 	hi := r.holeIdx[hole].Load()

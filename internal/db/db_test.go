@@ -361,3 +361,54 @@ func TestRelationNames(t *testing.T) {
 		t.Errorf("names = %v", names)
 	}
 }
+
+// Repairs inserts the facts of singleton blocks once and branches over
+// the other blocks only. On databases mixing both kinds, what it
+// enumerates must still be the repairs: pairwise distinct, each a maximal
+// consistent subset (one fact of the database from every block), as many
+// as NumRepairs says — and freezing a repair inside the callback must not
+// disturb the next one.
+func TestRepairsMixedBlocks(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := db.New()
+		d.MustDeclare("R", 2, 1)
+		d.MustDeclare("S", 3, 2)
+		for k := 0; k < 12; k++ {
+			key := string(rune('a' + k))
+			d.MustInsert(db.F("R", key, "v0"))
+			d.MustInsert(db.F("S", key, "k", "v0"))
+			// About one block in four gets a second or third fact.
+			for extra := 1; extra <= 2 && rng.Intn(4) == 0; extra++ {
+				d.MustInsert(db.F("R", key, string(rune('0'+extra))))
+			}
+			if rng.Intn(6) == 0 {
+				d.MustInsert(db.F("S", key, "k", "v1"))
+			}
+		}
+		blocks := d.Relation("R").NumBlocks() + d.Relation("S").NumBlocks()
+		seen := map[string]bool{}
+		d.Repairs(nil, func(r *db.Database) bool {
+			if rng.Intn(3) == 0 {
+				r.Interned()
+			}
+			text := r.String()
+			if seen[text] {
+				t.Fatalf("seed %d: repair enumerated twice:\n%s", seed, text)
+			}
+			seen[text] = true
+			if !r.IsConsistent() || r.Size() != blocks {
+				t.Fatalf("seed %d: not one fact per block (%d blocks):\n%s", seed, blocks, text)
+			}
+			for _, f := range r.AllFacts() {
+				if !d.Has(f) {
+					t.Fatalf("seed %d: repair holds %v, the database does not", seed, f)
+				}
+			}
+			return true
+		})
+		if float64(len(seen)) != d.NumRepairs() {
+			t.Fatalf("seed %d: %d repairs enumerated, NumRepairs = %v", seed, len(seen), d.NumRepairs())
+		}
+	}
+}

@@ -37,10 +37,10 @@ type candKey struct {
 	col   int
 }
 
-// init resolves the interned views and dirty-block ids once. The
-// worker processes changes strictly in order, so chaining cur's
-// dictionary off prev's here (when the store's own seeding raced past
-// it) keeps ids stable for every later change and support set.
+// init resolves the frozen views and dirty-block ids once. Consecutive
+// versions of one store share a dictionary, so ids stay stable for every
+// later change and support set; chainOK is false only across a wholesale
+// replacement (a reset to a database of another lineage).
 func (cc *changeCtx) init() {
 	if cc.inited {
 		return
@@ -50,12 +50,7 @@ func (cc *changeCtx) init() {
 		return
 	}
 	cc.prevIx = cc.prev.Interned()
-	cc.curIx = cc.cur.InternedIfBuilt()
-	if cc.curIx == nil {
-		ix := db.InternNext(cc.prevIx, cc.cur)
-		cc.cur.SeedInterned(ix)
-		cc.curIx = ix
-	}
+	cc.curIx = cc.cur.Interned()
 	cc.chainOK = cc.prevIx.SameDict(cc.curIx)
 	if !cc.chainOK {
 		return

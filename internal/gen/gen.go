@@ -10,6 +10,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"cqa/internal/db"
 	"cqa/internal/graphx"
@@ -160,4 +161,18 @@ func SCovering(rng *rand.Rand, nS, nT int, p float64) matching.SCoveringInstance
 		}
 	}
 	return matching.SCoveringInstance{S: s, T: t}
+}
+
+// FactsText renders a database listing of about n facts in the text
+// syntax (internal/parse), the shape of a served inline database: a third
+// each of Lives(p | t), Born(p | t) and Likes(p, t) over n/3 people and 50
+// towns, so about two facts in three bring a value the loader has not
+// seen. The load-path benchmarks and the allocation gate share it.
+func FactsText(rng *rand.Rand, n int) string {
+	var sb strings.Builder
+	for i := 0; i < n/3; i++ {
+		t := rng.Intn(50)
+		fmt.Fprintf(&sb, "Lives(p%d | t%d)\nBorn(p%d | t%d)\nLikes(p%d, t%d)\n", i, t, i, t, i, rng.Intn(50))
+	}
+	return sb.String()
 }

@@ -18,7 +18,7 @@ import (
 // quoted (embedded quote or newline — the syntax has no escapes) are
 // rejected.
 func formatConst(v string) (string, error) {
-	if v != "" && !strings.ContainsFunc(v, func(r rune) bool { return !isIdentRune(r) }) {
+	if db.BareConst(v) {
 		return v, nil
 	}
 	if strings.ContainsAny(v, "'\n\r") {

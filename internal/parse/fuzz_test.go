@@ -23,6 +23,12 @@ func FuzzParseQuery(f *testing.F) {
 		"R(x),R(x)",
 		"⊥(x)",
 		"R(x)&S(x)&!T(x)",
+		"R('x#y' | c)",
+		"R('a b' | c)",
+		"R(a | 'b)')",
+		"R('' | c)",
+		"R(x | y),\r\n!S(y | x)\r\n",
+		"Été(naïve | 'smörgås')",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -56,6 +62,12 @@ func FuzzDatabase(f *testing.F) {
 		"R(a | b)\nR(a, b)",
 		"broken(",
 		"R(a | b) trailing",
+		"R('x#y' | c)",
+		"R('a b' | c)",
+		"R(a | 'b)')",
+		"R('' | c)",
+		"R(a | b)\r\nS(b | a)\r\n",
+		"Été(naïve | 'smörgås')",
 	}
 	for _, s := range seeds {
 		f.Add(s)

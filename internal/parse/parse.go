@@ -14,154 +14,175 @@
 // Database syntax (one fact per line):
 //
 //	R(a | b)
-//	S(b | a)    # trailing comments are allowed
+//	S(b | 'two words')    # trailing comments are allowed
 //
-// All fact arguments are constants and need no quoting. Signatures are
-// inferred from the first fact of each relation and must stay consistent.
+// All fact arguments are constants; one that is not a plain identifier
+// (empty, or holding a space, a bracket, a '#', …) is single-quoted, and a
+// '#' between quotes belongs to the constant rather than starting a
+// comment. There are no escapes: a constant cannot contain a quote or a
+// line break. Signatures are inferred from the first fact of each relation
+// and must stay consistent. db.Database.String and FormatDatabase print
+// this syntax back.
 package parse
 
 import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"cqa/internal/db"
 	"cqa/internal/schema"
 )
 
-type lexer struct {
-	src []rune
+// scanner reads the tokens of one query or one fact line straight off the
+// source string: ASCII bytes are classified directly, anything else is
+// decoded with utf8 and classified with unicode, and tokens are substrings
+// of the source (nothing is copied). Offsets in error messages are byte
+// offsets into the scanned string — the character offsets they used to be
+// for ASCII input, larger after a non-ASCII character.
+type scanner struct {
+	src string
 	pos int
+	// args and quoted hold the terms of the atom scanned last: the text of
+	// each, and whether it was written as a quoted constant. Reused from
+	// atom to atom.
+	args   []string
+	quoted []bool
 }
 
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) && unicode.IsSpace(l.src[l.pos]) {
-		l.pos++
+func (l *scanner) skipSpace() {
+	for l.pos < len(l.src) {
+		c := l.src[l.pos]
+		if c < utf8.RuneSelf {
+			if c != ' ' && (c < '\t' || c > '\r') {
+				return
+			}
+			l.pos++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		if !unicode.IsSpace(r) {
+			return
+		}
+		l.pos += size
 	}
 }
 
-func (l *lexer) eof() bool {
+func (l *scanner) eof() bool {
 	l.skipSpace()
 	return l.pos >= len(l.src)
 }
 
-func (l *lexer) peek() rune {
+// consume skips space and steps over the delimiter c if it comes next.
+func (l *scanner) consume(c byte) bool {
 	l.skipSpace()
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
-func (l *lexer) consume(r rune) bool {
-	if l.peek() == r {
+	if l.pos < len(l.src) && l.src[l.pos] == c {
 		l.pos++
 		return true
 	}
 	return false
 }
 
-func (l *lexer) expect(r rune) error {
-	if !l.consume(r) {
-		return fmt.Errorf("parse: expected %q at offset %d", r, l.pos)
+func (l *scanner) expect(c byte) error {
+	if !l.consume(c) {
+		return fmt.Errorf("parse: expected %q at offset %d", rune(c), l.pos)
 	}
 	return nil
 }
 
-func isIdentRune(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '·' || r == '⊥'
-}
-
 // ident reads an identifier or number; returns "" when none is present.
-func (l *lexer) ident() string {
+func (l *scanner) ident() string {
 	l.skipSpace()
 	start := l.pos
-	for l.pos < len(l.src) && isIdentRune(l.src[l.pos]) {
-		l.pos++
-	}
-	return string(l.src[start:l.pos])
-}
-
-// quoted reads a single-quoted constant after the opening quote has been
-// consumed.
-func (l *lexer) quoted() (string, error) {
-	start := l.pos
 	for l.pos < len(l.src) {
-		if l.src[l.pos] == '\'' {
-			s := string(l.src[start:l.pos])
+		c := l.src[l.pos]
+		if c < utf8.RuneSelf {
+			if c != '_' && (c < '0' || c > '9') && (c|0x20 < 'a' || c|0x20 > 'z') {
+				break
+			}
 			l.pos++
-			return s, nil
+			continue
 		}
-		l.pos++
+		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		if !db.IsIdentRune(r) {
+			break
+		}
+		l.pos += size
 	}
-	return "", fmt.Errorf("parse: unterminated quoted constant at offset %d", start)
+	return l.src[start:l.pos]
 }
 
-func (l *lexer) term() (schema.Term, error) {
+func firstRune(s string) rune {
+	r, _ := utf8.DecodeRuneInString(s)
+	return r
+}
+
+// term reads one term into args/quoted.
+func (l *scanner) term() error {
 	if l.consume('\'') {
-		v, err := l.quoted()
-		if err != nil {
-			return schema.Term{}, err
+		end := strings.IndexByte(l.src[l.pos:], '\'')
+		if end < 0 {
+			return fmt.Errorf("parse: unterminated quoted constant at offset %d", l.pos)
 		}
-		return schema.Const(v), nil
+		l.args = append(l.args, l.src[l.pos:l.pos+end])
+		l.quoted = append(l.quoted, true)
+		l.pos += end + 1
+		return nil
 	}
 	id := l.ident()
 	if id == "" {
-		return schema.Term{}, fmt.Errorf("parse: expected term at offset %d", l.pos)
+		return fmt.Errorf("parse: expected term at offset %d", l.pos)
 	}
-	first := []rune(id)[0]
-	if unicode.IsLower(first) {
-		return schema.Var(id), nil
-	}
-	// Digits and other non-lowercase identifiers are constants.
-	return schema.Const(id), nil
+	l.args = append(l.args, id)
+	l.quoted = append(l.quoted, false)
+	return nil
 }
 
-// atom parses Rel(t1, ..., tk | tk+1, ..., tn).
-func (l *lexer) atom() (schema.Atom, error) {
-	rel := l.ident()
+// atom scans Rel(t1, ..., tk | tk+1, ..., tn), leaving the terms in
+// args/quoted, and returns the relation name and the number of key
+// positions.
+func (l *scanner) atom() (rel string, key int, err error) {
+	l.args, l.quoted = l.args[:0], l.quoted[:0]
+	rel = l.ident()
 	if rel == "" {
-		return schema.Atom{}, fmt.Errorf("parse: expected relation name at offset %d", l.pos)
+		return "", 0, fmt.Errorf("parse: expected relation name at offset %d", l.pos)
 	}
-	first := []rune(rel)[0]
-	if !unicode.IsUpper(first) {
-		return schema.Atom{}, fmt.Errorf("parse: relation name %q must start with an uppercase letter", rel)
+	if !unicode.IsUpper(firstRune(rel)) {
+		return "", 0, fmt.Errorf("parse: relation name %q must start with an uppercase letter", rel)
 	}
 	if err := l.expect('('); err != nil {
-		return schema.Atom{}, err
+		return "", 0, err
 	}
-	var terms []schema.Term
-	key := -1
+	key = -1
 	for {
-		t, err := l.term()
-		if err != nil {
-			return schema.Atom{}, err
+		if err := l.term(); err != nil {
+			return "", 0, err
 		}
-		terms = append(terms, t)
 		if l.consume(',') {
 			continue
 		}
 		if l.consume('|') {
 			if key != -1 {
-				return schema.Atom{}, fmt.Errorf("parse: atom %s has two '|' separators", rel)
+				return "", 0, fmt.Errorf("parse: atom %s has two '|' separators", rel)
 			}
-			key = len(terms)
+			key = len(l.args)
 			continue
 		}
 		break
 	}
 	if err := l.expect(')'); err != nil {
-		return schema.Atom{}, err
+		return "", 0, err
 	}
 	if key == -1 {
-		key = len(terms) // all-key
+		key = len(l.args) // all-key
 	}
-	return schema.Atom{Rel: rel, Key: key, Terms: terms}, nil
+	return rel, key, nil
 }
 
 // Query parses a query string and validates it as sjfBCQ¬.
 func Query(src string) (schema.Query, error) {
-	l := &lexer{src: []rune(src)}
+	l := &scanner{src: src}
 	var lits []schema.Literal
 	for {
 		neg := false
@@ -176,11 +197,21 @@ func Query(src string) (schema.Query, error) {
 				l.pos = save
 			}
 		}
-		a, err := l.atom()
+		rel, key, err := l.atom()
 		if err != nil {
 			return schema.Query{}, err
 		}
-		lits = append(lits, schema.Literal{Neg: neg, Atom: a})
+		terms := make([]schema.Term, len(l.args))
+		for i, a := range l.args {
+			// Identifiers starting with a lowercase letter are variables;
+			// quoted strings, digits and other identifiers are constants.
+			if !l.quoted[i] && unicode.IsLower(firstRune(a)) {
+				terms[i] = schema.Var(a)
+			} else {
+				terms[i] = schema.Const(a)
+			}
+		}
+		lits = append(lits, schema.Literal{Neg: neg, Atom: schema.Atom{Rel: rel, Key: key, Terms: terms}})
 		if l.consume(',') || l.consume('&') {
 			continue
 		}
@@ -205,35 +236,53 @@ func MustQuery(src string) schema.Query {
 	return q
 }
 
+// cutComment returns line without its trailing `# comment`. A '#' between
+// single quotes belongs to the constant it is in.
+func cutComment(line string) string {
+	if strings.IndexByte(line, '#') < 0 {
+		return line
+	}
+	inQuote := false
+	for i := 0; i < len(line); i++ {
+		switch line[i] {
+		case '\'':
+			inQuote = !inQuote
+		case '#':
+			if !inQuote {
+				return line[:i]
+			}
+		}
+	}
+	return line
+}
+
 // Database parses a multi-line database listing. Relation signatures are
-// inferred from the facts; every argument is treated as a constant.
+// inferred from the facts; every argument is treated as a constant. The
+// database copies what it keeps, so it does not hold on to src.
 func Database(src string) (*db.Database, error) {
 	d := db.New()
-	for lineNo, line := range strings.Split(src, "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
+	var l scanner
+	for lineNo := 1; src != ""; lineNo++ {
+		var line string
+		line, src, _ = strings.Cut(src, "\n")
+		line = strings.TrimSpace(cutComment(line))
 		if line == "" {
 			continue
 		}
-		l := &lexer{src: []rune(line)}
-		a, err := l.atom()
+		l.src, l.pos = line, 0
+		rel, key, err := l.atom()
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 		if !l.eof() {
-			return nil, fmt.Errorf("line %d: trailing input after fact", lineNo+1)
+			return nil, fmt.Errorf("line %d: trailing input after fact", lineNo)
 		}
-		args := make([]string, len(a.Terms))
-		for i, t := range a.Terms {
-			args[i] = t.Name // variables in fact position are read as constants
+		// Variables in fact position are read as constants.
+		if err := d.DeclareRelation(rel, len(l.args), key); err != nil {
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		if err := d.DeclareRelation(a.Rel, len(args), a.Key); err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
-		}
-		if err := d.Insert(db.Fact{Rel: a.Rel, Args: args}); err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+		if err := d.Insert(db.Fact{Rel: rel, Args: l.args}); err != nil {
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 	}
 	return d, nil

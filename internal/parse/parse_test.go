@@ -146,3 +146,48 @@ func TestMustHelpersPanic(t *testing.T) {
 	}()
 	parse.MustQuery("r(")
 }
+
+// Database and Database.String agree on the syntax: whatever parses prints
+// in a form that parses back to the same facts, including constants that
+// need quotes, a '#' inside quotes, CRLF line ends and non-ASCII
+// identifiers.
+func TestDatabasePrintsWhatItParses(t *testing.T) {
+	cases := []struct {
+		src  string
+		want db.Fact
+		text string
+	}{
+		{"R('x#y' | c) # a comment", db.F("R", "x#y", "c"), "R('x#y' | c)\n"},
+		{"R('a b' | c)", db.F("R", "a b", "c"), "R('a b' | c)\n"},
+		{"R(a | 'b)')", db.F("R", "a", "b)"), "R(a | 'b)')\n"},
+		{"R('' | c)", db.F("R", "", "c"), "R('' | c)\n"},
+		{"R(a | b)\r\nR(a | c)\r\n", db.F("R", "a", "c"), "R(a | b)\nR(a | c)\n"},
+		{"Été(naïve | 'smörgås bord')", db.F("Été", "naïve", "smörgås bord"), "Été(naïve | 'smörgås bord')\n"},
+	}
+	for _, c := range cases {
+		d, err := parse.Database(c.src)
+		if err != nil {
+			t.Errorf("Database(%q): %v", c.src, err)
+			continue
+		}
+		if !d.Has(c.want) {
+			t.Errorf("Database(%q) lacks %v:\n%s", c.src, c.want, d)
+		}
+		if d.String() != c.text {
+			t.Errorf("Database(%q).String() = %q, want %q", c.src, d.String(), c.text)
+		}
+		again, err := parse.Database(d.String())
+		if err != nil || again.String() != d.String() {
+			t.Errorf("Database(%q) does not round-trip: %v\n%s", c.src, err, again)
+		}
+		// FormatFact and String quote alike.
+		line, err := parse.FormatFact(c.want, d.Relation(c.want.Rel).Key)
+		if err != nil || !strings.Contains(d.String(), line+"\n") {
+			t.Errorf("FormatFact(%v) = %q, %v; String() = %q", c.want, line, err, d.String())
+		}
+	}
+	// A quote that never closes still fails, '#' or not.
+	if _, err := parse.Database("R('x#y | c)"); err == nil || !strings.Contains(err.Error(), "unterminated quoted constant at offset 3") {
+		t.Errorf("err = %v, want unterminated quoted constant at offset 3", err)
+	}
+}

@@ -77,8 +77,8 @@ func (s *Store) applyReplicated(version uint64, ops []walOp) (Change, error) {
 	sort.Strings(change.Rels)
 	change.Version = version
 
-	if prevIx := cur.DB.InternedIfBuilt(); prevIx != nil {
-		next.SeedInterned(db.InternNext(prevIx, next))
+	if cur.DB.InternedIfBuilt() != nil {
+		next.Interned()
 	}
 	s.cur.Store(&Snapshot{DB: next, Version: version})
 	s.notifyLocked()

@@ -440,14 +440,14 @@ func (s *Store) apply(ops []walOp) (Change, error) {
 		s.walRecords.Add(n)
 	}
 
-	// Keep the compiled-evaluator interner chain warm: when readers have
-	// interned the previous snapshot, build the next version's view by
-	// reusing the shared dictionary and the indexes of every untouched
-	// (pointer-shared) relation, so a write re-indexes only the relations
-	// it touched. When no reader ever interned, skip — the first compiled
-	// evaluation on the new snapshot will build (and memoize) a view.
-	if prevIx := cur.DB.InternedIfBuilt(); prevIx != nil {
-		next.SeedInterned(db.InternNext(prevIx, next))
+	// Keep the frozen view warm: when readers have frozen the previous
+	// snapshot, freeze the next one here, on the writer's time. Only the
+	// relations the write touched are frozen anew — the untouched ones are
+	// shared by pointer and keep their view — and the dictionary is the
+	// lineage's, so ids carry over. When no reader ever asked, skip: the
+	// first compiled evaluation on the new snapshot will freeze it.
+	if cur.DB.InternedIfBuilt() != nil {
+		next.Interned()
 	}
 
 	s.cur.Store(&Snapshot{DB: next, Version: version})
