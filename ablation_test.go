@@ -6,12 +6,9 @@ import (
 	"testing"
 
 	"cqa/internal/core"
-	"cqa/internal/db"
 	"cqa/internal/fo"
 	"cqa/internal/gen"
-	"cqa/internal/naive"
 	"cqa/internal/parse"
-	"cqa/internal/reduction"
 	"cqa/internal/rewrite"
 )
 
@@ -74,37 +71,6 @@ func BenchmarkAblationGuardRestriction(b *testing.B) {
 			}
 		})
 	}
-}
-
-// Ablation A3: parallel vs sequential repair enumeration on a database
-// whose certainty requires visiting the whole repair space (q is certain,
-// so there is no early exit).
-func BenchmarkAblationParallelNaive(b *testing.B) {
-	q := reduction.Q1()
-	// A database where q1 is certain (no S facts), so enumeration has no
-	// early exit and must visit all 2^12 repairs.
-	d := db.New()
-	d.MustDeclare("R", 2, 1)
-	d.MustDeclare("S", 2, 1)
-	for i := 0; i < 12; i++ {
-		k := fmt.Sprintf("g%d", i)
-		d.MustInsert(db.F("R", k, "b1"))
-		d.MustInsert(db.F("R", k, "b2"))
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !naive.IsCertain(q, d) {
-				b.Fatal("q1 should be certain without S facts")
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !naive.IsCertainParallel(q, d, 0) {
-				b.Fatal("q1 should be certain without S facts")
-			}
-		}
-	})
 }
 
 // Ablation A4: preparing a query once vs re-classifying per call. The

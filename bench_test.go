@@ -240,11 +240,11 @@ func BenchmarkE9AttackGraph(b *testing.B) {
 	}
 }
 
-// E12: the serving engine. cached/prepare must beat cold/prepare by well
+// The serving engine's plan cache. cached/prepare must beat cold/prepare by well
 // over an order of magnitude — the plan cache reduces repeated queries to
 // one signature computation and an LRU lookup, skipping classification
 // and rewriting entirely.
-func BenchmarkE12PlanCache(b *testing.B) {
+func BenchmarkPlanCache(b *testing.B) {
 	q := chainQueryBench(12)
 	b.Run("cold/prepare", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -267,11 +267,10 @@ func BenchmarkE12PlanCache(b *testing.B) {
 	})
 }
 
-// E12: batch evaluation of ≥ 8 independent checks, sequential loop vs the
-// worker pool, and the single-item parallel evaluation hot path vs the
-// sequential evaluator. The parallel wins require GOMAXPROCS > 1; on a
-// single CPU both modes must at least tie.
-func BenchmarkE12Batch(b *testing.B) {
+// Batch evaluation of ≥ 8 independent checks, sequential loop vs the
+// worker pool. The pool wins require GOMAXPROCS > 1; on a single CPU both
+// modes must at least tie.
+func BenchmarkBatch(b *testing.B) {
 	q := parse.MustQuery("Lives(p | t), !Born(p | t), !Likes(p, t)")
 	rng := rand.New(rand.NewSource(12))
 	items := make([]engine.Item, 16)
@@ -303,30 +302,15 @@ func BenchmarkE12Batch(b *testing.B) {
 			}
 		}
 	})
-	big := gen.Database(rng, q, gen.DBOptions{BlocksPerRelation: 2048, MaxBlockSize: 2, DomainPerVariable: 1024, ConstantBias: 0.7})
-	f, err := rewrite.Rewrite(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("eval/sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fo.Eval(big, f)
-		}
-	})
-	b.Run("eval/parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fo.EvalParallel(big, f, 0)
-		}
-	})
 }
 
-// E15: the compiled evaluation pipeline (interned constants, slot-based
+// The compiled evaluation pipeline (interned constants, slot-based
 // environments, index-driven quantifier restriction; docs/EVAL.md) vs the
 // interpreting tree walker on the E-series rewriting workloads. The
 // acceptance bar: compiled ≥ 5× faster than fo.Eval at the largest
 // database size with ~0 allocs/op in the eval inner loop. Bind cost is
 // amortized exactly as in serving (cached per database version).
-func BenchmarkE15CompiledEval(b *testing.B) {
+func BenchmarkCompiledEval(b *testing.B) {
 	q := parse.MustQuery("Lives(p | t), !Born(p | t), !Likes(p, t)")
 	f, err := rewrite.Rewrite(q)
 	if err != nil {
@@ -355,12 +339,6 @@ func BenchmarkE15CompiledEval(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bound.Eval()
-			}
-		})
-		b.Run(fmt.Sprintf("compiled-parallel/blocks=%d", blocks), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bound.EvalParallel(0, 0)
 			}
 		})
 	}

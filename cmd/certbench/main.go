@@ -1,4 +1,4 @@
-// Command certbench runs the full experiment suite E1–E14 described in
+// Command certbench runs the full experiment suite E1–E11 described in
 // DESIGN.md and prints the tables recorded in EXPERIMENTS.md. Every
 // experiment is deterministic (fixed seeds) and validates itself: a
 // failed cross-check aborts with a non-zero exit code.
@@ -11,8 +11,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -32,29 +34,36 @@ var experiments = []struct {
 	{"E9", "attack-graph cost vs query size; Θ-reduction preservation", runE9},
 	{"E10", "extensions: SQL end-to-end, free variables, reifiability, ♯CERTAINTY", runE10},
 	{"E11", "P vs FO: matching-based PTIME deciders for q1 and q_Hall", runE11},
-	{"E12", "serving engine: plan cache, parallel evaluation, batch worker pool", runE12},
-	{"E13", "serving daemon: in-process HTTP server under load, self-validated answers, ops surfaces", runE13},
-	{"E14", "mutable store: daemon under read/write load, contemporaneous-snapshot validation, incremental invalidation", runE14},
 }
 
-func main() {
-	runFlag := flag.String("run", "", "comma-separated experiment ids (default: all)")
-	quick := flag.Bool("quick", false, "smaller instances for a fast smoke run")
-	benchOut := flag.String("bench-out", "", "measure compiled vs interpreted evaluation and write BENCH JSON to this path (skips the experiment suite)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
-	if *benchOut != "" {
-		fmt.Println("==== bench-out: compiled vs interpreted evaluation ====")
-		if err := runBenchOut(*benchOut, *quick); err != nil {
-			log.Fatalf("bench-out FAILED: %v", err)
-		}
-		return
+// run is main with its exit status exposed for tests: 0 when every
+// selected experiment passed, 1 when one failed its cross-checks, 2 on a
+// usage error (bad flag, or a -run id that names no experiment), which
+// is reported on stderr.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("certbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runFlag := fs.String("run", "", "comma-separated experiment ids (default: all)")
+	quick := fs.Bool("quick", false, "smaller instances for a fast smoke run")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
 	want := map[string]bool{}
 	if *runFlag != "" {
 		for _, id := range strings.Split(*runFlag, ",") {
-			want[strings.TrimSpace(id)] = true
+			id = strings.TrimSpace(id)
+			if !slices.Contains(ids, id) {
+				fmt.Fprintf(stderr, "certbench: unknown experiment %q; valid ids: %s\n", id, strings.Join(ids, ", "))
+				return 2
+			}
+			want[id] = true
 		}
 	}
 	failed := false
@@ -70,6 +79,7 @@ func main() {
 		fmt.Println()
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -8,7 +8,6 @@
 //	cqa sql      '<query>'            the rewriting as a single SQL query
 //	cqa eval     '<query>' <db-file>... answer CERTAINTY(q) on databases
 //	    -engine auto|rewriting|direct|naive   (default auto)
-//	    -parallel    fan evaluation across workers (engine auto)
 //	    -cache       route through the plan-cache engine
 //	    -stats       print engine stats to stderr
 //	Several database files run as one engine batch on a worker pool.
@@ -84,7 +83,7 @@ func usage() {
   cqa attack   '<query>'
   cqa rewrite  '<query>'
   cqa sql      '<query>'
-  cqa eval     [-engine auto|rewriting|direct|naive] [-parallel] [-cache] [-stats] '<query>' <db-file|-> [db-file...]
+  cqa eval     [-engine auto|rewriting|direct|naive] [-cache] [-stats] '<query>' <db-file|-> [db-file...]
                exit status: 0 certain on every database, 1 not certain on
                some database, 2 usage error, 3 parse/classify/database error
   cqa answers  -free x,y '<query>' <db-file|->
@@ -254,7 +253,6 @@ func evalExitCode(certain bool, err error) int {
 func evalCmd(args []string, stdin io.Reader, out io.Writer) (bool, error) {
 	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
 	engineName := fs.String("engine", "auto", "auto|rewriting|direct|naive")
-	parallel := fs.Bool("parallel", false, "fan evaluation across GOMAXPROCS workers (engine auto only)")
 	cache := fs.Bool("cache", false, "route through the plan-cache engine (engine auto only)")
 	stats := fs.Bool("stats", false, "print engine cache/worker stats to stderr (implies -cache)")
 	if err := fs.Parse(args); err != nil {
@@ -291,9 +289,9 @@ func evalCmd(args []string, stdin io.Reader, out io.Writer) (bool, error) {
 		}
 		dbs = append(dbs, d)
 	}
-	useEngine := *parallel || *cache || *stats || len(dbs) > 1
+	useEngine := *cache || *stats || len(dbs) > 1
 	if useEngine && *engineName != "auto" {
-		return false, usageError{fmt.Errorf("-parallel/-cache/-stats and multiple databases require -engine auto")}
+		return false, usageError{fmt.Errorf("-cache/-stats and multiple databases require -engine auto")}
 	}
 	if !useEngine {
 		eng, err := engineByName(*engineName)
@@ -307,7 +305,7 @@ func evalCmd(args []string, stdin io.Reader, out io.Writer) (bool, error) {
 		fmt.Fprintln(out, ans)
 		return ans, nil
 	}
-	e := engine.New(engine.Options{ParallelEval: *parallel})
+	e := engine.New(engine.Options{})
 	defer e.Close()
 	all := true
 	if len(dbs) == 1 {

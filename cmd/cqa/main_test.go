@@ -134,7 +134,8 @@ func TestEvalExitCodes(t *testing.T) {
 		{"missing db arg", []string{"R(x | y)"}, "", 2},
 		{"bad flag", []string{"-bogus", "R(x | y)", path}, "", 2},
 		{"unknown engine", []string{"-engine", "bogus", "R(x | y)", path}, "", 2},
-		{"flag conflict", []string{"-engine", "naive", "-parallel", "R(x | y)", path}, "", 2},
+		{"retired flag", []string{"-parallel", "R(x | y)", path}, "", 2},
+		{"flag conflict", []string{"-engine", "naive", "-cache", "R(x | y)", path}, "", 2},
 		{"query parse error", []string{"bad(", path}, "", 3},
 		{"missing db file", []string{"R(x | y)", "/nonexistent/path"}, "", 3},
 		{"bad db contents", []string{"R(x | y)", "-"}, "not a fact", 3},
@@ -150,7 +151,7 @@ func TestEvalExitCodes(t *testing.T) {
 
 func TestEvalEngineFlags(t *testing.T) {
 	path := writeDB(t, "R(a | 1)\nR(a | 2)\n")
-	for _, flags := range [][]string{{"-cache"}, {"-parallel"}, {"-cache", "-parallel"}} {
+	for _, flags := range [][]string{{"-cache"}, {"-stats"}, {"-cache", "-stats"}} {
 		var out bytes.Buffer
 		args := append(append([]string{}, flags...), "R(x | y)", path)
 		certain, err := evalCmd(args, strings.NewReader(""), &out)
@@ -173,8 +174,8 @@ func TestEvalEngineFlags(t *testing.T) {
 		t.Errorf("batch output wrong: %q", out.String())
 	}
 	// Engine flags are incompatible with explicit non-auto engines.
-	if _, err := evalCmd([]string{"-engine", "naive", "-parallel", "R(x | y)", path}, strings.NewReader(""), &out); err == nil {
-		t.Error("-parallel with -engine naive should fail")
+	if _, err := evalCmd([]string{"-engine", "naive", "-cache", "R(x | y)", path}, strings.NewReader(""), &out); err == nil {
+		t.Error("-cache with -engine naive should fail")
 	}
 }
 

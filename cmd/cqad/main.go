@@ -6,7 +6,7 @@
 //
 //	cqad [-addr :8080] [-dbdir dir] [-data dir] [-cache-size 256]
 //	     [-workers 0] [-max-inflight 64] [-timeout 10s] [-max-body 1048576]
-//	     [-checkpoint-every 1024] [-fsync] [-parallel-eval] [-pprof]
+//	     [-checkpoint-every 1024] [-fsync] [-pprof]
 //	     [-pprof-addr :6060] [-trace-sample 1] [-trace-buffer 256]
 //	     [-slow-query 0] [-addr-file path]
 //
@@ -107,7 +107,6 @@ type config struct {
 	timeout      time.Duration
 	drainTimeout time.Duration
 	maxBody      int64
-	parallelEval bool
 	pprof        bool
 	pprofAddr    string
 	traceSample  float64
@@ -132,12 +131,11 @@ func parseFlags(args []string, errw *os.File) (config, error) {
 	fs.IntVar(&c.checkpoint, "checkpoint-every", 0, "WAL records between snapshot checkpoints (0 = store default)")
 	fs.BoolVar(&c.fsync, "fsync", false, "fsync the WAL on every write batch (durability over throughput)")
 	fs.IntVar(&c.cacheSize, "cache-size", 0, "plan cache capacity (0 = engine default)")
-	fs.IntVar(&c.workers, "workers", 0, "batch/parallel worker count (0 = GOMAXPROCS)")
+	fs.IntVar(&c.workers, "workers", 0, "batch worker count (0 = GOMAXPROCS)")
 	fs.IntVar(&c.maxInFlight, "max-inflight", 0, "max concurrently admitted API requests before shedding with 429 (0 = 64)")
 	fs.DurationVar(&c.timeout, "timeout", 0, "per-request timeout (0 = 10s)")
 	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "max time to drain in-flight requests on shutdown")
 	fs.Int64Var(&c.maxBody, "max-body", 0, "max request body bytes before 413 (0 = 1 MiB)")
-	fs.BoolVar(&c.parallelEval, "parallel-eval", false, "enable the parallel evaluation hot path")
 	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	fs.StringVar(&c.pprofAddr, "pprof-addr", "", "serve net/http/pprof on a separate listener at this address (keeps profiling off the API port)")
 	fs.Float64Var(&c.traceSample, "trace-sample", 1, "probability a fresh root request records a trace (1 = all, 0 = disabled; joined traces always record)")
@@ -228,9 +226,8 @@ func run(cfg config) error {
 	}
 
 	eng := engine.New(engine.Options{
-		CacheSize:    cfg.cacheSize,
-		Workers:      cfg.workers,
-		ParallelEval: cfg.parallelEval,
+		CacheSize: cfg.cacheSize,
+		Workers:   cfg.workers,
 	})
 	baseOpts := server.Options{
 		Engine:         eng,

@@ -209,11 +209,6 @@ func evalOn(d *db.Database, q schema.Query, f fo.Formula) bool {
 	return fo.Eval(withQueryRels(d, q), f)
 }
 
-// evalOnParallel is evalOn with the fo parallel evaluation hot path.
-func evalOnParallel(d *db.Database, q schema.Query, f fo.Formula, workers, minCandidates int) bool {
-	return fo.EvalParallelOpts(withQueryRels(d, q), f, workers, minCandidates)
-}
-
 // withQueryRels returns d with every relation of q declared, cloning only
 // when a declaration is missing.
 func withQueryRels(d *db.Database, q schema.Query) *db.Database {

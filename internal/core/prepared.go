@@ -258,29 +258,6 @@ func (p *Prepared) CertainTreeWalk(d *db.Database) bool {
 	return naive.IsCertain(p.cls.Query, d)
 }
 
-// CertainParallel answers CERTAINTY(q) on d like Certain, but fans the
-// evaluation across up to workers goroutines: for FO queries the
-// top-level quantifier iteration of the compiled rewriting is split over
-// candidate values (when the candidate list reaches minCandidates values;
-// ≤ 0 selects fo.DefaultMinParallelCandidates), for non-FO queries the
-// repair search is parallelized. workers ≤ 0 selects GOMAXPROCS. d must
-// not be mutated while the call runs; concurrent readers are fine (see
-// db.Database).
-func (p *Prepared) CertainParallel(d *db.Database, workers, minCandidates int) bool {
-	if p.InFO() {
-		if b := p.bound(d); b != nil {
-			return b.EvalParallel(workers, minCandidates)
-		}
-		return evalOnParallel(d, p.cls.Query, p.cls.Rewriting, workers, minCandidates)
-	}
-	// The planner's graph deciders are near-linear single passes; when
-	// one matches there is nothing worth fanning out.
-	if certain, ok := p.plan.Certain(d.Interned()); ok {
-		return certain
-	}
-	return naive.IsCertainParallel(p.cls.Query, d, workers)
-}
-
 // CertainVia answers with an explicit engine, reusing the prepared
 // rewriting for EngineRewriting.
 func (p *Prepared) CertainVia(d *db.Database, engine Engine) (bool, error) {

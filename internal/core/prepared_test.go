@@ -130,8 +130,7 @@ func TestEmptyScanMatchesOracles(t *testing.T) {
 		}
 		support, _, _ := p.CertainSupport(d)
 		for name, got := range map[string]bool{
-			"Certain": p.Certain(d), "CertainBitmap": p.CertainBitmap(d),
-			"CertainParallel": p.CertainParallel(d, 2, 1), "CertainSupport": support,
+			"Certain": p.Certain(d), "CertainBitmap": p.CertainBitmap(d), "CertainSupport": support,
 		} {
 			if got != want {
 				t.Fatalf("%s: %s = %v, tree walk %v\n%s", q, name, got, want, d)

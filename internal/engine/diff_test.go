@@ -12,11 +12,12 @@ import (
 
 // TestDifferentialEngineVsNaive is the property-based oracle check for
 // the engine paths: for ≥ 500 random sjfBCQ¬ queries with acyclic attack
-// graphs (CERTAINTY in FO) and small random databases, the cached
-// rewriting evaluation, the parallel evaluation hot path, and the batch
-// API must all agree with brute-force repair enumeration. This extends
-// the exhaustive_test.go style of internal/rewrite to the engine layer:
-// the same oracle, but through the plan cache and the concurrent paths.
+// graphs (CERTAINTY in FO) and small random databases, every evaluation
+// path certainWith can take — the bitmap default and both rollbacks —
+// must agree with brute-force repair enumeration, on the single-item API
+// and on the batch API. This extends the exhaustive_test.go style of
+// internal/rewrite to the engine layer: the same oracle, but through the
+// plan cache and the concurrent paths.
 func TestDifferentialEngineVsNaive(t *testing.T) {
 	const cases = 500
 
@@ -26,8 +27,14 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 	// ≤ 2 blocks per relation, ≤ 5 relations → ≤ 2^10 repairs.
 	dbOpts := gen.DBOptions{BlocksPerRelation: 2, MaxBlockSize: 2, DomainPerVariable: 3, ConstantBias: 0.7}
 
-	seq := New(Options{CacheSize: 64})
-	par := New(Options{CacheSize: 64, ParallelEval: true, MinParallelCandidates: 1, Workers: 4})
+	engines := []struct {
+		name string
+		eng  *Engine
+	}{
+		{"default (bitmap)", New(Options{CacheSize: 64})},
+		{"DisableBitmap", New(Options{CacheSize: 64, DisableBitmap: true})},
+		{"ForceTreeWalk", New(Options{CacheSize: 64, ForceTreeWalk: true})},
+	}
 
 	done := 0
 	var batch []Item
@@ -45,25 +52,18 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 		d := gen.Database(rng, q, dbOpts)
 		want := naive.IsCertain(q, d)
 
-		// Cached sequential path — twice, so the second call exercises a
-		// cache hit (alpha-variants of earlier queries hit too).
-		for pass := 0; pass < 2; pass++ {
-			got, err := seq.Certain(q, d)
-			if err != nil {
-				t.Fatalf("engine %s: %v", q, err)
+		// Twice per engine, so the second call exercises a cache hit
+		// (alpha-variants of earlier queries hit too).
+		for _, e := range engines {
+			for pass := 0; pass < 2; pass++ {
+				got, err := e.eng.Certain(q, d)
+				if err != nil {
+					t.Fatalf("%s engine %s: %v", e.name, q, err)
+				}
+				if got != want {
+					t.Fatalf("case %d: %s engine = %v, naive oracle = %v\nquery: %s\ndb:\n%s", done, e.name, got, want, q, d)
+				}
 			}
-			if got != want {
-				t.Fatalf("case %d: engine = %v, naive oracle = %v\nquery: %s\ndb:\n%s", done, got, want, q, d)
-			}
-		}
-
-		// Parallel hot path (threshold 1 forces the fan-out).
-		got, err := par.Certain(q, d)
-		if err != nil {
-			t.Fatalf("parallel engine %s: %v", q, err)
-		}
-		if got != want {
-			t.Fatalf("case %d: parallel engine = %v, naive oracle = %v\nquery: %s\ndb:\n%s", done, got, want, q, d)
 		}
 
 		batch = append(batch, Item{Query: q, DB: d})
@@ -72,20 +72,23 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 		// Flush accumulated checks through the batch API periodically so
 		// the worker pool sees mixed workloads.
 		if len(batch) == 50 || done == cases {
-			results := seq.CertainBatch(context.Background(), batch)
-			for i, r := range results {
-				if r.Err != nil {
-					t.Fatalf("batch item %d (%s): %v", i, batch[i].Query, r.Err)
-				}
-				if r.Certain != batchWant[i] {
-					t.Fatalf("batch item %d: engine = %v, naive oracle = %v\nquery: %s", i, r.Certain, batchWant[i], batch[i].Query)
+			for _, e := range engines {
+				for i, r := range e.eng.CertainBatch(context.Background(), batch) {
+					if r.Err != nil {
+						t.Fatalf("%s batch item %d (%s): %v", e.name, i, batch[i].Query, r.Err)
+					}
+					if r.Certain != batchWant[i] {
+						t.Fatalf("%s batch item %d: engine = %v, naive oracle = %v\nquery: %s", e.name, i, r.Certain, batchWant[i], batch[i].Query)
+					}
 				}
 			}
 			batch, batchWant = batch[:0], batchWant[:0]
 		}
 	}
 
-	if st := seq.Stats(); st.CacheHits == 0 {
-		t.Fatalf("differential sweep never hit the cache: %+v", st)
+	for _, e := range engines {
+		if st := e.eng.Stats(); st.CacheHits == 0 {
+			t.Fatalf("%s: differential sweep never hit the cache: %+v", e.name, st)
+		}
 	}
 }

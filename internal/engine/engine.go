@@ -1,10 +1,8 @@
 // Package engine is the concurrent serving layer on top of core: a
 // thread-safe LRU plan cache that memoizes core.Prepare (classification +
 // consistent first-order rewriting + its compiled program, the expensive
-// query-only work), a worker-pool batch API that fans independent
-// CERTAINTY checks across goroutines, and an optional parallel evaluation
-// hot path that splits top-level quantifier iteration of the rewriting
-// across workers on large databases. Rewritings evaluate through the
+// query-only work) and a worker-pool batch API that fans independent
+// CERTAINTY checks across goroutines. Rewritings evaluate through the
 // compiled pipeline (interned constants, slot-based environments,
 // index-driven quantifier restriction — docs/EVAL.md) unless
 // Options.ForceTreeWalk selects the interpreting tree walker. See
@@ -34,18 +32,9 @@ type Options struct {
 	// CacheSize is the maximum number of cached plans; ≤ 0 selects
 	// DefaultCacheSize.
 	CacheSize int
-	// Workers bounds the goroutines used by CertainBatch and by the
-	// parallel evaluation hot path; ≤ 0 selects GOMAXPROCS.
+	// Workers bounds the goroutines used by CertainBatch; ≤ 0 selects
+	// GOMAXPROCS.
 	Workers int
-	// ParallelEval enables the fo parallel hot path for single-item
-	// Certain calls: top-level quantifier iteration is split across
-	// Workers goroutines once the candidate list reaches
-	// MinParallelCandidates values. Batch items always evaluate
-	// sequentially per item — the batch itself provides the parallelism.
-	ParallelEval bool
-	// MinParallelCandidates is the fan-out threshold for ParallelEval;
-	// ≤ 0 selects fo.DefaultMinParallelCandidates.
-	MinParallelCandidates int
 	// ResultCacheSize is the maximum number of cached CERTAINTY answers
 	// for versioned databases (CertainVersioned); ≤ 0 selects
 	// DefaultResultCacheSize.
@@ -65,8 +54,7 @@ type Options struct {
 	// DisableBatchSharing makes CertainBatch evaluate every item
 	// independently instead of grouping identical (query, snapshot)
 	// items into one shared evaluation. Rollback switch for the
-	// shared-pass batching; also the per-item baseline certbench's E18
-	// experiment measures against.
+	// shared-pass batching.
 	DisableBatchSharing bool
 }
 
@@ -175,8 +163,7 @@ func (e *Engine) prepareSig(sig string, q schema.Query) (*core.Prepared, error) 
 	return p, err
 }
 
-// Certain answers CERTAINTY(q) on d using a cached plan, with the
-// parallel evaluation hot path when Options.ParallelEval is set.
+// Certain answers CERTAINTY(q) on d using a cached plan.
 func (e *Engine) Certain(q schema.Query, d *db.Database) (bool, error) {
 	if err := e.begin(); err != nil {
 		return false, err
@@ -190,13 +177,10 @@ func (e *Engine) Certain(q schema.Query, d *db.Database) (bool, error) {
 }
 
 // certainWith evaluates a prepared plan on d honouring the engine's
-// evaluation options (parallel fan-out, tree-walk rollback).
+// rollback options (tree walk, scalar compiled); bitmap is the default.
 func (e *Engine) certainWith(p *core.Prepared, d *db.Database) bool {
 	if e.opt.ForceTreeWalk {
 		return p.CertainTreeWalk(d)
-	}
-	if e.opt.ParallelEval {
-		return p.CertainParallel(d, e.opt.Workers, e.opt.MinParallelCandidates)
 	}
 	if e.opt.DisableBitmap {
 		return p.Certain(d)
@@ -419,10 +403,7 @@ func (e *Engine) CertainBatch(ctx context.Context, items []Item) []Result {
 // certainIsolated runs one check, converting panics (e.g. from malformed
 // formulas or databases) into per-item errors so one bad item cannot take
 // down the batch. sig is the item's canonical signature when the caller
-// already computed it ("" recomputes). The dispatch mirrors
-// BatchStrategy: batch items never take the parallel fan-out (the batch
-// is the parallelism), bitmap evaluation is the default, and
-// ForceTreeWalk/DisableBitmap roll back.
+// already computed it ("" recomputes).
 func (e *Engine) certainIsolated(it Item, sig string) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -436,11 +417,5 @@ func (e *Engine) certainIsolated(it Item, sig string) (res Result) {
 	if err != nil {
 		return Result{Err: err}
 	}
-	if e.opt.ForceTreeWalk {
-		return Result{Certain: p.CertainTreeWalk(it.DB)}
-	}
-	if e.opt.DisableBitmap {
-		return Result{Certain: p.Certain(it.DB)}
-	}
-	return Result{Certain: p.CertainBitmap(it.DB)}
+	return Result{Certain: e.certainWith(p, it.DB)}
 }

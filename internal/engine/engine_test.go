@@ -215,27 +215,6 @@ func TestCertainBatchCancellation(t *testing.T) {
 	}
 }
 
-func TestParallelEvalEngineAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	seq := New(Options{})
-	par := New(Options{ParallelEval: true, MinParallelCandidates: 1, Workers: 8})
-	q := mustQuery(t, "Lives(p | t), !Born(p | t), !Likes(p, t)")
-	for trial := 0; trial < 25; trial++ {
-		d := gen.Database(rng, q, gen.DBOptions{BlocksPerRelation: 10, MaxBlockSize: 2, DomainPerVariable: 6, ConstantBias: 0.7})
-		a, err := seq.Certain(q, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := par.Certain(q, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("trial %d: sequential = %v, parallel = %v", trial, a, b)
-		}
-	}
-}
-
 func TestStatsString(t *testing.T) {
 	e := New(Options{Workers: 3})
 	if _, err := e.Prepare(mustQuery(t, "R(x | y)")); err != nil {

@@ -27,9 +27,6 @@ const (
 	// vectorizable quantifiers; Options.DisableBitmap rolls back to
 	// StrategyCompiled.
 	StrategyCompiledBitmap = "compiled-bitmap"
-	// StrategyCompiledParallel is the compiled rewriting with top-level
-	// quantifier fan-out (Options.ParallelEval).
-	StrategyCompiledParallel = "compiled-parallel"
 	// StrategyTreeWalk interprets the rewriting with fo.Eval — selected
 	// by Options.ForceTreeWalk or when no compiled program is available.
 	StrategyTreeWalk = "tree-walk"
@@ -48,18 +45,9 @@ const (
 // query shape has one, repair enumeration otherwise — ForceTreeWalk
 // disables the deciders too, it is the rollback switch for both
 // pipelines); ForceTreeWalk or a missing compiled program → tree walker;
-// otherwise the compiled pipeline, parallel when ParallelEval is set.
+// otherwise the compiled pipeline, bitmap-vectorized unless DisableBitmap
+// is set or the program has no vectorizable quantifier.
 func (e *Engine) Strategy(p *core.Prepared) string {
-	return e.strategy(p, e.opt.ParallelEval)
-}
-
-// BatchStrategy is Strategy for CertainBatch items, which always
-// evaluate sequentially per item (the batch is the parallelism).
-func (e *Engine) BatchStrategy(p *core.Prepared) string {
-	return e.strategy(p, false)
-}
-
-func (e *Engine) strategy(p *core.Prepared, parallel bool) string {
 	if !p.InFO() {
 		if e.opt.ForceTreeWalk {
 			return StrategyNaive
@@ -68,9 +56,6 @@ func (e *Engine) strategy(p *core.Prepared, parallel bool) string {
 	}
 	if e.opt.ForceTreeWalk || !p.HasCompiled() {
 		return StrategyTreeWalk
-	}
-	if parallel {
-		return StrategyCompiledParallel
 	}
 	if !e.opt.DisableBitmap && p.HasBitmap() {
 		return StrategyCompiledBitmap

@@ -30,14 +30,10 @@ func TestStrategyMirrorsCertainWith(t *testing.T) {
 	}{
 		{"bitmap default", Options{}, "fo", StrategyCompiledBitmap},
 		{"bitmap rollback", Options{DisableBitmap: true}, "fo", StrategyCompiled},
-		{"parallel", Options{ParallelEval: true}, "fo", StrategyCompiledParallel},
 		{"tree-walk switch", Options{ForceTreeWalk: true}, "fo", StrategyTreeWalk},
 		{"tree-walk beats bitmap", Options{ForceTreeWalk: true, DisableBitmap: true}, "fo", StrategyTreeWalk},
-		{"tree-walk beats parallel", Options{ForceTreeWalk: true, ParallelEval: true}, "fo", StrategyTreeWalk},
 		{"naive", Options{}, "cyclic", StrategyNaive},
-		{"naive under parallel", Options{ParallelEval: true}, "cyclic", StrategyNaive},
 		{"matching", Options{}, "matching", StrategyMatching},
-		{"matching under parallel", Options{ParallelEval: true}, "matching", StrategyMatching},
 		{"matching rollback", Options{ForceTreeWalk: true}, "matching", StrategyNaive},
 		{"reachability", Options{}, "reachability", StrategyReachability},
 		{"reachability rollback", Options{ForceTreeWalk: true}, "reachability", StrategyNaive},
@@ -52,15 +48,6 @@ func TestStrategyMirrorsCertainWith(t *testing.T) {
 		if got := e.Strategy(p); got != c.want {
 			t.Errorf("%s: Strategy = %q, want %q", c.name, got, c.want)
 		}
-	}
-	// Batch items never take the parallel hot path.
-	e := New(Options{ParallelEval: true})
-	p, err := e.Prepare(mustQuery(t, queries["fo"]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.BatchStrategy(p); got != StrategyCompiledBitmap {
-		t.Errorf("BatchStrategy = %q, want %q", got, StrategyCompiledBitmap)
 	}
 }
 

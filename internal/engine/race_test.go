@@ -95,11 +95,10 @@ func TestConcurrentPreparedAndCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatches runs many batches concurrently on one engine,
-// with parallel evaluation enabled, so batch workers, the parallel eval
-// workers, and the cache all interleave.
+// TestConcurrentBatches runs many batches concurrently on one engine, so
+// batch workers and the cache interleave.
 func TestConcurrentBatches(t *testing.T) {
-	e := New(Options{CacheSize: 16, Workers: 4, ParallelEval: true, MinParallelCandidates: 1})
+	e := New(Options{CacheSize: 16, Workers: 4})
 	rng := rand.New(rand.NewSource(100))
 	q := parse.MustQuery("P(x | y), !N('c' | y)")
 	items := make([]Item, 12)

@@ -24,14 +24,14 @@ package fo
 // contributes R's set). For rewritings of the Koutris–Wijsen form this
 // turns the inner ∀-block from O(|posting|) probes per outer candidate
 // into a lookup of the outer block's value set (O(block size) words),
-// which is where the measured E18 speedup comes from.
+// which is where the bitmap path's speedup over the scalar one comes from.
 //
 // ∀ needs no special casing: compile.go already lowers ∀x φ to ¬∃x ¬φ.
 // Support recording (support.go) keeps walking the scalar tree, so the
 // delta layer's proof-carrying skip rules are unaffected. Lowering is
-// purely additive: Program.root is untouched and Bound.Eval and
-// EvalParallel still run the scalar pipeline, which is what the
-// DisableBitmap rollback flag falls back to.
+// purely additive: Program.root is untouched and Bound.Eval still runs
+// the scalar pipeline, which is what the DisableBitmap rollback flag
+// falls back to.
 
 // vnode is one vectorized formula node, evaluated over the bound
 // quantifier's candidate ids. word returns the 64-candidate membership

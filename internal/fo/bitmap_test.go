@@ -127,7 +127,7 @@ func TestBitmapAgreesOnRewritings(t *testing.T) {
 }
 
 // The benchmark workloads must take the vectorized path, otherwise the
-// E18 gate measures nothing.
+// bitmap benchmarks measure nothing.
 func TestBitmapVectorizesBenchQueries(t *testing.T) {
 	for _, qs := range []string{
 		"Lives(p | t), !Born(p | t), !Likes(p, t)",

@@ -11,8 +11,8 @@ import (
 )
 
 // benchBound builds the E-series scaling workload at the given block
-// count and returns the bound program (certbench measures the official
-// numbers; this benchmark is the in-package probe).
+// count and returns the bound program (bench's fo.warm_eval_ns is the
+// recorded number; this benchmark is the in-package probe).
 func benchBound(b *testing.B, blocks int) *fo.Bound {
 	q := parse.MustQuery("Lives(p | t), !Born(p | t), !Likes(p, t)")
 	f, err := rewrite.Rewrite(q)

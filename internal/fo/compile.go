@@ -453,7 +453,7 @@ func (c *compiler) unionRestriction(x string, fs []Formula, positive bool) (cand
 // Bound is a Program linked against one interned database: constants
 // resolved to ids, relations resolved to indexes, and every quantifier's
 // candidate plan materialized into a concrete list. Read-only after Bind
-// and safe for unbounded concurrent Eval/EvalParallel calls; per-call
+// and safe for unbounded concurrent Eval calls; per-call
 // state lives in pooled machines.
 type Bound struct {
 	p      *Program

@@ -34,8 +34,7 @@ func TestCompiledAgreesWithReference(t *testing.T) {
 }
 
 // The compiled pipeline agrees on real rewritings over generated
-// databases, sequentially and with the parallel fan-out, and the Bound is
-// reusable across evaluations.
+// databases, and the Bound is reusable across evaluations.
 func TestCompiledAgreesOnRewritings(t *testing.T) {
 	rng := rand.New(rand.NewSource(317))
 	opts := gen.DefaultQueryOptions()
@@ -59,9 +58,6 @@ func TestCompiledAgreesOnRewritings(t *testing.T) {
 			if got := b.Eval(); got != want {
 				t.Fatalf("compiled = %v, tree walker = %v on rewriting of %s\n%s", got, want, q, d)
 			}
-		}
-		if got := b.EvalParallel(4, 1); got != want {
-			t.Fatalf("compiled parallel = %v, tree walker = %v on rewriting of %s\n%s", got, want, q, d)
 		}
 	}
 }
@@ -213,9 +209,6 @@ func TestNeedShortCircuitsBoundProgram(t *testing.T) {
 		}
 		if got := b.EvalBitmap(); got != tc.met {
 			t.Errorf("%s: EvalBitmap = %v, want %v", tc.name, got, tc.met)
-		}
-		if got := b.EvalParallel(2, 1); got != tc.met {
-			t.Errorf("%s: EvalParallel = %v, want %v", tc.name, got, tc.met)
 		}
 		if got, sup := b.EvalSupport(); !got || len(sup.Blocks) == 0 {
 			t.Errorf("%s: EvalSupport = %v with %d blocks, want the run itself", tc.name, got, len(sup.Blocks))

@@ -10,9 +10,8 @@ import (
 )
 
 // FuzzCompiledEval decodes a small database and a closed formula from the
-// fuzz input and checks that the compiled pipeline (sequential and
-// parallel) agrees with both the tree walker and the unoptimized
-// reference evaluator. Part of `make fuzz`.
+// fuzz input and checks that the compiled pipeline agrees with both the
+// tree walker and the unoptimized reference evaluator. Part of `make fuzz`.
 func FuzzCompiledEval(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 2, 5, 9, 200, 14, 3, 3, 7})
@@ -33,9 +32,6 @@ func FuzzCompiledEval(f *testing.F) {
 		b := p.Bind(d.Interned())
 		if got := b.Eval(); got != want {
 			t.Fatalf("compiled = %v, reference = %v on %s with db:\n%s", got, want, formula, d)
-		}
-		if got := b.EvalParallel(2, 1); got != want {
-			t.Fatalf("compiled parallel = %v, reference = %v on %s with db:\n%s", got, want, formula, d)
 		}
 	})
 }

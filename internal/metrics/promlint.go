@@ -9,9 +9,9 @@ import (
 )
 
 // This file is a small parser and linter for the Prometheus text
-// exposition format, used by the obs smoke tests and `cqaload -obs` to
-// assert that what /metrics serves is actually scrapeable — without
-// depending on the Prometheus client libraries.
+// exposition format, used by the server and chaos tests to assert that
+// what /metrics serves is actually scrapeable — without depending on
+// the Prometheus client libraries.
 
 // PromSample is one parsed sample line.
 type PromSample struct {

@@ -70,10 +70,10 @@ type CertainResponse struct {
 
 // ExplainInfo is the `"explain": true` payload: what the engine chose
 // and what it cost, stage by stage. Strategy names come from
-// engine.Strategy ("compiled", "compiled-parallel", "tree-walk",
-// "naive-repair"); shard plans are shard.PlanFor kinds ("single",
-// "pinned", "scatter", "union"). See docs/OBSERVABILITY.md for the
-// schema contract.
+// engine.Strategy ("compiled-bitmap", "compiled", "tree-walk",
+// "matching", "reachability", "naive-repair"); shard plans are
+// shard.PlanFor kinds ("single", "pinned", "scatter", "union"). See
+// docs/OBSERVABILITY.md for the schema contract.
 type ExplainInfo struct {
 	// Strategy is the evaluation strategy actually executed.
 	Strategy string `json:"strategy"`

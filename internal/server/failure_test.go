@@ -136,7 +136,7 @@ func slowRequest(t *testing.T, url string) (release func(), done <-chan *http.Re
 }
 
 func TestAdmissionControl429(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxInFlight: 1})
+	s, ts := newTestServer(t, Options{MaxInFlight: 1})
 
 	release, done := slowRequest(t, ts.URL)
 	// The slot is held; the next request must be shed.
@@ -160,14 +160,29 @@ func TestAdmissionControl429(t *testing.T) {
 	if out := decodeBody[ErrorBody](t, resp); out.Error.Code != "overloaded" {
 		t.Errorf("error body = %+v", out)
 	}
+	// Shedding is deterministic while the slot is held, and counted.
+	shed := uint64(1)
+	for ; shed < 10; shed++ {
+		resp = postJSON(t, ts.URL+"/v1/classify", ClassifyRequest{Query: "R(x | y)"})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("held server answered %d, want 429", resp.StatusCode)
+		}
+	}
+	if n := s.Registry().Counter("rejected_total").Value(); n < shed {
+		t.Errorf("clients saw %d rejections, rejected_total = %d", shed, n)
+	}
 
-	// Releasing the slot restores service.
+	// Releasing the slot restores service; the held request was answered
+	// correctly, not merely completed.
 	release()
 	slow := <-done
 	if slow.StatusCode != http.StatusOK {
 		t.Fatalf("slow request status = %d, want 200", slow.StatusCode)
 	}
-	slow.Body.Close()
+	if out := decodeBody[CertainResponse](t, slow); !out.Certain {
+		t.Errorf("held request answer = %+v, want certain", out)
+	}
 	resp = postJSON(t, ts.URL+"/v1/classify", ClassifyRequest{Query: "R(x | y)"})
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("after release: status = %d, want 200", resp.StatusCode)

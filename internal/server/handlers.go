@@ -408,13 +408,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if p, planHit, err := s.eng.PrepareCached(q); err == nil {
 		resp.Verdict = string(p.Classification().Verdict)
-		strategy := s.eng.BatchStrategy(p)
+		strategy := s.eng.Strategy(p)
 		s.reg.Counter(metrics.Label("eval_total",
 			"strategy", strategy, "cache", "bypass")).Add(uint64(len(good)))
 		if req.Explain {
 			// Batches bypass the versioned result cache; the explain covers
-			// the batch as a whole (BatchStrategy: items never take the
-			// parallel hot path, the batch is the parallelism).
+			// the batch as a whole.
 			resp.Explain = explainFor(p, strategy, cacheOutcome(planHit), clock, tr)
 		}
 	}

@@ -174,7 +174,6 @@ func TestExplainReportsExecutedStrategy(t *testing.T) {
 		{"bitmap default", engine.Options{}, engine.StrategyCompiledBitmap},
 		{"bitmap rollback", engine.Options{DisableBitmap: true}, engine.StrategyCompiled},
 		{"tree-walk", engine.Options{ForceTreeWalk: true}, engine.StrategyTreeWalk},
-		{"parallel", engine.Options{ParallelEval: true}, engine.StrategyCompiledParallel},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -182,7 +181,10 @@ func TestExplainReportsExecutedStrategy(t *testing.T) {
 			if got := s.Engine().Options().ForceTreeWalk; got != c.opt.ForceTreeWalk {
 				t.Fatalf("engine options not surfaced: ForceTreeWalk=%v", got)
 			}
+			begin := time.Now()
 			resp := postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: "R(x | y)", Database: "people", Explain: true})
+			latency := time.Since(begin).Nanoseconds()
+			traceID := resp.Header.Get(obs.TraceHeader)
 			ans := decodeBody[CertainResponse](t, resp)
 			if ans.Explain == nil {
 				t.Fatal("explain absent")
@@ -200,8 +202,10 @@ func TestExplainReportsExecutedStrategy(t *testing.T) {
 				t.Errorf("first evaluation resultCache = %q, want miss", ans.Explain.ResultCache)
 			}
 			stages := map[string]bool{}
+			var stageSum int64
 			for _, st := range ans.Explain.Stages {
 				stages[st.Name] = true
+				stageSum += st.Nanos
 				if st.Nanos < 0 {
 					t.Errorf("stage %s has negative duration", st.Name)
 				}
@@ -209,6 +213,35 @@ func TestExplainReportsExecutedStrategy(t *testing.T) {
 			for _, want := range []string{"parse", "prepare", "eval"} {
 				if !stages[want] {
 					t.Errorf("stages lack %q: %+v", want, ans.Explain.Stages)
+				}
+			}
+			if stageSum > latency {
+				t.Errorf("explain stages sum to %dns, more than the %dns the request took", stageSum, latency)
+			}
+
+			// The response header, the explain block and /debug/traces name
+			// one trace; on an un-routed server it covers parse and eval,
+			// spans inside the trace, the trace inside the client's latency.
+			if traceID == "" || ans.Explain.TraceID != traceID {
+				t.Errorf("explain names trace %q, header names %q", ans.Explain.TraceID, traceID)
+			}
+			doc := getTraces(t, ts.URL, "?id="+traceID)
+			if len(doc.Traces) != 1 {
+				t.Fatalf("%d traces for id %s, want 1", len(doc.Traces), traceID)
+			}
+			tv := doc.Traces[0]
+			if tv.DurNanos > latency {
+				t.Errorf("trace lasted %dns, more than the %dns the client measured", tv.DurNanos, latency)
+			}
+			for _, sp := range tv.Spans {
+				if sp.DurNanos < 0 || sp.OffsetNanos < 0 || sp.OffsetNanos+sp.DurNanos > tv.DurNanos {
+					t.Errorf("span %s [%d,+%d] outside trace duration %d", sp.Name, sp.OffsetNanos, sp.DurNanos, tv.DurNanos)
+				}
+			}
+			spans := spanNames(tv)
+			for _, want := range []string{"parse", "eval"} {
+				if _, ok := spans[want]; !ok {
+					t.Errorf("trace lacks a %s span: %+v", want, tv.Spans)
 				}
 			}
 
@@ -225,15 +258,14 @@ func TestExplainReportsExecutedStrategy(t *testing.T) {
 			if ans.Explain == nil || ans.Explain.ResultCache != "" || ans.Explain.ShardPlan != "" {
 				t.Errorf("inline explain = %+v, want no result-cache/shard-plan fields", ans.Explain)
 			}
-		})
-	}
 
-	// Batch explain reports the batch strategy (never parallel).
-	_, ts := newTestServer(t, Options{Engine: engine.New(engine.Options{ParallelEval: true})})
-	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Query: "R(x | y)", Databases: []string{"people"}, Explain: true})
-	bat := decodeBody[BatchResponse](t, resp)
-	if bat.Explain == nil || bat.Explain.Strategy != engine.StrategyCompiledBitmap {
-		t.Errorf("batch explain = %+v, want strategy %q", bat.Explain, engine.StrategyCompiledBitmap)
+			// Batch items take the same dispatch as single reads.
+			resp = postJSON(t, ts.URL+"/v1/batch", BatchRequest{Query: "R(x | y)", Databases: []string{"people"}, Explain: true})
+			bat := decodeBody[BatchResponse](t, resp)
+			if bat.Explain == nil || bat.Explain.Strategy != c.want {
+				t.Errorf("batch explain = %+v, want strategy %q", bat.Explain, c.want)
+			}
+		})
 	}
 }
 

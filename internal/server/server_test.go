@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -41,6 +42,32 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// scrapeMetrics GETs /metrics and returns the parsed exposition after
+// checking it is the text format and lints clean.
+func scrapeMetrics(t *testing.T, base string) *metrics.PromExposition {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
+		t.Errorf("/metrics content type = %q", ct)
+	}
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := metrics.LintPrometheus(string(text)); err != nil {
+		t.Fatalf("/metrics fails exposition lint: %v\n%s", err, text)
+	}
+	exp, err := metrics.ParsePrometheus(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exp
 }
 
 func decodeBody[T any](t *testing.T, resp *http.Response) T {
@@ -143,6 +170,8 @@ func TestBatchEndpoint(t *testing.T) {
 
 func TestStatsAndOpsEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
+	// The exposition lints before any traffic too (absent and zero series).
+	scrapeMetrics(t, ts.URL)
 	// Drive a little traffic so the counters move.
 	for i := 0; i < 3; i++ {
 		resp := postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: "R(x | y)", Database: "people"})
@@ -192,24 +221,7 @@ func TestStatsAndOpsEndpoints(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-		t.Errorf("/metrics content type = %q", ct)
-	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	text := buf.String()
-	if err := metrics.LintPrometheus(text); err != nil {
-		t.Fatalf("/metrics fails exposition lint: %v\n%s", err, text)
-	}
-	exp, err := metrics.ParsePrometheus(text)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp := scrapeMetrics(t, ts.URL)
 	for name, want := range map[string]float64{
 		"requests_total":                3,
 		"certain_total":                 3,
@@ -222,6 +234,10 @@ func TestStatsAndOpsEndpoints(t *testing.T) {
 	}
 	if v, ok := exp.Value("requests_by_endpoint_total", "endpoint", "certain"); !ok || v != 3 {
 		t.Errorf("endpoint-labeled counter = %v (present=%v), want 3", v, ok)
+	}
+	// Sampling defaults to every request: the tracer recorded each read.
+	if v, ok := exp.Value("traces_sampled"); !ok || v < 3 {
+		t.Errorf("traces_sampled = %v (present=%v), want ≥ 3", v, ok)
 	}
 	// One evaluation ran (compiled strategy, result-cache miss); the two
 	// repeats hit the versioned result cache.

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"io"
 	"net/http"
 	"path/filepath"
 	"testing"
 
-	"cqa/internal/metrics"
 	"cqa/internal/shard"
 	"cqa/internal/store"
 )
@@ -126,6 +124,9 @@ func TestResultCacheInvalidationOverHTTP(t *testing.T) {
 	if askCached(false) {
 		t.Fatal("write to mentioned relation must be a miss")
 	}
+	if !askCached(false) {
+		t.Fatal("the recomputed answer must be cached again")
+	}
 }
 
 // The carry rule end to end over HTTP, and its instruments: a write to
@@ -163,19 +164,7 @@ func TestResultCacheCarryOverHTTP(t *testing.T) {
 	if stats.Engine.ResultCarried != 2 || stats.Engine.ResultInvalidations != 2 {
 		t.Errorf("/v1/stats: carried %d, invalidations %d; want 2 and 2", stats.Engine.ResultCarried, stats.Engine.ResultInvalidations)
 	}
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := metrics.LintPrometheus(string(text)); err != nil {
-		t.Fatalf("/metrics fails exposition lint: %v", err)
-	}
-	exp, err := metrics.ParsePrometheus(string(text))
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp := scrapeMetrics(t, ts.URL)
 	if v, ok := exp.Value("result_cache_carried_total"); !ok || v != 2 {
 		t.Errorf("result_cache_carried_total = %v (present=%v), want 2", v, ok)
 	}
@@ -195,6 +184,30 @@ func TestDurableStoresSurviveRestart(t *testing.T) {
 	_, ts := newTestServer(t, Options{Stores: set})
 	mustCreate(t, ts.URL, DBCreateRequest{Name: "k", Facts: "R(a | 1)"})
 	postJSON(t, ts.URL+"/v1/db/insert", DBWriteRequest{Database: "k", Facts: "R(b | 2)"}).Body.Close()
+
+	// The ops surfaces reflect the store activity.
+	resp, err := http.Get(ts.URL + "/v1/db/info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range decodeBody[DBInfoResponse](t, resp).Databases {
+		if d.Name == "k" && (!d.Durable || d.WALRecords == 0) {
+			t.Errorf("/v1/db/info: k should be durable with WAL records: %+v", d)
+		}
+	}
+	resp, err = http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wal, _ := decodeBody[StatsResponse](t, resp).Server["wal_records"].(float64); wal <= 0 {
+		t.Errorf("/v1/stats wal_records = %v, want > 0", wal)
+	}
+	exp := scrapeMetrics(t, ts.URL)
+	for _, name := range []string{"wal_records", "snapshot_version", "result_cache_hits", "result_cache_invalidations"} {
+		if _, ok := exp.Value(name); !ok {
+			t.Errorf("/metrics lacks %s", name)
+		}
+	}
 	ts.Close()
 	if err := set.CloseAll(); err != nil {
 		t.Fatal(err)
@@ -209,7 +222,7 @@ func TestDurableStoresSurviveRestart(t *testing.T) {
 	}
 	defer set2.CloseAll()
 	_, ts2 := newTestServer(t, Options{Stores: set2})
-	resp := postJSON(t, ts2.URL+"/v1/certain", CertainRequest{Query: "R(x | y)", Database: "k"})
+	resp = postJSON(t, ts2.URL+"/v1/certain", CertainRequest{Query: "R(x | y)", Database: "k"})
 	ans := decodeBody[CertainResponse](t, resp)
 	if !ans.Certain {
 		t.Fatal("facts written before restart must survive")

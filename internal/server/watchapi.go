@@ -66,7 +66,7 @@ func EncodeWatchEvent(ev WatchEvent) []byte {
 
 // ParseWatchEvent decodes one wire frame strictly: unknown fields,
 // trailing data, and unknown event types are errors. Exported for the
-// protocol fuzz test and the watch clients (loadgen, router).
+// protocol fuzz test and the watch clients (router, chaos tests).
 func ParseWatchEvent(line []byte) (WatchEvent, error) {
 	var ev WatchEvent
 	if err := decodeJSON(bytes.NewReader(line), &ev); err != nil {

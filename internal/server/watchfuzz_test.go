@@ -8,9 +8,8 @@ import (
 // FuzzWatchProtocol fuzzes the /v1/watch wire codec: ParseWatchEvent
 // must never panic on arbitrary bytes, and every frame it accepts must
 // survive an encode/parse round trip unchanged — the property the
-// stream consumers (loadgen validator, router merge, chaos resume
-// test) rely on when they treat a parsed frame as the frame that was
-// sent.
+// stream consumers (router merge, chaos resume test) rely on when they
+// treat a parsed frame as the frame that was sent.
 func FuzzWatchProtocol(f *testing.F) {
 	f.Add([]byte(`{"type":"state","database":"m","signature":"R('k0'|'v0')","version":3,"verdict":true}`))
 	f.Add([]byte(`{"type":"state","version":9,"verdict":false}`))

@@ -1,14 +1,10 @@
 // Package chaostest boots real cqad process topologies — N shard
 // servers, a scatter-gather router, optionally a WAL-shipping follower
-// — for fault-injection tests and benchmarks. It is the multi-shard
-// successor of the store-smoke pattern: processes are real OS
-// processes wired over loopback HTTP, killed with SIGKILL (never a
-// graceful shutdown), and restarted on their original addresses so the
-// router's fixed shard list keeps routing to them.
-//
-// The package is a test helper first (the chaos test lives next to it)
-// and a library second (cmd/shardbench reuses Boot for its scaling
-// measurement).
+// — for fault-injection tests. It is the multi-shard successor of the
+// store-smoke pattern: processes are real OS processes wired over
+// loopback HTTP, killed with SIGKILL (never a graceful shutdown), and
+// restarted on their original addresses so the router's fixed shard
+// list keeps routing to them. The chaos tests live next to it.
 package chaostest
 
 import (
@@ -44,7 +40,6 @@ type Proc struct {
 
 	bin      string
 	args     []string
-	env      []string // extra environment, e.g. GOMAXPROCS=1
 	addrFile string
 	logFile  string
 
@@ -65,7 +60,6 @@ func (p *Proc) Start() error {
 	cmd := exec.Command(p.bin, p.args...)
 	cmd.Stdout = logf
 	cmd.Stderr = logf
-	cmd.Env = append(os.Environ(), p.env...)
 	if err := cmd.Start(); err != nil {
 		logf.Close()
 		return fmt.Errorf("chaostest: starting %s: %w", p.Name, err)
@@ -157,11 +151,6 @@ type BootOptions struct {
 	// zero value keeps the historical shard-0 placement. Out-of-range
 	// values fail Boot.
 	FollowerShard int
-	// ShardEnv is extra environment for the shard processes (the bench
-	// sets GOMAXPROCS=1 to pin per-shard compute).
-	ShardEnv []string
-	// ShardArgs, RouterArgs, FollowerArgs append extra cqad flags.
-	ShardArgs, RouterArgs, FollowerArgs []string
 }
 
 // Topology is a booted process set: Shards[i] serve slices, Router
@@ -197,13 +186,12 @@ func Boot(opt BootOptions) (*Topology, error) {
 		tp.Close()
 		return nil, err
 	}
-	newProc := func(name string, port int, env []string, args ...string) *Proc {
+	newProc := func(name string, port int, args ...string) *Proc {
 		addrFile := filepath.Join(opt.Dir, name+".addr")
 		return &Proc{
 			Name:     name,
 			URL:      fmt.Sprintf("http://127.0.0.1:%d", port),
 			bin:      opt.Bin,
-			env:      env,
 			addrFile: addrFile,
 			logFile:  filepath.Join(opt.Dir, name+".log"),
 			args: append([]string{
@@ -215,11 +203,11 @@ func Boot(opt BootOptions) (*Topology, error) {
 
 	shardURLs := make([]string, opt.Shards)
 	for i := 0; i < opt.Shards; i++ {
-		args := append([]string(nil), opt.ShardArgs...)
+		var args []string
 		if opt.Durable {
-			args = append(args, "-data", filepath.Join(opt.Dir, fmt.Sprintf("shard%d-data", i)))
+			args = []string{"-data", filepath.Join(opt.Dir, fmt.Sprintf("shard%d-data", i))}
 		}
-		p := newProc(fmt.Sprintf("shard%d", i), ports[i], opt.ShardEnv, args...)
+		p := newProc(fmt.Sprintf("shard%d", i), ports[i], args...)
 		tp.Shards = append(tp.Shards, p)
 		shardURLs[i] = p.URL
 		if err := p.Start(); err != nil {
@@ -229,14 +217,14 @@ func Boot(opt BootOptions) (*Topology, error) {
 
 	if opt.Follower {
 		tp.FollowerShard = opt.FollowerShard
-		args := append([]string{"-follow", shardURLs[opt.FollowerShard], "-follower-id", "chaos-follower"}, opt.FollowerArgs...)
-		tp.Follower = newProc("follower", ports[opt.Shards+1], nil, args...)
+		tp.Follower = newProc("follower", ports[opt.Shards+1],
+			"-follow", shardURLs[opt.FollowerShard], "-follower-id", "chaos-follower")
 		if err := tp.Follower.Start(); err != nil {
 			return fail(err)
 		}
 	}
 
-	routerArgs := append([]string{"-route", strings.Join(shardURLs, ",")}, opt.RouterArgs...)
+	routerArgs := []string{"-route", strings.Join(shardURLs, ",")}
 	if opt.Follower {
 		// The replicated shard's reads prefer the replica; the other
 		// slots stay empty.
@@ -244,7 +232,7 @@ func Boot(opt BootOptions) (*Topology, error) {
 		replicas[opt.FollowerShard] = tp.Follower.URL
 		routerArgs = append(routerArgs, "-route-replicas", strings.Join(replicas, ","))
 	}
-	tp.Router = newProc("router", ports[opt.Shards], nil, routerArgs...)
+	tp.Router = newProc("router", ports[opt.Shards], routerArgs...)
 	if err := tp.Router.Start(); err != nil {
 		return fail(err)
 	}
