@@ -62,13 +62,9 @@ func Prepare(q schema.Query) (*Prepared, error) {
 				}
 			}
 		}
-		prog, err := fo.Compile(cls.Rewriting, needs...)
-		if err != nil {
-			// Rewritings are sentences, so this is unreachable; fall back
-			// to the tree walker rather than failing the preparation.
-			prog = nil
+		if p.prog, err = fo.Compile(cls.Rewriting, needs...); err != nil {
+			return nil, err
 		}
-		p.prog = prog
 	}
 	return p, nil
 }
@@ -79,14 +75,8 @@ func (p *Prepared) Classification() *Classification { return p.cls }
 // InFO reports whether CERTAINTY(q) is in FO (a rewriting is available).
 func (p *Prepared) InFO() bool { return p.cls.Verdict == VerdictFO }
 
-// HasCompiled reports whether the rewriting compiled to a program — the
-// fast path Certain actually takes for FO queries. False either because
-// the query is not in FO or because compilation fell back (unreachable
-// in practice, but explain output must report the executed path).
-func (p *Prepared) HasCompiled() bool { return p.prog != nil }
-
-// Program returns the compiled rewriting, or nil when HasCompiled is
-// false. Read-only; used by explain output for plan summaries.
+// Program returns the compiled rewriting, or nil when the query is not
+// in FO. Read-only; used by explain output for plan summaries.
 func (p *Prepared) Program() *fo.Program { return p.prog }
 
 // RewritingSize returns the node count of the consistent first-order
@@ -99,12 +89,8 @@ func (p *Prepared) RewritingSize() int {
 }
 
 // bound returns the compiled rewriting linked against d's interned view,
-// consulting the per-plan cache first. Returns nil when no compiled
-// program is available.
+// consulting the per-plan cache first. FO queries only.
 func (p *Prepared) bound(d *db.Database) *fo.Bound {
-	if p.prog == nil {
-		return nil
-	}
 	ix := d.Interned()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -141,16 +127,13 @@ func (p *Prepared) QueryRels() []string {
 
 // CertainSupport answers CERTAINTY(q) on d while recording the support
 // set of the evaluation (the blocks every membership probe touched; see
-// fo.Support). supported is false when the query has no compiled
-// rewriting — non-FO queries and compile fallbacks — in which case the
-// verdict is computed by Certain's normal dispatch and sup is nil: the
-// delta layer then degrades to relation-level re-evaluation.
+// fo.Support). supported is false when the query is not in FO, in which
+// case the verdict is computed by Certain's normal dispatch and sup is
+// nil: the delta layer then degrades to relation-level re-evaluation.
 func (p *Prepared) CertainSupport(d *db.Database) (verdict bool, sup *fo.Support, supported bool) {
 	if p.InFO() {
-		if b := p.bound(d); b != nil {
-			verdict, sup = b.EvalSupport()
-			return verdict, sup, true
-		}
+		verdict, sup = p.bound(d).EvalSupport()
+		return verdict, sup, true
 	}
 	return p.Certain(d), nil, false
 }
@@ -188,38 +171,13 @@ func (p *Prepared) Decision(d *db.Database) *planner.Decision {
 	return dec
 }
 
-// Certain answers CERTAINTY(q) on d: via the compiled rewriting when the
-// query is in FO, via the planner's polynomial graph decider when one
-// matches the (cyclic) query shape, by repair enumeration otherwise.
+// Certain answers CERTAINTY(q) on d: via the compiled rewriting —
+// bitmap-vectorized wherever a quantifier lowered (docs/EVAL.md) — when
+// the query is in FO, via the planner's polynomial graph decider when
+// one matches the (cyclic) query shape, by repair enumeration otherwise.
 func (p *Prepared) Certain(d *db.Database) bool {
 	if p.InFO() {
-		if b := p.bound(d); b != nil {
-			return b.Eval()
-		}
-		return evalOn(d, p.cls.Query, p.cls.Rewriting)
-	}
-	return p.certainNonFO(d)
-}
-
-// HasBitmap reports whether the compiled rewriting lowered at least one
-// quantifier to the bitmap-vectorized form — the path CertainBitmap
-// actually accelerates. False for non-FO queries, compile fallbacks,
-// and programs with no vectorizable quantifier (where CertainBitmap is
-// exactly Certain).
-func (p *Prepared) HasBitmap() bool { return p.prog != nil && p.prog.HasBitmap() }
-
-// CertainBitmap answers like Certain but evaluates the compiled
-// rewriting on the bitmap-vectorized tree (fo.Bound.EvalBitmap; see
-// docs/EVAL.md). Verdicts are identical to Certain by construction;
-// non-FO queries and compile fallbacks take the same dispatch as
-// Certain. This is the engine's default serving path; the
-// engine.Options.DisableBitmap rollback restores Certain.
-func (p *Prepared) CertainBitmap(d *db.Database) bool {
-	if p.InFO() {
-		if b := p.bound(d); b != nil {
-			return b.EvalBitmap()
-		}
-		return evalOn(d, p.cls.Query, p.cls.Rewriting)
+		return p.bound(d).Eval()
 	}
 	return p.certainNonFO(d)
 }
@@ -268,10 +226,7 @@ func (p *Prepared) CertainVia(d *db.Database, engine Engine) (bool, error) {
 		if !p.InFO() {
 			return false, ErrNoRewriting
 		}
-		if b := p.bound(d); b != nil {
-			return b.Eval(), nil
-		}
-		return evalOn(d, p.cls.Query, p.cls.Rewriting), nil
+		return p.bound(d).Eval(), nil
 	case EngineDirect:
 		return direct.IsCertain(p.cls.Query, d)
 	case EngineNaive:

@@ -130,7 +130,7 @@ func TestEmptyScanMatchesOracles(t *testing.T) {
 		}
 		support, _, _ := p.CertainSupport(d)
 		for name, got := range map[string]bool{
-			"Certain": p.Certain(d), "CertainBitmap": p.CertainBitmap(d), "CertainSupport": support,
+			"Certain": p.Certain(d), "CertainSupport": support,
 		} {
 			if got != want {
 				t.Fatalf("%s: %s = %v, tree walk %v\n%s", q, name, got, want, d)
@@ -156,13 +156,13 @@ func TestEmptyScanFollowsLaterInsert(t *testing.T) {
 	// 'late' is known to the dictionary — S holds it — but not to R's
 	// value column.
 	d := parse.MustDatabase("R(k | early)\nS(other | late)")
-	if p.Certain(d) || p.CertainBitmap(d) || p.CertainTreeWalk(d) {
+	if p.Certain(d) || p.CertainTreeWalk(d) {
 		t.Fatal("certain before any R-fact carries the constant")
 	}
 	next := d.CloneCOW("R")
 	next.MustInsert(db.F("R", "k2", "late"))
 	next.SeedInterned(db.InternNext(d.Interned(), next))
-	if !p.Certain(next) || !p.CertainBitmap(next) || !p.CertainTreeWalk(next) || !naive.IsCertain(q, next) {
+	if !p.Certain(next) || !p.CertainTreeWalk(next) || !naive.IsCertain(q, next) {
 		t.Fatal("not certain once R(k2 | late) is in")
 	}
 	if p.Certain(d) {

@@ -48,37 +48,33 @@ func batchWorkload(tb testing.TB, nQueries int) ([]Item, *db.Database) {
 }
 
 // The shared pass groups identical (signature, snapshot) items into one
-// evaluation: verdicts match the per-item loop exactly and the shared
-// counter accounts for every collapsed item.
+// evaluation: verdicts match a per-item loop of Certain on the same
+// engine exactly and the shared counter accounts for every collapsed
+// item.
 func TestCertainBatchShares(t *testing.T) {
 	items, _ := batchWorkload(t, 4)
 
-	shared := New(Options{Workers: 4})
-	defer shared.Close()
-	got := shared.CertainBatch(context.Background(), items)
+	e := New(Options{Workers: 4})
+	defer e.Close()
+	got := e.CertainBatch(context.Background(), items)
 
-	perItem := New(Options{Workers: 4, DisableBatchSharing: true})
-	defer perItem.Close()
-	want := perItem.CertainBatch(context.Background(), items)
-
-	for i := range items {
-		if got[i].Err != nil || want[i].Err != nil {
-			t.Fatalf("item %d errored: shared=%v per-item=%v", i, got[i].Err, want[i].Err)
+	for i, it := range items {
+		want, err := e.Certain(it.Query, it.DB)
+		if got[i].Err != nil || err != nil {
+			t.Fatalf("item %d errored: batch=%v per-item=%v", i, got[i].Err, err)
 		}
-		if got[i].Certain != want[i].Certain {
-			t.Fatalf("item %d: shared=%v per-item=%v", i, got[i].Certain, want[i].Certain)
+		if got[i].Certain != want {
+			t.Fatalf("item %d: batch=%v per-item=%v", i, got[i].Certain, want)
 		}
 	}
-	st := shared.Stats()
+	// The per-item loop is not a batch: the counters are the batch's.
+	st := e.Stats()
 	if st.BatchItems != 64 {
 		t.Fatalf("BatchItems = %d, want 64", st.BatchItems)
 	}
 	// 64 items over 4 distinct (query, db) groups: 60 shared.
 	if st.BatchSharedItems != 60 {
 		t.Fatalf("BatchSharedItems = %d, want 60", st.BatchSharedItems)
-	}
-	if pst := perItem.Stats(); pst.BatchSharedItems != 0 {
-		t.Fatalf("per-item loop reported %d shared items", pst.BatchSharedItems)
 	}
 }
 
@@ -176,18 +172,6 @@ func TestCertainBatchAllocsPerOp(t *testing.T) {
 func BenchmarkCertainBatch(b *testing.B) {
 	items, _ := batchWorkload(b, 4)
 	e := New(Options{Workers: 4})
-	defer e.Close()
-	e.CertainBatch(context.Background(), items)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.CertainBatch(context.Background(), items)
-	}
-}
-
-func BenchmarkCertainBatchPerItem(b *testing.B) {
-	items, _ := batchWorkload(b, 4)
-	e := New(Options{Workers: 4, DisableBatchSharing: true})
 	defer e.Close()
 	e.CertainBatch(context.Background(), items)
 	b.ReportAllocs()

@@ -12,9 +12,11 @@ import (
 
 // TestDifferentialEngineVsNaive is the property-based oracle check for
 // the engine paths: for ≥ 500 random sjfBCQ¬ queries with acyclic attack
-// graphs (CERTAINTY in FO) and small random databases, every evaluation
-// path certainWith can take — the bitmap default and both rollbacks —
-// must agree with brute-force repair enumeration, on the single-item API
+// graphs (CERTAINTY in FO) and small random databases, both evaluation
+// paths certainWith can take — the compiled default and the
+// ForceTreeWalk rollback — must agree with brute-force repair
+// enumeration, and the default's strategy label must be compiled-bitmap
+// exactly when the program lowered a quantifier, on the single-item API
 // and on the batch API. This extends the exhaustive_test.go style of
 // internal/rewrite to the engine layer: the same oracle, but through the
 // plan cache and the concurrent paths.
@@ -31,10 +33,11 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 		name string
 		eng  *Engine
 	}{
-		{"default (bitmap)", New(Options{CacheSize: 64})},
-		{"DisableBitmap", New(Options{CacheSize: 64, DisableBitmap: true})},
+		{"default", New(Options{CacheSize: 64})},
 		{"ForceTreeWalk", New(Options{CacheSize: 64, ForceTreeWalk: true})},
 	}
+	def := engines[0].eng
+	lowered := 0
 
 	done := 0
 	var batch []Item
@@ -51,6 +54,18 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 		done++
 		d := gen.Database(rng, q, dbOpts)
 		want := naive.IsCertain(q, d)
+
+		p, err := def.Prepare(q)
+		if err != nil {
+			t.Fatalf("prepare %s: %v", q, err)
+		}
+		vec := p.Program().VecQuants() > 0
+		if bitmap := def.Strategy(p) == StrategyCompiledBitmap; bitmap != vec {
+			t.Fatalf("case %d: Strategy = %q with %d lowered quantifiers\nquery: %s", done, def.Strategy(p), p.Program().VecQuants(), q)
+		}
+		if vec {
+			lowered++
+		}
 
 		// Twice per engine, so the second call exercises a cache hit
 		// (alpha-variants of earlier queries hit too).
@@ -86,6 +101,9 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 		}
 	}
 
+	if lowered == 0 || lowered == cases {
+		t.Fatalf("%d of %d programs lowered a quantifier; the label check saw one side only", lowered, cases)
+	}
 	for _, e := range engines {
 		if st := e.eng.Stats(); st.CacheHits == 0 {
 			t.Fatalf("%s: differential sweep never hit the cache: %+v", e.name, st)

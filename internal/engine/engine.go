@@ -3,9 +3,10 @@
 // consistent first-order rewriting + its compiled program, the expensive
 // query-only work) and a worker-pool batch API that fans independent
 // CERTAINTY checks across goroutines. Rewritings evaluate through the
-// compiled pipeline (interned constants, slot-based environments,
-// index-driven quantifier restriction — docs/EVAL.md) unless
-// Options.ForceTreeWalk selects the interpreting tree walker. See
+// one compiled program (interned constants, slot-based environments,
+// index-driven quantifier restriction, bitmap sweeps wherever a
+// quantifier lowers — docs/EVAL.md) unless Options.ForceTreeWalk, the
+// one rollback switch, selects the interpreting tree walker. See
 // docs/ENGINE.md for the architecture.
 package engine
 
@@ -40,22 +41,12 @@ type Options struct {
 	// DefaultResultCacheSize.
 	ResultCacheSize int
 	// ForceTreeWalk evaluates rewritings with the interpreting tree
-	// walker (fo.Eval) instead of the compiled evaluation pipeline
-	// (docs/EVAL.md). The compiled path is the default and is
-	// differentially tested against the tree walker; this is the
+	// walker (fo.Eval) instead of the compiled program (docs/EVAL.md),
+	// and non-FO queries with repair enumeration instead of the
+	// planner's deciders. The compiled path is the default and is
+	// differentially tested against the tree walker; this is the one
 	// operational rollback switch.
 	ForceTreeWalk bool
-	// DisableBitmap evaluates compiled rewritings on the scalar
-	// per-candidate tree instead of the bitmap-vectorized tree
-	// (docs/EVAL.md). The bitmap path is the default for programs with
-	// vectorizable quantifiers and is differentially tested against the
-	// scalar pipeline; this is its ForceTreeWalk-style rollback switch.
-	DisableBitmap bool
-	// DisableBatchSharing makes CertainBatch evaluate every item
-	// independently instead of grouping identical (query, snapshot)
-	// items into one shared evaluation. Rollback switch for the
-	// shared-pass batching.
-	DisableBatchSharing bool
 }
 
 // DefaultCacheSize is the plan-cache capacity when Options.CacheSize ≤ 0.
@@ -177,15 +168,12 @@ func (e *Engine) Certain(q schema.Query, d *db.Database) (bool, error) {
 }
 
 // certainWith evaluates a prepared plan on d honouring the engine's
-// rollback options (tree walk, scalar compiled); bitmap is the default.
+// rollback switch.
 func (e *Engine) certainWith(p *core.Prepared, d *db.Database) bool {
 	if e.opt.ForceTreeWalk {
 		return p.CertainTreeWalk(d)
 	}
-	if e.opt.DisableBitmap {
-		return p.Certain(d)
-	}
-	return p.CertainBitmap(d)
+	return p.Certain(d)
 }
 
 // CertainVersioned answers CERTAINTY(q) on one immutable snapshot of a
@@ -276,7 +264,7 @@ type batchKey struct {
 // result slice. Inner member slices keep their capacity across calls.
 type batchScratch struct {
 	groupOf map[batchKey]int32
-	sigs    []string  // group → canonical signature ("" when sharing is off)
+	sigs    []string  // group → canonical signature
 	members [][]int32 // group → item indexes, in item order
 }
 
@@ -313,11 +301,10 @@ func (sc *batchScratch) release() {
 // one verdict fanned out to all members — so a batch with duplicated
 // hot checks pays for each distinct check once (the sharded router
 // preserves this: repeated named-database reads resolve to the
-// pointer-identical memoized union snapshot). Options.DisableBatchSharing
-// restores the per-item loop. Each group is evaluated sequentially (the
-// batch is the parallelism); errors — including panics from malformed
-// inputs — are isolated per group. Cancelling ctx stops dispatching new
-// groups; in-flight groups run to completion.
+// pointer-identical memoized union snapshot). Each group is evaluated
+// sequentially (the batch is the parallelism); errors — including
+// panics from malformed inputs — are isolated per group. Cancelling ctx
+// stops dispatching new groups; in-flight groups run to completion.
 func (e *Engine) CertainBatch(ctx context.Context, items []Item) []Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -334,19 +321,12 @@ func (e *Engine) CertainBatch(ctx context.Context, items []Item) []Result {
 
 	sc := batchPool.Get().(*batchScratch)
 	defer sc.release()
-	share := !e.opt.DisableBatchSharing
 	for i := range items {
-		var g int32
-		if share {
-			k := batchKey{sig: items[i].Query.Signature(), db: items[i].DB}
-			gi, ok := sc.groupOf[k]
-			if !ok {
-				gi = sc.addGroup(k.sig)
-				sc.groupOf[k] = gi
-			}
-			g = gi
-		} else {
-			g = sc.addGroup("")
+		k := batchKey{sig: items[i].Query.Signature(), db: items[i].DB}
+		g, ok := sc.groupOf[k]
+		if !ok {
+			g = sc.addGroup(k.sig)
+			sc.groupOf[k] = g
 		}
 		sc.members[g] = append(sc.members[g], int32(i))
 	}
@@ -402,17 +382,13 @@ func (e *Engine) CertainBatch(ctx context.Context, items []Item) []Result {
 
 // certainIsolated runs one check, converting panics (e.g. from malformed
 // formulas or databases) into per-item errors so one bad item cannot take
-// down the batch. sig is the item's canonical signature when the caller
-// already computed it ("" recomputes).
+// down the batch. sig is the item's canonical signature.
 func (e *Engine) certainIsolated(it Item, sig string) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: fmt.Errorf("engine: item panicked: %v", r)}
 		}
 	}()
-	if sig == "" {
-		sig = it.Query.Signature()
-	}
 	p, err := e.prepareSig(sig, it.Query)
 	if err != nil {
 		return Result{Err: err}

@@ -18,17 +18,16 @@ import (
 // Evaluation strategy names, as reported by Strategy and carried in the
 // strategy metric label.
 const (
-	// StrategyCompiled evaluates the compiled FO rewriting on the scalar
-	// per-candidate tree (docs/EVAL.md).
+	// StrategyCompiled evaluates a compiled FO rewriting in which no
+	// quantifier lowered to the bitmap form: every quantifier loops over
+	// its candidates one at a time (docs/EVAL.md).
 	StrategyCompiled = "compiled"
-	// StrategyCompiledBitmap evaluates the compiled rewriting on the
-	// bitmap-vectorized tree — word-parallel quantifier sweeps over
-	// IDSet membership words (docs/EVAL.md). Default for programs with
-	// vectorizable quantifiers; Options.DisableBitmap rolls back to
-	// StrategyCompiled.
+	// StrategyCompiledBitmap evaluates a compiled rewriting in which at
+	// least one quantifier lowered to word-parallel sweeps over IDSet
+	// membership words (docs/EVAL.md).
 	StrategyCompiledBitmap = "compiled-bitmap"
 	// StrategyTreeWalk interprets the rewriting with fo.Eval — selected
-	// by Options.ForceTreeWalk or when no compiled program is available.
+	// by Options.ForceTreeWalk.
 	StrategyTreeWalk = "tree-walk"
 	// The non-FO strategies are named by the planner, which selects them
 	// per query shape (docs/PLANNER.md): Hopcroft–Karp bipartite matching
@@ -44,9 +43,9 @@ const (
 // in FO → the planner's verdict (a polynomial graph decider when the
 // query shape has one, repair enumeration otherwise — ForceTreeWalk
 // disables the deciders too, it is the rollback switch for both
-// pipelines); ForceTreeWalk or a missing compiled program → tree walker;
-// otherwise the compiled pipeline, bitmap-vectorized unless DisableBitmap
-// is set or the program has no vectorizable quantifier.
+// pipelines); ForceTreeWalk → tree walker; otherwise the compiled
+// program, labelled compiled-bitmap when at least one of its quantifiers
+// lowered to the bitmap form.
 func (e *Engine) Strategy(p *core.Prepared) string {
 	if !p.InFO() {
 		if e.opt.ForceTreeWalk {
@@ -54,10 +53,10 @@ func (e *Engine) Strategy(p *core.Prepared) string {
 		}
 		return p.PlanStrategy()
 	}
-	if e.opt.ForceTreeWalk || !p.HasCompiled() {
+	if e.opt.ForceTreeWalk {
 		return StrategyTreeWalk
 	}
-	if !e.opt.DisableBitmap && p.HasBitmap() {
+	if p.Program().VecQuants() > 0 {
 		return StrategyCompiledBitmap
 	}
 	return StrategyCompiled

@@ -14,6 +14,8 @@ import (
 func TestStrategyMirrorsCertainWith(t *testing.T) {
 	queries := map[string]string{
 		"fo": "P(x | y), !N('c' | y)",
+		// FO, but x occurs twice in one atom, so no quantifier lowers.
+		"fo-scalar": "R(x, x), !S(x | x)",
 		// Cyclic (not-FO, Sec 5.1) but negation-free, so neither planner
 		// pattern applies: repair enumeration.
 		"cyclic": "R(x | y), S(y | x)",
@@ -29,9 +31,8 @@ func TestStrategyMirrorsCertainWith(t *testing.T) {
 		want  string
 	}{
 		{"bitmap default", Options{}, "fo", StrategyCompiledBitmap},
-		{"bitmap rollback", Options{DisableBitmap: true}, "fo", StrategyCompiled},
+		{"no lowered quantifier", Options{}, "fo-scalar", StrategyCompiled},
 		{"tree-walk switch", Options{ForceTreeWalk: true}, "fo", StrategyTreeWalk},
-		{"tree-walk beats bitmap", Options{ForceTreeWalk: true, DisableBitmap: true}, "fo", StrategyTreeWalk},
 		{"naive", Options{}, "cyclic", StrategyNaive},
 		{"matching", Options{}, "matching", StrategyMatching},
 		{"matching rollback", Options{ForceTreeWalk: true}, "matching", StrategyNaive},
@@ -73,7 +74,7 @@ func TestExplainSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.HasCompiled() {
+	if p.Program() == nil {
 		t.Fatal("FO query should compile")
 	}
 	if n := p.RewritingSize(); n <= 0 {
@@ -96,7 +97,7 @@ func TestExplainSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if np.HasCompiled() || np.RewritingSize() != 0 {
+	if np.Program() != nil || np.RewritingSize() != 0 {
 		t.Fatal("not-FO query must report no compiled program and size 0")
 	}
 }

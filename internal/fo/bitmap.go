@@ -1,8 +1,8 @@
 package fo
 
-// This file implements the bitmap-vectorized evaluation engine
-// ("compiled-bitmap"). The scalar compiled evaluator (compile.go) tests
-// one candidate assignment at a time: an innermost ∃x loops over a
+// This file implements the bitmap lowering of compiled programs
+// ("compiled-bitmap"). A scalar nExists (compile.go) tests one
+// candidate assignment at a time: an innermost ∃x loops over a
 // candidate id list and re-evaluates its body per value, costing one
 // hash probe per atom per candidate. Here, innermost quantifiers — those
 // whose variable does not occur free under any deeper quantifier — are
@@ -27,11 +27,11 @@ package fo
 // which is where the bitmap path's speedup over the scalar one comes from.
 //
 // ∀ needs no special casing: compile.go already lowers ∀x φ to ¬∃x ¬φ.
-// Support recording (support.go) keeps walking the scalar tree, so the
-// delta layer's proof-carrying skip rules are unaffected. Lowering is
-// purely additive: Program.root is untouched and Bound.Eval still runs
-// the scalar pipeline, which is what the DisableBitmap rollback flag
-// falls back to.
+// Lowering replaces nodes of Program.root in place; a quantifier that
+// does not vectorize stays a scalar nExists, so Bound.Eval runs one tree
+// that mixes both. Support recording (support.go) needs every membership
+// probe, so under EvalSupport each nExistsVec runs its scalar body and
+// the delta layer's proof-carrying skip rules are unaffected.
 
 // vnode is one vectorized formula node, evaluated over the bound
 // quantifier's candidate ids. word returns the 64-candidate membership
@@ -160,11 +160,11 @@ type vImplies struct{ l, r vnode }
 func (n *vImplies) word(m *mach, w int32) uint64 { return ^n.l.word(m, w) | n.r.word(m, w) }
 func (n *vImplies) bit(m *mach, id int32) bool   { return !n.l.bit(m, id) || n.r.bit(m, id) }
 
-// nExistsVec is the vectorized form of nExists. It keeps the scalar body
-// (for support recording and as documentation of what vec was lowered
-// from) and adds the vector tree plus the prep lists: the scalar
-// subtrees, hole atoms, and equality ids that must be resolved against
-// the outer environment before the word sweep.
+// nExistsVec is the vectorized form of nExists. It keeps the scalar body,
+// which EvalSupport runs so the recorder sees every probe, and adds the
+// vector tree plus the prep lists: the scalar subtrees, hole atoms, and
+// equality ids that must be resolved against the outer environment
+// before the word sweep.
 type nExistsVec struct {
 	slot int32
 	cand int32
@@ -428,117 +428,66 @@ func mustSets(v vnode, pos bool, out []int32) []int32 {
 	return out
 }
 
-// lowerBitmap runs after compile: it rewrites the scalar tree bottom-up,
-// replacing every vectorizable nExists with an nExistsVec, and installs
-// the result as p.bmRoot when at least one quantifier vectorized. The
-// scalar root is left untouched.
+// lowerBitmap runs after compile: it rewrites Program.root bottom-up,
+// replacing every vectorizable nExists with an nExistsVec.
 func (c *compiler) lowerBitmap() {
-	p := c.p
-	root, n := c.lowerNode(p.root)
-	if n > 0 {
-		p.bmRoot = root
-		p.vecQuants = n
-	}
+	c.p.vecCand = make([]bool, len(c.p.cands))
+	c.p.root, c.p.vecQuants = c.lowerNode(c.p.root)
 }
 
+// lowerNode lowers n's subtree in place and returns the node that
+// replaces n and the number of quantifiers lowered.
 func (c *compiler) lowerNode(n node) (node, int) {
+	k := 0
 	switch g := n.(type) {
 	case *nNot:
-		f, k := c.lowerNode(g.f)
-		if k == 0 {
-			return g, 0
-		}
-		return &nNot{f: f}, k
+		g.f, k = c.lowerNode(g.f)
 	case *nAnd:
-		fs := make([]node, len(g.fs))
-		k := 0
-		for i, f := range g.fs {
-			var ki int
-			fs[i], ki = c.lowerNode(f)
-			k += ki
-		}
-		if k == 0 {
-			return g, 0
-		}
-		return &nAnd{fs: fs}, k
+		k = c.lowerAll(g.fs)
 	case *nOr:
-		fs := make([]node, len(g.fs))
-		k := 0
-		for i, f := range g.fs {
-			var ki int
-			fs[i], ki = c.lowerNode(f)
-			k += ki
-		}
-		if k == 0 {
-			return g, 0
-		}
-		return &nOr{fs: fs}, k
+		k = c.lowerAll(g.fs)
 	case *nImplies:
-		l, kl := c.lowerNode(g.l)
-		r, kr := c.lowerNode(g.r)
-		if kl+kr == 0 {
-			return g, 0
-		}
-		return &nImplies{l: l, r: r}, kl + kr
+		var kr int
+		g.l, k = c.lowerNode(g.l)
+		g.r, kr = c.lowerNode(g.r)
+		k += kr
 	case *nExists:
-		body, k := c.lowerNode(g.body)
+		g.body, k = c.lowerNode(g.body)
 		// Snapshot scratch counters so a failed attempt does not leak
 		// unused machine slots.
 		p := c.p
 		sets, bits, ids := p.nVSets, p.nVBits, p.nVIds
 		vb := &vecBuilder{c: c, slot: g.slot}
-		vec := vb.build(body)
+		vec := vb.build(g.body)
 		if vb.failed {
 			p.nVSets, p.nVBits, p.nVIds = sets, bits, ids
-			if k == 0 {
-				return g, 0
-			}
-			return &nExists{slot: g.slot, cand: g.cand, body: body}, k
+			return g, k
 		}
-		c.markVecCand(g.cand)
+		p.vecCand[g.cand] = true
 		return &nExistsVec{
 			slot:    g.slot,
 			cand:    g.cand,
-			body:    body,
+			body:    g.body,
 			vec:     vec,
 			scalars: vb.scalars,
 			atoms:   vb.atoms,
 			eqs:     vb.eqs,
 			musts:   mustSets(vec, true, nil),
 		}, k + 1
-	default:
-		return n, 0
 	}
+	return n, k
 }
 
-func (c *compiler) markVecCand(cand int32) {
-	p := c.p
-	for len(p.vecCand) < len(p.cands) {
-		p.vecCand = append(p.vecCand, false)
+func (c *compiler) lowerAll(fs []node) int {
+	k := 0
+	for i, f := range fs {
+		var ki int
+		fs[i], ki = c.lowerNode(f)
+		k += ki
 	}
-	p.vecCand[cand] = true
+	return k
 }
-
-// HasBitmap reports whether at least one quantifier lowered to the
-// vectorized form; when false EvalBitmap is exactly Eval.
-func (p *Program) HasBitmap() bool { return p.bmRoot != nil }
 
 // VecQuants returns the number of quantifiers that lowered to the
-// vectorized form (0 when HasBitmap is false).
+// vectorized form.
 func (p *Program) VecQuants() int { return p.vecQuants }
-
-// EvalBitmap evaluates the bound program on the bitmap-vectorized tree.
-// It agrees with Eval on every program by construction (the vector
-// semantics mirror the scalar body; TestBitmapDifferential and
-// FuzzBitmapEval enforce it) and falls back to Eval when no quantifier
-// vectorized. Safe for concurrent use; steady-state calls allocate
-// nothing once the lazy hole indexes are built.
-func (b *Bound) EvalBitmap() bool {
-	if b.p.bmRoot == nil || b.unmet {
-		return b.Eval()
-	}
-	m := b.pool.Get().(*mach)
-	r := b.p.bmRoot.eval(m)
-	b.pool.Put(m)
-	return r
-}

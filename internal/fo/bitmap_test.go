@@ -14,11 +14,11 @@ import (
 	"cqa/internal/schema"
 )
 
-// 500-case differential test: the bitmap-vectorized evaluator agrees
-// with the scalar compiled evaluator, the tree walker, and the
-// unoptimized reference on random closed formulas — including formulas
-// with constants outside the database and databases with empty or
-// missing relations.
+// 500-case differential test: the compiled program (vectorized where a
+// quantifier lowers) and its scalar bodies under EvalSupport agree with
+// the tree walker and the unoptimized reference on random closed
+// formulas — including formulas with constants outside the database and
+// databases with empty or missing relations.
 func TestBitmapDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(318))
 	trials := 0
@@ -45,11 +45,11 @@ func TestBitmapDifferential(t *testing.T) {
 		}
 		b := p.Bind(d.Interned())
 		if got := b.Eval(); got != want {
-			t.Fatalf("compiled = %v, reference = %v on %s with db:\n%s", got, want, f, d)
-		}
-		if got := b.EvalBitmap(); got != want {
-			t.Fatalf("compiled-bitmap = %v, reference = %v on %s (vec quants %d) with db:\n%s",
+			t.Fatalf("compiled = %v, reference = %v on %s (vec quants %d) with db:\n%s",
 				got, want, f, p.VecQuants(), d)
+		}
+		if got, _ := b.EvalSupport(); got != want {
+			t.Fatalf("EvalSupport = %v, reference = %v on %s with db:\n%s", got, want, f, d)
 		}
 	}
 }
@@ -72,11 +72,11 @@ func TestBitmapConstantsOutsideDatabase(t *testing.T) {
 		t.Fatal("quantifier with equality + negated atom did not vectorize")
 	}
 	b := p.Bind(d.Interned())
-	if !b.EvalBitmap() {
+	if !b.Eval() {
 		t.Fatal("bitmap eval lost the synthetic-constant witness")
 	}
-	if b.EvalBitmap() != b.Eval() {
-		t.Fatal("bitmap disagrees with scalar on synthetic constants")
+	if got, _ := b.EvalSupport(); !got {
+		t.Fatal("scalar body lost the synthetic-constant witness")
 	}
 	// Same over an undeclared relation: ∃x (x = c ∧ ¬R(x, x)) is true.
 	g := fo.Exists{Vars: []string{"x"}, Body: fo.NewAnd(
@@ -85,14 +85,14 @@ func TestBitmapConstantsOutsideDatabase(t *testing.T) {
 	)}
 	pg := fo.MustCompile(g)
 	bg := pg.Bind(d.Interned())
-	if bg.EvalBitmap() != bg.Eval() {
-		t.Fatal("bitmap disagrees with scalar on an undeclared relation")
+	if got, _ := bg.EvalSupport(); !bg.Eval() || !got {
+		t.Fatal("∃x (x = c ∧ ¬R(x, x)) false over an undeclared relation")
 	}
 }
 
-// The bitmap evaluator agrees with the scalar pipeline on real
-// certain-answer rewritings over generated databases, and the rewriting
-// shapes the serving tier benchmarks actually vectorize.
+// The compiled program and its scalar bodies agree with the tree walker
+// on real certain-answer rewritings over generated databases, and the
+// rewriting shapes the serving tier benchmarks actually vectorize.
 func TestBitmapAgreesOnRewritings(t *testing.T) {
 	rng := rand.New(rand.NewSource(319))
 	opts := gen.DefaultQueryOptions()
@@ -113,12 +113,15 @@ func TestBitmapAgreesOnRewritings(t *testing.T) {
 		}
 		b := p.Bind(d.Interned())
 		for i := 0; i < 3; i++ {
-			if got := b.EvalBitmap(); got != want {
-				t.Fatalf("compiled-bitmap = %v, tree walker = %v on rewriting of %s\n%s", got, want, q, d)
+			if got := b.Eval(); got != want {
+				t.Fatalf("compiled = %v, tree walker = %v on rewriting of %s\n%s", got, want, q, d)
 			}
 		}
-		if got := b.Eval(); got != want {
-			t.Fatalf("scalar Bound broken after bitmap use on rewriting of %s", q)
+		if got, _ := b.EvalSupport(); got != want {
+			t.Fatalf("EvalSupport = %v, tree walker = %v on rewriting of %s\n%s", got, want, q, d)
+		}
+		if ref := fo.EvalReference(d, f); ref != want {
+			t.Fatalf("tree walker = %v, reference = %v on rewriting of %s\n%s", want, ref, q, d)
 		}
 	}
 	if vectorized == 0 {
@@ -149,8 +152,8 @@ func TestBitmapVectorizesBenchQueries(t *testing.T) {
 }
 
 // 32 goroutines share one Bound (one pool, one lazily built set of hole
-// indexes) and must all read the same verdicts from both pipelines. Run
-// under -race this is the shared-program race test.
+// indexes) and must all read the same verdicts from Eval and
+// EvalSupport. Run under -race this is the shared-program race test.
 func TestBitmapSharedBoundRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(320))
 	d := db.New()
@@ -184,12 +187,12 @@ func TestBitmapSharedBoundRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if got := b.EvalBitmap(); got != want {
-					errs <- fmt.Sprintf("bitmap verdict flipped to %v", got)
+				if got := b.Eval(); got != want {
+					errs <- fmt.Sprintf("Eval verdict flipped to %v", got)
 					return
 				}
-				if got := b.Eval(); got != want {
-					errs <- fmt.Sprintf("scalar verdict flipped to %v", got)
+				if got, _ := b.EvalSupport(); got != want {
+					errs <- fmt.Sprintf("EvalSupport verdict flipped to %v", got)
 					return
 				}
 			}
@@ -231,8 +234,8 @@ func TestBitmapDenseSparseBoundary(t *testing.T) {
 		}
 		p := fo.MustCompile(f)
 		b := p.Bind(d.Interned())
-		if got, want := b.EvalBitmap(), b.Eval(); got != want {
-			t.Fatalf("n=%d: bitmap = %v, scalar = %v", n, got, want)
+		if got, want := b.Eval(), fo.Eval(d, f); got != want {
+			t.Fatalf("n=%d: compiled = %v, tree walker = %v", n, got, want)
 		}
 	}
 }

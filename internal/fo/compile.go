@@ -18,6 +18,8 @@ import (
 // The quantifier-restriction analysis is the compile-time mirror of
 // evaluator.candidates, so Program results are identical to Eval by
 // construction; FuzzCompiledEval and TestCompiledDifferential enforce it.
+// After compiling, every quantifier whose body vectorizes is lowered in
+// place to its bitmap form (bitmap.go), so a Program is one tree.
 //
 // Lifecycle: Compile once per formula → Bind once per (program, interned
 // database) → Eval any number of times, concurrently. Programs, plans,
@@ -152,12 +154,10 @@ type Program struct {
 	maxArity int
 	source   Formula
 
-	// Bitmap lowering (bitmap.go): bmRoot is the vectorized tree (nil
-	// when no quantifier vectorized), vecQuants counts vectorized
-	// quantifiers, vecCand marks candidate plans that must materialize
-	// as IDSets at Bind time, and nVSets/nVBits/nVIds size the machine
-	// scratch the vector nodes index into.
-	bmRoot    node
+	// Bitmap lowering (bitmap.go): vecQuants counts the quantifiers of
+	// root that lowered to nExistsVec, vecCand marks candidate plans that
+	// must materialize as IDSets at Bind time, and nVSets/nVBits/nVIds
+	// size the machine scratch the vector nodes index into.
 	vecQuants int
 	vecCand   []bool
 	nVSets    int
@@ -466,11 +466,11 @@ type Bound struct {
 
 	// candSets materializes the candidate lists of vectorized
 	// quantifiers as IDSets (nil entries for scalar-only cands). Only
-	// populated when the program has a bitmap lowering.
+	// populated when a quantifier lowered.
 	candSets []*db.IDSet
 
-	// unmet: ix fails one of the program's Needs, so every Eval variant
-	// answers false without running. EvalSupport still runs the tree —
+	// unmet: ix fails one of the program's Needs, so Eval answers false
+	// without running. EvalSupport still runs the tree —
 	// the delta layer replays what it records.
 	unmet bool
 }
@@ -524,11 +524,11 @@ func (p *Program) Bind(ix *db.Interned) *Bound {
 	for i, plan := range p.cands {
 		b.cands[i] = b.materialize(plan)
 	}
-	if p.bmRoot != nil && !b.unmet {
+	if p.vecQuants > 0 && !b.unmet {
 		b.candSets = make([]*db.IDSet, len(p.cands))
 		dom := ix.DomainIDs()
 		for i := range p.cands {
-			if i >= len(p.vecCand) || !p.vecCand[i] {
+			if !p.vecCand[i] {
 				continue
 			}
 			list := b.cands[i]
@@ -543,7 +543,7 @@ func (p *Program) Bind(ix *db.Interned) *Bound {
 	}
 	b.pool.New = func() any {
 		m := &mach{b: b, env: make([]int32, p.slots), argbuf: make([]int32, p.maxArity)}
-		if p.bmRoot != nil {
+		if p.vecQuants > 0 {
 			m.vsets = make([]*db.IDSet, p.nVSets)
 			m.vbits = make([]bool, p.nVBits)
 			m.vids = make([]int32, p.nVIds)
@@ -633,8 +633,10 @@ func (m *mach) get(t termRef) int32 {
 	return m.b.consts[^t]
 }
 
-// Eval evaluates the bound program. Safe for concurrent use; steady-state
-// calls allocate nothing.
+// Eval evaluates the bound program: lowered quantifiers sweep membership
+// words, the rest loop over their candidates. Safe for concurrent use;
+// steady-state calls allocate nothing once the lazy hole indexes are
+// built.
 func (b *Bound) Eval() bool {
 	if b.unmet {
 		return false
@@ -643,15 +645,4 @@ func (b *Bound) Eval() bool {
 	r := b.p.root.eval(m)
 	b.pool.Put(m)
 	return r
-}
-
-// EvalCompiled is the convenience one-shot pipeline: intern (memoized on
-// d), compile, bind, evaluate. Serving paths should Compile/Bind once and
-// reuse the Bound instead.
-func EvalCompiled(d *db.Database, f Formula) bool {
-	p, err := Compile(f)
-	if err != nil {
-		panic(err)
-	}
-	return p.Bind(d.Interned()).Eval()
 }

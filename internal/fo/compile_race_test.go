@@ -49,7 +49,7 @@ func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 				case 0:
 					got = b.Eval()
 				case 1:
-					got = b.EvalBitmap()
+					got, _ = b.EvalSupport()
 				default:
 					// Concurrent Bind against the shared interned view.
 					got = p.Bind(ix).Eval()

@@ -27,8 +27,12 @@ func TestCompiledAgreesWithReference(t *testing.T) {
 		if got := fo.Eval(d, f); got != want {
 			t.Fatalf("tree walker disagrees with reference on %s with db:\n%s", f, d)
 		}
-		if got := fo.EvalCompiled(d, f); got != want {
+		b := fo.MustCompile(f).Bind(d.Interned())
+		if got := b.Eval(); got != want {
 			t.Fatalf("compiled = %v, reference = %v on %s with db:\n%s", got, want, f, d)
+		}
+		if got, _ := b.EvalSupport(); got != want {
+			t.Fatalf("EvalSupport = %v, reference = %v on %s with db:\n%s", got, want, f, d)
 		}
 	}
 }
@@ -81,11 +85,11 @@ func TestCompiledMissingRelation(t *testing.T) {
 	// ∃x (R(x,x)) over undeclared R: false.
 	f := fo.Exists{Vars: []string{"x"}, Body: fo.Atom{Rel: "R", Key: 1,
 		Terms: []schema.Term{schema.Var("x"), schema.Var("x")}}}
-	if fo.EvalCompiled(d, f) {
+	if fo.MustCompile(f).Bind(d.Interned()).Eval() {
 		t.Fatal("atom over undeclared relation evaluated to true")
 	}
 	// ¬∃x R(x,x): true.
-	if !fo.EvalCompiled(d, fo.Not{F: f}) {
+	if !fo.MustCompile(fo.Not{F: f}).Bind(d.Interned()).Eval() {
 		t.Fatal("negated atom over undeclared relation evaluated to false")
 	}
 }
@@ -105,7 +109,7 @@ func TestCompiledConstantsOutsideDatabase(t *testing.T) {
 	if want := fo.Eval(d, f); !want {
 		t.Fatal("tree walker: expected true")
 	}
-	if !fo.EvalCompiled(d, f) {
+	if !fo.MustCompile(f).Bind(d.Interned()).Eval() {
 		t.Fatal("compiled: synthetic constant lost in quantification")
 	}
 	// Two distinct unseen constants must stay distinct, the same one equal.
@@ -113,7 +117,7 @@ func TestCompiledConstantsOutsideDatabase(t *testing.T) {
 		fo.Eq{L: schema.Var("x"), R: schema.Const("u1")},
 		fo.Eq{L: schema.Var("x"), R: schema.Const("u2")},
 	)}
-	if fo.EvalCompiled(d, g) != fo.Eval(d, g) {
+	if fo.MustCompile(g).Bind(d.Interned()).Eval() != fo.Eval(d, g) {
 		t.Fatal("distinct unseen constants compared equal")
 	}
 }
@@ -131,7 +135,7 @@ func TestCompiledShadowing(t *testing.T) {
 		fo.Exists{Vars: []string{"x"}, Body: fo.Eq{L: schema.Var("x"), R: schema.Const("b")}},
 		fo.Eq{L: schema.Var("x"), R: schema.Const("a")},
 	)}
-	if want, got := fo.Eval(d, f), fo.EvalCompiled(d, f); got != want {
+	if want, got := fo.Eval(d, f), fo.MustCompile(f).Bind(d.Interned()).Eval(); got != want {
 		t.Fatalf("shadowing: compiled = %v, tree walker = %v", got, want)
 	}
 }
@@ -177,10 +181,10 @@ func TestCompiledInternNextCOW(t *testing.T) {
 	}
 }
 
-// A Need the database fails answers every Eval variant without running
-// the program — shown here with a Need the sentence does not even depend
-// on — while EvalSupport still walks the tree, so what the delta layer
-// replays is a real run. A Need the database meets changes nothing.
+// A Need the database fails answers Eval without running the program —
+// shown here with a Need the sentence does not even depend on — while
+// EvalSupport still walks the tree, so what the delta layer replays is a
+// real run. A Need the database meets changes nothing.
 func TestNeedShortCircuitsBoundProgram(t *testing.T) {
 	f := fo.Exists{Vars: []string{"x", "y"}, Body: fo.Atom{Rel: "R", Key: 1, Terms: []schema.Term{schema.Var("x"), schema.Var("y")}}}
 	d := db.New()
@@ -207,11 +211,26 @@ func TestNeedShortCircuitsBoundProgram(t *testing.T) {
 		if got := b.Eval(); got != tc.met {
 			t.Errorf("%s: Eval = %v, want %v", tc.name, got, tc.met)
 		}
-		if got := b.EvalBitmap(); got != tc.met {
-			t.Errorf("%s: EvalBitmap = %v, want %v", tc.name, got, tc.met)
-		}
 		if got, sup := b.EvalSupport(); !got || len(sup.Blocks) == 0 {
 			t.Errorf("%s: EvalSupport = %v with %d blocks, want the run itself", tc.name, got, len(sup.Blocks))
 		}
+	}
+
+	// ∃y R('k', y) lowers at the root: an unmet Need skips the vectorized
+	// tree, and EvalSupport still runs and records its scalar body.
+	g := fo.Exists{Vars: []string{"y"}, Body: fo.Atom{Rel: "R", Key: 1, Terms: []schema.Term{schema.Const("k"), schema.Var("y")}}}
+	p, err := fo.Compile(g, fo.Need{Rel: "R", Col: 1, Const: "zz"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.VecQuants() == 0 {
+		t.Fatal("∃y R('k', y) lowered no quantifier")
+	}
+	b := p.Bind(ix)
+	if b.Eval() {
+		t.Error("lowered program with an unmet Need: Eval = true")
+	}
+	if got, sup := b.EvalSupport(); !got || len(sup.Blocks) == 0 {
+		t.Errorf("lowered program with an unmet Need: EvalSupport = %v with %d blocks, want the run itself", got, len(sup.Blocks))
 	}
 }

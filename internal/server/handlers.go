@@ -289,7 +289,7 @@ func explainFor(p *core.Prepared, strategy, planCache string, clock *stageClock,
 		Stages:        clock.stages,
 		TraceID:       tr.ID(),
 	}
-	if p.HasCompiled() {
+	if p.InFO() {
 		info.Quantifiers = p.Program().PlanSummary()
 	}
 	if info.Stages == nil {

@@ -167,13 +167,15 @@ func TestTraceCoverageThroughRouter(t *testing.T) {
 // the engine actually dispatches for its configuration.
 func TestExplainReportsExecutedStrategy(t *testing.T) {
 	cases := []struct {
-		name string
-		opt  engine.Options
-		want string
+		name  string
+		opt   engine.Options
+		query string
+		want  string
 	}{
-		{"bitmap default", engine.Options{}, engine.StrategyCompiledBitmap},
-		{"bitmap rollback", engine.Options{DisableBitmap: true}, engine.StrategyCompiled},
-		{"tree-walk", engine.Options{ForceTreeWalk: true}, engine.StrategyTreeWalk},
+		{"bitmap default", engine.Options{}, "R(x | y)", engine.StrategyCompiledBitmap},
+		// x occurs twice in one atom, so no quantifier lowers.
+		{"compiled", engine.Options{}, "S(x, x)", engine.StrategyCompiled},
+		{"tree-walk", engine.Options{ForceTreeWalk: true}, "R(x | y)", engine.StrategyTreeWalk},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -182,7 +184,7 @@ func TestExplainReportsExecutedStrategy(t *testing.T) {
 				t.Fatalf("engine options not surfaced: ForceTreeWalk=%v", got)
 			}
 			begin := time.Now()
-			resp := postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: "R(x | y)", Database: "people", Explain: true})
+			resp := postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: c.query, Database: "people", Explain: true})
 			latency := time.Since(begin).Nanoseconds()
 			traceID := resp.Header.Get(obs.TraceHeader)
 			ans := decodeBody[CertainResponse](t, resp)
@@ -246,7 +248,7 @@ func TestExplainReportsExecutedStrategy(t *testing.T) {
 			}
 
 			// Second ask: plan and result cache both hit.
-			resp = postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: "R(x | y)", Database: "people", Explain: true})
+			resp = postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: c.query, Database: "people", Explain: true})
 			ans = decodeBody[CertainResponse](t, resp)
 			if ans.Explain.PlanCache != "hit" || ans.Explain.ResultCache != "hit" {
 				t.Errorf("repeat explain: planCache=%q resultCache=%q, want hit/hit", ans.Explain.PlanCache, ans.Explain.ResultCache)
@@ -260,7 +262,7 @@ func TestExplainReportsExecutedStrategy(t *testing.T) {
 			}
 
 			// Batch items take the same dispatch as single reads.
-			resp = postJSON(t, ts.URL+"/v1/batch", BatchRequest{Query: "R(x | y)", Databases: []string{"people"}, Explain: true})
+			resp = postJSON(t, ts.URL+"/v1/batch", BatchRequest{Query: c.query, Databases: []string{"people"}, Explain: true})
 			bat := decodeBody[BatchResponse](t, resp)
 			if bat.Explain == nil || bat.Explain.Strategy != c.want {
 				t.Errorf("batch explain = %+v, want strategy %q", bat.Explain, c.want)
