@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"cqa/internal/db"
-	"cqa/internal/direct"
 	"cqa/internal/fo"
 	"cqa/internal/naive"
 	"cqa/internal/planner"
@@ -214,24 +212,4 @@ func (p *Prepared) CertainTreeWalk(d *db.Database) bool {
 		return evalOn(d, p.cls.Query, p.cls.Rewriting)
 	}
 	return naive.IsCertain(p.cls.Query, d)
-}
-
-// CertainVia answers with an explicit engine, reusing the prepared
-// rewriting for EngineRewriting.
-func (p *Prepared) CertainVia(d *db.Database, engine Engine) (bool, error) {
-	switch engine {
-	case EngineAuto:
-		return p.Certain(d), nil
-	case EngineRewriting:
-		if !p.InFO() {
-			return false, ErrNoRewriting
-		}
-		return p.bound(d).Eval(), nil
-	case EngineDirect:
-		return direct.IsCertain(p.cls.Query, d)
-	case EngineNaive:
-		return naive.IsCertain(p.cls.Query, d), nil
-	default:
-		return false, fmt.Errorf("core: unknown engine %d", engine)
-	}
 }

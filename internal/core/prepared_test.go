@@ -13,7 +13,8 @@ import (
 )
 
 func TestPreparedFO(t *testing.T) {
-	p, err := core.Prepare(parse.MustQuery("P(x | y), !N('c' | y)"))
+	q := parse.MustQuery("P(x | y), !N('c' | y)")
+	p, err := core.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,18 +29,18 @@ func TestPreparedFO(t *testing.T) {
 	if !p.Certain(d) {
 		t.Error("q3 should be certain here")
 	}
-	got, err := p.CertainVia(d, core.EngineRewriting)
+	got, err := core.Certain(q, d, core.EngineDirect)
 	if err != nil || !got {
-		t.Errorf("CertainVia(rewriting) = %v, %v", got, err)
+		t.Errorf("Certain(direct) = %v, %v", got, err)
 	}
-	got, err = p.CertainVia(d, core.EngineDirect)
-	if err != nil || !got {
-		t.Errorf("CertainVia(direct) = %v, %v", got, err)
+	if !naive.IsCertain(q, d) {
+		t.Error("repair enumeration disagrees")
 	}
 }
 
 func TestPreparedHardQuery(t *testing.T) {
-	p, err := core.Prepare(parse.MustQuery("R(x | y), !S(y | x)"))
+	q := parse.MustQuery("R(x | y), !S(y | x)")
+	p, err := core.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestPreparedHardQuery(t *testing.T) {
 	if p.Certain(d) != naive.IsCertain(p.Classification().Query, d) {
 		t.Error("fallback disagrees with naive")
 	}
-	if _, err := p.CertainVia(d, core.EngineRewriting); err == nil {
+	if _, err := core.Certain(q, d, core.EngineRewriting); err == nil {
 		t.Error("rewriting engine should fail for a hard query")
 	}
 }

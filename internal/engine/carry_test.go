@@ -45,6 +45,17 @@ func carryStore(t *testing.T, e *engine.Engine, id string, n int, facts string) 
 	return sh
 }
 
+// answer reads q on view through the engine's read path, Plan then
+// Answer, and reports whether the result cache answered.
+func answer(e *engine.Engine, q schema.Query, dbID string, view engine.ShardView) (certain, cached bool, err error) {
+	r, err := e.Plan(q)
+	if err != nil {
+		return false, false, err
+	}
+	certain, cache, _, err := e.Answer(r, dbID, view)
+	return certain, cache == engine.CacheHit, err
+}
+
 // A write to a relation a co-keyed query mentions leaves its entry a hit
 // with the verdict that holds at the new version — whichever way the
 // verdict moves — on one store and across three shards; only the case
@@ -65,7 +76,7 @@ func TestResultCacheCarriesCoKeyedEntries(t *testing.T) {
 			ask := func(q schema.Query, wantCertain, wantCached bool) {
 				t.Helper()
 				view := sh.View()
-				certain, cached, err := e.CertainShardedVersioned(q, "d", noUnion{view, t})
+				certain, cached, err := answer(e, q, "d", noUnion{view, t})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,7 +160,7 @@ func TestResultCacheGroundKeysCostNothing(t *testing.T) {
 	queries := make([]schema.Query, entries)
 	for i := range queries {
 		queries[i] = parse.MustQuery(fmt.Sprintf("R('k%d' | y), !S('k%d' | y)", i, i))
-		if certain, _, err := e.CertainShardedVersioned(queries[i], "d", sh.View()); err != nil || !certain {
+		if certain, _, err := answer(e, queries[i], "d", sh.View()); err != nil || !certain {
 			t.Fatalf("k%d: certain = %v, err = %v", i, certain, err)
 		}
 	}
@@ -169,7 +180,7 @@ func TestResultCacheGroundKeysCostNothing(t *testing.T) {
 			after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses)
 	}
 	for i, q := range queries {
-		if certain, cached, err := e.CertainShardedVersioned(q, "d", sh.View()); err != nil || !certain || !cached {
+		if certain, cached, err := answer(e, q, "d", sh.View()); err != nil || !certain || !cached {
 			t.Fatalf("k%d after the write: certain = %v, cached = %v, err = %v", i, certain, cached, err)
 		}
 	}
@@ -214,7 +225,7 @@ func TestResultCacheCarryRace(t *testing.T) {
 			for n := 0; n < reads; n++ {
 				i := rng.Intn(len(queries))
 				view := sh.View()
-				got, _, err := e.CertainShardedVersioned(queries[i], "d", view)
+				got, _, err := answer(e, queries[i], "d", view)
 				if err != nil {
 					t.Error(err)
 					return

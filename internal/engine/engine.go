@@ -1,8 +1,12 @@
-// Package engine is the concurrent serving layer on top of core: a
-// thread-safe LRU plan cache that memoizes core.Prepare (classification +
-// consistent first-order rewriting + its compiled program, the expensive
-// query-only work) and a worker-pool batch API that fans independent
-// CERTAINTY checks across goroutines. Rewritings evaluate through the
+// Package engine is the concurrent serving layer on top of core. A read
+// is one call pair: Plan does the query work once per canonical
+// signature — classification, consistent first-order rewriting and its
+// compiled program, memoized by core.Prepare in a thread-safe LRU plan
+// cache — and Answer does the data work on one view (a store's sharded
+// view, or shard.ViewOf an inline database), behind the versioned result
+// cache when the view names a database. ApplyChange is the one write-side
+// call, and a worker-pool batch API fans independent CERTAINTY checks
+// across goroutines. Rewritings evaluate through the
 // one compiled program (interned constants, slot-based environments,
 // index-driven quantifier restriction, bitmap sweeps wherever a
 // quantifier lowers — docs/EVAL.md) unless Options.ForceTreeWalk, the
@@ -22,6 +26,7 @@ import (
 	"cqa/internal/db"
 	"cqa/internal/delta"
 	"cqa/internal/schema"
+	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
@@ -37,7 +42,7 @@ type Options struct {
 	// GOMAXPROCS.
 	Workers int
 	// ResultCacheSize is the maximum number of cached CERTAINTY answers
-	// for versioned databases (CertainVersioned); ≤ 0 selects
+	// for named, versioned databases (Answer); ≤ 0 selects
 	// DefaultResultCacheSize.
 	ResultCacheSize int
 	// ForceTreeWalk evaluates rewritings with the interpreting tree
@@ -133,38 +138,44 @@ func (e *Engine) Close() {
 // the variable names of the first query that produced the plan.
 // Preparation errors are not cached.
 func (e *Engine) Prepare(q schema.Query) (*core.Prepared, error) {
+	r, err := e.Plan(q)
+	return r.Prepared, err
+}
+
+// Read is a query planned for answering: the query work of CERTAINTY(q)
+// — classification, rewriting and its compiled program — done once per
+// canonical signature and shared by every read of that signature.
+type Read struct {
+	Query schema.Query
+	// Sig is Query's canonical signature, the key of both the plan cache
+	// and the result cache.
+	Sig      string
+	Prepared *core.Prepared
+	// Hit reports that Prepared came from the plan cache.
+	Hit bool
+}
+
+// Plan computes q's signature once and looks its plan up in the cache,
+// preparing it on a miss (see Prepare).
+func (e *Engine) Plan(q schema.Query) (Read, error) {
 	if err := e.begin(); err != nil {
-		return nil, err
+		return Read{}, err
 	}
 	defer e.end()
-	return e.prepare(q)
+	sig := q.Signature()
+	p, hit, err := e.cache.getOrPrepare(sig, q)
+	return Read{Query: q, Sig: sig, Prepared: p, Hit: hit}, err
 }
 
-// prepare is Prepare without the lifecycle bracket, for internal callers
-// that have already registered with begin.
-func (e *Engine) prepare(q schema.Query) (*core.Prepared, error) {
-	return e.prepareSig(q.Signature(), q)
-}
-
-// prepareSig is prepare for callers that already hold q's canonical
-// signature (batch grouping computes it anyway), saving the
-// re-canonicalization.
-func (e *Engine) prepareSig(sig string, q schema.Query) (*core.Prepared, error) {
-	p, _, err := e.cache.getOrPrepare(sig, q)
-	return p, err
-}
-
-// Certain answers CERTAINTY(q) on d using a cached plan.
+// Certain answers CERTAINTY(q) on d using a cached plan: Plan, then
+// Answer on shard.ViewOf(d).
 func (e *Engine) Certain(q schema.Query, d *db.Database) (bool, error) {
-	if err := e.begin(); err != nil {
-		return false, err
-	}
-	defer e.end()
-	p, err := e.prepare(q)
+	r, err := e.Plan(q)
 	if err != nil {
 		return false, err
 	}
-	return e.certainWith(p, d), nil
+	certain, _, _, err := e.Answer(r, "", shard.ViewOf(d))
+	return certain, err
 }
 
 // certainWith evaluates a prepared plan on d honouring the engine's
@@ -176,57 +187,30 @@ func (e *Engine) certainWith(p *core.Prepared, d *db.Database) bool {
 	return p.Certain(d)
 }
 
-// CertainVersioned answers CERTAINTY(q) on one immutable snapshot of a
-// named, versioned database (the store layer), consulting the result
-// cache first: repeated checks of the same query against the same
-// version — including versions reached only by writes to relations the
-// query does not mention — return the memoized answer without touching
-// the database. cached reports whether the answer came from the cache.
-//
-// dbID must name the database stably across versions, and writes to it
-// must be reported via ApplyChange in version order (wire the store's
-// OnApply hook to it). d must be the immutable snapshot at exactly
-// version.
-func (e *Engine) CertainVersioned(q schema.Query, dbID string, version uint64, d *db.Database) (certain, cached bool, err error) {
-	if err := e.begin(); err != nil {
-		return false, false, err
-	}
-	defer e.end()
-	// The result cache is consulted before the plan cache: a result hit
-	// answers without preparing (or even touching d) at all.
-	sig := q.Signature()
-	if ans, ok := e.results.get(sig, dbID, version); ok {
-		return ans, true, nil
-	}
-	p, err := e.prepare(q)
-	if err != nil {
-		return false, false, err
-	}
-	certain = e.certainWith(p, d)
-	e.results.put(sig, dbID, version, q, certain)
-	return certain, false, nil
-}
-
 // ApplyChange reports that the write c moved dbID from the view prev to
 // the view cur (cur.Version() == c.Version): cached answers of queries
 // mentioning no written relation stay valid at the new version, answers
 // of co-keyed queries are carried across by re-checking c.Blocks alone
 // (delta.Carry, evaluated here, on the writer's side), and the rest are
-// invalidated. Calls must arrive in version order per database.
+// invalidated. The change then goes to the watches of dbID; cur's union
+// is resolved lazily there, so an unwatched database never builds it.
+// Calls must arrive in version order per database; they never block on
+// watch work, so they are safe under the store's writer lock.
 func (e *Engine) ApplyChange(dbID string, c store.Change, prev, cur ShardView) {
 	e.results.applyChange(dbID, c, prev.Version(), shardDBs(prev), shardDBs(cur), e.scratchEvaluator)
+	e.delta.Apply(dbID, c, cur.Union)
 }
 
 // scratchEvaluator returns what decides q on a throwaway database.
 func (e *Engine) scratchEvaluator(q schema.Query) (func(*db.Database) bool, error) {
-	p, err := e.prepare(q)
+	r, err := e.Plan(q)
 	if err != nil {
 		return nil, err
 	}
 	if e.opt.ForceTreeWalk {
-		return p.CertainTreeWalk, nil
+		return r.Prepared.CertainTreeWalk, nil
 	}
-	return p.CertainScratch, nil
+	return r.Prepared.CertainScratch, nil
 }
 
 // DropDB forgets every cached answer for dbID and closes every watch
@@ -389,7 +373,7 @@ func (e *Engine) certainIsolated(it Item, sig string) (res Result) {
 			res = Result{Err: fmt.Errorf("engine: item panicked: %v", r)}
 		}
 	}()
-	p, err := e.prepareSig(sig, it.Query)
+	p, _, err := e.cache.getOrPrepare(sig, it.Query)
 	if err != nil {
 		return Result{Err: err}
 	}

@@ -2,16 +2,13 @@ package engine
 
 import (
 	"cqa/internal/core"
-	"cqa/internal/db"
 	"cqa/internal/planner"
-	"cqa/internal/schema"
-	"cqa/internal/shard"
 )
 
 // This file is the introspection surface behind explain output and the
-// strategy/cache metric labels: it names, without evaluating anything,
-// the evaluation strategy certainWith will take and the shard plan
-// certainSharded will take. The names feed the `eval_total{strategy=…}`
+// strategy metric label: it names, without evaluating anything, the
+// evaluation strategy certainWith will take (Answer reports the shard
+// plan and the result-cache outcome it took). The names feed the `eval_total{strategy=…}`
 // metric and the `"explain": true` response, and are the observable
 // hooks the ROADMAP's meta-engine strategy selector will build on.
 
@@ -65,41 +62,3 @@ func (e *Engine) Strategy(p *core.Prepared) string {
 // Options returns a copy of the engine's configuration (for explain
 // verification and operator tooling).
 func (e *Engine) Options() Options { return e.opt }
-
-// CertainWith evaluates a prepared plan on d honouring the engine's
-// options — the same dispatch Certain takes after preparation. Servers
-// that already hold p (from PrepareCached, for explain output) use this
-// so the strategy explain reports is the strategy actually executed.
-func (e *Engine) CertainWith(p *core.Prepared, d *db.Database) (bool, error) {
-	if err := e.begin(); err != nil {
-		return false, err
-	}
-	defer e.end()
-	return e.certainWith(p, d), nil
-}
-
-// PrepareCached is Prepare plus the plan-cache outcome: hit reports
-// whether the plan came from the cache. Explain and the cache-outcome
-// metric label need the distinction; Prepare alone hides it.
-func (e *Engine) PrepareCached(q schema.Query) (p *core.Prepared, hit bool, err error) {
-	if err := e.begin(); err != nil {
-		return nil, false, err
-	}
-	defer e.end()
-	return e.cache.getOrPrepare(q.Signature(), q)
-}
-
-// Shard plan names, as reported by ShardPlanFor (shard.Plan kinds).
-const (
-	ShardPlanSingle  = shard.PlanSingle
-	ShardPlanScatter = shard.PlanScatter
-	ShardPlanPinned  = shard.PlanPinned
-	ShardPlanUnion   = shard.PlanUnion
-)
-
-// ShardPlanFor reports, without evaluating, the plan certainSharded
-// executes for q on view and the shards it consults.
-func ShardPlanFor(q schema.Query, view ShardView) (plan string, shards []int) {
-	p := view.Plan(q)
-	return p.Kind, p.Shards
-}

@@ -55,15 +55,15 @@ func TestStrategyMirrorsCertainWith(t *testing.T) {
 func TestPrepareCachedReportsOutcome(t *testing.T) {
 	e := New(Options{})
 	q := mustQuery(t, "R(x | y), !S(x | y)")
-	p1, hit, err := e.PrepareCached(q)
-	if err != nil || hit {
-		t.Fatalf("first PrepareCached: hit=%v err=%v", hit, err)
+	r1, err := e.Plan(q)
+	if err != nil || r1.Hit {
+		t.Fatalf("first Plan: hit=%v err=%v", r1.Hit, err)
 	}
-	p2, hit, err := e.PrepareCached(q)
-	if err != nil || !hit {
-		t.Fatalf("second PrepareCached: hit=%v err=%v", hit, err)
+	r2, err := e.Plan(q)
+	if err != nil || !r2.Hit {
+		t.Fatalf("second Plan: hit=%v err=%v", r2.Hit, err)
 	}
-	if p1 != p2 {
+	if r1.Prepared != r2.Prepared || r1.Sig != q.Signature() || r2.Sig != r1.Sig {
 		t.Fatal("cache returned a different plan")
 	}
 }
@@ -110,8 +110,15 @@ func TestShardPlanSingleShard(t *testing.T) {
 	if _, err := sh.ApplyDB(parse.MustDatabase("R(a | 1)")); err != nil {
 		t.Fatal(err)
 	}
-	plan, shards := ShardPlanFor(mustQuery(t, "R(x | y), !S(y | x)"), sh.View())
-	if plan != ShardPlanSingle || !reflect.DeepEqual(shards, []int{0}) {
-		t.Errorf("single: plan=%s shards=%v", plan, shards)
+	e := New(Options{})
+	r, err := e.Plan(mustQuery(t, "R(x | y), !S(y | x)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dbID := range []string{"d", ""} {
+		_, _, plan, err := e.Answer(r, dbID, sh.View())
+		if err != nil || plan.Kind != shard.PlanSingle || !reflect.DeepEqual(plan.Shards, []int{0}) {
+			t.Errorf("single (db %q): plan=%s shards=%v err=%v", dbID, plan.Kind, plan.Shards, err)
+		}
 	}
 }

@@ -24,17 +24,17 @@ func TestResultCacheIncrementalInvalidation(t *testing.T) {
 	q := parse.MustQuery("R(x | y), !S(y | x)") // mentions R and S, not T
 	ask := func() (bool, bool) {
 		t.Helper()
-		snap := st.Shard(0).Snapshot()
-		certain, cached, err := e.CertainVersioned(q, "d", snap.Version, snap.DB)
+		view := st.View()
+		certain, cached, err := answer(e, q, "d", view)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.Certain(q, snap.DB, core.EngineAuto)
+		want, err := core.Certain(q, view.Union(), core.EngineAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if certain != want {
-			t.Fatalf("served %v at v%d, core.Certain says %v", certain, snap.Version, want)
+			t.Fatalf("served %v at v%d, core.Certain says %v", certain, view.Version(), want)
 		}
 		return certain, cached
 	}
@@ -82,15 +82,13 @@ func TestResultCacheNoOpWrite(t *testing.T) {
 	defer e.Close()
 	st := carryStore(t, e, "d", 1, "R(a | 1)")
 	q := parse.MustQuery("R(x | y)")
-	snap := st.Shard(0).Snapshot()
-	if _, _, err := e.CertainVersioned(q, "d", snap.Version, snap.DB); err != nil {
+	if _, _, err := answer(e, q, "d", st.View()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Insert(db.F("R", "a", "1")); err != nil { // duplicate: no-op
 		t.Fatal(err)
 	}
-	snap = st.Shard(0).Snapshot()
-	if _, cached, _ := e.CertainVersioned(q, "d", snap.Version, snap.DB); !cached {
+	if _, cached, _ := answer(e, q, "d", st.View()); !cached {
 		t.Fatal("no-op write must keep the cache hit")
 	}
 }
@@ -105,16 +103,15 @@ func TestResultCacheRejectsStalePut(t *testing.T) {
 	q := parse.MustQuery("R(x | y)")
 
 	// Take the snapshot before the write, evaluate after it.
-	old := st.Shard(0).Snapshot()
+	old := st.View()
 	if _, err := st.Delete(db.F("R", "a", "1"), db.F("R", "a", "2")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.CertainVersioned(q, "d", old.Version, old.DB); err != nil {
+	if _, _, err := answer(e, q, "d", old); err != nil {
 		t.Fatal(err)
 	}
 	// The stale evaluation must not be served at the current version.
-	now := st.Shard(0).Snapshot()
-	certain, cached, err := e.CertainVersioned(q, "d", now.Version, now.DB)
+	certain, cached, err := answer(e, q, "d", st.View())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +133,7 @@ func TestResultCachePerDatabaseIsolation(t *testing.T) {
 	b := carryStore(t, e, "b", 1, "R(a | 1)\nS(1 | a)")
 	askOn := func(id string, st *shard.Sharded) (bool, bool) {
 		t.Helper()
-		snap := st.Shard(0).Snapshot()
-		certain, cached, err := e.CertainVersioned(q, id, snap.Version, snap.DB)
+		certain, cached, err := answer(e, q, id, st.View())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +164,8 @@ func TestResultCacheEviction(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		id := fmt.Sprintf("db%d", i)
 		st := store.NewMem(id, parse.MustDatabase("R(a | 1)"))
-		snap := st.Snapshot()
-		if _, _, err := e.CertainVersioned(q, id, snap.Version, snap.DB); err != nil {
+		view := shard.NewShardedFromStores(id, []*store.Store{st}).View()
+		if _, _, err := answer(e, q, id, view); err != nil {
 			t.Fatal(err)
 		}
 	}

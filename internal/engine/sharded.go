@@ -28,41 +28,40 @@ type ShardView interface {
 	Plan(q schema.Query) shard.Plan
 }
 
-// CertainSharded evaluates CERTAINTY(q) on a sharded view, without the
-// result cache.
-func (e *Engine) CertainSharded(q schema.Query, view ShardView) (bool, error) {
-	if err := e.begin(); err != nil {
-		return false, err
-	}
-	defer e.end()
-	p, err := e.prepare(q)
-	if err != nil {
-		return false, err
-	}
-	return e.certainSharded(p, q, view), nil
-}
+// Result-cache outcomes reported by Answer, as carried in the cache
+// metric label.
+const (
+	CacheHit  = "hit"
+	CacheMiss = "miss"
+	// CacheBypass: the read named no database, so there was no result to
+	// key on (inline facts, a router's gathered facts).
+	CacheBypass = "bypass"
+)
 
-// CertainShardedVersioned is CertainSharded behind the exact-version
-// result cache: the global version plays the role a single store's
-// version plays in CertainVersioned, and invalidation rides the same
-// ApplyWrite path (the sharded facade reports one aggregate change per
-// batch, in global-version order).
-func (e *Engine) CertainShardedVersioned(q schema.Query, dbID string, view ShardView) (certain, cached bool, err error) {
+// Answer is the data half of CERTAINTY(q): it evaluates the planned read
+// r on view and reports the verdict, the result-cache outcome and the
+// shard plan it followed. With a dbID the result cache is consulted first
+// under r.Sig: repeated checks at an unchanged version — or at a version
+// moved only by writes that leave the answer provably in place (see
+// ApplyChange) — skip evaluation entirely. dbID must name the database
+// stably across versions, and its writes must be reported through
+// ApplyChange. An inline database is shard.ViewOf with no dbID.
+func (e *Engine) Answer(r Read, dbID string, view ShardView) (certain bool, cache string, plan shard.Plan, err error) {
 	if err := e.begin(); err != nil {
-		return false, false, err
+		return false, "", shard.Plan{}, err
 	}
 	defer e.end()
-	sig := q.Signature()
-	if ans, ok := e.results.get(sig, dbID, view.Version()); ok {
-		return ans, true, nil
+	plan = view.Plan(r.Query)
+	if dbID == "" {
+		return e.certainSharded(r.Prepared, view, plan), CacheBypass, plan, nil
 	}
-	p, err := e.prepare(q)
-	if err != nil {
-		return false, false, err
+	version := view.Version()
+	if certain, ok := e.results.get(r.Sig, dbID, version); ok {
+		return certain, CacheHit, plan, nil
 	}
-	certain = e.certainSharded(p, q, view)
-	e.results.put(sig, dbID, view.Version(), q, certain)
-	return certain, false, nil
+	certain = e.certainSharded(r.Prepared, view, plan)
+	e.results.put(r.Sig, dbID, version, r.Query, certain)
+	return certain, CacheMiss, plan, nil
 }
 
 // shardDBs lists a view's per-shard databases.
@@ -74,11 +73,10 @@ func shardDBs(view ShardView) []*db.Database {
 	return out
 }
 
-// certainSharded executes view's plan for q: scatter plans OR the
-// verdicts of the planned shards, anything else joins across shards and
-// evaluates on the union.
-func (e *Engine) certainSharded(p *core.Prepared, q schema.Query, view ShardView) bool {
-	plan := view.Plan(q)
+// certainSharded executes plan on view: scatter plans OR the verdicts
+// of the planned shards, anything else joins across shards and evaluates
+// on the union.
+func (e *Engine) certainSharded(p *core.Prepared, view ShardView, plan shard.Plan) bool {
 	if !plan.Scatter() {
 		return e.certainWith(p, view.Union())
 	}

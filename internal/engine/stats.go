@@ -34,8 +34,8 @@ type Stats struct {
 	CacheHits, CacheMisses, CacheEvictions uint64
 	CachedPlans                            int
 
-	// ResultHits and ResultMisses count CertainVersioned lookups in the
-	// versioned result cache. A write that touches a relation an entry's
+	// ResultHits and ResultMisses count Answer lookups in the versioned
+	// result cache. A write that touches a relation an entry's
 	// query mentions either drops the entry (ResultInvalidations) or, for
 	// a co-keyed query, carries it to the new version by re-checking the
 	// written blocks alone (ResultCarried); CachedResults is the current

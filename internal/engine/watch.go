@@ -3,11 +3,9 @@ package engine
 import (
 	"sync/atomic"
 
-	"cqa/internal/db"
 	"cqa/internal/delta"
 	"cqa/internal/obs"
 	"cqa/internal/schema"
-	"cqa/internal/store"
 )
 
 // WatchHooks are the observability callbacks of the engine's delta
@@ -77,39 +75,21 @@ type hooksPtr = atomic.Pointer[WatchHooks]
 // delivered on Watch.Events (bounded queue; slow consumers are
 // resynced, never block the delta worker). snap must be a consistent
 // (snapshot, version) capture of dbID, and dbID's changes must be fed
-// via DeltaApply.
+// via ApplyChange.
 func (e *Engine) RegisterWatch(q schema.Query, dbID string, snap delta.Snapshot) (*delta.Watch, delta.State, error) {
 	if err := e.begin(); err != nil {
 		return nil, delta.State{}, err
 	}
 	defer e.end()
-	p, err := e.prepare(q)
+	r, err := e.Plan(q)
 	if err != nil {
 		return nil, delta.State{}, err
 	}
-	return e.delta.Register(dbID, q.Signature(), p, snap)
+	return e.delta.Register(dbID, r.Sig, r.Prepared, snap)
 }
 
 // UnregisterWatch removes a watch; its event channel is closed.
 func (e *Engine) UnregisterWatch(w *delta.Watch) { e.delta.Unregister(w) }
-
-// DeltaApply feeds one acknowledged write batch of dbID to the delta
-// layer. dbFn must return the snapshot at exactly c.Version; it is
-// resolved lazily, so an unwatched database pays nothing. Safe to call
-// under the store's writer lock (never blocks on delta work).
-func (e *Engine) DeltaApply(dbID string, c store.Change, dbFn func() *db.Database) {
-	e.delta.Apply(dbID, c, dbFn)
-}
-
-// DeltaCounters reports the cumulative skip/re-evaluate/flip decision
-// counts of the delta layer.
-func (e *Engine) DeltaCounters() (skipped, reevaluated, flipped uint64) {
-	return e.delta.Counters()
-}
-
-// DeltaQuiesce blocks until every change fed for dbID before the call
-// has been processed. Test and benchmark hook.
-func (e *Engine) DeltaQuiesce(dbID string) { e.delta.Quiesce(dbID) }
 
 // WatchFanIn reports the delta layer's registration population: total
 // watches and the distinct (signature, database) groups backing them.

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"cqa/internal/db"
 	"cqa/internal/metrics"
 	"cqa/internal/shard"
 	"cqa/internal/store"
@@ -194,7 +193,6 @@ func (f *Follower) track(ctx context.Context, d DBShards) {
 			gc := c
 			gc.Version = cur.Version()
 			f.srv.Engine().ApplyChange(name, gc, prev, cur)
-			f.srv.Engine().DeltaApply(name, gc, func() *db.Database { return cur.Union() })
 		})
 		r.SetOnReset(func(version uint64) {
 			fdb.hookMu.Lock()

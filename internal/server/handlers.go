@@ -18,6 +18,7 @@ import (
 	"cqa/internal/obs"
 	"cqa/internal/parse"
 	"cqa/internal/schema"
+	"cqa/internal/shard"
 	"cqa/internal/sqlgen"
 )
 
@@ -126,8 +127,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // `"explain": true` returns the strategy, cache outcomes, rewriting
 // size, quantifier plan, shard plan, and per-stage timings.
 func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
-	tr := obs.FromContext(r.Context())
-	clock := &stageClock{}
+	clock := &stageClock{tr: obs.FromContext(r.Context())}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		s.writeDecodeError(w, err)
@@ -138,139 +138,40 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 		s.writeDecodeError(w, err)
 		return
 	}
-	var q schema.Query
-	psp := tr.StartSpan("parse")
-	clock.time("parse", func() { q, err = parse.Query(req.Query) })
+	q, err := s.parseQuery(w, clock, req.Query)
 	if err != nil {
-		psp.Fail(err)
-		psp.End()
-		s.writeError(w, http.StatusUnprocessableEntity, "bad_query", err.Error())
 		return
 	}
-	psp.End()
+	var view engine.ShardView
 	if req.Database != "" {
-		// Named databases are sharded versioned stores: answer on one
-		// consistent cross-shard view through the engine's result cache,
-		// so repeated checks at an unchanged global version — or a version
-		// moved only by writes that leave the answer provably in place
-		// (relations q does not mention, or blocks re-checked by the carry
-		// rule) — skip evaluation entirely. Evaluation itself follows the
-		// view's shard plan: scatter plans OR per-shard verdicts, union
-		// plans run on the memoized union (engine.CertainSharded).
+		// Named databases are sharded versioned stores, read on one
+		// consistent cross-shard view through the engine's result cache.
 		sh := s.stores.Get(req.Database)
 		if sh == nil {
 			s.writeError(w, http.StatusNotFound, "unknown_database",
 				fmt.Sprintf("no database named %q", req.Database))
 			return
 		}
-		view := sh.View()
-		v, err := s.bounded(r.Context(), func() (any, error) {
-			var p *core.Prepared
-			var planHit bool
-			var err error
-			sp := tr.StartSpan("prepare")
-			clock.time("prepare", func() { p, planHit, err = s.eng.PrepareCached(q) })
-			if err != nil {
-				sp.Fail(err)
-				sp.End()
-				return nil, err
+		view = sh.View()
+	} else {
+		var d *db.Database
+		err := clock.stage("parse-facts", func(*obs.Span) (err error) {
+			if d, err = parse.Database(req.Facts); err == nil {
+				err = parse.DeclareQueryRelations(d, q)
 			}
-			strategy := s.eng.Strategy(p)
-			sp.SetAttr("planCache", cacheOutcome(planHit)).SetAttr("strategy", strategy)
-			sp.End()
-
-			var certain, cached bool
-			esp := tr.StartSpan("eval")
-			clock.time("eval", func() { certain, cached, err = s.eng.CertainShardedVersioned(q, req.Database, view) })
-			if err != nil {
-				esp.Fail(err)
-				esp.End()
-				return nil, err
-			}
-			shardPlan, shards := engine.ShardPlanFor(q, view)
-			esp.SetAttr("resultCache", cacheOutcome(cached)).SetAttr("shardPlan", shardPlan)
-			esp.End()
-			s.reg.Counter(metrics.Label("eval_total",
-				"strategy", strategy, "cache", cacheOutcome(cached))).Inc()
-			resp := CertainResponse{
-				Certain:  certain,
-				Verdict:  string(p.Classification().Verdict),
-				Database: req.Database,
-				Version:  view.Version(),
-				Cached:   &cached,
-			}
-			if req.Explain {
-				info := explainFor(p, strategy, cacheOutcome(planHit), clock, tr)
-				info.ResultCache = cacheOutcome(cached)
-				info.ShardPlan = shardPlan
-				info.Shards = shards
-				// Non-FO decisions are recorded against the union view —
-				// the snapshot certainSharded evaluates multi-atom (hence
-				// every planner-pattern) queries on.
-				s.attachPlanDecision(info, p, view.Union())
-				resp.Explain = info
-			}
-			return resp, nil
+			return err
 		})
 		if err != nil {
-			s.writeWorkError(w, err)
+			s.writeError(w, http.StatusUnprocessableEntity, "bad_facts", err.Error())
 			return
 		}
-		s.writeJSON(w, http.StatusOK, v)
-		return
+		view = shard.ViewOf(d)
 	}
-	var d *db.Database
-	fsp := tr.StartSpan("parse-facts")
-	clock.time("parse-facts", func() {
-		d, err = parse.Database(req.Facts)
-		if err == nil {
-			err = parse.DeclareQueryRelations(d, q)
-		}
-	})
-	if err != nil {
-		fsp.Fail(err)
-		fsp.End()
-		s.writeError(w, http.StatusUnprocessableEntity, "bad_facts", err.Error())
-		return
-	}
-	fsp.End()
 	v, err := s.bounded(r.Context(), func() (any, error) {
-		var p *core.Prepared
-		var planHit bool
-		var err error
-		sp := tr.StartSpan("prepare")
-		clock.time("prepare", func() { p, planHit, err = s.eng.PrepareCached(q) })
-		if err != nil {
-			sp.Fail(err)
-			sp.End()
-			return nil, err
-		}
-		strategy := s.eng.Strategy(p)
-		sp.SetAttr("planCache", cacheOutcome(planHit)).SetAttr("strategy", strategy)
-		sp.End()
-
-		var certain bool
-		esp := tr.StartSpan("eval")
-		clock.time("eval", func() { certain, err = s.eng.CertainWith(p, d) })
-		if err != nil {
-			esp.Fail(err)
-			esp.End()
-			return nil, err
-		}
-		esp.End()
-		// Inline facts bypass the versioned result cache (there is no
-		// version to key on); the cache label says so.
-		s.reg.Counter(metrics.Label("eval_total",
-			"strategy", strategy, "cache", "bypass")).Inc()
-		resp := CertainResponse{
-			Certain: certain,
-			Verdict: string(p.Classification().Verdict),
-		}
-		if req.Explain {
-			resp.Explain = explainFor(p, strategy, cacheOutcome(planHit), clock, tr)
-			s.attachPlanDecision(resp.Explain, p, d)
-		}
-		return resp, nil
+		return s.answerCertain(&certainRead{
+			req: req, q: q, clock: clock, db: req.Database,
+			view: func() (engine.ShardView, error) { return view, nil },
+		})
 	})
 	if err != nil {
 		s.writeWorkError(w, err)
@@ -279,15 +180,126 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, v)
 }
 
+// parseQuery runs the parse stage of a read; a bad query is answered
+// here and its error returned.
+func (s *Server) parseQuery(w http.ResponseWriter, clock *stageClock, src string) (schema.Query, error) {
+	var q schema.Query
+	err := clock.stage("parse", func(*obs.Span) (err error) {
+		q, err = parse.Query(src)
+		return err
+	})
+	if err != nil {
+		s.writeError(w, http.StatusUnprocessableEntity, "bad_query", err.Error())
+	}
+	return q, err
+}
+
+// certainRead is one /v1/certain read as answerCertain takes it, from
+// any of the three read paths.
+type certainRead struct {
+	req   CertainRequest
+	q     schema.Query
+	clock *stageClock
+	// db names the store whose result cache the read goes through; ""
+	// for inline facts and router-gathered reads, which bypass it and
+	// report neither a version nor a result-cache outcome.
+	db string
+	// view yields what the read evaluates on. It runs between the prepare
+	// and eval stages, where a router gathers its facts.
+	view func() (engine.ShardView, error)
+	// routed is the router's own plan around a gathered read, reported in
+	// place of the plan of the one-shard view the facts were gathered into.
+	routed *shard.Plan
+}
+
+// answerCertain is the one evaluation of a /v1/certain read — named,
+// inline and router-gathered alike: the prepare stage (Engine.Plan), the
+// eval stage (Engine.Answer, which follows the view's shard plan and,
+// for a named database, the result cache), the eval_total count, and the
+// response with its explain.
+func (s *Server) answerCertain(rd *certainRead) (any, error) {
+	var read engine.Read
+	var strategy string
+	err := rd.clock.stage("prepare", func(sp *obs.Span) (err error) {
+		if read, err = s.eng.Plan(rd.q); err != nil {
+			return err
+		}
+		strategy = s.eng.Strategy(read.Prepared)
+		sp.SetAttr("planCache", cacheOutcome(read.Hit)).SetAttr("strategy", strategy)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	view, err := rd.view()
+	if err != nil {
+		return nil, err
+	}
+	var ans answer
+	err = rd.clock.stage("eval", func(sp *obs.Span) (err error) {
+		ans.certain, ans.cache, ans.plan, err = s.eng.Answer(read, rd.db, view)
+		if err == nil && rd.db != "" {
+			sp.SetAttr("resultCache", ans.cache).SetAttr("shardPlan", ans.plan.Kind)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.reg.Counter(metrics.Label("eval_total", "strategy", strategy, "cache", ans.cache)).Inc()
+	return s.certainResponse(rd, read, strategy, view, &ans), nil
+}
+
+// answer is what Engine.Answer reported for one read.
+type answer struct {
+	certain bool
+	cache   string
+	plan    shard.Plan
+}
+
+// certainResponse is the reply to an answered read. It is kept out of
+// answerCertain so that the stack a read's stages run on stays shallow:
+// the evaluation runs on a fresh goroutine, whose small starting stack
+// would otherwise be copied to a larger one on every read.
+func (s *Server) certainResponse(rd *certainRead, read engine.Read, strategy string, view engine.ShardView, ans *answer) CertainResponse {
+	p := read.Prepared
+	resp := CertainResponse{
+		Certain:  ans.certain,
+		Verdict:  string(p.Classification().Verdict),
+		Database: rd.req.Database,
+	}
+	if rd.db != "" {
+		cached := ans.cache == engine.CacheHit
+		resp.Version, resp.Cached = view.Version(), &cached
+	}
+	if !rd.req.Explain {
+		return resp
+	}
+	info := explainFor(p, strategy, cacheOutcome(read.Hit), rd.clock)
+	if rd.db != "" {
+		info.ResultCache, info.ShardPlan, info.Shards = ans.cache, ans.plan.Kind, ans.plan.Shards
+	}
+	if rd.routed != nil {
+		info.ShardPlan, info.Shards = rd.routed.Kind, rd.routed.Shards
+	} else {
+		// Non-FO decisions are recorded against the union view — the
+		// snapshot a union plan evaluates multi-atom (hence every
+		// planner-pattern) queries on.
+		s.attachPlanDecision(info, p, view.Union())
+	}
+	resp.Explain = info
+	return resp
+}
+
 // explainFor assembles the common part of an ExplainInfo; callers fill
 // in the result-cache and shard-plan fields that apply to their path.
-func explainFor(p *core.Prepared, strategy, planCache string, clock *stageClock, tr *obs.Trace) *ExplainInfo {
+func explainFor(p *core.Prepared, strategy, planCache string, clock *stageClock) *ExplainInfo {
 	info := &ExplainInfo{
 		Strategy:      strategy,
 		PlanCache:     planCache,
 		RewritingSize: p.RewritingSize(),
 		Stages:        clock.stages,
-		TraceID:       tr.ID(),
+		TraceID:       clock.tr.ID(),
 	}
 	if p.InFO() {
 		info.Quantifiers = p.Program().PlanSummary()
@@ -311,8 +323,7 @@ func (s *Server) attachPlanDecision(info *ExplainInfo, p *core.Prepared, d *db.D
 
 // handleBatch answers POST /v1/batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	tr := obs.FromContext(r.Context())
-	clock := &stageClock{}
+	clock := &stageClock{tr: obs.FromContext(r.Context())}
 	var req BatchRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
 		s.writeDecodeError(w, err)
@@ -333,17 +344,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch of %d databases exceeds the limit of %d", n, s.opt.MaxBatchItems))
 		return
 	}
-	var q schema.Query
-	var err error
-	psp := tr.StartSpan("parse")
-	clock.time("parse", func() { q, err = parse.Query(req.Query) })
+	q, err := s.parseQuery(w, clock, req.Query)
 	if err != nil {
-		psp.Fail(err)
-		psp.End()
-		s.writeError(w, http.StatusUnprocessableEntity, "bad_query", err.Error())
 		return
 	}
-	psp.End()
 	items := make([]engine.Item, 0, n)
 	resolveErrs := make([]string, 0, n)
 	// Named databases resolve to a consistent snapshot each; the batch
@@ -387,10 +391,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reg.Counter("batch_items_total").Add(uint64(len(good)))
 	var results []engine.Result
-	esp := tr.StartSpan("eval")
-	esp.SetAttr("items", strconv.Itoa(len(good)))
-	clock.time("eval", func() { results = s.eng.CertainBatch(r.Context(), good) })
-	esp.End()
+	clock.stage("eval", func(sp *obs.Span) error {
+		sp.SetAttr("items", strconv.Itoa(len(good)))
+		results = s.eng.CertainBatch(r.Context(), good)
+		return nil
+	})
 	resp := BatchResponse{Results: make([]BatchResult, n)}
 	gi := 0
 	for i := range items {
@@ -406,15 +411,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = BatchResult{Certain: res.Certain}
 		}
 	}
-	if p, planHit, err := s.eng.PrepareCached(q); err == nil {
+	if read, err := s.eng.Plan(q); err == nil {
+		p := read.Prepared
 		resp.Verdict = string(p.Classification().Verdict)
 		strategy := s.eng.Strategy(p)
 		s.reg.Counter(metrics.Label("eval_total",
-			"strategy", strategy, "cache", "bypass")).Add(uint64(len(good)))
+			"strategy", strategy, "cache", engine.CacheBypass)).Add(uint64(len(good)))
 		if req.Explain {
 			// Batches bypass the versioned result cache; the explain covers
 			// the batch as a whole.
-			resp.Explain = explainFor(p, strategy, cacheOutcome(planHit), clock, tr)
+			resp.Explain = explainFor(p, strategy, cacheOutcome(read.Hit), clock)
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)

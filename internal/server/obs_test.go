@@ -12,6 +12,7 @@ import (
 	"cqa/internal/engine"
 	"cqa/internal/obs"
 	"cqa/internal/parse"
+	"cqa/internal/shard"
 )
 
 // tracesDoc mirrors the GET /debug/traces payload.
@@ -91,7 +92,7 @@ func TestTraceCoverageThroughRouter(t *testing.T) {
 	if ans.Explain.TraceID != traceID {
 		t.Errorf("explain traceId %q != header %q", ans.Explain.TraceID, traceID)
 	}
-	if ans.Explain.ShardPlan != engine.ShardPlanScatter || len(ans.Explain.Shards) != n {
+	if ans.Explain.ShardPlan != shard.PlanScatter || len(ans.Explain.Shards) != n {
 		t.Errorf("explain shard plan = %q %v, want scatter over %d shards", ans.Explain.ShardPlan, ans.Explain.Shards, n)
 	}
 	// The evaluation facts are the answering shard's; the stages are the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,8 +14,8 @@ import (
 	"strings"
 	"time"
 
-	"cqa/internal/core"
 	"cqa/internal/db"
+	"cqa/internal/engine"
 	"cqa/internal/metrics"
 	"cqa/internal/obs"
 	"cqa/internal/parse"
@@ -281,18 +282,11 @@ func (rt *Router) handleCertain(w http.ResponseWriter, r *http.Request) {
 		rt.inner.handleCertain(w, r)
 		return
 	}
-	tr := obs.FromContext(r.Context())
-	clock := &stageClock{}
-	var q schema.Query
-	psp := tr.StartSpan("parse")
-	clock.time("parse", func() { q, err = parse.Query(req.Query) })
+	clock := &stageClock{tr: obs.FromContext(r.Context())}
+	q, err := rt.inner.parseQuery(w, clock, req.Query)
 	if err != nil {
-		psp.Fail(err)
-		psp.End()
-		rt.inner.writeError(w, http.StatusUnprocessableEntity, "bad_query", err.Error())
 		return
 	}
-	psp.End()
 	plan := shard.PlanFor(q, len(rt.shards), nil)
 	if plan.Scatter() {
 		rt.scatterReads.Inc()
@@ -345,60 +339,39 @@ func (rt *Router) forwardCertain(w http.ResponseWriter, r *http.Request, req Cer
 
 // gatherCertain answers a union plan: the facts the join ranges over
 // are gathered from the planned shards and evaluated on the router's
-// own engine. Ground-key joins confined to live shards stay answerable
-// when other shards are down.
+// own engine, which reports the router's plan around them. Ground-key
+// joins confined to live shards stay answerable when other shards are
+// down.
 func (rt *Router) gatherCertain(w http.ResponseWriter, r *http.Request, req CertainRequest, q schema.Query, plan shard.Plan, clock *stageClock) {
-	tr := obs.FromContext(r.Context())
-	var p *core.Prepared
-	var planHit bool
-	var err error
-	sp := tr.StartSpan("prepare")
-	clock.time("prepare", func() { p, planHit, err = rt.inner.eng.PrepareCached(q) })
-	if err != nil {
-		sp.Fail(err)
-		sp.End()
-		rt.inner.writeWorkError(w, err)
-		return
-	}
-	strategy := rt.inner.eng.Strategy(p)
-	sp.SetAttr("planCache", cacheOutcome(planHit)).SetAttr("strategy", strategy)
-	sp.End()
-
-	var merged *db.Database
-	clock.time("gather", func() { merged, err = rt.gather(r.Context(), q, req.Database, plan) })
-	if err != nil {
-		rt.relayShardError(w, r, err)
-		return
-	}
 	v, err := rt.inner.bounded(r.Context(), func() (any, error) {
-		var certain bool
-		var err error
-		esp := tr.StartSpan("eval")
-		clock.time("eval", func() { certain, err = rt.inner.eng.CertainWith(p, merged) })
-		if err != nil {
-			esp.Fail(err)
-			esp.End()
-			return nil, err
-		}
-		esp.End()
-		rt.inner.reg.Counter(metrics.Label("eval_total",
-			"strategy", strategy, "cache", "bypass")).Inc()
-		resp := CertainResponse{
-			Certain: certain, Verdict: string(p.Classification().Verdict), Database: req.Database,
-		}
-		if req.Explain {
-			info := explainFor(p, strategy, cacheOutcome(planHit), clock, tr)
-			info.ShardPlan, info.Shards = plan.Kind, plan.Shards
-			resp.Explain = info
-		}
-		return resp, nil
+		return rt.inner.answerCertain(&certainRead{
+			req: req, q: q, clock: clock, routed: &plan,
+			view: func() (_ engine.ShardView, err error) {
+				var merged *db.Database
+				clock.time("gather", func() { merged, err = rt.gather(r.Context(), q, req.Database, plan) })
+				if err != nil {
+					return nil, gatherError{err}
+				}
+				return shard.ViewOf(merged), nil
+			},
+		})
 	})
-	if err != nil {
+	var ge gatherError
+	switch {
+	case errors.As(err, &ge):
+		rt.relayShardError(w, r, ge.err)
+	case err != nil:
 		rt.inner.writeWorkError(w, err)
-		return
+	default:
+		rt.inner.writeJSON(w, http.StatusOK, v)
 	}
-	rt.inner.writeJSON(w, http.StatusOK, v)
 }
+
+// gatherError is a failed gather, relayed as the shard failure it is
+// rather than as an evaluation error.
+type gatherError struct{ err error }
+
+func (e gatherError) Error() string { return e.err.Error() }
 
 // gather fetches the facts a union plan joins over — the planned
 // shards' slices at their served versions, or only the blocks the query

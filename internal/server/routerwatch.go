@@ -43,7 +43,7 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 		rt.inner.writeError(w, http.StatusUnprocessableEntity, "bad_query", err.Error())
 		return
 	}
-	p, err := rt.inner.eng.Prepare(q)
+	read, err := rt.inner.eng.Plan(q)
 	if err != nil {
 		rt.inner.writeError(w, http.StatusUnprocessableEntity, "watch_failed", err.Error())
 		return
@@ -108,7 +108,8 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return false, err
 		}
-		return rt.inner.eng.CertainWith(p, merged)
+		certain, _, _, err := rt.inner.eng.Answer(read, "", shard.ViewOf(merged))
+		return certain, err
 	}
 
 	headerSent := false

@@ -232,17 +232,14 @@ func New(opt Options) *Server {
 }
 
 // attach wires one sharded store into the server: its batches carry or
-// invalidate the engine's cached results (the hook runs under the
-// facade's write lock, so ApplyChange sees global versions in order)
-// and feed the store metrics. Each effective mutation is one WAL record
-// on its owner shard.
+// invalidate the engine's cached results and reach its watches (the
+// hook runs under the facade's write lock, so ApplyChange sees global
+// versions in order) and feed the store metrics. Each effective
+// mutation is one WAL record on its owner shard.
 func (s *Server) attach(name string, sh *shard.Sharded) {
 	s.reg.Gauge("snapshot_version").Max(int64(sh.Version()))
 	sh.SetOnApply(func(c store.Change, prev, cur *shard.View) {
 		s.eng.ApplyChange(name, c, prev, cur)
-		// The union is resolved lazily inside the delta worker — an
-		// unwatched database never builds it.
-		s.eng.DeltaApply(name, c, func() *db.Database { return cur.Union() })
 		s.reg.Counter("wal_records").Add(uint64(c.Applied))
 		s.reg.Gauge("snapshot_version").Max(int64(c.Version))
 	})
@@ -259,10 +256,6 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Stores exposes the sharded store set (for follower wiring).
 func (s *Server) Stores() *shard.Set { return s.stores }
-
-// Attach registers the server's OnApply hook on an adopted member —
-// the follower replicator adopts databases after New.
-func (s *Server) Attach(name string, sh *shard.Sharded) { s.attach(name, sh) }
 
 // role names the serving role for /v1/shards.
 func (s *Server) role() string {

@@ -104,10 +104,12 @@ func cacheOutcome(hit bool) string {
 	return "miss"
 }
 
-// stageClock accumulates named wall-clock stage timings for explain
-// output. The zero value is ready; not safe for concurrent use (each
-// request owns one).
+// stageClock is one request's stage measurement: named wall-clock
+// timings for explain output, and the request trace (nil when untraced)
+// its stages hang spans off. Not safe for concurrent use (each request
+// owns one).
 type stageClock struct {
+	tr     *obs.Trace
 	stages []ExplainStage
 }
 
@@ -116,4 +118,17 @@ func (c *stageClock) time(name string, fn func()) {
 	start := time.Now()
 	fn()
 	c.stages = append(c.stages, ExplainStage{Name: name, Nanos: time.Since(start).Nanoseconds()})
+}
+
+// stage runs fn as one named stage under a span of the same name: the
+// span opens before the timing starts, fn may annotate it, and an error
+// fn returns marks it failed and is passed on.
+func (c *stageClock) stage(name string, fn func(sp *obs.Span) error) error {
+	sp := c.tr.StartSpan(name)
+	start := time.Now()
+	err := fn(sp)
+	c.stages = append(c.stages, ExplainStage{Name: name, Nanos: time.Since(start).Nanoseconds()})
+	sp.Fail(err)
+	sp.End()
+	return err
 }

@@ -10,9 +10,21 @@ import (
 	"cqa/internal/engine"
 	"cqa/internal/gen"
 	"cqa/internal/naive"
+	"cqa/internal/schema"
 	"cqa/internal/shard"
 	"cqa/internal/store"
 )
+
+// answer reads q on view through the engine's read path, Plan then
+// Answer, and reports the result-cache outcome.
+func answer(eng *engine.Engine, q schema.Query, dbID string, view engine.ShardView) (certain bool, cache string, err error) {
+	r, err := eng.Plan(q)
+	if err != nil {
+		return false, "", err
+	}
+	certain, cache, _, err = eng.Answer(r, dbID, view)
+	return certain, cache, err
+}
 
 // TestDifferentialShardedVsSingleVsNaive is the oracle check for
 // scatter-gather: 500 random (query, database, write-batch) cases where
@@ -108,7 +120,7 @@ func TestDifferentialShardedVsSingleVsNaive(t *testing.T) {
 				t.Fatalf("case %d (%s): sharded union diverged from reference:\n%s\nvs\n%s",
 					done, label, u, r)
 			}
-			sg, err := eng.CertainSharded(q, view)
+			sg, _, err := answer(eng, q, "", view)
 			if err != nil {
 				t.Fatalf("case %d (%s): sharded eval: %v", done, label, err)
 			}
@@ -118,19 +130,19 @@ func TestDifferentialShardedVsSingleVsNaive(t *testing.T) {
 			}
 			// Versioned path: a miss then an exact-version hit.
 			dbID := fmt.Sprintf("case%d-%s", done, label)
-			v1, hit1, err := eng.CertainShardedVersioned(q, dbID, view)
+			v1, cache1, err := answer(eng, q, dbID, view)
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2, hit2, err := eng.CertainShardedVersioned(q, dbID, view)
+			v2, cache2, err := answer(eng, q, dbID, view)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if v1 != want || v2 != want {
 				t.Fatalf("case %d (%s): versioned sharded = %v/%v, want %v", done, label, v1, v2, want)
 			}
-			if hit1 || !hit2 {
-				t.Fatalf("case %d (%s): cache hits %v/%v, want false/true", done, label, hit1, hit2)
+			if cache1 != engine.CacheMiss || cache2 != engine.CacheHit {
+				t.Fatalf("case %d (%s): result cache %s/%s, want miss/hit", done, label, cache1, cache2)
 			}
 			sh.Close()
 		}

@@ -125,7 +125,7 @@ func TestShardedConcurrencyWithFollowers(t *testing.T) {
 				return
 			}
 			lastV = v.Version()
-			if _, err := eng.CertainSharded(queries[i%len(queries)], v); err != nil {
+			if _, _, err := answer(eng, queries[i%len(queries)], "", v); err != nil {
 				t.Errorf("reader: %v", err)
 				return
 			}
@@ -164,11 +164,11 @@ func TestShardedConcurrencyWithFollowers(t *testing.T) {
 		t.Fatalf("follower diverged from primary:\n%s\nvs\n%s", fu, pu)
 	}
 	for _, q := range queries {
-		a, err := eng.CertainSharded(q, pv)
+		a, _, err := answer(eng, q, "", pv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := eng.CertainSharded(q, fv)
+		b, _, err := answer(eng, q, "", fv)
 		if err != nil {
 			t.Fatal(err)
 		}

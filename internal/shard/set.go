@@ -17,11 +17,10 @@ import (
 var shardSuffix = regexp.MustCompile(`^(.+)\.s(\d+)$`)
 
 // Set is a named collection of sharded stores sharing one data
-// directory, one Options, and one default shard count. It is the
-// sharded successor of store.Set: discovery groups "<name>.s<i>" files
-// into one n-shard member and adopts plain "<name>" files as
-// single-shard members, so pre-sharding data directories keep working.
-// Safe for concurrent use.
+// directory, one Options, and one default shard count. Discovery groups
+// "<name>.s<i>" files into one n-shard member and adopts plain "<name>"
+// files as single-shard members, so pre-sharding data directories keep
+// working. Safe for concurrent use.
 type Set struct {
 	opt    store.Options
 	shards int

@@ -78,6 +78,12 @@ type View struct {
 	union     *db.Database
 }
 
+// ViewOf is the one-shard view of d at version 0: what an inline
+// database, which no store holds, is read through.
+func ViewOf(d *db.Database) *View {
+	return &View{snaps: []store.Snapshot{{DB: d}}}
+}
+
 // Plan plans q under the placement this view was built with, so reads
 // follow whatever placement wrote the data.
 func (v *View) Plan(q schema.Query) Plan { return PlanFor(q, len(v.snaps), v.hash) }

@@ -7,6 +7,7 @@ import (
 
 	"cqa/internal/db"
 	"cqa/internal/parse"
+	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
@@ -87,13 +88,13 @@ func TestRaceSnapshotReadersVsWriter(t *testing.T) {
 // Concurrent writers through a Set: creates, adopts, and mutations from
 // many goroutines must be safe.
 func TestRaceSetConcurrentUse(t *testing.T) {
-	set, err := store.OpenSet(store.Options{})
+	set, err := shard.OpenSet(store.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer set.CloseAll()
 	seed := parse.MustDatabase("R(a | 1)")
-	if err := set.Adopt(store.NewMem("shared", seed)); err != nil {
+	if err := set.Adopt(shard.NewShardedFromStores("shared", []*store.Store{store.NewMem("shared", seed)})); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -108,13 +109,13 @@ func TestRaceSetConcurrentUse(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_ = st.Snapshot().DB.Size()
+				_ = st.View().Union().Size()
 				_ = set.Names()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := set.Get("shared").Snapshot().DB.Size(); got != 9 {
+	if got := set.Get("shared").View().Union().Size(); got != 9 {
 		t.Fatalf("final size = %d, want 9 (seed + 8 distinct values)", got)
 	}
 }

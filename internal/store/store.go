@@ -40,6 +40,9 @@ import (
 // ErrClosed is returned by mutations on a closed store.
 var ErrClosed = errors.New("store: closed")
 
+// ErrExists is returned when a database name is already in use.
+var ErrExists = errors.New("store: database already exists")
+
 // DefaultCheckpointEvery is the WAL record count between automatic
 // checkpoints when Options.CheckpointEvery ≤ 0.
 const DefaultCheckpointEvery = 1024

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 
 	"cqa/internal/db"
 	"cqa/internal/parse"
+	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
@@ -209,7 +211,7 @@ func TestClosedStoreRefusesWrites(t *testing.T) {
 
 func TestSetCreateAdoptAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	set, err := store.OpenSet(store.Options{Dir: dir})
+	set, err := shard.OpenSet(store.Options{Dir: dir}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,15 +222,16 @@ func TestSetCreateAdoptAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := set.Create("alpha"); err == nil {
-		t.Fatal("duplicate Create should fail")
+	if _, err := set.Create("alpha"); !errors.Is(err, store.ErrExists) {
+		t.Fatalf("duplicate Create: %v, want ErrExists", err)
 	}
 	if _, err := set.Create("../evil"); err == nil {
 		t.Fatal("path-traversal name should fail")
 	}
 	st.Declare("R", 1, 1)
 	st.Insert(db.F("R", "x"))
-	if err := set.Adopt(store.NewMem("mem", parse.MustDatabase("S(a | b)"))); err != nil {
+	mem := store.NewMem("mem", parse.MustDatabase("S(a | b)"))
+	if err := set.Adopt(shard.NewShardedFromStores("mem", []*store.Store{mem})); err != nil {
 		t.Fatal(err)
 	}
 	if got := set.Names(); !reflect.DeepEqual(got, []string{"alpha", "mem"}) {
@@ -239,7 +242,7 @@ func TestSetCreateAdoptAndReopen(t *testing.T) {
 	}
 
 	// Reopen discovers alpha (durable) but not mem (memory-only).
-	set2, err := store.OpenSet(store.Options{Dir: dir})
+	set2, err := shard.OpenSet(store.Options{Dir: dir}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +250,7 @@ func TestSetCreateAdoptAndReopen(t *testing.T) {
 	if got := set2.Names(); !reflect.DeepEqual(got, []string{"alpha"}) {
 		t.Fatalf("reopened names = %v", got)
 	}
-	if d := set2.Get("alpha").Snapshot().DB; !d.Has(db.F("R", "x")) {
+	if d := set2.Get("alpha").View().Union(); !d.Has(db.F("R", "x")) {
 		t.Fatal("reopened store lost facts")
 	}
 }
