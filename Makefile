@@ -5,9 +5,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build fmt-check vet test race fuzz bench bench-smoke planner-smoke experiments serve-smoke store-smoke shard-smoke obs-smoke chaos clean
+.PHONY: check build fmt-check vet test race delta-stress fuzz bench bench-smoke planner-smoke experiments serve-smoke store-smoke shard-smoke obs-smoke chaos clean
 
-check: fmt-check vet test race fuzz bench bench-smoke planner-smoke shard-smoke obs-smoke
+check: fmt-check vet test race delta-stress fuzz bench bench-smoke planner-smoke shard-smoke obs-smoke
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The table of maintained verdicts under contention, 20 times over with
+# the race detector: readers against a carrying writer, watch fan-in,
+# and registrations racing writes on 1- and 2-shard sets. Locks, not a
+# queue, order these paths (docs/DELTA.md); about 40 s.
+delta-stress:
+	$(GO) test -race -count=20 -run 'TestResultCacheCarryRace|TestDeltaFanIn|TestRegisterUnderConcurrentWrites' ./internal/engine ./internal/delta
 
 # Each fuzz target runs for $(FUZZTIME) (seed corpus plus mutation).
 fuzz:

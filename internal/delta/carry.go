@@ -1,7 +1,7 @@
 package delta
 
 import (
-	"strings"
+	"slices"
 
 	"cqa/internal/db"
 	"cqa/internal/schema"
@@ -9,8 +9,8 @@ import (
 )
 
 // The block-local carry rule. It comes ahead of every support rule in
-// decide.go and is the only rule the engine's result cache has beyond
-// "no mentioned relation was written".
+// decide.go and is the only rule an unsubscribed entry has beyond "no
+// mentioned relation was written".
 //
 // For a co-keyed query q (schema.Query.CoKey) certainty is a disjunction
 // over keys, CERTAINTY(q, D) = ∨ₖ CERTAINTY(q, D|ₖ), and a change whose
@@ -47,7 +47,6 @@ func DirtyKeys(q schema.Query, c store.Change) (keys [][]string, ok bool) {
 	if !coKeyed || len(c.Blocks) > maxCarryBlocks {
 		return nil, false
 	}
-	var seen map[string]bool
 	for _, b := range c.Blocks {
 		if _, mentioned := q.AtomByRel(b.Rel); !mentioned {
 			continue
@@ -65,15 +64,9 @@ func DirtyKeys(q schema.Query, c store.Change) (keys [][]string, ok bool) {
 		if !match {
 			continue
 		}
-		id := strings.Join(b.Key, "\x00")
-		if seen[id] {
-			continue
+		if !slices.ContainsFunc(keys, func(k []string) bool { return slices.Equal(k, b.Key) }) {
+			keys = append(keys, b.Key)
 		}
-		if seen == nil {
-			seen = make(map[string]bool)
-		}
-		seen[id] = true
-		keys = append(keys, b.Key)
 	}
 	for _, r := range c.Rels {
 		if _, mentioned := q.AtomByRel(r); mentioned && !hasBlockOf(c, r) {

@@ -7,18 +7,15 @@ import (
 )
 
 // changeCtx is the per-change decision context shared by every
-// registration of one database: resolved dirty-block ids and hashes,
-// the interned views of the previous and current snapshots, and the
-// memoized per-(block, column) candidate-set checks. Everything is
-// computed lazily — a change against a database whose registrations
-// all skip on the relation test never interns anything.
+// subscribed entry of one database: resolved dirty-block ids and
+// hashes, the interned views of the previous and current snapshots, and
+// the memoized per-(block, column) candidate-set checks. Everything is
+// computed lazily — a change whose entries all advance or carry never
+// builds a union or interns anything.
 type changeCtx struct {
 	c    store.Change
-	prev *db.Database
-	cur  *db.Database
-	// prevVersion is the version of prev: the carry rule applies to
-	// verdicts settled on exactly that snapshot.
-	prevVersion uint64
+	prev View
+	cur  View
 
 	inited  bool
 	chainOK bool // prev and cur share one dictionary chain
@@ -46,11 +43,8 @@ func (cc *changeCtx) init() {
 		return
 	}
 	cc.inited = true
-	if cc.prev == nil {
-		return
-	}
-	cc.prevIx = cc.prev.Interned()
-	cc.curIx = cc.cur.Interned()
+	cc.prevIx = cc.prev.Union().Interned()
+	cc.curIx = cc.cur.Union().Interned()
 	cc.chainOK = cc.prevIx.SameDict(cc.curIx)
 	if !cc.chainOK {
 		return
@@ -59,84 +53,41 @@ func (cc *changeCtx) init() {
 	cc.maxID = make([]int32, len(cc.c.Blocks))
 	cc.hashes = make([]uint64, len(cc.c.Blocks))
 	for i, b := range cc.c.Blocks {
-		ids := make([]int32, len(b.Key))
-		max := int32(-1)
-		ok := true
+		ids, hi := make([]int32, len(b.Key)), int32(-1)
 		for j, v := range b.Key {
 			id, found := cc.curIx.ID(v)
 			if !found {
-				ok = false
+				ids = nil
 				break
 			}
-			ids[j] = id
-			if id > max {
-				max = id
-			}
+			ids[j], hi = id, max(hi, id)
 		}
-		if !ok {
-			cc.keys[i] = nil
-			continue
+		if ids != nil {
+			cc.keys[i], cc.maxID[i] = ids, hi
+			cc.hashes[i] = fo.BlockHashIDs(fo.BlockSeed(b.Rel), ids)
 		}
-		cc.keys[i] = ids
-		cc.maxID[i] = max
-		cc.hashes[i] = fo.BlockHashIDs(fo.BlockSeed(b.Rel), ids)
 	}
 }
 
-// carry applies the block-local carry rule to a co-keyed group whose
-// verdict is settled on cc.prev. ok is false when the rule does not
-// apply or leaves the verdict open; decide then takes over, and with no
-// support recorded re-evaluates unless no relation of g was written.
-func (cc *changeCtx) carry(g *regGroup) (verdict, ok bool) {
-	if !g.coKeyed || cc.prev == nil || g.version != cc.prevVersion {
-		return false, false
-	}
-	q := g.prep.Classification().Query
-	keys, ok := DirtyKeys(q, cc.c)
-	if !ok {
-		return false, false
-	}
-	return Carry(q, g.verdict, keys, []*db.Database{cc.prev}, []*db.Database{cc.cur}, g.prep.CertainScratch)
-}
-
-// blocksOf returns the dirty blocks of g's relations: the trigger blocks
-// of a flip event.
-func (cc *changeCtx) blocksOf(g *regGroup) []store.BlockRef {
-	var out []store.BlockRef
-	for _, b := range cc.c.Blocks {
-		if g.rels[b.Rel] {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// decide reports whether g must be re-evaluated for this change. A
-// false result is a proof that g's verdict is unchanged — see the
-// package comment for the replay argument each rule discharges.
-func (cc *changeCtx) decide(g *regGroup) bool {
-	touched := false
-	for _, r := range cc.c.Rels {
-		if g.rels[r] {
-			touched = true
-			break
-		}
-	}
-	if !touched {
-		// Rule 0: no relation the query mentions changed.
-		return false
-	}
-	relBlocks := make(map[string]bool)
-	for _, b := range cc.blocksOf(g) {
-		relBlocks[b.Rel] = true
-	}
+// decide reports whether the subscribed entry g, written to by this
+// change, must be re-evaluated. A false result is a proof that g's
+// verdict is unchanged — see the package comment for the replay
+// argument each rule discharges. (Rule 0, no relation the query
+// mentions written, is Advance's own: such entries never get here.)
+func (cc *changeCtx) decide(g *subscription) bool {
 	if g.sup == nil {
 		// Relation-level mode: no support recorded (non-FO query,
 		// compile fallback, or domain-quantifying program).
 		return true
 	}
+	relBlocks := make(map[string]bool)
+	for _, b := range cc.c.Blocks {
+		if g.rels[b.Rel] {
+			relBlocks[b.Rel] = true
+		}
+	}
 	cc.init()
-	if cc.prev == nil || !cc.chainOK || !g.sup.Ix.SameDict(cc.curIx) {
+	if !cc.chainOK || !g.sup.Ix.SameDict(cc.curIx) {
 		// The dictionary chain broke somewhere between the recorded run
 		// and this version; recorded ids are not comparable.
 		return true

@@ -1,16 +1,27 @@
-// Package delta maintains registered queries' certain answers
-// incrementally. For each registered (query, database) pair it keeps
-// the last verdict plus a compact support set of the blocks the
-// compiled evaluation consulted (fo.Support). On every acknowledged
-// write batch (store.Change) it intersects the dirty blocks with each
-// registration's support to decide whether the verdict can have
-// changed; only affected registrations are re-evaluated, and verdict
-// flips are published to the registration's bounded event queue.
+// Package delta is the one table of maintained verdicts: for each
+// (canonical signature, database) pair it keeps "the verdict of q on the
+// database, settled at version v". A read is a look-up, and a miss
+// evaluates and inserts. A watch is a subscription on an entry, pinned
+// against the LRU eviction that bounds the entries nobody watches. A
+// write (Advance) runs exactly one decision per entry of the written
+// database, on the writer's goroutine, in version order:
 //
-// Soundness rests on a replay argument over the compiled evaluator: an
-// evaluation run is a deterministic function of (constant resolution,
-// candidate lists, membership-probe answers). A change is skipped for a
-// registration only when all three provably survive it:
+//   - advance, when the write touched no relation the query mentions;
+//   - carry, for co-keyed queries, by the block-local rule (carry.go):
+//     the written blocks are re-checked, not the database;
+//   - otherwise drop an unsubscribed entry (its next reader
+//     re-evaluates), or decide a subscribed one by the support rules
+//     below and re-evaluate it when they cannot prove it unchanged.
+//
+// Verdict flips are published to the subscribers' bounded event queues
+// before Advance returns.
+//
+// A subscribed entry keeps its prepared plan and a compact support set
+// of the blocks the compiled evaluation consulted (fo.Support). Its
+// skip decision rests on a replay argument over the compiled evaluator:
+// an evaluation run is a deterministic function of (constant
+// resolution, candidate lists, membership-probe answers). A change is
+// skipped only when all three provably survive it:
 //
 //  1. constant resolution — ids are stable along the interned
 //     dictionary chain (db.Interned.SameDict), and any dirty block
@@ -30,16 +41,14 @@
 // and the naive fallback) degrade to relation-level skipping: they are
 // re-evaluated whenever a write touches a relation they mention, which
 // is still exact — their deciders are near-linear — just not
-// block-proportional.
-//
-// Co-keyed queries take none of that: their verdict is a disjunction
-// over keys, so it is carried across a change by re-checking the dirty
-// blocks alone (carry.go), with no recorded run to replay and hence no
-// support set. The engine's result cache keeps its answers current with
-// the same rule. See docs/DELTA.md.
+// block-proportional. Co-keyed queries need no support: their verdict
+// is a disjunction over keys, carried with no recorded run to replay.
+// See docs/DELTA.md.
 package delta
 
 import (
+	"container/list"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -49,11 +58,12 @@ import (
 	"cqa/internal/db"
 	"cqa/internal/fo"
 	"cqa/internal/obs"
+	"cqa/internal/schema"
 	"cqa/internal/store"
 )
 
-// Outcome labels what a change meant for one registration; the values
-// match the delta_reeval_total{outcome} metric.
+// Outcome labels what a change meant for one subscribed entry; the
+// values match the delta_reeval_total{outcome} metric.
 const (
 	OutcomeSkipped     = "skipped"
 	OutcomeReevaluated = "reevaluated"
@@ -64,33 +74,85 @@ const (
 // Options.WatchBuffer is unset.
 const DefaultWatchBuffer = 64
 
+// DefaultCapacity bounds the unsubscribed entries when Options.Capacity
+// is unset.
+const DefaultCapacity = 4096
+
+var errGone = errors.New("delta: database dropped or manager closed")
+
 // Options configures a Manager.
 type Options struct {
-	// OnReeval is invoked once per (change, registration group) with the
-	// decision outcome (Outcome*). Registrations with the same canonical
-	// signature on the same database share one group, one support set,
-	// and one decision. Nil is allowed.
-	OnReeval func(db, outcome string)
-	// OnFanin is invoked whenever the registration population changes,
-	// with the total watch count and the (smaller or equal) group count.
-	// watches − groups is the number of subscriptions answered by another
-	// subscription's evaluation. Nil is allowed.
-	OnFanin func(watches, groups int)
-	// OnFlip is invoked once per published verdict flip. Nil is allowed.
-	OnFlip func(db string)
-	// Tracer records one "delta" trace per processed change that had
-	// registrations; nil disables tracing.
-	Tracer *obs.Tracer
 	// WatchBuffer is the per-watch event queue capacity; a consumer
 	// that falls behind loses intermediate flips and is resynced with a
 	// state event (Event.Resync). ≤ 0 selects DefaultWatchBuffer.
 	WatchBuffer int
+	// Capacity bounds the entries no watch subscribes to; past it the
+	// least recently used is evicted. ≤ 0 selects DefaultCapacity.
+	Capacity int
+	// Plan returns what decides q on the carry rule's few-fact
+	// sub-databases, for entries that hold no plan of their own. With
+	// none, such entries are dropped where the rule would evaluate.
+	Plan func(q schema.Query) (func(*db.Database) bool, error)
+}
+
+// Hooks are a Manager's observability callbacks; every field is
+// optional.
+type Hooks struct {
+	// OnReeval is invoked once per (change, subscribed entry) decision
+	// with the outcome (Outcome*).
+	OnReeval func(db, outcome string)
+	// OnFanin is invoked whenever the watch population changes, with
+	// the watch count and the (smaller or equal) subscribed-entry count;
+	// watches − entries is the number of subscriptions answered by
+	// another subscription's evaluation.
+	OnFanin func(watches, entries int)
+	// OnFlip is invoked once per published verdict flip.
+	OnFlip func(db string)
+	// OnInvalidate is invoked once per entry a write dropped, with the
+	// touched relation that triggered it.
+	OnInvalidate func(rel string)
+	// OnCarry is invoked once per write that carried entries to its
+	// version by the carry rule, with their number.
+	OnCarry func(n int)
+	// Tracer records one "delta" trace per change that reached a
+	// subscribed entry.
+	Tracer *obs.Tracer
 }
 
 // Snapshot pairs a database snapshot with its store version.
 type Snapshot struct {
 	DB      *db.Database
 	Version uint64
+}
+
+// View is one version of a database: the databases of its shards (a
+// block lives whole on one shard) and their union, built on demand.
+// *shard.View implements it.
+type View interface {
+	Version() uint64
+	NumShards() int
+	Shard(i int) *db.Database
+	Union() *db.Database
+}
+
+// dbView is the one-shard View of a database resolved on demand.
+type dbView struct {
+	version uint64
+	db      func() *db.Database
+}
+
+func (v dbView) Version() uint64        { return v.version }
+func (v dbView) NumShards() int         { return 1 }
+func (v dbView) Shard(int) *db.Database { return v.db() }
+func (v dbView) Union() *db.Database    { return v.db() }
+func snapshotView(s Snapshot) dbView    { return dbView{s.Version, func() *db.Database { return s.DB }} }
+
+// shards lists a view's per-shard databases.
+func shards(v View) (out []*db.Database) {
+	for i := 0; i < v.NumShards(); i++ {
+		out = append(out, v.Shard(i))
+	}
+	return out
 }
 
 // State is a (version, verdict) pair.
@@ -111,26 +173,46 @@ type Event struct {
 	Resync  bool
 }
 
-// Manager owns the per-database delta state. All processing is
-// asynchronous: Apply enqueues and returns immediately (it is called
-// under the store's writer lock), a per-database worker goroutine
-// processes changes strictly in version order — no coalescing, so
-// every intermediate flip is observed and published.
+// Manager is the table. Its lock guards the entries, the LRU order and
+// the counters, and is never held across an evaluation; each database
+// also has an apply mutex, taken first, that serialises its writer
+// side — Advance, Register, Unregister and DropDB.
 type Manager struct {
 	opt Options
 
 	mu     sync.Mutex
+	hooks  Hooks
 	dbs    map[string]*dbState
+	lru    *list.List // unsubscribed entries, most recently used first
 	closed bool
 
-	tracer atomic.Pointer[obs.Tracer]
+	hits, misses, invalidations, carried uint64
+	decided                              map[string]uint64 // by Outcome*
+	watches, subscribed                  int
+}
 
-	skipped  atomic.Uint64
-	reevaled atomic.Uint64
-	flipped  atomic.Uint64
+// dbState is one database's part of the table.
+type dbState struct {
+	name  string
+	apply sync.Mutex
+	// Under Manager.mu: the version last applied or first seen, its
+	// view, and the entries by signature.
+	version uint64
+	cur     View
+	entries map[string]*entry
+}
 
-	watchN atomic.Int64
-	groupN atomic.Int64
+// entry is one maintained verdict. An unsubscribed entry holds only its
+// query and verdict and sits in the LRU list; a subscribed one holds
+// its plan, support and watches in sub and is pinned.
+type entry struct {
+	st      *dbState
+	sig     string
+	q       schema.Query
+	verdict bool
+	version uint64
+	el      *list.Element
+	sub     *subscription
 }
 
 // New builds a Manager.
@@ -138,559 +220,565 @@ func New(opt Options) *Manager {
 	if opt.WatchBuffer <= 0 {
 		opt.WatchBuffer = DefaultWatchBuffer
 	}
-	m := &Manager{opt: opt, dbs: make(map[string]*dbState)}
-	if opt.Tracer != nil {
-		m.tracer.Store(opt.Tracer)
+	if opt.Capacity <= 0 {
+		opt.Capacity = DefaultCapacity
 	}
-	return m
+	return &Manager{opt: opt, dbs: make(map[string]*dbState), lru: list.New(), decided: make(map[string]uint64)}
 }
 
-// SetTracer installs (or replaces) the tracer; the serving layer's
-// registry exists only after the engine — and its manager — are built.
-func (m *Manager) SetTracer(t *obs.Tracer) {
-	if t != nil {
-		m.tracer.Store(t)
-	}
+// SetHooks installs the observability callbacks. Call it before
+// traffic: the serving layer's registry exists only after the manager.
+func (m *Manager) SetHooks(h Hooks) {
+	m.mu.Lock()
+	m.hooks = h
+	m.mu.Unlock()
 }
 
-// Counters reports how many (change, registration group) decisions
-// were skipped, re-evaluated without a flip, and re-evaluated with a
-// flip.
+// Counters reports how many (change, subscribed entry) decisions
+// skipped, re-evaluated without a flip, and flipped.
 func (m *Manager) Counters() (skipped, reevaluated, flipped uint64) {
-	return m.skipped.Load(), m.reevaled.Load(), m.flipped.Load()
-}
-
-// FanIn reports the current registration population: total watches and
-// the distinct (signature, database) groups backing them. watches −
-// groups is the number of subscriptions sharing another subscription's
-// support set and re-evaluations.
-func (m *Manager) FanIn() (watches, groups int) {
-	return int(m.watchN.Load()), int(m.groupN.Load())
-}
-
-// fanin adjusts the population counters and fires the OnFanin hook.
-func (m *Manager) fanin(dWatch, dGroup int64) {
-	w := m.watchN.Add(dWatch)
-	g := m.groupN.Add(dGroup)
-	if m.opt.OnFanin != nil {
-		m.opt.OnFanin(int(w), int(g))
-	}
-}
-
-// op is one unit of per-database worker input.
-type op struct {
-	// change op: version/change/dbFn set.
-	change store.Change
-	dbFn   func() *db.Database
-
-	// control ops.
-	register   *Watch
-	regPrep    *core.Prepared
-	regSnap    Snapshot
-	regDone    chan regResult
-	unregister *Watch
-	quiesce    chan struct{}
-	drop       bool
-}
-
-type regResult struct {
-	state State
-	err   error
-}
-
-// dbState is one database's delta state, owned by its worker.
-type dbState struct {
-	m    *Manager
-	name string
-
-	mu    sync.Mutex
-	queue []op
-	wake  chan struct{}
-	stop  bool
-
-	// Worker-owned; untouched by other goroutines. Registrations are
-	// grouped by canonical query signature: every watch with the same
-	// signature on this database shares one group — one support set, one
-	// skip decision, one re-evaluation per change (the fan-in).
-	groups      map[string]*regGroup
-	nWatches    int
-	lastVersion uint64
-	lastDBFn    func() *db.Database
-	lastDB      *db.Database // memoized lastDBFn result
-}
-
-func (m *Manager) state(name string, create bool) *dbState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.decided[OutcomeSkipped], m.decided[OutcomeReevaluated], m.decided[OutcomeFlipped]
+}
+
+// CacheCounters reports the look-up hits and misses, the entries writes
+// dropped and carried, and the table's population.
+func (m *Manager) CacheCounters() (hits, misses, invalidations, carried uint64, size int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.hits, m.misses, m.invalidations, m.carried, m.lru.Len() + m.subscribed
+}
+
+// FanIn reports the watch population and the subscribed entries backing
+// it.
+func (m *Manager) FanIn() (watches, entries int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.watches, m.subscribed
+}
+
+func (m *Manager) faninLocked() {
+	if m.hooks.OnFanin != nil {
+		m.hooks.OnFanin(m.watches, m.subscribed)
+	}
+}
+
+// stateLocked returns dbName's state, created at view when absent, or
+// nil once the manager is closed.
+func (m *Manager) stateLocked(dbName string, view View) *dbState {
 	if m.closed {
 		return nil
 	}
-	st := m.dbs[name]
-	if st == nil && create {
-		st = &dbState{
-			m:      m,
-			name:   name,
-			wake:   make(chan struct{}, 1),
-			groups: make(map[string]*regGroup),
-		}
-		m.dbs[name] = st
-		go st.run()
+	st := m.dbs[dbName]
+	if st == nil {
+		st = &dbState{name: dbName, version: view.Version(), cur: view, entries: make(map[string]*entry)}
+		m.dbs[dbName] = st
 	}
 	return st
 }
 
-func (st *dbState) enqueue(o op) {
-	st.mu.Lock()
-	if st.stop {
-		st.mu.Unlock()
-		if o.regDone != nil {
-			o.regDone <- regResult{err: fmt.Errorf("delta: database %s dropped", st.name)}
-		}
-		if o.quiesce != nil {
-			close(o.quiesce)
-		}
-		return
+// lock is stateLocked with the state's apply mutex and m.mu held on
+// return; nil, with neither held, when DropDB or Close got there first.
+func (m *Manager) lock(dbName string, view View) *dbState {
+	m.mu.Lock()
+	st := m.stateLocked(dbName, view)
+	m.mu.Unlock()
+	if st == nil {
+		return nil
 	}
-	st.queue = append(st.queue, o)
-	st.mu.Unlock()
-	select {
-	case st.wake <- struct{}{}:
+	st.apply.Lock()
+	m.mu.Lock()
+	if m.dbs[dbName] != st {
+		m.mu.Unlock()
+		st.apply.Unlock()
+		return nil
+	}
+	return st
+}
+
+// Get returns the verdict of q, under its signature, on dbName at
+// view's version. On a miss it runs eval, outside the table lock, and
+// inserts the result — unless a write has moved the database past that
+// version meanwhile, DropDB replaced the state the look-up saw (a reset
+// may reuse version numbers), or the entry is subscribed, and so
+// maintained by its subscription.
+func (m *Manager) Get(dbName, signature string, q schema.Query, view View, eval func() bool) (verdict, hit bool) {
+	version := view.Version()
+	m.mu.Lock()
+	st := m.stateLocked(dbName, view)
+	if st == nil {
+		m.mu.Unlock()
+		return eval(), false
+	}
+	if e := st.entries[signature]; e != nil && e.version == version {
+		m.hits++
+		if e.el != nil {
+			m.lru.MoveToFront(e.el)
+		}
+		verdict = e.verdict
+		m.mu.Unlock()
+		return verdict, true
+	}
+	m.misses++
+	m.mu.Unlock()
+	verdict = eval()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.dbs[dbName] != st || st.version != version {
+		return verdict, false
+	}
+	e := st.entries[signature]
+	switch {
+	case e == nil:
+		e = &entry{st: st, sig: signature, q: q}
+		e.el = m.lru.PushFront(e)
+		st.entries[signature] = e
+		m.evictLocked()
+	case e.sub != nil:
+		return verdict, false
 	default:
+		m.lru.MoveToFront(e.el)
+	}
+	e.verdict, e.version = verdict, version
+	return verdict, false
+}
+
+func (m *Manager) evictLocked() {
+	for m.lru.Len() > m.opt.Capacity {
+		m.removeLocked(m.lru.Back().Value.(*entry))
 	}
 }
 
-// Apply feeds one acknowledged write batch. dbFn must return the
-// database snapshot at exactly c.Version; it is resolved lazily (never
-// when the database has no registrations), so feeding a sharded view
-// whose union is expensive costs nothing until someone watches. Apply
-// never blocks on delta work and is safe to call under the store's
-// writer lock.
+func (m *Manager) removeLocked(e *entry) {
+	m.lru.Remove(e.el)
+	delete(e.st.entries, e.sig)
+}
+
+// Decision rules of one entry across one change.
+const (
+	ruleAdvance = iota // no mentioned relation written, or no dirty key
+	ruleCarry          // the carry rule over the dirty keys
+	ruleDecide         // the support rules, then re-evaluation
+	ruleReeval         // re-evaluation: the entry missed a change
+)
+
+// step is one entry's decision between the locked phases of Advance.
+type step struct {
+	e            *entry
+	rule         int
+	keys         [][]string
+	trigger      string
+	old, verdict bool
+	outcome      string // subscribed entries: Outcome*
+}
+
+// Apply is Advance for a caller holding one database per version: the
+// view before c is the one the manager saw last.
 func (m *Manager) Apply(dbName string, c store.Change, dbFn func() *db.Database) {
-	st := m.state(dbName, true)
+	m.Advance(dbName, c, nil, dbView{c.Version, dbFn})
+}
+
+// Advance moves dbName from prev to cur across the write c (cur's
+// version is c.Version; nil prev is the view last seen) and runs one
+// decision per entry (see the package comment). Evaluations run between
+// two holds of the table lock, so readers never wait on them; an entry
+// stays at prev's version meanwhile, and a reader of cur misses and
+// evaluates for itself. Calls must arrive in version order per database.
+func (m *Manager) Advance(dbName string, c store.Change, prev, cur View) {
+	st := m.lock(dbName, cur)
 	if st == nil {
 		return
 	}
-	st.enqueue(op{change: c, dbFn: dbFn})
+	defer st.apply.Unlock()
+	if prev == nil {
+		prev = st.cur
+	}
+	if c.Version > st.version {
+		st.version, st.cur = c.Version, cur
+	}
+	h := m.hooks
+	var work []*step
+	var dropped []string
+	carried, watched := 0, false
+	for _, e := range st.entries {
+		if e.version >= c.Version {
+			continue // settled at or past c by a registration
+		}
+		s := &step{e: e, rule: ruleDecide, old: e.verdict, verdict: e.verdict}
+		for _, r := range c.Rels {
+			if _, ok := e.q.AtomByRel(r); ok {
+				s.trigger = r
+				break
+			}
+		}
+		switch {
+		case e.version != prev.Version():
+			s.rule = ruleReeval
+		case s.trigger == "":
+			s.rule = ruleAdvance
+		default:
+			if keys, ok := DirtyKeys(e.q, c); ok && len(keys) == 0 {
+				s.rule = ruleAdvance
+				carried++
+			} else if ok {
+				s.rule, s.keys = ruleCarry, keys
+			}
+		}
+		switch {
+		case e.sub != nil:
+			watched = true
+			work = append(work, s)
+		case s.rule == ruleCarry:
+			work = append(work, s)
+		case s.rule == ruleAdvance:
+			e.version = c.Version
+		default:
+			m.removeLocked(e)
+			if s.rule == ruleDecide {
+				dropped = append(dropped, s.trigger)
+			}
+		}
+	}
+	m.mu.Unlock()
+
+	var tr *obs.Trace
+	if watched {
+		tr = h.Tracer.Start("delta", "")
+	}
+	sp := tr.StartSpan("delta")
+	cc := &changeCtx{c: c, prev: prev, cur: cur}
+	var prevDBs, curDBs []*db.Database
+	for _, s := range work {
+		e := s.e
+		if s.rule == ruleCarry {
+			known := false
+			if eval, err := m.scratch(e); err == nil {
+				if curDBs == nil {
+					prevDBs, curDBs = shards(prev), shards(cur)
+				}
+				s.verdict, known = Carry(e.q, s.old, s.keys, prevDBs, curDBs, eval)
+			}
+			if !known {
+				s.rule = ruleReeval
+			}
+		}
+		if e.sub != nil {
+			s.outcome = OutcomeSkipped
+			if s.rule == ruleReeval || s.rule == ruleDecide && cc.decide(e.sub) {
+				s.verdict, s.outcome = e.sub.evaluate(cur.Union()), OutcomeReevaluated
+			}
+			if s.verdict != s.old {
+				s.outcome = OutcomeFlipped
+			}
+		}
+	}
+
+	m.mu.Lock()
+	n := make(map[string]int)
+	for _, s := range work {
+		e := s.e
+		switch {
+		case e.sub == nil && (st.entries[e.sig] != e || e.version != prev.Version()):
+			continue // evicted, or re-put by a reader of cur
+		case e.sub == nil && s.rule == ruleReeval:
+			m.removeLocked(e)
+			dropped = append(dropped, s.trigger)
+			continue
+		case s.rule == ruleCarry:
+			carried++
+		}
+		e.verdict, e.version = s.verdict, c.Version
+		if e.sub != nil {
+			n[s.outcome]++
+			m.decided[s.outcome]++
+		}
+	}
+	m.carried += uint64(carried)
+	m.invalidations += uint64(len(dropped))
+	m.mu.Unlock()
+
+	for _, s := range work {
+		if s.e.sub != nil {
+			publish(h, st.name, c, s)
+		}
+	}
+	for _, r := range dropped {
+		if h.OnInvalidate != nil {
+			h.OnInvalidate(r)
+		}
+	}
+	if carried > 0 && h.OnCarry != nil {
+		h.OnCarry(carried)
+	}
+	if sp != nil {
+		sp.SetAttr("db", st.name).SetAttr("version", fmt.Sprint(c.Version)).
+			SetAttr("blocks", fmt.Sprint(len(c.Blocks))).
+			SetAttr("skipped", fmt.Sprint(n[OutcomeSkipped])).
+			SetAttr("reevaluated", fmt.Sprint(n[OutcomeReevaluated])).
+			SetAttr("flipped", fmt.Sprint(n[OutcomeFlipped]))
+		sp.End()
+	}
+	tr.Finish()
 }
 
-// Register admits a new watch for (query, database) and blocks until
-// the worker has linearized it against the change stream: the returned
-// State is the verdict at the version the watch starts from, and every
-// later flip is delivered on Watch.Events. snap must be a consistent
-// (snapshot, version) capture; if the worker has already processed a
-// later change, the registration is evaluated against that later state
-// instead, so no change between snap.Version and the returned
-// State.Version is lost or double-reported.
+// publish settles a subscribed entry's watches at c.Version: the
+// outcome hook, then a flip event, or the settled state to a watch that
+// shed events earlier.
+func publish(h Hooks, dbName string, c store.Change, s *step) {
+	var triggers []string
+	if s.outcome == OutcomeFlipped {
+		triggers = s.e.sub.triggers(c)
+		if h.OnFlip != nil {
+			h.OnFlip(dbName)
+		}
+	}
+	if h.OnReeval != nil {
+		h.OnReeval(dbName, s.outcome)
+	}
+	for w := range s.e.sub.watches {
+		w.setState(c.Version, s.verdict)
+		if s.outcome == OutcomeFlipped || w.gapped {
+			// A watch that shed flips earlier gets the settled state as its
+			// next event, collapsed into a Resync by emit.
+			w.emit(Event{Version: c.Version, From: s.old, To: s.verdict, Blocks: triggers})
+		}
+	}
+}
+
+// scratch returns what decides e's query on the carry rule's
+// sub-databases.
+func (m *Manager) scratch(e *entry) (func(*db.Database) bool, error) {
+	if e.sub != nil {
+		return e.sub.prep.CertainScratch, nil
+	}
+	if m.opt.Plan == nil {
+		return nil, errors.New("delta: no plan")
+	}
+	return m.opt.Plan(e.q)
+}
+
+// triggers renders c's dirty blocks of s's relations as "R(k1,k2)": the
+// trigger blocks of a flip event.
+func (s *subscription) triggers(c store.Change) (out []string) {
+	for _, b := range c.Blocks {
+		if s.rels[b.Rel] {
+			out = append(out, fmt.Sprintf("%s(%s)", b.Rel, strings.Join(b.Key, ",")))
+		}
+	}
+	return out
+}
+
+// Register subscribes a new watch to the entry of (signature, dbName).
+// The returned State is the verdict at the version the watch starts
+// from, and every later flip is delivered on Watch.Events. snap must be
+// a consistent (snapshot, version) capture; when a later change has
+// already been applied, the entry is evaluated at that later version
+// instead. Register holds the database's apply mutex across its one
+// evaluation, so no flip after the returned State.Version is lost or
+// reported twice.
 //
-// A registration whose signature already has a group on dbName joins it
-// without a fresh evaluation (fan-in): it adopts the group's settled
-// verdict and shares its support set and future re-evaluations.
+// A watch whose signature already has a subscribed entry on dbName
+// joins it without an evaluation (fan-in): it adopts the entry's
+// settled verdict and shares its support set and future decisions.
 func (m *Manager) Register(dbName, signature string, prep *core.Prepared, snap Snapshot) (*Watch, State, error) {
-	w := &Watch{
-		db:        dbName,
-		signature: signature,
-		events:    make(chan Event, m.opt.WatchBuffer),
-	}
-	st := m.state(dbName, true)
+	view := View(snapshotView(snap))
+	st := m.lock(dbName, view)
 	if st == nil {
-		return nil, State{}, fmt.Errorf("delta: manager closed")
+		return nil, State{}, errGone
 	}
-	done := make(chan regResult, 1)
-	st.enqueue(op{register: w, regPrep: prep, regSnap: snap, regDone: done})
-	res := <-done
-	if res.err != nil {
-		return nil, State{}, res.err
+	defer st.apply.Unlock()
+	defer m.mu.Unlock()
+	if st.version > snap.Version {
+		view = st.cur
 	}
-	return w, res.state, nil
+	if e := st.entries[signature]; e == nil || e.sub == nil {
+		m.mu.Unlock()
+		sub := newSubscription(prep)
+		verdict := sub.evaluate(view.Union())
+		m.mu.Lock()
+		e = st.entries[signature]
+		if e == nil {
+			e = &entry{st: st, sig: signature, q: prep.Classification().Query}
+			st.entries[signature] = e
+		} else if e.el != nil {
+			m.lru.Remove(e.el)
+			e.el = nil
+		}
+		e.sub, e.verdict, e.version = sub, verdict, view.Version()
+		m.subscribed++
+	}
+	e := st.entries[signature]
+	w := &Watch{st: st, signature: signature, events: make(chan Event, m.opt.WatchBuffer)}
+	e.sub.watches[w] = struct{}{}
+	w.setState(e.version, e.verdict)
+	m.watches++
+	m.faninLocked()
+	return w, State{Version: e.version, Verdict: e.verdict}, nil
 }
 
-// Unregister removes a watch; its event channel is closed by the
-// worker. Unregistering twice, or after DropDB/Close, is a no-op.
+// Unregister removes a watch and closes its event channel. The last
+// watch to leave an entry leaves it in the table as an unsubscribed
+// entry. Unregistering twice, or after DropDB/Close, is a no-op.
 func (m *Manager) Unregister(w *Watch) {
 	if w == nil {
 		return
 	}
-	st := m.state(w.db, false)
-	if st == nil {
-		return
-	}
-	st.enqueue(op{unregister: w})
-}
-
-// DropDB discards a database's delta state and closes every watch on
-// it (the serving layer drops databases on follower resets).
-func (m *Manager) DropDB(dbName string) {
-	st := m.state(dbName, false)
-	if st == nil {
-		return
-	}
-	st.enqueue(op{drop: true})
+	st := w.st
+	st.apply.Lock()
+	defer st.apply.Unlock()
 	m.mu.Lock()
-	if m.dbs[dbName] == st {
-		delete(m.dbs, dbName)
-	}
-	m.mu.Unlock()
-}
-
-// Quiesce blocks until every change enqueued for the database before
-// the call has been processed. Used by tests and benchmarks.
-func (m *Manager) Quiesce(dbName string) {
-	st := m.state(dbName, false)
-	if st == nil {
+	defer m.mu.Unlock()
+	e := st.entries[w.signature]
+	if m.dbs[st.name] != st || e == nil || e.sub == nil {
 		return
 	}
-	done := make(chan struct{})
-	st.enqueue(op{quiesce: done})
-	<-done
+	if _, ok := e.sub.watches[w]; !ok {
+		return
+	}
+	delete(e.sub.watches, w)
+	close(w.events)
+	m.watches--
+	if len(e.sub.watches) == 0 {
+		e.sub = nil
+		m.subscribed--
+		e.el = m.lru.PushFront(e)
+		m.evictLocked()
+	}
+	m.faninLocked()
 }
 
-// Close stops every worker and closes every watch.
+// DropDB forgets a database's entries and closes every watch on it (the
+// serving layer drops databases on follower resets).
+func (m *Manager) DropDB(dbName string) {
+	m.mu.Lock()
+	st := m.dbs[dbName]
+	m.mu.Unlock()
+	if st != nil {
+		m.drop(st)
+	}
+}
+
+// drop removes st from the table. The channels close under the table
+// lock, so a consumer that observes the close and asks FanIn sees the
+// settled population.
+func (m *Manager) drop(st *dbState) {
+	st.apply.Lock()
+	defer st.apply.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.dbs[st.name] != st {
+		return
+	}
+	delete(m.dbs, st.name)
+	for _, e := range st.entries {
+		if e.sub == nil {
+			m.lru.Remove(e.el)
+			continue
+		}
+		for w := range e.sub.watches {
+			close(w.events)
+			m.watches--
+		}
+		m.subscribed--
+	}
+	m.faninLocked()
+}
+
+// Quiesce returns at once: Advance publishes before it returns, so
+// nothing is ever queued. Kept for callers written against a queue.
+func (m *Manager) Quiesce(dbName string) {}
+
+// Close drops every database and closes every watch; later calls find
+// no table.
 func (m *Manager) Close() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
 	m.closed = true
 	states := make([]*dbState, 0, len(m.dbs))
 	for _, st := range m.dbs {
 		states = append(states, st)
 	}
-	m.dbs = map[string]*dbState{}
 	m.mu.Unlock()
 	for _, st := range states {
-		st.enqueue(op{drop: true})
+		m.drop(st)
 	}
 }
 
-// run is the per-database worker loop: strict FIFO over the op queue.
-func (st *dbState) run() {
-	for {
-		st.mu.Lock()
-		if len(st.queue) == 0 {
-			st.mu.Unlock()
-			<-st.wake
-			continue
-		}
-		o := st.queue[0]
-		st.queue = st.queue[1:]
-		st.mu.Unlock()
-
-		switch {
-		case o.regDone != nil:
-			o.regDone <- st.admit(o.register, o.regPrep, o.regSnap)
-		case o.unregister != nil:
-			st.removeWatch(o.unregister)
-		case o.quiesce != nil:
-			close(o.quiesce)
-		case o.drop:
-			st.shutdown()
-			return
-		default:
-			st.processChange(o)
-		}
-	}
-}
-
-// removeWatch drops one watch from its group, dissolving the group when
-// it was the last member.
-func (st *dbState) removeWatch(w *Watch) {
-	g := st.groups[w.signature]
-	if g == nil {
-		return
-	}
-	if _, ok := g.watches[w]; !ok {
-		return
-	}
-	delete(g.watches, w)
-	close(w.events)
-	st.nWatches--
-	if len(g.watches) == 0 {
-		delete(st.groups, w.signature)
-		st.m.fanin(-1, -1)
-	} else {
-		st.m.fanin(-1, 0)
-	}
-}
-
-// shutdown closes every watch and fails every queued control op. The
-// fan-in counters drop before the channels close, so a consumer that
-// observes the close sees the settled population.
-func (st *dbState) shutdown() {
-	if st.nWatches > 0 || len(st.groups) > 0 {
-		st.m.fanin(-int64(st.nWatches), -int64(len(st.groups)))
-	}
-	for _, g := range st.groups {
-		for w := range g.watches {
-			close(w.events)
-		}
-	}
-	st.groups = map[string]*regGroup{}
-	st.nWatches = 0
-	st.mu.Lock()
-	st.stop = true
-	rest := st.queue
-	st.queue = nil
-	st.mu.Unlock()
-	for _, o := range rest {
-		if o.regDone != nil {
-			o.regDone <- regResult{err: fmt.Errorf("delta: database %s dropped", st.name)}
-		}
-		if o.quiesce != nil {
-			close(o.quiesce)
-		}
-	}
-}
-
-// admit installs a new registration: it joins the signature's existing
-// group when one exists (re-evaluating only if the registration's
-// snapshot is ahead of the group's settled version), or creates and
-// evaluates a fresh group at the worker's current state (or the
-// registration's own snapshot when the worker has seen nothing newer).
-func (st *dbState) admit(w *Watch, prep *core.Prepared, snap Snapshot) regResult {
-	d, version := snap.DB, snap.Version
-	if st.lastVersion > version {
-		d, version = st.currentDB(), st.lastVersion
-	} else if st.lastVersion == 0 && st.lastDBFn == nil {
-		// First sight of this database: the registration's snapshot is
-		// the freshest state we know.
-		st.lastVersion = version
-		cached := d
-		st.lastDBFn = func() *db.Database { return cached }
-		st.lastDB = d
-	}
-	g := st.groups[w.signature]
-	created := g == nil
-	if created {
-		g = newRegGroup(w.signature, prep)
-		st.groups[w.signature] = g
-	}
-	if created || version > g.version {
-		// A joining watch whose snapshot is ahead of the group's settled
-		// state refreshes the whole group; otherwise the group's verdict
-		// is already current and the join costs no evaluation.
-		g.evaluate(d)
-		g.version = version
-	}
-	g.watches[w] = struct{}{}
-	w.setState(g.version, g.verdict)
-	st.nWatches++
-	if created {
-		st.m.fanin(1, 1)
-	} else {
-		st.m.fanin(1, 0)
-	}
-	return regResult{state: State{Version: g.version, Verdict: g.verdict}}
-}
-
-func (st *dbState) currentDB() *db.Database {
-	if st.lastDB == nil && st.lastDBFn != nil {
-		st.lastDB = st.lastDBFn()
-	}
-	return st.lastDB
-}
-
-// processChange runs the skip/re-evaluate decision for every
-// registration against one change, in version order.
-func (st *dbState) processChange(o op) {
-	c := o.change
-	if c.Version <= st.lastVersion && st.lastVersion != 0 {
-		return // duplicate delivery
-	}
-	if len(st.groups) == 0 {
-		// Nobody watches: just advance the tracked snapshot (lazily).
-		st.lastVersion = c.Version
-		st.lastDBFn = o.dbFn
-		st.lastDB = nil
-		return
-	}
-	prev := st.currentDB()
-	cur := o.dbFn()
-
-	tr := st.m.tracer.Load().Start("delta", "")
-	sp := tr.StartSpan("delta")
-	sp.SetAttr("db", st.name).SetAttr("version", fmt.Sprint(c.Version))
-
-	cc := &changeCtx{c: c, prev: prev, prevVersion: st.lastVersion, cur: cur}
-	var nSkip, nReeval, nFlip int
-	for _, g := range st.groups {
-		if c.Version <= g.version {
-			// The group was admitted against a snapshot at or past this
-			// change (a registration raced ahead of the change stream);
-			// its verdict already reflects it.
-			continue
-		}
-		old := g.verdict
-		outcome := OutcomeSkipped
-		if verdict, carried := cc.carry(g); carried {
-			g.verdict = verdict
-		} else if cc.decide(g) {
-			g.evaluate(cur)
-			outcome = OutcomeReevaluated
-		}
-		// A proven skip settles the verdict at the new version too:
-		// advance the published state so heartbeats report progress.
-		g.setState(c.Version)
-		var triggers []string
-		if g.verdict != old {
-			outcome = OutcomeFlipped
-			triggers = formatBlocks(cc.blocksOf(g))
-			if st.m.opt.OnFlip != nil {
-				st.m.opt.OnFlip(st.name)
-			}
-		}
-		switch outcome {
-		case OutcomeSkipped:
-			nSkip++
-			st.m.skipped.Add(1)
-		case OutcomeReevaluated:
-			nReeval++
-			st.m.reevaled.Add(1)
-		case OutcomeFlipped:
-			nFlip++
-			st.m.flipped.Add(1)
-		}
-		st.m.hookReeval(st.name, outcome)
-		for w := range g.watches {
-			switch {
-			case outcome == OutcomeFlipped:
-				w.emit(Event{Version: c.Version, From: old, To: g.verdict, Blocks: triggers})
-			case w.gapped:
-				// The consumer shed flips earlier; the settled state is the
-				// next deliverable event, collapsed into a Resync by emit.
-				w.emit(Event{Version: c.Version, From: old, To: g.verdict})
-			}
-		}
-	}
-	sp.SetAttr("blocks", fmt.Sprint(len(c.Blocks))).
-		SetAttr("skipped", fmt.Sprint(nSkip)).
-		SetAttr("reevaluated", fmt.Sprint(nReeval)).
-		SetAttr("flipped", fmt.Sprint(nFlip))
-	sp.End()
-	tr.Finish()
-
-	st.lastVersion = c.Version
-	st.lastDBFn = o.dbFn
-	st.lastDB = cur
-}
-
-func (m *Manager) hookReeval(db, outcome string) {
-	if m.opt.OnReeval != nil {
-		m.opt.OnReeval(db, outcome)
-	}
-}
-
-// formatBlocks renders trigger blocks as "R(k1,k2)" strings.
-func formatBlocks(refs []store.BlockRef) []string {
-	if len(refs) == 0 {
-		return nil
-	}
-	out := make([]string, len(refs))
-	for i, b := range refs {
-		out[i] = fmt.Sprintf("%s(%s)", b.Rel, strings.Join(b.Key, ","))
-	}
-	return out
-}
-
-// regGroup is the shared evaluation state of every watch registered
-// with one canonical signature on one database: the prepared plan, the
-// static program analysis, the settled verdict, and the recorded
-// support set. All fields are worker-owned. Grouping is the watch
-// fan-in — N identical subscriptions cost one support set and one
-// re-evaluation per change, not N.
-type regGroup struct {
-	signature string
-	prep      *core.Prepared
-	// coKeyed groups decide by the carry rule (carry.go) and keep no
+// subscription is the watched half of an entry: the prepared plan, the
+// static program analysis, the recorded support set and the watches.
+// It is touched only under the database's apply mutex. Every watch of
+// one signature on one database shares it — N identical subscriptions
+// cost one support set and one decision per change, not N.
+type subscription struct {
+	prep *core.Prepared
+	// coKeyed entries decide by the carry rule (carry.go) and keep no
 	// support: a carried verdict has no recorded run behind it.
 	coKeyed bool
 
-	// Static program analysis, set at group creation.
 	rels       map[string]bool  // relations the query/program mentions
 	candCols   map[string][]int // candidate-source columns per relation
 	usesDomain bool
-
-	// Evaluation state.
-	verdict bool
-	sup     *fo.Support // nil when block-level skipping is unavailable
-	version uint64      // version the verdict is settled at
+	sup        *fo.Support // nil when block-level skipping is unavailable
 
 	watches map[*Watch]struct{}
 }
 
-func newRegGroup(signature string, prep *core.Prepared) *regGroup {
-	g := &regGroup{
-		signature: signature,
-		prep:      prep,
-		rels:      make(map[string]bool),
-		candCols:  make(map[string][]int),
-		watches:   make(map[*Watch]struct{}),
+func newSubscription(prep *core.Prepared) *subscription {
+	s := &subscription{
+		prep:     prep,
+		rels:     make(map[string]bool),
+		candCols: make(map[string][]int),
+		watches:  make(map[*Watch]struct{}),
 	}
-	_, g.coKeyed = prep.Classification().Query.CoKey()
+	_, s.coKeyed = prep.Classification().Query.CoKey()
 	if prog := prep.Program(); prog != nil {
 		for _, r := range prog.Rels() {
-			g.rels[r] = true
+			s.rels[r] = true
 		}
 		for _, cs := range prog.CandSources() {
-			g.candCols[cs.Rel] = append(g.candCols[cs.Rel], cs.Col)
+			s.candCols[cs.Rel] = append(s.candCols[cs.Rel], cs.Col)
 		}
-		g.usesDomain = prog.UsesDomain()
+		s.usesDomain = prog.UsesDomain()
 	} else {
 		for _, r := range prep.QueryRels() {
-			g.rels[r] = true
+			s.rels[r] = true
 		}
 	}
-	return g
+	return s
 }
 
-// evaluate recomputes the group verdict and support against d.
-// Block-level skipping requires a compiled program that never
-// quantifies over the active domain; everything else keeps sup nil and
-// degrades to relation-level skipping.
-func (g *regGroup) evaluate(d *db.Database) {
-	if g.coKeyed {
-		g.verdict = g.prep.Certain(d)
-		return
+// evaluate recomputes the verdict and support on d. Block-level
+// skipping requires a compiled program that never quantifies over the
+// active domain; everything else keeps sup nil and degrades to
+// relation-level skipping.
+func (s *subscription) evaluate(d *db.Database) bool {
+	if s.coKeyed {
+		return s.prep.Certain(d)
 	}
-	verdict, sup, supported := g.prep.CertainSupport(d)
-	g.verdict = verdict
-	if supported && !g.usesDomain {
-		g.sup = sup
-	} else {
-		g.sup = nil
+	verdict, sup, supported := s.prep.CertainSupport(d)
+	s.sup = nil
+	if supported && !s.usesDomain {
+		s.sup = sup
 	}
+	return verdict
 }
 
-// setState settles the group at version and fans the published state
-// out to every member watch.
-func (g *regGroup) setState(version uint64) {
-	g.version = version
-	for w := range g.watches {
-		w.setState(version, g.verdict)
-	}
-}
-
-// Watch is one registered (query, database) subscription. Verdict
-// maintenance lives on the watch's group; the watch itself carries only
-// its event queue and published state. Consumers read events from
-// Events and may poll State concurrently.
+// Watch is one subscription to an entry. It carries only its event
+// queue and published state; consumers read events from Events and may
+// poll State concurrently.
 type Watch struct {
-	db        string
+	st        *dbState
 	signature string
 
-	// Worker-owned delivery state.
+	// Delivery state, under the database's apply mutex.
 	gapped bool
 
-	// Published state, readable concurrently (heartbeats poll it).
-	stateMu sync.Mutex
-	version uint64
-	stVerd  bool
+	// Published state, readable concurrently (heartbeats poll it): the
+	// version shifted left by one, above the verdict bit.
+	state atomic.Uint64
 
 	events chan Event
 }
-
-// DB returns the database the watch is registered against.
-func (w *Watch) DB() string { return w.db }
 
 // Signature returns the canonical query signature of the watch.
 func (w *Watch) Signature() string { return w.signature }
@@ -703,19 +791,19 @@ func (w *Watch) Events() <-chan Event { return w.events }
 // concurrent use; the serving layer embeds it in heartbeats so a
 // consumer that lost events to shedding converges anyway.
 func (w *Watch) State() State {
-	w.stateMu.Lock()
-	defer w.stateMu.Unlock()
-	return State{Version: w.version, Verdict: w.stVerd}
+	s := w.state.Load()
+	return State{Version: s >> 1, Verdict: s&1 == 1}
 }
 
 func (w *Watch) setState(version uint64, verdict bool) {
-	w.stateMu.Lock()
-	w.version = version
-	w.stVerd = verdict
-	w.stateMu.Unlock()
+	s := version << 1
+	if verdict {
+		s |= 1
+	}
+	w.state.Store(s)
 }
 
-// emit delivers an event without ever blocking the worker: when the
+// emit delivers an event without ever blocking the writer: when the
 // consumer's queue is full the event is dropped and the watch marked
 // gapped; the next deliverable event is collapsed into a Resync state
 // event so the consumer knows intermediate flips were shed.

@@ -5,13 +5,14 @@ import (
 	"testing"
 )
 
-// Identical subscriptions share one registration group: one decision
+// Identical subscriptions share one subscribed entry: one decision
 // per change, every member gets the flip event, and the fan-in counts
 // track joins and leaves.
 func TestDeltaFanInShares(t *testing.T) {
 	var mu sync.Mutex
 	var lastW, lastG int
-	h := newHarness(t, "R(k0 | v0)\nT(t0 | u0)\n", Options{
+	h := newHarness(t, "R(k0 | v0)\nT(t0 | u0)\n", Options{})
+	h.mgr.SetHooks(Hooks{
 		OnFanin: func(watches, groups int) {
 			mu.Lock()
 			lastW, lastG = watches, groups

@@ -3,15 +3,16 @@
 // signature — classification, consistent first-order rewriting and its
 // compiled program, memoized by core.Prepare in a thread-safe LRU plan
 // cache — and Answer does the data work on one view (a store's sharded
-// view, or shard.ViewOf an inline database), behind the versioned result
-// cache when the view names a database. ApplyChange is the one write-side
-// call, and a worker-pool batch API fans independent CERTAINTY checks
-// across goroutines. Rewritings evaluate through the
-// one compiled program (interned constants, slot-based environments,
-// index-driven quantifier restriction, bitmap sweeps wherever a
-// quantifier lowers — docs/EVAL.md) unless Options.ForceTreeWalk, the
-// one rollback switch, selects the interpreting tree walker. See
-// docs/ENGINE.md for the architecture.
+// view, or shard.ViewOf an inline database), behind the table of
+// maintained verdicts (delta.Manager) when the view names a database.
+// ApplyChange is the one write-side call: it moves that table, watched
+// entries included, across the write. A worker-pool batch API fans
+// independent CERTAINTY checks across goroutines. Rewritings evaluate
+// through the one compiled program (interned constants, slot-based
+// environments, index-driven quantifier restriction, bitmap sweeps
+// wherever a quantifier lowers — docs/EVAL.md) unless
+// Options.ForceTreeWalk, the one rollback switch, selects the
+// interpreting tree walker. See docs/ENGINE.md for the architecture.
 package engine
 
 import (
@@ -59,22 +60,20 @@ const DefaultCacheSize = 256
 
 // DefaultResultCacheSize is the result-cache capacity when
 // Options.ResultCacheSize ≤ 0.
-const DefaultResultCacheSize = 4096
+const DefaultResultCacheSize = delta.DefaultCapacity
 
 // Engine answers CERTAINTY(q) for serving workloads: plans are prepared
 // once per canonical query signature and reused, and batches of
 // independent (query, database) checks run on a worker pool. An Engine is
 // safe for concurrent use by multiple goroutines.
 type Engine struct {
-	opt     Options
-	cache   *planCache
-	results *resultCache
-	stats   statsCounters
+	opt   Options
+	cache *planCache
+	stats statsCounters
 
-	// delta maintains registered watches incrementally (watch.go);
-	// hooks holds the observability callbacks installed after New.
+	// delta is the table of maintained verdicts: the result cache of
+	// Answer and the subscriptions of RegisterWatch (watch.go).
 	delta *delta.Manager
-	hooks hooksPtr
 
 	// Lifecycle: begin/end bracket every public operation so Close can
 	// refuse new work and wait for in-flight work to drain.
@@ -91,15 +90,8 @@ func New(opt Options) *Engine {
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opt.ResultCacheSize <= 0 {
-		opt.ResultCacheSize = DefaultResultCacheSize
-	}
-	e := &Engine{
-		opt:     opt,
-		cache:   newPlanCache(opt.CacheSize),
-		results: newResultCache(opt.ResultCacheSize),
-	}
-	e.delta = newDeltaManager(e)
+	e := &Engine{opt: opt, cache: newPlanCache(opt.CacheSize)}
+	e.delta = delta.New(delta.Options{Capacity: opt.ResultCacheSize, Plan: e.scratchEvaluator})
 	return e
 }
 
@@ -188,20 +180,21 @@ func (e *Engine) certainWith(p *core.Prepared, d *db.Database) bool {
 }
 
 // ApplyChange reports that the write c moved dbID from the view prev to
-// the view cur (cur.Version() == c.Version): cached answers of queries
-// mentioning no written relation stay valid at the new version, answers
-// of co-keyed queries are carried across by re-checking c.Blocks alone
-// (delta.Carry, evaluated here, on the writer's side), and the rest are
-// invalidated. The change then goes to the watches of dbID; cur's union
-// is resolved lazily there, so an unwatched database never builds it.
-// Calls must arrive in version order per database; they never block on
-// watch work, so they are safe under the store's writer lock.
+// the view cur (cur.Version() == c.Version), and runs one decision per
+// maintained verdict of dbID on the caller's goroutine (delta.Advance):
+// verdicts of queries mentioning no written relation advance to the new
+// version, those of co-keyed queries are carried across by re-checking
+// c.Blocks alone, and the rest are dropped — or, when watched, decided
+// by the support rules and re-evaluated. Flips reach the watches before
+// ApplyChange returns. cur's union is built only for watched entries
+// the support rules cannot settle. Calls must arrive in version order
+// per database; they are made under the store's writer lock.
 func (e *Engine) ApplyChange(dbID string, c store.Change, prev, cur ShardView) {
-	e.results.applyChange(dbID, c, prev.Version(), shardDBs(prev), shardDBs(cur), e.scratchEvaluator)
-	e.delta.Apply(dbID, c, cur.Union)
+	e.delta.Advance(dbID, c, prev, cur)
 }
 
-// scratchEvaluator returns what decides q on a throwaway database.
+// scratchEvaluator returns what decides q on a throwaway database: the
+// carry rule's sub-databases, for entries that hold no plan.
 func (e *Engine) scratchEvaluator(q schema.Query) (func(*db.Database) bool, error) {
 	r, err := e.Plan(q)
 	if err != nil {
@@ -216,10 +209,7 @@ func (e *Engine) scratchEvaluator(q schema.Query) (func(*db.Database) bool, erro
 // DropDB forgets every cached answer for dbID and closes every watch
 // registered against it (the database was deleted or replaced
 // wholesale; watch consumers re-register against the fresh state).
-func (e *Engine) DropDB(dbID string) {
-	e.results.dropDB(dbID)
-	e.delta.DropDB(dbID)
-}
+func (e *Engine) DropDB(dbID string) { e.delta.DropDB(dbID) }
 
 // Item is one independent CERTAINTY check of a batch.
 type Item struct {

@@ -10,7 +10,7 @@ package engine
 
 import (
 	"cqa/internal/core"
-	"cqa/internal/db"
+	"cqa/internal/delta"
 	"cqa/internal/schema"
 	"cqa/internal/shard"
 )
@@ -19,10 +19,7 @@ import (
 // cross-shard version: per-shard databases, a merged union, and the
 // global version. *shard.View implements it.
 type ShardView interface {
-	NumShards() int
-	Shard(i int) *db.Database
-	Union() *db.Database
-	Version() uint64
+	delta.View
 	// Plan is the shard-combine decision for q under the placement
 	// that wrote this view.
 	Plan(q schema.Query) shard.Plan
@@ -40,12 +37,12 @@ const (
 
 // Answer is the data half of CERTAINTY(q): it evaluates the planned read
 // r on view and reports the verdict, the result-cache outcome and the
-// shard plan it followed. With a dbID the result cache is consulted first
-// under r.Sig: repeated checks at an unchanged version — or at a version
-// moved only by writes that leave the answer provably in place (see
-// ApplyChange) — skip evaluation entirely. dbID must name the database
-// stably across versions, and its writes must be reported through
-// ApplyChange. An inline database is shard.ViewOf with no dbID.
+// shard plan it followed. With a dbID the table of maintained verdicts
+// is consulted first under r.Sig: repeated checks at an unchanged
+// version — or at a version the entry was carried or re-evaluated to
+// (see ApplyChange) — skip evaluation entirely. dbID must name the
+// database stably across versions, and its writes must be reported
+// through ApplyChange. An inline database is shard.ViewOf with no dbID.
 func (e *Engine) Answer(r Read, dbID string, view ShardView) (certain bool, cache string, plan shard.Plan, err error) {
 	if err := e.begin(); err != nil {
 		return false, "", shard.Plan{}, err
@@ -55,22 +52,11 @@ func (e *Engine) Answer(r Read, dbID string, view ShardView) (certain bool, cach
 	if dbID == "" {
 		return e.certainSharded(r.Prepared, view, plan), CacheBypass, plan, nil
 	}
-	version := view.Version()
-	if certain, ok := e.results.get(r.Sig, dbID, version); ok {
+	certain, hit := e.delta.Get(dbID, r.Sig, r.Query, view, func() bool { return e.certainSharded(r.Prepared, view, plan) })
+	if hit {
 		return certain, CacheHit, plan, nil
 	}
-	certain = e.certainSharded(r.Prepared, view, plan)
-	e.results.put(r.Sig, dbID, version, r.Query, certain)
 	return certain, CacheMiss, plan, nil
-}
-
-// shardDBs lists a view's per-shard databases.
-func shardDBs(view ShardView) []*db.Database {
-	out := make([]*db.Database, view.NumShards())
-	for i := range out {
-		out[i] = view.Shard(i)
-	}
-	return out
 }
 
 // certainSharded executes plan on view: scatter plans OR the verdicts

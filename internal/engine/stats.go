@@ -34,12 +34,12 @@ type Stats struct {
 	CacheHits, CacheMisses, CacheEvictions uint64
 	CachedPlans                            int
 
-	// ResultHits and ResultMisses count Answer lookups in the versioned
-	// result cache. A write that touches a relation an entry's
-	// query mentions either drops the entry (ResultInvalidations) or, for
-	// a co-keyed query, carries it to the new version by re-checking the
-	// written blocks alone (ResultCarried); CachedResults is the current
-	// population.
+	// ResultHits and ResultMisses count Answer lookups in the table of
+	// maintained verdicts. A write that touches a relation an entry's
+	// query mentions carries a co-keyed entry to the new version by
+	// re-checking the written blocks alone (ResultCarried), re-evaluates
+	// a watched one, and drops the rest (ResultInvalidations);
+	// CachedResults is the population, watched entries included.
 	ResultHits, ResultMisses, ResultInvalidations, ResultCarried uint64
 	CachedResults                                                int
 
@@ -66,7 +66,7 @@ type Stats struct {
 // flight is approximate.
 func (e *Engine) Stats() Stats {
 	hits, misses, evictions, size := e.cache.counters()
-	rhits, rmisses, rinval, rcarried, rsize := e.results.counters()
+	rhits, rmisses, rinval, rcarried, rsize := e.delta.CacheCounters()
 	return Stats{
 		CacheHits:      hits,
 		CacheMisses:    misses,

@@ -133,15 +133,15 @@ func New(opt Options) *Server {
 		OnFlip: func(db string) {
 			s.reg.Counter(metrics.Label("watch_flips_total", "db", db)).Inc()
 		},
-		OnFanin: func(watches, groups int) {
+		OnFanin: func(watches, entries int) {
 			// Subscriptions answered by another subscription's shared
 			// evaluation (identical signature on the same database).
-			s.reg.Gauge("watch_fanin").Set(int64(watches - groups))
+			s.reg.Gauge("watch_fanin").Set(int64(watches - entries))
 		},
-		OnResultInvalidate: func(rel string) {
+		OnInvalidate: func(rel string) {
 			s.reg.Counter(metrics.Label("result_cache_invalidations_total", "rel", rel)).Inc()
 		},
-		OnResultCarry: func(n int) {
+		OnCarry: func(n int) {
 			s.reg.Counter("result_cache_carried_total").Add(uint64(n))
 		},
 		Tracer: s.tracer,

@@ -61,7 +61,7 @@ func waitGauge(t *testing.T, what string, want int64, fn func() int64) {
 }
 
 // TestWatchFanInGauge: alpha-equivalent /v1/watch subscriptions on one
-// database share a registration group; the watch_fanin gauge counts the
+// database share a subscribed entry; the watch_fanin gauge counts the
 // subscriptions answered by another subscription's evaluation and
 // settles back as streams close.
 func TestWatchFanInGauge(t *testing.T) {
