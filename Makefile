@@ -28,10 +28,11 @@ race:
 
 # The table of maintained verdicts under contention, 20 times over with
 # the race detector: readers against a carrying writer, watch fan-in,
-# and registrations racing writes on 1- and 2-shard sets. Locks, not a
-# queue, order these paths (docs/DELTA.md); about 40 s.
+# registrations racing writes on 1- and 2-shard sets, and readers binding
+# distinct constants into one shared plan against a writer. Locks, not a
+# queue, order these paths (docs/DELTA.md); about 60 s.
 delta-stress:
-	$(GO) test -race -count=20 -run 'TestResultCacheCarryRace|TestDeltaFanIn|TestRegisterUnderConcurrentWrites' ./internal/engine ./internal/delta
+	$(GO) test -race -count=20 -run 'TestResultCacheCarryRace|TestDeltaFanIn|TestRegisterUnderConcurrentWrites|TestParamBindRace' ./internal/engine ./internal/delta
 
 # Each fuzz target runs for $(FUZZTIME) (seed corpus plus mutation).
 fuzz:
@@ -44,6 +45,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALStream -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzCompiledEval -fuzztime $(FUZZTIME) ./internal/fo
 	$(GO) test -run '^$$' -fuzz FuzzBitmapEval -fuzztime $(FUZZTIME) ./internal/fo
+	$(GO) test -run '^$$' -fuzz FuzzParamBind -fuzztime $(FUZZTIME) ./internal/fo
 	$(GO) test -run '^$$' -fuzz FuzzWatchProtocol -fuzztime $(FUZZTIME) ./internal/server
 
 # One iteration per benchmark: compiles and exercises every benchmark

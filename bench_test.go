@@ -316,7 +316,7 @@ func BenchmarkCompiledEval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := fo.Compile(f)
+	prog, err := fo.Compile(f, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,6 +14,11 @@
 // still reports "not in FO" when a 2-cycle with at most one negated atom
 // exists (Lemmas 5.5 and 5.6 hold unconditionally) and reports
 // VerdictOutOfScope otherwise.
+//
+// For serving, PrepareShape does this work once per query shape — the
+// query with its constants lifted to parameters, which the paper's
+// constructions never look inside — and a Prepared binds one query's
+// constants into it (prepared.go).
 package core
 
 import (

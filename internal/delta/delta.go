@@ -599,7 +599,7 @@ func (m *Manager) Register(dbName, signature string, prep *core.Prepared, snap S
 		m.mu.Lock()
 		e = st.entries[signature]
 		if e == nil {
-			e = &entry{st: st, sig: signature, q: prep.Classification().Query}
+			e = &entry{st: st, sig: signature, q: prep.Query()}
 			st.entries[signature] = e
 		} else if e.el != nil {
 			m.lru.Remove(e.el)
@@ -730,7 +730,7 @@ func newSubscription(prep *core.Prepared) *subscription {
 		candCols: make(map[string][]int),
 		watches:  make(map[*Watch]struct{}),
 	}
-	_, s.coKeyed = prep.Classification().Query.CoKey()
+	_, s.coKeyed = prep.Query().CoKey()
 	if prog := prep.Program(); prog != nil {
 		for _, r := range prog.Rels() {
 			s.rels[r] = true

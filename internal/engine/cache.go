@@ -8,10 +8,13 @@ import (
 	"cqa/internal/schema"
 )
 
-// planCache is a thread-safe LRU cache of prepared plans keyed by the
-// canonical query signature (schema.Query.Signature). Classification and
-// rewriting are query-only work — often exponential in the query size —
-// so memoizing them lets repeated queries skip straight to evaluation.
+// planCache is a thread-safe LRU cache of prepared shapes keyed by the
+// shape key (schema.Query.Shape): every query that differs from another
+// only in variable names, literal order and an injective renaming of
+// constants shares one entry. Classification and rewriting are
+// query-only work — often exponential in the query size — so memoizing
+// them per shape lets every query of a seen shape skip straight to
+// binding its values and evaluating.
 type planCache struct {
 	mu  sync.Mutex
 	cap int
@@ -20,7 +23,7 @@ type planCache struct {
 	order   *list.List
 	entries map[string]*list.Element
 
-	// flights holds the preparations in progress, by signature;
+	// flights holds the preparations in progress, by shape key;
 	// concurrent misses wait on one instead of repeating the work.
 	flights map[string]*sync.WaitGroup
 
@@ -28,8 +31,8 @@ type planCache struct {
 }
 
 type cacheEntry struct {
-	sig  string
-	plan *core.Prepared
+	key   string
+	shape *core.Shape
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -41,62 +44,62 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// getOrPrepare returns the plan for sig, preparing q on a miss; hit
-// reports whether the plan came from the cache. Concurrent misses for
-// one signature are single-flighted: the first prepares — outside the
-// cache lock, so other signatures are not serialized behind one slow
-// rewrite — and the rest wait for it, then find the plan cached and
+// getOrPrepare returns the prepared shape for key, preparing q's shape
+// on a miss; hit reports whether it came from the cache. Concurrent
+// misses for one shape are single-flighted: the first prepares — outside
+// the cache lock, so other shapes are not serialized behind one slow
+// rewrite — and the rest wait for it, then find the shape cached and
 // count as hits. A failed preparation is neither cached nor shared:
 // each waiter retries and reports its own error.
-func (c *planCache) getOrPrepare(sig string, q schema.Query) (p *core.Prepared, hit bool, err error) {
+func (c *planCache) getOrPrepare(key string, q schema.Query) (s *core.Shape, hit bool, err error) {
 	for {
 		c.mu.Lock()
-		if el, ok := c.entries[sig]; ok {
+		if el, ok := c.entries[key]; ok {
 			c.hits++
 			c.order.MoveToFront(el)
-			p = el.Value.(*cacheEntry).plan
+			s = el.Value.(*cacheEntry).shape
 			c.mu.Unlock()
-			return p, true, nil
+			return s, true, nil
 		}
-		f, waiting := c.flights[sig]
+		f, waiting := c.flights[key]
 		if !waiting {
 			c.misses++
 			f = new(sync.WaitGroup)
 			f.Add(1)
-			c.flights[sig] = f
+			c.flights[key] = f
 		}
 		c.mu.Unlock()
 		if !waiting {
-			return c.lead(sig, f, q)
+			return c.lead(key, f, q)
 		}
 		f.Wait()
 	}
 }
 
-// lead prepares q as the flight's owner, publishes the plan, and
-// releases the waiters — also when core.Prepare fails or panics.
-func (c *planCache) lead(sig string, f *sync.WaitGroup, q schema.Query) (p *core.Prepared, hit bool, err error) {
+// lead prepares q's shape as the flight's owner, publishes it, and
+// releases the waiters — also when core.PrepareShape fails or panics.
+func (c *planCache) lead(key string, f *sync.WaitGroup, q schema.Query) (s *core.Shape, hit bool, err error) {
 	defer func() {
 		c.mu.Lock()
-		delete(c.flights, sig)
-		if p != nil {
-			c.putLocked(sig, p)
+		delete(c.flights, key)
+		if s != nil {
+			c.putLocked(key, s)
 		}
 		c.mu.Unlock()
 		f.Done()
 	}()
-	p, err = core.Prepare(q)
-	return p, false, err
+	s, err = core.PrepareShape(q)
+	return s, false, err
 }
 
-// putLocked inserts a plan, evicting the least recently used entry when
+// putLocked inserts a shape, evicting the least recently used entry when
 // over capacity. The caller holds c.mu.
-func (c *planCache) putLocked(sig string, plan *core.Prepared) {
-	c.entries[sig] = c.order.PushFront(&cacheEntry{sig: sig, plan: plan})
+func (c *planCache) putLocked(key string, s *core.Shape) {
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, shape: s})
 	for c.order.Len() > c.cap {
 		back := c.order.Back()
 		c.order.Remove(back)
-		delete(c.entries, back.Value.(*cacheEntry).sig)
+		delete(c.entries, back.Value.(*cacheEntry).key)
 		c.evictions++
 	}
 }

@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"cqa/internal/core"
+	"cqa/internal/db"
 	"cqa/internal/gen"
 	"cqa/internal/naive"
+	"cqa/internal/schema"
+	"cqa/internal/shard"
 )
 
 // TestDifferentialEngineVsNaive is the property-based oracle check for
@@ -19,7 +22,13 @@ import (
 // exactly when the program lowered a quantifier, on the single-item API
 // and on the batch API. This extends the exhaustive_test.go style of
 // internal/rewrite to the engine layer: the same oracle, but through the
-// plan cache and the concurrent paths.
+// plan cache and the concurrent paths. Every case also answers two
+// constant-renamed siblings of its query — one swapping the query's
+// constants, one naming a constant the database lacks — which share the
+// query's shape: each must hit the cached plan and agree with repair
+// enumeration and with core's one-shot answer for the sibling itself.
+// One cyclic shape carrying a constant reaches repair enumeration
+// through the same shape path.
 func TestDifferentialEngineVsNaive(t *testing.T) {
 	const cases = 500
 
@@ -81,6 +90,11 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 			}
 		}
 
+		for _, sib := range constantSiblings(q) {
+			checkSibling(t, engines[0].eng, sib, d)
+			checkSibling(t, engines[1].eng, sib, d)
+		}
+
 		batch = append(batch, Item{Query: q, DB: d})
 		batchWant = append(batchWant, want)
 
@@ -108,5 +122,95 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 		if st := e.eng.Stats(); st.CacheHits == 0 {
 			t.Fatalf("%s: differential sweep never hit the cache: %+v", e.name, st)
 		}
+	}
+
+	// A cyclic shape with a constant: the planner's patterns need
+	// variables, so every query of it is decided by repair enumeration of
+	// the query itself, whatever constant the cached shape was prepared
+	// with.
+	q := schema.NewQuery(
+		schema.Pos(schema.NewAtom("R", 1, schema.Var("x"), schema.Var("y"))),
+		schema.Neg(schema.NewAtom("S", 1, schema.Var("y"), schema.Var("x"))),
+		schema.Pos(schema.NewAtom("T", 1, schema.Var("x"), schema.Const("c0"))),
+	)
+	for i := 0; i < 20; i++ {
+		d := gen.Database(rng, q, dbOpts)
+		for _, e := range engines {
+			for _, sib := range append([]schema.Query{q}, constantSiblings(q)...) {
+				p, err := e.eng.Prepare(sib)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.InFO() || e.eng.Strategy(p) != StrategyNaive {
+					t.Fatalf("%s: %s is served by %q, want %q", e.name, sib, e.eng.Strategy(p), StrategyNaive)
+				}
+				checkSibling(t, e.eng, sib, d)
+			}
+		}
+	}
+}
+
+// constantSiblings returns two queries of q's shape: q with its
+// constants rotated (a lone one swapped for the generator's other
+// constant, c0 ↔ c1), and q with its first constant replaced by one no
+// generated database holds. A query without constants is its own
+// sibling.
+func constantSiblings(q schema.Query) []schema.Query {
+	_, vals := q.Shape()
+	if len(vals) == 0 {
+		return []schema.Query{q, q}
+	}
+	swap := map[string]string{vals[0]: "c0"}
+	if vals[0] == "c0" {
+		swap[vals[0]] = "c1"
+	}
+	if len(vals) > 1 {
+		for i, v := range vals {
+			swap[v] = vals[(i+1)%len(vals)]
+		}
+	}
+	absent := map[string]string{vals[0]: "absent"}
+	return []schema.Query{renameConstants(q, swap), renameConstants(q, absent)}
+}
+
+func renameConstants(q schema.Query, to map[string]string) schema.Query {
+	out := q.Clone()
+	for _, l := range out.Lits {
+		for i, t := range l.Atom.Terms {
+			if v, ok := to[t.Name]; ok && !t.IsVar {
+				l.Atom.Terms[i] = schema.Const(v)
+			}
+		}
+	}
+	return out
+}
+
+// checkSibling answers sib on d through e, whose plan cache must already
+// hold sib's shape, and compares the verdict with repair enumeration and
+// with core's answers for sib alone.
+func checkSibling(t *testing.T, e *Engine, sib schema.Query, d *db.Database) {
+	t.Helper()
+	r, err := e.Plan(sib)
+	if err != nil {
+		t.Fatalf("plan %s: %v", sib, err)
+	}
+	if !r.Hit {
+		t.Fatalf("%s missed the plan cache its shape is in", sib)
+	}
+	got, _, _, err := e.Answer(r, "", shard.ViewOf(d))
+	if err != nil {
+		t.Fatalf("answer %s: %v", sib, err)
+	}
+	want := naive.IsCertain(sib, d)
+	oneShot, err := core.Certain(sib, d, core.EngineAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := core.Prepare(sib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || oneShot != want || own.Certain(d) != want {
+		t.Fatalf("sibling %s: engine %v, core.Certain %v, core.Prepare %v, naive oracle %v\ndb:\n%s", sib, got, oneShot, own.Certain(d), want, d)
 	}
 }

@@ -1,10 +1,12 @@
 // Package engine is the concurrent serving layer on top of core. A read
-// is one call pair: Plan does the query work once per canonical
-// signature — classification, consistent first-order rewriting and its
-// compiled program, memoized by core.Prepare in a thread-safe LRU plan
-// cache — and Answer does the data work on one view (a store's sharded
-// view, or shard.ViewOf an inline database), behind the table of
-// maintained verdicts (delta.Manager) when the view names a database.
+// is one call pair: Plan does the query work once per query shape —
+// classification, consistent first-order rewriting and its compiled
+// program, memoized by core.PrepareShape in a thread-safe LRU plan cache
+// keyed by schema.Query.Shape, so queries that differ only in their
+// constants share one plan and each binds its own values — and Answer
+// does the data work on one view (a store's sharded view, or
+// shard.ViewOf an inline database), behind the table of maintained
+// verdicts (delta.Manager) when the view names a database.
 // ApplyChange is the one write-side call: it moves that table, watched
 // entries included, across the write. A worker-pool batch API fans
 // independent CERTAINTY checks across goroutines. Rewritings evaluate
@@ -63,7 +65,7 @@ const DefaultCacheSize = 256
 const DefaultResultCacheSize = delta.DefaultCapacity
 
 // Engine answers CERTAINTY(q) for serving workloads: plans are prepared
-// once per canonical query signature and reused, and batches of
+// once per query shape and reused, and batches of
 // independent (query, database) checks run on a worker pool. An Engine is
 // safe for concurrent use by multiple goroutines.
 type Engine struct {
@@ -123,12 +125,13 @@ func (e *Engine) Close() {
 	e.delta.Close()
 }
 
-// Prepare returns the prepared plan for q, consulting the LRU cache
-// first. Queries that are alpha-equivalent (identical up to literal order
-// and variable renaming) share a plan; the Boolean CERTAINTY answer is
-// invariant under renaming, though the cached Classification may display
-// the variable names of the first query that produced the plan.
-// Preparation errors are not cached.
+// Prepare returns q on its shape's plan, consulting the LRU cache first.
+// Queries of one shape (identical up to literal order, variable renaming
+// and an injective renaming of constants) share the plan and bind their
+// own values; the Classification of the result speaks of q itself — its
+// query, and the rewriting in q's variable names and constants — never
+// of the query that first prepared the shape. Preparation errors are not
+// cached.
 func (e *Engine) Prepare(q schema.Query) (*core.Prepared, error) {
 	r, err := e.Plan(q)
 	return r.Prepared, err
@@ -136,27 +139,33 @@ func (e *Engine) Prepare(q schema.Query) (*core.Prepared, error) {
 
 // Read is a query planned for answering: the query work of CERTAINTY(q)
 // — classification, rewriting and its compiled program — done once per
-// canonical signature and shared by every read of that signature.
+// shape and shared by every read of that shape, and the read's own
+// parameter values, which Prepared carries into every evaluation.
 type Read struct {
 	Query schema.Query
-	// Sig is Query's canonical signature, the key of both the plan cache
-	// and the result cache.
+	// Sig is Query's canonical signature, the key of the table of
+	// maintained verdicts; unlike the plan cache's shape key it keeps
+	// the constants.
 	Sig      string
 	Prepared *core.Prepared
-	// Hit reports that Prepared came from the plan cache.
+	// Hit reports that the shape's plan came from the plan cache.
 	Hit bool
 }
 
-// Plan computes q's signature once and looks its plan up in the cache,
+// Plan computes q's shape, parameter values and signature in one
+// canonicalising walk and looks the shape's plan up in the cache,
 // preparing it on a miss (see Prepare).
 func (e *Engine) Plan(q schema.Query) (Read, error) {
 	if err := e.begin(); err != nil {
 		return Read{}, err
 	}
 	defer e.end()
-	sig := q.Signature()
-	p, hit, err := e.cache.getOrPrepare(sig, q)
-	return Read{Query: q, Sig: sig, Prepared: p, Hit: hit}, err
+	key, sig, vals := q.Canonical()
+	s, hit, err := e.cache.getOrPrepare(key, q)
+	if err != nil {
+		return Read{Query: q}, err
+	}
+	return Read{Query: q, Sig: sig, Prepared: s.Instance(q, vals), Hit: hit}, nil
 }
 
 // Certain answers CERTAINTY(q) on d using a cached plan: Plan, then
@@ -238,7 +247,6 @@ type batchKey struct {
 // result slice. Inner member slices keep their capacity across calls.
 type batchScratch struct {
 	groupOf map[batchKey]int32
-	sigs    []string  // group → canonical signature
 	members [][]int32 // group → item indexes, in item order
 }
 
@@ -246,7 +254,7 @@ var batchPool = sync.Pool{
 	New: func() any { return &batchScratch{groupOf: make(map[batchKey]int32)} },
 }
 
-func (sc *batchScratch) addGroup(sig string) int32 {
+func (sc *batchScratch) addGroup() int32 {
 	g := len(sc.members)
 	if g < cap(sc.members) {
 		sc.members = sc.members[:g+1]
@@ -254,7 +262,6 @@ func (sc *batchScratch) addGroup(sig string) int32 {
 	} else {
 		sc.members = append(sc.members, nil)
 	}
-	sc.sigs = append(sc.sigs, sig)
 	return int32(g)
 }
 
@@ -264,7 +271,6 @@ func (sc *batchScratch) release() {
 		sc.members[i] = sc.members[i][:0]
 	}
 	sc.members = sc.members[:0]
-	sc.sigs = sc.sigs[:0]
 	batchPool.Put(sc)
 }
 
@@ -299,7 +305,7 @@ func (e *Engine) CertainBatch(ctx context.Context, items []Item) []Result {
 		k := batchKey{sig: items[i].Query.Signature(), db: items[i].DB}
 		g, ok := sc.groupOf[k]
 		if !ok {
-			g = sc.addGroup(k.sig)
+			g = sc.addGroup()
 			sc.groupOf[k] = g
 		}
 		sc.members[g] = append(sc.members[g], int32(i))
@@ -335,7 +341,7 @@ func (e *Engine) CertainBatch(ctx context.Context, items []Item) []Result {
 				}
 				busy := e.stats.busyWorkers.Add(1)
 				e.stats.observePeak(busy)
-				res := e.certainIsolated(items[mem[0]], sc.sigs[g])
+				res := e.certainIsolated(items[mem[0]])
 				e.stats.busyWorkers.Add(-1)
 				for _, i := range mem {
 					results[i] = res
@@ -356,16 +362,17 @@ func (e *Engine) CertainBatch(ctx context.Context, items []Item) []Result {
 
 // certainIsolated runs one check, converting panics (e.g. from malformed
 // formulas or databases) into per-item errors so one bad item cannot take
-// down the batch. sig is the item's canonical signature.
-func (e *Engine) certainIsolated(it Item, sig string) (res Result) {
+// down the batch.
+func (e *Engine) certainIsolated(it Item) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: fmt.Errorf("engine: item panicked: %v", r)}
 		}
 	}()
-	p, _, err := e.cache.getOrPrepare(sig, it.Query)
+	key, vals := it.Query.Shape()
+	s, _, err := e.cache.getOrPrepare(key, it.Query)
 	if err != nil {
 		return Result{Err: err}
 	}
-	return Result{Certain: e.certainWith(p, it.DB)}
+	return Result{Certain: e.certainWith(s.Instance(it.Query, vals), it.DB)}
 }

@@ -59,15 +59,15 @@ func TestPrepareCacheHitsAlphaVariants(t *testing.T) {
 		"R(a | b), !S(a | b)",
 		"!S(u | w), R(u | w)",
 	}
-	var first *core.Prepared
+	var first *core.Shape
 	for i, src := range variants {
 		p, err := e.Prepare(mustQuery(t, src))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			first = p
-		} else if p != first {
+			first = p.Shape
+		} else if p.Shape != first {
 			t.Fatalf("variant %q did not hit the cached plan", src)
 		}
 	}

@@ -63,7 +63,7 @@ func TestPrepareCachedReportsOutcome(t *testing.T) {
 	if err != nil || !r2.Hit {
 		t.Fatalf("second Plan: hit=%v err=%v", r2.Hit, err)
 	}
-	if r1.Prepared != r2.Prepared || r1.Sig != q.Signature() || r2.Sig != r1.Sig {
+	if r1.Prepared.Shape != r2.Prepared.Shape || r1.Sig != q.Signature() || r2.Sig != r1.Sig {
 		t.Fatal("cache returned a different plan")
 	}
 }
@@ -80,7 +80,7 @@ func TestExplainSurfaces(t *testing.T) {
 	if n := p.RewritingSize(); n <= 0 {
 		t.Fatalf("RewritingSize = %d", n)
 	}
-	sum := p.Program().PlanSummary()
+	sum := p.PlanSummary()
 	if len(sum) == 0 {
 		t.Fatal("empty plan summary")
 	}

@@ -136,8 +136,8 @@ func TestPrepareSingleFlight(t *testing.T) {
 		schema.Pos(schema.NewAtom("R", 1, schema.Var("x"))),
 		schema.Neg(schema.NewAtom("N", 1, schema.Var("z"))), // unsafe: z not positive
 	)
-	run := func(q schema.Query) (plans map[*core.Prepared]bool, errs int) {
-		plans = make(map[*core.Prepared]bool)
+	run := func(q schema.Query) (plans map[*core.Shape]bool, errs int) {
+		plans = make(map[*core.Shape]bool)
 		var mu sync.Mutex
 		var wg sync.WaitGroup
 		start := make(chan struct{})
@@ -152,7 +152,7 @@ func TestPrepareSingleFlight(t *testing.T) {
 				if err != nil {
 					errs++
 				} else {
-					plans[p] = true
+					plans[p.Shape] = true
 				}
 			}()
 		}

@@ -2,7 +2,10 @@
 // consistent first-order rewritings: formulas with relation atoms,
 // (dis)equalities, Boolean connectives, implication, and quantifiers,
 // together with an active-domain model checker over internal/db databases,
-// a simplifier, and a pretty printer.
+// a simplifier, and a pretty printer, and the compiled evaluator
+// (compile.go): a formula lowered once, bound once per interned
+// database, and evaluated per call with the values of its parameters —
+// the free variables that stand for a query shape's constants.
 //
 // The complexity class FO of the paper is "first-order logic with equality
 // and constants, but without other built-in predicates or function

@@ -183,7 +183,7 @@ type nExistsVec struct {
 
 func (e *nExistsVec) scalarEval(m *mach) bool {
 	body, env := e.body, m.env
-	for _, v := range m.b.cands[e.cand] {
+	for _, v := range m.cands[e.cand] {
 		env[e.slot] = v
 		if body.eval(m) {
 			return true
@@ -453,6 +453,11 @@ func (c *compiler) lowerNode(n node) (node, int) {
 		k += kr
 	case *nExists:
 		g.body, k = c.lowerNode(g.body)
+		if c.p.readsParam(int(g.cand)) {
+			// Its candidates depend on the call's parameter ids, while
+			// candidate sets are built once per Bind.
+			return g, k
+		}
 		// Snapshot scratch counters so a failed attempt does not leak
 		// unused machine slots.
 		p := c.p

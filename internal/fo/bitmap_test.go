@@ -39,9 +39,9 @@ func TestBitmapDifferential(t *testing.T) {
 		if got := fo.Eval(d, f); got != want {
 			t.Fatalf("tree walker = %v, reference = %v on %s with db:\n%s", got, want, f, d)
 		}
-		p, err := fo.Compile(f)
+		p, err := fo.Compile(f, nil)
 		if err != nil {
-			t.Fatalf("Compile(%s): %v", f, err)
+			t.Fatalf("Compile(%s, nil): %v", f, err)
 		}
 		b := p.Bind(d.Interned())
 		if got := b.Eval(); got != want {

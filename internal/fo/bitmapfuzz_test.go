@@ -21,9 +21,9 @@ func FuzzBitmapEval(f *testing.F) {
 		d := fz.database()
 		formula := fz.sentence()
 		want := fo.EvalReference(d, formula)
-		p, err := fo.Compile(formula)
+		p, err := fo.Compile(formula, nil)
 		if err != nil {
-			t.Fatalf("Compile(%s): %v", formula, err)
+			t.Fatalf("Compile(%s, nil): %v", formula, err)
 		}
 		b := p.Bind(d.Interned())
 		if got, _ := b.EvalSupport(); got != want {

@@ -2,6 +2,7 @@ package fo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -22,9 +23,18 @@ import (
 // place to its bitmap form (bitmap.go), so a Program is one tree.
 //
 // Lifecycle: Compile once per formula → Bind once per (program, interned
-// database) → Eval any number of times, concurrently. Programs, plans,
-// and Bounds are read-only after construction; per-evaluation state lives
-// in pooled machines, so steady-state evaluation performs no allocation.
+// database) → Eval any number of times, concurrently, each call with its
+// own parameter values. Programs, plans, and Bounds are read-only after
+// construction; per-evaluation state — the parameter ids included —
+// lives in pooled machines, so steady-state evaluation performs no
+// allocation.
+//
+// Parameters are free variables Compile is told to accept. Each is a
+// slot of the constant table whose id the call supplies: the machine
+// carries the table, so mach.get and a constant candidate read the
+// request's id exactly where they read a constant's. Everything else Bind
+// computes — relations, posting lists, the candidate lists that do not
+// mention a parameter, the bitmap sets — is shared by every call.
 
 // termRef encodes a compiled term: values ≥ 0 are environment slots,
 // values < 0 are constant-table indexes (^ref).
@@ -45,7 +55,8 @@ type candDomain struct{}
 // candCol ranges over the posting list of one positive-atom column.
 type candCol struct{ rel, col int }
 
-// candConst is the singleton from a ground equality x = c.
+// candConst is the singleton from a ground equality x = c, where c is a
+// constant-table index (a parameter slot when below Program.nParams).
 type candConst struct{ c int }
 
 // candPick takes the smallest of several sound restrictions (conjunctive
@@ -133,7 +144,7 @@ func (n *nImplies) eval(m *mach) bool { return !n.l.eval(m) || n.r.eval(m) }
 
 func (e *nExists) eval(m *mach) bool {
 	body, env := e.body, m.env
-	for _, v := range m.b.cands[e.cand] {
+	for _, v := range m.cands[e.cand] {
 		env[e.slot] = v
 		if body.eval(m) {
 			return true
@@ -144,15 +155,28 @@ func (e *nExists) eval(m *mach) bool {
 
 // Program is a formula lowered to slot-based form. It is independent of
 // any database: constants and relations are symbolic tables resolved at
-// Bind time. Read-only after Compile; safe for concurrent Binds.
+// Bind time, parameters at Eval time. Read-only after Compile; safe for
+// concurrent Binds.
 type Program struct {
-	root     node
-	slots    int
-	consts   []string // distinct constant values, indexed by constRef
+	root  node
+	slots int
+	// consts is the constant table, indexed by constRef: the nParams
+	// parameter names first, then the distinct constant values.
+	consts   []string
+	nParams  int
 	rels     []string // distinct relation names, indexed by nAtom.rel
 	cands    []candPlan
 	maxArity int
 	source   Formula
+
+	// paramCands lists the candidate plans that mention a parameter:
+	// every call materializes them with its own ids. usesDomain: some
+	// plan may range over the active domain. occurs marks the parameters
+	// the formula mentions: only their values join the domain, as only
+	// they would be constants of the substituted sentence.
+	paramCands []int32
+	usesDomain bool
+	occurs     []bool
 
 	// Bitmap lowering (bitmap.go): vecQuants counts the quantifiers of
 	// root that lowered to nExistsVec, vecCand marks candidate plans that
@@ -164,21 +188,29 @@ type Program struct {
 	nVBits    int
 	nVIds     int
 
-	needs []Need
+	needs []need
 }
 
 // Need is a necessary condition the caller of Compile knows about its
 // sentence: on a database where column Col of relation Rel lacks the
-// constant Const (or lacks the relation), the sentence is false. A
+// value of Term (or lacks the relation), the sentence is false. Term is
+// a constant or a variable naming one of the program's parameters. A
 // consistent rewriting has one per constant of a positive query atom —
 // no repair holds a fact the atom matches, so the query fails in all of
-// them — and Bind checks them against the posting lists, so a scan for
-// a value that occurs nowhere is answered without sweeping the blocks
-// it would find nothing in.
+// them. Bind checks a constant's Need against the posting lists, Eval a
+// parameter's, so a scan for a value that occurs nowhere is answered
+// without sweeping the blocks it would find nothing in.
 type Need struct {
-	Rel   string
-	Col   int
-	Const string
+	Rel  string
+	Col  int
+	Term schema.Term
+}
+
+// need is a compiled Need: c indexes the constant table.
+type need struct {
+	rel string
+	col int
+	c   int
 }
 
 // Slots returns the number of environment slots (binder occurrences).
@@ -190,25 +222,55 @@ func (p *Program) Source() Formula { return p.source }
 type compiler struct {
 	p        *Program
 	constIdx map[string]int
+	paramIdx map[string]int
 	relIdx   map[string]int
 	err      error
 }
 
-// Compile lowers a sentence into a Program. It fails on free variables —
-// programs evaluate closed formulas only, like Eval. needs are
-// conditions without which f is known to be false (see Need).
-func Compile(f Formula, needs ...Need) (*Program, error) {
-	if free := FreeVars(f); !free.Empty() {
-		return nil, fmt.Errorf("fo: Compile on non-sentence with free variables %s", free)
-	}
+// Compile lowers f into a Program whose free variables are the
+// parameters params, bound per call (Bound.Eval); any other free
+// variable, and a quantifier binding a parameter's name, is an error.
+// needs are conditions without which f is known to be false (see Need).
+func Compile(f Formula, params []string, needs ...Need) (*Program, error) {
 	c := &compiler{
-		p:        &Program{source: f, needs: needs},
+		p:        &Program{source: f, nParams: len(params), consts: append([]string(nil), params...)},
 		constIdx: make(map[string]int),
+		paramIdx: make(map[string]int, len(params)),
 		relIdx:   make(map[string]int),
 	}
+	for i, x := range params {
+		if _, dup := c.paramIdx[x]; dup {
+			return nil, fmt.Errorf("fo: Compile: duplicate parameter %s", x)
+		}
+		c.paramIdx[x] = i
+	}
+	free := FreeVars(f)
+	c.p.occurs = make([]bool, len(params))
+	for x := range free {
+		if i, ok := c.paramIdx[x]; ok {
+			c.p.occurs[i] = true
+			delete(free, x)
+		}
+	}
+	if !free.Empty() {
+		return nil, fmt.Errorf("fo: Compile on non-sentence with free variables %s", free)
+	}
 	c.p.root = c.compile(f, make(map[string]int32))
+	for _, n := range needs {
+		ref, ok := c.fixed(n.Term)
+		if !ok {
+			c.fail("fo: compile: need on variable %s, which is no parameter", n.Term.Name)
+		}
+		c.p.needs = append(c.p.needs, need{rel: n.Rel, col: n.Col, c: ref})
+	}
 	if c.err != nil {
 		return nil, c.err
+	}
+	for i, plan := range c.p.cands {
+		if c.mentionsParam(plan) {
+			c.p.paramCands = append(c.p.paramCands, int32(i))
+		}
+		c.p.usesDomain = c.p.usesDomain || usesDomain(plan)
 	}
 	c.lowerBitmap()
 	return c.p, nil
@@ -216,11 +278,42 @@ func Compile(f Formula, needs ...Need) (*Program, error) {
 
 // MustCompile is Compile for known-good sentences (e.g. rewritings).
 func MustCompile(f Formula) *Program {
-	p, err := Compile(f)
+	p, err := Compile(f, nil)
 	if err != nil {
 		panic(err)
 	}
 	return p
+}
+
+// fixed returns the constant-table index of a constant or parameter
+// term; ok is false for any other variable.
+func (c *compiler) fixed(t schema.Term) (int, bool) {
+	if !t.IsVar {
+		return c.constant(t.Name), true
+	}
+	i, ok := c.paramIdx[t.Name]
+	return i, ok
+}
+
+// mentionsParam reports whether a candidate plan reads a parameter.
+func (c *compiler) mentionsParam(plan candPlan) bool {
+	switch g := plan.(type) {
+	case candConst:
+		return g.c < c.p.nParams
+	case candPick:
+		for _, sub := range g.of {
+			if c.mentionsParam(sub) {
+				return true
+			}
+		}
+	case candUnion:
+		for _, sub := range g.of {
+			if c.mentionsParam(sub) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (c *compiler) constant(v string) int {
@@ -244,15 +337,16 @@ func (c *compiler) relation(name string) int {
 }
 
 func (c *compiler) term(t schema.Term, scope map[string]int32) termRef {
-	if !t.IsVar {
-		return constRef(c.constant(t.Name))
+	if t.IsVar {
+		if s, ok := scope[t.Name]; ok {
+			return slotRef(int(s))
+		}
 	}
-	s, ok := scope[t.Name]
-	if !ok {
-		c.fail("fo: compile: unbound variable %s", t.Name)
-		return slotRef(0)
+	if i, ok := c.fixed(t); ok {
+		return constRef(i)
 	}
-	return slotRef(int(s))
+	c.fail("fo: compile: unbound variable %s", t.Name)
+	return slotRef(0)
 }
 
 func (c *compiler) fail(format string, args ...any) {
@@ -312,6 +406,9 @@ func (c *compiler) compileExists(vars []string, body Formula, scope map[string]i
 		return c.compile(body, scope)
 	}
 	x := vars[0]
+	if _, ok := c.paramIdx[x]; ok {
+		c.fail("fo: compile: parameter %s is quantified", x)
+	}
 	plan, ok := c.candidates(x, body, true)
 	if !ok {
 		plan = candDomain{}
@@ -355,11 +452,15 @@ func (c *compiler) candidates(x string, f Formula, positive bool) (candPlan, boo
 		if !positive {
 			return nil, false
 		}
-		if g.L.IsVar && g.L.Name == x && !g.R.IsVar {
-			return candConst{c: c.constant(g.R.Name)}, true
+		if g.L.IsVar && g.L.Name == x {
+			if i, ok := c.fixed(g.R); ok {
+				return candConst{c: i}, true
+			}
 		}
-		if g.R.IsVar && g.R.Name == x && !g.L.IsVar {
-			return candConst{c: c.constant(g.L.Name)}, true
+		if g.R.IsVar && g.R.Name == x {
+			if i, ok := c.fixed(g.L); ok {
+				return candConst{c: i}, true
+			}
 		}
 		return nil, false
 	case Not:
@@ -452,13 +553,14 @@ func (c *compiler) unionRestriction(x string, fs []Formula, positive bool) (cand
 
 // Bound is a Program linked against one interned database: constants
 // resolved to ids, relations resolved to indexes, and every quantifier's
-// candidate plan materialized into a concrete list. Read-only after Bind
-// and safe for unbounded concurrent Eval calls; per-call
-// state lives in pooled machines.
+// candidate plan that mentions no parameter materialized into a concrete
+// list. Read-only after Bind and safe for unbounded concurrent Eval
+// calls; per-call state, the parameter ids included, lives in pooled
+// machines.
 type Bound struct {
 	p      *Program
 	ix     *db.Interned
-	consts []int32
+	consts []int32 // the constant table; parameter entries are per call
 	rels   []*db.InternedRelation
 	cands  [][]int32
 	domain []int32
@@ -469,35 +571,58 @@ type Bound struct {
 	// populated when a quantifier lowered.
 	candSets []*db.IDSet
 
-	// unmet: ix fails one of the program's Needs, so Eval answers false
-	// without running. EvalSupport still runs the tree —
-	// the delta layer replays what it records.
-	unmet bool
+	// unmet: ix fails one of the program's constant Needs, so Eval
+	// answers false without running. EvalSupport still runs the tree —
+	// the delta layer replays what it records. paramNeeds are the Needs
+	// on parameters, checked per call.
+	unmet      bool
+	paramNeeds []paramNeed
+
+	// synthetic holds the values Bind gave synthetic ids (constants and
+	// bind-time parameter values the database does not know); synth is
+	// the next free synthetic id.
+	synthetic map[string]int32
+	synth     int32
+}
+
+// paramNeed is a Need on parameter slot c; r is nil when the database
+// lacks the relation.
+type paramNeed struct {
+	r   *db.InternedRelation
+	col int
+	c   int
 }
 
 // Bind links the program against ix. Constants unknown to the database
 // receive synthetic ids (≥ ix.NumIDs()) that match no fact but
 // participate in equality and quantification, preserving the tree
 // walker's active-domain semantics (database constants ∪ formula
-// constants).
-func (p *Program) Bind(ix *db.Interned) *Bound {
+// constants). vals, when given, are parameter values that join the
+// quantification domain the same way: Eval binds a call-private Bound
+// with them when the program quantifies over the active domain and a
+// value lies outside it.
+func (p *Program) Bind(ix *db.Interned, vals ...string) *Bound {
 	b := &Bound{p: p, ix: ix}
-	for _, n := range p.needs {
-		r := ix.Relation(n.Rel)
-		id, known := ix.ID(n.Const)
-		if r == nil || !known || n.Col >= r.Arity || !r.PostingHas(n.Col, id) {
-			b.unmet = true
-			break
+	b.synth = ix.NumIDs()
+	b.consts = make([]int32, len(p.consts))
+	for i := p.nParams; i < len(p.consts); i++ {
+		b.consts[i] = b.intern(p.consts[i])
+	}
+	var extra []int32
+	for i, v := range vals {
+		if p.occurs[i] {
+			extra = append(extra, b.intern(v))
 		}
 	}
-	b.consts = make([]int32, len(p.consts))
-	synth := ix.NumIDs()
-	for i, v := range p.consts {
-		if id, ok := ix.ID(v); ok {
-			b.consts[i] = id
-		} else {
-			b.consts[i] = synth
-			synth++
+	for _, n := range p.needs {
+		r := ix.Relation(n.rel)
+		if n.c < p.nParams {
+			b.paramNeeds = append(b.paramNeeds, paramNeed{r: r, col: n.col, c: n.c})
+			continue
+		}
+		id := b.consts[n.c]
+		if !b.known(id) || r == nil || n.col >= r.Arity || !r.PostingHas(n.col, id) {
+			b.unmet = true
 		}
 	}
 	b.rels = make([]*db.InternedRelation, len(p.rels))
@@ -505,24 +630,27 @@ func (p *Program) Bind(ix *db.Interned) *Bound {
 		b.rels[i] = ix.Relation(name)
 	}
 	// The quantification domain is the active domain plus any formula
-	// constant not occurring in the database.
+	// constant (or bind-time parameter value) not occurring in it.
 	b.domain = ix.DomainIDs()
-	var extra []int32
-	for _, id := range b.consts {
-		if !containsID(b.domain, id) && !containsID(extra, id) {
-			extra = append(extra, id)
+	extra = append(extra, b.consts[p.nParams:]...)
+	var missing []int32
+	for _, id := range extra {
+		if !containsID(b.domain, id) && !slices.Contains(missing, id) {
+			missing = append(missing, id)
 		}
 	}
-	if len(extra) > 0 {
-		merged := make([]int32, 0, len(b.domain)+len(extra))
+	if len(missing) > 0 {
+		merged := make([]int32, 0, len(b.domain)+len(missing))
 		merged = append(merged, b.domain...)
-		merged = append(merged, extra...)
+		merged = append(merged, missing...)
 		sortIDs(merged)
 		b.domain = merged
 	}
 	b.cands = make([][]int32, len(p.cands))
 	for i, plan := range p.cands {
-		b.cands[i] = b.materialize(plan)
+		if !p.readsParam(i) {
+			b.cands[i] = b.materialize(plan, b.consts)
+		}
 	}
 	if p.vecQuants > 0 && !b.unmet {
 		b.candSets = make([]*db.IDSet, len(p.cands))
@@ -541,17 +669,111 @@ func (p *Program) Bind(ix *db.Interned) *Bound {
 			}
 		}
 	}
-	b.pool.New = func() any {
-		m := &mach{b: b, env: make([]int32, p.slots), argbuf: make([]int32, p.maxArity)}
-		if p.vecQuants > 0 {
-			m.vsets = make([]*db.IDSet, p.nVSets)
-			m.vbits = make([]bool, p.nVBits)
-			m.vids = make([]int32, p.nVIds)
-			m.restbuf = make([]int32, p.maxArity)
-		}
-		return m
-	}
+	b.pool.New = func() any { return b.newMach() }
 	return b
+}
+
+// intern returns v's id: its dictionary id, or the synthetic id Bind
+// gave it, or a fresh synthetic one.
+func (b *Bound) intern(v string) int32 {
+	if id, ok := b.ix.ID(v); ok {
+		return id
+	}
+	if id, ok := b.synthetic[v]; ok {
+		return id
+	}
+	if b.synthetic == nil {
+		b.synthetic = make(map[string]int32)
+	}
+	id := b.synth
+	b.synthetic[v] = id
+	b.synth++
+	return id
+}
+
+// known reports whether id is a dictionary id, not a synthetic one.
+func (b *Bound) known(id int32) bool { return id < b.ix.NumIDs() }
+
+// readsParam reports whether candidate plan i reads a parameter.
+func (p *Program) readsParam(i int) bool {
+	for _, j := range p.paramCands {
+		if int(j) == i {
+			return true
+		}
+	}
+	return false
+}
+
+func (b *Bound) newMach() *mach {
+	p := b.p
+	m := &mach{b: b, env: make([]int32, p.slots), argbuf: make([]int32, p.maxArity), consts: b.consts, cands: b.cands}
+	if p.nParams > 0 {
+		m.consts = append([]int32(nil), b.consts...)
+		m.cands = append([][]int32(nil), b.cands...)
+	}
+	if p.vecQuants > 0 {
+		m.vsets = make([]*db.IDSet, p.nVSets)
+		m.vbits = make([]bool, p.nVBits)
+		m.vids = make([]int32, p.nVIds)
+		m.restbuf = make([]int32, p.maxArity)
+	}
+	return m
+}
+
+// bind writes the ids of one call's parameter values into m's constant
+// table and materializes the candidate plans that read them. It reports
+// whether the values meet the program's parameter Needs. A value the
+// database does not know gets a synthetic id, equal values equal ids.
+func (m *mach) bind(vals []string) (met bool) {
+	b := m.b
+	if len(vals) != b.p.nParams {
+		panic(fmt.Sprintf("fo: %d parameter values for a program of %d parameters", len(vals), b.p.nParams))
+	}
+	if len(vals) == 0 {
+		return true
+	}
+	next := b.synth
+	for i, v := range vals {
+		id, ok := b.ix.ID(v)
+		if !ok {
+			id, ok = b.synthetic[v]
+		}
+		for j := 0; !ok && j < i; j++ {
+			if vals[j] == v {
+				id, ok = m.consts[j], true
+			}
+		}
+		if !ok {
+			id = next
+			next++
+		}
+		m.consts[i] = id
+	}
+	for _, i := range b.p.paramCands {
+		m.cands[i] = b.materialize(b.p.cands[i], m.consts)
+	}
+	for _, n := range b.paramNeeds {
+		id := m.consts[n.c]
+		if !b.known(id) || n.r == nil || n.col >= n.r.Arity || !n.r.PostingHas(n.col, id) {
+			return false
+		}
+	}
+	return true
+}
+
+// outside reports whether the program quantifies over the active domain
+// and a parameter id bound on m lies outside b's domain: the call then
+// needs a Bound whose domain includes it (Bind with the values).
+func (m *mach) outside() bool {
+	if !m.b.p.usesDomain {
+		return false
+	}
+	for i, id := range m.consts[:m.b.p.nParams] {
+		if m.b.p.occurs[i] && !containsID(m.b.domain, id) {
+			return true
+		}
+	}
+	return false
 }
 
 func containsID(s []int32, id int32) bool {
@@ -563,8 +785,9 @@ func sortIDs(s []int32) {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
-// materialize turns a candidate plan into a concrete sorted id list.
-func (b *Bound) materialize(plan candPlan) []int32 {
+// materialize turns a candidate plan into a concrete sorted id list,
+// reading constants and parameters from the constant table consts.
+func (b *Bound) materialize(plan candPlan, consts []int32) []int32 {
 	switch p := plan.(type) {
 	case candDomain:
 		return b.domain
@@ -575,11 +798,11 @@ func (b *Bound) materialize(plan candPlan) []int32 {
 		}
 		return r.Posting(p.col)
 	case candConst:
-		return []int32{b.consts[p.c]}
+		return consts[p.c : p.c+1 : p.c+1]
 	case candPick:
-		best := b.materialize(p.of[0])
+		best := b.materialize(p.of[0], consts)
 		for _, sub := range p.of[1:] {
-			if got := b.materialize(sub); len(got) < len(best) {
+			if got := b.materialize(sub, consts); len(got) < len(best) {
 				best = got
 			}
 		}
@@ -587,7 +810,7 @@ func (b *Bound) materialize(plan candPlan) []int32 {
 	case candUnion:
 		set := make(map[int32]bool)
 		for _, sub := range p.of {
-			for _, id := range b.materialize(sub) {
+			for _, id := range b.materialize(sub, consts) {
 				set[id] = true
 			}
 		}
@@ -605,15 +828,19 @@ func (b *Bound) materialize(plan candPlan) []int32 {
 // Interned returns the interned database the program is bound to.
 func (b *Bound) Interned() *db.Interned { return b.ix }
 
-// mach is the per-evaluation state: the slot environment and the atom
-// argument scratch buffer. Machines are pooled by the Bound; one machine
-// is used by exactly one goroutine at a time. rec is nil on the hot
-// path; EvalSupport sets it on a private machine to record the blocks
-// every membership probe touches (see support.go).
+// mach is the per-evaluation state: the slot environment, the atom
+// argument scratch buffer, and — for programs with parameters — its own
+// copy of the constant table and of the candidate lists, whose parameter
+// entries bind sets per call. Machines are pooled by the Bound; one
+// machine is used by exactly one goroutine at a time. rec is nil on the
+// hot path; EvalSupport sets it on a private machine to record the
+// blocks every membership probe touches (see support.go).
 type mach struct {
 	b      *Bound
 	env    []int32
 	argbuf []int32
+	consts []int32
+	cands  [][]int32
 	rec    *recorder
 
 	// Bitmap-evaluation scratch (bitmap.go): per-quantifier prep results
@@ -630,19 +857,26 @@ func (m *mach) get(t termRef) int32 {
 	if t >= 0 {
 		return m.env[t]
 	}
-	return m.b.consts[^t]
+	return m.consts[^t]
 }
 
-// Eval evaluates the bound program: lowered quantifiers sweep membership
-// words, the rest loop over their candidates. Safe for concurrent use;
-// steady-state calls allocate nothing once the lazy hole indexes are
-// built.
-func (b *Bound) Eval() bool {
+// Eval evaluates the bound program with the parameter values vals, in
+// slot order: lowered quantifiers sweep membership words, the rest loop
+// over their candidates. Safe for concurrent use; steady-state calls
+// allocate nothing once the lazy hole indexes are built, except when a
+// value outside the active domain meets a program that quantifies over
+// it, which binds a call-private Bound.
+func (b *Bound) Eval(vals ...string) bool {
 	if b.unmet {
 		return false
 	}
 	m := b.pool.Get().(*mach)
-	r := b.p.root.eval(m)
+	met := m.bind(vals)
+	if met && m.outside() {
+		b.pool.Put(m)
+		return b.p.Bind(b.ix, vals...).Eval(vals...)
+	}
+	r := met && b.p.root.eval(m)
 	b.pool.Put(m)
 	return r
 }

@@ -53,9 +53,9 @@ func TestCompiledAgreesOnRewritings(t *testing.T) {
 		tested++
 		d := gen.Database(rng, q, dbOpts)
 		want := fo.Eval(d, f)
-		p, err := fo.Compile(f)
+		p, err := fo.Compile(f, nil)
 		if err != nil {
-			t.Fatalf("Compile(%s): %v", f, err)
+			t.Fatalf("Compile(%s, nil): %v", f, err)
 		}
 		b := p.Bind(d.Interned())
 		for i := 0; i < 3; i++ {
@@ -69,7 +69,7 @@ func TestCompiledAgreesOnRewritings(t *testing.T) {
 // Compile rejects formulas with free variables.
 func TestCompileRejectsFreeVariables(t *testing.T) {
 	f := fo.Atom{Rel: "R", Key: 1, Terms: []schema.Term{schema.Var("x"), schema.Const("a")}}
-	if _, err := fo.Compile(f); err == nil {
+	if _, err := fo.Compile(f, nil); err == nil {
 		t.Fatal("Compile accepted a formula with free variable x")
 	}
 }
@@ -197,13 +197,13 @@ func TestNeedShortCircuitsBoundProgram(t *testing.T) {
 		need fo.Need
 		met  bool
 	}{
-		{"value in its column", fo.Need{Rel: "R", Col: 1, Const: "v"}, true},
-		{"value in another column only", fo.Need{Rel: "R", Col: 1, Const: "k"}, false},
-		{"value nowhere", fo.Need{Rel: "R", Col: 0, Const: "zz"}, false},
-		{"relation absent", fo.Need{Rel: "S", Col: 0, Const: "k"}, false},
-		{"column out of range", fo.Need{Rel: "R", Col: 2, Const: "k"}, false},
+		{"value in its column", fo.Need{Rel: "R", Col: 1, Term: schema.Const("v")}, true},
+		{"value in another column only", fo.Need{Rel: "R", Col: 1, Term: schema.Const("k")}, false},
+		{"value nowhere", fo.Need{Rel: "R", Col: 0, Term: schema.Const("zz")}, false},
+		{"relation absent", fo.Need{Rel: "S", Col: 0, Term: schema.Const("k")}, false},
+		{"column out of range", fo.Need{Rel: "R", Col: 2, Term: schema.Const("k")}, false},
 	} {
-		p, err := fo.Compile(f, tc.need)
+		p, err := fo.Compile(f, nil, tc.need)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestNeedShortCircuitsBoundProgram(t *testing.T) {
 	// ∃y R('k', y) lowers at the root: an unmet Need skips the vectorized
 	// tree, and EvalSupport still runs and records its scalar body.
 	g := fo.Exists{Vars: []string{"y"}, Body: fo.Atom{Rel: "R", Key: 1, Terms: []schema.Term{schema.Const("k"), schema.Var("y")}}}
-	p, err := fo.Compile(g, fo.Need{Rel: "R", Col: 1, Const: "zz"})
+	p, err := fo.Compile(g, nil, fo.Need{Rel: "R", Col: 1, Term: schema.Const("zz")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,9 @@ func FuzzCompiledEval(f *testing.F) {
 		if got := fo.Eval(d, formula); got != want {
 			t.Fatalf("tree walker = %v, reference = %v on %s with db:\n%s", got, want, formula, d)
 		}
-		p, err := fo.Compile(formula)
+		p, err := fo.Compile(formula, nil)
 		if err != nil {
-			t.Fatalf("Compile(%s): %v", formula, err)
+			t.Fatalf("Compile(%s, nil): %v", formula, err)
 		}
 		b := p.Bind(d.Interned())
 		if got := b.Eval(); got != want {

@@ -21,28 +21,36 @@ func Eval(d *db.Database, f Formula) bool {
 		panic(fmt.Sprintf("fo: Eval on non-sentence with free variables %s", free))
 	}
 	ev := &evaluator{d: d}
-	ev.domain = activeDomain(d, f)
+	ev.domain = activeDomain(d, f, nil)
 	return ev.eval(f, make(map[string]string))
 }
 
 // EvalWith model-checks a formula whose free variables are bound by env.
+// The values of f's free variables are treated as the constants they
+// stand for: they join the quantification domain, so EvalWith(d, f, env)
+// agrees with Eval of f with env substituted.
 func EvalWith(d *db.Database, f Formula, env map[string]string) bool {
 	ev := &evaluator{d: d}
-	ev.domain = activeDomain(d, f)
 	e := make(map[string]string, len(env))
 	for k, v := range env {
 		e[k] = v
 	}
+	ev.domain = activeDomain(d, f, e)
 	return ev.eval(f, e)
 }
 
-func activeDomain(d *db.Database, f Formula) []string {
+func activeDomain(d *db.Database, f Formula, env map[string]string) []string {
 	set := make(map[string]bool)
 	for _, v := range d.ActiveDomain() {
 		set[v] = true
 	}
 	for c := range Constants(f) {
 		set[c] = true
+	}
+	for x := range FreeVars(f) {
+		if v, ok := env[x]; ok {
+			set[v] = true
+		}
 	}
 	out := make([]string, 0, len(set))
 	for v := range set {

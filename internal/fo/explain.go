@@ -45,36 +45,40 @@ func NodeCount(f Formula) int {
 // PlanSummary describes every quantifier's candidate-restriction plan,
 // one line per binder in compile order: "s0 ∈ R.1", "s1 ∈ min(R.0,
 // S.1)", "s2 ∈ domain". Binders and candidate plans are allocated in
-// lockstep by compileExists, so entry i is slot i's plan.
-func (p *Program) PlanSummary() []string {
+// lockstep by compileExists, so entry i is slot i's plan. A parameter
+// is shown as its value in vals, or by name when vals is empty.
+func (p *Program) PlanSummary(vals ...string) []string {
 	out := make([]string, len(p.cands))
 	for i, plan := range p.cands {
-		out[i] = fmt.Sprintf("s%d ∈ %s", i, p.describe(plan))
+		out[i] = fmt.Sprintf("s%d ∈ %s", i, p.describe(plan, vals))
 	}
 	return out
 }
 
-func (p *Program) describe(plan candPlan) string {
+func (p *Program) describe(plan candPlan, vals []string) string {
 	switch c := plan.(type) {
 	case candDomain:
 		return "domain"
 	case candCol:
 		return fmt.Sprintf("%s.%d", p.rels[c.rel], c.col)
 	case candConst:
+		if c.c < len(vals) {
+			return fmt.Sprintf("%q", vals[c.c])
+		}
 		return fmt.Sprintf("%q", p.consts[c.c])
 	case candPick:
-		return "min(" + p.describeAll(c.of) + ")"
+		return "min(" + p.describeAll(c.of, vals) + ")"
 	case candUnion:
-		return "union(" + p.describeAll(c.of) + ")"
+		return "union(" + p.describeAll(c.of, vals) + ")"
 	default:
 		return fmt.Sprintf("%T", plan)
 	}
 }
 
-func (p *Program) describeAll(plans []candPlan) string {
+func (p *Program) describeAll(plans []candPlan, vals []string) string {
 	parts := make([]string, len(plans))
 	for i, sub := range plans {
-		parts[i] = p.describe(sub)
+		parts[i] = p.describe(sub, vals)
 	}
 	return strings.Join(parts, ", ")
 }

@@ -336,3 +336,97 @@ func collectAllVars(f Formula, out map[string]bool) {
 		panic(fmt.Sprintf("fo: unknown formula %T", f))
 	}
 }
+
+// Rename applies ren to every variable occurrence of f, bound or free.
+// A variable ren maps to a constant must occur free only: that
+// instantiates a parameter. ren must be injective on the variables it
+// renames; a bound variable it does not map is renamed apart when its
+// name is one of ren's targets, so no occurrence is captured. Rename
+// renders a shape's rewriting in the words of one query of the shape.
+func Rename(f Formula, ren map[string]schema.Term) Formula {
+	r := &renamer{prenexer: prenexer{used: make(map[string]bool)}, ren: ren, targets: make(map[string]bool)}
+	collectAllVars(f, r.used)
+	for _, t := range ren {
+		if t.IsVar {
+			r.targets[t.Name] = true
+			r.used[t.Name] = true
+		}
+	}
+	return r.formula(f, ren)
+}
+
+type renamer struct {
+	prenexer
+	ren     map[string]schema.Term
+	targets map[string]bool
+}
+
+// formula renames f under scope, the terms the variables in scope stand
+// for.
+func (r *renamer) formula(f Formula, scope map[string]schema.Term) Formula {
+	switch g := f.(type) {
+	case Truth:
+		return g
+	case Atom:
+		return Atom{Rel: g.Rel, Key: g.Key, Terms: r.terms(g.Terms, scope)}
+	case Eq:
+		ts := r.terms([]schema.Term{g.L, g.R}, scope)
+		return Eq{L: ts[0], R: ts[1]}
+	case Not:
+		return Not{F: r.formula(g.F, scope)}
+	case And:
+		return And{Fs: r.all(g.Fs, scope)}
+	case Or:
+		return Or{Fs: r.all(g.Fs, scope)}
+	case Implies:
+		return Implies{L: r.formula(g.L, scope), R: r.formula(g.R, scope)}
+	case Exists:
+		vars, inner := r.bind(g.Vars, scope)
+		return Exists{Vars: vars, Body: r.formula(g.Body, inner)}
+	case Forall:
+		vars, inner := r.bind(g.Vars, scope)
+		return Forall{Vars: vars, Body: r.formula(g.Body, inner)}
+	default:
+		panic(fmt.Sprintf("fo: unknown formula %T", f))
+	}
+}
+
+func (r *renamer) all(fs []Formula, scope map[string]schema.Term) []Formula {
+	out := make([]Formula, len(fs))
+	for i, sub := range fs {
+		out[i] = r.formula(sub, scope)
+	}
+	return out
+}
+
+func (r *renamer) terms(ts []schema.Term, scope map[string]schema.Term) []schema.Term {
+	out := make([]schema.Term, len(ts))
+	for i, t := range ts {
+		out[i] = t
+		if to, ok := scope[t.Name]; ok && t.IsVar {
+			out[i] = to
+		}
+	}
+	return out
+}
+
+// bind names a quantifier block's variables and returns the scope of
+// its body.
+func (r *renamer) bind(vars []string, scope map[string]schema.Term) ([]string, map[string]schema.Term) {
+	inner := make(map[string]schema.Term, len(scope)+len(vars))
+	for k, v := range scope {
+		inner[k] = v
+	}
+	out := make([]string, len(vars))
+	for i, v := range vars {
+		name := v
+		if to, ok := r.ren[v]; ok && to.IsVar {
+			name = to.Name
+		} else if r.targets[v] {
+			name = r.fresh(v)
+		}
+		out[i] = name
+		inner[v] = schema.Var(name)
+	}
+	return out, inner
+}

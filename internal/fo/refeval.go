@@ -16,7 +16,7 @@ func EvalReference(d *db.Database, f Formula) bool {
 	if free := FreeVars(f); !free.Empty() {
 		panic(fmt.Sprintf("fo: EvalReference on non-sentence with free variables %s", free))
 	}
-	domain := activeDomain(d, f)
+	domain := activeDomain(d, f, nil)
 	return refEval(d, domain, f, make(map[string]string))
 }
 

@@ -78,11 +78,18 @@ func (rc *recorder) probe(rel int, key []int32) {
 	rc.blocks[BlockHashIDs(rc.seeds[rel], key)] = struct{}{}
 }
 
-// EvalSupport evaluates the bound program like Eval while recording the
-// support set of the run. It is the registration/re-evaluation path of
-// the delta layer, not a hot path: it allocates a private machine and a
-// fresh Support per call. Safe for concurrent use.
-func (b *Bound) EvalSupport() (bool, *Support) {
+// EvalSupport evaluates the bound program like Eval, with the parameter
+// values vals, while recording the support set of the run. It is the
+// registration/re-evaluation path of the delta layer, not a hot path: it
+// allocates a private machine and a fresh Support per call. Unmet Needs
+// do not cut the run short: what it records is what the delta layer
+// replays. Safe for concurrent use.
+func (b *Bound) EvalSupport(vals ...string) (bool, *Support) {
+	m := b.newMach()
+	m.bind(vals)
+	if m.outside() {
+		return b.p.Bind(b.ix, vals...).EvalSupport(vals...)
+	}
 	rc := &recorder{
 		seeds:  make([]uint64, len(b.p.rels)),
 		blocks: make(map[uint64]struct{}),
@@ -94,7 +101,7 @@ func (b *Bound) EvalSupport() (bool, *Support) {
 			sup.AbsentRels = append(sup.AbsentRels, name)
 		}
 	}
-	m := &mach{b: b, env: make([]int32, b.p.slots), argbuf: make([]int32, b.p.maxArity), rec: rc}
+	m.rec = rc
 	return b.p.root.eval(m), sup
 }
 
@@ -147,33 +154,28 @@ func (p *Program) CandSources() []CandSource {
 // UsesDomain reports whether any quantifier of the program falls back
 // to active-domain candidates. Such programs are sensitive to every
 // write that introduces or retires a domain value, so the delta layer
-// excludes them from block-level skipping.
-func (p *Program) UsesDomain() bool {
-	var uses func(plan candPlan) bool
-	uses = func(plan candPlan) bool {
-		switch g := plan.(type) {
-		case candDomain:
-			return true
-		case candPick:
-			// Bind keeps only the smallest alternative, but the choice is
-			// version-dependent; treat a domain alternative as domain use.
-			for _, sub := range g.of {
-				if uses(sub) {
-					return true
-				}
-			}
-		case candUnion:
-			for _, sub := range g.of {
-				if uses(sub) {
-					return true
-				}
+// excludes them from block-level skipping. A pick with a domain
+// alternative counts: Bind keeps only the smallest alternative, but the
+// choice is version-dependent.
+func (p *Program) UsesDomain() bool { return p.usesDomain }
+
+// usesDomain reports whether a candidate plan may range over the active
+// domain.
+func usesDomain(plan candPlan) bool {
+	switch g := plan.(type) {
+	case candDomain:
+		return true
+	case candPick:
+		for _, sub := range g.of {
+			if usesDomain(sub) {
+				return true
 			}
 		}
-		return false
-	}
-	for _, plan := range p.cands {
-		if uses(plan) {
-			return true
+	case candUnion:
+		for _, sub := range g.of {
+			if usesDomain(sub) {
+				return true
+			}
 		}
 	}
 	return false

@@ -23,7 +23,6 @@ func RewriteFree(q schema.Query, free []string) (fo.Formula, error) {
 	}
 	vars := q.Vars()
 	seen := make(map[string]bool, len(free))
-	sub := make(map[string]schema.Term, len(free))
 	for _, x := range free {
 		if !vars.Has(x) {
 			return nil, fmt.Errorf("rewrite: free variable %s does not occur in %s", x, q)
@@ -32,12 +31,19 @@ func RewriteFree(q schema.Query, free []string) (fo.Formula, error) {
 			return nil, fmt.Errorf("rewrite: duplicate free variable %s", x)
 		}
 		seen[x] = true
+	}
+	return RewriteExt(schema.Ext(Freeze(q, free)))
+}
+
+// Freeze returns q with the variables vars turned into frozen constants:
+// the attack graph, the guard conditions and the planner see them as
+// constants, and Rewrite leaves them free in the rewriting. It is how
+// free variables are treated as constants (RewriteFree) and how a query
+// shape's parameters are (core.PrepareShape).
+func Freeze(q schema.Query, vars []string) schema.Query {
+	sub := make(map[string]schema.Term, len(vars))
+	for _, x := range vars {
 		sub[x] = freeze(x)
 	}
-	frozen := q.Substitute(sub)
-	f, err := RewriteExt(schema.Ext(frozen))
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+	return q.Substitute(sub)
 }

@@ -3,7 +3,9 @@
 // queries with negated atoms (the class sjfBCQ¬ of Koutris & Wijsen,
 // PODS 2018), together with the validity notions used throughout — safety,
 // self-join-freeness, guarded and weakly-guarded negation — and the
-// extension sjfBCQ¬≠ with disequalities (Definition 6.3).
+// extension sjfBCQ¬≠ with disequalities (Definition 6.3). Query.Shape
+// canonicalises a query into the key its prepared plan is shared under —
+// constants lifted to parameters — and its parameter values.
 package schema
 
 import (

@@ -265,7 +265,7 @@ func (s *Server) certainResponse(rd *certainRead, read engine.Read, strategy str
 	p := read.Prepared
 	resp := CertainResponse{
 		Certain:  ans.certain,
-		Verdict:  string(p.Classification().Verdict),
+		Verdict:  string(p.Verdict()),
 		Database: rd.req.Database,
 	}
 	if rd.db != "" {
@@ -302,7 +302,7 @@ func explainFor(p *core.Prepared, strategy, planCache string, clock *stageClock)
 		TraceID:       clock.tr.ID(),
 	}
 	if p.InFO() {
-		info.Quantifiers = p.Program().PlanSummary()
+		info.Quantifiers = p.PlanSummary()
 	}
 	if info.Stages == nil {
 		info.Stages = []ExplainStage{}
@@ -413,7 +413,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if read, err := s.eng.Plan(q); err == nil {
 		p := read.Prepared
-		resp.Verdict = string(p.Classification().Verdict)
+		resp.Verdict = string(p.Verdict())
 		strategy := s.eng.Strategy(p)
 		s.reg.Counter(metrics.Label("eval_total",
 			"strategy", strategy, "cache", engine.CacheBypass)).Add(uint64(len(good)))

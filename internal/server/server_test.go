@@ -352,3 +352,39 @@ func ExampleServer() {
 	fmt.Println(out.Certain, out.Verdict)
 	// Output: true FO
 }
+
+// Queries of one shape share a plan, but a reply speaks of its own
+// query only: classifying R('b' | y), !S('b' | y) after R('a' | x),
+// !S('a' | x) echoes the second query, and no field of the reply carries
+// the first one's constant; R('b' | z), !S('b' | z) then echoes its own
+// variable. A read of the shape's next query hits the plan and answers
+// on its own constants.
+func TestClassifyEchoesOwnQuery(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, src := range []string{"R('a' | x), !S('a' | x)", "R('b' | y), !S('b' | y)", "R('b' | z), !S('b' | z)"} {
+		resp := postJSON(t, ts.URL+"/v1/classify", ClassifyRequest{Query: src})
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out ClassifyResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Query != src || out.Verdict != "FO" {
+			t.Fatalf("classify %s: query %q, verdict %s", src, out.Query, out.Verdict)
+		}
+		if src[3] == 'b' && strings.Contains(string(raw), "'a'") {
+			t.Fatalf("classify %s answered with the earlier query's constant: %s", src, raw)
+		}
+		if c := src[2:5]; !strings.Contains(out.Rewriting, c) || !strings.Contains(out.SQL, c) {
+			t.Fatalf("classify %s: rewriting %q, sql %q lack the query's constant", src, out.Rewriting, out.SQL)
+		}
+	}
+	resp := postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: "R('c' | y), !S('c' | y)", Facts: "R(c | 1)\nS(b | 1)", Explain: true})
+	out := decodeBody[CertainResponse](t, resp)
+	if !out.Certain || out.Explain == nil || out.Explain.PlanCache != "hit" {
+		t.Fatalf("read of the cached shape: %+v", out)
+	}
+}
