@@ -405,3 +405,35 @@ func BenchmarkCloneOneFactWrite(b *testing.B) {
 		next.Interned()
 	}
 }
+
+// Certain answers of q1(x) = R(x | y), ¬S(y | x) over 8 000 R-keys, every
+// third key in conflict and every fifth blocked by an S-fact: one
+// prepared shape, one bound instance per candidate (core.CertainAnswers).
+func BenchmarkCertainAnswers(b *testing.B) {
+	const keys = 8000
+	d := db.New()
+	d.MustDeclare("R", 2, 1)
+	d.MustDeclare("S", 2, 1)
+	for i := 0; i < keys; i++ {
+		k, v := fmt.Sprintf("k%05d", i), fmt.Sprintf("a%05d", i)
+		d.MustInsert(db.F("R", k, v))
+		if i%3 == 0 {
+			d.MustInsert(db.F("R", k, fmt.Sprintf("b%05d", i)))
+		}
+		if i%5 == 0 {
+			d.MustInsert(db.F("S", v, k))
+		}
+	}
+	q := parse.MustQuery("R(x | y), !S(y | x)")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		answers, err := core.CertainAnswers(q, []string{"x"}, d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(answers) != keys-keys/5 {
+			b.Fatalf("%d certain answers, want %d", len(answers), keys-keys/5)
+		}
+	}
+}

@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"cqa/internal/db"
-	"cqa/internal/fo"
-	"cqa/internal/naive"
-	"cqa/internal/rewrite"
 	"cqa/internal/schema"
 )
 
@@ -17,11 +17,11 @@ type Answer []string
 // CertainAnswers computes the certain answers of a non-Boolean query: the
 // tuples c⃗ over the active domain such that q[x⃗ ↦ c⃗] is true in every
 // repair of d. Free variables are treated as constants (Section 1 of the
-// paper, citing [19, §3.3]).
-//
-// When the frozen query has a consistent first-order rewriting, the
-// rewriting is constructed once and evaluated per candidate binding;
-// otherwise each candidate falls back to repair enumeration. Candidate
+// paper, citing [19, §3.3]): each becomes a parameter slot of one
+// prepared shape (PrepareShape), and every candidate binding is one
+// instance of that shape — the compiled rewriting with the values bound
+// when the frozen query is in FO, the planner's deciders and then repair
+// enumeration otherwise, exactly as served reads are answered. Candidate
 // values for each free variable are drawn from the database columns in
 // which the variable occurs in positive atoms (certain answers cannot
 // bind free variables elsewhere). Answers are returned in sorted order.
@@ -33,13 +33,40 @@ func CertainAnswers(q schema.Query, free []string, d *db.Database) ([]Answer, er
 		return nil, fmt.Errorf("core: no free variables; use Certain for Boolean queries")
 	}
 	vars := q.Vars()
+	seen := make(map[string]bool, len(free))
 	for _, x := range free {
 		if !vars.Has(x) {
 			return nil, fmt.Errorf("core: free variable %s does not occur in the query", x)
 		}
+		if seen[x] {
+			return nil, fmt.Errorf("core: duplicate free variable %s", x)
+		}
+		seen[x] = true
 	}
 
-	f, rewriteErr := rewrite.RewriteFree(q, free)
+	// Each free variable becomes a placeholder constant that equals no
+	// constant of q, so it fills a parameter slot of its own; slot[i] is
+	// the slot of free[i].
+	prefix := "\x00"
+	for c := range q.Constants() {
+		for strings.HasPrefix(c, prefix) {
+			prefix += "\x00"
+		}
+	}
+	sub := make(map[string]schema.Term, len(free))
+	for i, x := range free {
+		sub[x] = schema.Const(prefix + strconv.Itoa(i))
+	}
+	frozen := q.Substitute(sub)
+	s, err := PrepareShape(frozen)
+	if err != nil {
+		return nil, err
+	}
+	_, vals := frozen.Shape()
+	slot := make([]int, len(free))
+	for i, x := range free {
+		slot[i] = slices.Index(vals, sub[x].Name)
+	}
 
 	// Candidate pools per free variable.
 	pools := make([][]string, len(free))
@@ -68,59 +95,23 @@ func CertainAnswers(q schema.Query, free []string, d *db.Database) ([]Answer, er
 
 	var answers []Answer
 	binding := make([]string, len(free))
-	var walk func(i int) error
-	walk = func(i int) error {
+	var walk func(i int)
+	walk = func(i int) {
 		if i == len(free) {
-			ok, err := checkBinding(q, free, binding, d, f, rewriteErr)
-			if err != nil {
-				return err
+			for j, x := range free {
+				vals[slot[j]] = binding[j]
+				sub[x] = schema.Const(binding[j])
 			}
-			if ok {
+			if s.Instance(q.Substitute(sub), vals).Certain(d) {
 				answers = append(answers, append(Answer{}, binding...))
 			}
-			return nil
+			return
 		}
 		for _, v := range pools[i] {
 			binding[i] = v
-			if err := walk(i + 1); err != nil {
-				return err
-			}
+			walk(i + 1)
 		}
-		return nil
 	}
-	if err := walk(0); err != nil {
-		return nil, err
-	}
+	walk(0)
 	return answers, nil
-}
-
-func checkBinding(q schema.Query, free []string, binding []string, d *db.Database, f fo.Formula, rewriteErr error) (bool, error) {
-	if rewriteErr == nil {
-		env := make(map[string]string, len(free))
-		for i, x := range free {
-			env[x] = binding[i]
-		}
-		needs := false
-		for _, a := range q.Atoms() {
-			if d.Relation(a.Rel) == nil {
-				needs = true
-				break
-			}
-		}
-		dd := d
-		if needs {
-			dd = d.Clone()
-			for _, a := range q.Atoms() {
-				if dd.Relation(a.Rel) == nil {
-					dd.MustDeclare(a.Rel, a.Arity(), a.Key)
-				}
-			}
-		}
-		return fo.EvalWith(dd, f, env), nil
-	}
-	sub := make(map[string]schema.Term, len(free))
-	for i, x := range free {
-		sub[x] = schema.Const(binding[i])
-	}
-	return naive.IsCertain(q.Substitute(sub), d), nil
 }

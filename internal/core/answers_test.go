@@ -3,6 +3,7 @@ package core_test
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cqa/internal/core"
@@ -107,38 +108,119 @@ func TestCertainAnswersErrors(t *testing.T) {
 	if _, err := core.CertainAnswers(q, []string{"nope"}, db.New()); err == nil {
 		t.Error("unknown free variable should fail")
 	}
+	d := parse.MustDatabase("R(a | 1)\nR(b | 2)")
+	if got, err := core.CertainAnswers(q, []string{"x", "x"}, d); err == nil {
+		t.Errorf("duplicate free variable should fail, got %v", got)
+	}
 }
 
 // Property: CertainAnswers equals the brute-force definition on random
-// queries and databases, whether or not the frozen query is FO.
+// queries and databases, whether or not the frozen query is FO, with one
+// or two free variables; on databases whose values coincide with the
+// query's constants (so distinct parameter slots take equal values) or
+// that never declare one of the negated relations; and on cyclic frozen
+// shapes. A frozen free variable is a constant, which the planner's
+// matching and reachability patterns (all-variable atoms) never match,
+// so the cyclic shapes reach the planner and then repair enumeration.
 func TestCertainAnswersAgainstDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	opts := gen.DefaultQueryOptions()
 	dbOpts := gen.DefaultDBOptions()
-	for trial := 0; trial < 40; trial++ {
+	constOpts := opts
+	constOpts.ConstProb = 0.4
+	for trial := 0; trial < 150; trial++ {
 		q := gen.Query(rng, opts)
+		if trial%3 == 1 {
+			q = gen.Query(rng, constOpts)
+		}
 		vars := q.PositiveVars().Sorted()
 		if len(vars) == 0 {
 			continue
 		}
-		x := vars[rng.Intn(len(vars))]
+		rng.Shuffle(len(vars), func(i, j int) { vars[i], vars[j] = vars[j], vars[i] })
+		free := vars[:1+rng.Intn(min(2, len(vars)))]
 		d := gen.Database(rng, q, dbOpts)
-		got, err := core.CertainAnswers(q, []string{x}, d)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		gotSet := make(map[string]bool, len(got))
-		for _, a := range got {
-			gotSet[a[0]] = true
-		}
-		// Brute force over the full active domain.
-		for _, c := range d.ActiveDomain() {
-			qc := q.Substitute(map[string]schema.Term{x: schema.Const(c)})
-			want := naive.IsCertain(qc, d)
-			if want != gotSet[c] {
-				t.Fatalf("%s, %s↦%s: CertainAnswers=%v, naive=%v\n%s",
-					q, x, c, gotSet[c], want, d)
+		switch trial % 3 {
+		case 1:
+			if _, consts := q.Shape(); len(consts) > 0 {
+				d = rebuild(d, "", consts[0])
+			}
+		case 2:
+			if neg := q.Negated(); len(neg) > 0 {
+				d = rebuild(d, neg[0].Rel, "")
 			}
 		}
+		checkAnswers(t, q, free, d)
 	}
+	for _, c := range []struct {
+		q    string
+		free []string
+	}{
+		{"R(x | y), !S(y | x), T(x, z)", []string{"z"}},
+		{"R(x | y), !S(y | x), T(z | w)", []string{"z", "w"}},
+		{"R(x | y), !S(y | x), T(z | w), !U(w | z)", []string{"x"}},
+		{"E(x, y), !B(x | y), !C(y | x), T(x, z)", []string{"z"}},
+	} {
+		q := parse.MustQuery(c.q)
+		for seed := int64(0); seed < 4; seed++ {
+			d := gen.Database(rand.New(rand.NewSource(seed)), q, dbOpts)
+			checkAnswers(t, q, c.free, d)
+		}
+	}
+}
+
+// checkAnswers compares CertainAnswers(q, free, d) with naive.IsCertain
+// of q[free ↦ c⃗] for every tuple c⃗ over d's active domain.
+func checkAnswers(t *testing.T, q schema.Query, free []string, d *db.Database) {
+	t.Helper()
+	got, err := core.CertainAnswers(q, free, d)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	gotSet := make(map[string]bool, len(got))
+	for _, a := range got {
+		gotSet[strings.Join(a, "\x00")] = true
+	}
+	dom := d.ActiveDomain()
+	tuple := make([]string, len(free))
+	sub := make(map[string]schema.Term, len(free))
+	var walk func(i int)
+	walk = func(i int) {
+		if i == len(free) {
+			want := naive.IsCertain(q.Substitute(sub), d)
+			if got := gotSet[strings.Join(tuple, "\x00")]; got != want {
+				t.Fatalf("%s, %v↦%v: CertainAnswers=%v, naive=%v\n%s", q, free, tuple, got, want, d)
+			}
+			return
+		}
+		for _, c := range dom {
+			tuple[i], sub[free[i]] = c, schema.Const(c)
+			walk(i + 1)
+		}
+	}
+	walk(0)
+}
+
+// rebuild copies d without the relation skip; a non-empty c renames
+// every value ending in ·0 to c, so values of different variables and a
+// constant of the query coincide.
+func rebuild(d *db.Database, skip, c string) *db.Database {
+	out := db.New()
+	for _, name := range d.RelationNames() {
+		if name == skip {
+			continue
+		}
+		r := d.Relation(name)
+		out.MustDeclare(name, r.Arity, r.Key)
+		for _, f := range d.Facts(name) {
+			args := append([]string(nil), f.Args...)
+			for i, v := range args {
+				if c != "" && strings.HasSuffix(v, "·0") {
+					args[i] = c
+				}
+			}
+			out.MustInsert(db.Fact{Rel: name, Args: args})
+		}
+	}
+	return out
 }

@@ -221,8 +221,8 @@ func (s *Shape) Plan() *planner.Plan { return s.plan }
 
 // PlanStrategy returns the evaluation-strategy label of the planner's
 // plan for non-FO queries ("matching", "reachability", "naive-repair").
-// It is "" for FO queries, whose strategy the engine names (the choice
-// between compiled and tree-walk evaluation is an engine option).
+// It is "" for FO queries, whose strategy the engine names from the
+// compiled program (compiled-bitmap or compiled).
 func (s *Shape) PlanStrategy() string { return s.plan.Strategy }
 
 // Decision returns the planner's recorded decision for d's current
@@ -286,9 +286,8 @@ func (p *Prepared) certainNonFO(d *db.Database) bool {
 // CertainTreeWalk answers like Certain but evaluates the rewriting with
 // the interpreting tree walker (fo.EvalWith) instead of the compiled
 // program, and non-FO queries with repair enumeration instead of the
-// planner's graph deciders. It exists as the reference oracle for
-// differential tests and as the operational rollback switch for both the
-// compiled pipeline and the planner (engine.Options.ForceTreeWalk).
+// planner's graph deciders. It is the reference oracle the differential
+// tests compare the serving path against.
 func (p *Prepared) CertainTreeWalk(d *db.Database) bool {
 	if p.InFO() {
 		return p.walk(d)

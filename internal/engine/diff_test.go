@@ -15,12 +15,11 @@ import (
 
 // TestDifferentialEngineVsNaive is the property-based oracle check for
 // the engine paths: for ≥ 500 random sjfBCQ¬ queries with acyclic attack
-// graphs (CERTAINTY in FO) and small random databases, both evaluation
-// paths certainWith can take — the compiled default and the
-// ForceTreeWalk rollback — must agree with brute-force repair
-// enumeration, and the default's strategy label must be compiled-bitmap
-// exactly when the program lowered a quantifier, on the single-item API
-// and on the batch API. This extends the exhaustive_test.go style of
+// graphs (CERTAINTY in FO) and small random databases, the engine's
+// compiled path and the reference tree walker (core.Prepared.
+// CertainTreeWalk) must agree with brute-force repair enumeration, and
+// the strategy label must be compiled-bitmap exactly when the program
+// lowered a quantifier, on the single-item API and on the batch API. This extends the exhaustive_test.go style of
 // internal/rewrite to the engine layer: the same oracle, but through the
 // plan cache and the concurrent paths. Every case also answers two
 // constant-renamed siblings of its query — one swapping the query's
@@ -38,14 +37,7 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 	// ≤ 2 blocks per relation, ≤ 5 relations → ≤ 2^10 repairs.
 	dbOpts := gen.DBOptions{BlocksPerRelation: 2, MaxBlockSize: 2, DomainPerVariable: 3, ConstantBias: 0.7}
 
-	engines := []struct {
-		name string
-		eng  *Engine
-	}{
-		{"default", New(Options{CacheSize: 64})},
-		{"ForceTreeWalk", New(Options{CacheSize: 64, ForceTreeWalk: true})},
-	}
-	def := engines[0].eng
+	e := New(Options{CacheSize: 64})
 	lowered := 0
 
 	done := 0
@@ -64,35 +56,35 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 		d := gen.Database(rng, q, dbOpts)
 		want := naive.IsCertain(q, d)
 
-		p, err := def.Prepare(q)
+		p, err := e.Prepare(q)
 		if err != nil {
 			t.Fatalf("prepare %s: %v", q, err)
 		}
 		vec := p.Program().VecQuants() > 0
-		if bitmap := def.Strategy(p) == StrategyCompiledBitmap; bitmap != vec {
-			t.Fatalf("case %d: Strategy = %q with %d lowered quantifiers\nquery: %s", done, def.Strategy(p), p.Program().VecQuants(), q)
+		if bitmap := Strategy(p) == StrategyCompiledBitmap; bitmap != vec {
+			t.Fatalf("case %d: Strategy = %q with %d lowered quantifiers\nquery: %s", done, Strategy(p), p.Program().VecQuants(), q)
 		}
 		if vec {
 			lowered++
 		}
+		if got := p.CertainTreeWalk(d); got != want {
+			t.Fatalf("case %d: tree walker = %v, naive oracle = %v\nquery: %s\ndb:\n%s", done, got, want, q, d)
+		}
 
-		// Twice per engine, so the second call exercises a cache hit
-		// (alpha-variants of earlier queries hit too).
-		for _, e := range engines {
-			for pass := 0; pass < 2; pass++ {
-				got, err := e.eng.Certain(q, d)
-				if err != nil {
-					t.Fatalf("%s engine %s: %v", e.name, q, err)
-				}
-				if got != want {
-					t.Fatalf("case %d: %s engine = %v, naive oracle = %v\nquery: %s\ndb:\n%s", done, e.name, got, want, q, d)
-				}
+		// Twice, so the second call exercises a cache hit (alpha-variants
+		// of earlier queries hit too).
+		for pass := 0; pass < 2; pass++ {
+			got, err := e.Certain(q, d)
+			if err != nil {
+				t.Fatalf("engine %s: %v", q, err)
+			}
+			if got != want {
+				t.Fatalf("case %d: engine = %v, naive oracle = %v\nquery: %s\ndb:\n%s", done, got, want, q, d)
 			}
 		}
 
 		for _, sib := range constantSiblings(q) {
-			checkSibling(t, engines[0].eng, sib, d)
-			checkSibling(t, engines[1].eng, sib, d)
+			checkSibling(t, e, sib, d)
 		}
 
 		batch = append(batch, Item{Query: q, DB: d})
@@ -101,14 +93,12 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 		// Flush accumulated checks through the batch API periodically so
 		// the worker pool sees mixed workloads.
 		if len(batch) == 50 || done == cases {
-			for _, e := range engines {
-				for i, r := range e.eng.CertainBatch(context.Background(), batch) {
-					if r.Err != nil {
-						t.Fatalf("%s batch item %d (%s): %v", e.name, i, batch[i].Query, r.Err)
-					}
-					if r.Certain != batchWant[i] {
-						t.Fatalf("%s batch item %d: engine = %v, naive oracle = %v\nquery: %s", e.name, i, r.Certain, batchWant[i], batch[i].Query)
-					}
+			for i, r := range e.CertainBatch(context.Background(), batch) {
+				if r.Err != nil {
+					t.Fatalf("batch item %d (%s): %v", i, batch[i].Query, r.Err)
+				}
+				if r.Certain != batchWant[i] {
+					t.Fatalf("batch item %d: engine = %v, naive oracle = %v\nquery: %s", i, r.Certain, batchWant[i], batch[i].Query)
 				}
 			}
 			batch, batchWant = batch[:0], batchWant[:0]
@@ -118,10 +108,8 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 	if lowered == 0 || lowered == cases {
 		t.Fatalf("%d of %d programs lowered a quantifier; the label check saw one side only", lowered, cases)
 	}
-	for _, e := range engines {
-		if st := e.eng.Stats(); st.CacheHits == 0 {
-			t.Fatalf("%s: differential sweep never hit the cache: %+v", e.name, st)
-		}
+	if st := e.Stats(); st.CacheHits == 0 {
+		t.Fatalf("differential sweep never hit the cache: %+v", st)
 	}
 
 	// A cyclic shape with a constant: the planner's patterns need
@@ -135,17 +123,15 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 	)
 	for i := 0; i < 20; i++ {
 		d := gen.Database(rng, q, dbOpts)
-		for _, e := range engines {
-			for _, sib := range append([]schema.Query{q}, constantSiblings(q)...) {
-				p, err := e.eng.Prepare(sib)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if p.InFO() || e.eng.Strategy(p) != StrategyNaive {
-					t.Fatalf("%s: %s is served by %q, want %q", e.name, sib, e.eng.Strategy(p), StrategyNaive)
-				}
-				checkSibling(t, e.eng, sib, d)
+		for _, sib := range append([]schema.Query{q}, constantSiblings(q)...) {
+			p, err := e.Prepare(sib)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if p.InFO() || Strategy(p) != StrategyNaive {
+				t.Fatalf("%s is served by %q, want %q", sib, Strategy(p), StrategyNaive)
+			}
+			checkSibling(t, e, sib, d)
 		}
 	}
 }
@@ -186,8 +172,9 @@ func renameConstants(q schema.Query, to map[string]string) schema.Query {
 }
 
 // checkSibling answers sib on d through e, whose plan cache must already
-// hold sib's shape, and compares the verdict with repair enumeration and
-// with core's answers for sib alone.
+// hold sib's shape, and compares the verdict with repair enumeration,
+// with core's answers for sib alone and with the tree walker on the
+// cached shape.
 func checkSibling(t *testing.T, e *Engine, sib schema.Query, d *db.Database) {
 	t.Helper()
 	r, err := e.Plan(sib)
@@ -210,7 +197,7 @@ func checkSibling(t *testing.T, e *Engine, sib schema.Query, d *db.Database) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want || oneShot != want || own.Certain(d) != want {
-		t.Fatalf("sibling %s: engine %v, core.Certain %v, core.Prepare %v, naive oracle %v\ndb:\n%s", sib, got, oneShot, own.Certain(d), want, d)
+	if got != want || oneShot != want || own.Certain(d) != want || r.Prepared.CertainTreeWalk(d) != want {
+		t.Fatalf("sibling %s: engine %v, core.Certain %v, core.Prepare %v, tree walker %v, naive oracle %v\ndb:\n%s", sib, got, oneShot, own.Certain(d), r.Prepared.CertainTreeWalk(d), want, d)
 	}
 }

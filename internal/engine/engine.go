@@ -12,9 +12,9 @@
 // independent CERTAINTY checks across goroutines. Rewritings evaluate
 // through the one compiled program (interned constants, slot-based
 // environments, index-driven quantifier restriction, bitmap sweeps
-// wherever a quantifier lowers — docs/EVAL.md) unless
-// Options.ForceTreeWalk, the one rollback switch, selects the
-// interpreting tree walker. See docs/ENGINE.md for the architecture.
+// wherever a quantifier lowers — docs/EVAL.md), non-FO queries through
+// the planner's deciders and then repair enumeration: one production
+// path per job. See docs/ENGINE.md for the architecture.
 package engine
 
 import (
@@ -44,24 +44,18 @@ type Options struct {
 	// Workers bounds the goroutines used by CertainBatch; ≤ 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// ResultCacheSize is the maximum number of cached CERTAINTY answers
-	// for named, versioned databases (Answer); ≤ 0 selects
-	// DefaultResultCacheSize.
+	// ResultCacheSize is the capacity of the table of maintained
+	// verdicts (delta.Manager): the verdicts Answer keeps per query
+	// signature and named, versioned database, watched or not; ≤ 0
+	// selects DefaultResultCacheSize.
 	ResultCacheSize int
-	// ForceTreeWalk evaluates rewritings with the interpreting tree
-	// walker (fo.Eval) instead of the compiled program (docs/EVAL.md),
-	// and non-FO queries with repair enumeration instead of the
-	// planner's deciders. The compiled path is the default and is
-	// differentially tested against the tree walker; this is the one
-	// operational rollback switch.
-	ForceTreeWalk bool
 }
 
 // DefaultCacheSize is the plan-cache capacity when Options.CacheSize ≤ 0.
 const DefaultCacheSize = 256
 
-// DefaultResultCacheSize is the result-cache capacity when
-// Options.ResultCacheSize ≤ 0.
+// DefaultResultCacheSize is the capacity of the table of maintained
+// verdicts when Options.ResultCacheSize ≤ 0.
 const DefaultResultCacheSize = delta.DefaultCapacity
 
 // Engine answers CERTAINTY(q) for serving workloads: plans are prepared
@@ -179,15 +173,6 @@ func (e *Engine) Certain(q schema.Query, d *db.Database) (bool, error) {
 	return certain, err
 }
 
-// certainWith evaluates a prepared plan on d honouring the engine's
-// rollback switch.
-func (e *Engine) certainWith(p *core.Prepared, d *db.Database) bool {
-	if e.opt.ForceTreeWalk {
-		return p.CertainTreeWalk(d)
-	}
-	return p.Certain(d)
-}
-
 // ApplyChange reports that the write c moved dbID from the view prev to
 // the view cur (cur.Version() == c.Version), and runs one decision per
 // maintained verdict of dbID on the caller's goroutine (delta.Advance):
@@ -208,9 +193,6 @@ func (e *Engine) scratchEvaluator(q schema.Query) (func(*db.Database) bool, erro
 	r, err := e.Plan(q)
 	if err != nil {
 		return nil, err
-	}
-	if e.opt.ForceTreeWalk {
-		return r.Prepared.CertainTreeWalk, nil
 	}
 	return r.Prepared.CertainScratch, nil
 }
@@ -374,5 +356,5 @@ func (e *Engine) certainIsolated(it Item) (res Result) {
 	if err != nil {
 		return Result{Err: err}
 	}
-	return Result{Certain: e.certainWith(s.Instance(it.Query, vals), it.DB)}
+	return Result{Certain: s.Instance(it.Query, vals).Certain(it.DB)}
 }

@@ -7,10 +7,11 @@ import (
 
 // This file is the introspection surface behind explain output and the
 // strategy metric label: it names, without evaluating anything, the
-// evaluation strategy certainWith will take (Answer reports the shard
-// plan and the result-cache outcome it took). The names feed the `eval_total{strategy=…}`
-// metric and the `"explain": true` response, and are the observable
-// hooks the ROADMAP's meta-engine strategy selector will build on.
+// evaluation strategy core.Prepared.Certain will take (Answer reports
+// the shard plan and the result-cache outcome it took). The names feed
+// the `eval_total{strategy=…}` metric and the `"explain": true`
+// response, and are the observable hooks the ROADMAP's meta-engine
+// strategy selector will build on.
 
 // Evaluation strategy names, as reported by Strategy and carried in the
 // strategy metric label.
@@ -23,9 +24,6 @@ const (
 	// least one quantifier lowered to word-parallel sweeps over IDSet
 	// membership words (docs/EVAL.md).
 	StrategyCompiledBitmap = "compiled-bitmap"
-	// StrategyTreeWalk interprets the rewriting with fo.Eval — selected
-	// by Options.ForceTreeWalk.
-	StrategyTreeWalk = "tree-walk"
 	// The non-FO strategies are named by the planner, which selects them
 	// per query shape (docs/PLANNER.md): Hopcroft–Karp bipartite matching
 	// for the mutual-negation pattern, union-find reachability for the
@@ -35,30 +33,17 @@ const (
 	StrategyNaive        = planner.StrategyNaive
 )
 
-// Strategy reports the evaluation strategy certainWith takes for p under
-// this engine's options. The mapping mirrors certainWith exactly: not
-// in FO → the planner's verdict (a polynomial graph decider when the
-// query shape has one, repair enumeration otherwise — ForceTreeWalk
-// disables the deciders too, it is the rollback switch for both
-// pipelines); ForceTreeWalk → tree walker; otherwise the compiled
-// program, labelled compiled-bitmap when at least one of its quantifiers
-// lowered to the bitmap form.
-func (e *Engine) Strategy(p *core.Prepared) string {
+// Strategy reports the evaluation strategy core.Prepared.Certain takes
+// for p: not in FO → the planner's verdict (a polynomial graph decider
+// when the query shape has one, repair enumeration otherwise);
+// otherwise the compiled program, labelled compiled-bitmap when at least
+// one of its quantifiers lowered to the bitmap form.
+func Strategy(p *core.Prepared) string {
 	if !p.InFO() {
-		if e.opt.ForceTreeWalk {
-			return StrategyNaive
-		}
 		return p.PlanStrategy()
-	}
-	if e.opt.ForceTreeWalk {
-		return StrategyTreeWalk
 	}
 	if p.Program().VecQuants() > 0 {
 		return StrategyCompiledBitmap
 	}
 	return StrategyCompiled
 }
-
-// Options returns a copy of the engine's configuration (for explain
-// verification and operator tooling).
-func (e *Engine) Options() Options { return e.opt }

@@ -26,27 +26,23 @@ func TestStrategyMirrorsCertainWith(t *testing.T) {
 
 	cases := []struct {
 		name  string
-		opt   Options
 		query string
 		want  string
 	}{
-		{"bitmap default", Options{}, "fo", StrategyCompiledBitmap},
-		{"no lowered quantifier", Options{}, "fo-scalar", StrategyCompiled},
-		{"tree-walk switch", Options{ForceTreeWalk: true}, "fo", StrategyTreeWalk},
-		{"naive", Options{}, "cyclic", StrategyNaive},
-		{"matching", Options{}, "matching", StrategyMatching},
-		{"matching rollback", Options{ForceTreeWalk: true}, "matching", StrategyNaive},
-		{"reachability", Options{}, "reachability", StrategyReachability},
-		{"reachability rollback", Options{ForceTreeWalk: true}, "reachability", StrategyNaive},
+		{"bitmap default", "fo", StrategyCompiledBitmap},
+		{"no lowered quantifier", "fo-scalar", StrategyCompiled},
+		{"naive", "cyclic", StrategyNaive},
+		{"matching", "matching", StrategyMatching},
+		{"reachability", "reachability", StrategyReachability},
 	}
+	e := New(Options{})
 	for _, c := range cases {
-		e := New(c.opt)
 		q := mustQuery(t, queries[c.query])
 		p, err := e.Prepare(q)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := e.Strategy(p); got != c.want {
+		if got := Strategy(p); got != c.want {
 			t.Errorf("%s: Strategy = %q, want %q", c.name, got, c.want)
 		}
 	}

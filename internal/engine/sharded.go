@@ -50,9 +50,9 @@ func (e *Engine) Answer(r Read, dbID string, view ShardView) (certain bool, cach
 	defer e.end()
 	plan = view.Plan(r.Query)
 	if dbID == "" {
-		return e.certainSharded(r.Prepared, view, plan), CacheBypass, plan, nil
+		return certainSharded(r.Prepared, view, plan), CacheBypass, plan, nil
 	}
-	certain, hit := e.delta.Get(dbID, r.Sig, r.Query, view, func() bool { return e.certainSharded(r.Prepared, view, plan) })
+	certain, hit := e.delta.Get(dbID, r.Sig, r.Query, view, func() bool { return certainSharded(r.Prepared, view, plan) })
 	if hit {
 		return certain, CacheHit, plan, nil
 	}
@@ -62,12 +62,12 @@ func (e *Engine) Answer(r Read, dbID string, view ShardView) (certain bool, cach
 // certainSharded executes plan on view: scatter plans OR the verdicts
 // of the planned shards, anything else joins across shards and evaluates
 // on the union.
-func (e *Engine) certainSharded(p *core.Prepared, view ShardView, plan shard.Plan) bool {
+func certainSharded(p *core.Prepared, view ShardView, plan shard.Plan) bool {
 	if !plan.Scatter() {
-		return e.certainWith(p, view.Union())
+		return p.Certain(view.Union())
 	}
 	for _, i := range plan.Shards {
-		if e.certainWith(p, view.Shard(i)) {
+		if p.Certain(view.Shard(i)) {
 			return true
 		}
 	}

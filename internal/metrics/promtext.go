@@ -12,7 +12,7 @@ import (
 // format (version 0.0.4): one `# TYPE` line per family followed by its
 // samples. Registry names built with Label are split back into family +
 // label set, so `eval_total{strategy="compiled"}` and
-// `eval_total{strategy="tree-walk"}` share one family. Histograms are
+// `eval_total{strategy="matching"}` share one family. Histograms are
 // exposed with a `_seconds` unit suffix as cumulative `_bucket` series
 // (le in seconds) plus `_sum` and `_count`. Callback metrics (SetFunc)
 // are exposed as gauges when they return a number and omitted otherwise

@@ -57,8 +57,9 @@ const (
 )
 
 // Strategy labels for the non-FO classes, as carried in explain output
-// and the eval_total{strategy=…} metric label. FO strategies (compiled,
-// tree-walk, …) are named by the engine, which knows its own options.
+// and the eval_total{strategy=…} metric label. FO strategies
+// (compiled-bitmap, compiled) are named by the engine, which knows the
+// compiled program.
 const (
 	StrategyMatching     = "matching"
 	StrategyReachability = "reachability"

@@ -70,8 +70,8 @@ type CertainResponse struct {
 
 // ExplainInfo is the `"explain": true` payload: what the engine chose
 // and what it cost, stage by stage. Strategy names come from
-// engine.Strategy ("compiled-bitmap", "compiled", "tree-walk",
-// "matching", "reachability", "naive-repair"); shard plans are
+// engine.Strategy ("compiled-bitmap", "compiled", "matching",
+// "reachability", "naive-repair"); shard plans are
 // shard.PlanFor kinds ("single", "pinned", "scatter", "union"). See
 // docs/OBSERVABILITY.md for the schema contract.
 type ExplainInfo struct {
@@ -100,8 +100,8 @@ type ExplainInfo struct {
 	// non-FO queries: the graph decider (or naive fallback) chosen, why,
 	// and the relation statistics consulted on the evaluated snapshot.
 	// Absent for FO queries (their plan is the rewriting, reported via
-	// RewritingSize and Quantifiers), under the ForceTreeWalk rollback,
-	// and in batch explains (the decision is per database).
+	// RewritingSize and Quantifiers) and in batch explains (the
+	// decision is per database).
 	PlanDecision *planner.Decision `json:"planDecision,omitempty"`
 	// Stages holds per-stage wall-clock timings in request order.
 	Stages []ExplainStage `json:"stages"`

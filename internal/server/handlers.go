@@ -107,9 +107,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		} else {
 			// Non-FO queries are not condemned to repair enumeration: the
 			// planner may have a polynomial graph decider for the shape.
-			// Strategy (not PlanStrategy) so the ForceTreeWalk rollback is
-			// reflected — the response names what this server will execute.
-			resp.PlannedStrategy = s.eng.Strategy(p)
+			resp.PlannedStrategy = engine.Strategy(p)
 			resp.PlannerReason = p.Plan().Reason
 		}
 		return resp, nil
@@ -224,7 +222,7 @@ func (s *Server) answerCertain(rd *certainRead) (any, error) {
 		if read, err = s.eng.Plan(rd.q); err != nil {
 			return err
 		}
-		strategy = s.eng.Strategy(read.Prepared)
+		strategy = engine.Strategy(read.Prepared)
 		sp.SetAttr("planCache", cacheOutcome(read.Hit)).SetAttr("strategy", strategy)
 		return nil
 	})
@@ -281,11 +279,12 @@ func (s *Server) certainResponse(rd *certainRead, read engine.Read, strategy str
 	}
 	if rd.routed != nil {
 		info.ShardPlan, info.Shards = rd.routed.Kind, rd.routed.Shards
-	} else {
-		// Non-FO decisions are recorded against the union view — the
+	} else if !p.InFO() {
+		// The planner's decision is recorded against the union view — the
 		// snapshot a union plan evaluates multi-atom (hence every
-		// planner-pattern) queries on.
-		s.attachPlanDecision(info, p, view.Union())
+		// planner-pattern) queries on. FO queries carry their plan in the
+		// rewriting fields.
+		info.PlanDecision = p.Decision(view.Union())
 	}
 	resp.Explain = info
 	return resp
@@ -308,17 +307,6 @@ func explainFor(p *core.Prepared, strategy, planCache string, clock *stageClock)
 		info.Stages = []ExplainStage{}
 	}
 	return info
-}
-
-// attachPlanDecision adds the planner's recorded decision for the
-// evaluated snapshot to a non-FO explain. FO queries carry their plan in
-// the rewriting fields, and under ForceTreeWalk the decision would name
-// a decider that was deliberately not run, so both skip it.
-func (s *Server) attachPlanDecision(info *ExplainInfo, p *core.Prepared, d *db.Database) {
-	if p.InFO() || s.eng.Options().ForceTreeWalk {
-		return
-	}
-	info.PlanDecision = p.Decision(d)
 }
 
 // handleBatch answers POST /v1/batch.
@@ -414,7 +402,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if read, err := s.eng.Plan(q); err == nil {
 		p := read.Prepared
 		resp.Verdict = string(p.Verdict())
-		strategy := s.eng.Strategy(p)
+		strategy := engine.Strategy(p)
 		s.reg.Counter(metrics.Label("eval_total",
 			"strategy", strategy, "cache", engine.CacheBypass)).Add(uint64(len(good)))
 		if req.Explain {

@@ -164,26 +164,21 @@ func TestTraceCoverageThroughRouter(t *testing.T) {
 }
 
 // TestExplainReportsExecutedStrategy cross-checks `"explain": true`
-// against engine.Options: the strategy in the response must be the one
-// the engine actually dispatches for its configuration.
+// against the compiled program: the strategy in the response must be the
+// one the engine dispatches for the query.
 func TestExplainReportsExecutedStrategy(t *testing.T) {
 	cases := []struct {
 		name  string
-		opt   engine.Options
 		query string
 		want  string
 	}{
-		{"bitmap default", engine.Options{}, "R(x | y)", engine.StrategyCompiledBitmap},
+		{"bitmap default", "R(x | y)", engine.StrategyCompiledBitmap},
 		// x occurs twice in one atom, so no quantifier lowers.
-		{"compiled", engine.Options{}, "S(x, x)", engine.StrategyCompiled},
-		{"tree-walk", engine.Options{ForceTreeWalk: true}, "R(x | y)", engine.StrategyTreeWalk},
+		{"compiled", "S(x, x)", engine.StrategyCompiled},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s, ts := newTestServer(t, Options{Engine: engine.New(c.opt)})
-			if got := s.Engine().Options().ForceTreeWalk; got != c.opt.ForceTreeWalk {
-				t.Fatalf("engine options not surfaced: ForceTreeWalk=%v", got)
-			}
+			_, ts := newTestServer(t, Options{})
 			begin := time.Now()
 			resp := postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: c.query, Database: "people", Explain: true})
 			latency := time.Since(begin).Nanoseconds()
@@ -198,7 +193,7 @@ func TestExplainReportsExecutedStrategy(t *testing.T) {
 			if ans.Explain.RewritingSize <= 0 {
 				t.Errorf("rewriting size = %d, want > 0", ans.Explain.RewritingSize)
 			}
-			if !c.opt.ForceTreeWalk && len(ans.Explain.Quantifiers) == 0 {
+			if len(ans.Explain.Quantifiers) == 0 {
 				t.Error("compiled strategies should report a quantifier plan")
 			}
 			if ans.Explain.ResultCache != "miss" {

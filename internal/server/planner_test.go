@@ -82,34 +82,6 @@ func TestPlannerServedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPlannerRollbackEndToEnd flips ForceTreeWalk and checks the same
-// query degrades to naive repair enumeration with no planDecision —
-// the operational rollback story in docs/PLANNER.md.
-func TestPlannerRollbackEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, Options{Engine: engine.New(engine.Options{ForceTreeWalk: true})})
-
-	req := CertainRequest{
-		Query:   "R(x | y), !S(y | x)",
-		Facts:   "R(a | 1)\nS(z | z)",
-		Explain: true,
-	}
-	cr := decodeBody[CertainResponse](t, postJSON(t, ts.URL+"/v1/certain", req))
-	if !cr.Certain {
-		t.Error("rollback path changed the answer")
-	}
-	if cr.Explain == nil || cr.Explain.Strategy != engine.StrategyNaive {
-		t.Fatalf("rollback explain = %+v, want strategy %q", cr.Explain, engine.StrategyNaive)
-	}
-	if cr.Explain.PlanDecision != nil {
-		t.Error("planDecision must be absent under ForceTreeWalk rollback")
-	}
-
-	cl := decodeBody[ClassifyResponse](t, postJSON(t, ts.URL+"/v1/classify", ClassifyRequest{Query: req.Query}))
-	if cl.PlannedStrategy != engine.StrategyNaive {
-		t.Errorf("rollback plannedStrategy = %q, want %q", cl.PlannedStrategy, engine.StrategyNaive)
-	}
-}
-
 // TestPlannerReachabilityOverNamedDB serves the q2 shape against a
 // preloaded database so the decision flows through the sharded view's
 // union snapshot.
