@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBitmapEval -fuzztime $(FUZZTIME) ./internal/fo
 	$(GO) test -run '^$$' -fuzz FuzzParamBind -fuzztime $(FUZZTIME) ./internal/fo
 	$(GO) test -run '^$$' -fuzz FuzzWatchProtocol -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzRepairSearch -fuzztime $(FUZZTIME) ./internal/naive
 
 # One iteration per benchmark: compiles and exercises every benchmark
 # body without waiting for stable timings.

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cqa/internal/core"
@@ -435,5 +436,45 @@ func BenchmarkCertainAnswers(b *testing.B) {
 		if len(answers) != keys-keys/5 {
 			b.Fatalf("%d certain answers, want %d", len(answers), keys-keys/5)
 		}
+	}
+}
+
+// The hard class by search (naive.RepairSearch) on the shape of the
+// benchmark's inline_eval hard databases (bench/gen.go): 2 000 facts of
+// P(u | v), !N(v | u), !M(u | v) whose bulk embeddings each meet their
+// N-fact in a singleton block, beside three P-blocks that choose
+// between a shared y0 and their own z. The search names those three
+// blocks and y0's N-block; without the witness P(lone | nobody), which
+// no repair can falsify, it must find the falsifying choice.
+func BenchmarkHardSearch(b *testing.B) {
+	for _, witness := range []bool{false, true} {
+		var facts strings.Builder
+		for i := 0; i < 2000/3; i++ {
+			fmt.Fprintf(&facts, "P(u%d | v%d)\nN(v%d | u%d)\nM(u%d | w%d)\n", i, i, i, i, i, i)
+		}
+		for j := 0; j < 3; j++ {
+			fmt.Fprintf(&facts, "P(x%d | y0)\nP(x%d | z%d)\nN(y0 | x%d)\n", j, j, j, j)
+			if j < 2 {
+				fmt.Fprintf(&facts, "N(z%d | x%d)\n", j, j)
+			}
+		}
+		if witness {
+			facts.WriteString("P(lone | nobody)\n")
+		}
+		d := parse.MustDatabase(facts.String())
+		q := parse.MustQuery("P(u | v), !N(v | u), !M(u | v)")
+		p, err := core.Prepare(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d.Interned()
+		b.Run(fmt.Sprintf("witness=%v", witness), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if p.Certain(d) != witness {
+					b.Fatalf("certain = %v, want %v", !witness, witness)
+				}
+			}
+		})
 	}
 }

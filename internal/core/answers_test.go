@@ -121,7 +121,8 @@ func TestCertainAnswersErrors(t *testing.T) {
 // that never declare one of the negated relations; and on cyclic frozen
 // shapes. A frozen free variable is a constant, which the planner's
 // matching and reachability patterns (all-variable atoms) never match,
-// so the cyclic shapes reach the planner and then repair enumeration.
+// so the cyclic shapes reach the planner and then its search over block
+// choices.
 func TestCertainAnswersAgainstDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	opts := gen.DefaultQueryOptions()

@@ -160,8 +160,9 @@ type Engine int
 
 // Engines supported by Certain.
 const (
-	// EngineAuto uses the rewriting when CERTAINTY(q) is in FO and
-	// falls back to naive repair enumeration otherwise.
+	// EngineAuto evaluates the rewriting when CERTAINTY(q) is in FO and
+	// otherwise answers as the server does: with the planner's graph
+	// decider for the query shape, or by search over block choices.
 	EngineAuto Engine = iota
 	// EngineRewriting evaluates the consistent first-order rewriting.
 	EngineRewriting
@@ -202,7 +203,11 @@ func Certain(q schema.Query, d *db.Database, engine Engine) (bool, error) {
 		if c.Verdict == VerdictFO {
 			return evalOn(d, q, c.Rewriting), nil
 		}
-		return naive.IsCertain(q, d), nil
+		p, err := Prepare(q)
+		if err != nil {
+			return false, err
+		}
+		return p.certainNonFO(d), nil
 	default:
 		return false, fmt.Errorf("core: unknown engine %d", engine)
 	}

@@ -150,19 +150,27 @@ func TestEnginesAgree(t *testing.T) {
 	}
 }
 
-// EngineAuto falls back to naive for non-FO queries.
+// EngineAuto answers non-FO queries as the server does — the matching
+// decider, and search over block choices for a shape no decider serves
+// — and agrees with repair enumeration, both verdicts shown.
 func TestAutoFallback(t *testing.T) {
-	q := parse.MustQuery("R(x | y), !S(y | x)")
-	d := parse.MustDatabase(`
-		R(g | b)
-		S(b | g)
-	`)
-	got, err := core.Certain(q, d, core.EngineAuto)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		query, facts string
+		want         bool
+	}{
+		{"R(x | y), !S(y | x)", "R(g | b)\nS(b | g)", false},
+		{"R(x | y), !S(y | x), !T(x | y)", "R(g | h)\nR(k | h)\nS(h | g)\nS(h | k)", true},
+		{"R(x | y), !S(y | x), !T(x | y)", "R(g | b)\nR(g | c)\nS(b | g)\nS(c | g)", false},
 	}
-	if got != naive.IsCertain(q, d) {
-		t.Error("auto fallback disagrees with naive")
+	for _, c := range cases {
+		q, d := parse.MustQuery(c.query), parse.MustDatabase(c.facts)
+		got, err := core.Certain(q, d, core.EngineAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want || naive.IsCertain(q, d) != c.want {
+			t.Errorf("%s on %q: auto %v, enumeration %v, want %v", c.query, c.facts, got, naive.IsCertain(q, d), c.want)
+		}
 	}
 }
 

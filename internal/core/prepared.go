@@ -220,7 +220,7 @@ func (p *Prepared) CertainSupport(d *db.Database) (verdict bool, sup *fo.Support
 func (s *Shape) Plan() *planner.Plan { return s.plan }
 
 // PlanStrategy returns the evaluation-strategy label of the planner's
-// plan for non-FO queries ("matching", "reachability", "naive-repair").
+// plan for non-FO queries ("matching", "reachability", "repair-search").
 // It is "" for FO queries, whose strategy the engine names from the
 // compiled program (compiled-bitmap or compiled).
 func (s *Shape) PlanStrategy() string { return s.plan.Strategy }
@@ -254,7 +254,7 @@ func (s *Shape) Decision(d *db.Database) *planner.Decision {
 // bitmap-vectorized wherever a quantifier lowered (docs/EVAL.md) — with
 // the query's values bound when the query is in FO, via the planner's
 // polynomial graph decider when one matches the (cyclic) query shape,
-// by repair enumeration of the query otherwise.
+// by search over the block choices of the query otherwise.
 func (p *Prepared) Certain(d *db.Database) bool {
 	if p.InFO() {
 		return p.bound(d).Eval(p.vals...)
@@ -275,19 +275,21 @@ func (p *Prepared) CertainScratch(d *db.Database) bool {
 }
 
 // certainNonFO dispatches a non-FO query to the planner's decider when
-// one exists, else to repair enumeration of the query.
+// one exists, else to the satisfiability search over the block choices
+// of the query (naive.RepairSearch); both read d's interned view.
 func (p *Prepared) certainNonFO(d *db.Database) bool {
-	if certain, ok := p.plan.Certain(d.Interned()); ok {
+	ix := d.Interned()
+	if certain, ok := p.plan.Certain(ix); ok {
 		return certain
 	}
-	return naive.IsCertain(p.q, d)
+	return naive.RepairSearch(p.q, ix)
 }
 
 // CertainTreeWalk answers like Certain but evaluates the rewriting with
 // the interpreting tree walker (fo.EvalWith) instead of the compiled
 // program, and non-FO queries with repair enumeration instead of the
-// planner's graph deciders. It is the reference oracle the differential
-// tests compare the serving path against.
+// planner's graph deciders and the search. It is the reference oracle
+// the differential tests compare the serving path against.
 func (p *Prepared) CertainTreeWalk(d *db.Database) bool {
 	if p.InFO() {
 		return p.walk(d)

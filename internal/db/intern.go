@@ -94,6 +94,23 @@ func (r *InternedRelation) BlockRows(key []int32) []int32 {
 // It performs no allocation.
 func (r *InternedRelation) Has(args []int32) bool { return r.find(args) >= 0 }
 
+// Find returns the row holding the interned tuple args, or -1. It
+// performs no allocation.
+func (r *InternedRelation) Find(args []int32) int { return r.find(args) }
+
+// BlockTail returns the last-inserted row of the block whose key prefix
+// is key, or -1 when there is none. The row names the block within this
+// view; NextInBlock walks the block from it. No allocation.
+func (r *InternedRelation) BlockTail(key []int32) int {
+	_, tail := r.findBlock(key)
+	return tail
+}
+
+// NextInBlock returns the row after row i in its block, in insertion
+// order and circularly: the block's first row follows its tail, so a
+// row of a singleton block follows itself.
+func (r *InternedRelation) NextInBlock(i int) int { return int(r.next[i]) }
+
 // freeze returns the relation's frozen view, building and memoizing it
 // when a write dropped the last one.
 func (r *Relation) freeze() *InternedRelation {

@@ -26,8 +26,8 @@ import (
 // constants, one naming a constant the database lacks — which share the
 // query's shape: each must hit the cached plan and agree with repair
 // enumeration and with core's one-shot answer for the sibling itself.
-// One cyclic shape carrying a constant reaches repair enumeration
-// through the same shape path.
+// One cyclic shape carrying a constant reaches the search over block
+// choices through the same shape path.
 func TestDifferentialEngineVsNaive(t *testing.T) {
 	const cases = 500
 
@@ -113,9 +113,9 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 	}
 
 	// A cyclic shape with a constant: the planner's patterns need
-	// variables, so every query of it is decided by repair enumeration of
-	// the query itself, whatever constant the cached shape was prepared
-	// with.
+	// variables, so every query of it is decided by search over the block
+	// choices of the query itself, whatever constant the cached shape was
+	// prepared with.
 	q := schema.NewQuery(
 		schema.Pos(schema.NewAtom("R", 1, schema.Var("x"), schema.Var("y"))),
 		schema.Neg(schema.NewAtom("S", 1, schema.Var("y"), schema.Var("x"))),
@@ -128,8 +128,8 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.InFO() || Strategy(p) != StrategyNaive {
-				t.Fatalf("%s is served by %q, want %q", sib, Strategy(p), StrategyNaive)
+			if p.InFO() || Strategy(p) != StrategySearch {
+				t.Fatalf("%s is served by %q, want %q", sib, Strategy(p), StrategySearch)
 			}
 			checkSibling(t, e, sib, d)
 		}

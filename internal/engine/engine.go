@@ -13,8 +13,8 @@
 // through the one compiled program (interned constants, slot-based
 // environments, index-driven quantifier restriction, bitmap sweeps
 // wherever a quantifier lowers — docs/EVAL.md), non-FO queries through
-// the planner's deciders and then repair enumeration: one production
-// path per job. See docs/ENGINE.md for the architecture.
+// the planner's deciders and then search over block choices: one
+// production path per job. See docs/ENGINE.md for the architecture.
 package engine
 
 import (

@@ -27,15 +27,15 @@ const (
 	// The non-FO strategies are named by the planner, which selects them
 	// per query shape (docs/PLANNER.md): Hopcroft–Karp bipartite matching
 	// for the mutual-negation pattern, union-find reachability for the
-	// all-key edge pattern, and repair enumeration as the last resort.
+	// all-key edge pattern, and search over block choices for the rest.
 	StrategyMatching     = planner.StrategyMatching
 	StrategyReachability = planner.StrategyReachability
-	StrategyNaive        = planner.StrategyNaive
+	StrategySearch       = planner.StrategySearch
 )
 
 // Strategy reports the evaluation strategy core.Prepared.Certain takes
 // for p: not in FO → the planner's verdict (a polynomial graph decider
-// when the query shape has one, repair enumeration otherwise);
+// when the query shape has one, search over block choices otherwise);
 // otherwise the compiled program, labelled compiled-bitmap when at least
 // one of its quantifiers lowered to the bitmap form.
 func Strategy(p *core.Prepared) string {

@@ -17,7 +17,7 @@ func TestStrategyMirrorsCertainWith(t *testing.T) {
 		// FO, but x occurs twice in one atom, so no quantifier lowers.
 		"fo-scalar": "R(x, x), !S(x | x)",
 		// Cyclic (not-FO, Sec 5.1) but negation-free, so neither planner
-		// pattern applies: repair enumeration.
+		// pattern applies: search over block choices.
 		"cyclic": "R(x | y), S(y | x)",
 		// The paper's q1 and q2 shapes: planner graph deciders.
 		"matching":     "R(x | y), !S(y | x)",
@@ -31,7 +31,7 @@ func TestStrategyMirrorsCertainWith(t *testing.T) {
 	}{
 		{"bitmap default", "fo", StrategyCompiledBitmap},
 		{"no lowered quantifier", "fo-scalar", StrategyCompiled},
-		{"naive", "cyclic", StrategyNaive},
+		{"search", "cyclic", StrategySearch},
 		{"matching", "matching", StrategyMatching},
 		{"reachability", "reachability", StrategyReachability},
 	}

@@ -1,7 +1,12 @@
-// Package naive provides the executable ground truth for CERTAINTY(q): it
-// enumerates the repairs of the database (Definition in Section 3) and
-// evaluates the query on each by backtracking join. Every other certainty
-// engine in this repository is validated against this one.
+// Package naive holds two deciders of CERTAINTY(q). The oracle,
+// IsCertain, is the executable ground truth: it enumerates the repairs of
+// the database (Definition in Section 3) and evaluates the query on each
+// by backtracking join; every other certainty engine in this repository
+// is validated against it. The search, RepairSearch (search.go), serves
+// the cyclic queries no graph decider of the planner recognizes: it
+// decides the same question as satisfiability of one clause over block
+// choices per embedding, on the interned view, and is validated against
+// the oracle.
 package naive
 
 import (

@@ -24,11 +24,14 @@
 //     which exists iff every connected component has at most as many
 //     edges as vertices.
 //
-// Everything else on the cyclic side falls back to naive repair
-// enumeration. Strategy labels are a function of the query class alone —
-// never of the database — so explain output, metrics, and batch
-// evaluation all report the same label for the same query; per-database
-// statistics are recorded in the Decision, not used to flip strategies.
+// Everything else on the cyclic side (ClassHard) is decided by search: a
+// falsifying repair satisfies one clause over block choices per
+// embedding of the positive atoms (naive.RepairSearch; the prepared
+// query calls it, since the search resolves the query's constants).
+// Strategy labels are a function of the query class alone — never of
+// the database — so explain output, metrics, and batch evaluation all
+// report the same label for the same query; per-database statistics are
+// recorded in the Decision, not used to flip strategies.
 package planner
 
 import (
@@ -51,8 +54,8 @@ const (
 	// ClassReachability: the all-key edge pattern with two negated
 	// simple-key atoms; served by union-find reachability.
 	ClassReachability Class = "reachability"
-	// ClassHard: cyclic with no specialized decider; served by repair
-	// enumeration.
+	// ClassHard: cyclic with no specialized decider; served by search
+	// over block choices.
 	ClassHard Class = "hard"
 )
 
@@ -63,7 +66,7 @@ const (
 const (
 	StrategyMatching     = "matching"
 	StrategyReachability = "reachability"
-	StrategyNaive        = "naive-repair"
+	StrategySearch       = "repair-search"
 )
 
 // Plan is the per-query strategy selection: the class, the strategy
@@ -73,7 +76,7 @@ const (
 type Plan struct {
 	Class Class
 	// Strategy is the db-independent strategy label for non-FO classes
-	// ("matching", "reachability", "naive-repair"); empty for ClassFO.
+	// ("matching", "reachability", "repair-search"); empty for ClassFO.
 	Strategy string
 	// Reason justifies the classification in one sentence.
 	Reason string
@@ -111,8 +114,8 @@ func New(q schema.Query, inFO bool) *Plan {
 	}
 	return &Plan{
 		Class:    ClassHard,
-		Strategy: StrategyNaive,
-		Reason:   "cyclic attack graph with no recognized graph-decider shape: repair enumeration",
+		Strategy: StrategySearch,
+		Reason:   "cyclic attack graph with no recognized graph-decider shape: a falsifying repair is a choice of one fact per block that kills every embedding, found by DPLL over the blocks the embeddings touch",
 		rels:     queryRels(q),
 	}
 }

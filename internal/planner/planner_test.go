@@ -54,7 +54,7 @@ func TestRecognizeClasses(t *testing.T) {
 				t.Errorf("%s: strategy = %q", c.query, p.Strategy)
 			}
 		case planner.ClassHard:
-			if p.Strategy != planner.StrategyNaive {
+			if p.Strategy != planner.StrategySearch {
 				t.Errorf("%s: strategy = %q", c.query, p.Strategy)
 			}
 		}

@@ -21,8 +21,9 @@ type ClassifyRequest struct {
 // is in FO — the consistent first-order rewriting and its SQL form. For
 // non-FO queries it instead reports the strategy the planner selected
 // (hardness does not mean repair enumeration: the recognized cyclic
-// shapes are served by polynomial graph deciders, docs/PLANNER.md) and
-// the planner's justification.
+// shapes are served by polynomial graph deciders and the others by
+// search over block choices, docs/PLANNER.md) and the planner's
+// justification.
 type ClassifyResponse struct {
 	Query         string      `json:"query"`
 	Verdict       string      `json:"verdict"`
@@ -35,7 +36,7 @@ type ClassifyResponse struct {
 	Rewriting     string      `json:"rewriting,omitempty"`
 	SQL           string      `json:"sql,omitempty"`
 	// PlannedStrategy is the evaluation strategy this server will execute
-	// for the query ("matching", "reachability", "naive-repair"); set for
+	// for the query ("matching", "reachability", "repair-search"); set for
 	// non-FO verdicts only.
 	PlannedStrategy string `json:"plannedStrategy,omitempty"`
 	// PlannerReason justifies the planner's selection (non-FO only).
@@ -71,7 +72,7 @@ type CertainResponse struct {
 // ExplainInfo is the `"explain": true` payload: what the engine chose
 // and what it cost, stage by stage. Strategy names come from
 // engine.Strategy ("compiled-bitmap", "compiled", "matching",
-// "reachability", "naive-repair"); shard plans are
+// "reachability", "repair-search"); shard plans are
 // shard.PlanFor kinds ("single", "pinned", "scatter", "union"). See
 // docs/OBSERVABILITY.md for the schema contract.
 type ExplainInfo struct {

@@ -192,18 +192,21 @@ func TestAdmissionControl429(t *testing.T) {
 
 func TestPerRequestTimeout(t *testing.T) {
 	_, ts := newTestServer(t, Options{RequestTimeout: 5 * time.Millisecond})
-	// A cyclic query outside the planner's decider shapes (negation-free,
-	// so neither graph pattern applies) falls back to repair enumeration;
-	// 2^20 repairs cannot finish in 5ms, and because every repair
-	// satisfies the query (the singleton S-blocks cover block k0 both
-	// ways) there is no early exit.
+	// A cyclic query outside the planner's decider shapes is decided by
+	// search over block choices. Pigeonhole facts make that search slow:
+	// nine P-blocks each choose one of eight holes h_j, and each hole's
+	// N-block admits one pigeon, so no repair falsifies the query, and
+	// DPLL takes exponential time to find that out (about 0.5 s; 8 is the
+	// smallest hole count past 100 ms, and the evaluation keeps running
+	// after the response, so no more).
 	var facts strings.Builder
-	for i := 0; i < 20; i++ {
-		fmt.Fprintf(&facts, "R(k%d | a)\nR(k%d | b)\n", i, i)
+	for i := 0; i < 9; i++ {
+		for j := 0; j < 8; j++ {
+			fmt.Fprintf(&facts, "P(p%d | h%d)\nN(h%d | p%d)\n", i, j, j, i)
+		}
 	}
-	facts.WriteString("S(a | k0)\nS(b | k0)\n")
 	resp := postJSON(t, ts.URL+"/v1/certain", CertainRequest{
-		Query: "R(x | y), S(y | x)",
+		Query: "P(u | v), !N(v | u), !M(u | v)",
 		Facts: facts.String(),
 	})
 	if resp.StatusCode != http.StatusServiceUnavailable {

@@ -106,7 +106,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			resp.SQL = sql
 		} else {
 			// Non-FO queries are not condemned to repair enumeration: the
-			// planner may have a polynomial graph decider for the shape.
+			// planner may have a polynomial graph decider for the shape,
+			// and searches over block choices otherwise.
 			resp.PlannedStrategy = engine.Strategy(p)
 			resp.PlannerReason = p.Plan().Reason
 		}
