@@ -160,11 +160,13 @@ type Engine int
 
 // Engines supported by Certain.
 const (
-	// EngineAuto evaluates the rewriting when CERTAINTY(q) is in FO and
-	// otherwise answers as the server does: with the planner's graph
-	// decider for the query shape, or by search over block choices.
+	// EngineAuto answers as the server does, through the query's
+	// prepared shape (Prepare): the compiled rewriting when CERTAINTY(q)
+	// is in FO, otherwise the planner's graph decider for the query
+	// shape, or search over block choices.
 	EngineAuto Engine = iota
-	// EngineRewriting evaluates the consistent first-order rewriting.
+	// EngineRewriting evaluates the consistent first-order rewriting
+	// with the tree walker (fo.Eval).
 	EngineRewriting
 	// EngineDirect runs Algorithm 1 on the database.
 	EngineDirect
@@ -196,18 +198,11 @@ func Certain(q schema.Query, d *db.Database, engine Engine) (bool, error) {
 		}
 		return evalOn(d, q, f), nil
 	case EngineAuto:
-		c, err := Classify(q)
-		if err != nil {
-			return false, err
-		}
-		if c.Verdict == VerdictFO {
-			return evalOn(d, q, c.Rewriting), nil
-		}
 		p, err := Prepare(q)
 		if err != nil {
 			return false, err
 		}
-		return p.certainNonFO(d), nil
+		return p.Certain(d), nil
 	default:
 		return false, fmt.Errorf("core: unknown engine %d", engine)
 	}

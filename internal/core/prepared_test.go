@@ -65,7 +65,9 @@ func TestPreparedInvalid(t *testing.T) {
 }
 
 // Prepared answers match one-shot Certain across random queries and
-// databases — and preparation dominates the per-call cost for FO queries.
+// databases. The one-shot side is an engine EngineAuto does not run
+// through the prepared shape: the tree walk over the rewriting for FO
+// queries, repair enumeration for the rest.
 func TestPreparedMatchesOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	opts := gen.DefaultQueryOptions()
@@ -76,9 +78,13 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		engine := core.EngineRewriting
+		if !p.InFO() {
+			engine = core.EngineNaive
+		}
 		for i := 0; i < 3; i++ {
 			d := gen.Database(rng, q, dbOpts)
-			want, err := core.Certain(q, d, core.EngineAuto)
+			want, err := core.Certain(q, d, engine)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,13 +135,8 @@ func TestEmptyScanMatchesOracles(t *testing.T) {
 		if oracle := naive.IsCertain(q, d); oracle != want {
 			t.Fatalf("%s: tree walk %v, repair enumeration %v\n%s", q, want, oracle, d)
 		}
-		support, _, _ := p.CertainSupport(d)
-		for name, got := range map[string]bool{
-			"Certain": p.Certain(d), "CertainSupport": support,
-		} {
-			if got != want {
-				t.Fatalf("%s: %s = %v, tree walk %v\n%s", q, name, got, want, d)
-			}
+		if got := p.Certain(d); got != want {
+			t.Fatalf("%s: Certain = %v, tree walk %v\n%s", q, got, want, d)
 		}
 		if !want && len(q.Constants()) > 0 {
 			falseByNeed++

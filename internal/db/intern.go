@@ -256,13 +256,6 @@ func (ix *Interned) Relation(name string) *InternedRelation { return ix.rels[nam
 // caller must not mutate the result.
 func (ix *Interned) DomainIDs() []int32 { return ix.domain }
 
-// SameDict reports whether two views share one append-only dictionary
-// (databases of one Clone/CloneCOW lineage), which makes their ids
-// directly comparable: a value known to both has the same id in both.
-// The delta layer relies on this to compare recorded support sets against
-// later versions' dirty blocks without re-resolving strings.
-func (ix *Interned) SameDict(o *Interned) bool { return o != nil && ix.dc == o.dc }
-
 // Interned returns the memoized frozen view of the database, building it
 // on first use. The result is invalidated by any write; racing readers
 // may each build (identical) views, the last one published wins. The

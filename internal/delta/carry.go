@@ -8,9 +8,8 @@ import (
 	"cqa/internal/store"
 )
 
-// The block-local carry rule. It comes ahead of every support rule in
-// decide.go and is the only rule an unsubscribed entry has beyond "no
-// mentioned relation was written".
+// The block-local carry rule: the one rule, watched entry or not, beyond
+// "no mentioned relation was written" and re-evaluation.
 //
 // For a co-keyed query q (schema.Query.CoKey) certainty is a disjunction
 // over keys, CERTAINTY(q, D) = ∨ₖ CERTAINTY(q, D|ₖ), and a change whose

@@ -266,8 +266,8 @@ func TestDeltaCarriesCoKeyedGroups(t *testing.T) {
 		return [3]uint64{s, r, f}
 	}
 
-	// A fresh value in a fresh block: the support rules would have
-	// re-evaluated (rule 1); the carry rule re-checks block k7 and skips.
+	// A fresh value in a fresh block: the carry rule re-checks block k7
+	// alone and skips.
 	h.insert("R", "k7", "brand-new")
 	if got := counters(); got != [3]uint64{1, 0, 0} {
 		t.Fatalf("after R(k7): counters %v, want [1 0 0]", got)

@@ -5,6 +5,7 @@ import (
 
 	"cqa/internal/core"
 	"cqa/internal/db"
+	"cqa/internal/naive"
 	"cqa/internal/parse"
 	"cqa/internal/store"
 )
@@ -69,8 +70,8 @@ func (h *harness) delete(rel, key, val string) store.Change {
 }
 
 // TestDeltaSkipFlip is the core behavior check: irrelevant relations
-// and untouched blocks skip, support hits re-evaluate, and verdict
-// flips publish exact events.
+// and blocks of other keys skip, a write to the query's own key is
+// carried to a flip, and verdict flips publish exact events.
 func TestDeltaSkipFlip(t *testing.T) {
 	h := newHarness(t, "R(k0 | v0)\nR(k9 | v0)\nR(k9 | v1)\nR(k5 | v1)\nT(t0 | u0)\n", Options{})
 	w, state := h.watch("R('k0' | 'v0')")
@@ -86,9 +87,9 @@ func TestDeltaSkipFlip(t *testing.T) {
 		t.Fatalf("after T write: counters=(%d,%d,%d), want (1,0,0)", skipped, reevaled, flipped)
 	}
 
-	// Deleting R(k9|v1) dirties only block k9: outside the support, and
-	// its column values (k9, v1) survive elsewhere in R, so candidate
-	// sets are unchanged — the registration must skip.
+	// Deleting R(k9|v1) dirties only block k9. The query is co-keyed
+	// with key 'k0', so a block of another key holds no valuation of it
+	// and the registration must skip.
 	h.delete("R", "k9", "v1")
 	h.mgr.Quiesce("test")
 	skipped, reevaled, flipped = h.mgr.Counters()
@@ -101,7 +102,8 @@ func TestDeltaSkipFlip(t *testing.T) {
 	default:
 	}
 
-	// Writing into block k0 hits the support and flips the verdict.
+	// Writing into block k0 dirties the query's one key: the carry rule
+	// re-checks that block and flips the verdict.
 	c := h.insert("R", "k0", "v1")
 	h.mgr.Quiesce("test")
 	_, _, flipped = h.mgr.Counters()
@@ -120,10 +122,10 @@ func TestDeltaSkipFlip(t *testing.T) {
 	}
 }
 
-// TestDeltaNewValueForcesReeval: a dirty block carrying a value the
-// recorded view never interned must re-evaluate even though its hash
-// cannot occur in the support (the rule that makes synthetic constant
-// ids safe).
+// TestDeltaNewValueForcesReeval: a write whose block carries a value the
+// database did not know before — here the query's own key constant —
+// must reach the watch. The query is co-keyed, so the carry rule
+// re-checks the new block and publishes the flip.
 func TestDeltaNewValueForcesReeval(t *testing.T) {
 	h := newHarness(t, "R(k0 | v0)\n", Options{})
 	w, state := h.watch("R('fresh' | y)")
@@ -138,26 +140,35 @@ func TestDeltaNewValueForcesReeval(t *testing.T) {
 	}
 }
 
-// TestDeltaNonFOFallback: queries without a compiled rewriting degrade
-// to relation-level skipping but stay exact.
+// TestDeltaNonFOFallback: a watch whose query is not co-keyed, FO or
+// not, has the one rule left besides advancing: a write to a relation
+// it does not mention skips, a write to one it mentions re-evaluates.
+// Either way the watched verdict stays exact.
 func TestDeltaNonFOFallback(t *testing.T) {
-	// q1-shaped mutual negation is the paper's canonical non-FO query.
-	h := newHarness(t, "R(a | b)\nS(b | a)\nT(t0 | u0)\n", Options{})
-	w, state := h.watch("R(x | y), !S(y | x)")
-	_ = state
-	h.insert("T", "t9", "u9")
-	h.mgr.Quiesce("test")
-	skipped, _, _ := h.mgr.Counters()
-	if skipped != 1 {
-		t.Fatalf("non-FO watch did not skip an irrelevant write (skipped=%d)", skipped)
+	for _, tc := range []struct{ name, query string }{
+		{"fo", "R(x | y), S(y | z)"},      // keys x and y differ
+		{"non-fo", "R(x | y), !S(y | x)"}, // the paper's canonical non-FO query
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, "R(a | b)\nS(b | a)\nT(t0 | u0)\n", Options{})
+			w, _ := h.watch(tc.query)
+			q := parse.MustQuery(tc.query)
+			if _, coKeyed := q.CoKey(); coKeyed {
+				t.Fatal("query is co-keyed; the carry rule would decide it")
+			}
+			h.insert("T", "t9", "u9")
+			if skipped, reevaled, flipped := h.mgr.Counters(); skipped != 1 || reevaled+flipped != 0 {
+				t.Fatalf("after T write: counters=(%d,%d,%d), want (1,0,0)", skipped, reevaled, flipped)
+			}
+			h.insert("S", "b", "c")
+			if skipped, reevaled, flipped := h.mgr.Counters(); skipped != 1 || reevaled+flipped != 1 {
+				t.Fatalf("after S write: counters=(%d,%d,%d), want one re-evaluation", skipped, reevaled, flipped)
+			}
+			if got, want := w.State().Verdict, naive.IsCertain(q, h.st.Snapshot().DB); got != want {
+				t.Fatalf("watched verdict %v, repair enumeration %v", got, want)
+			}
+		})
 	}
-	h.insert("S", "b", "c")
-	h.mgr.Quiesce("test")
-	skipped2, reevaled, flipped := h.mgr.Counters()
-	if skipped2 != skipped || reevaled+flipped == 0 {
-		t.Fatalf("non-FO watch did not re-evaluate on a mentioned-relation write: (%d,%d,%d)", skipped2, reevaled, flipped)
-	}
-	_ = w
 }
 
 // TestDeltaSlowConsumerResync: a full event queue sheds flips and the

@@ -178,11 +178,11 @@ func (e *Engine) Certain(q schema.Query, d *db.Database) (bool, error) {
 // maintained verdict of dbID on the caller's goroutine (delta.Advance):
 // verdicts of queries mentioning no written relation advance to the new
 // version, those of co-keyed queries are carried across by re-checking
-// c.Blocks alone, and the rest are dropped — or, when watched, decided
-// by the support rules and re-evaluated. Flips reach the watches before
-// ApplyChange returns. cur's union is built only for watched entries
-// the support rules cannot settle. Calls must arrive in version order
-// per database; they are made under the store's writer lock.
+// c.Blocks alone, and the rest are dropped — or, when watched,
+// re-evaluated on cur. Flips reach the watches before ApplyChange
+// returns. cur's union is built only when a watched entry is
+// re-evaluated. Calls must arrive in version order per database; they
+// are made under the store's writer lock.
 func (e *Engine) ApplyChange(dbID string, c store.Change, prev, cur ShardView) {
 	e.delta.Advance(dbID, c, prev, cur)
 }

@@ -29,9 +29,7 @@ package fo
 // ∀ needs no special casing: compile.go already lowers ∀x φ to ¬∃x ¬φ.
 // Lowering replaces nodes of Program.root in place; a quantifier that
 // does not vectorize stays a scalar nExists, so Bound.Eval runs one tree
-// that mixes both. Support recording (support.go) needs every membership
-// probe, so under EvalSupport each nExistsVec runs its scalar body and
-// the delta layer's proof-carrying skip rules are unaffected.
+// that mixes both.
 
 // vnode is one vectorized formula node, evaluated over the bound
 // quantifier's candidate ids. word returns the 64-candidate membership
@@ -161,14 +159,14 @@ func (n *vImplies) word(m *mach, w int32) uint64 { return ^n.l.word(m, w) | n.r.
 func (n *vImplies) bit(m *mach, id int32) bool   { return !n.l.bit(m, id) || n.r.bit(m, id) }
 
 // nExistsVec is the vectorized form of nExists. It keeps the scalar body,
-// which EvalSupport runs so the recorder sees every probe, and adds the
+// which usesSlot reads for the quantifiers that enclose it, and adds the
 // vector tree plus the prep lists: the scalar subtrees, hole atoms, and
 // equality ids that must be resolved against the outer environment
 // before the word sweep.
 type nExistsVec struct {
 	slot int32
 	cand int32
-	body node // scalar equivalent; used when support recording is active
+	body node // scalar equivalent
 
 	vec     vnode
 	scalars []*vScalar
@@ -181,23 +179,7 @@ type nExistsVec struct {
 	musts []int32
 }
 
-func (e *nExistsVec) scalarEval(m *mach) bool {
-	body, env := e.body, m.env
-	for _, v := range m.cands[e.cand] {
-		env[e.slot] = v
-		if body.eval(m) {
-			return true
-		}
-	}
-	return false
-}
-
 func (e *nExistsVec) eval(m *mach) bool {
-	if m.rec != nil {
-		// Support recording needs every membership probe to hit the
-		// recorder, which only the scalar tree does.
-		return e.scalarEval(m)
-	}
 	b := m.b
 	cset := b.candSets[e.cand]
 	if cset == nil || cset.Empty() {

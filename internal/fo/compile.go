@@ -112,9 +112,6 @@ func (a *nAtom) eval(m *mach) bool {
 	for i, t := range a.terms {
 		buf[i] = m.get(t)
 	}
-	if m.rec != nil {
-		m.rec.probe(a.rel, buf[:r.Key])
-	}
 	return r.Has(buf)
 }
 
@@ -167,7 +164,6 @@ type Program struct {
 	rels     []string // distinct relation names, indexed by nAtom.rel
 	cands    []candPlan
 	maxArity int
-	source   Formula
 
 	// paramCands lists the candidate plans that mention a parameter:
 	// every call materializes them with its own ids. usesDomain: some
@@ -213,12 +209,6 @@ type need struct {
 	c   int
 }
 
-// Slots returns the number of environment slots (binder occurrences).
-func (p *Program) Slots() int { return p.slots }
-
-// Source returns the formula the program was compiled from.
-func (p *Program) Source() Formula { return p.source }
-
 type compiler struct {
 	p        *Program
 	constIdx map[string]int
@@ -233,7 +223,7 @@ type compiler struct {
 // needs are conditions without which f is known to be false (see Need).
 func Compile(f Formula, params []string, needs ...Need) (*Program, error) {
 	c := &compiler{
-		p:        &Program{source: f, nParams: len(params), consts: append([]string(nil), params...)},
+		p:        &Program{nParams: len(params), consts: append([]string(nil), params...)},
 		constIdx: make(map[string]int),
 		paramIdx: make(map[string]int, len(params)),
 		relIdx:   make(map[string]int),
@@ -274,6 +264,28 @@ func Compile(f Formula, params []string, needs ...Need) (*Program, error) {
 	}
 	c.lowerBitmap()
 	return c.p, nil
+}
+
+// usesDomain reports whether a candidate plan may range over the active
+// domain.
+func usesDomain(plan candPlan) bool {
+	switch g := plan.(type) {
+	case candDomain:
+		return true
+	case candPick:
+		for _, sub := range g.of {
+			if usesDomain(sub) {
+				return true
+			}
+		}
+	case candUnion:
+		for _, sub := range g.of {
+			if usesDomain(sub) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // MustCompile is Compile for known-good sentences (e.g. rewritings).
@@ -572,9 +584,8 @@ type Bound struct {
 	candSets []*db.IDSet
 
 	// unmet: ix fails one of the program's constant Needs, so Eval
-	// answers false without running. EvalSupport still runs the tree —
-	// the delta layer replays what it records. paramNeeds are the Needs
-	// on parameters, checked per call.
+	// answers false without running. paramNeeds are the Needs on
+	// parameters, checked per call.
 	unmet      bool
 	paramNeeds []paramNeed
 
@@ -832,16 +843,13 @@ func (b *Bound) Interned() *db.Interned { return b.ix }
 // argument scratch buffer, and — for programs with parameters — its own
 // copy of the constant table and of the candidate lists, whose parameter
 // entries bind sets per call. Machines are pooled by the Bound; one
-// machine is used by exactly one goroutine at a time. rec is nil on the
-// hot path; EvalSupport sets it on a private machine to record the
-// blocks every membership probe touches (see support.go).
+// machine is used by exactly one goroutine at a time.
 type mach struct {
 	b      *Bound
 	env    []int32
 	argbuf []int32
 	consts []int32
 	cands  [][]int32
-	rec    *recorder
 
 	// Bitmap-evaluation scratch (bitmap.go): per-quantifier prep results
 	// indexed by the program-wide unique slots the vector nodes carry.

@@ -45,11 +45,9 @@ func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				var got bool
-				switch (g + i) % 3 {
+				switch (g + i) % 2 {
 				case 0:
 					got = b.Eval()
-				case 1:
-					got, _ = b.EvalSupport()
 				default:
 					// Concurrent Bind against the shared interned view.
 					got = p.Bind(ix).Eval()

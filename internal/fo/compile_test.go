@@ -31,9 +31,6 @@ func TestCompiledAgreesWithReference(t *testing.T) {
 		if got := b.Eval(); got != want {
 			t.Fatalf("compiled = %v, reference = %v on %s with db:\n%s", got, want, f, d)
 		}
-		if got, _ := b.EvalSupport(); got != want {
-			t.Fatalf("EvalSupport = %v, reference = %v on %s with db:\n%s", got, want, f, d)
-		}
 	}
 }
 
@@ -182,9 +179,8 @@ func TestCompiledInternNextCOW(t *testing.T) {
 }
 
 // A Need the database fails answers Eval without running the program —
-// shown here with a Need the sentence does not even depend on — while
-// EvalSupport still walks the tree, so what the delta layer replays is a
-// real run. A Need the database meets changes nothing.
+// shown here with a Need the sentence does not even depend on. A Need
+// the database meets changes nothing.
 func TestNeedShortCircuitsBoundProgram(t *testing.T) {
 	f := fo.Exists{Vars: []string{"x", "y"}, Body: fo.Atom{Rel: "R", Key: 1, Terms: []schema.Term{schema.Var("x"), schema.Var("y")}}}
 	d := db.New()
@@ -211,13 +207,10 @@ func TestNeedShortCircuitsBoundProgram(t *testing.T) {
 		if got := b.Eval(); got != tc.met {
 			t.Errorf("%s: Eval = %v, want %v", tc.name, got, tc.met)
 		}
-		if got, sup := b.EvalSupport(); !got || len(sup.Blocks) == 0 {
-			t.Errorf("%s: EvalSupport = %v with %d blocks, want the run itself", tc.name, got, len(sup.Blocks))
-		}
 	}
 
 	// ∃y R('k', y) lowers at the root: an unmet Need skips the vectorized
-	// tree, and EvalSupport still runs and records its scalar body.
+	// tree.
 	g := fo.Exists{Vars: []string{"y"}, Body: fo.Atom{Rel: "R", Key: 1, Terms: []schema.Term{schema.Const("k"), schema.Var("y")}}}
 	p, err := fo.Compile(g, nil, fo.Need{Rel: "R", Col: 1, Term: schema.Const("zz")})
 	if err != nil {
@@ -229,8 +222,5 @@ func TestNeedShortCircuitsBoundProgram(t *testing.T) {
 	b := p.Bind(ix)
 	if b.Eval() {
 		t.Error("lowered program with an unmet Need: Eval = true")
-	}
-	if got, sup := b.EvalSupport(); !got || len(sup.Blocks) == 0 {
-		t.Errorf("lowered program with an unmet Need: EvalSupport = %v with %d blocks, want the run itself", got, len(sup.Blocks))
 	}
 }

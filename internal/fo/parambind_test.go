@@ -68,7 +68,6 @@ func FuzzParamBind(f *testing.F) {
 				"bound with values":    prog.Bind(ix, vals...).Eval(vals...),
 				"tree walk with env":   fo.EvalWith(d, lifted, env),
 			}
-			got["parameterised support"], _ = b.EvalSupport(vals...)
 			for name, v := range got {
 				if v != want {
 					t.Fatalf("%s = %v, reference = %v on %s with %v (instance %s), db:\n%s", name, v, want, lifted, vals, instance, d)
