@@ -170,8 +170,10 @@ func (h *harness) query(k int) string {
 	}
 }
 
-// want computes ground truth for a query on the current shadow. Safe
-// for concurrent use (the background readers share the memo).
+// want computes ground truth for a query on the current shadow by the
+// tree walk over the rewriting, independent of the compiled program the
+// servers run (every chaos query is a ground-key FO query). Safe for
+// concurrent use (the background readers share the memo).
 func (h *harness) want(query string) bool {
 	h.truthMu.Lock()
 	v, ok := h.truth[query]
@@ -183,7 +185,7 @@ func (h *harness) want(query string) bool {
 	if err != nil {
 		h.t.Fatalf("bad query %q: %v", query, err)
 	}
-	v, err = core.Certain(q, h.shadow, core.EngineAuto)
+	v, err = core.Certain(q, h.shadow, core.EngineRewriting)
 	if err != nil {
 		h.t.Fatalf("ground truth for %q: %v", query, err)
 	}

@@ -140,7 +140,7 @@ func TestChaosWatchResume(t *testing.T) {
 	// query's shadow verdict at that version.
 	truth := make(map[uint64]bool)
 	record := func(version uint64) {
-		want, err := core.Certain(q, h.shadow, core.EngineAuto)
+		want, err := core.Certain(q, h.shadow, core.EngineRewriting)
 		if err != nil {
 			t.Fatal(err)
 		}
