@@ -9,6 +9,7 @@ package cqa
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -26,6 +27,7 @@ import (
 	"cqa/internal/reduction"
 	"cqa/internal/rewrite"
 	"cqa/internal/schema"
+	"cqa/internal/server"
 	"cqa/internal/special"
 )
 
@@ -357,14 +359,55 @@ func chainQueryBench(n int) schema.Query {
 	return parse.MustQuery(src)
 }
 
-// The load path of a cold inline request (docs/EVAL.md, "Loading"): fact
-// text through the scanner into dictionary ids and id rows.
+// storeText renders the served store's shape as fact text: R and S over
+// 17 000 keys each, values from a 16-symbol domain — 34 000 facts, the
+// size of the seed a store workload creates its database with.
+func storeText() string {
+	rng := rand.New(rand.NewSource(1))
+	var sb strings.Builder
+	for i := 0; i < 17000; i++ {
+		fmt.Fprintf(&sb, "R(k%05d | v%02d)\nS(k%05d | v%02d)\n", i, rng.Intn(16), i, rng.Intn(16))
+	}
+	return sb.String()
+}
+
+// The load path (docs/EVAL.md, "Loading"): fact text through the scanner
+// and the bulk loader into dictionary ids and id rows — a cold inline
+// request's 2 000 facts, and a store seed's 34 000.
 func BenchmarkLoadFacts(b *testing.B) {
-	text := gen.FactsText(rand.New(rand.NewSource(1)), 2000)
+	for _, tc := range []struct {
+		name, text string
+	}{
+		{"facts=2000", gen.FactsText(rand.New(rand.NewSource(1)), 2000)},
+		{"facts=34000", storeText()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(tc.text)))
+			for i := 0; i < b.N; i++ {
+				if _, err := parse.Database(tc.text); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// Decoding a /v1/certain body that carries 2 000 facts
+// (docs/SERVING.md, "Decoding"): the fast path, whose output is the fact
+// text unescaped.
+func BenchmarkDecodeCertainRequest(b *testing.B) {
+	body, err := json.Marshal(server.CertainRequest{
+		Query: "Lives(x | y), !Born(x | y)",
+		Facts: gen.FactsText(rand.New(rand.NewSource(1)), 2000),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
-	b.SetBytes(int64(len(text)))
+	b.SetBytes(int64(len(body)))
 	for i := 0; i < b.N; i++ {
-		if _, err := parse.Database(text); err != nil {
+		if _, err := server.ParseCertainRequest(body); err != nil {
 			b.Fatal(err)
 		}
 	}

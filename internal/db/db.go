@@ -215,7 +215,7 @@ type Database struct {
 
 // New returns an empty database.
 func New() *Database {
-	return &Database{dict: newDict(), rels: make(map[string]*Relation)}
+	return &Database{dict: &dict{}, rels: make(map[string]*Relation)}
 }
 
 // DeclareRelation registers a relation name with signature [arity, key].

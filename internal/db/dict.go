@@ -1,6 +1,7 @@
 package db
 
 import (
+	"hash/maphash"
 	"strings"
 	"sync"
 )
@@ -16,20 +17,53 @@ import (
 // the dictionary never aliases the strings it was handed (a request body,
 // a caller's Fact) and later occurrences cost a lookup, not a copy.
 //
+// The index from values to ids is an open-addressing table of ids, not
+// a Go map: it holds no pointers for the collector to scan, and hashes
+// keeps each value's hash, so growing the table rehashes no string and a
+// probe compares strings only when the hashes match.
+//
 // Writers of one lineage member and readers of another run concurrently
 // (the store mutates the next version while readers resolve constants
 // against published ones), hence the lock.
 type dict struct {
 	mu   sync.Mutex
-	ids  map[string]int32
 	vals []string
+	// hashes[id] is hash(vals[id]); index is a linear-probing table at
+	// load factor ≤ ½ whose slots hold an id + 1, 0 meaning empty.
+	hashes []uint32
+	index  []int32
 	// arena is the chunk new values are copied into; a full chunk is left
 	// to the strings cut from it and replaced by a larger one.
 	arena strings.Builder
 }
 
-func newDict() *dict {
-	return &dict{ids: make(map[string]int32)}
+// dictSeed seeds the dictionary's string hash.
+var dictSeed = maphash.MakeSeed()
+
+func hashString(v string) uint32 { return uint32(maphash.String(dictSeed, v)) }
+
+// find returns the id of v, whose hash is h, or -1 and the empty slot
+// where v's id belongs. Caller holds mu.
+func (dc *dict) find(v string, h uint32) (id int32, slot uint32) {
+	if len(dc.index) == 0 {
+		return -1, 0
+	}
+	mask := uint32(len(dc.index) - 1)
+	for slot = h & mask; ; slot = (slot + 1) & mask {
+		e := dc.index[slot]
+		if e == 0 {
+			return -1, slot
+		}
+		if dc.hashes[e-1] == h && dc.vals[e-1] == v {
+			return e - 1, slot
+		}
+	}
+}
+
+// id returns the id of v, or -1. Caller holds mu.
+func (dc *dict) id(v string) int32 {
+	id, _ := dc.find(v, hashString(v))
+	return id
 }
 
 const (
@@ -53,18 +87,43 @@ func (dc *dict) own(v string) string {
 // the dictionary has not seen.
 func (dc *dict) intern(dst []int32, args []string) []int32 {
 	dc.mu.Lock()
+	dst = dc.add(dst, args)
+	dc.mu.Unlock()
+	return dst
+}
+
+// add is intern for a caller that holds mu or owns the dictionary alone.
+func (dc *dict) add(dst []int32, args []string) []int32 {
 	for _, a := range args {
-		id, ok := dc.ids[a]
-		if !ok {
-			a = dc.own(a)
+		h := hashString(a)
+		id, slot := dc.find(a, h)
+		if id < 0 {
 			id = int32(len(dc.vals))
-			dc.vals = append(dc.vals, a)
-			dc.ids[a] = id
+			if 2*(len(dc.vals)+1) > len(dc.index) {
+				dc.grow()
+				_, slot = dc.find(a, h)
+			}
+			dc.vals = append(dc.vals, dc.own(a))
+			dc.hashes = append(dc.hashes, h)
+			dc.index[slot] = id + 1
 		}
 		dst = append(dst, id)
 	}
-	dc.mu.Unlock()
 	return dst
+}
+
+// grow doubles the index and places every id again by its kept hash.
+func (dc *dict) grow() {
+	index := make([]int32, max(2*len(dc.index), 16))
+	mask := uint32(len(index) - 1)
+	for id, h := range dc.hashes {
+		slot := h & mask
+		for index[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		index[slot] = int32(id + 1)
+	}
+	dc.index = index
 }
 
 // lookup appends the ids of args to dst; ok is false when some value is
@@ -73,8 +132,8 @@ func (dc *dict) lookup(dst []int32, args []string) (_ []int32, ok bool) {
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
 	for _, a := range args {
-		id, ok := dc.ids[a]
-		if !ok {
+		id := dc.id(a)
+		if id < 0 {
 			return dst, false
 		}
 		dst = append(dst, id)

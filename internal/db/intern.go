@@ -231,9 +231,9 @@ func (ix *Interned) NumIDs() int32 { return int32(len(ix.vals)) }
 // snapshot.
 func (ix *Interned) ID(v string) (int32, bool) {
 	ix.dc.mu.Lock()
-	id, ok := ix.dc.ids[v]
+	id := ix.dc.id(v)
 	ix.dc.mu.Unlock()
-	if !ok || int(id) >= len(ix.vals) {
+	if id < 0 || int(id) >= len(ix.vals) {
 		return 0, false
 	}
 	return id, true

@@ -52,10 +52,11 @@ func FormatFact(f db.Fact, key int) (string, error) {
 }
 
 // FormatDatabase renders d as a multi-line database listing, relations
-// sorted by name and facts in insertion order, that Database parses back
-// to equal content. Relations without facts cannot be expressed in the
-// syntax (signatures are inferred from facts) and are skipped; callers
-// that must preserve empty relations ship the signature list separately.
+// sorted by name and each relation's facts in Database.Facts order
+// (sorted argument by argument), that Database parses back to equal
+// content. Relations without facts cannot be expressed in the syntax
+// (signatures are inferred from facts) and are skipped; callers that
+// must preserve empty relations ship the signature list separately.
 func FormatDatabase(d *db.Database) (string, error) {
 	names := d.RelationNames()
 	sort.Strings(names)

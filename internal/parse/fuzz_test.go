@@ -1,9 +1,13 @@
 package parse_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"cqa/internal/db"
 	"cqa/internal/gen"
 	"cqa/internal/parse"
 )
@@ -52,8 +56,62 @@ func FuzzParseQuery(f *testing.F) {
 	})
 }
 
-// FuzzDatabase checks that the database parser never panics and that
-// accepted databases round-trip through String.
+// sameLoad fails t unless got, loaded in bulk, is the database want,
+// loaded fact by fact, down to the dictionary's order, every relation's
+// row order and block chains, and how both take later writes.
+func sameLoad(t *testing.T, src string, got, want *db.Database) {
+	t.Helper()
+	if got.String() != want.String() {
+		t.Fatalf("%q loads as\n%s\nfact by fact as\n%s", src, got, want)
+	}
+	gi, wi := got.Interned(), want.Interned()
+	if gi.NumIDs() != wi.NumIDs() {
+		t.Fatalf("%q: %d dictionary ids, fact by fact %d", src, gi.NumIDs(), wi.NumIDs())
+	}
+	for id := int32(0); id < gi.NumIDs(); id++ {
+		if gi.Value(id) != wi.Value(id) {
+			t.Fatalf("%q: id %d is %q, fact by fact %q", src, id, gi.Value(id), wi.Value(id))
+		}
+	}
+	names := want.RelationNames()
+	if !slices.Equal(got.RelationNames(), names) {
+		t.Fatalf("%q: relations %v, fact by fact %v", src, got.RelationNames(), names)
+	}
+	for _, name := range names {
+		g, w := gi.Relation(name), wi.Relation(name)
+		if g.Arity != w.Arity || g.Key != w.Key || g.Rows() != w.Rows() || g.NumBlocks() != w.NumBlocks() {
+			t.Fatalf("%q: %s is [%d, %d] with %d rows in %d blocks, fact by fact [%d, %d] with %d in %d",
+				src, name, g.Arity, g.Key, g.Rows(), g.NumBlocks(), w.Arity, w.Key, w.Rows(), w.NumBlocks())
+		}
+		for i := 0; i < g.Rows(); i++ {
+			if !slices.Equal(g.Row(i), w.Row(i)) || g.NextInBlock(i) != w.NextInBlock(i) {
+				t.Fatalf("%q: %s row %d is %v (next %d), fact by fact %v (next %d)",
+					src, name, i, g.Row(i), g.NextInBlock(i), w.Row(i), w.NextInBlock(i))
+			}
+		}
+	}
+	// The tables may be laid out differently; writes must not tell.
+	for _, name := range names {
+		facts := want.Facts(name)
+		if len(facts) == 0 {
+			continue
+		}
+		first := facts[0]
+		extra := db.Fact{Rel: name, Args: append([]string{"fresh"}, first.Args[1:]...)}
+		for _, d := range []*db.Database{got, want} {
+			d.Remove(first)
+			d.MustInsert(extra)
+			d.MustInsert(first)
+		}
+	}
+	if got.String() != want.String() {
+		t.Fatalf("%q after writes:\n%s\nfact by fact\n%s", src, got, want)
+	}
+}
+
+// FuzzDatabase checks that the database parser never panics, that it
+// gives what loading fact by fact gives — the same database or the same
+// error — and that accepted databases round-trip through String.
 func FuzzDatabase(f *testing.F) {
 	seeds := []string{
 		"R(a | b)\nS(b | a)",
@@ -68,15 +126,26 @@ func FuzzDatabase(f *testing.F) {
 		"R('' | c)",
 		"R(a | b)\r\nS(b | a)\r\n",
 		"Été(naïve | 'smörgås')",
+		"R(a | b)\nR(a | b)\nR(a | c)\nS(b | a)\nR(b | a)\nR(a | c)",
+		"R(a, b | c)\nR(a, b | d)\nR(b, a | c)\nR(a, b | c)",
+		"R(a | b)\nS(a)\nR(a | b, c)",
+		"R(a | b)\nS(a)\nT(x | y)\nU(a)\nV(a)\nW(a)\nX(a)\nY(a)\nZ(a)\nQ(a)\nR(c | d)\nQ(a, b)",
+		"R(a | b)\nR(a | b)",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		d, err := parse.Database(src)
+		want, wantErr := parse.PerFactDatabase(src)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("%q: error %v, fact by fact %v", src, err, wantErr)
+		}
 		if err != nil {
 			return
 		}
+		sameLoad(t, src, d, want)
+		d = parse.MustDatabase(src) // sameLoad wrote to the first one
 		again, err := parse.Database(d.String())
 		if err != nil {
 			t.Fatalf("round trip failed: %v\noriginal:\n%s", err, d)
@@ -85,6 +154,32 @@ func FuzzDatabase(f *testing.F) {
 			t.Fatalf("round trip changed\n%s\nto\n%s", d, again)
 		}
 	})
+}
+
+// Bulk loading matches loading fact by fact on large texts too: the
+// workload-shaped one, and random ones whose duplicates and large blocks
+// leave the tables sized for the raw rows to be shrunk.
+func TestLoadMatchesPerFact(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	texts := []string{gen.FactsText(rng, 2000)}
+	for _, spread := range []int{3, 40, 1000} {
+		var sb strings.Builder
+		for i := 0; i < 3000; i++ {
+			fmt.Fprintf(&sb, "R(k%d | v%d)\nS(k%d, v%d)\n", rng.Intn(spread), rng.Intn(spread), rng.Intn(spread), rng.Intn(4))
+		}
+		texts = append(texts, sb.String())
+	}
+	for _, src := range texts {
+		d, err := parse.Database(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := parse.PerFactDatabase(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameLoad(t, src[:40], d, want)
+	}
 }
 
 // Generated queries always round-trip through the parser — the printer

@@ -51,7 +51,16 @@ type scanner struct {
 	quoted []bool
 }
 
+// skipSpace steps over white space. Most calls find a token right away,
+// so that check is kept small enough to be inlined.
 func (l *scanner) skipSpace() {
+	if l.pos < len(l.src) && l.src[l.pos]-'!' < utf8.RuneSelf-'!' { // ASCII, not space
+		return
+	}
+	l.skipSpaceLoop()
+}
+
+func (l *scanner) skipSpaceLoop() {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c < utf8.RuneSelf {
@@ -91,6 +100,14 @@ func (l *scanner) expect(c byte) error {
 	return nil
 }
 
+// identASCII marks the ASCII bytes that may occur in an identifier.
+var identASCII = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = c == '_' || '0' <= c && c <= '9' || 'a' <= c|0x20 && c|0x20 <= 'z'
+	}
+	return t
+}()
+
 // ident reads an identifier or number; returns "" when none is present.
 func (l *scanner) ident() string {
 	l.skipSpace()
@@ -98,7 +115,7 @@ func (l *scanner) ident() string {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c < utf8.RuneSelf {
-			if c != '_' && (c < '0' || c > '9') && (c|0x20 < 'a' || c|0x20 > 'z') {
+			if !identASCII[c] {
 				break
 			}
 			l.pos++
@@ -258,9 +275,11 @@ func cutComment(line string) string {
 
 // Database parses a multi-line database listing. Relation signatures are
 // inferred from the facts; every argument is treated as a constant. The
-// database copies what it keeps, so it does not hold on to src.
+// facts go through a db.Loader, which gives the database that inserting
+// them one by one would. The database copies what it keeps, so it does
+// not hold on to src.
 func Database(src string) (*db.Database, error) {
-	d := db.New()
+	ld := db.NewLoader()
 	var l scanner
 	for lineNo := 1; src != ""; lineNo++ {
 		var line string
@@ -278,14 +297,11 @@ func Database(src string) (*db.Database, error) {
 			return nil, fmt.Errorf("line %d: trailing input after fact", lineNo)
 		}
 		// Variables in fact position are read as constants.
-		if err := d.DeclareRelation(rel, len(l.args), key); err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		if err := d.Insert(db.Fact{Rel: rel, Args: l.args}); err != nil {
+		if err := ld.Fact(rel, key, l.args); err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 	}
-	return d, nil
+	return ld.Database(), nil
 }
 
 // MustDatabase parses a database and panics on error; for tests and

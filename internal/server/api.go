@@ -57,6 +57,12 @@ type CertainRequest struct {
 	Explain bool `json:"explain,omitempty"`
 }
 
+// members lists the fields decodeFlat fills.
+func (r *CertainRequest) members() []member {
+	return []member{{name: "query", str: &r.Query}, {name: "facts", str: &r.Facts},
+		{name: "database", str: &r.Database}, {name: "explain", flag: &r.Explain}}
+}
+
 // CertainResponse is the answer for one database. For a named database
 // the response also carries the store version the answer is valid at and
 // whether it came from the versioned result cache.
@@ -136,6 +142,12 @@ type DBCreateRequest struct {
 	Declare []RelSig `json:"declare,omitempty"`
 }
 
+// members lists the fields decodeFlat fills. Declare is not among them:
+// a body that declares takes the decodeJSON path.
+func (r *DBCreateRequest) members() []member {
+	return []member{{name: "name", str: &r.Name}, {name: "facts", str: &r.Facts}}
+}
+
 // DBWriteRequest applies one atomic batch of facts to a named database
 // (POST /v1/db/insert and /v1/db/delete). Declare registers relation
 // signatures that ride with the batch (see DBCreateRequest.Declare).
@@ -143,6 +155,12 @@ type DBWriteRequest struct {
 	Database string   `json:"database"`
 	Facts    string   `json:"facts"`
 	Declare  []RelSig `json:"declare,omitempty"`
+}
+
+// members lists the fields decodeFlat fills; as for DBCreateRequest, a
+// body that declares takes the decodeJSON path.
+func (r *DBWriteRequest) members() []member {
+	return []member{{name: "database", str: &r.Database}, {name: "facts", str: &r.Facts}}
 }
 
 // DBWriteResponse acknowledges a write: the store version after the
@@ -343,19 +361,46 @@ func decodeJSON(r io.Reader, v any) error {
 	return nil
 }
 
+// decodeRequest decodes a whole request body into v, whose string and
+// boolean fields members lists: by decodeFlat when the body is in the
+// canonical form for them, else by decodeJSON.
+func decodeRequest(body []byte, v any, members []member) error {
+	if decodeFlat(body, members) {
+		return nil
+	}
+	return decodeJSON(bytes.NewReader(body), v)
+}
+
+// readRequest reads a whole request body and decodes it as decodeRequest does.
+func readRequest(r io.Reader, v any, members []member) error {
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	return decodeRequest(body, v, members)
+}
+
 // ParseCertainRequest decodes and shape-checks a /v1/certain body. It is
 // exported (within the package tree) for the fuzz target: it must never
 // panic, whatever the bytes.
 func ParseCertainRequest(body []byte) (CertainRequest, error) {
 	var req CertainRequest
-	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
+	if err := decodeRequest(body, &req, req.members()); err != nil {
 		return CertainRequest{}, err
 	}
-	if req.Query == "" {
-		return CertainRequest{}, fmt.Errorf("missing query")
-	}
-	if (req.Facts == "") == (req.Database == "") {
-		return CertainRequest{}, fmt.Errorf("exactly one of facts and database must be set")
+	if err := req.check(); err != nil {
+		return CertainRequest{}, err
 	}
 	return req, nil
+}
+
+// check is the shape check of a decoded /v1/certain request.
+func (r *CertainRequest) check() error {
+	if r.Query == "" {
+		return fmt.Errorf("missing query")
+	}
+	if (r.Facts == "") == (r.Database == "") {
+		return fmt.Errorf("exactly one of facts and database must be set")
+	}
+	return nil
 }

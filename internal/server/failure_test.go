@@ -27,14 +27,20 @@ func mustQuery(t *testing.T, src string) schema.Query {
 
 func TestOversizedBody413(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxBodyBytes: 256})
-	big := CertainRequest{Query: "R(x | y)", Facts: strings.Repeat("R(a | 1)\n", 200)}
-	resp := postJSON(t, ts.URL+"/v1/certain", big)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d, want 413", resp.StatusCode)
-	}
-	out := decodeBody[ErrorBody](t, resp)
-	if out.Error.Code != "body_too_large" || out.Error.Status != 413 {
-		t.Errorf("error body = %+v", out)
+	facts := strings.Repeat("R(a | 1)\n", 200)
+	for path, big := range map[string]any{
+		"/v1/certain":   CertainRequest{Query: "R(x | y)", Facts: facts},
+		"/v1/db/create": DBCreateRequest{Name: "big", Facts: facts},
+		"/v1/db/insert": DBWriteRequest{Database: "people", Facts: facts},
+	} {
+		resp := postJSON(t, ts.URL+path, big)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status = %d, want 413", path, resp.StatusCode)
+		}
+		out := decodeBody[ErrorBody](t, resp)
+		if out.Error.Code != "body_too_large" || out.Error.Status != 413 {
+			t.Errorf("%s: error body = %+v", path, out)
+		}
 	}
 }
 

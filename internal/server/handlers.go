@@ -137,6 +137,12 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 		s.writeDecodeError(w, err)
 		return
 	}
+	s.serveCertain(w, r, clock, req)
+}
+
+// serveCertain answers a decoded /v1/certain request; a router hands it
+// the inline reads it has decoded.
+func (s *Server) serveCertain(w http.ResponseWriter, r *http.Request, clock *stageClock, req CertainRequest) {
 	q, err := s.parseQuery(w, clock, req.Query)
 	if err != nil {
 		return

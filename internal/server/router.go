@@ -267,6 +267,7 @@ func (rt *Router) writePartialResult(w http.ResponseWriter, r *http.Request, err
 // requests evaluate locally; named databases follow the query's shard
 // plan: forwarded to the owning shards, or gathered and evaluated here.
 func (rt *Router) handleCertain(w http.ResponseWriter, r *http.Request) {
+	clock := &stageClock{tr: obs.FromContext(r.Context())}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		rt.inner.writeDecodeError(w, err)
@@ -278,11 +279,9 @@ func (rt *Router) handleCertain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Database == "" {
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		rt.inner.handleCertain(w, r)
+		rt.inner.serveCertain(w, r, clock, req)
 		return
 	}
-	clock := &stageClock{tr: obs.FromContext(r.Context())}
 	q, err := rt.inner.parseQuery(w, clock, req.Query)
 	if err != nil {
 		return
@@ -483,7 +482,7 @@ func (rt *Router) partition(d *db.Database, extra []RelSig) (perShard []string, 
 // schema and its slice of the seed facts.
 func (rt *Router) handleDBCreate(w http.ResponseWriter, r *http.Request) {
 	var req DBCreateRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := readRequest(r.Body, &req, req.members()); err != nil {
 		rt.inner.writeDecodeError(w, err)
 		return
 	}
@@ -530,7 +529,7 @@ func (rt *Router) handleDBWrite(del bool) func(w http.ResponseWriter, r *http.Re
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req DBWriteRequest
-		if err := decodeJSON(r.Body, &req); err != nil {
+		if err := readRequest(r.Body, &req, req.members()); err != nil {
 			rt.inner.writeDecodeError(w, err)
 			return
 		}

@@ -237,3 +237,50 @@ func TestRouterReusesShardConnections(t *testing.T) {
 		t.Errorf("%d reads over %d readers opened %d connections to the shard", reads, readers, n)
 	}
 }
+
+// TestRouterInlineFacts: a router answers an inline-facts read itself,
+// from the request it decoded, with the single server's verdict and
+// without asking a shard; bad fact text is 422 bad_facts through the
+// router as on a single server.
+func TestRouterInlineFacts(t *testing.T) {
+	var hits sync.Map
+	shardURLs := []string{countingShard(t, &hits).URL, countingShard(t, &hits).URL}
+	rt := NewRouter(RouterOptions{Shards: shardURLs, Options: Options{Engine: engine.New(engine.Options{})}})
+	single := New(Options{})
+	post := func(h http.Handler, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/certain", strings.NewReader(body)))
+		return w
+	}
+	for _, tc := range []struct{ query, facts string }{
+		{"R(x | y), !S(y | x)", "R(a | b)\nR(a | c)\nS(b | a)\n"},
+		{"R(x | y), !S(y | x)", "R(a | b)\nS(b | a)\n"},
+		{"R('a' | y)", "R(a | 1)\nR(a | 2)\n"},
+		{"P(x | y), !N('c' | y)", "P(p | 1)\nN(c | 1)\nN(c | 2)\n"},
+		{"R(x | y)", "R('two words' | 'x#y')   # comment\n"},
+	} {
+		body := fmt.Sprintf(`{"query":%q,"facts":%q}`, tc.query, tc.facts)
+		got, want := post(rt.Handler(), body), post(single.Handler(), body)
+		if got.Code != http.StatusOK || want.Code != http.StatusOK {
+			t.Fatalf("%s on %q: router %d %s, single %d %s", tc.query, tc.facts, got.Code, got.Body, want.Code, want.Body)
+		}
+		if got.Body.String() != want.Body.String() {
+			t.Errorf("%s on %q: router %s, single server %s", tc.query, tc.facts, got.Body, want.Body)
+		}
+	}
+	if n := hitsOf(&hits, "/v1/certain") + hitsOf(&hits, "/v1/db/facts"); n != 0 {
+		t.Errorf("inline reads reached the shards %d times", n)
+	}
+	for _, body := range []string{
+		`{"query":"R(x | y)","facts":"R(a | b"}`,
+		`{"query":"R(x | y)","facts":"R(a | b)\nR(a, b)\n"}`,
+	} {
+		got, want := post(rt.Handler(), body), post(single.Handler(), body)
+		if got.Code != http.StatusUnprocessableEntity || !strings.Contains(got.Body.String(), `"bad_facts"`) {
+			t.Errorf("bad facts %s through the router: %d %s", body, got.Code, got.Body)
+		}
+		if got.Body.String() != want.Body.String() {
+			t.Errorf("bad facts %s: router %s, single server %s", body, got.Body, want.Body)
+		}
+	}
+}

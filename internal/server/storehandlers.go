@@ -51,7 +51,7 @@ func (s *Server) handleDBCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DBCreateRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := readRequest(r.Body, &req, req.members()); err != nil {
 		s.writeDecodeError(w, err)
 		return
 	}
@@ -106,7 +106,7 @@ func (s *Server) handleDBWrite(del bool) func(w http.ResponseWriter, r *http.Req
 			return
 		}
 		var req DBWriteRequest
-		if err := decodeJSON(r.Body, &req); err != nil {
+		if err := readRequest(r.Body, &req, req.members()); err != nil {
 			s.writeDecodeError(w, err)
 			return
 		}

@@ -184,7 +184,7 @@ func (r *Replica) ApplyStream(src io.Reader) error {
 		if h.Records < 0 || h.Records > maxPendingOps {
 			return fmt.Errorf("store: implausible snapshot record count %d", h.Records)
 		}
-		d := db.New()
+		ld := db.NewLoader()
 		for i := 0; i < h.Records; i++ {
 			rec, err := readStreamRecord(br)
 			if err != nil {
@@ -196,11 +196,11 @@ func (r *Replica) ApplyStream(src io.Reader) error {
 			if rec.op.kind == opCommit {
 				return fmt.Errorf("store: commit marker inside snapshot bootstrap (record %d/%d)", i, h.Records)
 			}
-			if err := applyOp(d, rec.op); err != nil {
+			if err := loadOp(ld, rec.op); err != nil {
 				return fmt.Errorf("store: snapshot bootstrap: %w", err)
 			}
 		}
-		if err := r.st.ResetTo(d, h.Version); err != nil {
+		if err := r.st.ResetTo(ld.Database(), h.Version); err != nil {
 			return err
 		}
 		r.resets.Add(1)

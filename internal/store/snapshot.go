@@ -90,13 +90,28 @@ func readSnapshotFile(path string) (*db.Database, uint64, error) {
 	if valid != len(body) {
 		return nil, 0, fmt.Errorf("store: snapshot %s has %d trailing bytes", path, len(body)-valid)
 	}
-	d := db.New()
+	ld := db.NewLoader()
 	for _, rec := range recs {
-		if err := applyOp(d, rec.op); err != nil {
+		if err := loadOp(ld, rec.op); err != nil {
 			return nil, 0, fmt.Errorf("store: snapshot %s: %w", path, err)
 		}
 	}
-	return d, version, nil
+	return ld.Database(), version, nil
+}
+
+// loadOp adds one record of a snapshot — a checkpoint file or a
+// follower's bootstrap stream — to the database being loaded. A snapshot
+// holds declarations and inserts only (snapshotRecords); deletes belong
+// to the WAL, whose replay goes through applyOp.
+func loadOp(ld *db.Loader, o walOp) error {
+	switch o.kind {
+	case opDeclare:
+		return ld.Declare(o.rel, o.arity, o.key)
+	case opInsert:
+		return ld.Add(o.rel, o.args)
+	default:
+		return fmt.Errorf("store: op kind %d in a snapshot", o.kind)
+	}
 }
 
 // applyOp replays one op onto a mutable database during recovery.
