@@ -10,7 +10,7 @@
 //	    -engine auto|rewriting|direct|naive   (default auto)
 //	    -cache       route through the plan-cache engine
 //	    -stats       print engine stats to stderr
-//	Several database files run as one engine batch on a worker pool.
+//	Several database files run as one engine batch.
 //	Exit status: 0 when the query is certain on every database, 1 when
 //	it is not certain on some database, 2 on usage errors, and 3 on
 //	parse/classify/database errors — scripts can branch on certainty
@@ -254,7 +254,7 @@ func evalCmd(args []string, stdin io.Reader, out io.Writer) (bool, error) {
 	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
 	engineName := fs.String("engine", "auto", "auto|rewriting|direct|naive")
 	cache := fs.Bool("cache", false, "route through the plan-cache engine (engine auto only)")
-	stats := fs.Bool("stats", false, "print engine cache/worker stats to stderr (implies -cache)")
+	stats := fs.Bool("stats", false, "print engine plan and result cache stats to stderr (implies -cache)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return false, err

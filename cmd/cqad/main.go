@@ -5,7 +5,7 @@
 // Usage:
 //
 //	cqad [-addr :8080] [-dbdir dir] [-data dir] [-cache-size 256]
-//	     [-workers 0] [-max-inflight 64] [-timeout 10s] [-max-body 1048576]
+//	     [-max-inflight 64] [-timeout 10s] [-max-body 1048576]
 //	     [-checkpoint-every 1024] [-fsync] [-pprof]
 //	     [-pprof-addr :6060] [-trace-sample 1] [-trace-buffer 256]
 //	     [-slow-query 0] [-addr-file path]
@@ -102,7 +102,6 @@ type config struct {
 	checkpoint   int
 	fsync        bool
 	cacheSize    int
-	workers      int
 	maxInFlight  int
 	timeout      time.Duration
 	drainTimeout time.Duration
@@ -131,7 +130,6 @@ func parseFlags(args []string, errw *os.File) (config, error) {
 	fs.IntVar(&c.checkpoint, "checkpoint-every", 0, "WAL records between snapshot checkpoints (0 = store default)")
 	fs.BoolVar(&c.fsync, "fsync", false, "fsync the WAL on every write batch (durability over throughput)")
 	fs.IntVar(&c.cacheSize, "cache-size", 0, "plan cache capacity (0 = engine default)")
-	fs.IntVar(&c.workers, "workers", 0, "batch worker count (0 = GOMAXPROCS)")
 	fs.IntVar(&c.maxInFlight, "max-inflight", 0, "max concurrently admitted API requests before shedding with 429 (0 = 64)")
 	fs.DurationVar(&c.timeout, "timeout", 0, "per-request timeout (0 = 10s)")
 	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "max time to drain in-flight requests on shutdown")
@@ -225,10 +223,7 @@ func run(cfg config) error {
 		dbs = nil // everything is in the set now
 	}
 
-	eng := engine.New(engine.Options{
-		CacheSize: cfg.cacheSize,
-		Workers:   cfg.workers,
-	})
+	eng := engine.New(engine.Options{CacheSize: cfg.cacheSize})
 	baseOpts := server.Options{
 		Engine:         eng,
 		MaxInFlight:    cfg.maxInFlight,

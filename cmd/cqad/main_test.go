@@ -65,6 +65,10 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-bogus"}, devNull(t)); err == nil {
 		t.Error("unknown flag should fail")
 	}
+	// Batches answer on the request's goroutine: there is no pool to size.
+	if _, err := parseFlags([]string{"-workers", "4"}, devNull(t)); err == nil {
+		t.Error("-workers should be an unknown flag")
+	}
 }
 
 func devNull(t *testing.T) *os.File {

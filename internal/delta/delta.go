@@ -37,7 +37,6 @@ import (
 	"cqa/internal/core"
 	"cqa/internal/db"
 	"cqa/internal/obs"
-	"cqa/internal/schema"
 	"cqa/internal/store"
 )
 
@@ -68,10 +67,6 @@ type Options struct {
 	// Capacity bounds the entries no watch subscribes to; past it the
 	// least recently used is evicted. ≤ 0 selects DefaultCapacity.
 	Capacity int
-	// Plan returns what decides q on the carry rule's few-fact
-	// sub-databases, for entries that hold no plan of their own. With
-	// none, such entries are dropped where the rule would evaluate.
-	Plan func(q schema.Query) (func(*db.Database) bool, error)
 }
 
 // Hooks are a Manager's observability callbacks; every field is
@@ -181,17 +176,22 @@ type dbState struct {
 	entries map[string]*entry
 }
 
-// entry is one maintained verdict. An unsubscribed entry holds only its
-// query and verdict and sits in the LRU list; a subscribed one holds
-// its plan and watches in sub and is pinned.
+// entry is one maintained verdict and the prepared plan that decides
+// it: re-evaluation and the carry rule run prep. An unsubscribed entry
+// sits in the LRU list; a subscribed one holds its watches and is
+// pinned.
 type entry struct {
 	st      *dbState
 	sig     string
-	q       schema.Query
+	prep    *core.Prepared
 	verdict bool
 	version uint64
 	el      *list.Element
-	sub     *subscription
+	// watches is nil unless the entry is subscribed. Every watch of one
+	// signature on one database shares the entry — N identical
+	// subscriptions cost one decision per change, not N. The map is
+	// touched only under the database's apply mutex.
+	watches map[*Watch]struct{}
 }
 
 // New builds a Manager.
@@ -276,13 +276,13 @@ func (m *Manager) lock(dbName string, view View) *dbState {
 	return st
 }
 
-// Get returns the verdict of q, under its signature, on dbName at
-// view's version. On a miss it runs eval, outside the table lock, and
-// inserts the result — unless a write has moved the database past that
-// version meanwhile, DropDB replaced the state the look-up saw (a reset
-// may reuse version numbers), or the entry is subscribed, and so
-// maintained by its subscription.
-func (m *Manager) Get(dbName, signature string, q schema.Query, view View, eval func() bool) (verdict, hit bool) {
+// Get returns the verdict of prep's query, under its signature, on
+// dbName at view's version. On a miss it runs eval, outside the table
+// lock, and inserts the result with prep — unless a write has moved the
+// database past that version meanwhile, DropDB replaced the state the
+// look-up saw (a reset may reuse version numbers), or the entry is
+// subscribed, and so maintained by its subscription.
+func (m *Manager) Get(dbName, signature string, prep *core.Prepared, view View, eval func() bool) (verdict, hit bool) {
 	version := view.Version()
 	m.mu.Lock()
 	st := m.stateLocked(dbName, view)
@@ -310,11 +310,11 @@ func (m *Manager) Get(dbName, signature string, q schema.Query, view View, eval 
 	e := st.entries[signature]
 	switch {
 	case e == nil:
-		e = &entry{st: st, sig: signature, q: q}
+		e = &entry{st: st, sig: signature, prep: prep}
 		e.el = m.lru.PushFront(e)
 		st.entries[signature] = e
 		m.evictLocked()
-	case e.sub != nil:
+	case e.watches != nil:
 		return verdict, false
 	default:
 		m.lru.MoveToFront(e.el)
@@ -384,18 +384,18 @@ func (m *Manager) Advance(dbName string, c store.Change, prev, cur View) {
 			continue // settled at or past c by a registration
 		}
 		s := &step{e: e, rule: ruleReeval, old: e.verdict, verdict: e.verdict}
-		if e.version == prev.Version() {
+		if q := e.prep.Query(); e.version == prev.Version() {
 			// An entry that missed a change has no verdict to carry, and
 			// its drop is no invalidation of this write's.
 			for _, r := range c.Rels {
-				if _, ok := e.q.AtomByRel(r); ok {
+				if _, ok := q.AtomByRel(r); ok {
 					s.trigger = r
 					break
 				}
 			}
 			if s.trigger == "" {
 				s.rule = ruleAdvance
-			} else if keys, ok := DirtyKeys(e.q, c); ok && len(keys) == 0 {
+			} else if keys, ok := DirtyKeys(q, c); ok && len(keys) == 0 {
 				s.rule = ruleAdvance
 				carried++
 			} else if ok {
@@ -403,7 +403,7 @@ func (m *Manager) Advance(dbName string, c store.Change, prev, cur View) {
 			}
 		}
 		switch {
-		case e.sub != nil:
+		case e.watches != nil:
 			watched = true
 			work = append(work, s)
 		case s.rule == ruleCarry:
@@ -428,21 +428,19 @@ func (m *Manager) Advance(dbName string, c store.Change, prev, cur View) {
 	for _, s := range work {
 		e := s.e
 		if s.rule == ruleCarry {
-			known := false
-			if eval, err := m.scratch(e); err == nil {
-				if curDBs == nil {
-					prevDBs, curDBs = shards(prev), shards(cur)
-				}
-				s.verdict, known = Carry(e.q, s.old, s.keys, prevDBs, curDBs, eval)
+			if curDBs == nil {
+				prevDBs, curDBs = shards(prev), shards(cur)
 			}
+			var known bool
+			s.verdict, known = Carry(e.prep.Query(), s.old, s.keys, prevDBs, curDBs, e.prep.CertainScratch)
 			if !known {
 				s.rule = ruleReeval
 			}
 		}
-		if e.sub != nil {
+		if e.watches != nil {
 			s.outcome = OutcomeSkipped
 			if s.rule == ruleReeval {
-				s.verdict, s.outcome = e.sub.prep.Certain(cur.Union()), OutcomeReevaluated
+				s.verdict, s.outcome = e.prep.Certain(cur.Union()), OutcomeReevaluated
 			}
 			if s.verdict != s.old {
 				s.outcome = OutcomeFlipped
@@ -455,9 +453,9 @@ func (m *Manager) Advance(dbName string, c store.Change, prev, cur View) {
 	for _, s := range work {
 		e := s.e
 		switch {
-		case e.sub == nil && (st.entries[e.sig] != e || e.version != prev.Version()):
+		case e.watches == nil && (st.entries[e.sig] != e || e.version != prev.Version()):
 			continue // evicted, or re-put by a reader of cur
-		case e.sub == nil && s.rule == ruleReeval:
+		case e.watches == nil && s.rule == ruleReeval:
 			m.removeLocked(e)
 			dropped = append(dropped, s.trigger)
 			continue
@@ -465,7 +463,7 @@ func (m *Manager) Advance(dbName string, c store.Change, prev, cur View) {
 			carried++
 		}
 		e.verdict, e.version = s.verdict, c.Version
-		if e.sub != nil {
+		if e.watches != nil {
 			n[s.outcome]++
 			m.decided[s.outcome]++
 		}
@@ -475,7 +473,7 @@ func (m *Manager) Advance(dbName string, c store.Change, prev, cur View) {
 	m.mu.Unlock()
 
 	for _, s := range work {
-		if s.e.sub != nil {
+		if s.e.watches != nil {
 			publish(h, st.name, c, s)
 		}
 	}
@@ -504,7 +502,7 @@ func (m *Manager) Advance(dbName string, c store.Change, prev, cur View) {
 func publish(h Hooks, dbName string, c store.Change, s *step) {
 	var triggers []string
 	if s.outcome == OutcomeFlipped {
-		triggers = s.e.sub.triggers(c)
+		triggers = s.e.triggers(c)
 		if h.OnFlip != nil {
 			h.OnFlip(dbName)
 		}
@@ -512,7 +510,7 @@ func publish(h Hooks, dbName string, c store.Change, s *step) {
 	if h.OnReeval != nil {
 		h.OnReeval(dbName, s.outcome)
 	}
-	for w := range s.e.sub.watches {
+	for w := range s.e.watches {
 		w.setState(c.Version, s.verdict)
 		if s.outcome == OutcomeFlipped || w.gapped {
 			// A watch that shed flips earlier gets the settled state as its
@@ -522,23 +520,11 @@ func publish(h Hooks, dbName string, c store.Change, s *step) {
 	}
 }
 
-// scratch returns what decides e's query on the carry rule's
-// sub-databases.
-func (m *Manager) scratch(e *entry) (func(*db.Database) bool, error) {
-	if e.sub != nil {
-		return e.sub.prep.CertainScratch, nil
-	}
-	if m.opt.Plan == nil {
-		return nil, errors.New("delta: no plan")
-	}
-	return m.opt.Plan(e.q)
-}
-
-// triggers renders c's dirty blocks of s's relations as "R(k1,k2)": the
+// triggers renders c's dirty blocks of e's relations as "R(k1,k2)": the
 // trigger blocks of a flip event.
-func (s *subscription) triggers(c store.Change) (out []string) {
+func (e *entry) triggers(c store.Change) (out []string) {
 	for _, b := range c.Blocks {
-		if _, ok := s.prep.Query().AtomByRel(b.Rel); ok {
+		if _, ok := e.prep.Query().AtomByRel(b.Rel); ok {
 			out = append(out, fmt.Sprintf("%s(%s)", b.Rel, strings.Join(b.Key, ",")))
 		}
 	}
@@ -568,25 +554,24 @@ func (m *Manager) Register(dbName, signature string, prep *core.Prepared, snap S
 	if st.version > snap.Version {
 		view = st.cur
 	}
-	if e := st.entries[signature]; e == nil || e.sub == nil {
+	if e := st.entries[signature]; e == nil || e.watches == nil {
 		m.mu.Unlock()
-		sub := &subscription{prep: prep, watches: make(map[*Watch]struct{})}
 		verdict := prep.Certain(view.Union())
 		m.mu.Lock()
 		e = st.entries[signature]
 		if e == nil {
-			e = &entry{st: st, sig: signature, q: prep.Query()}
+			e = &entry{st: st, sig: signature, prep: prep}
 			st.entries[signature] = e
 		} else if e.el != nil {
 			m.lru.Remove(e.el)
 			e.el = nil
 		}
-		e.sub, e.verdict, e.version = sub, verdict, view.Version()
+		e.watches, e.verdict, e.version = make(map[*Watch]struct{}), verdict, view.Version()
 		m.subscribed++
 	}
 	e := st.entries[signature]
 	w := &Watch{st: st, signature: signature, events: make(chan Event, m.opt.WatchBuffer)}
-	e.sub.watches[w] = struct{}{}
+	e.watches[w] = struct{}{}
 	w.setState(e.version, e.verdict)
 	m.watches++
 	m.faninLocked()
@@ -606,17 +591,17 @@ func (m *Manager) Unregister(w *Watch) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e := st.entries[w.signature]
-	if m.dbs[st.name] != st || e == nil || e.sub == nil {
+	if m.dbs[st.name] != st || e == nil || e.watches == nil {
 		return
 	}
-	if _, ok := e.sub.watches[w]; !ok {
+	if _, ok := e.watches[w]; !ok {
 		return
 	}
-	delete(e.sub.watches, w)
+	delete(e.watches, w)
 	close(w.events)
 	m.watches--
-	if len(e.sub.watches) == 0 {
-		e.sub = nil
+	if len(e.watches) == 0 {
+		e.watches = nil
 		m.subscribed--
 		e.el = m.lru.PushFront(e)
 		m.evictLocked()
@@ -648,11 +633,11 @@ func (m *Manager) drop(st *dbState) {
 	}
 	delete(m.dbs, st.name)
 	for _, e := range st.entries {
-		if e.sub == nil {
+		if e.watches == nil {
 			m.lru.Remove(e.el)
 			continue
 		}
-		for w := range e.sub.watches {
+		for w := range e.watches {
 			close(w.events)
 			m.watches--
 		}
@@ -678,16 +663,6 @@ func (m *Manager) Close() {
 	for _, st := range states {
 		m.drop(st)
 	}
-}
-
-// subscription is the watched half of an entry: the prepared plan and
-// the watches. It is touched only under
-// the database's apply mutex. Every watch of one signature on one
-// database shares it — N identical subscriptions cost one decision per
-// change, not N.
-type subscription struct {
-	prep    *core.Prepared
-	watches map[*Watch]struct{}
 }
 
 // Watch is one subscription to an entry. It carries only its event

@@ -12,7 +12,7 @@ import (
 
 // batchWorkload builds a 64-item batch over nQueries distinct queries
 // cycling against one shared snapshot — the duplicate-heavy shape the
-// shared-pass grouping collapses.
+// batch answers once per distinct query.
 func batchWorkload(tb testing.TB, nQueries int) ([]Item, *db.Database) {
 	tb.Helper()
 	d := db.New()
@@ -47,16 +47,19 @@ func batchWorkload(tb testing.TB, nQueries int) ([]Item, *db.Database) {
 	return items, d
 }
 
-// The shared pass groups identical (signature, snapshot) items into one
+// The batch groups identical (signature, snapshot) items into one
 // evaluation: verdicts match a per-item loop of Certain on the same
-// engine exactly and the shared counter accounts for every collapsed
-// item.
+// engine exactly, and the batch looks a plan up once per group.
 func TestCertainBatchShares(t *testing.T) {
 	items, _ := batchWorkload(t, 4)
 
-	e := New(Options{Workers: 4})
+	e := New(Options{})
 	defer e.Close()
 	got := e.CertainBatch(context.Background(), items)
+	// 64 items over 4 distinct (query, db) groups: 4 plan look-ups.
+	if st := e.Stats(); st.CacheHits+st.CacheMisses != 4 {
+		t.Fatalf("plan look-ups = %d, want 4 (one per group)", st.CacheHits+st.CacheMisses)
+	}
 
 	for i, it := range items {
 		want, err := e.Certain(it.Query, it.DB)
@@ -67,21 +70,12 @@ func TestCertainBatchShares(t *testing.T) {
 			t.Fatalf("item %d: batch=%v per-item=%v", i, got[i].Certain, want)
 		}
 	}
-	// The per-item loop is not a batch: the counters are the batch's.
-	st := e.Stats()
-	if st.BatchItems != 64 {
-		t.Fatalf("BatchItems = %d, want 64", st.BatchItems)
-	}
-	// 64 items over 4 distinct (query, db) groups: 60 shared.
-	if st.BatchSharedItems != 60 {
-		t.Fatalf("BatchSharedItems = %d, want 60", st.BatchSharedItems)
-	}
 }
 
 // Alpha-equivalent queries share a group (grouping is by canonical
 // signature), and items on different snapshots do not.
 func TestCertainBatchGroupKeys(t *testing.T) {
-	e := New(Options{Workers: 2})
+	e := New(Options{})
 	defer e.Close()
 	d1 := db.New()
 	d1.MustDeclare("R", 2, 1)
@@ -108,15 +102,15 @@ func TestCertainBatchGroupKeys(t *testing.T) {
 	if res[2].Certain != false || res[3].Certain != false {
 		t.Fatalf("d2 verdicts: %+v", res[2:])
 	}
-	if st := e.Stats(); st.BatchSharedItems != 2 {
-		t.Fatalf("BatchSharedItems = %d, want 2 (one per alpha-variant pair)", st.BatchSharedItems)
+	if st := e.Stats(); st.CacheHits+st.CacheMisses != 2 {
+		t.Fatalf("plan look-ups = %d, want 2 (one per alpha-variant pair)", st.CacheHits+st.CacheMisses)
 	}
 }
 
 // A failing shared evaluation propagates its error to every member of
-// the group, and error counting covers all of them.
+// the group: one failed preparation, three items carrying its error.
 func TestCertainBatchSharedErrorFanout(t *testing.T) {
-	e := New(Options{Workers: 2})
+	e := New(Options{})
 	defer e.Close()
 	bad := schema.NewQuery(
 		schema.Pos(schema.NewAtom("R", 1, schema.Var("x"))),
@@ -126,30 +120,28 @@ func TestCertainBatchSharedErrorFanout(t *testing.T) {
 	items := []Item{{Query: bad, DB: d}, {Query: bad, DB: d}, {Query: bad, DB: d}}
 	res := e.CertainBatch(context.Background(), items)
 	for i, r := range res {
-		if r.Err == nil {
-			t.Fatalf("item %d: expected error", i)
+		if r.Err == nil || r.Err != res[0].Err {
+			t.Fatalf("item %d: err = %v, want the group's error %v", i, r.Err, res[0].Err)
 		}
 	}
-	if st := e.Stats(); st.BatchErrors != 3 {
-		t.Fatalf("BatchErrors = %d, want 3", st.BatchErrors)
+	if st := e.Stats(); st.CacheMisses != 1 {
+		t.Fatalf("CacheMisses = %d, want 1 (one preparation for the group)", st.CacheMisses)
 	}
 }
 
-// The grouping bookkeeping is pooled: steady-state CertainBatch calls
-// stay within a small per-item allocation budget (the result slice, the
-// per-item signature canonicalization, and worker startup — not
-// per-call maps, channels, or member slices). This is the allocs/op
-// assertion for the sync.Pool satellite; regressions that reintroduce
-// per-call bookkeeping allocations trip the bound.
+// Steady-state CertainBatch calls stay within a small per-item
+// allocation budget: the result slice, the per-item signature
+// canonicalization, the grouping map and one read per group.
+// Regressions that add per-item bookkeeping or evaluate per item
+// instead of per group trip the bound.
 func TestCertainBatchAllocsPerOp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmarking in -short")
 	}
 	items, _ := batchWorkload(t, 4)
-	e := New(Options{Workers: 4})
+	e := New(Options{})
 	defer e.Close()
-	// Warm plan cache, bound cache, lazy bitset indexes, and the scratch
-	// pool.
+	// Warm plan cache, bound cache and lazy bitset indexes.
 	for i := 0; i < 3; i++ {
 		e.CertainBatch(context.Background(), items)
 	}
@@ -159,19 +151,18 @@ func TestCertainBatchAllocsPerOp(t *testing.T) {
 			e.CertainBatch(context.Background(), items)
 		}
 	})
-	// 64 items: signature canonicalization is ~6 allocs/item and worker
-	// startup ~2/worker; 12×items is comfortable headroom above that
-	// but far below the unpooled bookkeeping this guards against.
+	// 64 items: signature canonicalization is ~6 allocs/item; 12×items
+	// is comfortable headroom above that.
 	maxAllocs := int64(12 * len(items))
 	if got := res.AllocsPerOp(); got > maxAllocs {
-		t.Fatalf("CertainBatch allocs/op = %d, want ≤ %d (pooled scratch regressed?)", got, maxAllocs)
+		t.Fatalf("CertainBatch allocs/op = %d, want ≤ %d", got, maxAllocs)
 	}
 	t.Logf("CertainBatch: %d ns/op, %d allocs/op (%d items)", res.NsPerOp(), res.AllocsPerOp(), len(items))
 }
 
 func BenchmarkCertainBatch(b *testing.B) {
 	items, _ := batchWorkload(b, 4)
-	e := New(Options{Workers: 4})
+	e := New(Options{})
 	defer e.Close()
 	e.CertainBatch(context.Background(), items)
 	b.ReportAllocs()

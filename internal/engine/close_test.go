@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,7 +48,7 @@ func TestCloseRejectsNewWork(t *testing.T) {
 }
 
 func TestCloseWaitsForInflightBatch(t *testing.T) {
-	e := New(Options{Workers: 4})
+	e := New(Options{})
 	rng := rand.New(rand.NewSource(7))
 	q := parse.MustQuery("Lives(p | t), !Born(p | t), !Likes(p, t)")
 	items := make([]Item, 32)
@@ -58,29 +57,51 @@ func TestCloseWaitsForInflightBatch(t *testing.T) {
 			BlocksPerRelation: 64, MaxBlockSize: 2, DomainPerVariable: 16, ConstantBias: 0.7})}
 	}
 
-	var batchDone atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	started := make(chan struct{})
+	// Hold the batch inside its first plan look-up: a preparation of q's
+	// shape is already in flight, and the batch waits for it.
+	key, _ := q.Shape()
+	flight := new(sync.WaitGroup)
+	flight.Add(1)
+	e.cache.mu.Lock()
+	e.cache.flights[key] = flight
+	e.cache.mu.Unlock()
+
+	var results []Result
+	batchDone := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		close(started)
-		results := e.CertainBatch(context.Background(), items)
-		batchDone.Store(true)
-		for i, r := range results {
-			if r.Err != nil {
-				t.Errorf("in-flight batch item %d errored during Close: %v", i, r.Err)
-			}
-		}
+		results = e.CertainBatch(context.Background(), items)
+		close(batchDone)
 	}()
-	<-started
-	// Give the batch a moment to actually dispatch before closing.
+	// Give the batch a moment to begin before closing.
 	time.Sleep(time.Millisecond)
-	e.Close()
-	if !batchDone.Load() {
-		t.Error("Close returned before the in-flight batch completed")
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Error("Close returned while a batch was in flight")
+	case <-time.After(20 * time.Millisecond):
 	}
-	wg.Wait()
+
+	// Abandon the held preparation: the batch prepares q itself, answers
+	// every item, and only then may Close return.
+	e.cache.mu.Lock()
+	delete(e.cache.flights, key)
+	e.cache.mu.Unlock()
+	flight.Done()
+	<-closed
+	select {
+	case <-batchDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the batch did not finish")
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Errorf("in-flight batch item %d errored during Close: %v", i, r.Err)
+		}
+	}
 }
 
 func TestCloseConcurrentWithTraffic(t *testing.T) {

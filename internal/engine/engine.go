@@ -8,22 +8,20 @@
 // shard.ViewOf an inline database), behind the table of maintained
 // verdicts (delta.Manager) when the view names a database.
 // ApplyChange is the one write-side call: it moves that table, watched
-// entries included, across the write. A worker-pool batch API fans
-// independent CERTAINTY checks across goroutines. Rewritings evaluate
-// through the one compiled program (interned constants, slot-based
-// environments, index-driven quantifier restriction, bitmap sweeps
-// wherever a quantifier lowers — docs/EVAL.md), non-FO queries through
-// the planner's deciders and then search over block choices: one
-// production path per job. See docs/ENGINE.md for the architecture.
+// entries included, across the write. CertainBatch answers many
+// independent checks through the same pair, once per distinct (query
+// signature, snapshot). Rewritings evaluate through the one compiled
+// program (interned constants, slot-based environments, index-driven
+// quantifier restriction, bitmap sweeps wherever a quantifier lowers —
+// docs/EVAL.md), non-FO queries through the planner's deciders and then
+// search over block choices: one production path per job. See docs/ENGINE.md for the architecture.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"cqa/internal/core"
 	"cqa/internal/db"
@@ -41,9 +39,6 @@ type Options struct {
 	// CacheSize is the maximum number of cached plans; ≤ 0 selects
 	// DefaultCacheSize.
 	CacheSize int
-	// Workers bounds the goroutines used by CertainBatch; ≤ 0 selects
-	// GOMAXPROCS.
-	Workers int
 	// ResultCacheSize is the capacity of the table of maintained
 	// verdicts (delta.Manager): the verdicts Answer keeps per query
 	// signature and named, versioned database, watched or not; ≤ 0
@@ -59,13 +54,10 @@ const DefaultCacheSize = 256
 const DefaultResultCacheSize = delta.DefaultCapacity
 
 // Engine answers CERTAINTY(q) for serving workloads: plans are prepared
-// once per query shape and reused, and batches of
-// independent (query, database) checks run on a worker pool. An Engine is
-// safe for concurrent use by multiple goroutines.
+// once per query shape and reused by every read of that shape. An
+// Engine is safe for concurrent use by multiple goroutines.
 type Engine struct {
-	opt   Options
 	cache *planCache
-	stats statsCounters
 
 	// delta is the table of maintained verdicts: the result cache of
 	// Answer and the subscriptions of RegisterWatch (watch.go).
@@ -83,12 +75,10 @@ func New(opt Options) *Engine {
 	if opt.CacheSize <= 0 {
 		opt.CacheSize = DefaultCacheSize
 	}
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
+	return &Engine{
+		cache: newPlanCache(opt.CacheSize),
+		delta: delta.New(delta.Options{Capacity: opt.ResultCacheSize}),
 	}
-	e := &Engine{opt: opt, cache: newPlanCache(opt.CacheSize)}
-	e.delta = delta.New(delta.Options{Capacity: opt.ResultCacheSize, Plan: e.scratchEvaluator})
-	return e
 }
 
 // begin registers one in-flight operation; it fails once Close has run.
@@ -108,7 +98,7 @@ func (e *Engine) end() { e.inflight.Done() }
 
 // Close stops the engine: subsequent Prepare/Certain/CertainBatch calls
 // fail with ErrClosed, and Close blocks until every in-flight call —
-// including all batch workers — has returned. Close is idempotent and
+// a whole batch included — has returned. Close is idempotent and
 // safe to call concurrently; every call waits for the drain. The plan
 // cache is left intact so Stats remains meaningful after shutdown.
 func (e *Engine) Close() {
@@ -154,6 +144,13 @@ func (e *Engine) Plan(q schema.Query) (Read, error) {
 		return Read{}, err
 	}
 	defer e.end()
+	return e.plan(q)
+}
+
+// plan is Plan for a caller that has begun an operation already: a
+// nested begin would fail once Close starts, cutting short the work
+// Close waits for.
+func (e *Engine) plan(q schema.Query) (Read, error) {
 	key, sig, vals := q.Canonical()
 	s, hit, err := e.cache.getOrPrepare(key, q)
 	if err != nil {
@@ -187,16 +184,6 @@ func (e *Engine) ApplyChange(dbID string, c store.Change, prev, cur ShardView) {
 	e.delta.Advance(dbID, c, prev, cur)
 }
 
-// scratchEvaluator returns what decides q on a throwaway database: the
-// carry rule's sub-databases, for entries that hold no plan.
-func (e *Engine) scratchEvaluator(q schema.Query) (func(*db.Database) bool, error) {
-	r, err := e.Plan(q)
-	if err != nil {
-		return nil, err
-	}
-	return r.Prepared.CertainScratch, nil
-}
-
 // DropDB forgets every cached answer for dbID and closes every watch
 // registered against it (the database was deleted or replaced
 // wholesale; watch consumers re-register against the fresh state).
@@ -216,57 +203,17 @@ type Result struct {
 	Err     error
 }
 
-// batchKey identifies one shared evaluation of a batch: a canonical
-// query signature against one database snapshot. Alpha-equivalent
-// queries against the pointer-identical snapshot are one key.
-type batchKey struct {
-	sig string
-	db  *db.Database
-}
-
-// batchScratch is the reusable grouping bookkeeping of one CertainBatch
-// call, pooled so steady-state batches allocate only the caller-visible
-// result slice. Inner member slices keep their capacity across calls.
-type batchScratch struct {
-	groupOf map[batchKey]int32
-	members [][]int32 // group → item indexes, in item order
-}
-
-var batchPool = sync.Pool{
-	New: func() any { return &batchScratch{groupOf: make(map[batchKey]int32)} },
-}
-
-func (sc *batchScratch) addGroup() int32 {
-	g := len(sc.members)
-	if g < cap(sc.members) {
-		sc.members = sc.members[:g+1]
-		sc.members[g] = sc.members[g][:0]
-	} else {
-		sc.members = append(sc.members, nil)
-	}
-	return int32(g)
-}
-
-func (sc *batchScratch) release() {
-	clear(sc.groupOf)
-	for i := range sc.members {
-		sc.members[i] = sc.members[i][:0]
-	}
-	sc.members = sc.members[:0]
-	batchPool.Put(sc)
-}
-
-// CertainBatch fans the independent checks across the engine's worker
-// pool and returns one result per item, in order. Items are first
-// grouped by (canonical query signature, database snapshot): every
-// group evaluates once in a shared pass — one plan, one bound program,
-// one verdict fanned out to all members — so a batch with duplicated
+// CertainBatch answers each item's check through the read path and
+// returns one result per item, in order. Items sharing a canonical query
+// signature and a database snapshot form one group, answered once — Plan,
+// then Answer on shard.ViewOf(DB) — when its first item comes up, and
+// its result is copied to every later member, so a batch with duplicated
 // hot checks pays for each distinct check once (the sharded router
 // preserves this: repeated named-database reads resolve to the
-// pointer-identical memoized union snapshot). Each group is evaluated
-// sequentially (the batch is the parallelism); errors — including
-// panics from malformed inputs — are isolated per group. Cancelling ctx
-// stops dispatching new groups; in-flight groups run to completion.
+// pointer-identical memoized union snapshot). Groups run one after
+// another on the caller's goroutine; errors — including panics from
+// malformed inputs — are isolated per group. Once ctx is done, every
+// group not yet started carries context.Cause(ctx).
 func (e *Engine) CertainBatch(ctx context.Context, items []Item) []Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -279,82 +226,40 @@ func (e *Engine) CertainBatch(ctx context.Context, items []Item) []Result {
 		return results
 	}
 	defer e.end()
-	e.stats.batches.Add(1)
-
-	sc := batchPool.Get().(*batchScratch)
-	defer sc.release()
-	for i := range items {
-		k := batchKey{sig: items[i].Query.Signature(), db: items[i].DB}
-		g, ok := sc.groupOf[k]
-		if !ok {
-			g = sc.addGroup()
-			sc.groupOf[k] = g
+	type group struct {
+		sig string
+		db  *db.Database
+	}
+	first := make(map[group]int)
+	for i, it := range items {
+		g := group{it.Query.Signature(), it.DB}
+		if j, ok := first[g]; ok {
+			results[i] = results[j]
+			continue
 		}
-		sc.members[g] = append(sc.members[g], int32(i))
+		first[g] = i
+		if err := context.Cause(ctx); err != nil {
+			results[i] = Result{Err: err}
+		} else {
+			results[i] = e.answerItem(it)
+		}
 	}
-	nGroups := len(sc.members)
-
-	workers := e.opt.Workers
-	if workers > nGroups {
-		workers = nGroups
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				g := int(next.Add(1)) - 1
-				if g >= nGroups {
-					return
-				}
-				mem := sc.members[g]
-				if ctx.Err() != nil {
-					err := context.Cause(ctx)
-					for _, i := range mem {
-						results[i] = Result{Err: err}
-					}
-					e.stats.cancelled.Add(uint64(len(mem)))
-					continue
-				}
-				busy := e.stats.busyWorkers.Add(1)
-				e.stats.observePeak(busy)
-				res := e.certainIsolated(items[mem[0]])
-				e.stats.busyWorkers.Add(-1)
-				for _, i := range mem {
-					results[i] = res
-				}
-				e.stats.items.Add(uint64(len(mem)))
-				if len(mem) > 1 {
-					e.stats.sharedItems.Add(uint64(len(mem) - 1))
-				}
-				if res.Err != nil {
-					e.stats.errors.Add(uint64(len(mem)))
-				}
-			}
-		}()
-	}
-	wg.Wait()
 	return results
 }
 
-// certainIsolated runs one check, converting panics (e.g. from malformed
-// formulas or databases) into per-item errors so one bad item cannot take
-// down the batch.
-func (e *Engine) certainIsolated(it Item) (res Result) {
+// answerItem answers one batch item, converting panics (e.g. from
+// malformed formulas or databases) into its error so one bad item cannot
+// take down the batch.
+func (e *Engine) answerItem(it Item) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: fmt.Errorf("engine: item panicked: %v", r)}
 		}
 	}()
-	key, vals := it.Query.Shape()
-	s, _, err := e.cache.getOrPrepare(key, it.Query)
+	r, err := e.plan(it.Query)
 	if err != nil {
 		return Result{Err: err}
 	}
-	return Result{Certain: s.Instance(it.Query, vals).Certain(it.DB)}
+	certain, _, _ := e.answer(r, "", shard.ViewOf(it.DB))
+	return Result{Certain: certain}
 }

@@ -23,7 +23,7 @@ func TestConcurrentPreparedAndCache(t *testing.T) {
 	const goroutines = 32
 	const iters = 60
 
-	e := New(Options{CacheSize: 8, Workers: 4})
+	e := New(Options{CacheSize: 8})
 	hot := parse.MustQuery("Lives(p | t), !Born(p | t), !Likes(p, t)")
 	rng := rand.New(rand.NewSource(99))
 
@@ -96,9 +96,9 @@ func TestConcurrentPreparedAndCache(t *testing.T) {
 }
 
 // TestConcurrentBatches runs many batches concurrently on one engine, so
-// batch workers and the cache interleave.
+// their reads and the cache interleave.
 func TestConcurrentBatches(t *testing.T) {
-	e := New(Options{CacheSize: 16, Workers: 4})
+	e := New(Options{CacheSize: 16})
 	rng := rand.New(rand.NewSource(100))
 	q := parse.MustQuery("P(x | y), !N('c' | y)")
 	items := make([]Item, 12)

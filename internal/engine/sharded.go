@@ -48,15 +48,22 @@ func (e *Engine) Answer(r Read, dbID string, view ShardView) (certain bool, cach
 		return false, "", shard.Plan{}, err
 	}
 	defer e.end()
+	certain, cache, plan = e.answer(r, dbID, view)
+	return certain, cache, plan, nil
+}
+
+// answer is Answer for a caller that has begun an operation already
+// (see plan).
+func (e *Engine) answer(r Read, dbID string, view ShardView) (certain bool, cache string, plan shard.Plan) {
 	plan = view.Plan(r.Query)
 	if dbID == "" {
-		return certainSharded(r.Prepared, view, plan), CacheBypass, plan, nil
+		return certainSharded(r.Prepared, view, plan), CacheBypass, plan
 	}
-	certain, hit := e.delta.Get(dbID, r.Sig, r.Query, view, func() bool { return certainSharded(r.Prepared, view, plan) })
+	certain, hit := e.delta.Get(dbID, r.Sig, r.Prepared, view, func() bool { return certainSharded(r.Prepared, view, plan) })
 	if hit {
-		return certain, CacheHit, plan, nil
+		return certain, CacheHit, plan
 	}
-	return certain, CacheMiss, plan, nil
+	return certain, CacheMiss, plan
 }
 
 // certainSharded executes plan on view: scatter plans OR the verdicts

@@ -23,14 +23,14 @@ func TestResultCacheStaleInsertAfterDropDB(t *testing.T) {
 	}
 	view := shard.NewShardedFromStores("d", []*store.Store{store.NewMem("d", parse.MustDatabase("R(a | 1)"))}).View()
 
-	_, hit := e.delta.Get("d", r.Sig, q, view, func() bool {
+	_, hit := e.delta.Get("d", r.Sig, r.Prepared, view, func() bool {
 		e.DropDB("d") // the reset lands while the miss evaluates
 		return true
 	})
 	if hit {
 		t.Fatal("first look-up hit an empty table")
 	}
-	if _, hit := e.delta.Get("d", r.Sig, q, view, func() bool { return true }); hit {
+	if _, hit := e.delta.Get("d", r.Sig, r.Prepared, view, func() bool { return true }); hit {
 		t.Fatal("an evaluation begun before DropDB was inserted after it")
 	}
 }

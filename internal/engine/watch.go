@@ -27,7 +27,7 @@ func (e *Engine) RegisterWatch(q schema.Query, dbID string, snap delta.Snapshot)
 		return nil, delta.State{}, err
 	}
 	defer e.end()
-	r, err := e.Plan(q)
+	r, err := e.plan(q)
 	if err != nil {
 		return nil, delta.State{}, err
 	}

@@ -334,14 +334,6 @@ type EngineStats struct {
 	ResultCarried       uint64  `json:"resultCarried"`
 	CachedResults       int     `json:"cachedResults"`
 	ResultHitRate       float64 `json:"resultHitRate"`
-	Batches             uint64  `json:"batches"`
-	BatchItems          uint64  `json:"batchItems"`
-	BatchSharedItems    uint64  `json:"batchSharedItems"`
-	BatchErrors         uint64  `json:"batchErrors"`
-	CancelledItems      uint64  `json:"cancelledItems"`
-	Workers             int     `json:"workers"`
-	BusyWorkers         int     `json:"busyWorkers"`
-	PeakBusyWorkers     int     `json:"peakBusyWorkers"`
 }
 
 // decodeJSON strictly decodes one JSON value from r into v: unknown

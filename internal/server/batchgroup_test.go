@@ -7,11 +7,16 @@ import (
 
 // TestBatchGroupingThroughServer: repeated named-database items in one
 // POST /v1/batch resolve to pointer-identical snapshots (memoized shard
-// view unions), so the engine's shared pass answers the duplicates from
-// one evaluation. The verdicts stay per-item.
+// view unions), so the engine answers the duplicates from one read: one
+// plan look-up for the group, not one per item. The verdicts stay
+// per-item.
 func TestBatchGroupingThroughServer(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	base := s.Engine().Stats().BatchSharedItems
+	lookups := func() uint64 {
+		st := s.Engine().Stats()
+		return st.CacheHits + st.CacheMisses
+	}
+	base := lookups()
 
 	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
 		Query:     "R(x | y)",
@@ -26,26 +31,23 @@ func TestBatchGroupingThroughServer(t *testing.T) {
 			t.Fatalf("result %d = %+v, want certain", i, r)
 		}
 	}
-	if got := s.Engine().Stats().BatchSharedItems - base; got != 3 {
-		t.Fatalf("BatchSharedItems delta = %d, want 3 (4 identical items, one evaluation)", got)
+	// One look-up for the group, one for the response's verdict field.
+	if got := lookups() - base; got != 2 {
+		t.Fatalf("plan look-ups = %d, want 2 (4 identical items, one read)", got)
 	}
 
-	// The counter is exposed on /v1/stats as engine.batchSharedItems.
+	// The look-ups are exposed on /v1/stats.
 	sresp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := decodeBody[StatsResponse](t, sresp)
-	if st.Engine.BatchSharedItems != s.Engine().Stats().BatchSharedItems {
-		t.Fatalf("/v1/stats batchSharedItems = %d, engine says %d",
-			st.Engine.BatchSharedItems, s.Engine().Stats().BatchSharedItems)
-	}
-	if st.Engine.BatchSharedItems == 0 {
-		t.Fatal("/v1/stats batchSharedItems = 0 after a shared batch")
+	if got := st.Engine.CacheHits + st.Engine.CacheMisses; got != lookups() {
+		t.Fatalf("/v1/stats plan look-ups = %d, engine says %d", got, lookups())
 	}
 
 	// Inline-facts items parse fresh snapshots each: never grouped.
-	base = s.Engine().Stats().BatchSharedItems
+	base = lookups()
 	resp = postJSON(t, ts.URL+"/v1/batch", BatchRequest{
 		Query: "R(x | y)",
 		Facts: []string{"R(a | 1)\n", "R(a | 1)\n"},
@@ -54,7 +56,7 @@ func TestBatchGroupingThroughServer(t *testing.T) {
 	if len(ans.Results) != 2 {
 		t.Fatalf("got %d results", len(ans.Results))
 	}
-	if got := s.Engine().Stats().BatchSharedItems - base; got != 0 {
-		t.Fatalf("inline facts shared %d items, want 0", got)
+	if got := lookups() - base; got != 3 {
+		t.Fatalf("inline facts: plan look-ups = %d, want 3 (one per item, one for the verdict)", got)
 	}
 }

@@ -316,6 +316,9 @@ func explainFor(p *core.Prepared, strategy, planCache string, clock *stageClock)
 	return info
 }
 
+// maxBatchItems bounds the databases of one /v1/batch request.
+const maxBatchItems = 1024
+
 // handleBatch answers POST /v1/batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	clock := &stageClock{tr: obs.FromContext(r.Context())}
@@ -334,9 +337,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			"request needs at least one database name or inline facts entry")
 		return
 	}
-	if n > s.opt.MaxBatchItems {
+	if n > maxBatchItems {
 		s.writeError(w, http.StatusBadRequest, "batch_too_large",
-			fmt.Sprintf("batch of %d databases exceeds the limit of %d", n, s.opt.MaxBatchItems))
+			fmt.Sprintf("batch of %d databases exceeds the limit of %d", n, maxBatchItems))
 		return
 	}
 	q, err := s.parseQuery(w, clock, req.Query)
@@ -460,14 +463,6 @@ func (s *Server) statsResponse() StatsResponse {
 			ResultInvalidations: st.ResultInvalidations,
 			ResultCarried:       st.ResultCarried,
 			CachedResults:       st.CachedResults,
-			Batches:             st.Batches,
-			BatchItems:          st.BatchItems,
-			BatchSharedItems:    st.BatchSharedItems,
-			BatchErrors:         st.BatchErrors,
-			CancelledItems:      st.CancelledItems,
-			Workers:             st.Workers,
-			BusyWorkers:         st.BusyWorkers,
-			PeakBusyWorkers:     st.PeakBusyWorkers,
 		},
 		Server: s.reg.Values(),
 	}

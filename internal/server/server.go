@@ -55,9 +55,6 @@ type Options struct {
 	// MaxBodyBytes bounds request bodies; over-limit requests get 413.
 	// ≤ 0 selects 1 MiB.
 	MaxBodyBytes int64
-	// MaxBatchItems bounds the databases of one /v1/batch request;
-	// ≤ 0 selects 1024.
-	MaxBatchItems int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// WatchHeartbeat is the /v1/watch heartbeat cadence; ≤ 0 selects
@@ -100,9 +97,6 @@ func New(opt Options) *Server {
 	}
 	if opt.MaxBodyBytes <= 0 {
 		opt.MaxBodyBytes = 1 << 20
-	}
-	if opt.MaxBatchItems <= 0 {
-		opt.MaxBatchItems = 1024
 	}
 	if opt.Metrics == nil {
 		opt.Metrics = metrics.NewRegistry()

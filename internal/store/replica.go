@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -23,71 +22,6 @@ import (
 // maxPendingOps bounds one uncommitted replicated batch; a stream
 // claiming more is corrupt or hostile.
 const maxPendingOps = 1 << 20
-
-// applyReplicated applies one complete batch at an exact version — the
-// follower-side counterpart of apply. Replicated stores are memory-only
-// (their durability lives upstream); the version is forced to the
-// primary's so exact-version reads agree across the fleet, and the
-// batch publishes even when every op was a no-op locally.
-func (s *Store) applyReplicated(version uint64, ops []walOp) (Change, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return Change{}, ErrClosed
-	}
-	if s.wal != nil {
-		return Change{}, errors.New("store: replicated apply onto a durable store")
-	}
-	cur := s.cur.Load()
-	if version <= cur.Version {
-		return Change{Version: cur.Version}, nil // duplicate delivery
-	}
-
-	touched := make(map[string]bool)
-	for _, o := range ops {
-		touched[o.rel] = true
-	}
-	rels := make([]string, 0, len(touched))
-	for r := range touched {
-		rels = append(rels, r)
-	}
-	next := cur.DB.CloneCOW(rels...)
-
-	var change Change
-	relSet := make(map[string]bool)
-	for _, o := range ops {
-		effective, block, err := applyEffective(next, o)
-		if err != nil {
-			return Change{}, err
-		}
-		if !effective {
-			continue
-		}
-		change.Applied++
-		relSet[o.rel] = true
-		if block != nil {
-			change.Blocks = append(change.Blocks, BlockRef{Rel: o.rel, Key: block})
-		}
-		s.tail = append(s.tail, tailRec{version: version,
-			frame: encodeRecord(walRec{version: version, op: o})})
-	}
-	for r := range relSet {
-		change.Rels = append(change.Rels, r)
-	}
-	sort.Strings(change.Rels)
-	change.Version = version
-
-	if cur.DB.InternedIfBuilt() != nil {
-		next.Interned()
-	}
-	s.cur.Store(&Snapshot{DB: next, Version: version})
-	s.notifyLocked()
-	if s.onApply != nil {
-		s.onApply(change)
-	}
-	s.maintainTailLocked(version)
-	return change, nil
-}
 
 // ResetTo replaces a memory-only store's contents wholesale — the
 // snapshot-bootstrap landing. The tail is cleared (nothing before the
@@ -235,7 +169,7 @@ func (r *Replica) ApplyStream(src io.Reader) error {
 				return fmt.Errorf("store: commit marker for version %d closes batch at version %d",
 					rec.version, pendingV)
 			}
-			change, err := r.st.applyReplicated(pendingV, pending)
+			change, err := r.st.apply(pendingV, pending)
 			if err != nil {
 				return err
 			}

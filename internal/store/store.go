@@ -318,7 +318,7 @@ func (s *Store) SetOnApply(fn func(Change)) {
 
 // Declare registers a relation with signature [arity, key].
 func (s *Store) Declare(name string, arity, key int) (Change, error) {
-	return s.apply([]walOp{{kind: opDeclare, rel: name, arity: arity, key: key}})
+	return s.apply(0, []walOp{{kind: opDeclare, rel: name, arity: arity, key: key}})
 }
 
 // Insert adds facts as one atomic batch (one version bump).
@@ -327,7 +327,7 @@ func (s *Store) Insert(facts ...db.Fact) (Change, error) {
 	for i, f := range facts {
 		ops[i] = walOp{kind: opInsert, rel: f.Rel, args: f.Args}
 	}
-	return s.apply(ops)
+	return s.apply(0, ops)
 }
 
 // Delete removes facts as one atomic batch.
@@ -336,7 +336,7 @@ func (s *Store) Delete(facts ...db.Fact) (Change, error) {
 	for i, f := range facts {
 		ops[i] = walOp{kind: opDelete, rel: f.Rel, args: f.Args}
 	}
-	return s.apply(ops)
+	return s.apply(0, ops)
 }
 
 // ApplyDB declares every relation of src and inserts every fact, as one
@@ -351,7 +351,7 @@ func (s *Store) ApplyDB(src *db.Database) (Change, error) {
 			ops = append(ops, walOp{kind: opInsert, rel: name, args: f.Args})
 		}
 	}
-	return s.apply(ops)
+	return s.apply(0, ops)
 }
 
 // DeleteDB removes every fact of src (declarations are ignored), as one
@@ -363,17 +363,34 @@ func (s *Store) DeleteDB(src *db.Database) (Change, error) {
 			ops = append(ops, walOp{kind: opDelete, rel: name, args: f.Args})
 		}
 	}
-	return s.apply(ops)
+	return s.apply(0, ops)
 }
 
-// apply validates, filters, logs, and publishes one batch.
-func (s *Store) apply(ops []walOp) (Change, error) {
+// apply validates, filters, logs, and publishes one batch. A primary
+// write (at == 0) takes the next version and publishes only when some
+// op took effect. A replicated batch — the follower side of
+// ServeStream — takes the primary's version at, so exact-version reads
+// agree across the fleet: a version at or below the current one is a
+// duplicate delivery and does nothing, and the batch publishes even
+// when every op was a no-op locally. Replicated stores are memory-only;
+// their durability lives upstream.
+func (s *Store) apply(at uint64, ops []walOp) (Change, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return Change{}, ErrClosed
 	}
 	cur := s.cur.Load()
+	version := cur.Version + 1
+	if at > 0 {
+		if s.wal != nil {
+			return Change{}, errors.New("store: replicated apply onto a durable store")
+		}
+		if at <= cur.Version {
+			return Change{Version: cur.Version}, nil // duplicate delivery
+		}
+		version = at
+	}
 
 	// Copy-on-write: deep-copy exactly the relations this batch names;
 	// everything else is shared with the previous snapshot.
@@ -387,7 +404,6 @@ func (s *Store) apply(ops []walOp) (Change, error) {
 	}
 	next := cur.DB.CloneCOW(rels...)
 
-	version := cur.Version + 1
 	var change Change
 	var logged []byte
 	var frames []tailRec
@@ -411,7 +427,7 @@ func (s *Store) apply(ops []walOp) (Change, error) {
 			logged = append(logged, frame...)
 		}
 	}
-	if change.Applied == 0 {
+	if change.Applied == 0 && at == 0 {
 		return Change{Version: cur.Version}, nil
 	}
 	for r := range relSet {
