@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 
 .PHONY: check build fmt-check vet test race delta-stress fuzz bench bench-smoke planner-smoke experiments serve-smoke store-smoke shard-smoke obs-smoke chaos clean
 
-check: fmt-check vet test race delta-stress fuzz bench bench-smoke planner-smoke shard-smoke obs-smoke
+check: fmt-check vet test race delta-stress fuzz bench bench-smoke planner-smoke serve-smoke store-smoke shard-smoke obs-smoke
 
 build:
 	$(GO) build ./...
@@ -28,7 +28,7 @@ race:
 
 # The table of maintained verdicts under contention, 20 times over with
 # the race detector: readers against a carrying writer, watch fan-in,
-# registrations racing writes on 1- and 2-shard sets, and readers binding
+# registrations racing writes on one store, and readers binding
 # distinct constants into one shared plan against a writer. Locks, not a
 # queue, order these paths (docs/DELTA.md); about 60 s.
 delta-stress:

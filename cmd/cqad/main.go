@@ -19,11 +19,8 @@
 // restart (internal/store; see docs/STORE.md). Databases preloaded from
 // -dbdir are seeded into the data directory on first boot; after that
 // the recovered store wins. Without -data, named databases are
-// memory-only versioned stores.
-//
-// With -shards N, databases the daemon creates are partitioned into N
-// shard stores by block key (internal/shard; see docs/SHARDING.md);
-// existing databases keep the shard count their files imply.
+// memory-only versioned stores. Each database is one store; partitioning
+// by block key is the -route tier's (docs/SHARDING.md).
 //
 // Two alternative serving roles:
 //
@@ -75,7 +72,6 @@ import (
 	"cqa/internal/obs"
 	"cqa/internal/parse"
 	"cqa/internal/server"
-	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
@@ -111,7 +107,6 @@ type config struct {
 	traceSample  float64
 	traceBuffer  int
 	slowQuery    time.Duration
-	shards       int
 	watchHB      time.Duration
 	route        string
 	replicas     string
@@ -139,7 +134,6 @@ func parseFlags(args []string, errw *os.File) (config, error) {
 	fs.Float64Var(&c.traceSample, "trace-sample", 1, "probability a fresh root request records a trace (1 = all, 0 = disabled; joined traces always record)")
 	fs.IntVar(&c.traceBuffer, "trace-buffer", 0, "finished traces retained for GET /debug/traces (0 = 256)")
 	fs.DurationVar(&c.slowQuery, "slow-query", 0, "log any trace slower than this duration (0 = off)")
-	fs.IntVar(&c.shards, "shards", 1, "shard count for databases this daemon creates (block-hash partitioning)")
 	fs.DurationVar(&c.watchHB, "watch-heartbeat", 0, "/v1/watch heartbeat cadence (0 = 3s)")
 	fs.StringVar(&c.route, "route", "", "comma-separated shard server URLs: serve as the scatter-gather router over them")
 	fs.StringVar(&c.replicas, "route-replicas", "", "comma-separated follower URLs, one per -route shard (empty slots allowed); reads prefer them")
@@ -187,16 +181,16 @@ func run(cfg config) error {
 		Logf:      log.Printf,
 	})
 
-	var stores *shard.Set
+	var stores *store.Set
 	if cfg.dataDir != "" {
-		stores, err = shard.OpenSet(store.Options{
+		stores, err = store.OpenSet(store.Options{
 			Dir:             cfg.dataDir,
 			CheckpointEvery: cfg.checkpoint,
 			Sync:            cfg.fsync,
 			OnFsync: func(d time.Duration) {
 				reg.Histogram("wal_fsync_latency").Observe(d)
 			},
-		}, cfg.shards)
+		})
 		if err != nil {
 			return err
 		}
@@ -269,7 +263,6 @@ func run(cfg config) error {
 	default:
 		baseOpts.Databases = dbs
 		baseOpts.Stores = stores
-		baseOpts.Shards = cfg.shards
 		srv = server.New(baseOpts)
 		handler = srv.Handler()
 	}

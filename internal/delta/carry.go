@@ -85,14 +85,12 @@ func hasBlockOf(c store.Change, rel string) bool {
 }
 
 // Carry decides the co-keyed query q after a change from its verdict
-// before it. keys are DirtyKeys of the change; prev and cur hold the
-// database before and after it, as one database or as the shards of one
-// view (a block lives whole on one shard, so its facts are collected
-// from whichever holds it; no union is built); certain decides q on a
-// sub-database and is not called when keys is empty. known is false in
+// before it. keys are DirtyKeys of the change; prev and cur are the
+// database before and after it; certain decides q on a sub-database and
+// is not called when keys is empty. known is false in
 // the one case the rule leaves open, and when a stored relation's
 // signature is not the one q declares.
-func Carry(q schema.Query, old bool, keys [][]string, prev, cur []*db.Database, certain func(*db.Database) bool) (verdict, known bool) {
+func Carry(q schema.Query, old bool, keys [][]string, prev, cur *db.Database, certain func(*db.Database) bool) (verdict, known bool) {
 	if len(keys) == 0 {
 		return old, true
 	}
@@ -123,24 +121,22 @@ func Carry(q schema.Query, old bool, keys [][]string, prev, cur []*db.Database, 
 // restrict builds D|ₖ: the facts keyed key of every relation q mentions,
 // under q's signatures. It fails when a database declares one of them
 // differently, where blocks are not what q's key tuple speaks of.
-func restrict(q schema.Query, key []string, dbs []*db.Database) (*db.Database, bool) {
+func restrict(q schema.Query, key []string, d *db.Database) (*db.Database, bool) {
 	sub := db.New()
 	for _, a := range q.Atoms() {
 		if err := sub.DeclareRelation(a.Rel, a.Arity(), a.Key); err != nil {
 			return nil, false
 		}
-		for _, d := range dbs {
-			r := d.Relation(a.Rel)
-			if r == nil {
-				continue
-			}
-			if r.Arity != a.Arity() || r.Key != a.Key {
+		r := d.Relation(a.Rel)
+		if r == nil {
+			continue
+		}
+		if r.Arity != a.Arity() || r.Key != a.Key {
+			return nil, false
+		}
+		for _, f := range d.Block(a.Rel, key) {
+			if err := sub.Insert(f); err != nil {
 				return nil, false
-			}
-			for _, f := range d.Block(a.Rel, key) {
-				if err := sub.Insert(f); err != nil {
-					return nil, false
-				}
 			}
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"cqa/internal/db"
 	"cqa/internal/naive"
 	"cqa/internal/schema"
-	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
@@ -51,11 +50,11 @@ func randomCarryQuery(rng *rand.Rand, coKeyed bool) schema.Query {
 
 type carryStep struct {
 	c         store.Change
-	prev, cur *shard.View
+	prev, cur store.Snapshot
 }
 
 // TestCarryMatchesReevaluation drives random queries through random
-// write sequences on 1- and 3-shard stores, maintaining each verdict by
+// write sequences on a store, maintaining each verdict by
 // the carry rule alone, and checks it at every version against the
 // compiled evaluation of the whole database and against repair
 // enumeration. The unknown branch must be reached, and falls back to
@@ -64,18 +63,13 @@ func TestCarryMatchesReevaluation(t *testing.T) {
 	var nCarried, nKept, nFlipped, nUnknown, nNotApplicable int
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		shards := 1
-		if seed%2 == 0 {
-			shards = 3
-		}
-		sh, err := shard.NewSharded("carry", shards, store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sh.Close()
+		sh := store.NewMem("carry", nil)
 		var steps []carryStep
-		sh.SetOnApply(func(c store.Change, prev, cur *shard.View) {
+		prev := sh.Snapshot()
+		sh.SetOnApply(func(c store.Change) {
+			cur := sh.Snapshot()
 			steps = append(steps, carryStep{c, prev, cur})
+			prev = cur
 		})
 		for _, rel := range []string{"R", "S", "T"} {
 			if _, err := sh.Declare(rel, 3, 2); err != nil {
@@ -107,7 +101,7 @@ func TestCarryMatchesReevaluation(t *testing.T) {
 				continue // unsafe negation
 			}
 			_, coKeyed = q.CoKey()
-			qs = append(qs, &tracked{q: q, prep: prep, coKeyed: coKeyed, verdict: prep.Certain(sh.View().Union())})
+			qs = append(qs, &tracked{q: q, prep: prep, coKeyed: coKeyed, verdict: prep.Certain(sh.Snapshot().DB)})
 		}
 
 		steps = steps[:0]
@@ -116,7 +110,7 @@ func TestCarryMatchesReevaluation(t *testing.T) {
 			// draw from what is stored, so blocks get emptied.
 			batch := make([]db.Fact, 1+rng.Intn(3))
 			del := rng.Intn(2) == 0
-			stored := sh.View().Union().AllFacts()
+			stored := sh.Snapshot().DB.AllFacts()
 			for i := range batch {
 				batch[i] = fact()
 				if del && len(stored) > 0 {
@@ -134,15 +128,8 @@ func TestCarryMatchesReevaluation(t *testing.T) {
 			}
 		}
 
-		dbsOf := func(v *shard.View) []*db.Database {
-			out := make([]*db.Database, v.NumShards())
-			for i := range out {
-				out[i] = v.Shard(i)
-			}
-			return out
-		}
 		for _, st := range steps {
-			whole := st.cur.Union()
+			whole := st.cur.DB
 			for _, tq := range qs {
 				want := tq.prep.Certain(whole)
 				if oracle := naive.IsCertain(tq.q, whole); oracle != want {
@@ -158,7 +145,7 @@ func TestCarryMatchesReevaluation(t *testing.T) {
 					continue
 				}
 				evals := 0
-				got, known := Carry(tq.q, tq.verdict, keys, dbsOf(st.prev), dbsOf(st.cur), func(sub *db.Database) bool {
+				got, known := Carry(tq.q, tq.verdict, keys, st.prev.DB, whole, func(sub *db.Database) bool {
 					evals++
 					return tq.prep.CertainScratch(sub)
 				})
@@ -243,7 +230,7 @@ func TestCarrySignatureMismatch(t *testing.T) {
 	d := db.New()
 	d.MustDeclare("R", 2, 2)
 	d.MustInsert(db.F("R", "k", "v"))
-	_, known := Carry(q, false, [][]string{{"k"}}, []*db.Database{d}, []*db.Database{d},
+	_, known := Carry(q, false, [][]string{{"k"}}, d, d,
 		func(*db.Database) bool { t.Fatal("evaluated"); return false })
 	if known {
 		t.Fatal("carried across a signature mismatch")

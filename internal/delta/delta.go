@@ -93,41 +93,8 @@ type Hooks struct {
 	Tracer *obs.Tracer
 }
 
-// Snapshot pairs a database snapshot with its store version.
-type Snapshot struct {
-	DB      *db.Database
-	Version uint64
-}
-
-// View is one version of a database: the databases of its shards (a
-// block lives whole on one shard) and their union, built on demand.
-// *shard.View implements it.
-type View interface {
-	Version() uint64
-	NumShards() int
-	Shard(i int) *db.Database
-	Union() *db.Database
-}
-
-// dbView is the one-shard View of a database resolved on demand.
-type dbView struct {
-	version uint64
-	db      func() *db.Database
-}
-
-func (v dbView) Version() uint64        { return v.version }
-func (v dbView) NumShards() int         { return 1 }
-func (v dbView) Shard(int) *db.Database { return v.db() }
-func (v dbView) Union() *db.Database    { return v.db() }
-func snapshotView(s Snapshot) dbView    { return dbView{s.Version, func() *db.Database { return s.DB }} }
-
-// shards lists a view's per-shard databases.
-func shards(v View) (out []*db.Database) {
-	for i := 0; i < v.NumShards(); i++ {
-		out = append(out, v.Shard(i))
-	}
-	return out
-}
+// Snapshot is one version of a database, as a store publishes it.
+type Snapshot = store.Snapshot
 
 // State is a (version, verdict) pair.
 type State struct {
@@ -170,9 +137,9 @@ type dbState struct {
 	name  string
 	apply sync.Mutex
 	// Under Manager.mu: the version last applied or first seen, its
-	// view, and the entries by signature.
+	// snapshot, and the entries by signature.
 	version uint64
-	cur     View
+	cur     Snapshot
 	entries map[string]*entry
 }
 
@@ -243,15 +210,15 @@ func (m *Manager) faninLocked() {
 	}
 }
 
-// stateLocked returns dbName's state, created at view when absent, or
+// stateLocked returns dbName's state, created at snap when absent, or
 // nil once the manager is closed.
-func (m *Manager) stateLocked(dbName string, view View) *dbState {
+func (m *Manager) stateLocked(dbName string, snap Snapshot) *dbState {
 	if m.closed {
 		return nil
 	}
 	st := m.dbs[dbName]
 	if st == nil {
-		st = &dbState{name: dbName, version: view.Version(), cur: view, entries: make(map[string]*entry)}
+		st = &dbState{name: dbName, version: snap.Version, cur: snap, entries: make(map[string]*entry)}
 		m.dbs[dbName] = st
 	}
 	return st
@@ -259,9 +226,9 @@ func (m *Manager) stateLocked(dbName string, view View) *dbState {
 
 // lock is stateLocked with the state's apply mutex and m.mu held on
 // return; nil, with neither held, when DropDB or Close got there first.
-func (m *Manager) lock(dbName string, view View) *dbState {
+func (m *Manager) lock(dbName string, snap Snapshot) *dbState {
 	m.mu.Lock()
-	st := m.stateLocked(dbName, view)
+	st := m.stateLocked(dbName, snap)
 	m.mu.Unlock()
 	if st == nil {
 		return nil
@@ -277,15 +244,15 @@ func (m *Manager) lock(dbName string, view View) *dbState {
 }
 
 // Get returns the verdict of prep's query, under its signature, on
-// dbName at view's version. On a miss it runs eval, outside the table
+// dbName at snap's version. On a miss it runs eval, outside the table
 // lock, and inserts the result with prep — unless a write has moved the
 // database past that version meanwhile, DropDB replaced the state the
 // look-up saw (a reset may reuse version numbers), or the entry is
 // subscribed, and so maintained by its subscription.
-func (m *Manager) Get(dbName, signature string, prep *core.Prepared, view View, eval func() bool) (verdict, hit bool) {
-	version := view.Version()
+func (m *Manager) Get(dbName, signature string, prep *core.Prepared, snap Snapshot, eval func() bool) (verdict, hit bool) {
+	version := snap.Version
 	m.mu.Lock()
-	st := m.stateLocked(dbName, view)
+	st := m.stateLocked(dbName, snap)
 	if st == nil {
 		m.mu.Unlock()
 		return eval(), false
@@ -351,27 +318,26 @@ type step struct {
 	outcome      string // subscribed entries: Outcome*
 }
 
-// Apply is Advance for a caller holding one database per version: the
-// view before c is the one the manager saw last.
+// Apply is Advance for a caller that resolves the database after c on
+// demand.
 func (m *Manager) Apply(dbName string, c store.Change, dbFn func() *db.Database) {
-	m.Advance(dbName, c, nil, dbView{c.Version, dbFn})
+	m.Advance(dbName, c, Snapshot{DB: dbFn(), Version: c.Version})
 }
 
-// Advance moves dbName from prev to cur across the write c (cur's
-// version is c.Version; nil prev is the view last seen) and runs one
-// decision per entry (see the package comment). Evaluations run between
-// two holds of the table lock, so readers never wait on them; an entry
-// stays at prev's version meanwhile, and a reader of cur misses and
-// evaluates for itself. Calls must arrive in version order per database.
-func (m *Manager) Advance(dbName string, c store.Change, prev, cur View) {
+// Advance moves dbName across the write c to cur (cur.Version is
+// c.Version; the snapshot before c is the one the manager saw last) and
+// runs one decision per entry (see the package comment). Evaluations
+// run between two holds of the table lock, so readers never wait on
+// them; an entry stays at the previous version meanwhile, and a reader
+// of cur misses and evaluates for itself. Calls must arrive in version
+// order per database.
+func (m *Manager) Advance(dbName string, c store.Change, cur Snapshot) {
 	st := m.lock(dbName, cur)
 	if st == nil {
 		return
 	}
 	defer st.apply.Unlock()
-	if prev == nil {
-		prev = st.cur
-	}
+	prev := st.cur
 	if c.Version > st.version {
 		st.version, st.cur = c.Version, cur
 	}
@@ -384,7 +350,7 @@ func (m *Manager) Advance(dbName string, c store.Change, prev, cur View) {
 			continue // settled at or past c by a registration
 		}
 		s := &step{e: e, rule: ruleReeval, old: e.verdict, verdict: e.verdict}
-		if q := e.prep.Query(); e.version == prev.Version() {
+		if q := e.prep.Query(); e.version == prev.Version {
 			// An entry that missed a change has no verdict to carry, and
 			// its drop is no invalidation of this write's.
 			for _, r := range c.Rels {
@@ -424,15 +390,11 @@ func (m *Manager) Advance(dbName string, c store.Change, prev, cur View) {
 		tr = h.Tracer.Start("delta", "")
 	}
 	sp := tr.StartSpan("delta")
-	var prevDBs, curDBs []*db.Database
 	for _, s := range work {
 		e := s.e
 		if s.rule == ruleCarry {
-			if curDBs == nil {
-				prevDBs, curDBs = shards(prev), shards(cur)
-			}
 			var known bool
-			s.verdict, known = Carry(e.prep.Query(), s.old, s.keys, prevDBs, curDBs, e.prep.CertainScratch)
+			s.verdict, known = Carry(e.prep.Query(), s.old, s.keys, prev.DB, cur.DB, e.prep.CertainScratch)
 			if !known {
 				s.rule = ruleReeval
 			}
@@ -440,7 +402,7 @@ func (m *Manager) Advance(dbName string, c store.Change, prev, cur View) {
 		if e.watches != nil {
 			s.outcome = OutcomeSkipped
 			if s.rule == ruleReeval {
-				s.verdict, s.outcome = e.prep.Certain(cur.Union()), OutcomeReevaluated
+				s.verdict, s.outcome = e.prep.Certain(cur.DB), OutcomeReevaluated
 			}
 			if s.verdict != s.old {
 				s.outcome = OutcomeFlipped
@@ -453,7 +415,7 @@ func (m *Manager) Advance(dbName string, c store.Change, prev, cur View) {
 	for _, s := range work {
 		e := s.e
 		switch {
-		case e.watches == nil && (st.entries[e.sig] != e || e.version != prev.Version()):
+		case e.watches == nil && (st.entries[e.sig] != e || e.version != prev.Version):
 			continue // evicted, or re-put by a reader of cur
 		case e.watches == nil && s.rule == ruleReeval:
 			m.removeLocked(e)
@@ -544,19 +506,18 @@ func (e *entry) triggers(c store.Change) (out []string) {
 // joins it without an evaluation (fan-in): it adopts the entry's
 // settled verdict and shares its future decisions.
 func (m *Manager) Register(dbName, signature string, prep *core.Prepared, snap Snapshot) (*Watch, State, error) {
-	view := View(snapshotView(snap))
-	st := m.lock(dbName, view)
+	st := m.lock(dbName, snap)
 	if st == nil {
 		return nil, State{}, errGone
 	}
 	defer st.apply.Unlock()
 	defer m.mu.Unlock()
 	if st.version > snap.Version {
-		view = st.cur
+		snap = st.cur
 	}
 	if e := st.entries[signature]; e == nil || e.watches == nil {
 		m.mu.Unlock()
-		verdict := prep.Certain(view.Union())
+		verdict := prep.Certain(snap.DB)
 		m.mu.Lock()
 		e = st.entries[signature]
 		if e == nil {
@@ -566,7 +527,7 @@ func (m *Manager) Register(dbName, signature string, prep *core.Prepared, snap S
 			m.lru.Remove(e.el)
 			e.el = nil
 		}
-		e.watches, e.verdict, e.version = make(map[*Watch]struct{}), verdict, view.Version()
+		e.watches, e.verdict, e.version = make(map[*Watch]struct{}), verdict, snap.Version
 		m.subscribed++
 	}
 	e := st.entries[signature]

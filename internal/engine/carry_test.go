@@ -11,135 +11,111 @@ import (
 	"cqa/internal/engine"
 	"cqa/internal/parse"
 	"cqa/internal/schema"
-	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
-// noUnion is a sharded view whose merged database must never be asked
-// for: co-keyed queries are answered per shard and carried per block.
-type noUnion struct {
-	*shard.View
-	t *testing.T
+// carryStore is a memory store named id, holding facts and wired to e
+// the way the server wires it.
+func carryStore(e *engine.Engine, id string, facts string) *store.Store {
+	st := store.NewMem(id, parse.MustDatabase(facts))
+	st.SetOnApply(func(c store.Change) { e.ApplyChange(id, c, st.Snapshot()) })
+	return st
 }
 
-func (v noUnion) Union() *db.Database {
-	v.t.Error("Union() built for a co-keyed query")
-	return v.View.Union()
-}
-
-// carryStore is an n-shard memory store named id, holding facts and
-// wired to e the way the server wires it.
-func carryStore(t *testing.T, e *engine.Engine, id string, n int, facts string) *shard.Sharded {
-	t.Helper()
-	sh, err := shard.NewSharded(id, n, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sh.Close() })
-	if _, err := sh.ApplyDB(parse.MustDatabase(facts)); err != nil {
-		t.Fatal(err)
-	}
-	sh.SetOnApply(func(c store.Change, prev, cur *shard.View) {
-		e.ApplyChange(id, c, noUnion{prev, t}, noUnion{cur, t})
-	})
-	return sh
-}
-
-// answer reads q on view through the engine's read path, Plan then
+// answer reads q on snap through the engine's read path, Plan then
 // Answer, and reports whether the result cache answered.
-func answer(e *engine.Engine, q schema.Query, dbID string, view engine.ShardView) (certain, cached bool, err error) {
+func answer(e *engine.Engine, q schema.Query, dbID string, snap store.Snapshot) (certain, cached bool, err error) {
 	r, err := e.Plan(q)
 	if err != nil {
 		return false, false, err
 	}
-	certain, cache, _, err := e.Answer(r, dbID, view)
+	certain, cache, err := e.Answer(r, dbID, snap)
 	return certain, cache == engine.CacheHit, err
 }
 
 // A write to a relation a co-keyed query mentions leaves its entry a hit
 // with the verdict that holds at the new version — whichever way the
-// verdict moves — on one store and across three shards; only the case
-// the rule leaves open costs an invalidation.
+// verdict moves; only the case the rule leaves open costs an
+// invalidation.
 func TestResultCacheCarriesCoKeyedEntries(t *testing.T) {
-	for _, n := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			e := engine.New(engine.Options{})
-			defer e.Close()
-			var facts string
-			for i := 0; i < 24; i++ {
-				facts += fmt.Sprintf("R(k%02d | v1)\nS(k%02d | v1)\n", i, i)
-			}
-			sh := carryStore(t, e, "d", n, facts)
-			scan := parse.MustQuery("R(x | 'v0'), !S(x | 'v0')")
-			point := parse.MustQuery("R('k03' | y), !S('k03' | y)")
+	// One store: the single shard a cqad keeps per database.
+	t.Run("shards=1", func(t *testing.T) {
+		e := engine.New(engine.Options{})
+		defer e.Close()
+		var facts string
+		for i := 0; i < 24; i++ {
+			facts += fmt.Sprintf("R(k%02d | v1)\nS(k%02d | v1)\n", i, i)
+		}
+		sh := carryStore(e, "d", facts)
+		scan := parse.MustQuery("R(x | 'v0'), !S(x | 'v0')")
+		point := parse.MustQuery("R('k03' | y), !S('k03' | y)")
 
-			ask := func(q schema.Query, wantCertain, wantCached bool) {
-				t.Helper()
-				view := sh.View()
-				certain, cached, err := answer(e, q, "d", noUnion{view, t})
-				if err != nil {
-					t.Fatal(err)
-				}
-				truth, err := core.Certain(q, view.Union(), core.EngineNaive)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if certain != truth || certain != wantCertain {
-					t.Fatalf("%s at v%d: served %v, repair enumeration %v, expected %v", q, view.Version(), certain, truth, wantCertain)
-				}
-				if cached != wantCached {
-					t.Fatalf("%s at v%d: cached = %v, want %v", q, view.Version(), cached, wantCached)
-				}
+		ask := func(q schema.Query, wantCertain, wantCached bool) {
+			t.Helper()
+			snap := sh.Snapshot()
+			certain, cached, err := answer(e, q, "d", snap)
+			if err != nil {
+				t.Fatal(err)
 			}
-			write := func(del bool, rel, key, val string) {
-				t.Helper()
-				var err error
-				if del {
-					_, err = sh.Delete(db.F(rel, key, val))
-				} else {
-					_, err = sh.Insert(db.F(rel, key, val))
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+			truth, err := core.Certain(q, snap.DB, core.EngineNaive)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if certain != truth || certain != wantCertain {
+				t.Fatalf("%s at v%d: served %v, repair enumeration %v, expected %v", q, snap.Version, certain, truth, wantCertain)
+			}
+			if cached != wantCached {
+				t.Fatalf("%s at v%d: cached = %v, want %v", q, snap.Version, cached, wantCached)
+			}
+		}
+		write := func(del bool, rel, key, val string) {
+			t.Helper()
+			var err error
+			if del {
+				_, err = sh.Delete(db.F(rel, key, val))
+			} else {
+				_, err = sh.Insert(db.F(rel, key, val))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 
-			ask(scan, false, false)
-			ask(point, false, false) // R(k03|v1) is matched by S(k03|v1)
-			ask(scan, false, true)
+		ask(scan, false, false)
+		ask(point, false, false) // R(k03|v1) is matched by S(k03|v1)
+		ask(scan, false, true)
 
-			write(false, "R", "k20", "v2") // ¬o, ¬b: stays false
-			ask(scan, false, true)
-			write(false, "R", "k30", "v0") // b: a witness appears
-			ask(scan, true, true)
-			write(false, "R", "k31", "v0") // b again, o already true
-			ask(scan, true, true)
-			write(false, "R", "k07", "v7") // o ∧ ¬a: the witnesses are elsewhere
-			ask(scan, true, true)
-			ask(point, false, true) // none of those blocks is k03's
-			write(true, "S", "k03", "v1")
-			ask(point, true, true) // b on the ground key's own block
+		write(false, "R", "k20", "v2") // ¬o, ¬b: stays false
+		ask(scan, false, true)
+		write(false, "R", "k30", "v0") // b: a witness appears
+		ask(scan, true, true)
+		write(false, "R", "k31", "v0") // b again, o already true
+		ask(scan, true, true)
+		write(false, "R", "k07", "v7") // o ∧ ¬a: the witnesses are elsewhere
+		ask(scan, true, true)
+		ask(point, false, true) // none of those blocks is k03's
+		write(true, "S", "k03", "v1")
+		ask(point, true, true) // b on the ground key's own block
 
-			before := e.Stats()
-			write(false, "S", "k30", "v0") // o ∧ a ∧ ¬b: k30 was a witness, k31 still is
-			if got := e.Stats().ResultInvalidations - before.ResultInvalidations; got != 1 {
-				t.Fatalf("open case: %d invalidations, want 1", got)
-			}
-			ask(scan, true, false)
-			ask(scan, true, true)
-			write(false, "S", "k31", "v0") // open again, and this time it flips
-			ask(scan, false, false)
+		before := e.Stats()
+		write(false, "S", "k30", "v0") // o ∧ a ∧ ¬b: k30 was a witness, k31 still is
+		if got := e.Stats().ResultInvalidations - before.ResultInvalidations; got != 1 {
+			t.Fatalf("open case: %d invalidations, want 1", got)
+		}
+		ask(scan, true, false)
+		ask(scan, true, true)
+		write(false, "S", "k31", "v0") // open again, and this time it flips
+		ask(scan, false, false)
 
-			st := e.Stats()
-			if st.ResultInvalidations != 2 {
-				t.Errorf("invalidations = %d, want 2 (the two open cases)", st.ResultInvalidations)
-			}
-			// Each of the seven writes touched a relation both queries mention.
-			if st.ResultCarried != 2*7-2 {
-				t.Errorf("carried = %d, want 12", st.ResultCarried)
-			}
-		})
-	}
+		st := e.Stats()
+		if st.ResultInvalidations != 2 {
+			t.Errorf("invalidations = %d, want 2 (the two open cases)", st.ResultInvalidations)
+		}
+		// Each of the seven writes touched a relation both queries mention.
+		if st.ResultCarried != 2*7-2 {
+			t.Errorf("carried = %d, want 12", st.ResultCarried)
+		}
+	})
 }
 
 // A full cache of ground-key answers rides out a write to some other key
@@ -154,13 +130,13 @@ func TestResultCacheGroundKeysCostNothing(t *testing.T) {
 	for i := 0; i < entries; i++ {
 		d.MustInsert(db.F("R", fmt.Sprintf("k%d", i), "v"))
 	}
-	sh := shard.NewShardedFromStores("d", []*store.Store{store.NewMem("d", d)})
-	sh.SetOnApply(func(c store.Change, prev, cur *shard.View) { e.ApplyChange("d", c, prev, cur) })
+	sh := store.NewMem("d", d)
+	sh.SetOnApply(func(c store.Change) { e.ApplyChange("d", c, sh.Snapshot()) })
 
 	queries := make([]schema.Query, entries)
 	for i := range queries {
 		queries[i] = parse.MustQuery(fmt.Sprintf("R('k%d' | y), !S('k%d' | y)", i, i))
-		if certain, _, err := answer(e, queries[i], "d", sh.View()); err != nil || !certain {
+		if certain, _, err := answer(e, queries[i], "d", sh.Snapshot()); err != nil || !certain {
 			t.Fatalf("k%d: certain = %v, err = %v", i, certain, err)
 		}
 	}
@@ -180,7 +156,7 @@ func TestResultCacheGroundKeysCostNothing(t *testing.T) {
 			after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses)
 	}
 	for i, q := range queries {
-		if certain, cached, err := answer(e, q, "d", sh.View()); err != nil || !certain || !cached {
+		if certain, cached, err := answer(e, q, "d", sh.Snapshot()); err != nil || !certain || !cached {
 			t.Fatalf("k%d after the write: certain = %v, cached = %v, err = %v", i, certain, cached, err)
 		}
 	}
@@ -188,8 +164,8 @@ func TestResultCacheGroundKeysCostNothing(t *testing.T) {
 
 // 31 readers and a writer share one store: whatever interleaving of
 // hits, misses, puts and carries they produce, an answer served for a
-// view is the answer of that view — nothing computed at one version is
-// served at the next. Run under -race.
+// snapshot is the answer of that snapshot — nothing computed at one
+// version is served at the next. Run under -race.
 func TestResultCacheCarryRace(t *testing.T) {
 	const readers, reads = 31, 400
 	e := engine.New(engine.Options{})
@@ -200,7 +176,7 @@ func TestResultCacheCarryRace(t *testing.T) {
 		// has something to join.
 		facts += fmt.Sprintf("R(k%d | k%d)\nS(k%d | k%d)\n", i, i%3, i, (i+1)%3)
 	}
-	sh := carryStore(t, e, "d", 1, facts)
+	sh := carryStore(e, "d", facts)
 
 	var queries []schema.Query
 	var preps []*core.Prepared
@@ -224,14 +200,14 @@ func TestResultCacheCarryRace(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(r)))
 			for n := 0; n < reads; n++ {
 				i := rng.Intn(len(queries))
-				view := sh.View()
-				got, _, err := answer(e, queries[i], "d", view)
+				snap := sh.Snapshot()
+				got, _, err := answer(e, queries[i], "d", snap)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if want := preps[i].CertainTreeWalk(view.Union()); got != want {
-					t.Errorf("%s at v%d: served %v, the view says %v", queries[i], view.Version(), got, want)
+				if want := preps[i].CertainTreeWalk(snap.DB); got != want {
+					t.Errorf("%s at v%d: served %v, the snapshot says %v", queries[i], snap.Version, got, want)
 					return
 				}
 			}

@@ -10,7 +10,7 @@ import (
 	"cqa/internal/gen"
 	"cqa/internal/naive"
 	"cqa/internal/schema"
-	"cqa/internal/shard"
+	"cqa/internal/store"
 )
 
 // TestDifferentialEngineVsNaive is the property-based oracle check for
@@ -184,7 +184,7 @@ func checkSibling(t *testing.T, e *Engine, sib schema.Query, d *db.Database) {
 	if !r.Hit {
 		t.Fatalf("%s missed the plan cache its shape is in", sib)
 	}
-	got, _, _, err := e.Answer(r, "", shard.ViewOf(d))
+	got, _, err := e.Answer(r, "", store.Snapshot{DB: d})
 	if err != nil {
 		t.Fatalf("answer %s: %v", sib, err)
 	}

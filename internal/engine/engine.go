@@ -4,9 +4,9 @@
 // program, memoized by core.PrepareShape in a thread-safe LRU plan cache
 // keyed by schema.Query.Shape, so queries that differ only in their
 // constants share one plan and each binds its own values — and Answer
-// does the data work on one view (a store's sharded view, or
-// shard.ViewOf an inline database), behind the table of maintained
-// verdicts (delta.Manager) when the view names a database.
+// does the data work on one snapshot (a store's, or an inline database
+// at version 0), behind the table of maintained verdicts (delta.Manager)
+// when the read names a database.
 // ApplyChange is the one write-side call: it moves that table, watched
 // entries included, across the write. CertainBatch answers many
 // independent checks through the same pair, once per distinct (query
@@ -27,7 +27,6 @@ import (
 	"cqa/internal/db"
 	"cqa/internal/delta"
 	"cqa/internal/schema"
-	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
@@ -160,28 +159,67 @@ func (e *Engine) plan(q schema.Query) (Read, error) {
 }
 
 // Certain answers CERTAINTY(q) on d using a cached plan: Plan, then
-// Answer on shard.ViewOf(d).
+// Answer on d.
 func (e *Engine) Certain(q schema.Query, d *db.Database) (bool, error) {
 	r, err := e.Plan(q)
 	if err != nil {
 		return false, err
 	}
-	certain, _, _, err := e.Answer(r, "", shard.ViewOf(d))
+	certain, _, err := e.Answer(r, "", store.Snapshot{DB: d})
 	return certain, err
 }
 
-// ApplyChange reports that the write c moved dbID from the view prev to
-// the view cur (cur.Version() == c.Version), and runs one decision per
-// maintained verdict of dbID on the caller's goroutine (delta.Advance):
-// verdicts of queries mentioning no written relation advance to the new
-// version, those of co-keyed queries are carried across by re-checking
-// c.Blocks alone, and the rest are dropped — or, when watched,
-// re-evaluated on cur. Flips reach the watches before ApplyChange
-// returns. cur's union is built only when a watched entry is
-// re-evaluated. Calls must arrive in version order per database; they
-// are made under the store's writer lock.
-func (e *Engine) ApplyChange(dbID string, c store.Change, prev, cur ShardView) {
-	e.delta.Advance(dbID, c, prev, cur)
+// Result-cache outcomes reported by Answer, as carried in the cache
+// metric label.
+const (
+	CacheHit  = "hit"
+	CacheMiss = "miss"
+	// CacheBypass: the read named no database, so there was no result to
+	// key on (inline facts, a router's gathered facts).
+	CacheBypass = "bypass"
+)
+
+// Answer is the data half of CERTAINTY(q): it evaluates the planned read
+// r on snap and reports the verdict and the result-cache outcome. With a
+// dbID the table of maintained verdicts is consulted first under r.Sig:
+// repeated checks at an unchanged version — or at a version the entry
+// was carried or re-evaluated to (see ApplyChange) — skip evaluation
+// entirely. dbID must name the database stably across versions, and its
+// writes must be reported through ApplyChange. An inline database is
+// read with no dbID.
+func (e *Engine) Answer(r Read, dbID string, snap store.Snapshot) (certain bool, cache string, err error) {
+	if err := e.begin(); err != nil {
+		return false, "", err
+	}
+	defer e.end()
+	certain, cache = e.answer(r, dbID, snap)
+	return certain, cache, nil
+}
+
+// answer is Answer for a caller that has begun an operation already
+// (see plan).
+func (e *Engine) answer(r Read, dbID string, snap store.Snapshot) (certain bool, cache string) {
+	if dbID == "" {
+		return r.Prepared.Certain(snap.DB), CacheBypass
+	}
+	certain, hit := e.delta.Get(dbID, r.Sig, r.Prepared, snap, func() bool { return r.Prepared.Certain(snap.DB) })
+	if hit {
+		return certain, CacheHit
+	}
+	return certain, CacheMiss
+}
+
+// ApplyChange reports that the write c moved dbID to the snapshot cur
+// (cur.Version == c.Version) from the one the table saw last, and runs
+// one decision per maintained verdict of dbID on the caller's goroutine
+// (delta.Advance): verdicts of queries mentioning no written relation
+// advance to the new version, those of co-keyed queries are carried
+// across by re-checking c.Blocks alone, and the rest are dropped — or,
+// when watched, re-evaluated on cur. Flips reach the watches before
+// ApplyChange returns. Calls must arrive in version order per database;
+// they are made under the store's writer lock.
+func (e *Engine) ApplyChange(dbID string, c store.Change, cur store.Snapshot) {
+	e.delta.Advance(dbID, c, cur)
 }
 
 // DropDB forgets every cached answer for dbID and closes every watch
@@ -205,14 +243,12 @@ type Result struct {
 
 // CertainBatch answers each item's check through the read path and
 // returns one result per item, in order. Items sharing a canonical query
-// signature and a database snapshot form one group, answered once — Plan,
-// then Answer on shard.ViewOf(DB) — when its first item comes up, and
-// its result is copied to every later member, so a batch with duplicated
-// hot checks pays for each distinct check once (the sharded router
-// preserves this: repeated named-database reads resolve to the
-// pointer-identical memoized union snapshot). Groups run one after
-// another on the caller's goroutine; errors — including panics from
-// malformed inputs — are isolated per group. Once ctx is done, every
+// signature and a database form one group, answered once — Plan, then
+// Answer on DB — when its first item comes up, and its result is copied
+// to every later member, so a batch with duplicated hot checks pays for
+// each distinct check once. Groups run one after another on the
+// caller's goroutine; errors — including panics from malformed inputs —
+// are isolated per group. Once ctx is done, every
 // group not yet started carries context.Cause(ctx).
 func (e *Engine) CertainBatch(ctx context.Context, items []Item) []Result {
 	if ctx == nil {
@@ -260,6 +296,6 @@ func (e *Engine) answerItem(it Item) (res Result) {
 	if err != nil {
 		return Result{Err: err}
 	}
-	certain, _, _ := e.answer(r, "", shard.ViewOf(it.DB))
+	certain, _ := e.answer(r, "", store.Snapshot{DB: it.DB})
 	return Result{Certain: certain}
 }

@@ -8,7 +8,7 @@ import (
 // This file is the introspection surface behind explain output and the
 // strategy metric label: it names, without evaluating anything, the
 // evaluation strategy core.Prepared.Certain will take (Answer reports
-// the shard plan and the result-cache outcome it took). The names feed
+// the result-cache outcome it took). The names feed
 // the `eval_total{strategy=…}` metric and the `"explain": true`
 // response, and are the observable hooks the ROADMAP's meta-engine
 // strategy selector will build on.

@@ -1,14 +1,10 @@
 package engine
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
 	"cqa/internal/fo"
-	"cqa/internal/parse"
-	"cqa/internal/shard"
-	"cqa/internal/store"
 )
 
 func TestStrategyMirrorsCertainWith(t *testing.T) {
@@ -95,26 +91,5 @@ func TestExplainSurfaces(t *testing.T) {
 	}
 	if np.Program() != nil || np.RewritingSize() != 0 {
 		t.Fatal("not-FO query must report no compiled program and size 0")
-	}
-}
-
-func TestShardPlanSingleShard(t *testing.T) {
-	sh, err := shard.NewSharded("d", 1, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.ApplyDB(parse.MustDatabase("R(a | 1)")); err != nil {
-		t.Fatal(err)
-	}
-	e := New(Options{})
-	r, err := e.Plan(mustQuery(t, "R(x | y), !S(y | x)"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dbID := range []string{"d", ""} {
-		_, _, plan, err := e.Answer(r, dbID, sh.View())
-		if err != nil || plan.Kind != shard.PlanSingle || !reflect.DeepEqual(plan.Shards, []int{0}) {
-			t.Errorf("single (db %q): plan=%s shards=%v err=%v", dbID, plan.Kind, plan.Shards, err)
-		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"cqa/internal/db"
 	"cqa/internal/engine"
 	"cqa/internal/parse"
-	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
@@ -19,22 +18,22 @@ import (
 func TestResultCacheIncrementalInvalidation(t *testing.T) {
 	e := engine.New(engine.Options{})
 	defer e.Close()
-	st := carryStore(t, e, "d", 1, "R(a | 1)\nR(a | 2)\nS(a | 1)\nT(z | z)")
+	st := carryStore(e, "d", "R(a | 1)\nR(a | 2)\nS(a | 1)\nT(z | z)")
 
 	q := parse.MustQuery("R(x | y), !S(y | x)") // mentions R and S, not T
 	ask := func() (bool, bool) {
 		t.Helper()
-		view := st.View()
-		certain, cached, err := answer(e, q, "d", view)
+		snap := st.Snapshot()
+		certain, cached, err := answer(e, q, "d", snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.Certain(q, view.Union(), core.EngineAuto)
+		want, err := core.Certain(q, snap.DB, core.EngineAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if certain != want {
-			t.Fatalf("served %v at v%d, core.Certain says %v", certain, view.Version(), want)
+			t.Fatalf("served %v at v%d, core.Certain says %v", certain, snap.Version, want)
 		}
 		return certain, cached
 	}
@@ -80,15 +79,15 @@ func TestResultCacheIncrementalInvalidation(t *testing.T) {
 func TestResultCacheNoOpWrite(t *testing.T) {
 	e := engine.New(engine.Options{})
 	defer e.Close()
-	st := carryStore(t, e, "d", 1, "R(a | 1)")
+	st := carryStore(e, "d", "R(a | 1)")
 	q := parse.MustQuery("R(x | y)")
-	if _, _, err := answer(e, q, "d", st.View()); err != nil {
+	if _, _, err := answer(e, q, "d", st.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Insert(db.F("R", "a", "1")); err != nil { // duplicate: no-op
 		t.Fatal(err)
 	}
-	if _, cached, _ := answer(e, q, "d", st.View()); !cached {
+	if _, cached, _ := answer(e, q, "d", st.Snapshot()); !cached {
 		t.Fatal("no-op write must keep the cache hit")
 	}
 }
@@ -99,11 +98,11 @@ func TestResultCacheNoOpWrite(t *testing.T) {
 func TestResultCacheRejectsStalePut(t *testing.T) {
 	e := engine.New(engine.Options{})
 	defer e.Close()
-	st := carryStore(t, e, "d", 1, "R(a | 1)\nR(a | 2)")
+	st := carryStore(e, "d", "R(a | 1)\nR(a | 2)")
 	q := parse.MustQuery("R(x | y)")
 
 	// Take the snapshot before the write, evaluate after it.
-	old := st.View()
+	old := st.Snapshot()
 	if _, err := st.Delete(db.F("R", "a", "1"), db.F("R", "a", "2")); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestResultCacheRejectsStalePut(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The stale evaluation must not be served at the current version.
-	certain, cached, err := answer(e, q, "d", st.View())
+	certain, cached, err := answer(e, q, "d", st.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +128,11 @@ func TestResultCachePerDatabaseIsolation(t *testing.T) {
 	e := engine.New(engine.Options{})
 	defer e.Close()
 	q := parse.MustQuery("R(x | y), !S(y | x)")
-	a := carryStore(t, e, "a", 1, "R(a | 1)\nS(z | z)")
-	b := carryStore(t, e, "b", 1, "R(a | 1)\nS(1 | a)")
-	askOn := func(id string, st *shard.Sharded) (bool, bool) {
+	a := carryStore(e, "a", "R(a | 1)\nS(z | z)")
+	b := carryStore(e, "b", "R(a | 1)\nS(1 | a)")
+	askOn := func(id string, st *store.Store) (bool, bool) {
 		t.Helper()
-		certain, cached, err := answer(e, q, id, st.View())
+		certain, cached, err := answer(e, q, id, st.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,8 +163,8 @@ func TestResultCacheEviction(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		id := fmt.Sprintf("db%d", i)
 		st := store.NewMem(id, parse.MustDatabase("R(a | 1)"))
-		view := shard.NewShardedFromStores(id, []*store.Store{st}).View()
-		if _, _, err := answer(e, q, id, view); err != nil {
+		snap := st.Snapshot()
+		if _, _, err := answer(e, q, id, snap); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"cqa/internal/db"
 	"cqa/internal/engine"
 	"cqa/internal/parse"
-	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
@@ -35,9 +34,9 @@ func TestOnePlanPerShape(t *testing.T) {
 			d.MustInsert(db.F("S", k, "v"))
 		}
 	}
-	sh := shard.NewShardedFromStores("d", []*store.Store{store.NewMem("d", d)})
+	sh := store.NewMem("d", d)
 	for i := 0; i < keys; i++ {
-		certain, _, err := answer(e, parse.MustQuery(pointQuery(fmt.Sprintf("k%d", i))), "d", sh.View())
+		certain, _, err := answer(e, parse.MustQuery(pointQuery(fmt.Sprintf("k%d", i))), "d", sh.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +65,7 @@ func TestParamBindRace(t *testing.T) {
 			facts += fmt.Sprintf("S(k%d | v%d)\n", i, i%3)
 		}
 	}
-	sh := carryStore(t, e, "d", 1, facts)
+	sh := carryStore(e, "d", facts)
 
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
@@ -77,12 +76,12 @@ func TestParamBindRace(t *testing.T) {
 			for n := 0; n < reads; n++ {
 				// Keys beyond the data bind values the database lacks.
 				q := parse.MustQuery(pointQuery(fmt.Sprintf("k%d", rng.Intn(keys+8))))
-				view := sh.View()
+				snap := sh.Snapshot()
 				dbID := "d"
 				if n%2 == 1 {
 					dbID = "" // bypass the table: evaluate on the shared Bound
 				}
-				got, _, err := answer(e, q, dbID, view)
+				got, _, err := answer(e, q, dbID, snap)
 				if err != nil {
 					t.Error(err)
 					return
@@ -92,8 +91,8 @@ func TestParamBindRace(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if want := p.CertainTreeWalk(view.Union()); got != want {
-					t.Errorf("%s at v%d: served %v, the snapshot says %v", q, view.Version(), got, want)
+				if want := p.CertainTreeWalk(snap.DB); got != want {
+					t.Errorf("%s at v%d: served %v, the snapshot says %v", q, snap.Version, got, want)
 					return
 				}
 			}
@@ -143,7 +142,7 @@ func BenchmarkPointRead(b *testing.B) {
 			d.MustInsert(db.F("S", k, "v"))
 		}
 	}
-	sh := shard.NewShardedFromStores("d", []*store.Store{store.NewMem("d", d)})
+	sh := store.NewMem("d", d)
 	srcs := make([]string, keys)
 	for i := range srcs {
 		srcs[i] = pointQuery(fmt.Sprintf("k%d", i))
@@ -155,7 +154,7 @@ func BenchmarkPointRead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := answer(e, q, "d", sh.View()); err != nil {
+		if _, _, err := answer(e, q, "d", sh.Snapshot()); err != nil {
 			b.Fatal(err)
 		}
 	}

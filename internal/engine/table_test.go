@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cqa/internal/parse"
-	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
@@ -21,16 +20,16 @@ func TestResultCacheStaleInsertAfterDropDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := shard.NewShardedFromStores("d", []*store.Store{store.NewMem("d", parse.MustDatabase("R(a | 1)"))}).View()
+	snap := store.Snapshot{DB: parse.MustDatabase("R(a | 1)")}
 
-	_, hit := e.delta.Get("d", r.Sig, r.Prepared, view, func() bool {
+	_, hit := e.delta.Get("d", r.Sig, r.Prepared, snap, func() bool {
 		e.DropDB("d") // the reset lands while the miss evaluates
 		return true
 	})
 	if hit {
 		t.Fatal("first look-up hit an empty table")
 	}
-	if _, hit := e.delta.Get("d", r.Sig, r.Prepared, view, func() bool { return true }); hit {
+	if _, hit := e.delta.Get("d", r.Sig, r.Prepared, snap, func() bool { return true }); hit {
 		t.Fatal("an evaluation begun before DropDB was inserted after it")
 	}
 }

@@ -97,10 +97,10 @@ type ExplainInfo struct {
 	// one line per binder slot ("s0 ∈ R.1", "s1 ∈ min(R.0, S.1)", …).
 	Quantifiers []string `json:"quantifiers,omitempty"`
 	// ShardPlan and Shards report how a named-database evaluation was
-	// spread over the store's shards (absent for inline facts): the
-	// shard.PlanFor kind and the shards consulted. On a router's
-	// forwarded read they are the router's plan and the shards actually
-	// asked, around the answering shard's own explain.
+	// spread over shards (absent for inline facts): on a cqad, which
+	// keeps one store per database, always "single" and [0]. On a
+	// router they are its shard.PlanFor kind and the shard servers
+	// actually asked, around the answering server's own explain.
 	ShardPlan string `json:"shardPlan,omitempty"`
 	Shards    []int  `json:"shards,omitempty"`
 	// PlanDecision is the planner's recorded strategy selection for
@@ -163,9 +163,9 @@ func (r *DBWriteRequest) members() []member {
 	return []member{{name: "database", str: &r.Database}, {name: "facts", str: &r.Facts}}
 }
 
-// DBWriteResponse acknowledges a write: the store version after the
-// batch, how many mutations took effect (no-ops are filtered), and the
-// relations the batch touched.
+// DBWriteResponse acknowledges a write: the version the batch took (the
+// current version when nothing took effect), how many mutations took
+// effect (no-ops are filtered), and the relations the batch touched.
 type DBWriteResponse struct {
 	Database string   `json:"database"`
 	Version  uint64   `json:"version"`
@@ -178,10 +178,9 @@ type DBInfoResponse struct {
 	Databases []DBInfo `json:"databases"`
 }
 
-// DBInfo describes one named database from a consistent cross-shard
-// view. Version is the global version (the sum of shard versions); the
-// durability counters are summed over shards — per-shard detail is in
-// GET /v1/shards.
+// DBInfo describes one named database from one snapshot. A cqad keeps
+// one store per database, so Shards is 1; a router sums Version and the
+// durability counters over its shard servers and counts them in Shards.
 type DBInfo struct {
 	Name              string   `json:"name"`
 	Version           uint64   `json:"version"`
@@ -196,11 +195,11 @@ type DBInfo struct {
 }
 
 // ShardsResponse is the GET /v1/shards payload: the serving role and
-// the shard topology of every named database.
+// the stores of every named database — one each on a cqad.
 type ShardsResponse struct {
 	// Role is "primary", "follower", or "router".
 	Role string `json:"role"`
-	// DefaultShards is the shard count for databases created here.
+	// DefaultShards is 1 on a cqad, the shard-server count on a router.
 	DefaultShards int `json:"defaultShards"`
 	// Databases lists every member with per-shard stats; on a router it
 	// instead summarizes the downstream shard servers (see ShardHealth).
@@ -209,7 +208,7 @@ type ShardsResponse struct {
 	Shards []ShardHealth `json:"shards,omitempty"`
 }
 
-// DBShards is the shard topology of one database.
+// DBShards is the store topology of one database: one store on a cqad.
 type DBShards struct {
 	Name     string      `json:"name"`
 	Shards   int         `json:"shards"`
@@ -244,11 +243,11 @@ type ShardHealth struct {
 	Error        string `json:"error,omitempty"`
 }
 
-// FactsResponse is the GET /v1/db/facts payload: one shard's facts in
+// FactsResponse is the GET /v1/db/facts payload: a database's facts in
 // the cqa database syntax, plus every relation signature (the syntax
-// cannot express relations that are empty on this shard), at one
-// consistent version. The router merges these to evaluate cross-shard
-// joins.
+// cannot express relations that are empty on this shard server), at one
+// version. The router merges these to evaluate cross-shard joins. A
+// cqad exports its whole store: Shard is -1 and Shards 1.
 type FactsResponse struct {
 	Database  string   `json:"database"`
 	Shard     int      `json:"shard"`

@@ -5,11 +5,9 @@ import (
 	"testing"
 )
 
-// TestBatchGroupingThroughServer: repeated named-database items in one
-// POST /v1/batch resolve to pointer-identical snapshots (memoized shard
-// view unions), so the engine answers the duplicates from one read: one
-// plan look-up for the group, not one per item. The verdicts stay
-// per-item.
+// TestBatchGroupingThroughServer: POST /v1/batch plans its query once,
+// and repeated named-database items resolve to one snapshot, answered
+// once. The verdicts stay per-item.
 func TestBatchGroupingThroughServer(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	lookups := func() uint64 {
@@ -31,9 +29,9 @@ func TestBatchGroupingThroughServer(t *testing.T) {
 			t.Fatalf("result %d = %+v, want certain", i, r)
 		}
 	}
-	// One look-up for the group, one for the response's verdict field.
-	if got := lookups() - base; got != 2 {
-		t.Fatalf("plan look-ups = %d, want 2 (4 identical items, one read)", got)
+	// One look-up for the batch, which also gives the verdict field.
+	if got := lookups() - base; got != 1 {
+		t.Fatalf("plan look-ups = %d, want 1 (4 identical items, one plan)", got)
 	}
 
 	// The look-ups are exposed on /v1/stats.
@@ -46,7 +44,8 @@ func TestBatchGroupingThroughServer(t *testing.T) {
 		t.Fatalf("/v1/stats plan look-ups = %d, engine says %d", got, lookups())
 	}
 
-	// Inline-facts items parse fresh snapshots each: never grouped.
+	// Inline-facts items parse fresh databases each: answered one by one,
+	// on the one plan.
 	base = lookups()
 	resp = postJSON(t, ts.URL+"/v1/batch", BatchRequest{
 		Query: "R(x | y)",
@@ -56,7 +55,7 @@ func TestBatchGroupingThroughServer(t *testing.T) {
 	if len(ans.Results) != 2 {
 		t.Fatalf("got %d results", len(ans.Results))
 	}
-	if got := lookups() - base; got != 3 {
-		t.Fatalf("inline facts: plan look-ups = %d, want 3 (one per item, one for the verdict)", got)
+	if got := lookups() - base; got != 1 {
+		t.Fatalf("inline facts: plan look-ups = %d, want 1", got)
 	}
 }

@@ -10,21 +10,20 @@ import (
 	"time"
 
 	"cqa/internal/metrics"
-	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
 // Follower turns a read-only server into a WAL-shipping replica of a
-// primary: it discovers the primary's databases and shard topology via
-// GET /v1/shards, opens one following GET /v1/wal/stream per shard, and
-// applies the streams through store.Replica into locally adopted
-// sharded members. Reads on the follower are served from the replica
-// views; every applied batch invalidates the engine's result cache the
-// same way a local write would, and a snapshot-bootstrap reset (the
-// replica diverged or fell past the primary's retention floor) drops
-// the database's cached answers entirely — resets may reuse version
-// numbers of a divergent incarnation, so exact-version caching alone is
-// not enough there.
+// primary: it discovers the primary's databases via GET /v1/shards,
+// opens one following GET /v1/wal/stream per database, and applies each
+// stream through a store.Replica whose store it adopts into the
+// server's set. Reads on the follower are served from the replica
+// snapshots; every applied batch reaches the engine's result cache
+// through the store's OnApply hook, as a local write would, and a
+// snapshot-bootstrap reset (the replica diverged or fell past the
+// primary's retention floor) drops the database's cached answers
+// entirely — resets may reuse version numbers of a divergent
+// incarnation, so exact-version caching alone is not enough there.
 //
 // A dead primary degrades the follower to serving its last applied
 // state; the streams reconnect with backoff and resume (or bootstrap)
@@ -38,18 +37,9 @@ type Follower struct {
 	logf    func(format string, v ...any)
 
 	mu      sync.Mutex
-	tracked map[string]*followerDB
+	tracked map[string]*store.Replica
 
 	wg sync.WaitGroup
-}
-
-// followerDB is one replicated database: the serving facade over the
-// per-shard replicas, plus the hook serialization lock (concurrent
-// shard streams must report monotone global versions to the engine).
-type followerDB struct {
-	sh       *shard.Sharded
-	replicas []*store.Replica
-	hookMu   sync.Mutex
 }
 
 // FollowerOptions configures NewFollower.
@@ -80,7 +70,7 @@ func NewFollower(opt FollowerOptions) *Follower {
 		client:  opt.Client,
 		retry:   opt.Retry,
 		logf:    opt.Logf,
-		tracked: make(map[string]*followerDB),
+		tracked: make(map[string]*store.Replica),
 	}
 	if f.id == "" {
 		f.id = "follower"
@@ -97,10 +87,10 @@ func NewFollower(opt FollowerOptions) *Follower {
 	return f
 }
 
-// Run discovers the primary's topology, starts one stream per shard,
-// and keeps re-discovering (new databases appear on the primary) until
-// ctx is cancelled. It returns after every stream goroutine has
-// stopped.
+// Run discovers the primary's databases, starts one stream per
+// database, and keeps re-discovering (new databases appear on the
+// primary) until ctx is cancelled. It returns after every stream
+// goroutine has stopped.
 func (f *Follower) Run(ctx context.Context) {
 	for {
 		if topo, err := f.topology(ctx); err == nil {
@@ -142,18 +132,18 @@ func (f *Follower) topology(ctx context.Context) (*ShardsResponse, error) {
 }
 
 // updateLag refreshes the follower_lag_versions{db} gauge on every
-// discovery tick: how many global versions each tracked database is
+// discovery tick: how many versions each tracked database is
 // behind the primary's advertised topology. A caught-up (or recovered)
 // follower reads 0.
 func (f *Follower) updateLag(topo *ShardsResponse) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, d := range topo.Databases {
-		fdb, ok := f.tracked[d.Name]
+		r, ok := f.tracked[d.Name]
 		if !ok {
 			continue
 		}
-		lag := int64(d.Version) - int64(fdb.sh.Version())
+		lag := int64(d.Version) - int64(r.Version())
 		if lag < 0 {
 			// The primary moved on between serving /v1/shards and our
 			// streams applying newer batches; we are caught up.
@@ -170,74 +160,38 @@ func (f *Follower) track(ctx context.Context, d DBShards) {
 	if _, ok := f.tracked[d.Name]; ok {
 		return
 	}
-	fdb := &followerDB{}
-	stores := make([]*store.Store, d.Shards)
-	for i := 0; i < d.Shards; i++ {
-		r := store.NewReplica(shardReplicaName(d.Name, i, d.Shards))
-		fdb.replicas = append(fdb.replicas, r)
-		stores[i] = r.Store()
-	}
-	fdb.sh = shard.NewShardedFromStores(d.Name, stores)
 	name := d.Name
-	for i, r := range fdb.replicas {
-		shardIdx := i
-		r.SetOnBatch(func(c store.Change) {
-			fdb.hookMu.Lock()
-			defer fdb.hookMu.Unlock()
-			// Only this shard moves in the published view: a sibling's
-			// committed batch stays out until its own hook reports it, so
-			// every view differs from the last by exactly one change.
-			prev, cur := fdb.sh.RefreshShard(shardIdx)
-			// Readers and watches on the follower see the replica's global
-			// versions; the per-shard change carries the dirty blocks.
-			gc := c
-			gc.Version = cur.Version()
-			f.srv.Engine().ApplyChange(name, gc, prev, cur)
-		})
-		r.SetOnReset(func(version uint64) {
-			fdb.hookMu.Lock()
-			defer fdb.hookMu.Unlock()
-			fdb.sh.Refresh()
-			// A reset may reuse version numbers of a divergent
-			// incarnation: forget everything cached for this database.
-			f.srv.Engine().DropDB(name)
-			f.logf("follower: %s shard %d reset to version %d", name, shardIdx, version)
-		})
-	}
-	if err := f.srv.Stores().Adopt(fdb.sh); err != nil {
+	r := store.NewReplica(name)
+	r.SetOnReset(func(version uint64) {
+		// A reset may reuse version numbers of a divergent incarnation:
+		// forget everything cached for this database.
+		f.srv.eng.DropDB(name)
+		f.logf("follower: %s reset to version %d", name, version)
+	})
+	if err := f.srv.stores.Adopt(r.Store()); err != nil {
 		f.logf("follower: adopting %s: %v", name, err)
 		return
 	}
-	f.tracked[name] = fdb
-	f.logf("follower: tracking %s (%d shard(s))", name, d.Shards)
-	for i := range fdb.replicas {
-		f.wg.Add(1)
-		go f.streamLoop(ctx, name, i, fdb.replicas[i])
-	}
+	f.srv.attach(name, r.Store())
+	f.tracked[name] = r
+	f.logf("follower: tracking %s", name)
+	f.wg.Add(1)
+	go f.streamLoop(ctx, name, r)
 }
 
-// shardReplicaName names shard i's replica store like the primary names
-// its shard store, so streams and stats line up.
-func shardReplicaName(name string, i, n int) string {
-	if n == 1 {
-		return name
-	}
-	return fmt.Sprintf("%s.s%d", name, i)
-}
-
-// streamLoop keeps one shard's WAL stream alive: resume from the
+// streamLoop keeps one database's WAL stream alive: resume from the
 // replica's version, apply until the stream breaks, back off,
 // reconnect. A replica that fell past the primary's retention floor —
 // or diverged — is reset by the stream's snapshot bootstrap.
-func (f *Follower) streamLoop(ctx context.Context, name string, shardIdx int, r *store.Replica) {
+func (f *Follower) streamLoop(ctx context.Context, name string, r *store.Replica) {
 	defer f.wg.Done()
 	for ctx.Err() == nil {
-		err := f.streamOnce(ctx, name, shardIdx, r)
+		err := f.streamOnce(ctx, name, r)
 		if ctx.Err() != nil {
 			return
 		}
 		if err != nil {
-			f.logf("follower: %s shard %d stream: %v", name, shardIdx, err)
+			f.logf("follower: %s stream: %v", name, err)
 		}
 		select {
 		case <-ctx.Done():
@@ -247,9 +201,9 @@ func (f *Follower) streamLoop(ctx context.Context, name string, shardIdx int, r 
 	}
 }
 
-func (f *Follower) streamOnce(ctx context.Context, name string, shardIdx int, r *store.Replica) error {
-	u := fmt.Sprintf("%s/v1/wal/stream?db=%s&shard=%d&from=%d&follow=1&follower=%s",
-		f.primary, url.QueryEscape(name), shardIdx, r.Version(), url.QueryEscape(f.id))
+func (f *Follower) streamOnce(ctx context.Context, name string, r *store.Replica) error {
+	u := fmt.Sprintf("%s/v1/wal/stream?db=%s&from=%d&follow=1&follower=%s",
+		f.primary, url.QueryEscape(name), r.Version(), url.QueryEscape(f.id))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return err
@@ -269,13 +223,13 @@ func (f *Follower) streamOnce(ctx context.Context, name string, shardIdx int, r 
 	return r.ApplyStream(resp.Body)
 }
 
-// Versions reports each tracked database's global replica version.
+// Versions reports each tracked database's replica version.
 func (f *Follower) Versions() map[string]uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make(map[string]uint64, len(f.tracked))
-	for name, fdb := range f.tracked {
-		out[name] = fdb.sh.Version()
+	for name, r := range f.tracked {
+		out[name] = r.Version()
 	}
 	return out
 }

@@ -20,6 +20,7 @@ import (
 	"cqa/internal/schema"
 	"cqa/internal/shard"
 	"cqa/internal/sqlgen"
+	"cqa/internal/store"
 )
 
 // writeJSON writes v with the given status. Encoding failures at this
@@ -147,17 +148,17 @@ func (s *Server) serveCertain(w http.ResponseWriter, r *http.Request, clock *sta
 	if err != nil {
 		return
 	}
-	var view engine.ShardView
+	var snap store.Snapshot
 	if req.Database != "" {
-		// Named databases are sharded versioned stores, read on one
-		// consistent cross-shard view through the engine's result cache.
-		sh := s.stores.Get(req.Database)
-		if sh == nil {
+		// Named databases are versioned stores, read on one snapshot
+		// through the engine's result cache.
+		st := s.stores.Get(req.Database)
+		if st == nil {
 			s.writeError(w, http.StatusNotFound, "unknown_database",
 				fmt.Sprintf("no database named %q", req.Database))
 			return
 		}
-		view = sh.View()
+		snap = st.Snapshot()
 	} else {
 		var d *db.Database
 		err := clock.stage("parse-facts", func(*obs.Span) (err error) {
@@ -170,12 +171,12 @@ func (s *Server) serveCertain(w http.ResponseWriter, r *http.Request, clock *sta
 			s.writeError(w, http.StatusUnprocessableEntity, "bad_facts", err.Error())
 			return
 		}
-		view = shard.ViewOf(d)
+		snap.DB = d
 	}
 	v, err := s.bounded(r.Context(), func() (any, error) {
 		return s.answerCertain(&certainRead{
 			req: req, q: q, clock: clock, db: req.Database,
-			view: func() (engine.ShardView, error) { return view, nil },
+			snap: func() (store.Snapshot, error) { return snap, nil },
 		})
 	})
 	if err != nil {
@@ -209,19 +210,18 @@ type certainRead struct {
 	// for inline facts and router-gathered reads, which bypass it and
 	// report neither a version nor a result-cache outcome.
 	db string
-	// view yields what the read evaluates on. It runs between the prepare
+	// snap yields what the read evaluates on. It runs between the prepare
 	// and eval stages, where a router gathers its facts.
-	view func() (engine.ShardView, error)
-	// routed is the router's own plan around a gathered read, reported in
-	// place of the plan of the one-shard view the facts were gathered into.
-	routed *shard.Plan
+	snap func() (store.Snapshot, error)
+	// routed reports the router's own plan around a gathered read in its
+	// explain; nil for a server's own reads.
+	routed func(*ExplainInfo)
 }
 
 // answerCertain is the one evaluation of a /v1/certain read — named,
 // inline and router-gathered alike: the prepare stage (Engine.Plan), the
-// eval stage (Engine.Answer, which follows the view's shard plan and,
-// for a named database, the result cache), the eval_total count, and the
-// response with its explain.
+// eval stage (Engine.Answer, through the result cache for a named
+// database), the eval_total count, and the response with its explain.
 func (s *Server) answerCertain(rd *certainRead) (any, error) {
 	var read engine.Read
 	var strategy string
@@ -236,15 +236,15 @@ func (s *Server) answerCertain(rd *certainRead) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	view, err := rd.view()
+	snap, err := rd.snap()
 	if err != nil {
 		return nil, err
 	}
 	var ans answer
 	err = rd.clock.stage("eval", func(sp *obs.Span) (err error) {
-		ans.certain, ans.cache, ans.plan, err = s.eng.Answer(read, rd.db, view)
+		ans.certain, ans.cache, err = s.eng.Answer(read, rd.db, snap)
 		if err == nil && rd.db != "" {
-			sp.SetAttr("resultCache", ans.cache).SetAttr("shardPlan", ans.plan.Kind)
+			sp.SetAttr("resultCache", ans.cache).SetAttr("shardPlan", shard.PlanSingle)
 		}
 		return err
 	})
@@ -252,21 +252,20 @@ func (s *Server) answerCertain(rd *certainRead) (any, error) {
 		return nil, err
 	}
 	s.reg.Counter(metrics.Label("eval_total", "strategy", strategy, "cache", ans.cache)).Inc()
-	return s.certainResponse(rd, read, strategy, view, &ans), nil
+	return s.certainResponse(rd, read, strategy, snap, &ans), nil
 }
 
 // answer is what Engine.Answer reported for one read.
 type answer struct {
 	certain bool
 	cache   string
-	plan    shard.Plan
 }
 
 // certainResponse is the reply to an answered read. It is kept out of
 // answerCertain so that the stack a read's stages run on stays shallow:
 // the evaluation runs on a fresh goroutine, whose small starting stack
 // would otherwise be copied to a larger one on every read.
-func (s *Server) certainResponse(rd *certainRead, read engine.Read, strategy string, view engine.ShardView, ans *answer) CertainResponse {
+func (s *Server) certainResponse(rd *certainRead, read engine.Read, strategy string, snap store.Snapshot, ans *answer) CertainResponse {
 	p := read.Prepared
 	resp := CertainResponse{
 		Certain:  ans.certain,
@@ -275,23 +274,21 @@ func (s *Server) certainResponse(rd *certainRead, read engine.Read, strategy str
 	}
 	if rd.db != "" {
 		cached := ans.cache == engine.CacheHit
-		resp.Version, resp.Cached = view.Version(), &cached
+		resp.Version, resp.Cached = snap.Version, &cached
 	}
 	if !rd.req.Explain {
 		return resp
 	}
 	info := explainFor(p, strategy, cacheOutcome(read.Hit), rd.clock)
 	if rd.db != "" {
-		info.ResultCache, info.ShardPlan, info.Shards = ans.cache, ans.plan.Kind, ans.plan.Shards
+		info.ResultCache, info.ShardPlan, info.Shards = ans.cache, shard.PlanSingle, []int{0}
 	}
 	if rd.routed != nil {
-		info.ShardPlan, info.Shards = rd.routed.Kind, rd.routed.Shards
+		rd.routed(info)
 	} else if !p.InFO() {
-		// The planner's decision is recorded against the union view — the
-		// snapshot a union plan evaluates multi-atom (hence every
-		// planner-pattern) queries on. FO queries carry their plan in the
-		// rewriting fields.
-		info.PlanDecision = p.Decision(view.Union())
+		// The planner's decision is recorded against the evaluated
+		// snapshot. FO queries carry their plan in the rewriting fields.
+		info.PlanDecision = p.Decision(snap.DB)
 	}
 	resp.Explain = info
 	return resp
@@ -346,23 +343,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
-	items := make([]engine.Item, 0, n)
-	resolveErrs := make([]string, 0, n)
-	// Named databases resolve to a consistent snapshot each; the batch
-	// path evaluates directly (it bypasses the versioned result cache —
-	// batches mix many databases, and their per-item answers are rarely
-	// re-asked at an identical version).
-	for _, name := range req.Databases {
-		sh := s.stores.Get(name)
-		if sh == nil {
-			resolveErrs = append(resolveErrs, fmt.Sprintf("no database named %q", name))
-			items = append(items, engine.Item{})
+	// Named databases resolve to their current snapshot, inline facts to
+	// a fresh database each; an item that does not resolve carries its
+	// error.
+	dbs := make([]*db.Database, 0, n)
+	resp := BatchResponse{Results: make([]BatchResult, n)}
+	for i, name := range req.Databases {
+		if st := s.stores.Get(name); st != nil {
+			dbs = append(dbs, st.Snapshot().DB)
 			continue
 		}
-		resolveErrs = append(resolveErrs, "")
-		// The union of one consistent view; for single-shard members this
-		// is the snapshot itself, no merge happens.
-		items = append(items, engine.Item{Query: q, DB: sh.View().Union()})
+		dbs = append(dbs, nil)
+		resp.Results[i].Error = fmt.Sprintf("no database named %q", name)
 	}
 	for _, facts := range req.Facts {
 		d, err := parse.Database(facts)
@@ -370,51 +362,50 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			err = parse.DeclareQueryRelations(d, q)
 		}
 		if err != nil {
-			resolveErrs = append(resolveErrs, err.Error())
-			items = append(items, engine.Item{})
-			continue
+			resp.Results[len(dbs)].Error = err.Error()
+			d = nil
 		}
-		resolveErrs = append(resolveErrs, "")
-		items = append(items, engine.Item{Query: q, DB: d})
+		dbs = append(dbs, d)
 	}
-	// Resolvable items run as one engine batch; unresolvable ones carry
-	// their error through in order. Plugging the real query into the
-	// placeholder items would re-answer on a nil database, so the batch
-	// only receives the good ones.
-	good := make([]engine.Item, 0, n)
-	for i, it := range items {
-		if resolveErrs[i] == "" {
-			good = append(good, it)
+	good := 0
+	for _, d := range dbs {
+		if d != nil {
+			good++
 		}
 	}
-	s.reg.Counter("batch_items_total").Add(uint64(len(good)))
-	var results []engine.Result
+	s.reg.Counter("batch_items_total").Add(uint64(good))
+	// The query is planned once; each distinct database is answered once
+	// through the read path, bypassing the result cache (batches mix
+	// many databases, and their answers are rarely re-asked at one
+	// version), and its result is copied to every item naming it.
+	read, err := s.eng.Plan(q)
 	clock.stage("eval", func(sp *obs.Span) error {
-		sp.SetAttr("items", strconv.Itoa(len(good)))
-		results = s.eng.CertainBatch(r.Context(), good)
+		sp.SetAttr("items", strconv.Itoa(good))
+		done := make(map[*db.Database]BatchResult)
+		for i, d := range dbs {
+			if d == nil {
+				continue
+			}
+			res, ok := done[d]
+			switch {
+			case ok:
+			case err != nil:
+				res = BatchResult{Error: err.Error()}
+			case context.Cause(r.Context()) != nil:
+				res = BatchResult{Error: context.Cause(r.Context()).Error()}
+			default:
+				res = s.answerBatchItem(read, d)
+			}
+			done[d], resp.Results[i] = res, res
+		}
 		return nil
 	})
-	resp := BatchResponse{Results: make([]BatchResult, n)}
-	gi := 0
-	for i := range items {
-		if resolveErrs[i] != "" {
-			resp.Results[i] = BatchResult{Error: resolveErrs[i]}
-			continue
-		}
-		res := results[gi]
-		gi++
-		if res.Err != nil {
-			resp.Results[i] = BatchResult{Error: res.Err.Error()}
-		} else {
-			resp.Results[i] = BatchResult{Certain: res.Certain}
-		}
-	}
-	if read, err := s.eng.Plan(q); err == nil {
+	if err == nil {
 		p := read.Prepared
 		resp.Verdict = string(p.Verdict())
 		strategy := engine.Strategy(p)
 		s.reg.Counter(metrics.Label("eval_total",
-			"strategy", strategy, "cache", engine.CacheBypass)).Add(uint64(len(good)))
+			"strategy", strategy, "cache", engine.CacheBypass)).Add(uint64(good))
 		if req.Explain {
 			// Batches bypass the versioned result cache; the explain covers
 			// the batch as a whole.
@@ -422,6 +413,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// answerBatchItem answers read on one batch database, turning a panic
+// (a malformed formula or database) into that item's error so one bad
+// item cannot take down the batch.
+func (s *Server) answerBatchItem(read engine.Read, d *db.Database) (res BatchResult) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = BatchResult{Error: fmt.Sprintf("engine: item panicked: %v", r)}
+		}
+	}()
+	certain, _, err := s.eng.Answer(read, "", store.Snapshot{DB: d})
+	if err != nil {
+		return BatchResult{Error: err.Error()}
+	}
+	return BatchResult{Certain: certain}
 }
 
 // writeWorkError maps evaluation-stage failures: context expiry becomes

@@ -83,8 +83,7 @@ func TestPlannerServedEndToEnd(t *testing.T) {
 }
 
 // TestPlannerReachabilityOverNamedDB serves the q2 shape against a
-// preloaded database so the decision flows through the sharded view's
-// union snapshot.
+// named database so the decision flows through the store's snapshot.
 func TestPlannerReachabilityOverNamedDB(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	mustCreate(t, ts.URL, DBCreateRequest{Name: "graph", Facts: "E(a, b)\nE(a, c)\nB(a | b)\nB(a | c)\n"})

@@ -15,12 +15,12 @@ import (
 	"time"
 
 	"cqa/internal/db"
-	"cqa/internal/engine"
 	"cqa/internal/metrics"
 	"cqa/internal/obs"
 	"cqa/internal/parse"
 	"cqa/internal/schema"
 	"cqa/internal/shard"
+	"cqa/internal/store"
 )
 
 // Router is the cross-process serving tier: it fronts N shard servers
@@ -344,14 +344,15 @@ func (rt *Router) forwardCertain(w http.ResponseWriter, r *http.Request, req Cer
 func (rt *Router) gatherCertain(w http.ResponseWriter, r *http.Request, req CertainRequest, q schema.Query, plan shard.Plan, clock *stageClock) {
 	v, err := rt.inner.bounded(r.Context(), func() (any, error) {
 		return rt.inner.answerCertain(&certainRead{
-			req: req, q: q, clock: clock, routed: &plan,
-			view: func() (_ engine.ShardView, err error) {
+			req: req, q: q, clock: clock,
+			routed: func(info *ExplainInfo) { info.ShardPlan, info.Shards = plan.Kind, plan.Shards },
+			snap: func() (_ store.Snapshot, err error) {
 				var merged *db.Database
 				clock.time("gather", func() { merged, err = rt.gather(r.Context(), q, req.Database, plan) })
 				if err != nil {
-					return nil, gatherError{err}
+					return store.Snapshot{}, gatherError{err}
 				}
-				return shard.ViewOf(merged), nil
+				return store.Snapshot{DB: merged}, nil
 			},
 		})
 	})

@@ -10,6 +10,7 @@ import (
 
 	"cqa/internal/parse"
 	"cqa/internal/shard"
+	"cqa/internal/store"
 )
 
 // handleWatch answers POST /v1/watch on the router: it opens one watch
@@ -108,7 +109,7 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return false, err
 		}
-		certain, _, _, err := rt.inner.eng.Answer(read, "", shard.ViewOf(merged))
+		certain, _, err := rt.inner.eng.Answer(read, "", store.Snapshot{DB: merged})
 		return certain, err
 	}
 

@@ -19,7 +19,6 @@ import (
 	"cqa/internal/engine"
 	"cqa/internal/metrics"
 	"cqa/internal/obs"
-	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
@@ -34,16 +33,13 @@ type Options struct {
 	// /v1/db/insert and /v1/db/delete. The map and its databases must not
 	// be mutated after New.
 	Databases map[string]*db.Database
-	// Stores is the sharded store set behind the named-database API;
-	// nil creates an empty memory-only set with Shards shards per new
-	// database. Databases entries whose name is not already a member are
-	// adopted into it as single-shard members. The server registers each
-	// member's OnApply hook (result-cache invalidation + metrics), so
-	// members handed in here must not have their own OnApply.
-	Stores *shard.Set
-	// Shards is the shard count for databases the server creates when
-	// Stores is nil; ≤ 0 selects 1.
-	Shards int
+	// Stores is the store set behind the named-database API, one store
+	// per database; nil creates an empty memory-only set. Databases
+	// entries whose name is not already a member are adopted into it. The
+	// server registers each member's OnApply hook (result-cache
+	// invalidation + metrics), so members handed in here must not have
+	// their own OnApply.
+	Stores *store.Set
 	// ReadOnly rejects every mutating endpoint with 403 read_only — the
 	// follower serving mode, where writes arrive only via WAL streams.
 	ReadOnly bool
@@ -75,7 +71,7 @@ type Options struct {
 type Server struct {
 	opt      Options
 	eng      *engine.Engine
-	stores   *shard.Set
+	stores   *store.Set
 	reg      *metrics.Registry
 	tracer   *obs.Tracer
 	sem      chan struct{}
@@ -106,7 +102,7 @@ func New(opt Options) *Server {
 	}
 	if opt.Stores == nil {
 		// Dir == "" cannot fail: no directory is scanned.
-		opt.Stores, _ = shard.OpenSet(store.Options{}, opt.Shards)
+		opt.Stores, _ = store.OpenSet(store.Options{})
 	}
 	s := &Server{
 		opt:    opt,
@@ -144,7 +140,7 @@ func New(opt Options) *Server {
 	// already claimed the name wins (the preload seeded it originally).
 	for name, d := range opt.Databases {
 		if s.stores.Get(name) == nil {
-			_ = s.stores.Adopt(shard.NewShardedFromStores(name, []*store.Store{store.NewMem(name, d)}))
+			_ = s.stores.Adopt(store.NewMem(name, d))
 		}
 	}
 	for _, name := range s.stores.Names() {
@@ -225,15 +221,15 @@ func New(opt Options) *Server {
 	return s
 }
 
-// attach wires one sharded store into the server: its batches carry or
-// invalidate the engine's cached results and reach its watches (the
-// hook runs under the facade's write lock, so ApplyChange sees global
-// versions in order) and feed the store metrics. Each effective
-// mutation is one WAL record on its owner shard.
-func (s *Server) attach(name string, sh *shard.Sharded) {
-	s.reg.Gauge("snapshot_version").Max(int64(sh.Version()))
-	sh.SetOnApply(func(c store.Change, prev, cur *shard.View) {
-		s.eng.ApplyChange(name, c, prev, cur)
+// attach wires one store into the server: its writes carry or
+// invalidate the engine's cached results and reach its watches (the hook
+// runs under the store's writer lock, after publication, so ApplyChange
+// sees versions in order and the snapshot it is handed is the write's)
+// and feed the store metrics. Each effective mutation is one WAL record.
+func (s *Server) attach(name string, st *store.Store) {
+	s.reg.Gauge("snapshot_version").Max(int64(st.Version()))
+	st.SetOnApply(func(c store.Change) {
+		s.eng.ApplyChange(name, c, st.Snapshot())
 		s.reg.Counter("wal_records").Add(uint64(c.Applied))
 		s.reg.Gauge("snapshot_version").Max(int64(c.Version))
 	})
@@ -247,9 +243,6 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Engine exposes the serving engine (for stats and shutdown).
 func (s *Server) Engine() *engine.Engine { return s.eng }
-
-// Stores exposes the sharded store set (for follower wiring).
-func (s *Server) Stores() *shard.Set { return s.stores }
 
 // role names the serving role for /v1/shards.
 func (s *Server) role() string {

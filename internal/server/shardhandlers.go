@@ -11,77 +11,60 @@ import (
 	"cqa/internal/store"
 )
 
-// Shard-aware operational endpoints: topology and per-shard stats
-// (GET /v1/shards), the facts export a router merges for cross-shard
-// joins (GET /v1/db/facts), and the WAL stream follower replicas tail
-// (GET /v1/wal/stream). See docs/SHARDING.md.
+// Operational endpoints a router and a follower consume: store topology
+// and stats (GET /v1/shards), the facts export a router merges for
+// cross-shard joins (GET /v1/db/facts), and the WAL stream follower
+// replicas tail (GET /v1/wal/stream). A cqad keeps one store per
+// database, so each database reports one shard. See docs/SHARDING.md.
 
 // handleShards answers GET /v1/shards with the serving role and the
-// shard topology of every database.
+// store of every database.
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	resp := ShardsResponse{Role: s.role(), DefaultShards: s.stores.ShardCount()}
+	resp := ShardsResponse{Role: s.role(), DefaultShards: 1}
 	for _, name := range s.stores.Names() {
-		sh := s.stores.Get(name)
-		if sh == nil {
+		st := s.stores.Get(name)
+		if st == nil {
 			continue
 		}
-		view := sh.View()
-		d := DBShards{
+		snap, stats := st.Snapshot(), st.Stats()
+		resp.Databases = append(resp.Databases, DBShards{
 			Name:    name,
-			Shards:  sh.NumShards(),
-			Version: view.Version(),
-			Durable: sh.Durable(),
-		}
-		for i, st := range sh.Stats() {
-			d.PerShard = append(d.PerShard, ShardInfo{
-				Index:             i,
-				Version:           st.Version,
-				Facts:             view.Shard(i).Size(),
-				WALRecords:        st.WALRecords,
-				SegmentRecords:    st.SegmentRecords,
-				TailRecords:       st.TailRecords,
-				TailFloor:         st.TailFloor,
-				Followers:         st.Followers,
-				CheckpointVersion: st.CheckpointVersion,
-				Checkpoints:       st.Checkpoints,
-			})
-		}
-		resp.Databases = append(resp.Databases, d)
+			Shards:  1,
+			Version: snap.Version,
+			Durable: st.Durable(),
+			PerShard: []ShardInfo{{
+				Version:           stats.Version,
+				Facts:             snap.DB.Size(),
+				WALRecords:        stats.WALRecords,
+				SegmentRecords:    stats.SegmentRecords,
+				TailRecords:       stats.TailRecords,
+				TailFloor:         stats.TailFloor,
+				Followers:         stats.Followers,
+				CheckpointVersion: stats.CheckpointVersion,
+				Checkpoints:       stats.Checkpoints,
+			}},
+		})
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleDBFacts answers GET /v1/db/facts?db=<name>[&shard=<i>]
-// [&block=<json>…]: the named database's facts (one shard's slice, or
-// the whole union) in the cqa database syntax, with every relation
-// signature alongside, at one consistent version. Each block parameter
-// is a JSON array naming one block — the relation, then its key values
-// — and restricts the export to the named blocks: what a router fetches
+// handleDBFacts answers GET /v1/db/facts?db=<name>[&block=<json>…]: the
+// named database's facts in the cqa database syntax, with every
+// relation signature alongside, at one version. Each block parameter is
+// a JSON array naming one block — the relation, then its key values —
+// and restricts the export to the named blocks: what a router fetches
 // for a join whose keys are all ground. The signatures stay complete,
 // so negated atoms over relations with no exported fact still resolve.
 func (s *Server) handleDBFacts(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("db")
-	sh := s.stores.Get(name)
-	if sh == nil {
+	st := s.stores.Get(name)
+	if st == nil {
 		s.writeError(w, http.StatusNotFound, "unknown_database",
 			fmt.Sprintf("no database named %q", name))
 		return
 	}
-	view := sh.View()
-	shardIdx := -1
-	if v := r.URL.Query().Get("shard"); v != "" {
-		i, err := strconv.Atoi(v)
-		if err != nil || i < 0 || i >= view.NumShards() {
-			s.writeError(w, http.StatusBadRequest, "bad_shard",
-				fmt.Sprintf("shard must be in [0, %d)", view.NumShards()))
-			return
-		}
-		shardIdx = i
-	}
-	d := view.Union()
-	if shardIdx >= 0 {
-		d = view.Shard(shardIdx)
-	}
+	snap := st.Snapshot()
+	d := snap.DB
 	if specs := r.URL.Query()["block"]; len(specs) > 0 {
 		var err error
 		if d, err = pickBlocks(d, specs); err != nil {
@@ -96,16 +79,14 @@ func (s *Server) handleDBFacts(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := FactsResponse{
 		Database:  name,
-		Shard:     shardIdx,
-		Shards:    view.NumShards(),
-		Version:   view.Version(),
+		Shard:     -1,
+		Shards:    1,
+		Version:   snap.Version,
 		Relations: make([]RelSig, 0, 4),
 		Facts:     facts,
 	}
-	// Declares are broadcast, so shard 0 knows every signature — even
-	// relations with no facts on the exported shard.
-	for _, rel := range view.Shard(0).RelationNames() {
-		rr := view.Shard(0).Relation(rel)
+	for _, rel := range snap.DB.RelationNames() {
+		rr := snap.DB.Relation(rel)
 		resp.Relations = append(resp.Relations, RelSig{Name: rel, Arity: rr.Arity, Key: rr.Key})
 	}
 	s.writeJSON(w, http.StatusOK, resp)
@@ -136,29 +117,19 @@ func pickBlocks(d *db.Database, specs []string) (*db.Database, error) {
 	return out, nil
 }
 
-// handleWALStream answers GET /v1/wal/stream?db=<name>&shard=<i>
-// [&from=<version>][&follow=1][&follower=<id>]: the store's catch-up
-// stream (snapshot bootstrap or tail resume; see internal/store
-// ServeStream). With follow=1 the response never ends on its own — the
-// handler is registered outside the admission middleware, so a tailing
-// replica occupies no admission slot and hits no request timeout.
+// handleWALStream answers GET /v1/wal/stream?db=<name>[&from=<version>]
+// [&follow=1][&follower=<id>]: the store's catch-up stream (snapshot
+// bootstrap or tail resume; see internal/store ServeStream). With
+// follow=1 the response never ends on its own — the handler is
+// registered outside the admission middleware, so a tailing replica
+// occupies no admission slot and hits no request timeout.
 func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	sh := s.stores.Get(q.Get("db"))
-	if sh == nil {
+	st := s.stores.Get(q.Get("db"))
+	if st == nil {
 		s.writeError(w, http.StatusNotFound, "unknown_database",
 			fmt.Sprintf("no database named %q", q.Get("db")))
 		return
-	}
-	shardIdx := 0
-	if v := q.Get("shard"); v != "" {
-		i, err := strconv.Atoi(v)
-		if err != nil || i < 0 || i >= sh.NumShards() {
-			s.writeError(w, http.StatusBadRequest, "bad_shard",
-				fmt.Sprintf("shard must be in [0, %d)", sh.NumShards()))
-			return
-		}
-		shardIdx = i
 	}
 	var from uint64
 	if v := q.Get("from"); v != "" {
@@ -182,5 +153,5 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	// Past this point the stream owns the connection: errors can only
 	// end it, not change the status.
-	_ = sh.Shard(shardIdx).ServeStream(w, o)
+	_ = st.ServeStream(w, o)
 }

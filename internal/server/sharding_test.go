@@ -27,17 +27,22 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// The full single-primary replication path over real HTTP: a 2-shard
-// primary, a Follower replicating both shard WAL streams, reads served
-// read-only from the replica views, and result-cache invalidation
-// riding the stream.
+// The full single-primary replication path over real HTTP: a primary,
+// a Follower replicating its WAL stream, reads served read-only from the
+// replica snapshots, and result-cache invalidation riding the stream. A
+// create declaring two relations is one write: it acks version 1, and
+// the follower reaches that same version.
 func TestFollowerReplicatesOverHTTP(t *testing.T) {
-	set, err := shard.OpenSet(store.Options{}, 2)
+	set, err := store.OpenSet(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, pts := newTestServer(t, Options{Stores: set, Databases: map[string]*db.Database{}})
-	mustCreate(t, pts.URL, DBCreateRequest{Name: "d", Facts: "R(k1 | a)\nR(k2 | b)\nR(k3 | c)\n"})
+	resp := postJSON(t, pts.URL+"/v1/db/create", DBCreateRequest{Name: "d",
+		Facts: "R(k1 | a)\nR(k2 | b)\nR(k3 | c)\n", Declare: []RelSig{{Name: "S", Arity: 2, Key: 1}}})
+	if ack := decodeBody[DBWriteResponse](t, resp); resp.StatusCode != http.StatusOK || ack.Version != 1 {
+		t.Fatalf("create: status %d, ack %+v, want version 1", resp.StatusCode, ack)
+	}
 
 	fsrv := New(Options{Engine: engine.New(engine.Options{}), ReadOnly: true})
 	fts := httptest.NewServer(fsrv.Handler())
@@ -56,9 +61,12 @@ func TestFollowerReplicatesOverHTTP(t *testing.T) {
 		return f.Versions()["d"] == primaryVersion()
 	}
 	waitFor(t, 5*time.Second, "initial catch-up", caughtUp)
+	if v := f.Versions()["d"]; v != 1 {
+		t.Fatalf("follower caught up at version %d, want the create's 1", v)
+	}
 
 	// The follower serves the replicated database read-only.
-	resp := postJSON(t, fts.URL+"/v1/certain", CertainRequest{Query: "R(x | y)", Database: "d"})
+	resp = postJSON(t, fts.URL+"/v1/certain", CertainRequest{Query: "R(x | y)", Database: "d"})
 	ans := decodeBody[CertainResponse](t, resp)
 	if !ans.Certain {
 		t.Fatalf("follower answer: %+v", ans)
@@ -88,19 +96,15 @@ func TestFollowerReplicatesOverHTTP(t *testing.T) {
 		t.Fatalf("follower answered at version %d, primary at %d", ans.Version, primaryVersion())
 	}
 
-	// Per-shard follower registration shows up in the primary's stats.
+	// The follower's registration shows up in the primary's stats.
 	sresp, err := http.Get(pts.URL + "/v1/shards")
 	if err != nil {
 		t.Fatal(err)
 	}
 	topo := decodeBody[ShardsResponse](t, sresp)
-	if topo.Role != "primary" || len(topo.Databases) != 1 || topo.Databases[0].Shards != 2 {
+	if topo.Role != "primary" || len(topo.Databases) != 1 || topo.Databases[0].Shards != 1 ||
+		len(topo.Databases[0].PerShard) != 1 || topo.Databases[0].PerShard[0].Followers != 1 {
 		t.Fatalf("primary topology: %+v", topo)
-	}
-	for _, si := range topo.Databases[0].PerShard {
-		if si.Followers != 1 {
-			t.Fatalf("shard %d reports %d followers, want 1", si.Index, si.Followers)
-		}
 	}
 }
 

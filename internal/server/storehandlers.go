@@ -5,17 +5,16 @@ import (
 	"fmt"
 	"net/http"
 
+	"cqa/internal/db"
 	"cqa/internal/obs"
 	"cqa/internal/parse"
 	"cqa/internal/store"
 )
 
-// The mutable-database API: named databases live in sharded versioned
-// stores (internal/shard over internal/store) — a write facade routes
-// every fact to its block's owner shard, writers bump a global version,
-// readers answer on immutable cross-shard views, and every write flows
-// through the owner shard's WAL when the daemon runs with a data
-// directory. See docs/STORE.md and docs/SHARDING.md.
+// The mutable-database API: each named database is one versioned store
+// (internal/store). Writers bump its version, readers answer on its
+// immutable snapshots, and every write flows through its WAL when the
+// daemon runs with a data directory. See docs/STORE.md.
 
 // denyReadOnly rejects mutating requests on a follower. It reports true
 // when the request was handled (rejected).
@@ -28,24 +27,48 @@ func (s *Server) denyReadOnly(w http.ResponseWriter) bool {
 	return true
 }
 
-// applyDeclares registers the request's explicit relation signatures on
-// every shard before any facts apply — the way a router broadcasts a
-// schema so relations empty on some shard are still declared there
-// (negated atoms need the empty relation to exist).
-func applyDeclares(sh interface {
-	Declare(rel string, arity, key int) (store.Change, error)
-}, decls []RelSig) error {
-	for _, d := range decls {
-		if _, err := sh.Declare(d.Name, d.Arity, d.Key); err != nil {
-			return err
+// parseWrite parses a write request's facts and folds its explicit
+// relation signatures into the relations it declares: every relation of
+// the facts plus the declare list for a create or insert, the declare
+// list alone for a delete. A router sends every shard the whole batch's
+// signatures, so relations empty on some shard are still declared there
+// (negated atoms need the empty relation to exist). The request is
+// validated whole here, before any store is created or written, and is
+// then applied as one store batch, so a rejected write changes nothing.
+// On failure parseWrite answers the request and returns false.
+func (s *Server) parseWrite(w http.ResponseWriter, facts string, declare []RelSig, del bool) (decls, batch *db.Database, ok bool) {
+	batch, err := parse.Database(facts)
+	if err != nil {
+		s.writeError(w, http.StatusUnprocessableEntity, "bad_facts", err.Error())
+		return nil, nil, false
+	}
+	decls = batch
+	if del {
+		decls = db.New()
+	}
+	for _, d := range declare {
+		if err := decls.DeclareRelation(d.Name, d.Arity, d.Key); err != nil {
+			s.writeError(w, http.StatusUnprocessableEntity, "bad_declare", err.Error())
+			return nil, nil, false
 		}
 	}
-	return nil
+	return decls, batch, true
 }
 
-// handleDBCreate answers POST /v1/db/create: a new named sharded store,
-// durable when the server's set has a data directory, optionally seeded
-// with inline facts and explicit declarations.
+// writeDB applies one parsed write to st under a wal-append span.
+func writeDB(r *http.Request, st *store.Store, decls, batch *db.Database, del bool) (store.Change, error) {
+	sp := obs.FromContext(r.Context()).StartSpan("wal-append")
+	defer sp.End()
+	c, err := st.WriteDB(decls, batch, del)
+	if err != nil {
+		sp.Fail(err)
+	}
+	return c, err
+}
+
+// handleDBCreate answers POST /v1/db/create: a new named store, durable
+// when the server's set has a data directory, seeded with inline facts
+// and explicit declarations in one batch — one version.
 func (s *Server) handleDBCreate(w http.ResponseWriter, r *http.Request) {
 	if s.denyReadOnly(w) {
 		return
@@ -59,13 +82,11 @@ func (s *Server) handleDBCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "missing_name", "request lacks a database name")
 		return
 	}
-	// Parse before creating so a bad seed does not leave an empty store.
-	seed, err := parse.Database(req.Facts)
-	if err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, "bad_facts", err.Error())
+	decls, seed, ok := s.parseWrite(w, req.Facts, req.Declare, false)
+	if !ok {
 		return
 	}
-	sh, err := s.stores.Create(req.Name)
+	st, err := s.stores.Create(req.Name)
 	switch {
 	case errors.Is(err, store.ErrExists):
 		s.writeError(w, http.StatusConflict, "database_exists",
@@ -75,31 +96,23 @@ func (s *Server) handleDBCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad_name", err.Error())
 		return
 	}
-	s.attach(req.Name, sh)
-	if err := applyDeclares(sh, req.Declare); err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, "bad_declare", err.Error())
-		return
-	}
-	wsp := obs.FromContext(r.Context()).StartSpan("wal-append")
-	if _, err := sh.ApplyDB(seed); err != nil {
-		wsp.Fail(err)
-		wsp.End()
+	s.attach(req.Name, st)
+	change, err := writeDB(r, st, decls, seed, false)
+	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "write_failed", err.Error())
 		return
 	}
-	wsp.End()
 	s.writeJSON(w, http.StatusOK, DBWriteResponse{
 		Database: req.Name,
-		Version:  sh.Version(),
+		Version:  change.Version,
 		Applied:  seed.Size(),
 	})
 }
 
 // handleDBWrite returns the handler for POST /v1/db/insert (del=false)
 // or /v1/db/delete (del=true): one atomic batch of facts applied to a
-// named database, each fact routed to its block's owner shard. The
-// whole batch is one global version bump; no-op facts (duplicate
-// inserts, absent deletes) are filtered and do not bump.
+// named database. The whole batch is one version bump; no-op facts
+// (duplicate inserts, absent deletes) are filtered and do not bump.
 func (s *Server) handleDBWrite(del bool) func(w http.ResponseWriter, r *http.Request) {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.denyReadOnly(w) {
@@ -114,38 +127,24 @@ func (s *Server) handleDBWrite(del bool) func(w http.ResponseWriter, r *http.Req
 			s.writeError(w, http.StatusBadRequest, "missing_database", "request lacks a database name")
 			return
 		}
-		sh := s.stores.Get(req.Database)
-		if sh == nil {
+		st := s.stores.Get(req.Database)
+		if st == nil {
 			s.writeError(w, http.StatusNotFound, "unknown_database",
 				fmt.Sprintf("no database named %q", req.Database))
 			return
 		}
-		batch, err := parse.Database(req.Facts)
-		if err != nil {
-			s.writeError(w, http.StatusUnprocessableEntity, "bad_facts", err.Error())
+		decls, batch, ok := s.parseWrite(w, req.Facts, req.Declare, del)
+		if !ok {
 			return
 		}
-		if err := applyDeclares(sh, req.Declare); err != nil {
-			s.writeError(w, http.StatusUnprocessableEntity, "bad_declare", err.Error())
-			return
-		}
-		wsp := obs.FromContext(r.Context()).StartSpan("wal-append")
-		var change store.Change
-		if del {
-			change, err = sh.DeleteDB(batch)
-		} else {
-			change, err = sh.ApplyDB(batch)
-		}
+		change, err := writeDB(r, st, decls, batch, del)
 		if err != nil {
-			wsp.Fail(err)
-			wsp.End()
 			s.writeError(w, http.StatusUnprocessableEntity, "write_failed", err.Error())
 			return
 		}
-		wsp.End()
 		s.writeJSON(w, http.StatusOK, DBWriteResponse{
 			Database: req.Database,
-			Version:  sh.Version(),
+			Version:  change.Version,
 			Applied:  change.Applied,
 			Touched:  change.Rels,
 		})
@@ -153,36 +152,29 @@ func (s *Server) handleDBWrite(del bool) func(w http.ResponseWriter, r *http.Req
 }
 
 // handleDBInfo answers GET /v1/db/info: every named database with its
-// global version, total size, relations, and aggregated durability
-// counters — all read from one consistent cross-shard view per
-// database. Per-shard detail lives in GET /v1/shards.
+// version, size, relations and durability counters, read from one
+// snapshot per database. Per-store detail lives in GET /v1/shards.
 func (s *Server) handleDBInfo(w http.ResponseWriter, r *http.Request) {
 	names := s.stores.Names()
 	resp := DBInfoResponse{Databases: make([]DBInfo, 0, len(names))}
 	for _, name := range names {
-		sh := s.stores.Get(name)
-		if sh == nil { // deleted between Names and Get; nothing to report
+		st := s.stores.Get(name)
+		if st == nil { // deleted between Names and Get; nothing to report
 			continue
 		}
-		view := sh.View()
-		info := DBInfo{
-			Name:    name,
-			Version: view.Version(),
-			Shards:  sh.NumShards(),
-			// Declares are broadcast, so shard 0 knows every relation.
-			Relations: view.Shard(0).RelationNames(),
-			Durable:   sh.Durable(),
-		}
-		for i := 0; i < view.NumShards(); i++ {
-			info.Facts += view.Shard(i).Size()
-		}
-		for _, st := range sh.Stats() {
-			info.WALRecords += st.WALRecords
-			info.SegmentRecords += st.SegmentRecords
-			info.CheckpointVersion += st.CheckpointVersion
-			info.Checkpoints += st.Checkpoints
-		}
-		resp.Databases = append(resp.Databases, info)
+		snap, stats := st.Snapshot(), st.Stats()
+		resp.Databases = append(resp.Databases, DBInfo{
+			Name:              name,
+			Version:           snap.Version,
+			Shards:            1,
+			Facts:             snap.DB.Size(),
+			Relations:         snap.DB.RelationNames(),
+			Durable:           st.Durable(),
+			WALRecords:        stats.WALRecords,
+			SegmentRecords:    stats.SegmentRecords,
+			CheckpointVersion: stats.CheckpointVersion,
+			Checkpoints:       stats.Checkpoints,
+		})
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"cqa/internal/shard"
@@ -177,7 +178,7 @@ func TestResultCacheCarryOverHTTP(t *testing.T) {
 // restart of the whole stack.
 func TestDurableStoresSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	set, err := shard.OpenSet(store.Options{Dir: dir, Sync: false}, 2)
+	set, err := store.OpenSet(store.Options{Dir: dir, Sync: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestDurableStoresSurviveRestart(t *testing.T) {
 		t.Fatal("no k.wal/k.snap files on disk after close")
 	}
 
-	set2, err := shard.OpenSet(store.Options{Dir: dir}, 2)
+	set2, err := store.OpenSet(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +244,81 @@ func TestDurableStoresSurviveRestart(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("database k not listed after restart")
+	}
+}
+
+// A create whose declare list is invalid is refused whole: no database
+// is left behind, so a valid retry under the same name succeeds.
+func TestRejectedCreateLeavesNothing(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	resp := postJSON(t, ts.URL+"/v1/db/create", DBCreateRequest{Name: "d", Facts: "R(a | 1)",
+		Declare: []RelSig{{Name: "S", Arity: 0, Key: 0}}})
+	if body := decodeBody[ErrorBody](t, resp); resp.StatusCode != http.StatusUnprocessableEntity || body.Error.Code != "bad_declare" {
+		t.Fatalf("invalid declare: status %d, %+v; want 422 bad_declare", resp.StatusCode, body.Error)
+	}
+	resp = postJSON(t, ts.URL+"/v1/db/create", DBCreateRequest{Name: "d", Facts: "R(a | 1)"})
+	if ack := decodeBody[DBWriteResponse](t, resp); resp.StatusCode != http.StatusOK || ack.Version != 1 {
+		t.Fatalf("valid retry: status %d, %+v; want 200 at version 1", resp.StatusCode, ack)
+	}
+}
+
+// An insert whose declare list holds a valid and an invalid signature
+// is refused whole: the valid relation is not declared and the version
+// does not move.
+func TestRejectedInsertChangesNothing(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	mustCreate(t, ts.URL, DBCreateRequest{Name: "d", Facts: "R(a | 1)"})
+	postJSON(t, ts.URL+"/v1/db/insert", DBWriteRequest{Database: "d", Facts: "R(b | 2)"}).Body.Close()
+	info := func() DBInfo {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/db/info")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range decodeBody[DBInfoResponse](t, resp).Databases {
+			if d.Name == "d" {
+				return d
+			}
+		}
+		t.Fatal("database d not listed")
+		return DBInfo{}
+	}
+	before := info()
+	resp := postJSON(t, ts.URL+"/v1/db/insert", DBWriteRequest{Database: "d", Facts: "R(c | 3)",
+		Declare: []RelSig{{Name: "S", Arity: 2, Key: 1}, {Name: "T", Arity: 0, Key: 0}}})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("invalid declare: status %d, want 422", resp.StatusCode)
+	}
+	resp.Body.Close()
+	// A declaration that clashes with the stored relation is refused too.
+	resp = postJSON(t, ts.URL+"/v1/db/insert", DBWriteRequest{Database: "d", Facts: "S(c | 3)",
+		Declare: []RelSig{{Name: "S", Arity: 2, Key: 1}, {Name: "R", Arity: 3, Key: 1}}})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("clashing declare: status %d, want 422", resp.StatusCode)
+	}
+	resp.Body.Close()
+	if after := info(); after.Version != before.Version || after.Facts != before.Facts || len(after.Relations) != 1 {
+		t.Fatalf("rejected inserts changed the database: %+v → %+v", before, after)
+	}
+}
+
+// A cqad keeps one store per database: the explain of a named read
+// reports the single-shard plan over shard 0, and an inline read none.
+func TestShardPlanSingleShard(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	mustCreate(t, ts.URL, DBCreateRequest{Name: "d", Facts: "R(a | 1)"})
+	for _, req := range []CertainRequest{
+		{Query: "R(x | y), !S(y | x)", Database: "d", Explain: true},
+		{Query: "R(x | y), !S(y | x)", Facts: "R(a | 1)", Explain: true},
+	} {
+		ans := decodeBody[CertainResponse](t, postJSON(t, ts.URL+"/v1/certain", req))
+		want, shards := shard.PlanSingle, []int{0}
+		if req.Database == "" {
+			want, shards = "", nil
+		}
+		if ans.Explain == nil || ans.Explain.ShardPlan != want || !reflect.DeepEqual(ans.Explain.Shards, shards) {
+			t.Errorf("db %q: explain %+v, want plan %q over %v", req.Database, ans.Explain, want, shards)
+		}
 	}
 }
 

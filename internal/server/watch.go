@@ -34,8 +34,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "missing_query", "request lacks a query")
 		return
 	}
-	sh := s.stores.Get(req.Database)
-	if sh == nil {
+	st := s.stores.Get(req.Database)
+	if st == nil {
 		s.writeError(w, http.StatusNotFound, "unknown_database",
 			fmt.Sprintf("no database named %q", req.Database))
 		return
@@ -45,9 +45,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusUnprocessableEntity, "bad_query", err.Error())
 		return
 	}
-	view := sh.View()
-	watch, state, err := s.eng.RegisterWatch(q, req.Database,
-		delta.Snapshot{DB: view.Union(), Version: view.Version()})
+	watch, state, err := s.eng.RegisterWatch(q, req.Database, st.Snapshot())
 	if err != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, "watch_failed", err.Error())
 		return

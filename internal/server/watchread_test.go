@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"cqa/internal/delta"
 	"cqa/internal/naive"
 	"cqa/internal/parse"
 )
@@ -19,8 +18,7 @@ func TestWatchedReadIsHit(t *testing.T) {
 	mustCreate(t, ts.URL, DBCreateRequest{Name: "d", Facts: "R(a | b)\nS(b | c)\n"})
 	const src = "R(x | y), S(y | z)"
 	q := parse.MustQuery(src)
-	view := s.stores.Get("d").View()
-	w, state, err := s.Engine().RegisterWatch(q, "d", delta.Snapshot{DB: view.Union(), Version: view.Version()})
+	w, state, err := s.Engine().RegisterWatch(q, "d", s.stores.Get("d").Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +38,7 @@ func TestWatchedReadIsHit(t *testing.T) {
 	if ans.Version != wr.Version || ans.Explain == nil || ans.Explain.ResultCache != "hit" {
 		t.Fatalf("read at v%d after the write: %+v", wr.Version, ans)
 	}
-	if want := naive.IsCertain(q, s.stores.Get("d").View().Union()); ans.Certain != want {
+	if want := naive.IsCertain(q, s.stores.Get("d").Snapshot().DB); ans.Certain != want {
 		t.Fatalf("served %v, repair enumeration %v", ans.Certain, want)
 	}
 }

@@ -1,6 +1,6 @@
-// Package shard partitions a versioned fact store into N shard stores
-// by block key. The key-equal block is the paper's unit of
-// inconsistency: every repair of a database chooses exactly one fact
+// Package shard partitions a database into N shards by block key, for
+// the router tier (cqad -route). The key-equal block is the paper's unit
+// of inconsistency: every repair of a database chooses exactly one fact
 // per block, independently across blocks, so any partition that keeps
 // blocks whole preserves the repair structure — shard i's repairs are
 // exactly the restrictions of the full database's repairs to shard i's
@@ -13,21 +13,20 @@
 // relation name, so same-key blocks of different relations co-locate
 // (the placement property PlanFor's co-keyed rule rests on).
 //
-// A Sharded store serializes writes across its shards and publishes a
-// combined View (per-shard snapshots plus a global version, the sum of
-// shard versions) atomically at batch boundaries, so readers never
-// observe a half-applied cross-shard batch even though the underlying
-// shard WALs commit independently.
+// Owner places blocks and PlanFor decides which shards a query's
+// answer depends on; the router consumes both. Sharded, N memory stores
+// behind one write facade, exists only for the in-process timing of the
+// cross-shard union (View.Union).
 package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"cqa/internal/db"
-	"cqa/internal/schema"
 	"cqa/internal/store"
 )
 
@@ -61,48 +60,21 @@ func Owner(rel string, key []string, n int) int {
 	return int(h % uint64(n))
 }
 
-// HashFunc routes a block to a shard; nil means Owner. Tests override
-// it on a Sharded to force adversarial placements.
+// HashFunc routes a block to a shard; nil means Owner. Tests pass
+// adversarial placements to PlanFor.
 type HashFunc func(rel string, key []string, n int) int
 
 // View is one consistent cross-shard read view: per-shard snapshots
-// taken under the write lock, plus the global version (the sum of
-// shard versions — monotone, and recoverable after restart from the
-// shard WALs alone).
+// taken under the write lock.
 type View struct {
-	snaps   []store.Snapshot
-	version uint64
-	hash    HashFunc
+	snaps []store.Snapshot
 
 	unionOnce sync.Once
 	union     *db.Database
 }
 
-// ViewOf is the one-shard view of d at version 0: what an inline
-// database, which no store holds, is read through.
-func ViewOf(d *db.Database) *View {
-	return &View{snaps: []store.Snapshot{{DB: d}}}
-}
-
-// Plan plans q under the placement this view was built with, so reads
-// follow whatever placement wrote the data.
-func (v *View) Plan(q schema.Query) Plan { return PlanFor(q, len(v.snaps), v.hash) }
-
-// NumShards returns the shard count.
-func (v *View) NumShards() int { return len(v.snaps) }
-
-// Shard returns shard i's database.
-func (v *View) Shard(i int) *db.Database { return v.snaps[i].DB }
-
-// ShardVersion returns shard i's store version.
-func (v *View) ShardVersion(i int) uint64 { return v.snaps[i].Version }
-
-// Version returns the global version.
-func (v *View) Version() uint64 { return v.version }
-
 // Union returns the merged database — every shard's facts in one view,
-// built on first use and memoized for the View's lifetime. Union
-// plans evaluate here; scatter plans never need it.
+// built on first use and memoized for the View's lifetime.
 func (v *View) Union() *db.Database {
 	v.unionOnce.Do(func() {
 		if len(v.snaps) == 1 {
@@ -129,28 +101,23 @@ func (v *View) Union() *db.Database {
 
 // Sharded is N shard stores behind one write facade.
 type Sharded struct {
-	name   string
 	shards []*store.Store
-	hash   HashFunc
 
-	mu      sync.Mutex // serializes writes and view publication
-	onApply func(c store.Change, prev, cur *View)
-	closed  bool
+	mu     sync.Mutex // serializes writes and view publication
+	closed bool
 
 	cur atomic.Pointer[View]
 }
 
-// NewSharded opens (or creates) an n-shard store named name. Shard i's
-// store is "<name>.s<i>" under opt — durable when opt.Dir is set. With
-// n == 1 the single shard uses the plain name, so a pre-sharding data
-// directory keeps working.
+// NewSharded opens an n-shard store named name; shard i's store is
+// "<name>.s<i>" under opt.
 func NewSharded(name string, n int, opt store.Options) (*Sharded, error) {
 	if n <= 0 {
 		n = 1
 	}
-	s := &Sharded{name: name}
+	s := &Sharded{}
 	for i := 0; i < n; i++ {
-		st, err := store.Open(shardStoreName(name, i, n), opt)
+		st, err := store.Open(fmt.Sprintf("%s.s%d", name, i), opt)
 		if err != nil {
 			for _, prev := range s.shards {
 				prev.Close()
@@ -163,103 +130,17 @@ func NewSharded(name string, n int, opt store.Options) (*Sharded, error) {
 	return s, nil
 }
 
-// NewShardedFromStores wraps existing stores (typically follower
-// replicas, or a single adopted memory store) without opening anything.
-func NewShardedFromStores(name string, stores []*store.Store) *Sharded {
-	s := &Sharded{name: name, shards: stores}
-	s.publishLocked()
-	return s
-}
-
-// shardStoreName names shard i's underlying store.
-func shardStoreName(name string, i, n int) string {
-	if n == 1 {
-		return name
-	}
-	return fmt.Sprintf("%s.s%d", name, i)
-}
-
-// SetHash overrides block routing — test hook for adversarial
-// placements. Must be called before any facts are written.
-func (s *Sharded) SetHash(h HashFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hash = h
-}
-
-// Name returns the logical database name.
-func (s *Sharded) Name() string { return s.name }
-
-// NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Shard returns shard i's underlying store — the streaming and
-// stats surface; mutations must go through the Sharded facade.
-func (s *Sharded) Shard(i int) *store.Store { return s.shards[i] }
-
-// Stores returns the underlying shard stores in order.
-func (s *Sharded) Stores() []*store.Store { return s.shards }
-
 // View returns the current consistent cross-shard view with one atomic
 // load.
 func (s *Sharded) View() *View { return s.cur.Load() }
 
-// Version returns the current global version.
-func (s *Sharded) Version() uint64 { return s.cur.Load().version }
-
-// Durable reports whether the shards persist writes.
-func (s *Sharded) Durable() bool {
-	return len(s.shards) > 0 && s.shards[0].Durable()
-}
-
-// SetOnApply registers fn to run once per batch that changed anything,
-// after view publication and while the write lock is held — batches are
-// observed in global-version order. prev and cur are the views before
-// and after the batch; they differ in exactly c.Blocks. A batch that
-// failed on one shard after others applied their slice is reported too,
-// with what did apply: cur is what readers see from then on.
-func (s *Sharded) SetOnApply(fn func(c store.Change, prev, cur *View)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onApply = fn
-}
-
 // publishLocked snapshots every shard and installs the combined view.
-func (s *Sharded) publishLocked() *View {
-	v := &View{snaps: make([]store.Snapshot, len(s.shards)), hash: s.hash}
+func (s *Sharded) publishLocked() {
+	v := &View{snaps: make([]store.Snapshot, len(s.shards))}
 	for i, st := range s.shards {
 		v.snaps[i] = st.Snapshot()
-		v.version += v.snaps[i].Version
 	}
 	s.cur.Store(v)
-	return v
-}
-
-// Refresh re-snapshots the shards and publishes a fresh view. The
-// follower path calls this after a replica reset, which lands outside
-// the Sharded facade.
-func (s *Sharded) Refresh() *View {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.publishLocked()
-}
-
-// RefreshShard re-snapshots shard i alone and publishes the result,
-// returning the views before and after. The follower path calls it from
-// shard i's batch hook, which runs before that replica moves on: the two
-// views then differ by exactly the hooked batch, even while a sibling
-// replica has committed a batch whose own hook is still to run.
-func (s *Sharded) RefreshShard(i int) (prev, cur *View) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev = s.cur.Load()
-	cur = &View{snaps: append([]store.Snapshot(nil), prev.snaps...), hash: s.hash}
-	cur.snaps[i] = s.shards[i].Snapshot()
-	for _, sn := range cur.snaps {
-		cur.version += sn.Version
-	}
-	s.cur.Store(cur)
-	return prev, cur
 }
 
 // shardOps is one shard's slice of a logical batch.
@@ -272,38 +153,6 @@ type shardOps struct {
 type decl struct {
 	rel        string
 	arity, key int
-}
-
-// Declare registers a relation on every shard (any shard may hold any
-// of its blocks).
-func (s *Sharded) Declare(rel string, arity, key int) (store.Change, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return store.Change{}, store.ErrClosed
-	}
-	if err := checkDecl(s.cur.Load(), decl{rel, arity, key}); err != nil {
-		return store.Change{}, err
-	}
-	per := make([]shardOps, len(s.shards))
-	for i := range per {
-		per[i].declares = append(per[i].declares, decl{rel, arity, key})
-	}
-	return s.applyBatchLocked(per)
-}
-
-// checkDecl validates a declaration against the published view before
-// any shard applies it, so a bad batch fails whole rather than leaving
-// shards disagreeing.
-func checkDecl(v *View, d decl) error {
-	if d.arity <= 0 || d.key <= 0 || d.key > d.arity {
-		return fmt.Errorf("shard: invalid signature [%d, %d] for %s", d.arity, d.key, d.rel)
-	}
-	if r := v.snaps[0].DB.Relation(d.rel); r != nil && (r.Arity != d.arity || r.Key != d.key) {
-		return fmt.Errorf("shard: relation %s already declared with signature [%d, %d]",
-			d.rel, r.Arity, r.Key)
-	}
-	return nil
 }
 
 // route picks the owner shard for fact f, resolving the key prefix
@@ -323,10 +172,7 @@ func (s *Sharded) route(f db.Fact, v *View, staged map[string]decl) (int, error)
 		return 0, fmt.Errorf("shard: fact %s has %d args, relation has arity %d",
 			f.Rel, len(f.Args), arity)
 	}
-	if s.hash == nil {
-		return Owner(f.Rel, f.Args[:key], len(s.shards)), nil
-	}
-	return s.hash(f.Rel, f.Args[:key], len(s.shards)), nil
+	return Owner(f.Rel, f.Args[:key], len(s.shards)), nil
 }
 
 // Insert adds facts as one logical batch, each routed to its block's
@@ -353,17 +199,12 @@ func (s *Sharded) ApplyDB(src *db.Database) (store.Change, error) {
 	return s.applyFacts(ins, nil, staged)
 }
 
-// DeleteDB removes every fact of src as one logical batch.
-func (s *Sharded) DeleteDB(src *db.Database) (store.Change, error) {
-	var del []db.Fact
-	for _, name := range src.RelationNames() {
-		del = append(del, src.Facts(name)...)
-	}
-	return s.applyFacts(nil, del, nil)
-}
-
-// applyFacts partitions a batch by owner shard and applies it. staged
-// carries declarations that ride in the same batch (ApplyDB).
+// applyFacts partitions a batch by owner shard, applies each shard's
+// slice in shard order, stopping at the first error, and publishes one
+// combined view. staged carries declarations that ride in the same
+// batch (ApplyDB); they are checked against the view before any shard
+// applies anything. The change reports what the shards applied, at the
+// sum of their versions.
 func (s *Sharded) applyFacts(ins, del []db.Fact, staged map[string]decl) (store.Change, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -372,21 +213,18 @@ func (s *Sharded) applyFacts(ins, del []db.Fact, staged map[string]decl) (store.
 	}
 	v := s.cur.Load()
 	per := make([]shardOps, len(s.shards))
-	if staged != nil {
-		names := make([]string, 0, len(staged))
-		for n := range staged {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			if err := checkDecl(v, staged[n]); err != nil {
-				return store.Change{}, err
-			}
+	names := make([]string, 0, len(staged))
+	for n := range staged {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		d := staged[n]
+		if r := v.snaps[0].DB.Relation(n); r != nil && (r.Arity != d.arity || r.Key != d.key) {
+			return store.Change{}, fmt.Errorf("shard: relation %s already declared with signature [%d, %d]", n, r.Arity, r.Key)
 		}
 		for i := range per {
-			for _, n := range names {
-				per[i].declares = append(per[i].declares, staged[n])
-			}
+			per[i].declares = append(per[i].declares, d)
 		}
 	}
 	for _, f := range ins {
@@ -403,86 +241,51 @@ func (s *Sharded) applyFacts(ins, del []db.Fact, staged map[string]decl) (store.
 		}
 		per[i].deletes = append(per[i].deletes, f)
 	}
-	return s.applyBatchLocked(per)
-}
-
-// applyBatchLocked applies each shard's slice of the batch and
-// publishes one combined view. A multi-shard batch is not crash-atomic
-// across shard WALs (each shard commits its slice independently);
-// readers of the facade still never observe a partial batch, because
-// the view is published once, after every shard has applied.
-func (s *Sharded) applyBatchLocked(per []shardOps) (store.Change, error) {
-	prev := s.cur.Load()
 	var agg store.Change
-	relSet := make(map[string]bool)
-	err := s.applyShardsLocked(per, &agg, relSet)
-	v := s.publishLocked()
-	agg.Version = v.version
-	for r := range relSet {
-		agg.Rels = append(agg.Rels, r)
-	}
-	sort.Strings(agg.Rels)
-	if agg.Applied > 0 && s.onApply != nil {
-		s.onApply(agg, prev, v)
-	}
+	err := s.applyShards(per, &agg)
+	s.publishLocked()
 	if err != nil {
 		return store.Change{}, err
+	}
+	sort.Strings(agg.Rels)
+	agg.Rels = slices.Compact(agg.Rels)
+	for _, st := range s.shards {
+		agg.Version += st.Version()
 	}
 	return agg, nil
 }
 
-// applyShardsLocked applies each shard's slice in shard order, merging
-// the per-shard changes into agg, and stops at the first error.
-func (s *Sharded) applyShardsLocked(per []shardOps, agg *store.Change, relSet map[string]bool) error {
+// applyShards applies each shard's slice in shard order, adding what
+// took effect to agg, and stops at the first error.
+func (s *Sharded) applyShards(per []shardOps, agg *store.Change) error {
 	for i, ops := range per {
 		st := s.shards[i]
+		changes := make([]store.Change, 0, len(ops.declares)+2)
 		for _, d := range ops.declares {
 			ch, err := st.Declare(d.rel, d.arity, d.key)
 			if err != nil {
 				return err
 			}
-			mergeChange(agg, ch, relSet)
+			changes = append(changes, ch)
 		}
 		if len(ops.inserts) > 0 {
 			ch, err := st.Insert(ops.inserts...)
 			if err != nil {
 				return err
 			}
-			mergeChange(agg, ch, relSet)
+			changes = append(changes, ch)
 		}
 		if len(ops.deletes) > 0 {
 			ch, err := st.Delete(ops.deletes...)
 			if err != nil {
 				return err
 			}
-			mergeChange(agg, ch, relSet)
+			changes = append(changes, ch)
 		}
-	}
-	return nil
-}
-
-func mergeChange(agg *store.Change, ch store.Change, relSet map[string]bool) {
-	agg.Applied += ch.Applied
-	for _, r := range ch.Rels {
-		relSet[r] = true
-	}
-	agg.Blocks = append(agg.Blocks, ch.Blocks...)
-}
-
-// Stats returns per-shard store stats, in shard order.
-func (s *Sharded) Stats() []store.Stats {
-	out := make([]store.Stats, len(s.shards))
-	for i, st := range s.shards {
-		out[i] = st.Stats()
-	}
-	return out
-}
-
-// Checkpoint checkpoints every durable shard.
-func (s *Sharded) Checkpoint() error {
-	for _, st := range s.shards {
-		if err := st.Checkpoint(); err != nil {
-			return err
+		for _, ch := range changes {
+			agg.Applied += ch.Applied
+			agg.Rels = append(agg.Rels, ch.Rels...)
+			agg.Blocks = append(agg.Blocks, ch.Blocks...)
 		}
 	}
 	return nil

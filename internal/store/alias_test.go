@@ -85,7 +85,7 @@ func TestDictionaryDoesNotAliasRequests(t *testing.T) {
 	if !ok {
 		t.Fatal("inserted value has no id")
 	}
-	if _, err := s.DeleteDB(batch); err != nil {
+	if _, err := s.WriteDB(nil, batch, true); err != nil {
 		t.Fatal(err)
 	}
 	gone := s.Snapshot().DB.Interned()

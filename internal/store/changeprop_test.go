@@ -92,7 +92,7 @@ func TestChangeBlockCompleteness(t *testing.T) {
 					batch.MustInsert(f)
 				}
 			}
-			c, err = primary.DeleteDB(batch)
+			c, err = primary.WriteDB(nil, batch, true)
 		default: // single insert
 			c, err = primary.Insert(randFact())
 		}
@@ -156,7 +156,7 @@ func TestChangeBlockCompleteness(t *testing.T) {
 	}
 	replica := NewReplica("prop")
 	got := make(map[uint64]Change)
-	replica.SetOnBatch(func(c Change) { got[c.Version] = c })
+	replica.Store().SetOnApply(func(c Change) { got[c.Version] = c })
 	replica.SetOnReset(func(version uint64) {
 		t.Fatalf("replica reset at v%d: the stream should have been a pure tail", version)
 	})

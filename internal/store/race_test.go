@@ -7,7 +7,6 @@ import (
 
 	"cqa/internal/db"
 	"cqa/internal/parse"
-	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
@@ -88,13 +87,13 @@ func TestRaceSnapshotReadersVsWriter(t *testing.T) {
 // Concurrent writers through a Set: creates, adopts, and mutations from
 // many goroutines must be safe.
 func TestRaceSetConcurrentUse(t *testing.T) {
-	set, err := shard.OpenSet(store.Options{}, 1)
+	set, err := store.OpenSet(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer set.CloseAll()
 	seed := parse.MustDatabase("R(a | 1)")
-	if err := set.Adopt(shard.NewShardedFromStores("shared", []*store.Store{store.NewMem("shared", seed)})); err != nil {
+	if err := set.Adopt(store.NewMem("shared", seed)); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -109,13 +108,13 @@ func TestRaceSetConcurrentUse(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_ = st.View().Union().Size()
+				_ = st.Snapshot().DB.Size()
 				_ = set.Names()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := set.Get("shared").View().Union().Size(); got != 9 {
+	if got := set.Get("shared").Snapshot().DB.Size(); got != 9 {
 		t.Fatalf("final size = %d, want 9 (seed + 8 distinct values)", got)
 	}
 }

@@ -52,7 +52,6 @@ type Replica struct {
 	st *Store
 
 	mu      sync.Mutex // serializes ApplyStream
-	onBatch func(Change)
 	onReset func(version uint64)
 
 	batches atomic.Uint64
@@ -70,14 +69,6 @@ func (r *Replica) Store() *Store { return r.st }
 
 // Version returns the last committed replicated version.
 func (r *Replica) Version() uint64 { return r.st.Version() }
-
-// SetOnBatch registers fn to run after every committed batch, in
-// version order.
-func (r *Replica) SetOnBatch(fn func(Change)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.onBatch = fn
-}
 
 // SetOnReset registers fn to run after every snapshot-bootstrap reset.
 // Cached results derived from earlier versions of this replica must be
@@ -169,16 +160,12 @@ func (r *Replica) ApplyStream(src io.Reader) error {
 				return fmt.Errorf("store: commit marker for version %d closes batch at version %d",
 					rec.version, pendingV)
 			}
-			change, err := r.st.apply(pendingV, pending)
-			if err != nil {
+			if _, err := r.st.apply(pendingV, pending); err != nil {
 				return err
 			}
 			r.batches.Add(1)
 			r.records.Add(uint64(len(pending)))
 			pending, pendingV = nil, 0
-			if r.onBatch != nil {
-				r.onBatch(change)
-			}
 			continue
 		}
 		if rec.version <= r.st.Version() {

@@ -268,11 +268,6 @@ func Open(name string, opt Options) (*Store, error) {
 func (s *Store) walPath() string  { return filepath.Join(s.opt.Dir, s.name+".wal") }
 func (s *Store) snapPath() string { return filepath.Join(s.opt.Dir, s.name+".snap") }
 
-// ValidName reports whether name is acceptable as a store name —
-// filesystem- and URL-safe tokens only. Exported for the sharded set,
-// which must validate logical names before deriving shard store names.
-func ValidName(name string) error { return validName(name) }
-
 // validName restricts store names to filesystem- and URL-safe tokens.
 func validName(name string) error {
 	if name == "" || len(name) > 128 {
@@ -306,10 +301,13 @@ func (s *Store) Snapshot() Snapshot { return *s.cur.Load() }
 // Version returns the current published version.
 func (s *Store) Version() uint64 { return s.cur.Load().Version }
 
-// SetOnApply registers fn to run after every effective write, while the
-// writer lock is still held — callbacks therefore observe changes in
-// version order, which the engine's result-cache invalidation depends
-// on. fn must not call back into the store's mutation API.
+// SetOnApply registers fn to run after every published write — every
+// effective write, and every batch a Replica commits — after the
+// snapshot is published and while the writer lock is still held:
+// callbacks therefore observe changes in version order, and Snapshot
+// called from fn returns the write's own snapshot, which the engine's
+// result-cache maintenance depends on. fn must not call back into the
+// store's mutation API.
 func (s *Store) SetOnApply(fn func(Change)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -343,24 +341,28 @@ func (s *Store) Delete(facts ...db.Fact) (Change, error) {
 // atomic batch. It is the bridge from parsed fact text (parse.Database)
 // to store mutations.
 func (s *Store) ApplyDB(src *db.Database) (Change, error) {
-	var ops []walOp
-	for _, name := range src.RelationNames() {
-		r := src.Relation(name)
-		ops = append(ops, walOp{kind: opDeclare, rel: name, arity: r.Arity, key: r.Key})
-		for _, f := range src.Facts(name) {
-			ops = append(ops, walOp{kind: opInsert, rel: name, args: f.Args})
-		}
-	}
-	return s.apply(0, ops)
+	return s.WriteDB(src, src, false)
 }
 
-// DeleteDB removes every fact of src (declarations are ignored), as one
-// atomic batch.
-func (s *Store) DeleteDB(src *db.Database) (Change, error) {
+// WriteDB applies one atomic batch: it declares every relation of
+// decls, then inserts every fact of facts, or deletes them when del is
+// set. decls may be nil. Either every op is valid and the batch takes
+// one version, or nothing is applied.
+func (s *Store) WriteDB(decls, facts *db.Database, del bool) (Change, error) {
 	var ops []walOp
-	for _, name := range src.RelationNames() {
-		for _, f := range src.Facts(name) {
-			ops = append(ops, walOp{kind: opDelete, rel: name, args: f.Args})
+	if decls != nil {
+		for _, name := range decls.RelationNames() {
+			r := decls.Relation(name)
+			ops = append(ops, walOp{kind: opDeclare, rel: name, arity: r.Arity, key: r.Key})
+		}
+	}
+	kind := opInsert
+	if del {
+		kind = opDelete
+	}
+	for _, name := range facts.RelationNames() {
+		for _, f := range facts.Facts(name) {
+			ops = append(ops, walOp{kind: kind, rel: name, args: f.Args})
 		}
 	}
 	return s.apply(0, ops)

@@ -1,15 +1,17 @@
 package store_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cqa/internal/db"
 	"cqa/internal/parse"
-	"cqa/internal/shard"
 	"cqa/internal/store"
 )
 
@@ -122,6 +124,68 @@ func TestOnApplyOrderingAndContent(t *testing.T) {
 	}
 }
 
+// The hook reports what readers see: the snapshot read from inside it
+// is the write's own, at the change's version, and consecutive hook
+// snapshots differ in exactly the reported blocks — on a primary and on
+// a replica applying the primary's stream. The serving layer's
+// result-cache maintenance rests on this.
+func TestOnApplyViewsDifferByTheChange(t *testing.T) {
+	check := func(name string, st *store.Store) func() int {
+		prev := st.Snapshot()
+		calls := 0
+		st.SetOnApply(func(c store.Change) {
+			calls++
+			cur := st.Snapshot()
+			if cur.Version != c.Version {
+				t.Errorf("%s change v%d: hook snapshot at v%d", name, c.Version, cur.Version)
+			}
+			dirty := make(map[string]bool)
+			for _, b := range c.Blocks {
+				dirty[b.Rel+"|"+b.Key[0]] = true
+			}
+			for _, rel := range []string{"R", "S"} {
+				for k := 0; k < 6; k++ {
+					key := []string{fmt.Sprint("k", k)}
+					before, after := prev.DB.Block(rel, key), cur.DB.Block(rel, key)
+					if changed := fmt.Sprint(before) != fmt.Sprint(after); changed != dirty[rel+"|"+key[0]] {
+						t.Errorf("%s change v%d: block %s(%s) changed = %v, reported dirty = %v",
+							name, c.Version, rel, key[0], changed, dirty[rel+"|"+key[0]])
+					}
+				}
+			}
+			prev = cur
+		})
+		return func() int { return calls }
+	}
+	primary := store.NewMem("d", nil)
+	primaryCalls := check("primary", primary)
+	if _, err := primary.ApplyDB(parse.MustDatabase("R(k0 | a)\nR(k1 | a)\nS(k2 | a)\nS(k3 | a)")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.Insert(db.F("R", "k4", "b"), db.F("S", "k0", "b"), db.F("R", "k5", "b")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.Delete(db.F("R", "k0", "a"), db.F("S", "k3", "a")); err != nil {
+		t.Fatal(err)
+	}
+	if n := primaryCalls(); n != 3 {
+		t.Fatalf("%d primary hook calls, want 3", n)
+	}
+
+	var stream bytes.Buffer
+	if err := primary.ServeStream(&stream, store.StreamOptions{From: 0}); err != nil {
+		t.Fatal(err)
+	}
+	replica := store.NewReplica("d")
+	replicaCalls := check("replica", replica.Store())
+	if err := replica.ApplyStream(&stream); err != nil {
+		t.Fatal(err)
+	}
+	if n := replicaCalls(); n != 3 || replica.Version() != primary.Version() {
+		t.Fatalf("replica: %d hook calls at v%d, want 3 at v%d", n, replica.Version(), primary.Version())
+	}
+}
+
 func TestApplyDBAndDeleteDB(t *testing.T) {
 	st := store.NewMem("t", nil)
 	src := parse.MustDatabase("R(a | 1)\nR(a | 2)\nS(x | y)")
@@ -137,12 +201,24 @@ func TestApplyDBAndDeleteDB(t *testing.T) {
 		t.Fatalf("ApplyDB rels = %v", ch.Rels)
 	}
 	del := parse.MustDatabase("R(a | 1)")
-	if _, err := st.DeleteDB(del); err != nil {
+	if _, err := st.WriteDB(nil, del, true); err != nil {
 		t.Fatal(err)
 	}
 	s := st.Snapshot()
 	if s.DB.Size() != 2 || s.DB.Has(db.F("R", "a", "1")) {
-		t.Fatalf("DeleteDB left %d facts", s.DB.Size())
+		t.Fatalf("WriteDB delete left %d facts", s.DB.Size())
+	}
+
+	// A batch whose declaration clashes with the store applies nothing,
+	// not even its valid declaration.
+	decls := db.New()
+	decls.MustDeclare("T", 2, 1)
+	decls.MustDeclare("R", 3, 1)
+	if _, err := st.WriteDB(decls, del, true); err == nil {
+		t.Fatal("redeclaring R with another signature succeeded")
+	}
+	if got := st.Snapshot(); got.Version != s.Version || got.DB.Relation("T") != nil {
+		t.Fatalf("rejected batch moved the store to v%d (T declared: %v)", got.Version, got.DB.Relation("T") != nil)
 	}
 }
 
@@ -211,7 +287,7 @@ func TestClosedStoreRefusesWrites(t *testing.T) {
 
 func TestSetCreateAdoptAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	set, err := shard.OpenSet(store.Options{Dir: dir}, 1)
+	set, err := store.OpenSet(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +307,7 @@ func TestSetCreateAdoptAndReopen(t *testing.T) {
 	st.Declare("R", 1, 1)
 	st.Insert(db.F("R", "x"))
 	mem := store.NewMem("mem", parse.MustDatabase("S(a | b)"))
-	if err := set.Adopt(shard.NewShardedFromStores("mem", []*store.Store{mem})); err != nil {
+	if err := set.Adopt(mem); err != nil {
 		t.Fatal(err)
 	}
 	if got := set.Names(); !reflect.DeepEqual(got, []string{"alpha", "mem"}) {
@@ -242,7 +318,7 @@ func TestSetCreateAdoptAndReopen(t *testing.T) {
 	}
 
 	// Reopen discovers alpha (durable) but not mem (memory-only).
-	set2, err := shard.OpenSet(store.Options{Dir: dir}, 1)
+	set2, err := store.OpenSet(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +326,39 @@ func TestSetCreateAdoptAndReopen(t *testing.T) {
 	if got := set2.Names(); !reflect.DeepEqual(got, []string{"alpha"}) {
 		t.Fatalf("reopened names = %v", got)
 	}
-	if d := set2.Get("alpha").View().Union(); !d.Has(db.F("R", "x")) {
+	if d := set2.Get("alpha").Snapshot().DB; !d.Has(db.F("R", "x")) {
 		t.Fatal("reopened store lost facts")
+	}
+}
+
+// A data directory holding the store files of a database split into
+// shards (the "<name>.s<i>" layout) is refused, naming the file, rather
+// than opened as unrelated databases; Create keeps the suffix reserved.
+func TestSetRefusesShardStoreFiles(t *testing.T) {
+	dir := t.TempDir()
+	opt := store.Options{Dir: dir}
+	st, err := store.Open("x.s0", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Declare("R", 2, 1)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.OpenSet(opt); err == nil || !strings.Contains(err.Error(), "x.s0.wal") && !strings.Contains(err.Error(), "x.s0.snap") {
+		t.Fatalf("OpenSet over x.s0's files: %v, want an error naming the file", err)
+	}
+
+	set, err := store.OpenSet(store.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.CloseAll()
+	if _, err := set.Create("x.s3"); err == nil {
+		t.Fatal("reserved shard-suffix name accepted")
+	}
+	if _, err := set.Create("x.s"); err != nil {
+		t.Fatalf("plain dotted name refused: %v", err)
 	}
 }
 

@@ -145,7 +145,7 @@ func TestStreamOnBatchAndOnReset(t *testing.T) {
 	r := store.NewReplica("d")
 	var batchRels []string
 	var resetAt uint64
-	r.SetOnBatch(func(c store.Change) { batchRels = append(batchRels, c.Rels...) })
+	r.Store().SetOnApply(func(c store.Change) { batchRels = append(batchRels, c.Rels...) })
 	r.SetOnReset(func(v uint64) { resetAt = v })
 
 	if err := r.ApplyStream(bytes.NewReader(serveTo(t, p, 0, ""))); err != nil {
