@@ -450,6 +450,53 @@ func BenchmarkCloneOneFactWrite(b *testing.B) {
 	}
 }
 
+// The first HoleSet probe of a fresh view builds the (relation, hole)
+// index the bitmap evaluator reads (docs/EVAL.md): R(k | v) with two
+// values per block over an inline database's 700 keys and a store's
+// 20 000, for the non-key hole (one group per block) and the key hole.
+// Each iteration probes a view nobody probed before; the one-fact writes
+// that make them are outside the timer, 16 at a time, since stopping the
+// timer costs as much as a 700-key build.
+func BenchmarkHoleIndexBuild(b *testing.B) {
+	for _, keys := range []int{700, 20000} {
+		base := db.New()
+		base.MustDeclare("R", 2, 1)
+		for i := 0; i < keys; i++ {
+			k := fmt.Sprintf("k%05d", i)
+			base.MustInsert(db.F("R", k, fmt.Sprintf("v%05d", i)))
+			base.MustInsert(db.F("R", k, fmt.Sprintf("v%05d", i+1)))
+		}
+		ix := base.Interned()
+		k0, _ := ix.ID("k00000")
+		v0, _ := ix.ID("v00000")
+		for _, tc := range []struct {
+			name string
+			hole int
+			rest int32
+		}{{"nonkey", 1, k0}, {"key", 0, v0}} {
+			b.Run(fmt.Sprintf("keys=%d/hole=%s", keys, tc.name), func(b *testing.B) {
+				b.ReportAllocs()
+				var views []*db.InternedRelation
+				for i := 0; i < b.N; i++ {
+					if len(views) == 0 {
+						b.StopTimer()
+						for j := 0; j < 16; j++ {
+							next := base.CloneCOW("R")
+							next.MustInsert(db.F("R", "fresh", fmt.Sprint(j)))
+							views = append(views, next.Interned().Relation("R"))
+						}
+						b.StartTimer()
+					}
+					if views[0].HoleSet(tc.hole, []int32{tc.rest}).Card() == 0 {
+						b.Fatal("empty hole set")
+					}
+					views = views[1:]
+				}
+			})
+		}
+	}
+}
+
 // Certain answers of q1(x) = R(x | y), ¬S(y | x) over 8 000 R-keys, every
 // third key in conflict and every fifth blocked by an S-fact: one
 // prepared shape, one bound instance per candidate (core.CertainAnswers).

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -10,10 +11,11 @@ import (
 // depending on density, plus lazily built per-relation indexes — column
 // sets (posting lists as IDSets) and hole indexes (rows grouped by every
 // column but one, each group exposing the set of ids at the remaining
-// "hole" column). All indexes are built at most once per view behind an
-// atomic pointer, racing builders may each build identical indexes with
-// the last published winning, and COW-shared InternedRelations carry
-// their indexes across versions for free.
+// "hole" column; all groups of one hole column live in a few flat
+// arrays). All indexes are built at most once per view behind an atomic
+// pointer, racing builders may each build identical indexes with the
+// last published winning, and COW-shared InternedRelations carry their
+// indexes across versions for free.
 
 const (
 	// idsetDenseFloor: universes up to this many ids are always dense —
@@ -24,6 +26,12 @@ const (
 	// id list (the roaring-style container fallback).
 	idsetDenseDiv = 16
 )
+
+// denseIDSet reports whether a set of card ids below universe takes the
+// word representation.
+func denseIDSet(universe, card int) bool {
+	return universe <= idsetDenseFloor || card*idsetDenseDiv >= universe
+}
 
 // IDSet is an immutable set of non-negative interned ids. Safe for
 // unbounded concurrent readers.
@@ -46,7 +54,7 @@ func NewIDSet(sorted []int32) *IDSet {
 		return emptyIDSet
 	}
 	universe := int(sorted[len(sorted)-1]) + 1
-	if universe <= idsetDenseFloor || len(sorted)*idsetDenseDiv >= universe {
+	if denseIDSet(universe, len(sorted)) {
 		words := make([]uint64, (universe+63)>>6)
 		for _, id := range sorted {
 			words[id>>6] |= 1 << (uint(id) & 63)
@@ -123,20 +131,6 @@ func (s *IDSet) Word(w int32) uint64 {
 	return out
 }
 
-// hashKey64 is FNV-1a/64 over the int32 words of a rest-of-row; it keys
-// the hole indexes.
-func hashKey64(key []int32) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range key {
-		u := uint32(v)
-		for s := 0; s < 32; s += 8 {
-			h ^= uint64(byte(u >> s))
-			h *= 1099511628211
-		}
-	}
-	return h
-}
-
 // ColSet returns column col's posting list as an IDSet. Built lazily for
 // all columns on first use, memoized per view (and per COW-shared
 // relation across versions).
@@ -156,74 +150,117 @@ func (r *InternedRelation) ColSet(col int) *IDSet {
 	return (*sets)[col]
 }
 
-// holeGroup is one group of a hole index: the values of every column but
-// the hole (in column order) and the set of ids occurring at the hole
-// among the group's rows.
-type holeGroup struct {
-	rest []int32
-	set  *IDSet
-}
-
-// holeIndex groups a relation's rows by rest-of-row for one hole column.
-// Groups chain under their FNV-1a hash; lookups verify the actual rest
-// values, so hash collisions cannot conflate groups.
+// holeIndex groups a relation's rows by rest-of-row (every column but
+// the hole, in column order) for one hole column, on flat arrays whose
+// number does not grow with the number of groups. Group g's rest is
+// rests[g*w:(g+1)*w] for w = Arity-1, and its hole values are sets[g].
+// table is an open-addressing table keyed by hashTuple(rest), at load
+// factor ≤ 1/2 and with linear probing as in rows.go: an entry is a
+// group + 1 and 0 means empty. Lookups verify the actual rest values, so
+// hash collisions cannot conflate groups.
 type holeIndex struct {
-	groups map[uint64][]holeGroup
+	table []int32
+	rests []int32
+	sets  []IDSet
 }
 
+// buildHoleIndex indexes every row of r for hole column hole. One pass
+// gives each row a group; a counting sort scatters the hole values into
+// one array by group, and each group's segment is sorted in place. The
+// rows are distinct tuples, so a group's hole values are distinct
+// already. A group's set takes the form NewIDSet would give it: a
+// sparse set aliases its segment, and the words of every dense set come
+// from one slab. The allocations do not depend on the number of groups.
 func (r *InternedRelation) buildHoleIndex(hole int) *holeIndex {
-	type acc struct {
-		rest []int32
-		vals []int32
+	w := r.Arity - 1
+	size := 8
+	for size < 2*r.n {
+		size <<= 1
 	}
-	m := make(map[uint64][]*acc)
-	restbuf := make([]int32, 0, r.Arity-1)
+	table := make([]int32, size)
+	mask := uint32(size - 1)
+
+	// The rest of each row is written where a new group's rest would go,
+	// and kept there only when no group holds it yet.
+	rests := make([]int32, r.n*w)
+	group := make([]int32, r.n)
+	groups := 0
 	for i := 0; i < r.n; i++ {
-		row := r.Row(i)
-		restbuf = restbuf[:0]
-		for c, v := range row {
+		rest := rests[groups*w : (groups+1)*w]
+		k := 0
+		for c, v := range r.row(i) {
 			if c != hole {
-				restbuf = append(restbuf, v)
+				rest[k] = v
+				k++
 			}
 		}
-		h := hashKey64(restbuf)
-		var g *acc
-		for _, cand := range m[h] {
-			if eqIDs(cand.rest, restbuf) {
-				g = cand
+		for h := hashTuple(rest) & mask; ; h = (h + 1) & mask {
+			e := table[h]
+			if e == 0 {
+				table[h] = int32(groups + 1)
+				group[i] = int32(groups)
+				groups++
+				break
+			}
+			if g := e - 1; eqIDs(rests[int(g)*w:(int(g)+1)*w], rest) {
+				group[i] = g
 				break
 			}
 		}
-		if g == nil {
-			g = &acc{rest: append([]int32(nil), restbuf...)}
-			m[h] = append(m[h], g)
-		}
-		g.vals = append(g.vals, row[hole])
 	}
-	hi := &holeIndex{groups: make(map[uint64][]holeGroup, len(m))}
-	for h, gs := range m {
-		out := make([]holeGroup, 0, len(gs))
-		for _, g := range gs {
-			vals := g.vals
-			sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-			dedup := vals[:0]
-			for i, v := range vals {
-				if i == 0 || v != dedup[len(dedup)-1] {
-					dedup = append(dedup, v)
-				}
-			}
-			out = append(out, holeGroup{rest: g.rest, set: NewIDSet(dedup)})
-		}
-		hi.groups[h] = out
+
+	// Counting sort: pos[g] ends as the start of group g's segment of
+	// vals; the segment ends where the next group's starts.
+	pos := make([]int32, groups)
+	for _, g := range group {
+		pos[g]++
 	}
-	return hi
+	for g := 1; g < groups; g++ {
+		pos[g] += pos[g-1]
+	}
+	vals := make([]int32, r.n)
+	for i := r.n - 1; i >= 0; i-- {
+		g := group[i]
+		pos[g]--
+		vals[pos[g]] = r.data[i*r.Arity+hole]
+	}
+
+	sets := make([]IDSet, groups)
+	nwords := 0
+	for g := range sets {
+		stop := int32(r.n)
+		if g+1 < groups {
+			stop = pos[g+1]
+		}
+		seg := vals[pos[g]:stop:stop]
+		slices.Sort(seg)
+		sets[g] = IDSet{sparse: seg, card: len(seg)}
+		if u := int(seg[len(seg)-1]) + 1; denseIDSet(u, len(seg)) {
+			nwords += (u + 63) >> 6
+		}
+	}
+	slab := make([]uint64, nwords)
+	for g := range sets {
+		s := &sets[g]
+		u := int(s.sparse[s.card-1]) + 1
+		if !denseIDSet(u, s.card) {
+			continue
+		}
+		n := (u + 63) >> 6
+		s.words, slab = slab[:n:n], slab[n:]
+		for _, id := range s.sparse {
+			s.words[id>>6] |= 1 << (uint(id) & 63)
+		}
+		s.sparse = nil
+	}
+	return &holeIndex{table: table, rests: rests[: groups*w : groups*w], sets: sets}
 }
 
 // HoleSet returns the set of ids v such that inserting v at column hole
 // among rest (the remaining columns' values, in column order) forms a
 // stored fact, or nil when no row matches rest. The first call for a
-// hole column indexes the whole relation; later calls are one hash
-// lookup. rest is not retained.
+// hole column indexes the whole relation; later calls are one probe of
+// the index's table. rest is not retained.
 func (r *InternedRelation) HoleSet(hole int, rest []int32) *IDSet {
 	if r.n == 0 || hole < 0 || hole >= r.Arity || len(rest) != r.Arity-1 {
 		return nil
@@ -233,12 +270,17 @@ func (r *InternedRelation) HoleSet(hole int, rest []int32) *IDSet {
 		hi = r.buildHoleIndex(hole)
 		r.holeIdx[hole].Store(hi)
 	}
-	for _, g := range hi.groups[hashKey64(rest)] {
-		if eqIDs(g.rest, rest) {
-			return g.set
+	w := len(rest)
+	mask := uint32(len(hi.table) - 1)
+	for h := hashTuple(rest) & mask; ; h = (h + 1) & mask {
+		e := hi.table[h]
+		if e == 0 {
+			return nil
+		}
+		if g := int(e - 1); eqIDs(hi.rests[g*w:(g+1)*w], rest) {
+			return &hi.sets[g]
 		}
 	}
-	return nil
 }
 
 // DomainSet returns the active domain as an IDSet, built lazily and

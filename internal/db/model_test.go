@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -269,6 +270,7 @@ func checkModel(t *testing.T, d *Database, m model, when string) {
 			}
 		}
 	}
+	checkHoleSets(t, ix, m, when)
 	if d.Size() != size {
 		fail("Size = %d, model %d", d.Size(), size)
 	}
@@ -286,6 +288,89 @@ func checkModel(t *testing.T, d *Database, m model, when string) {
 	}
 }
 
+// checkHoleSets compares every hole index of the frozen view ix with the
+// model: for each hole column and each rest the pools can form, HoleSet
+// holds exactly the model's hole values of the matching facts, is nil
+// when no fact matches, and takes the form NewIDSet gives the same ids.
+func checkHoleSets(t *testing.T, ix *Interned, m model, when string) {
+	t.Helper()
+	for _, sig := range modelSigs {
+		ir := ix.Relation(sig.name)
+		for hole := 0; hole < sig.arity; hole++ {
+			first := modelVals[0]
+			if hole < sig.key {
+				first = modelKeys[0]
+			}
+			// Each rest once: the tuples whose hole holds the pool's first value.
+			for _, args := range allTuples(sig.arity, sig.key) {
+				if args[hole] != first {
+					continue
+				}
+				rest := slices.Delete(slices.Clone(args), hole, hole+1)
+				wantSet := map[string]bool{}
+				for _, f := range m[sig.name].facts {
+					if slices.Equal(slices.Delete(slices.Clone(f), hole, hole+1), rest) {
+						wantSet[f[hole]] = true
+					}
+				}
+				want := sortedKeys(wantSet)
+				restIDs := make([]int32, len(rest))
+				known := true
+				for i, v := range rest {
+					restIDs[i], known = ix.ID(v)
+					if !known {
+						break
+					}
+				}
+				var set *IDSet
+				if known {
+					set = ir.HoleSet(hole, restIDs)
+				}
+				if set == nil {
+					if len(want) > 0 {
+						t.Fatalf("%s: %s: HoleSet(%d, %q) = nil, model %q", when, sig.name, hole, rest, want)
+					}
+					continue
+				}
+				ids := idSetMembers(set)
+				var got []string
+				for i, id := range ids {
+					if i > 0 && ids[i-1] >= id {
+						t.Fatalf("%s: %s: HoleSet(%d, %q) not strictly ascending: %v", when, sig.name, hole, rest, ids)
+					}
+					if !set.Contains(id) {
+						t.Fatalf("%s: %s: HoleSet(%d, %q) does not contain its member %d", when, sig.name, hole, rest, id)
+					}
+					got = append(got, ix.Value(id))
+				}
+				sort.Strings(got)
+				if !slices.Equal(got, want) || set.Card() != len(want) {
+					t.Fatalf("%s: %s: HoleSet(%d, %q) = %q (card %d), model %q", when, sig.name, hole, rest, got, set.Card(), want)
+				}
+				if set.Dense() != NewIDSet(ids).Dense() {
+					t.Fatalf("%s: %s: HoleSet(%d, %q) dense %v, NewIDSet %v", when, sig.name, hole, rest, set.Dense(), !set.Dense())
+				}
+			}
+		}
+	}
+}
+
+// idSetMembers returns the ids of s, ascending.
+func idSetMembers(s *IDSet) []int32 {
+	if s.Dense() {
+		var out []int32
+		for w, word := range s.Words() {
+			for b := 0; b < 64; b++ {
+				if word&(1<<b) != 0 {
+					out = append(out, int32(w*64+b))
+				}
+			}
+		}
+		return out
+	}
+	return slices.Clone(s.SparseIDs())
+}
+
 func sortedKeys(set map[string]bool) []string {
 	out := make([]string, 0, len(set))
 	for v := range set {
@@ -301,6 +386,13 @@ func runModelProgram(t *testing.T, prog []byte) {
 	d, m := New(), newModel()
 	for _, s := range modelSigs {
 		d.MustDeclare(s.name, s.arity, s.key)
+	}
+	// Odd-length programs give the pools' values ids above the dense
+	// floor, so that their hole sets take the sparse form.
+	if len(prog)%2 == 1 {
+		for i := 0; i < idsetDenseFloor; i++ {
+			d.dict.intern(nil, []string{fmt.Sprint("pad", i)})
+		}
 	}
 	// A snapshot is a database, or a frozen view, that must still read as
 	// the model did when it was taken.
@@ -396,6 +488,7 @@ func runModelProgram(t *testing.T, prog []byte) {
 
 	for _, s := range kept {
 		if s.ix != nil {
+			checkHoleSets(t, s.ix, s.m, "at the end, "+s.when)
 			s.d = frozenAsDatabase(s.ix)
 		}
 		checkModel(t, s.d, s.m, "at the end, "+s.when)
@@ -476,35 +569,43 @@ func FuzzRelationVsModel(f *testing.F) {
 	})
 }
 
-// Two block keys with the same 32-bit hash share a probe sequence in a
-// block table of any size (two-column keys over small ids never collide
-// in full, three-column keys do). The blocks must still be told apart, through
-// inserts, removes that shift table entries back, and growth.
-func TestBlockTableHashCollision(t *testing.T) {
+// collidingPrefixes returns two distinct 3-id tuples with the same
+// hashTuple, so that they share a probe sequence in a table of any size
+// (two-column keys over small ids never collide in full, three-column
+// keys do). Every id is below 1<<collisionBits.
+func collidingPrefixes(t *testing.T) (k1, k2 []int32) {
+	t.Helper()
 	// hashTuple(a, b, c) = (w(a, b) ^ c)*p with w = ((basis^a)*p ^ b)*p,
 	// and multiplying by the odd p is a bijection: (a, b, 0) and
 	// (a2, b2, c) collide exactly when c = w(a, b) ^ w(a2, b2). Look for
 	// two prefixes whose w differ in the low bits only, so that c is an id
 	// as small as the others.
-	const basis, p, bits = 2166136261, 16777619, 11
+	const basis, p = 2166136261, 16777619
 	byHigh := map[uint32][2]int32{}
-	var k1, k2 []int32
 search:
-	for a := int32(0); a < 1<<bits; a++ {
-		for b := int32(0); b < 1<<bits; b++ {
+	for a := int32(0); a < 1<<collisionBits; a++ {
+		for b := int32(0); b < 1<<collisionBits; b++ {
 			w := ((basis^uint32(a))*p ^ uint32(b)) * p
-			if prev, ok := byHigh[w>>bits]; ok {
+			if prev, ok := byHigh[w>>collisionBits]; ok {
 				w0 := ((basis^uint32(prev[0]))*p ^ uint32(prev[1])) * p
 				k1, k2 = []int32{prev[0], prev[1], 0}, []int32{a, b, int32(w ^ w0)}
 				break search
 			}
-			byHigh[w>>bits] = [2]int32{a, b}
+			byHigh[w>>collisionBits] = [2]int32{a, b}
 		}
 	}
 	if k1 == nil || slices.Equal(k1, k2) || hashTuple(k1) != hashTuple(k2) {
 		t.Fatalf("no colliding key pair found (%v %v)", k1, k2)
 	}
+	return k1, k2
+}
 
+const collisionBits = 11
+
+// Two block keys with the same 32-bit hash must still be told apart,
+// through inserts, removes that shift table entries back, and growth.
+func TestBlockTableHashCollision(t *testing.T) {
+	k1, k2 := collidingPrefixes(t)
 	s := rows{arity: 4, key: 3}
 	tuple := func(key []int32, v int32) []int32 { return append(slices.Clone(key), v) }
 	block := func(key []int32) (vals []int32) {
@@ -534,7 +635,7 @@ search:
 	expect(k2, 1, 2)
 	// Filler blocks force both tables to grow and rehash.
 	for i := int32(0); i < 100; i++ {
-		s.insert([]int32{1<<bits + i, i, 0, 0})
+		s.insert([]int32{1<<collisionBits + i, i, 0, 0})
 	}
 	s.insert(tuple(k2, 3))
 	expect(k1, 1, 2)
@@ -553,4 +654,49 @@ search:
 	s.remove(s.find(tuple(k2, 2)))
 	expect(k1, 7)
 	expect(k2, 1, 3)
+}
+
+// A hole index groups rows by rest-of-row with the block table's hash:
+// rests that collide in full must still get their own sets, in a view
+// frozen before further inserts and in one frozen after them.
+func TestHoleIndexHashCollision(t *testing.T) {
+	k1, k2 := collidingPrefixes(t)
+	s := rows{arity: 4, key: 3}
+	tuple := func(key []int32, v int32) []int32 { return append(slices.Clone(key), v) }
+	view := func() *InternedRelation {
+		return &InternedRelation{Arity: 4, Key: 3, rows: s, holeIdx: make([]atomic.Pointer[holeIndex], 4)}
+	}
+	expect := func(ir *InternedRelation, rest []int32, want ...int32) {
+		t.Helper()
+		set := ir.HoleSet(3, rest)
+		if set == nil {
+			if len(want) > 0 {
+				t.Fatalf("HoleSet(3, %v) = nil, want %v", rest, want)
+			}
+			return
+		}
+		if got := idSetMembers(set); !slices.Equal(got, want) || set.Card() != len(want) {
+			t.Fatalf("HoleSet(3, %v) = %v (card %d), want %v", rest, got, set.Card(), want)
+		}
+	}
+	// 5000 lies above the dense floor: k2's set of two is sparse.
+	s.insert(tuple(k1, 1))
+	s.insert(tuple(k2, 1))
+	s.insert(tuple(k1, 2))
+	s.insert(tuple(k2, 5000))
+	before := view()
+	expect(before, k1, 1, 2)
+	expect(before, k2, 1, 5000)
+	expect(before, []int32{k1[0], k1[1], 1})
+	// Filler groups grow the next view's table.
+	for i := int32(0); i < 100; i++ {
+		s.insert([]int32{1<<collisionBits + i, i, 0, 0})
+	}
+	s.insert(tuple(k2, 3))
+	s.insert(tuple(k1, 2))
+	after := view()
+	expect(after, k2, 1, 3, 5000)
+	expect(after, k1, 1, 2)
+	expect(after, []int32{1 << collisionBits, 0, 0}, 0)
+	expect(before, k2, 1, 5000)
 }
