@@ -8,9 +8,9 @@
 //	cqa sql      '<query>'            the rewriting as a single SQL query
 //	cqa eval     '<query>' <db-file>... answer CERTAINTY(q) on databases
 //	    -engine auto|rewriting|direct|naive   (default auto)
-//	    -cache       route through the plan-cache engine
-//	    -stats       print engine stats to stderr
-//	Several database files run as one engine batch.
+//	    -stats       print engine stats to stderr (engine auto only)
+//	With -engine auto one plan-cached engine answers every database;
+//	several database files (auto only) print one "file: answer" line each.
 //	Exit status: 0 when the query is certain on every database, 1 when
 //	it is not certain on some database, 2 on usage errors, and 3 on
 //	parse/classify/database errors — scripts can branch on certainty
@@ -22,7 +22,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -83,7 +82,7 @@ func usage() {
   cqa attack   '<query>'
   cqa rewrite  '<query>'
   cqa sql      '<query>'
-  cqa eval     [-engine auto|rewriting|direct|naive] [-cache] [-stats] '<query>' <db-file|-> [db-file...]
+  cqa eval     [-engine auto|rewriting|direct|naive] [-stats] '<query>' <db-file|-> [db-file...]
                exit status: 0 certain on every database, 1 not certain on
                some database, 2 usage error, 3 parse/classify/database error
   cqa answers  -free x,y '<query>' <db-file|->
@@ -253,8 +252,7 @@ func evalExitCode(certain bool, err error) int {
 func evalCmd(args []string, stdin io.Reader, out io.Writer) (bool, error) {
 	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
 	engineName := fs.String("engine", "auto", "auto|rewriting|direct|naive")
-	cache := fs.Bool("cache", false, "route through the plan-cache engine (engine auto only)")
-	stats := fs.Bool("stats", false, "print engine plan and result cache stats to stderr (implies -cache)")
+	stats := fs.Bool("stats", false, "print engine plan and result cache stats to stderr (engine auto only)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return false, err
@@ -289,11 +287,10 @@ func evalCmd(args []string, stdin io.Reader, out io.Writer) (bool, error) {
 		}
 		dbs = append(dbs, d)
 	}
-	useEngine := *cache || *stats || len(dbs) > 1
-	if useEngine && *engineName != "auto" {
-		return false, usageError{fmt.Errorf("-cache/-stats and multiple databases require -engine auto")}
-	}
-	if !useEngine {
+	if *engineName != "auto" {
+		if *stats || len(dbs) > 1 {
+			return false, usageError{fmt.Errorf("-stats and multiple databases require -engine auto")}
+		}
 		eng, err := engineByName(*engineName)
 		if err != nil {
 			return false, usageError{err}
@@ -305,28 +302,24 @@ func evalCmd(args []string, stdin io.Reader, out io.Writer) (bool, error) {
 		fmt.Fprintln(out, ans)
 		return ans, nil
 	}
+	// One engine answers every database: the query is planned once.
 	e := engine.New(engine.Options{})
 	defer e.Close()
 	all := true
-	if len(dbs) == 1 {
-		ans, err := e.Certain(q, dbs[0])
-		if err != nil {
-			return false, err
-		}
-		fmt.Fprintln(out, ans)
-		all = ans
-	} else {
-		items := make([]engine.Item, len(dbs))
-		for i, d := range dbs {
-			items[i] = engine.Item{Query: q, DB: d}
-		}
-		for i, r := range e.CertainBatch(context.Background(), items) {
-			if r.Err != nil {
-				return false, fmt.Errorf("%s: %w", rest[1+i], r.Err)
+	for i, d := range dbs {
+		ans, err := e.Certain(q, d)
+		if len(dbs) == 1 {
+			if err != nil {
+				return false, err
 			}
-			fmt.Fprintf(out, "%s: %v\n", rest[1+i], r.Certain)
-			all = all && r.Certain
+			fmt.Fprintln(out, ans)
+		} else {
+			if err != nil {
+				return false, fmt.Errorf("%s: %w", rest[1+i], err)
+			}
+			fmt.Fprintf(out, "%s: %v\n", rest[1+i], ans)
 		}
+		all = all && ans
 	}
 	if *stats {
 		fmt.Fprintln(os.Stderr, e.Stats())

@@ -135,7 +135,9 @@ func TestEvalExitCodes(t *testing.T) {
 		{"bad flag", []string{"-bogus", "R(x | y)", path}, "", 2},
 		{"unknown engine", []string{"-engine", "bogus", "R(x | y)", path}, "", 2},
 		{"retired flag", []string{"-parallel", "R(x | y)", path}, "", 2},
-		{"flag conflict", []string{"-engine", "naive", "-cache", "R(x | y)", path}, "", 2},
+		{"flag conflict", []string{"-engine", "naive", "-stats", "R(x | y)", path}, "", 2},
+		{"multi-db conflict", []string{"-engine", "naive", "R(x | y)", path, empty}, "", 2},
+		{"deleted -cache flag", []string{"-cache", "R(x | y)", path}, "", 2},
 		{"query parse error", []string{"bad(", path}, "", 3},
 		{"missing db file", []string{"R(x | y)", "/nonexistent/path"}, "", 3},
 		{"bad db contents", []string{"R(x | y)", "-"}, "not a fact", 3},
@@ -151,7 +153,7 @@ func TestEvalExitCodes(t *testing.T) {
 
 func TestEvalEngineFlags(t *testing.T) {
 	path := writeDB(t, "R(a | 1)\nR(a | 2)\n")
-	for _, flags := range [][]string{{"-cache"}, {"-stats"}, {"-cache", "-stats"}} {
+	for _, flags := range [][]string{{"-stats"}, {"-engine", "auto", "-stats"}} {
 		var out bytes.Buffer
 		args := append(append([]string{}, flags...), "R(x | y)", path)
 		certain, err := evalCmd(args, strings.NewReader(""), &out)
@@ -162,7 +164,7 @@ func TestEvalEngineFlags(t *testing.T) {
 			t.Errorf("%v: output %q, want true", flags, out.String())
 		}
 	}
-	// Multiple database files answer as one engine batch, one line each.
+	// Multiple database files are answered by one engine, one line each.
 	path2 := writeDB(t, "R(b | 1)\n")
 	var out bytes.Buffer
 	certain, err := evalCmd([]string{"R(x | y)", path, path2}, strings.NewReader(""), &out)
@@ -174,8 +176,8 @@ func TestEvalEngineFlags(t *testing.T) {
 		t.Errorf("batch output wrong: %q", out.String())
 	}
 	// Engine flags are incompatible with explicit non-auto engines.
-	if _, err := evalCmd([]string{"-engine", "naive", "-cache", "R(x | y)", path}, strings.NewReader(""), &out); err == nil {
-		t.Error("-cache with -engine naive should fail")
+	if _, err := evalCmd([]string{"-engine", "naive", "-stats", "R(x | y)", path}, strings.NewReader(""), &out); err == nil {
+		t.Error("-stats with -engine naive should fail")
 	}
 }
 

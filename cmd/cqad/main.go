@@ -4,11 +4,11 @@
 //
 // Usage:
 //
-//	cqad [-addr :8080] [-dbdir dir] [-data dir] [-cache-size 256]
+//	cqad [-addr :8080] [-dbdir dir] [-data dir]
 //	     [-max-inflight 64] [-timeout 10s] [-max-body 1048576]
-//	     [-checkpoint-every 1024] [-fsync] [-pprof]
+//	     [-checkpoint-every 1024] [-fsync] [-drain-timeout 30s]
 //	     [-pprof-addr :6060] [-trace-sample 1] [-trace-buffer 256]
-//	     [-slow-query 0] [-addr-file path]
+//	     [-slow-query 0] [-watch-heartbeat 3s] [-addr-file path]
 //
 // The database directory is scanned non-recursively for *.db files in
 // the cqa fact syntax (one fact per line); each becomes a preloaded
@@ -40,11 +40,11 @@
 // requests record (joined traces always do). /metrics serves Prometheus
 // text exposition. See docs/OBSERVABILITY.md.
 //
-// Endpoints: POST /v1/classify, /v1/certain, /v1/batch,
+// Endpoints: POST /v1/classify, /v1/certain, /v1/watch,
 // /v1/db/{create,insert,delete}; GET /v1/db/info, /v1/db/facts,
 // /v1/shards, /v1/wal/stream, /v1/stats, /healthz, /readyz, /metrics,
-// /debug/vars, /debug/traces (+ /debug/pprof with -pprof, or on a
-// separate listener with -pprof-addr). See docs/SERVING.md.
+// /debug/vars, /debug/traces. Profiling (/debug/pprof) is served only on
+// the separate -pprof-addr listener. See docs/SERVING.md.
 //
 // On SIGINT/SIGTERM the daemon flips /readyz to 503, drains in-flight
 // requests (bounded by -drain-timeout), then closes the engine.
@@ -55,6 +55,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -97,12 +98,10 @@ type config struct {
 	dataDir      string
 	checkpoint   int
 	fsync        bool
-	cacheSize    int
 	maxInFlight  int
 	timeout      time.Duration
 	drainTimeout time.Duration
 	maxBody      int64
-	pprof        bool
 	pprofAddr    string
 	traceSample  float64
 	traceBuffer  int
@@ -115,30 +114,8 @@ type config struct {
 }
 
 func parseFlags(args []string, errw *os.File) (config, error) {
-	fs := flag.NewFlagSet("cqad", flag.ContinueOnError)
-	fs.SetOutput(errw)
 	var c config
-	fs.StringVar(&c.addr, "addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-	fs.StringVar(&c.addrFile, "addr-file", "", "write the bound address to this file once listening (for scripts)")
-	fs.StringVar(&c.dbDir, "dbdir", "", "directory of *.db files preloaded as named databases")
-	fs.StringVar(&c.dataDir, "data", "", "data directory for durable named databases (WAL + snapshots); empty = memory-only")
-	fs.IntVar(&c.checkpoint, "checkpoint-every", 0, "WAL records between snapshot checkpoints (0 = store default)")
-	fs.BoolVar(&c.fsync, "fsync", false, "fsync the WAL on every write batch (durability over throughput)")
-	fs.IntVar(&c.cacheSize, "cache-size", 0, "plan cache capacity (0 = engine default)")
-	fs.IntVar(&c.maxInFlight, "max-inflight", 0, "max concurrently admitted API requests before shedding with 429 (0 = 64)")
-	fs.DurationVar(&c.timeout, "timeout", 0, "per-request timeout (0 = 10s)")
-	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "max time to drain in-flight requests on shutdown")
-	fs.Int64Var(&c.maxBody, "max-body", 0, "max request body bytes before 413 (0 = 1 MiB)")
-	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
-	fs.StringVar(&c.pprofAddr, "pprof-addr", "", "serve net/http/pprof on a separate listener at this address (keeps profiling off the API port)")
-	fs.Float64Var(&c.traceSample, "trace-sample", 1, "probability a fresh root request records a trace (1 = all, 0 = disabled; joined traces always record)")
-	fs.IntVar(&c.traceBuffer, "trace-buffer", 0, "finished traces retained for GET /debug/traces (0 = 256)")
-	fs.DurationVar(&c.slowQuery, "slow-query", 0, "log any trace slower than this duration (0 = off)")
-	fs.DurationVar(&c.watchHB, "watch-heartbeat", 0, "/v1/watch heartbeat cadence (0 = 3s)")
-	fs.StringVar(&c.route, "route", "", "comma-separated shard server URLs: serve as the scatter-gather router over them")
-	fs.StringVar(&c.replicas, "route-replicas", "", "comma-separated follower URLs, one per -route shard (empty slots allowed); reads prefer them")
-	fs.StringVar(&c.follow, "follow", "", "primary URL: serve read-only, replicating its databases over WAL streams")
-	fs.StringVar(&c.followerID, "follower-id", "", "follower id registered in the primary's WAL retention floor (with -follow)")
+	fs := flagSet(&c, errw)
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
@@ -151,6 +128,32 @@ func parseFlags(args []string, errw *os.File) (config, error) {
 		return config{}, errors.New("conflicting modes")
 	}
 	return c, nil
+}
+
+// flagSet defines cqad's flags over c, writing usage and errors to errw.
+func flagSet(c *config, errw io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("cqad", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address (host:port; port 0 picks a free port)")
+	fs.StringVar(&c.addrFile, "addr-file", "", "write the bound address to this file once listening (for scripts)")
+	fs.StringVar(&c.dbDir, "dbdir", "", "directory of *.db files preloaded as named databases")
+	fs.StringVar(&c.dataDir, "data", "", "data directory for durable named databases (WAL + snapshots); empty = memory-only")
+	fs.IntVar(&c.checkpoint, "checkpoint-every", 0, "WAL records between snapshot checkpoints (0 = store default)")
+	fs.BoolVar(&c.fsync, "fsync", false, "fsync the WAL on every write batch (durability over throughput)")
+	fs.IntVar(&c.maxInFlight, "max-inflight", 0, "max concurrently admitted API requests before shedding with 429 (0 = 64)")
+	fs.DurationVar(&c.timeout, "timeout", 0, "per-request timeout (0 = 10s)")
+	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "max time to drain in-flight requests on shutdown")
+	fs.Int64Var(&c.maxBody, "max-body", 0, "max request body bytes before 413 (0 = 1 MiB)")
+	fs.StringVar(&c.pprofAddr, "pprof-addr", "", "serve net/http/pprof on a separate listener at this address (keeps profiling off the API port)")
+	fs.Float64Var(&c.traceSample, "trace-sample", 1, "probability a fresh root request records a trace (1 = all, 0 = disabled; joined traces always record)")
+	fs.IntVar(&c.traceBuffer, "trace-buffer", 0, "finished traces retained for GET /debug/traces (0 = 256)")
+	fs.DurationVar(&c.slowQuery, "slow-query", 0, "log any trace slower than this duration (0 = off)")
+	fs.DurationVar(&c.watchHB, "watch-heartbeat", 0, "/v1/watch heartbeat cadence (0 = 3s)")
+	fs.StringVar(&c.route, "route", "", "comma-separated shard server URLs: serve as the scatter-gather router over them")
+	fs.StringVar(&c.replicas, "route-replicas", "", "comma-separated follower URLs, one per -route shard (empty slots allowed); reads prefer them")
+	fs.StringVar(&c.follow, "follow", "", "primary URL: serve read-only, replicating its databases over WAL streams")
+	fs.StringVar(&c.followerID, "follower-id", "", "follower id registered in the primary's WAL retention floor (with -follow)")
+	return fs
 }
 
 func run(cfg config) error {
@@ -217,14 +220,13 @@ func run(cfg config) error {
 		dbs = nil // everything is in the set now
 	}
 
-	eng := engine.New(engine.Options{CacheSize: cfg.cacheSize})
+	eng := engine.New(engine.Options{})
 	baseOpts := server.Options{
 		Engine:         eng,
 		MaxInFlight:    cfg.maxInFlight,
 		RequestTimeout: cfg.timeout,
 		MaxBodyBytes:   cfg.maxBody,
 		WatchHeartbeat: cfg.watchHB,
-		EnablePprof:    cfg.pprof,
 		Metrics:        reg,
 		Tracer:         tracer,
 	}

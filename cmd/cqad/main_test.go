@@ -1,10 +1,13 @@
 package main
 
 import (
+	"flag"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -51,12 +54,27 @@ func TestLoadDatabases(t *testing.T) {
 	}
 }
 
+// TestParseFlags pins cqad's whole flag set: adding or removing a flag
+// changes the literal list below.
 func TestParseFlags(t *testing.T) {
-	cfg, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-max-inflight", "7", "-timeout", "2s", "-pprof"}, os.Stderr)
+	var names []string
+	flagSet(&config{}, io.Discard).VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	want := []string{
+		"addr", "addr-file", "checkpoint-every", "data", "dbdir",
+		"drain-timeout", "follow", "follower-id", "fsync", "max-body",
+		"max-inflight", "pprof-addr", "route", "route-replicas",
+		"slow-query", "timeout", "trace-buffer", "trace-sample",
+		"watch-heartbeat",
+	}
+	if !slices.Equal(names, want) {
+		t.Errorf("flags = %q,\nwant %q", names, want)
+	}
+
+	cfg, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-max-inflight", "7", "-timeout", "2s", "-pprof-addr", "127.0.0.1:0"}, os.Stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.addr != "127.0.0.1:0" || cfg.maxInFlight != 7 || cfg.timeout != 2*time.Second || !cfg.pprof {
+	if cfg.addr != "127.0.0.1:0" || cfg.maxInFlight != 7 || cfg.timeout != 2*time.Second || cfg.pprofAddr != "127.0.0.1:0" {
 		t.Errorf("cfg = %+v", cfg)
 	}
 	if _, err := parseFlags([]string{"trailing"}, devNull(t)); err == nil {
@@ -65,9 +83,13 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-bogus"}, devNull(t)); err == nil {
 		t.Error("unknown flag should fail")
 	}
-	// Batches answer on the request's goroutine: there is no pool to size.
-	if _, err := parseFlags([]string{"-workers", "4"}, devNull(t)); err == nil {
-		t.Error("-workers should be an unknown flag")
+	// Deleted knobs: profiling lives on -pprof-addr only, the plan cache
+	// has a fixed capacity, and there is no batch worker pool to size.
+	for _, args := range [][]string{{"-pprof"}, {"-cache-size", "16"}, {"-workers", "4"}} {
+		_, err := parseFlags(args, devNull(t))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: err = %v, want an undefined flag", args, err)
+		}
 	}
 }
 
@@ -81,17 +103,25 @@ func devNull(t *testing.T) *os.File {
 	return f
 }
 
-// TestRunServesAndDrains boots the daemon on a random port, checks a
-// round-trip, sends itself SIGTERM, and expects a clean exit.
+// TestRunServesAndDrains boots the daemon on a random port with a
+// -pprof-addr listener, checks a round-trip and a profiling fetch,
+// sends itself SIGTERM, and expects a clean exit.
 func TestRunServesAndDrains(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "people.db"), []byte("R(a | 1)\nR(a | 2)\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	addrFile := filepath.Join(dir, "addr")
+	// Reserve a loopback port for the profiling listener.
+	pln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pprofAddr := pln.Addr().String()
+	pln.Close()
 	cfg, err := parseFlags([]string{
 		"-addr", "127.0.0.1:0", "-addr-file", addrFile, "-dbdir", dir,
-		"-drain-timeout", "5s",
+		"-drain-timeout", "5s", "-pprof-addr", pprofAddr,
 	}, os.Stderr)
 	if err != nil {
 		t.Fatal(err)
@@ -121,6 +151,16 @@ func TestRunServesAndDrains(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 || !strings.Contains(string(body), `"certain":true`) {
 		t.Fatalf("round-trip: %d %s", resp.StatusCode, body)
+	}
+	// The pprof listener is up before the API listener.
+	resp, err = http.Get("http://" + pprofAddr + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || len(body) == 0 {
+		t.Fatalf("pprof cmdline on -pprof-addr: %d %q", resp.StatusCode, body)
 	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {

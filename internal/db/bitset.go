@@ -43,9 +43,6 @@ type IDSet struct {
 
 var emptyIDSet = &IDSet{}
 
-// EmptyIDSet returns the canonical empty set.
-func EmptyIDSet() *IDSet { return emptyIDSet }
-
 // NewIDSet builds a set from a sorted, duplicate-free id slice. The
 // slice may be retained (sparse representation aliases it); the caller
 // must not mutate it afterwards.
@@ -82,18 +79,6 @@ func (s *IDSet) Words() []uint64 { return s.words }
 // sets. The caller must not mutate the result.
 func (s *IDSet) SparseIDs() []int32 { return s.sparse }
 
-// NumWords returns the number of 64-id words the set spans: every member
-// id is < NumWords()*64.
-func (s *IDSet) NumWords() int32 {
-	if s.words != nil {
-		return int32(len(s.words))
-	}
-	if len(s.sparse) == 0 {
-		return 0
-	}
-	return (s.sparse[len(s.sparse)-1] >> 6) + 1
-}
-
 // Contains reports whether id is in the set.
 func (s *IDSet) Contains(id int32) bool {
 	if id < 0 {
@@ -129,25 +114,6 @@ func (s *IDSet) Word(w int32) uint64 {
 		out |= 1 << (uint(p[i]) & 63)
 	}
 	return out
-}
-
-// ColSet returns column col's posting list as an IDSet. Built lazily for
-// all columns on first use, memoized per view (and per COW-shared
-// relation across versions).
-func (r *InternedRelation) ColSet(col int) *IDSet {
-	if col < 0 || col >= r.Arity {
-		return emptyIDSet
-	}
-	sets := r.colSets.Load()
-	if sets == nil {
-		built := make([]*IDSet, r.Arity)
-		for c := range built {
-			built[c] = NewIDSet(r.postings[c])
-		}
-		sets = &built
-		r.colSets.Store(sets)
-	}
-	return (*sets)[col]
 }
 
 // holeIndex groups a relation's rows by rest-of-row (every column but

@@ -40,13 +40,11 @@ type InternedRelation struct {
 	// without touching the mutable database.
 	maxBlock int
 
-	// colSets and holeIdx are the bitmap evaluator's lazy indexes (see
-	// bitset.go): per-column posting lists as IDSets, and per hole column
-	// a flat table of the rows grouped by rest-of-row, with each group's
-	// hole values as an IDSet. Built at most once per view behind an
-	// atomic pointer; racing readers may each build identical indexes with
-	// the last published winning.
-	colSets atomic.Pointer[[]*IDSet]
+	// holeIdx is the bitmap evaluator's lazy index (see bitset.go): per
+	// hole column a flat table of the rows grouped by rest-of-row, with
+	// each group's hole values as an IDSet. Built at most once per view
+	// behind an atomic pointer; racing readers may each build identical
+	// indexes with the last published winning.
 	holeIdx []atomic.Pointer[holeIndex]
 }
 

@@ -48,26 +48,20 @@ const (
 	OutcomeFlipped     = "flipped"
 )
 
-// DefaultWatchBuffer is the per-watch event queue capacity when
-// Options.WatchBuffer is unset.
+// DefaultWatchBuffer is the per-watch event queue capacity; a consumer
+// that falls behind loses intermediate flips and is resynced with a
+// state event (Event.Resync).
 const DefaultWatchBuffer = 64
 
-// DefaultCapacity bounds the unsubscribed entries when Options.Capacity
-// is unset.
+// DefaultCapacity bounds the entries no watch subscribes to; past it
+// the least recently used is evicted.
 const DefaultCapacity = 4096
 
 var errGone = errors.New("delta: database dropped or manager closed")
 
-// Options configures a Manager.
-type Options struct {
-	// WatchBuffer is the per-watch event queue capacity; a consumer
-	// that falls behind loses intermediate flips and is resynced with a
-	// state event (Event.Resync). ≤ 0 selects DefaultWatchBuffer.
-	WatchBuffer int
-	// Capacity bounds the entries no watch subscribes to; past it the
-	// least recently used is evicted. ≤ 0 selects DefaultCapacity.
-	Capacity int
-}
+// Options has no fields: a Manager's capacities are the constants
+// above. It stays as New's parameter for New's existing callers.
+type Options struct{}
 
 // Hooks are a Manager's observability callbacks; every field is
 // optional.
@@ -119,8 +113,6 @@ type Event struct {
 // also has an apply mutex, taken first, that serialises its writer
 // side — Advance, Register, Unregister and DropDB.
 type Manager struct {
-	opt Options
-
 	mu     sync.Mutex
 	hooks  Hooks
 	dbs    map[string]*dbState
@@ -162,14 +154,8 @@ type entry struct {
 }
 
 // New builds a Manager.
-func New(opt Options) *Manager {
-	if opt.WatchBuffer <= 0 {
-		opt.WatchBuffer = DefaultWatchBuffer
-	}
-	if opt.Capacity <= 0 {
-		opt.Capacity = DefaultCapacity
-	}
-	return &Manager{opt: opt, dbs: make(map[string]*dbState), lru: list.New(), decided: make(map[string]uint64)}
+func New(Options) *Manager {
+	return &Manager{dbs: make(map[string]*dbState), lru: list.New(), decided: make(map[string]uint64)}
 }
 
 // SetHooks installs the observability callbacks. Call it before
@@ -291,7 +277,7 @@ func (m *Manager) Get(dbName, signature string, prep *core.Prepared, snap Snapsh
 }
 
 func (m *Manager) evictLocked() {
-	for m.lru.Len() > m.opt.Capacity {
+	for m.lru.Len() > DefaultCapacity {
 		m.removeLocked(m.lru.Back().Value.(*entry))
 	}
 }
@@ -531,7 +517,7 @@ func (m *Manager) Register(dbName, signature string, prep *core.Prepared, snap S
 		m.subscribed++
 	}
 	e := st.entries[signature]
-	w := &Watch{st: st, signature: signature, events: make(chan Event, m.opt.WatchBuffer)}
+	w := &Watch{st: st, signature: signature, events: make(chan Event, DefaultWatchBuffer)}
 	e.watches[w] = struct{}{}
 	w.setState(e.version, e.verdict)
 	m.watches++

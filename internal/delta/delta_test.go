@@ -174,28 +174,36 @@ func TestDeltaNonFOFallback(t *testing.T) {
 // TestDeltaSlowConsumerResync: a full event queue sheds flips and the
 // next deliverable event arrives as a Resync state event.
 func TestDeltaSlowConsumerResync(t *testing.T) {
-	h := newHarness(t, "R(k0 | v0)\n", Options{WatchBuffer: 1})
+	h := newHarness(t, "R(k0 | v0)\n", Options{})
 	w, _ := h.watch("R('k0' | 'v0')")
-	// Three flips without draining: true→false, false→true, true→false.
-	h.insert("R", "k0", "v1")
-	h.delete("R", "k0", "v1")
-	h.insert("R", "k0", "v1")
+	// Three flips more than the queue holds, without draining, alternating
+	// true→false (insert) and false→true (delete); an odd count ends false.
+	const flips = DefaultWatchBuffer + 3
+	for i := 0; i < flips; i++ {
+		if i%2 == 0 {
+			h.insert("R", "k0", "v1")
+		} else {
+			h.delete("R", "k0", "v1")
+		}
+	}
 	h.mgr.Quiesce("test")
 
-	ev1 := <-w.Events()
-	if ev1.Resync || !ev1.From || ev1.To {
-		t.Fatalf("first event %+v, want plain flip true→false", ev1)
+	for i := 0; i < DefaultWatchBuffer; i++ {
+		ev := <-w.Events()
+		if want := i%2 == 1; ev.Resync || ev.To != want || ev.From == want {
+			t.Fatalf("event %d %+v, want plain flip to %v", i, ev, want)
+		}
 	}
-	// The second flip was shed (queue capacity 1); the third must have
-	// arrived as a resync carrying the latest verdict.
+	// The flips past the queue were shed; the next write's settled state
+	// must arrive as a resync carrying the latest verdict.
 	h.insert("R", "k0", "v2")
 	h.mgr.Quiesce("test")
-	ev2 := <-w.Events()
-	if !ev2.Resync {
-		t.Fatalf("second delivered event %+v, want Resync after shedding", ev2)
+	ev := <-w.Events()
+	if !ev.Resync {
+		t.Fatalf("next delivered event %+v, want Resync after shedding", ev)
 	}
-	if ev2.To != false {
-		t.Fatalf("resync verdict %v, want false", ev2.To)
+	if ev.To != false {
+		t.Fatalf("resync verdict %v, want false", ev.To)
 	}
 }
 

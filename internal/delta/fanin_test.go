@@ -78,29 +78,44 @@ func TestDeltaFanInShares(t *testing.T) {
 // A watch joining an existing group still maintains its own published
 // state and event queue: un-consumed members gap independently.
 func TestDeltaFanInIndependentQueues(t *testing.T) {
-	h := newHarness(t, "R(k0 | v0)\n", Options{WatchBuffer: 1})
+	h := newHarness(t, "R(k0 | v0)\n", Options{})
 	w1, _ := h.watch("R(x | y)")
 	w2, _ := h.watch("R(x | y)")
 
-	// Two flips: delete then re-insert. With a 1-deep queue, a consumer
-	// that reads between flips sees both; one that never reads keeps the
-	// first and gaps the second into a later resync.
-	h.delete("R", "k0", "v0")
-	h.mgr.Quiesce("test")
-	if ev := <-w1.Events(); ev.To != false {
-		t.Fatalf("w1 first event: %+v", ev)
+	// Flip i deletes (even i, to false) or re-inserts (odd i, to true).
+	flip := func(i int) {
+		if i%2 == 0 {
+			h.delete("R", "k0", "v0")
+		} else {
+			h.insert("R", "k0", "v0")
+		}
+		h.mgr.Quiesce("test")
 	}
-	h.insert("R", "k0", "v0")
-	h.mgr.Quiesce("test")
-	if ev := <-w1.Events(); ev.To != true {
-		t.Fatalf("w1 second event: %+v", ev)
+	// One flip more than the queue holds. A consumer that reads between
+	// flips (w1) sees every one; one that never reads (w2) keeps the
+	// first DefaultWatchBuffer and gaps the last into a later resync.
+	const flips = DefaultWatchBuffer + 1
+	for i := 0; i < flips; i++ {
+		flip(i)
+		if ev := <-w1.Events(); ev.Resync || ev.To != (i%2 == 1) {
+			t.Fatalf("w1 event %d: %+v", i, ev)
+		}
 	}
-	if ev := <-w2.Events(); ev.To != false || ev.Resync {
-		t.Fatalf("w2 first event: %+v", ev)
+	for i := 0; i < DefaultWatchBuffer; i++ {
+		if ev := <-w2.Events(); ev.Resync || ev.To != (i%2 == 1) {
+			t.Fatalf("w2 event %d: %+v", i, ev)
+		}
 	}
-	st := w2.State()
-	if st.Verdict != true {
+	if st := w2.State(); st.Verdict != false {
 		t.Fatalf("w2 published state: %+v", st)
+	}
+	// The next flip is plain for w1 and a resync for the gapped w2.
+	flip(flips)
+	if ev := <-w1.Events(); ev.Resync || ev.To != true {
+		t.Fatalf("w1 after the gap: %+v", ev)
+	}
+	if ev := <-w2.Events(); !ev.Resync || ev.To != true {
+		t.Fatalf("w2 after the gap: %+v, want a resync to true", ev)
 	}
 }
 

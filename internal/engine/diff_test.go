@@ -37,7 +37,7 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 	// ≤ 2 blocks per relation, ≤ 5 relations → ≤ 2^10 repairs.
 	dbOpts := gen.DBOptions{BlocksPerRelation: 2, MaxBlockSize: 2, DomainPerVariable: 3, ConstantBias: 0.7}
 
-	e := New(Options{CacheSize: 64})
+	e := New(Options{})
 	lowered := 0
 
 	done := 0

@@ -33,23 +33,17 @@ import (
 // ErrClosed is returned by engine methods after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// Options configures an Engine. The zero value selects sensible defaults.
-type Options struct {
-	// CacheSize is the maximum number of cached plans; ≤ 0 selects
-	// DefaultCacheSize.
-	CacheSize int
-	// ResultCacheSize is the capacity of the table of maintained
-	// verdicts (delta.Manager): the verdicts Answer keeps per query
-	// signature and named, versioned database, watched or not; ≤ 0
-	// selects DefaultResultCacheSize.
-	ResultCacheSize int
-}
+// Options has no fields: the engine's capacities are the constants
+// below. It stays as New's parameter for New's existing callers.
+type Options struct{}
 
-// DefaultCacheSize is the plan-cache capacity when Options.CacheSize ≤ 0.
+// DefaultCacheSize is the plan-cache capacity: the number of cached
+// plans.
 const DefaultCacheSize = 256
 
 // DefaultResultCacheSize is the capacity of the table of maintained
-// verdicts when Options.ResultCacheSize ≤ 0.
+// verdicts (delta.Manager): the verdicts Answer keeps per query
+// signature and named, versioned database, watched or not.
 const DefaultResultCacheSize = delta.DefaultCapacity
 
 // Engine answers CERTAINTY(q) for serving workloads: plans are prepared
@@ -69,14 +63,11 @@ type Engine struct {
 	inflight sync.WaitGroup
 }
 
-// New returns an engine with the given options.
-func New(opt Options) *Engine {
-	if opt.CacheSize <= 0 {
-		opt.CacheSize = DefaultCacheSize
-	}
+// New returns an engine.
+func New(Options) *Engine {
 	return &Engine{
-		cache: newPlanCache(opt.CacheSize),
-		delta: delta.New(delta.Options{Capacity: opt.ResultCacheSize}),
+		cache: newPlanCache(DefaultCacheSize),
+		delta: delta.New(delta.Options{}),
 	}
 }
 
@@ -249,7 +240,9 @@ type Result struct {
 // each distinct check once. Groups run one after another on the
 // caller's goroutine; errors — including panics from malformed inputs —
 // are isolated per group. Once ctx is done, every
-// group not yet started carries context.Cause(ctx).
+// group not yet started carries context.Cause(ctx). No endpoint or CLI
+// path calls it; its one caller outside tests is the in-process probe
+// (bench/layers).
 func (e *Engine) CertainBatch(ctx context.Context, items []Item) []Result {
 	if ctx == nil {
 		ctx = context.Background()

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -95,33 +96,34 @@ func TestPrepareErrorNotCached(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	e := New(Options{CacheSize: 2})
-	queries := []string{"A(x | y)", "B(x | y)", "C(x | y)"}
-	for _, src := range queries {
-		if _, err := e.Prepare(mustQuery(t, src)); err != nil {
+	// One distinct shape more than the plan cache holds.
+	shape := func(i int) schema.Query { return mustQuery(t, fmt.Sprintf("R%d(x | y)", i)) }
+	e := New(Options{})
+	for i := 0; i <= DefaultCacheSize; i++ {
+		if _, err := e.Prepare(shape(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := e.Stats()
-	if st.CachedPlans != 2 || st.CacheEvictions != 1 {
-		t.Fatalf("plans/evictions = %d/%d, want 2/1", st.CachedPlans, st.CacheEvictions)
+	if st.CachedPlans != DefaultCacheSize || st.CacheEvictions != 1 {
+		t.Fatalf("plans/evictions = %d/%d, want %d/1", st.CachedPlans, st.CacheEvictions, DefaultCacheSize)
 	}
-	// A was least recently used and must have been evicted: preparing it
-	// again misses.
+	// Shape 0 was least recently used and must have been evicted:
+	// preparing it again misses.
 	before := st.CacheMisses
-	if _, err := e.Prepare(mustQuery(t, "A(x | y)")); err != nil {
+	if _, err := e.Prepare(shape(0)); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Stats().CacheMisses; got != before+1 {
 		t.Fatalf("expected re-prepare of evicted plan to miss (misses %d -> %d)", before, got)
 	}
-	// B stays cached (it was touched after A): preparing it hits.
+	// The last shape stays cached: preparing it hits.
 	beforeHits := e.Stats().CacheHits
-	if _, err := e.Prepare(mustQuery(t, "C(x | y)")); err != nil {
+	if _, err := e.Prepare(shape(DefaultCacheSize)); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Stats().CacheHits; got != beforeHits+1 {
-		t.Fatal("expected C to still be cached")
+		t.Fatal("expected the last shape to still be cached")
 	}
 }
 

@@ -23,7 +23,7 @@ func TestConcurrentPreparedAndCache(t *testing.T) {
 	const goroutines = 32
 	const iters = 60
 
-	e := New(Options{CacheSize: 8})
+	e := New(Options{})
 	hot := parse.MustQuery("Lives(p | t), !Born(p | t), !Likes(p, t)")
 	rng := rand.New(rand.NewSource(99))
 
@@ -43,9 +43,9 @@ func TestConcurrentPreparedAndCache(t *testing.T) {
 		pool[i] = testDB{d: d, want: p.Certain(d)}
 	}
 
-	// Churn queries force cache contention and evictions alongside the
-	// hot plan.
-	churn := make([]string, 24)
+	// Churn queries, more shapes than the cache holds, force cache
+	// contention and evictions alongside the hot plan.
+	churn := make([]string, DefaultCacheSize+64)
 	for i := range churn {
 		churn[i] = fmt.Sprintf("Q%d(x | y), !M%d(x | y)", i, i)
 	}
@@ -87,7 +87,7 @@ func TestConcurrentPreparedAndCache(t *testing.T) {
 	wg.Wait()
 
 	st := e.Stats()
-	if st.CachedPlans > 8 {
+	if st.CachedPlans > DefaultCacheSize {
 		t.Fatalf("cache exceeded capacity: %d plans", st.CachedPlans)
 	}
 	if st.CacheHits == 0 || st.CacheEvictions == 0 {
@@ -98,7 +98,7 @@ func TestConcurrentPreparedAndCache(t *testing.T) {
 // TestConcurrentBatches runs many batches concurrently on one engine, so
 // their reads and the cache interleave.
 func TestConcurrentBatches(t *testing.T) {
-	e := New(Options{CacheSize: 16})
+	e := New(Options{})
 	rng := rand.New(rand.NewSource(100))
 	q := parse.MustQuery("P(x | y), !N('c' | y)")
 	items := make([]Item, 12)

@@ -155,20 +155,32 @@ func TestResultCachePerDatabaseIsolation(t *testing.T) {
 	}
 }
 
-// LRU eviction keeps the cache bounded.
+// LRU eviction keeps the cache bounded: one shape asked with one more
+// constant than the capacity leaves the capacity cached, and the least
+// recently used signature is the one evicted.
 func TestResultCacheEviction(t *testing.T) {
-	e := engine.New(engine.Options{ResultCacheSize: 2})
+	const n = engine.DefaultResultCacheSize + 1
+	e := engine.New(engine.Options{})
 	defer e.Close()
-	q := parse.MustQuery("R(x | y)")
-	for i := 0; i < 4; i++ {
-		id := fmt.Sprintf("db%d", i)
-		st := store.NewMem(id, parse.MustDatabase("R(a | 1)"))
-		snap := st.Snapshot()
-		if _, _, err := answer(e, q, id, snap); err != nil {
+	snap := store.NewMem("d", parse.MustDatabase("R(k0 | 1)")).Snapshot()
+	ask := func(i int) bool {
+		t.Helper()
+		_, cached, err := answer(e, parse.MustQuery(fmt.Sprintf("R('k%d' | y)", i)), "d", snap)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return cached
 	}
-	if got := e.Stats().CachedResults; got != 2 {
-		t.Fatalf("cached results = %d, want 2 (capacity)", got)
+	for i := 0; i < n; i++ {
+		ask(i)
+	}
+	if got := e.Stats().CachedResults; got != engine.DefaultResultCacheSize {
+		t.Fatalf("cached results = %d, want %d (capacity)", got, engine.DefaultResultCacheSize)
+	}
+	if ask(0) {
+		t.Error("the least recently used signature was not evicted")
+	}
+	if !ask(n - 1) {
+		t.Error("the most recently used signature was evicted")
 	}
 }

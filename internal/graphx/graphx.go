@@ -92,9 +92,6 @@ func (g *Undirected) Edges() []Edge {
 	return out
 }
 
-// Neighbors returns the adjacency list of v (not sorted).
-func (g *Undirected) Neighbors(v string) []string { return g.adj[v] }
-
 // NumVertices returns the number of vertices.
 func (g *Undirected) NumVertices() int { return len(g.vertices) }
 

@@ -413,29 +413,3 @@ func splitSeries(name string) (base, labels string) {
 	}
 	return name[:i], name[i+1 : len(name)-1]
 }
-
-// Summary renders a one-line plain-text summary: name=value pairs in name
-// order, histograms inlined as their snapshot string.
-func (r *Registry) Summary() string {
-	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	r.mu.Unlock()
-	parts := make([]string, 0, len(names))
-	for _, n := range names {
-		r.mu.Lock()
-		k := r.kind[n]
-		c, g, h, f := r.ctrs[n], r.gauges[n], r.hists[n], r.extra[n]
-		r.mu.Unlock()
-		switch k {
-		case 'c':
-			parts = append(parts, fmt.Sprintf("%s=%d", n, c.Value()))
-		case 'g':
-			parts = append(parts, fmt.Sprintf("%s=%d", n, g.Value()))
-		case 'h':
-			parts = append(parts, fmt.Sprintf("%s{%s}", n, h.Snapshot()))
-		case 'f':
-			parts = append(parts, fmt.Sprintf("%s=%v", n, f()))
-		}
-	}
-	return strings.Join(parts, " ")
-}

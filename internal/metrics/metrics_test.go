@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -106,19 +105,12 @@ func TestRegistryJSONAndSummary(t *testing.T) {
 	if err := json.Unmarshal([]byte(r.String()), &parsed); err != nil {
 		t.Fatalf("String() is not JSON: %v\n%s", err, r.String())
 	}
-	if parsed["reqs"] != float64(3) || parsed["hit_rate"] != 0.75 {
+	if parsed["reqs"] != float64(3) || parsed["inflight"] != float64(1) || parsed["hit_rate"] != 0.75 {
 		t.Errorf("JSON values wrong: %v", parsed)
 	}
 	lat, ok := parsed["latency"].(map[string]any)
 	if !ok || lat["count"] != float64(1) {
 		t.Errorf("latency histogram wrong: %v", parsed["latency"])
-	}
-
-	sum := r.Summary()
-	for _, frag := range []string{"reqs=3", "inflight=1", "hit_rate=0.75", "latency{count=1"} {
-		if !strings.Contains(sum, frag) {
-			t.Errorf("summary lacks %q: %s", frag, sum)
-		}
 	}
 }
 
@@ -135,7 +127,6 @@ func TestConcurrentRecording(t *testing.T) {
 				r.Histogram("h").Observe(time.Duration(j) * time.Microsecond)
 				if j%100 == 0 {
 					_ = r.String()
-					_ = r.Summary()
 				}
 			}
 		}()

@@ -28,7 +28,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -49,8 +48,8 @@ type TracerOptions struct {
 	// Sample is the probability in [0, 1] that a fresh root trace is
 	// recorded. 0 disables tracing (joined traces are still recorded);
 	// values ≥ 1 record everything. NewTracer treats the zero value as
-	// "record everything" — pass an explicit negative to disable, or use
-	// SetSample(0) at runtime.
+	// "record everything" — pass an explicit negative to disable. The
+	// probability is fixed for the tracer's lifetime.
 	Sample float64
 	// Buffer is the ring capacity in finished traces; ≤ 0 selects
 	// DefaultBuffer.
@@ -64,8 +63,8 @@ type TracerOptions struct {
 
 // Tracer mints, records, and serves traces. Safe for concurrent use.
 type Tracer struct {
-	sample atomic.Uint64 // math.Float64bits of the sampling probability
-	slow   atomic.Int64  // slow-query threshold in nanoseconds; 0 = off
+	sample float64      // probability a fresh root trace records; ≥ 1 = all
+	slow   atomic.Int64 // slow-query threshold in nanoseconds; 0 = off
 	logf   func(format string, v ...any)
 
 	ring   []atomic.Pointer[Trace]
@@ -91,10 +90,10 @@ func NewTracer(opt TracerOptions) *Tracer {
 		sample = 0
 	}
 	t := &Tracer{
-		ring: make([]atomic.Pointer[Trace], opt.Buffer),
-		logf: opt.Logf,
+		sample: sample,
+		ring:   make([]atomic.Pointer[Trace], opt.Buffer),
+		logf:   opt.Logf,
 	}
-	t.sample.Store(math.Float64bits(sample))
 	t.slow.Store(int64(opt.SlowQuery))
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], rand.Uint64())
@@ -102,20 +101,8 @@ func NewTracer(opt TracerOptions) *Tracer {
 	return t
 }
 
-// SetSample replaces the sampling probability at runtime (clamped to
-// [0, 1]). Joined traces are unaffected.
-func (t *Tracer) SetSample(p float64) {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	t.sample.Store(math.Float64bits(p))
-}
-
-// Sample returns the current sampling probability.
-func (t *Tracer) Sample() float64 { return math.Float64frombits(t.sample.Load()) }
+// Sample returns the sampling probability.
+func (t *Tracer) Sample() float64 { return t.sample }
 
 // Stats reports lifetime counters: traces recorded, root traces dropped
 // by sampling, and traces that crossed the slow-query threshold.
@@ -140,7 +127,7 @@ func (t *Tracer) Start(name, joinID string) *Trace {
 	}
 	id := joinID
 	if id == "" {
-		p := math.Float64frombits(t.sample.Load())
+		p := t.sample
 		if p <= 0 || (p < 1 && rand.Float64() >= p) {
 			t.dropped.Add(1)
 			return nil

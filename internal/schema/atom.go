@@ -67,13 +67,6 @@ func (a Atom) Vars() VarSet {
 // occur both in key and non-key positions).
 func (a Atom) NonKeyVars() VarSet { return a.Vars().Minus(a.KeyVars()) }
 
-// IsGround reports whether the atom contains no variables (i.e. it is a
-// fact pattern).
-func (a Atom) IsGround() bool { return a.Vars().Empty() }
-
-// KeyIsGround reports whether every key position holds a constant.
-func (a Atom) KeyIsGround() bool { return a.KeyVars().Empty() }
-
 // Substitute returns a copy of the atom with every variable occurring in
 // sub replaced by its image. Variables not in sub are left unchanged.
 func (a Atom) Substitute(sub map[string]Term) Atom {

@@ -257,29 +257,6 @@ type FactsResponse struct {
 	Facts     string   `json:"facts"`
 }
 
-// BatchRequest fans one query across many databases (named, inline, or a
-// mix; named databases run first, in order, then the inline ones).
-type BatchRequest struct {
-	Query     string   `json:"query"`
-	Databases []string `json:"databases,omitempty"`
-	Facts     []string `json:"facts,omitempty"`
-	// Explain asks for an ExplainInfo covering the batch as a whole.
-	Explain bool `json:"explain,omitempty"`
-}
-
-// BatchResult is the outcome for one database of a batch.
-type BatchResult struct {
-	Certain bool   `json:"certain"`
-	Error   string `json:"error,omitempty"`
-}
-
-// BatchResponse carries one result per database, in request order.
-type BatchResponse struct {
-	Verdict string        `json:"verdict"`
-	Results []BatchResult `json:"results"`
-	Explain *ExplainInfo  `json:"explain,omitempty"`
-}
-
 // ErrorBody is the structured error envelope every non-2xx response
 // carries: {"error": {"status": 400, "code": "bad_json", "message": ...}}.
 type ErrorBody struct {

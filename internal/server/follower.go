@@ -33,7 +33,6 @@ type Follower struct {
 	id      string
 	srv     *Server
 	client  *http.Client
-	retry   time.Duration
 	logf    func(format string, v ...any)
 
 	mu      sync.Mutex
@@ -52,34 +51,27 @@ type FollowerOptions struct {
 	// Server is the local read-only serving side; replicated databases
 	// are adopted into its store set.
 	Server *Server
-	// Client issues discovery and stream requests; nil selects a client
-	// without an overall timeout (streams are long-lived by design).
-	Client *http.Client
-	// Retry is the reconnect backoff; ≤ 0 selects 500ms.
-	Retry time.Duration
 	// Logf receives connection lifecycle messages; nil discards them.
 	Logf func(format string, v ...any)
 }
 
-// NewFollower builds a follower; Run starts it.
+// followerRetry is the follower's reconnect backoff; discovery runs
+// every four of them.
+const followerRetry = 500 * time.Millisecond
+
+// NewFollower builds a follower; Run starts it. Its client has no
+// overall timeout: streams are long-lived by design.
 func NewFollower(opt FollowerOptions) *Follower {
 	f := &Follower{
 		primary: opt.Primary,
 		id:      opt.ID,
 		srv:     opt.Server,
-		client:  opt.Client,
-		retry:   opt.Retry,
+		client:  &http.Client{},
 		logf:    opt.Logf,
 		tracked: make(map[string]*store.Replica),
 	}
 	if f.id == "" {
 		f.id = "follower"
-	}
-	if f.client == nil {
-		f.client = &http.Client{}
-	}
-	if f.retry <= 0 {
-		f.retry = 500 * time.Millisecond
 	}
 	if f.logf == nil {
 		f.logf = func(string, ...any) {}
@@ -105,7 +97,7 @@ func (f *Follower) Run(ctx context.Context) {
 		case <-ctx.Done():
 			f.wg.Wait()
 			return
-		case <-time.After(f.retry * 4):
+		case <-time.After(followerRetry * 4):
 		}
 	}
 }
@@ -196,7 +188,7 @@ func (f *Follower) streamLoop(ctx context.Context, name string, r *store.Replica
 		select {
 		case <-ctx.Done():
 			return
-		case <-time.After(f.retry):
+		case <-time.After(followerRetry):
 		}
 	}
 }

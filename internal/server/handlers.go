@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"cqa/internal/core"
@@ -311,124 +310,6 @@ func explainFor(p *core.Prepared, strategy, planCache string, clock *stageClock)
 		info.Stages = []ExplainStage{}
 	}
 	return info
-}
-
-// maxBatchItems bounds the databases of one /v1/batch request.
-const maxBatchItems = 1024
-
-// handleBatch answers POST /v1/batch.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	clock := &stageClock{tr: obs.FromContext(r.Context())}
-	var req BatchRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		s.writeDecodeError(w, err)
-		return
-	}
-	if req.Query == "" {
-		s.writeError(w, http.StatusBadRequest, "missing_query", "request lacks a query")
-		return
-	}
-	n := len(req.Databases) + len(req.Facts)
-	if n == 0 {
-		s.writeError(w, http.StatusBadRequest, "missing_databases",
-			"request needs at least one database name or inline facts entry")
-		return
-	}
-	if n > maxBatchItems {
-		s.writeError(w, http.StatusBadRequest, "batch_too_large",
-			fmt.Sprintf("batch of %d databases exceeds the limit of %d", n, maxBatchItems))
-		return
-	}
-	q, err := s.parseQuery(w, clock, req.Query)
-	if err != nil {
-		return
-	}
-	// Named databases resolve to their current snapshot, inline facts to
-	// a fresh database each; an item that does not resolve carries its
-	// error.
-	dbs := make([]*db.Database, 0, n)
-	resp := BatchResponse{Results: make([]BatchResult, n)}
-	for i, name := range req.Databases {
-		if st := s.stores.Get(name); st != nil {
-			dbs = append(dbs, st.Snapshot().DB)
-			continue
-		}
-		dbs = append(dbs, nil)
-		resp.Results[i].Error = fmt.Sprintf("no database named %q", name)
-	}
-	for _, facts := range req.Facts {
-		d, err := parse.Database(facts)
-		if err == nil {
-			err = parse.DeclareQueryRelations(d, q)
-		}
-		if err != nil {
-			resp.Results[len(dbs)].Error = err.Error()
-			d = nil
-		}
-		dbs = append(dbs, d)
-	}
-	good := 0
-	for _, d := range dbs {
-		if d != nil {
-			good++
-		}
-	}
-	s.reg.Counter("batch_items_total").Add(uint64(good))
-	// The query is planned once; each distinct database is answered once
-	// through the read path, bypassing the result cache (batches mix
-	// many databases, and their answers are rarely re-asked at one
-	// version), and its result is copied to every item naming it.
-	read, err := s.eng.Plan(q)
-	clock.stage("eval", func(sp *obs.Span) error {
-		sp.SetAttr("items", strconv.Itoa(good))
-		done := make(map[*db.Database]BatchResult)
-		for i, d := range dbs {
-			if d == nil {
-				continue
-			}
-			res, ok := done[d]
-			switch {
-			case ok:
-			case err != nil:
-				res = BatchResult{Error: err.Error()}
-			case context.Cause(r.Context()) != nil:
-				res = BatchResult{Error: context.Cause(r.Context()).Error()}
-			default:
-				res = s.answerBatchItem(read, d)
-			}
-			done[d], resp.Results[i] = res, res
-		}
-		return nil
-	})
-	if err == nil {
-		p := read.Prepared
-		resp.Verdict = string(p.Verdict())
-		strategy := engine.Strategy(p)
-		s.reg.Counter(metrics.Label("eval_total",
-			"strategy", strategy, "cache", engine.CacheBypass)).Add(uint64(good))
-		if req.Explain {
-			// Batches bypass the versioned result cache; the explain covers
-			// the batch as a whole.
-			resp.Explain = explainFor(p, strategy, cacheOutcome(read.Hit), clock)
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// answerBatchItem answers read on one batch database, turning a panic
-// (a malformed formula or database) into that item's error so one bad
-// item cannot take down the batch.
-func (s *Server) answerBatchItem(read engine.Read, d *db.Database) (res BatchResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = BatchResult{Error: fmt.Sprintf("engine: item panicked: %v", r)}
-		}
-	}()
-	certain, _, err := s.eng.Answer(read, "", store.Snapshot{DB: d})
-	if err != nil {
-		return BatchResult{Error: err.Error()}
-	}
-	return BatchResult{Certain: certain}
 }
 
 // writeWorkError maps evaluation-stage failures: context expiry becomes

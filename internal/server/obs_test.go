@@ -256,13 +256,6 @@ func TestExplainReportsExecutedStrategy(t *testing.T) {
 			if ans.Explain == nil || ans.Explain.ResultCache != "" || ans.Explain.ShardPlan != "" {
 				t.Errorf("inline explain = %+v, want no result-cache/shard-plan fields", ans.Explain)
 			}
-
-			// Batch items take the same dispatch as single reads.
-			resp = postJSON(t, ts.URL+"/v1/batch", BatchRequest{Query: c.query, Databases: []string{"people"}, Explain: true})
-			bat := decodeBody[BatchResponse](t, resp)
-			if bat.Explain == nil || bat.Explain.Strategy != c.want {
-				t.Errorf("batch explain = %+v, want strategy %q", bat.Explain, c.want)
-			}
 		})
 	}
 }

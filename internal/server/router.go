@@ -47,7 +47,7 @@ import (
 // router holds no durable state, so a restarted shard rejoins the
 // moment its process is back — routing is pure hashing.
 type Router struct {
-	inner    *Router0
+	inner    *Server
 	shards   []string
 	replicas []string
 	client   *http.Client
@@ -58,11 +58,6 @@ type Router struct {
 	// scatterReads and gatherReads are router_read_total{plan}.
 	scatterReads, gatherReads *metrics.Counter
 }
-
-// Router0 is the local half of a Router: a plain Server with no stores,
-// used for classification, inline-facts evaluation, stats, and the
-// shared middleware. (Named to keep the embedding explicit.)
-type Router0 = Server
 
 // RouterOptions configures NewRouter.
 type RouterOptions struct {
@@ -77,10 +72,6 @@ type RouterOptions struct {
 	// admission control, timeouts, metrics). Stores and Databases are
 	// ignored: the router holds no data.
 	Options Options
-	// Client issues the fan-out requests; nil selects a client with a
-	// 10s timeout that keeps one idle connection per admitted request
-	// (Options.MaxInFlight) to each shard.
-	Client *http.Client
 }
 
 // NewRouter builds the routing tier over the given shard servers.
@@ -91,16 +82,14 @@ func NewRouter(opt RouterOptions) *Router {
 		inner:    New(opt.Options),
 		shards:   opt.Shards,
 		replicas: opt.Replicas,
-		client:   opt.Client,
 	}
-	if rt.client == nil {
-		// Every admitted read may hold a connection to the same shard;
-		// the default pool of 2 per host would close and redial the rest.
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConns = 0
-		tr.MaxIdleConnsPerHost = rt.inner.opt.MaxInFlight
-		rt.client = &http.Client{Timeout: 10 * time.Second, Transport: tr}
-	}
+	// The fan-out client has a 10s timeout. Every admitted read may hold
+	// a connection to the same shard; the default pool of 2 per host
+	// would close and redial the rest.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0
+	tr.MaxIdleConnsPerHost = rt.inner.opt.MaxInFlight
+	rt.client = &http.Client{Timeout: 10 * time.Second, Transport: tr}
 	rt.watchClient = &http.Client{}
 	rt.scatterReads = rt.inner.reg.Counter(metrics.Label("router_read_total", "plan", "scatter"))
 	rt.gatherReads = rt.inner.reg.Counter(metrics.Label("router_read_total", "plan", "gather"))
@@ -115,8 +104,8 @@ func NewRouter(opt RouterOptions) *Router {
 	mux.HandleFunc("GET /v1/db/info", rt.handleDBInfo)
 	mux.HandleFunc("GET /v1/shards", rt.handleShards)
 	mux.HandleFunc("GET /v1/stats", rt.handleStats)
-	// Everything else — classify, inline batch, health, metrics — is
-	// served by the local half.
+	// Everything else — classify, health, metrics, traces — is served by
+	// the local half, which answers 404 for paths it does not route.
 	mux.Handle("/", rt.inner.Handler())
 	// traced is outermost so fan-out endpoints get a trace covering every
 	// per-shard RPC span; the local half's own middleware sees the trace

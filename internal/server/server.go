@@ -1,16 +1,17 @@
 // Package server exposes the certainty engine (internal/engine) as an
-// HTTP/JSON service: classification, single-database CERTAINTY checks,
-// and batch fan-out, with admission control, per-request timeouts,
-// request-size limits, panic isolation, and operational endpoints
-// (/healthz, /readyz, /metrics, /debug/vars, optional pprof). Stdlib
-// only; see docs/SERVING.md for the API contract.
+// HTTP/JSON service: classification, CERTAINTY checks of one query on
+// one database, named-database writes and watches, with admission
+// control, per-request timeouts, request-size limits, panic isolation,
+// and operational endpoints (/healthz, /readyz, /metrics, /debug/vars,
+// /debug/traces). Profiling is not mounted on the API port; cqad serves
+// it on a separate -pprof-addr listener. Stdlib only; see
+// docs/SERVING.md for the API contract.
 package server
 
 import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -28,7 +29,7 @@ type Options struct {
 	// Engine answers the requests; nil creates a default engine.New.
 	Engine *engine.Engine
 	// Databases are the preloaded databases addressable by name in
-	// /v1/certain and /v1/batch. Each is wrapped in a memory-only
+	// /v1/certain and /v1/watch. Each is wrapped in a memory-only
 	// versioned store (store.NewMem), so they are also writable through
 	// /v1/db/insert and /v1/db/delete. The map and its databases must not
 	// be mutated after New.
@@ -51,8 +52,6 @@ type Options struct {
 	// MaxBodyBytes bounds request bodies; over-limit requests get 413.
 	// ≤ 0 selects 1 MiB.
 	MaxBodyBytes int64
-	// EnablePprof mounts net/http/pprof under /debug/pprof/.
-	EnablePprof bool
 	// WatchHeartbeat is the /v1/watch heartbeat cadence; ≤ 0 selects
 	// DefaultWatchHeartbeat.
 	WatchHeartbeat time.Duration
@@ -149,8 +148,8 @@ func New(opt Options) *Server {
 	// Pre-register the counters so /metrics shows zeros before traffic,
 	// and surface the engine cache hit rate as a computed value.
 	for _, n := range []string{
-		"requests_total", "classify_total", "certain_total", "batch_total",
-		"batch_items_total", "rejected_total", "timeouts_total",
+		"requests_total", "classify_total", "certain_total",
+		"rejected_total", "timeouts_total",
 		"errors_total", "panics_total",
 		"db_create_total", "db_insert_total", "db_delete_total",
 		"wal_records",
@@ -188,7 +187,6 @@ func New(opt Options) *Server {
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/classify", s.api("classify_total", s.handleClassify))
 	mux.Handle("POST /v1/certain", s.api("certain_total", s.handleCertain))
-	mux.Handle("POST /v1/batch", s.api("batch_total", s.handleBatch))
 	mux.Handle("POST /v1/db/create", s.api("db_create_total", s.handleDBCreate))
 	mux.Handle("POST /v1/db/insert", s.api("db_insert_total", s.handleDBWrite(false)))
 	mux.Handle("POST /v1/db/delete", s.api("db_delete_total", s.handleDBWrite(true)))
@@ -208,13 +206,6 @@ func New(opt Options) *Server {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/vars", s.handleDebugVars)
 	mux.HandleFunc("GET /debug/traces", s.handleDebugTraces)
-	if opt.EnablePprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
 	// The trace middleware is outermost so panic-isolation responses can
 	// carry the request's trace ID.
 	s.handler = s.traced(s.recoverPanics(mux))

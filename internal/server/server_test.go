@@ -155,37 +155,6 @@ func TestCertainEndpointNamedDatabase(t *testing.T) {
 	}
 }
 
-func TestBatchEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
-		Query:     "R(x | y)",
-		Databases: []string{"people", "missing"},
-		Facts:     []string{"R(b | 7)\n", ""},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	out := decodeBody[BatchResponse](t, resp)
-	if len(out.Results) != 4 {
-		t.Fatalf("results = %d, want 4", len(out.Results))
-	}
-	if !out.Results[0].Certain || out.Results[0].Error != "" {
-		t.Errorf("people: %+v", out.Results[0])
-	}
-	if out.Results[1].Error == "" {
-		t.Errorf("missing database should carry an error: %+v", out.Results[1])
-	}
-	if !out.Results[2].Certain {
-		t.Errorf("inline facts: %+v", out.Results[2])
-	}
-	if out.Results[3].Certain {
-		t.Errorf("empty facts has no R fact, want not certain: %+v", out.Results[3])
-	}
-	if out.Verdict != "FO" {
-		t.Errorf("verdict = %q", out.Verdict)
-	}
-}
-
 func TestStatsAndOpsEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	// The exposition lints before any traffic too (absent and zero series).
@@ -286,23 +255,32 @@ func TestStatsAndOpsEndpoints(t *testing.T) {
 	}
 }
 
+// TestMethodAndRouteErrors also guards the deleted surfaces: the
+// API port serves no many-database batch and no profiling (cqad serves
+// pprof only on its -pprof-addr listener).
 func TestMethodAndRouteErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	resp, err := http.Get(ts.URL + "/v1/certain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/certain = %d, want 405", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("GET /nope = %d, want 404", resp.StatusCode)
+	for _, c := range []struct {
+		method, path string
+		want         int
+	}{
+		{"GET", "/v1/certain", http.StatusMethodNotAllowed},
+		{"GET", "/nope", http.StatusNotFound},
+		{"POST", "/v1/batch", http.StatusNotFound},
+		{"GET", "/debug/pprof/", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(`{"query":"R(x | y)","databases":["people"]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s = %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+		}
 	}
 }
 
@@ -317,27 +295,6 @@ func TestServerAfterEngineClose(t *testing.T) {
 	out := decodeBody[ErrorBody](t, resp)
 	if out.Error.Code != "shutting_down" {
 		t.Errorf("code = %q", out.Error.Code)
-	}
-}
-
-func TestPprofGatedByFlag(t *testing.T) {
-	_, off := newTestServer(t, Options{})
-	resp, err := http.Get(off.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("pprof off: status = %d, want 404", resp.StatusCode)
-	}
-	_, on := newTestServer(t, Options{EnablePprof: true})
-	resp, err = http.Get(on.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("pprof on: status = %d, want 200", resp.StatusCode)
 	}
 }
 

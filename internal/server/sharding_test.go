@@ -47,7 +47,7 @@ func TestFollowerReplicatesOverHTTP(t *testing.T) {
 	fsrv := New(Options{Engine: engine.New(engine.Options{}), ReadOnly: true})
 	fts := httptest.NewServer(fsrv.Handler())
 	t.Cleanup(fts.Close)
-	f := NewFollower(FollowerOptions{Primary: pts.URL, ID: "it", Server: fsrv, Retry: 20 * time.Millisecond, Logf: t.Logf})
+	f := NewFollower(FollowerOptions{Primary: pts.URL, ID: "it", Server: fsrv, Logf: t.Logf})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	done := make(chan struct{})

@@ -26,7 +26,7 @@ func TestDifferentialShardedVsSingleVsNaive(t *testing.T) {
 	qOpts := gen.DefaultQueryOptions()
 	dbOpts := gen.DBOptions{BlocksPerRelation: 2, MaxBlockSize: 2, DomainPerVariable: 3, ConstantBias: 0.7}
 
-	eng := engine.New(engine.Options{CacheSize: 64, ResultCacheSize: 256})
+	eng := engine.New(engine.Options{})
 	defer eng.Close()
 
 	done := 0

@@ -3,6 +3,7 @@ package store_test
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"cqa/internal/db"
@@ -65,7 +66,7 @@ func TestRetentionHoldsForFollower(t *testing.T) {
 	st.RegisterFollower("f", pin)
 
 	// Acking to the head releases the hold at the next checkpoint.
-	st.AckFollower("f", st.Version())
+	st.RegisterFollower("f", st.Version())
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,19 +88,24 @@ func TestRetentionHoldsForFollower(t *testing.T) {
 	}
 }
 
-// TestRetentionEvictsLaggard: a follower lagging beyond MaxFollowerLag
-// loses its hold; its next stream request gets a snapshot bootstrap.
+// TestRetentionEvictsLaggard: a follower lagging beyond
+// DefaultMaxFollowerLag loses its hold; its next stream request gets a
+// snapshot bootstrap.
 func TestRetentionEvictsLaggard(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open("d", store.Options{Dir: dir, CheckpointEvery: 4, MaxFollowerLag: 10})
+	// Each checkpoint fsyncs; a wide interval keeps the test fast.
+	const every = 1024
+	st, err := store.Open("d", store.Options{Dir: dir, CheckpointEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	st.Declare("R", 2, 1)
 	st.RegisterFollower("slow", st.Version())
-	for i := 0; i < 40; i++ {
-		st.Insert(db.F("R", "k", string(rune('a'+i))))
+	// Past the lag cap, the next checkpoint evicts the laggard.
+	const writes = store.DefaultMaxFollowerLag + every + 8
+	for i := 0; i < writes; i++ {
+		st.Insert(db.F("R", "k", strconv.Itoa(i)))
 	}
 	stats := st.Stats()
 	if stats.Followers != 0 {
@@ -109,8 +115,8 @@ func TestRetentionEvictsLaggard(t *testing.T) {
 		t.Fatal("evicted laggard's window still retained")
 	}
 	// The unbounded-retention bug this guards against: without eviction
-	// and floor advance the WAL would hold all 40 records forever.
-	if stats.SegmentRecords > 8 {
+	// and floor advance the WAL would hold every record forever.
+	if stats.SegmentRecords >= every {
 		t.Fatalf("WAL retains %d records for an evicted laggard", stats.SegmentRecords)
 	}
 }

@@ -102,7 +102,7 @@ func readSnapshotFile(path string) (*db.Database, uint64, error) {
 // loadOp adds one record of a snapshot — a checkpoint file or a
 // follower's bootstrap stream — to the database being loaded. A snapshot
 // holds declarations and inserts only (snapshotRecords); deletes belong
-// to the WAL, whose replay goes through applyOp.
+// to the WAL, whose replay goes through applyEffective.
 func loadOp(ld *db.Loader, o walOp) error {
 	switch o.kind {
 	case opDeclare:
@@ -111,23 +111,5 @@ func loadOp(ld *db.Loader, o walOp) error {
 		return ld.Add(o.rel, o.args)
 	default:
 		return fmt.Errorf("store: op kind %d in a snapshot", o.kind)
-	}
-}
-
-// applyOp replays one op onto a mutable database during recovery.
-// Inserts and deletes are idempotent, so records double-covered by a
-// checkpoint (a crash between checkpoint and WAL truncation) are
-// harmless even before the version filter.
-func applyOp(d *db.Database, o walOp) error {
-	switch o.kind {
-	case opDeclare:
-		return d.DeclareRelation(o.rel, o.arity, o.key)
-	case opInsert:
-		return d.Insert(db.Fact{Rel: o.rel, Args: o.args})
-	case opDelete:
-		d.Remove(db.Fact{Rel: o.rel, Args: o.args})
-		return nil
-	default:
-		return fmt.Errorf("store: unknown op kind %d", o.kind)
 	}
 }

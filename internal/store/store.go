@@ -47,9 +47,10 @@ var ErrExists = errors.New("store: database already exists")
 // checkpoints when Options.CheckpointEvery ≤ 0.
 const DefaultCheckpointEvery = 1024
 
-// DefaultMaxFollowerLag is the version lag beyond which a registered
-// follower is evicted from the retention floor when
-// Options.MaxFollowerLag ≤ 0.
+// DefaultMaxFollowerLag caps how many versions behind the current one a
+// registered follower may hold the retention floor. A follower lagging
+// further is evicted: its records are reclaimed and its next stream
+// request falls back to a snapshot bootstrap.
 const DefaultMaxFollowerLag = 4096
 
 // Options configures a store.
@@ -65,12 +66,6 @@ type Options struct {
 	// can lose writes still in the OS page cache (but never corrupt:
 	// replay stops at the torn tail either way).
 	Sync bool
-	// MaxFollowerLag caps how many versions behind the current one a
-	// registered follower may hold the retention floor. A follower lagging
-	// further is evicted: its records are reclaimed and its next stream
-	// request falls back to a snapshot bootstrap. ≤ 0 selects
-	// DefaultMaxFollowerLag.
-	MaxFollowerLag int
 	// OnFsync, when non-nil, observes the duration of every WAL fsync
 	// performed because Sync is set. Called under the store's write lock;
 	// keep it cheap (a histogram observation, not I/O).
@@ -185,9 +180,6 @@ func Open(name string, opt Options) (*Store, error) {
 	if opt.CheckpointEvery <= 0 {
 		opt.CheckpointEvery = DefaultCheckpointEvery
 	}
-	if opt.MaxFollowerLag <= 0 {
-		opt.MaxFollowerLag = DefaultMaxFollowerLag
-	}
 	if opt.Dir == "" {
 		s := NewMem(name, nil)
 		s.opt = opt
@@ -231,7 +223,10 @@ func Open(name string, opt Options) (*Store, error) {
 				continue
 			}
 			s.sinceCkpt++
-			if err := applyOp(base, rec.op); err != nil {
+			// Inserts and deletes are idempotent (a duplicate insert or an
+			// absent delete is a no-op), so records double-covered by a
+			// checkpoint are harmless even before the version filter.
+			if _, _, err := applyEffective(base, rec.op); err != nil {
 				return nil, fmt.Errorf("store: replaying WAL for %s: %w", name, err)
 			}
 			if rec.version > version {
@@ -526,16 +521,12 @@ func (s *Store) maintainTailLocked(version uint64) {
 // retentionFloorLocked computes the version below which records may be
 // reclaimed: target (the checkpoint or current version), held down by
 // the slowest registered follower. Followers lagging beyond
-// MaxFollowerLag are evicted first — their next stream request gets a
-// snapshot bootstrap rather than holding retention forever.
+// DefaultMaxFollowerLag are evicted first — their next stream request
+// gets a snapshot bootstrap rather than holding retention forever.
 func (s *Store) retentionFloorLocked(target uint64) uint64 {
-	lag := uint64(s.opt.MaxFollowerLag)
-	if lag == 0 {
-		lag = DefaultMaxFollowerLag
-	}
 	cur := s.cur.Load().Version
 	for id, ack := range s.followers {
-		if cur-ack > lag {
+		if cur-ack > DefaultMaxFollowerLag {
 			delete(s.followers, id)
 		}
 	}

@@ -74,9 +74,9 @@ func (s *Store) TailSince(from uint64) ([]TailBatch, bool) {
 
 // RegisterFollower records that follower id has applied everything up
 // to ack; the retention floor will not advance past ack until the
-// follower advances, unregisters, or falls further behind than
-// MaxFollowerLag. Registration is idempotent and never moves an
-// existing ack backwards.
+// follower advances or falls further behind than DefaultMaxFollowerLag.
+// Registration is idempotent and never moves an existing ack backwards,
+// so a follower's later acks call it too.
 func (s *Store) RegisterFollower(id string, ack uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -87,17 +87,6 @@ func (s *Store) RegisterFollower(id string, ack uint64) {
 		return
 	}
 	s.followers[id] = ack
-}
-
-// AckFollower advances follower id's acknowledged version (never
-// backwards). Unknown ids re-register.
-func (s *Store) AckFollower(id string, ack uint64) { s.RegisterFollower(id, ack) }
-
-// UnregisterFollower releases the retention hold of follower id.
-func (s *Store) UnregisterFollower(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.followers, id)
 }
 
 // FollowerAcks returns a copy of the registered follower → ack map.
@@ -181,7 +170,7 @@ func (s *Store) ServeStream(w io.Writer, o StreamOptions) error {
 		o.Flush()
 	}
 	if o.Follower != "" {
-		s.AckFollower(o.Follower, from)
+		s.RegisterFollower(o.Follower, from)
 	}
 
 	for {
@@ -201,7 +190,7 @@ func (s *Store) ServeStream(w io.Writer, o StreamOptions) error {
 			}
 			from = b.Version
 			if o.Follower != "" {
-				s.AckFollower(o.Follower, from)
+				s.RegisterFollower(o.Follower, from)
 			}
 			if o.Flush != nil {
 				o.Flush()
