@@ -42,7 +42,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSQLExec -fuzztime $(FUZZTIME) ./internal/sqlexec
 	$(GO) test -run '^$$' -fuzz FuzzServerCertainRequest -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/store
-	$(GO) test -run '^$$' -fuzz FuzzWALStream -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzCompiledEval -fuzztime $(FUZZTIME) ./internal/fo
 	$(GO) test -run '^$$' -fuzz FuzzBitmapEval -fuzztime $(FUZZTIME) ./internal/fo
 	$(GO) test -run '^$$' -fuzz FuzzParamBind -fuzztime $(FUZZTIME) ./internal/fo
@@ -142,10 +141,10 @@ shard-smoke:
 chaos:
 	CHAOS_ROUNDS=20 $(GO) test -run TestChaosKillRecover -count=1 -v ./internal/shard/chaostest
 
-# Observability smoke: boot a router over four real cqad shard processes
-# and a follower, trace a read before and after SIGKILLing its owner
-# shard, and check the trace, the linted /metrics scrapes and the
-# replication-lag gauge tell the truth about it (docs/OBSERVABILITY.md).
+# Observability smoke: boot a router over four real cqad shard processes,
+# trace a read before and after SIGKILLing its owner shard, and check
+# the trace and the linted /metrics scrapes tell the truth about it
+# (docs/OBSERVABILITY.md).
 obs-smoke:
 	$(GO) test -run TestObsKillCoherence -count=1 ./internal/shard/chaostest
 

@@ -22,16 +22,12 @@
 // memory-only versioned stores. Each database is one store; partitioning
 // by block key is the -route tier's (docs/SHARDING.md).
 //
-// Two alternative serving roles:
+// The alternative serving role:
 //
-//	cqad -route http://s0,http://s1[,...] [-route-replicas http://r0,...]
-//	cqad -follow http://primary [-follower-id name]
+//	cqad -route http://s0,http://s1[,...]
 //
-// -route turns the daemon into the scatter-gather tier over N shard
-// servers (writes partition by block owner, reads scatter; reads prefer
-// the -route-replicas follower of each shard and fall back to its
-// primary). -follow turns it into a read-only WAL-shipping follower of
-// a primary cqad.
+// turns the daemon into the scatter-gather tier over N shard servers
+// (writes partition by block owner, reads scatter).
 //
 // Every request carries a trace ID (minted at this daemon or joined
 // from the X-CQA-Trace request header); finished traces are retained in
@@ -42,7 +38,7 @@
 //
 // Endpoints: POST /v1/classify, /v1/certain, /v1/watch,
 // /v1/db/{create,insert,delete}; GET /v1/db/info, /v1/db/facts,
-// /v1/shards, /v1/wal/stream, /v1/stats, /healthz, /readyz, /metrics,
+// /v1/shards, /v1/stats, /healthz, /readyz, /metrics,
 // /debug/vars, /debug/traces. Profiling (/debug/pprof) is served only on
 // the separate -pprof-addr listener. See docs/SERVING.md.
 //
@@ -108,9 +104,6 @@ type config struct {
 	slowQuery    time.Duration
 	watchHB      time.Duration
 	route        string
-	replicas     string
-	follow       string
-	followerID   string
 }
 
 func parseFlags(args []string, errw *os.File) (config, error) {
@@ -122,10 +115,6 @@ func parseFlags(args []string, errw *os.File) (config, error) {
 	if fs.NArg() != 0 {
 		fmt.Fprintf(errw, "cqad: unexpected arguments: %v\n", fs.Args())
 		return config{}, errors.New("unexpected arguments")
-	}
-	if c.route != "" && c.follow != "" {
-		fmt.Fprintln(errw, "cqad: -route and -follow are mutually exclusive")
-		return config{}, errors.New("conflicting modes")
 	}
 	return c, nil
 }
@@ -150,9 +139,6 @@ func flagSet(c *config, errw io.Writer) *flag.FlagSet {
 	fs.DurationVar(&c.slowQuery, "slow-query", 0, "log any trace slower than this duration (0 = off)")
 	fs.DurationVar(&c.watchHB, "watch-heartbeat", 0, "/v1/watch heartbeat cadence (0 = 3s)")
 	fs.StringVar(&c.route, "route", "", "comma-separated shard server URLs: serve as the scatter-gather router over them")
-	fs.StringVar(&c.replicas, "route-replicas", "", "comma-separated follower URLs, one per -route shard (empty slots allowed); reads prefer them")
-	fs.StringVar(&c.follow, "follow", "", "primary URL: serve read-only, replicating its databases over WAL streams")
-	fs.StringVar(&c.followerID, "follower-id", "", "follower id registered in the primary's WAL retention floor (with -follow)")
 	return fs
 }
 
@@ -233,36 +219,13 @@ func run(cfg config) error {
 
 	var srv *server.Server
 	var handler http.Handler
-	var stopFollower context.CancelFunc
-	var followerDone chan struct{}
-	switch {
-	case cfg.route != "":
+	if cfg.route != "" {
 		// Router role: no local stores, scatter-gather over shard servers.
-		rt := server.NewRouter(server.RouterOptions{
-			Shards:   splitList(cfg.route),
-			Replicas: splitList(cfg.replicas),
-			Options:  baseOpts,
-		})
+		shards := splitList(cfg.route)
+		rt := server.NewRouter(server.RouterOptions{Shards: shards, Options: baseOpts})
 		srv, handler = rt.Inner(), rt.Handler()
-		log.Printf("cqad: routing over %d shard server(s)", len(splitList(cfg.route)))
-	case cfg.follow != "":
-		// Follower role: read-only serving over replicated stores.
-		baseOpts.ReadOnly = true
-		srv = server.New(baseOpts)
-		handler = srv.Handler()
-		f := server.NewFollower(server.FollowerOptions{
-			Primary: cfg.follow,
-			ID:      cfg.followerID,
-			Server:  srv,
-			Logf:    log.Printf,
-		})
-		fctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		stopFollower = cancel
-		followerDone = make(chan struct{})
-		go func() { f.Run(fctx); close(followerDone) }()
-		log.Printf("cqad: following %s (read-only)", cfg.follow)
-	default:
+		log.Printf("cqad: routing over %d shard server(s)", len(shards))
+	} else {
 		baseOpts.Databases = dbs
 		baseOpts.Stores = stores
 		srv = server.New(baseOpts)
@@ -317,20 +280,10 @@ func run(cfg config) error {
 	}
 
 	srv.Drain()
-	if stopFollower != nil {
-		stopFollower()
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("cqad: drain incomplete: %v", err)
-	}
-	if followerDone != nil {
-		select {
-		case <-followerDone:
-		case <-time.After(5 * time.Second):
-			log.Printf("cqad: follower streams did not stop in time")
-		}
 	}
 	eng.Close()
 	if stores != nil {
@@ -342,8 +295,7 @@ func run(cfg config) error {
 	return nil
 }
 
-// splitList splits a comma-separated flag value, trimming space and
-// keeping empty slots ("a,,c" — a shard with no replica).
+// splitList splits a comma-separated flag value, trimming space.
 func splitList(s string) []string {
 	if s == "" {
 		return nil

@@ -61,10 +61,9 @@ func TestParseFlags(t *testing.T) {
 	flagSet(&config{}, io.Discard).VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
 	want := []string{
 		"addr", "addr-file", "checkpoint-every", "data", "dbdir",
-		"drain-timeout", "follow", "follower-id", "fsync", "max-body",
-		"max-inflight", "pprof-addr", "route", "route-replicas",
-		"slow-query", "timeout", "trace-buffer", "trace-sample",
-		"watch-heartbeat",
+		"drain-timeout", "fsync", "max-body", "max-inflight",
+		"pprof-addr", "route", "slow-query", "timeout", "trace-buffer",
+		"trace-sample", "watch-heartbeat",
 	}
 	if !slices.Equal(names, want) {
 		t.Errorf("flags = %q,\nwant %q", names, want)
@@ -84,8 +83,10 @@ func TestParseFlags(t *testing.T) {
 		t.Error("unknown flag should fail")
 	}
 	// Deleted knobs: profiling lives on -pprof-addr only, the plan cache
-	// has a fixed capacity, and there is no batch worker pool to size.
-	for _, args := range [][]string{{"-pprof"}, {"-cache-size", "16"}, {"-workers", "4"}} {
+	// has a fixed capacity, there is no batch worker pool to size, and
+	// there is no replication.
+	for _, args := range [][]string{{"-pprof"}, {"-cache-size", "16"}, {"-workers", "4"},
+		{"-follow", "http://127.0.0.1:1"}, {"-follower-id", "f"}, {"-route-replicas", "http://127.0.0.1:1"}} {
 		_, err := parseFlags(args, devNull(t))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%v: err = %v, want an undefined flag", args, err)

@@ -114,9 +114,6 @@ func (g *Graph) attackedVars(f schema.Atom, oplus schema.VarSet) schema.VarSet {
 	return reached
 }
 
-// Query returns the query the graph was built from.
-func (g *Graph) Query() schema.Query { return g.q }
-
 // Atoms returns the relation names in query order.
 func (g *Graph) Atoms() []string {
 	out := make([]string, len(g.order))
@@ -158,17 +155,6 @@ func (g *Graph) InDegree(rel string) int {
 		}
 	}
 	return n
-}
-
-// Unattacked returns the relation names with in-degree 0, in query order.
-func (g *Graph) Unattacked() []string {
-	var out []string
-	for _, rel := range g.order {
-		if g.InDegree(rel) == 0 {
-			out = append(out, rel)
-		}
-	}
-	return out
 }
 
 // UnattackedVars returns the variables x ∈ vars(q) such that no atom

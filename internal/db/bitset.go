@@ -67,9 +67,6 @@ func (s *IDSet) Card() int { return s.card }
 // Empty reports whether the set has no ids.
 func (s *IDSet) Empty() bool { return s.card == 0 }
 
-// Dense reports whether the set uses the word representation.
-func (s *IDSet) Dense() bool { return s.words != nil }
-
 // Words returns the dense word array, or nil for sparse sets. Bit
 // (id&63) of Words()[id>>6] is set iff id is in the set. The caller must
 // not mutate the result.

@@ -78,17 +78,6 @@ func (r *InternedRelation) PostingHas(col int, id int32) bool {
 	return i < len(p) && p[i] == id
 }
 
-// BlockRows returns the indexes of every row whose key prefix equals
-// key (i.e. the rows of one block), in insertion order: one block-table
-// probe and a walk of the block. The caller owns the result.
-func (r *InternedRelation) BlockRows(key []int32) []int32 {
-	_, tail := r.findBlock(key)
-	if tail < 0 {
-		return nil
-	}
-	return r.appendBlock(nil, tail)
-}
-
 // Has reports whether the interned tuple args is a fact of the relation.
 // It performs no allocation.
 func (r *InternedRelation) Has(args []int32) bool { return r.find(args) >= 0 }

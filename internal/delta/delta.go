@@ -111,7 +111,7 @@ type Event struct {
 // Manager is the table. Its lock guards the entries, the LRU order and
 // the counters, and is never held across an evaluation; each database
 // also has an apply mutex, taken first, that serialises its writer
-// side — Advance, Register, Unregister and DropDB.
+// side — Advance, Register, Unregister and Close.
 type Manager struct {
 	mu     sync.Mutex
 	hooks  Hooks
@@ -166,28 +166,12 @@ func (m *Manager) SetHooks(h Hooks) {
 	m.mu.Unlock()
 }
 
-// Counters reports how many (change, subscribed entry) decisions
-// skipped, re-evaluated without a flip, and flipped.
-func (m *Manager) Counters() (skipped, reevaluated, flipped uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.decided[OutcomeSkipped], m.decided[OutcomeReevaluated], m.decided[OutcomeFlipped]
-}
-
 // CacheCounters reports the look-up hits and misses, the entries writes
 // dropped and carried, and the table's population.
 func (m *Manager) CacheCounters() (hits, misses, invalidations, carried uint64, size int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.hits, m.misses, m.invalidations, m.carried, m.lru.Len() + m.subscribed
-}
-
-// FanIn reports the watch population and the subscribed entries backing
-// it.
-func (m *Manager) FanIn() (watches, entries int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.watches, m.subscribed
 }
 
 func (m *Manager) faninLocked() {
@@ -211,7 +195,7 @@ func (m *Manager) stateLocked(dbName string, snap Snapshot) *dbState {
 }
 
 // lock is stateLocked with the state's apply mutex and m.mu held on
-// return; nil, with neither held, when DropDB or Close got there first.
+// return; nil, with neither held, when Close got there first.
 func (m *Manager) lock(dbName string, snap Snapshot) *dbState {
 	m.mu.Lock()
 	st := m.stateLocked(dbName, snap)
@@ -232,9 +216,9 @@ func (m *Manager) lock(dbName string, snap Snapshot) *dbState {
 // Get returns the verdict of prep's query, under its signature, on
 // dbName at snap's version. On a miss it runs eval, outside the table
 // lock, and inserts the result with prep — unless a write has moved the
-// database past that version meanwhile, DropDB replaced the state the
-// look-up saw (a reset may reuse version numbers), or the entry is
-// subscribed, and so maintained by its subscription.
+// database past that version meanwhile, Close dropped the state the
+// look-up saw, or the entry is subscribed, and so maintained by its
+// subscription.
 func (m *Manager) Get(dbName, signature string, prep *core.Prepared, snap Snapshot, eval func() bool) (verdict, hit bool) {
 	version := snap.Version
 	m.mu.Lock()
@@ -527,7 +511,7 @@ func (m *Manager) Register(dbName, signature string, prep *core.Prepared, snap S
 
 // Unregister removes a watch and closes its event channel. The last
 // watch to leave an entry leaves it in the table as an unsubscribed
-// entry. Unregistering twice, or after DropDB/Close, is a no-op.
+// entry. Unregistering twice, or after Close, is a no-op.
 func (m *Manager) Unregister(w *Watch) {
 	if w == nil {
 		return
@@ -554,17 +538,6 @@ func (m *Manager) Unregister(w *Watch) {
 		m.evictLocked()
 	}
 	m.faninLocked()
-}
-
-// DropDB forgets a database's entries and closes every watch on it (the
-// serving layer drops databases on follower resets).
-func (m *Manager) DropDB(dbName string) {
-	m.mu.Lock()
-	st := m.dbs[dbName]
-	m.mu.Unlock()
-	if st != nil {
-		m.drop(st)
-	}
 }
 
 // drop removes st from the table. The channels close under the table
@@ -633,7 +606,7 @@ type Watch struct {
 func (w *Watch) Signature() string { return w.signature }
 
 // Events returns the watch's event stream. The channel is closed by
-// Unregister, DropDB, and Close.
+// Unregister and Close.
 func (w *Watch) Events() <-chan Event { return w.events }
 
 // State returns the last settled (version, verdict) pair. Safe for

@@ -217,18 +217,3 @@ func TestDeltaUnregisterCloses(t *testing.T) {
 		t.Fatalf("events channel still open after Unregister")
 	}
 }
-
-// TestDeltaDropDB closes every watch.
-func TestDeltaDropDB(t *testing.T) {
-	h := newHarness(t, "R(k0 | v0)\n", Options{})
-	w, _ := h.watch("R('k0' | y)")
-	h.mgr.DropDB("test")
-	if _, ok := <-w.Events(); ok {
-		t.Fatalf("events channel still open after DropDB")
-	}
-	// A dropped database can be watched again (fresh state).
-	_, state := h.watch("R('k0' | y)")
-	if !state.Verdict {
-		t.Fatalf("re-registered watch verdict false, want true")
-	}
-}

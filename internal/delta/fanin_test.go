@@ -119,7 +119,8 @@ func TestDeltaFanInIndependentQueues(t *testing.T) {
 	}
 }
 
-// DropDB resets the fan-in population.
+// Close drops every database, closing its watches, and resets the fan-in
+// population.
 func TestDeltaFanInDrop(t *testing.T) {
 	h := newHarness(t, "R(k0 | v0)\n", Options{})
 	w1, _ := h.watch("R(x | y)")
@@ -127,7 +128,7 @@ func TestDeltaFanInDrop(t *testing.T) {
 	if w, g := h.mgr.FanIn(); w != 2 || g != 1 {
 		t.Fatalf("FanIn = (%d, %d), want (2, 1)", w, g)
 	}
-	h.mgr.DropDB("test")
+	h.mgr.Close()
 	for range w1.Events() {
 	}
 	for range w2.Events() {

@@ -213,11 +213,6 @@ func (e *Engine) ApplyChange(dbID string, c store.Change, cur store.Snapshot) {
 	e.delta.Advance(dbID, c, cur)
 }
 
-// DropDB forgets every cached answer for dbID and closes every watch
-// registered against it (the database was deleted or replaced
-// wholesale; watch consumers re-register against the fresh state).
-func (e *Engine) DropDB(dbID string) { e.delta.DropDB(dbID) }
-
 // Item is one independent CERTAINTY check of a batch.
 type Item struct {
 	Query schema.Query

@@ -123,7 +123,7 @@ func TestResultCacheRejectsStalePut(t *testing.T) {
 }
 
 // Entries are per-database: the same query on two stores does not
-// collide, and DropDB forgets one database only.
+// collide.
 func TestResultCachePerDatabaseIsolation(t *testing.T) {
 	e := engine.New(engine.Options{})
 	defer e.Close()
@@ -143,15 +143,11 @@ func TestResultCachePerDatabaseIsolation(t *testing.T) {
 	if !ca || cb {
 		t.Fatalf("answers = %v/%v, want true/false", ca, cb)
 	}
-	if _, cached := askOn("a", a); !cached {
-		t.Fatal("a should be cached")
+	if ca, cached := askOn("a", a); !ca || !cached {
+		t.Fatalf("a: certain %v, cached %v; want a cached true", ca, cached)
 	}
-	e.DropDB("a")
-	if _, cached := askOn("a", a); cached {
-		t.Fatal("DropDB(a) should evict a's entries")
-	}
-	if _, cached := askOn("b", b); !cached {
-		t.Fatal("DropDB(a) must not evict b's entries")
+	if cb, cached := askOn("b", b); cb || !cached {
+		t.Fatalf("b: certain %v, cached %v; want a cached false", cb, cached)
 	}
 }
 

@@ -36,7 +36,3 @@ func (e *Engine) RegisterWatch(q schema.Query, dbID string, snap delta.Snapshot)
 
 // UnregisterWatch removes a watch; its event channel is closed.
 func (e *Engine) UnregisterWatch(w *delta.Watch) { e.delta.Unregister(w) }
-
-// WatchFanIn reports the watch population: total watches and the
-// distinct (signature, database) entries they subscribe to.
-func (e *Engine) WatchFanIn() (watches, entries int) { return e.delta.FanIn() }

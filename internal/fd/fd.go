@@ -37,9 +37,3 @@ func Closure(fds []FD, start schema.VarSet) schema.VarSet {
 	}
 	return closed
 }
-
-// Implies reports whether the dependencies entail From → x, i.e. whether x
-// is in the closure of From.
-func Implies(fds []FD, from schema.VarSet, x string) bool {
-	return Closure(fds, from).Has(x)
-}

@@ -288,15 +288,6 @@ func usesDomain(plan candPlan) bool {
 	return false
 }
 
-// MustCompile is Compile for known-good sentences (e.g. rewritings).
-func MustCompile(f Formula) *Program {
-	p, err := Compile(f, nil)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // fixed returns the constant-table index of a constant or parameter
 // term; ok is false for any other variable.
 func (c *compiler) fixed(t schema.Term) (int, bool) {
@@ -835,9 +826,6 @@ func (b *Bound) materialize(plan candPlan, consts []int32) []int32 {
 		panic(fmt.Sprintf("fo: unknown candidate plan %T", plan))
 	}
 }
-
-// Interned returns the interned database the program is bound to.
-func (b *Bound) Interned() *db.Interned { return b.ix }
 
 // mach is the per-evaluation state: the slot environment, the atom
 // argument scratch buffer, and — for programs with parameters — its own

@@ -64,9 +64,6 @@ func (g *Undirected) AddEdge(u, v string) error {
 	return nil
 }
 
-// HasEdge reports whether {u, v} is an edge.
-func (g *Undirected) HasEdge(u, v string) bool { return g.edges[Edge{U: u, V: v}.Canon()] }
-
 // Vertices returns the vertices in sorted order.
 func (g *Undirected) Vertices() []string {
 	out := make([]string, 0, len(g.vertices))
@@ -244,9 +241,6 @@ func NewIntUnionFind(n int) *IntUnionFind {
 	}
 	return u
 }
-
-// Len returns the size of the underlying element range.
-func (u *IntUnionFind) Len() int { return len(u.parent) }
 
 // Find returns the representative of x, halving the path on the way up.
 func (u *IntUnionFind) Find(x int32) int32 {

@@ -20,9 +20,6 @@ type PromSample struct {
 	Value  float64
 }
 
-// Label returns the sample's value for a label name ("" if absent).
-func (s PromSample) Label(name string) string { return s.Labels[name] }
-
 // PromExposition is a parsed /metrics payload.
 type PromExposition struct {
 	// Types maps family name → declared type (counter, gauge, histogram,

@@ -63,8 +63,8 @@ type TracerOptions struct {
 
 // Tracer mints, records, and serves traces. Safe for concurrent use.
 type Tracer struct {
-	sample float64      // probability a fresh root trace records; ≥ 1 = all
-	slow   atomic.Int64 // slow-query threshold in nanoseconds; 0 = off
+	sample float64       // probability a fresh root trace records; ≥ 1 = all
+	slow   time.Duration // slow-query threshold; 0 = off
 	logf   func(format string, v ...any)
 
 	ring   []atomic.Pointer[Trace]
@@ -92,17 +92,14 @@ func NewTracer(opt TracerOptions) *Tracer {
 	t := &Tracer{
 		sample: sample,
 		ring:   make([]atomic.Pointer[Trace], opt.Buffer),
+		slow:   opt.SlowQuery,
 		logf:   opt.Logf,
 	}
-	t.slow.Store(int64(opt.SlowQuery))
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], rand.Uint64())
 	t.prefix = fmt.Sprintf("%08x", binary.LittleEndian.Uint32(b[:4]))
 	return t
 }
-
-// Sample returns the sampling probability.
-func (t *Tracer) Sample() float64 { return t.sample }
 
 // Stats reports lifetime counters: traces recorded, root traces dropped
 // by sampling, and traces that crossed the slow-query threshold.
@@ -206,7 +203,7 @@ func (tr *Trace) Finish() {
 	t.sampled.Add(1)
 	i := t.cursor.Add(1) - 1
 	t.ring[i%uint64(len(t.ring))].Store(tr)
-	if slow := time.Duration(t.slow.Load()); slow > 0 && dur >= slow {
+	if t.slow > 0 && dur >= t.slow {
 		t.slowN.Add(1)
 		if t.logf != nil {
 			t.logf("slow query: trace=%s op=%s dur=%s spans=%d", tr.id, tr.name, dur.Round(time.Microsecond), len(tr.spans))

@@ -36,9 +36,6 @@ func Q1() schema.Query { return parse.MustQuery("R(x | y), !S(y | x)") }
 // and breaking the Lemma 5.7 reduction).
 func Q2() schema.Query { return parse.MustQuery("R(x, y), !S(x | y), !T(y | x)") }
 
-// Q0 returns q0 = {R(x|y), S(y|x)}, the classical negation-free hard query.
-func Q0() schema.Query { return parse.MustQuery("R(x | y), S(y | x)") }
-
 // QHall returns q_Hall = {S(x), ¬N1(c|x), …, ¬Nℓ(c|x)} (Example 1.2).
 func QHall(l int) schema.Query {
 	lits := []schema.Literal{schema.Pos(schema.NewAtom("S", 1, schema.Var("x")))}

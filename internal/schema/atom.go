@@ -31,9 +31,6 @@ func (a Atom) Arity() int { return len(a.Terms) }
 // relation can never be inconsistent.
 func (a Atom) AllKey() bool { return a.Key == len(a.Terms) }
 
-// SimpleKey reports whether the signature has a single key position.
-func (a Atom) SimpleKey() bool { return a.Key == 1 }
-
 // KeyTerms returns the terms in primary-key positions.
 func (a Atom) KeyTerms() []Term { return a.Terms[:a.Key] }
 
@@ -62,11 +59,6 @@ func (a Atom) Vars() VarSet {
 	return s
 }
 
-// NonKeyVars returns vars(a) \ key(a) — note this is the set difference of
-// the variable sets, not the variables of non-key positions (a variable may
-// occur both in key and non-key positions).
-func (a Atom) NonKeyVars() VarSet { return a.Vars().Minus(a.KeyVars()) }
-
 // Substitute returns a copy of the atom with every variable occurring in
 // sub replaced by its image. Variables not in sub are left unchanged.
 func (a Atom) Substitute(sub map[string]Term) Atom {
@@ -81,19 +73,6 @@ func (a Atom) Substitute(sub map[string]Term) Atom {
 		terms[i] = t
 	}
 	return Atom{Rel: a.Rel, Key: a.Key, Terms: terms}
-}
-
-// Equal reports structural equality of atoms.
-func (a Atom) Equal(b Atom) bool {
-	if a.Rel != b.Rel || a.Key != b.Key || len(a.Terms) != len(b.Terms) {
-		return false
-	}
-	for i := range a.Terms {
-		if a.Terms[i] != b.Terms[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the atom in the repository's concrete syntax, with a `|`

@@ -197,7 +197,7 @@ type DBInfo struct {
 // ShardsResponse is the GET /v1/shards payload: the serving role and
 // the stores of every named database — one each on a cqad.
 type ShardsResponse struct {
-	// Role is "primary", "follower", or "router".
+	// Role is "primary" or "router".
 	Role string `json:"role"`
 	// DefaultShards is 1 on a cqad, the shard-server count on a router.
 	DefaultShards int `json:"defaultShards"`
@@ -224,9 +224,6 @@ type ShardInfo struct {
 	Facts             int    `json:"facts"`
 	WALRecords        uint64 `json:"walRecords"`
 	SegmentRecords    uint64 `json:"segmentRecords"`
-	TailRecords       uint64 `json:"tailRecords"`
-	TailFloor         uint64 `json:"tailFloor"`
-	Followers         int    `json:"followers"`
 	CheckpointVersion uint64 `json:"checkpointVersion"`
 	Checkpoints       uint64 `json:"checkpoints"`
 }
@@ -235,12 +232,9 @@ type ShardInfo struct {
 type ShardHealth struct {
 	Index   int    `json:"index"`
 	Primary string `json:"primary"`
-	Replica string `json:"replica,omitempty"`
-	// Alive reports whether the primary answered the last health probe;
-	// ReplicaAlive the same for the replica.
-	Alive        bool   `json:"alive"`
-	ReplicaAlive bool   `json:"replicaAlive,omitempty"`
-	Error        string `json:"error,omitempty"`
+	// Alive reports whether the primary answered the last health probe.
+	Alive bool   `json:"alive"`
+	Error string `json:"error,omitempty"`
 }
 
 // FactsResponse is the GET /v1/db/facts payload: a database's facts in
@@ -276,7 +270,7 @@ type ErrorDetail struct {
 }
 
 // StatsResponse is the GET /v1/stats payload. Scope names the tier that
-// produced it: "primary", "follower", or "router". A router's response
+// produced it: "primary" or "router". A router's response
 // additionally aggregates every downstream shard server under Shards.
 type StatsResponse struct {
 	Scope         string            `json:"scope"`
@@ -287,8 +281,8 @@ type StatsResponse struct {
 }
 
 // ShardStatsEntry is a router's view of one downstream shard server's
-// /v1/stats. Stats is nil (and Error set) when the shard — and, when
-// configured, its replica — did not answer.
+// /v1/stats. Stats is nil (and Error set) when the shard did not
+// answer.
 type ShardStatsEntry struct {
 	Index int            `json:"index"`
 	URL   string         `json:"url"`

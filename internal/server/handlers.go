@@ -339,7 +339,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) statsResponse() StatsResponse {
 	st := s.eng.Stats()
 	resp := StatsResponse{
-		Scope:         s.role(),
+		Scope:         "primary",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Engine: EngineStats{
 			CacheHits:           st.CacheHits,

@@ -24,9 +24,8 @@ import (
 )
 
 // Router is the cross-process serving tier: it fronts N shard servers
-// (each an ordinary cqad holding one slice of every database's blocks)
-// plus optional follower replicas, partitions writes by block owner,
-// and scatter-gathers reads.
+// (each an ordinary cqad holding one slice of every database's blocks),
+// partitions writes by block owner, and scatter-gathers reads.
 //
 //   - Writes: each fact routes to shard.Owner(rel, key, N); relation
 //     signatures are broadcast to every shard so negated atoms find
@@ -41,16 +40,14 @@ import (
 //     only the pinned blocks when every key is ground — are fetched,
 //     merged, and evaluated on the router's own engine (rt.gather).
 //
-// Reads prefer a shard's replica and fall back to its primary. A dead
-// shard degrades serving: queries whose touched set avoids it are
+// A dead shard degrades serving: queries whose touched set avoids it are
 // answered exactly; queries that need it get 503 partial_result. The
 // router holds no durable state, so a restarted shard rejoins the
 // moment its process is back — routing is pure hashing.
 type Router struct {
-	inner    *Server
-	shards   []string
-	replicas []string
-	client   *http.Client
+	inner  *Server
+	shards []string
+	client *http.Client
 	// watchClient issues the long-lived per-shard watch streams; it has
 	// no overall timeout (client disconnect cancels via context).
 	watchClient *http.Client
@@ -65,9 +62,6 @@ type RouterOptions struct {
 	// length fixes N: block i of a write and the touched-shard set of a
 	// read use shard.Owner over this count.
 	Shards []string
-	// Replicas are optional follower base URLs, one per shard ("" =
-	// none); reads prefer them and fall back to the primary.
-	Replicas []string
 	// Options configures the router's local serving half (engine,
 	// admission control, timeouts, metrics). Stores and Databases are
 	// ignored: the router holds no data.
@@ -79,9 +73,8 @@ func NewRouter(opt RouterOptions) *Router {
 	opt.Options.Stores = nil
 	opt.Options.Databases = nil
 	rt := &Router{
-		inner:    New(opt.Options),
-		shards:   opt.Shards,
-		replicas: opt.Replicas,
+		inner:  New(opt.Options),
+		shards: opt.Shards,
 	}
 	// The fan-out client has a 10s timeout. Every admitted read may hold
 	// a connection to the same shard; the default pool of 2 per host
@@ -119,15 +112,6 @@ func (rt *Router) Handler() http.Handler { return rt.handler }
 
 // Inner exposes the local serving half (engine, registry, drain).
 func (rt *Router) Inner() *Server { return rt.inner }
-
-// readTargets lists the base URLs to try for a read of shard i:
-// replica first, then primary.
-func (rt *Router) readTargets(i int) []string {
-	if i < len(rt.replicas) && rt.replicas[i] != "" {
-		return []string{rt.replicas[i], rt.shards[i]}
-	}
-	return []string{rt.shards[i]}
-}
 
 // postJSON posts body as JSON to base+path and decodes the response
 // into out.
@@ -223,24 +207,17 @@ func (rt *Router) rpc(ctx context.Context, i int, name string, do func() error) 
 	return err
 }
 
-// readShard tries a read request against shard i's targets in
-// preference order. A structured shard error (the shard is alive and
-// rejected the request) is returned as-is; connection failures fall
-// through to the next target.
+// readShard runs a read request against shard i's server. A structured
+// shard error (the shard is alive and rejected the request) is returned
+// as-is; a connection failure is reported as the shard being
+// unreachable.
 func (rt *Router) readShard(ctx context.Context, i int, do func(base string) error) error {
 	return rt.rpc(ctx, i, "read", func() error {
-		var last error
-		for _, base := range rt.readTargets(i) {
-			err := do(base)
-			if err == nil {
-				return nil
-			}
-			if _, structured := err.(*shardError); structured {
-				return err
-			}
-			last = err
+		err := do(rt.shards[i])
+		if _, structured := err.(*shardError); err != nil && !structured {
+			return fmt.Errorf("shard %d unreachable: %w", i, err)
 		}
-		return fmt.Errorf("shard %d unreachable: %w", i, last)
+		return err
 	})
 }
 
@@ -631,7 +608,7 @@ func containsStr(xs []string, s string) bool {
 
 // handleStats answers GET /v1/stats on the router: the local half's own
 // stats under scope "router", plus one aggregated entry per downstream
-// shard server (replica-first, like every read). A dead shard yields an
+// shard server. A dead shard yields an
 // entry with Error set instead of failing the whole response, so the
 // stats endpoint stays useful exactly when shards are down.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -641,7 +618,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		entry := ShardStatsEntry{Index: i, URL: rt.shards[i]}
 		var st StatsResponse
 		err := rt.readShard(r.Context(), i, func(base string) error {
-			entry.URL = base
 			return rt.getJSON(r.Context(), base, "/v1/stats", &st)
 		})
 		if err != nil {
@@ -655,21 +631,15 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleShards reports the router role and per-shard health: each
-// primary and replica is probed with a short /healthz request.
+// shard server is probed with a short /healthz request.
 func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
 	resp := ShardsResponse{Role: "router", DefaultShards: len(rt.shards)}
 	for i, base := range rt.shards {
 		h := ShardHealth{Index: i, Primary: base}
-		if i < len(rt.replicas) {
-			h.Replica = rt.replicas[i]
-		}
 		if err := rt.probe(r.Context(), base); err != nil {
 			h.Error = err.Error()
 		} else {
 			h.Alive = true
-		}
-		if h.Replica != "" {
-			h.ReplicaAlive = rt.probe(r.Context(), h.Replica) == nil
 		}
 		resp.Shards = append(resp.Shards, h)
 	}

@@ -286,18 +286,23 @@ func TestRouterInlineFacts(t *testing.T) {
 }
 
 // TestRouterBatchNotFound: the router forwards unknown paths to its
-// local half, which routes no /v1/batch, so a batch request is 404 and
-// reaches no shard.
+// local half, which routes neither /v1/batch nor /v1/wal/stream, so
+// either request is 404 and reaches no shard.
 func TestRouterBatchNotFound(t *testing.T) {
 	var hits sync.Map
 	rt := NewRouter(RouterOptions{Shards: []string{countingShard(t, &hits).URL}, Options: Options{Engine: engine.New(engine.Options{})}})
-	w := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/batch",
-		strings.NewReader(`{"query":"R(x | y)","databases":["people"]}`)))
-	if w.Code != http.StatusNotFound {
-		t.Errorf("POST /v1/batch through the router = %d, want 404", w.Code)
-	}
-	if n := hitsOf(&hits, "/v1/batch"); n != 0 {
-		t.Errorf("batch request reached the shard %d times", n)
+	for _, c := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/batch"},
+		{http.MethodGet, "/v1/wal/stream"},
+	} {
+		w := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(w, httptest.NewRequest(c.method, c.path,
+			strings.NewReader(`{"query":"R(x | y)","databases":["people"]}`)))
+		if w.Code != http.StatusNotFound {
+			t.Errorf("%s %s through the router = %d, want 404", c.method, c.path, w.Code)
+		}
+		if n := hitsOf(&hits, c.path); n != 0 {
+			t.Errorf("%s %s reached the shard %d times", c.method, c.path, n)
+		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // handleWatch answers POST /v1/watch on the router: it opens one watch
-// stream per shard (replica-preferring, reconnecting like the
-// follower's WAL streams) and merges them into one global flip stream.
+// stream per shard (reconnecting with the shard's last seen version as
+// the resume watermark) and merges them into one global flip stream.
 // On a scatter plan (shard.PlanFor) the global verdict is the OR of the
 // shard verdicts carried by the streams themselves; a union plan
 // re-evaluates on the gathered facts (rt.gather) whenever a touched
@@ -199,9 +199,9 @@ type shardWatchEvent struct {
 	err   error
 }
 
-// watchShard keeps one shard's watch stream alive: connect
-// replica-first, relay parsed frames, back off and reconnect with the
-// shard's last seen version as the resume watermark.
+// watchShard keeps one shard's watch stream alive: connect, relay parsed
+// frames, back off and reconnect with the shard's last seen version as
+// the resume watermark.
 func (rt *Router) watchShard(ctx context.Context, i int, database, query string, out chan<- shardWatchEvent) {
 	var from uint64
 	for ctx.Err() == nil {
@@ -223,46 +223,37 @@ func (rt *Router) watchShard(ctx context.Context, i int, database, query string,
 }
 
 func (rt *Router) watchShardOnce(ctx context.Context, i int, database, query string, from *uint64, out chan<- shardWatchEvent) error {
-	var lastErr error
-	for _, base := range rt.readTargets(i) {
-		body := fmt.Sprintf(`{"database":%q,"query":%q,"from":%d}`, database, query, *from)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/watch", strings.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		// The watch stream is long-lived: the router's pooled client has
-		// an overall request timeout, so streams use a dedicated one.
-		resp, err := rt.watchClient.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			lastErr = fmt.Errorf("shard %d watch: status %d", i, resp.StatusCode)
-			continue
-		}
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-		for sc.Scan() {
-			ev, err := ParseWatchEvent(sc.Bytes())
-			if err != nil {
-				resp.Body.Close()
-				return fmt.Errorf("shard %d watch frame: %w", i, err)
-			}
-			if ev.Version > *from {
-				*from = ev.Version
-			}
-			select {
-			case out <- shardWatchEvent{shard: i, ev: ev}:
-			case <-ctx.Done():
-				resp.Body.Close()
-				return nil
-			}
-		}
-		resp.Body.Close()
-		return sc.Err()
+	body := fmt.Sprintf(`{"database":%q,"query":%q,"from":%d}`, database, query, *from)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rt.shards[i]+"/v1/watch", strings.NewReader(body))
+	if err != nil {
+		return err
 	}
-	return lastErr
+	req.Header.Set("Content-Type", "application/json")
+	// The watch stream is long-lived: the router's pooled client has an
+	// overall request timeout, so streams use a dedicated one.
+	resp, err := rt.watchClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("shard %d watch: status %d", i, resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	for sc.Scan() {
+		ev, err := ParseWatchEvent(sc.Bytes())
+		if err != nil {
+			return fmt.Errorf("shard %d watch frame: %w", i, err)
+		}
+		if ev.Version > *from {
+			*from = ev.Version
+		}
+		select {
+		case out <- shardWatchEvent{shard: i, ev: ev}:
+		case <-ctx.Done():
+			return nil
+		}
+	}
+	return sc.Err()
 }

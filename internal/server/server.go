@@ -41,9 +41,6 @@ type Options struct {
 	// invalidation + metrics), so members handed in here must not have
 	// their own OnApply.
 	Stores *store.Set
-	// ReadOnly rejects every mutating endpoint with 403 read_only — the
-	// follower serving mode, where writes arrive only via WAL streams.
-	ReadOnly bool
 	// MaxInFlight bounds concurrently admitted API requests; excess
 	// requests are shed with 429 + Retry-After. ≤ 0 selects 64.
 	MaxInFlight int
@@ -193,12 +190,9 @@ func New(opt Options) *Server {
 	mux.HandleFunc("GET /v1/db/info", s.handleDBInfo)
 	mux.HandleFunc("GET /v1/shards", s.handleShards)
 	mux.HandleFunc("GET /v1/db/facts", s.handleDBFacts)
-	// The WAL stream is long-lived by design: it is registered outside
-	// the api() middleware so a following replica neither occupies an
-	// admission slot nor trips the per-request timeout.
-	mux.HandleFunc("GET /v1/wal/stream", s.handleWALStream)
-	// Watch streams are long-lived like the WAL stream: registered
-	// outside the admission middleware.
+	// Watch streams are long-lived by design: registered outside the
+	// api() middleware so a watcher neither occupies an admission slot
+	// nor trips the per-request timeout.
 	mux.HandleFunc("POST /v1/watch", s.handleWatch)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -228,20 +222,6 @@ func (s *Server) attach(name string, st *store.Store) {
 
 // Handler returns the fully middleware-wrapped handler.
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// Registry exposes the server's metrics registry.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
-
-// Engine exposes the serving engine (for stats and shutdown).
-func (s *Server) Engine() *engine.Engine { return s.eng }
-
-// role names the serving role for /v1/shards.
-func (s *Server) role() string {
-	if s.opt.ReadOnly {
-		return "follower"
-	}
-	return "primary"
-}
 
 // Drain marks the server not-ready: /readyz starts answering 503 so load
 // balancers stop routing here, while in-flight and straggler requests

@@ -267,6 +267,7 @@ func TestMethodAndRouteErrors(t *testing.T) {
 		{"GET", "/v1/certain", http.StatusMethodNotAllowed},
 		{"GET", "/nope", http.StatusNotFound},
 		{"POST", "/v1/batch", http.StatusNotFound},
+		{"GET", "/v1/wal/stream", http.StatusNotFound},
 		{"GET", "/debug/pprof/", http.StatusNotFound},
 	} {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(`{"query":"R(x | y)","databases":["people"]}`))

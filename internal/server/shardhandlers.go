@@ -4,23 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"cqa/internal/db"
 	"cqa/internal/parse"
-	"cqa/internal/store"
 )
 
-// Operational endpoints a router and a follower consume: store topology
-// and stats (GET /v1/shards), the facts export a router merges for
-// cross-shard joins (GET /v1/db/facts), and the WAL stream follower
-// replicas tail (GET /v1/wal/stream). A cqad keeps one store per
-// database, so each database reports one shard. See docs/SHARDING.md.
+// Operational endpoints a router consumes: store topology and stats
+// (GET /v1/shards) and the facts export a router merges for cross-shard
+// joins (GET /v1/db/facts). A cqad keeps one store per database, so
+// each database reports one shard. See docs/SHARDING.md.
 
 // handleShards answers GET /v1/shards with the serving role and the
 // store of every database.
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	resp := ShardsResponse{Role: s.role(), DefaultShards: 1}
+	resp := ShardsResponse{Role: "primary", DefaultShards: 1}
 	for _, name := range s.stores.Names() {
 		st := s.stores.Get(name)
 		if st == nil {
@@ -37,9 +34,6 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 				Facts:             snap.DB.Size(),
 				WALRecords:        stats.WALRecords,
 				SegmentRecords:    stats.SegmentRecords,
-				TailRecords:       stats.TailRecords,
-				TailFloor:         stats.TailFloor,
-				Followers:         stats.Followers,
 				CheckpointVersion: stats.CheckpointVersion,
 				Checkpoints:       stats.Checkpoints,
 			}},
@@ -115,43 +109,4 @@ func pickBlocks(d *db.Database, specs []string) (*db.Database, error) {
 		}
 	}
 	return out, nil
-}
-
-// handleWALStream answers GET /v1/wal/stream?db=<name>[&from=<version>]
-// [&follow=1][&follower=<id>]: the store's catch-up stream (snapshot
-// bootstrap or tail resume; see internal/store ServeStream). With
-// follow=1 the response never ends on its own — the handler is
-// registered outside the admission middleware, so a tailing replica
-// occupies no admission slot and hits no request timeout.
-func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	st := s.stores.Get(q.Get("db"))
-	if st == nil {
-		s.writeError(w, http.StatusNotFound, "unknown_database",
-			fmt.Sprintf("no database named %q", q.Get("db")))
-		return
-	}
-	var from uint64
-	if v := q.Get("from"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad_from", "from must be a version number")
-			return
-		}
-		from = n
-	}
-	o := store.StreamOptions{
-		From:     from,
-		Follower: q.Get("follower"),
-		Follow:   q.Get("follow") == "1" || q.Get("follow") == "true",
-		Stop:     r.Context().Done(),
-	}
-	if f, ok := w.(http.Flusher); ok {
-		o.Flush = f.Flush
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	// Past this point the stream owns the connection: errors can only
-	// end it, not change the status.
-	_ = st.ServeStream(w, o)
 }

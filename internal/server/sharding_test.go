@@ -1,109 +1,34 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"cqa/internal/db"
 	"cqa/internal/engine"
 	"cqa/internal/shard"
-	"cqa/internal/store"
 )
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
-// The full single-primary replication path over real HTTP: a primary,
-// a Follower replicating its WAL stream, reads served read-only from the
-// replica snapshots, and result-cache invalidation riding the stream. A
-// create declaring two relations is one write: it acks version 1, and
-// the follower reaches that same version.
-func TestFollowerReplicatesOverHTTP(t *testing.T) {
-	set, err := store.OpenSet(store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, pts := newTestServer(t, Options{Stores: set, Databases: map[string]*db.Database{}})
-	resp := postJSON(t, pts.URL+"/v1/db/create", DBCreateRequest{Name: "d",
+// A cqad's GET /v1/shards reports the primary role and one store per
+// database. A create declaring two relations is one write: it acks
+// version 1, and the store reports that version.
+func TestShardsReportsOneStorePerDatabase(t *testing.T) {
+	_, ts := newTestServer(t, Options{Databases: map[string]*db.Database{}})
+	resp := postJSON(t, ts.URL+"/v1/db/create", DBCreateRequest{Name: "d",
 		Facts: "R(k1 | a)\nR(k2 | b)\nR(k3 | c)\n", Declare: []RelSig{{Name: "S", Arity: 2, Key: 1}}})
 	if ack := decodeBody[DBWriteResponse](t, resp); resp.StatusCode != http.StatusOK || ack.Version != 1 {
 		t.Fatalf("create: status %d, ack %+v, want version 1", resp.StatusCode, ack)
 	}
-
-	fsrv := New(Options{Engine: engine.New(engine.Options{}), ReadOnly: true})
-	fts := httptest.NewServer(fsrv.Handler())
-	t.Cleanup(fts.Close)
-	f := NewFollower(FollowerOptions{Primary: pts.URL, ID: "it", Server: fsrv, Logf: t.Logf})
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	done := make(chan struct{})
-	go func() { f.Run(ctx); close(done) }()
-	t.Cleanup(func() { cancel(); <-done })
-
-	primaryVersion := func() uint64 {
-		return set.Get("d").Version()
-	}
-	caughtUp := func() bool {
-		return f.Versions()["d"] == primaryVersion()
-	}
-	waitFor(t, 5*time.Second, "initial catch-up", caughtUp)
-	if v := f.Versions()["d"]; v != 1 {
-		t.Fatalf("follower caught up at version %d, want the create's 1", v)
-	}
-
-	// The follower serves the replicated database read-only.
-	resp = postJSON(t, fts.URL+"/v1/certain", CertainRequest{Query: "R(x | y)", Database: "d"})
-	ans := decodeBody[CertainResponse](t, resp)
-	if !ans.Certain {
-		t.Fatalf("follower answer: %+v", ans)
-	}
-	resp = postJSON(t, fts.URL+"/v1/db/insert", DBWriteRequest{Database: "d", Facts: "R(k9 | z)"})
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("follower write status = %d, want 403", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	// A write on the primary flows through the stream and flips a ground
-	// answer on the follower: k1's block gains a rival, so R(k1,a) holds
-	// in only some repairs.
-	resp = postJSON(t, fts.URL+"/v1/certain", CertainRequest{Query: "R('k1' | 'a')", Database: "d"})
-	ans = decodeBody[CertainResponse](t, resp)
-	if !ans.Certain {
-		t.Fatalf("k1's block is still a singleton; follower answer: %+v", ans)
-	}
-	postJSON(t, pts.URL+"/v1/db/insert", DBWriteRequest{Database: "d", Facts: "R(k1 | zz)\nR(k2 | zz)\nR(k3 | zz)\n"}).Body.Close()
-	waitFor(t, 5*time.Second, "write propagation", caughtUp)
-	resp = postJSON(t, fts.URL+"/v1/certain", CertainRequest{Query: "R('k1' | 'a')", Database: "d"})
-	ans = decodeBody[CertainResponse](t, resp)
-	if ans.Certain {
-		t.Fatalf("k1's block is now inconsistent; follower still certain: %+v", ans)
-	}
-	if ans.Version != primaryVersion() {
-		t.Fatalf("follower answered at version %d, primary at %d", ans.Version, primaryVersion())
-	}
-
-	// The follower's registration shows up in the primary's stats.
-	sresp, err := http.Get(pts.URL + "/v1/shards")
+	sresp, err := http.Get(ts.URL + "/v1/shards")
 	if err != nil {
 		t.Fatal(err)
 	}
 	topo := decodeBody[ShardsResponse](t, sresp)
 	if topo.Role != "primary" || len(topo.Databases) != 1 || topo.Databases[0].Shards != 1 ||
-		len(topo.Databases[0].PerShard) != 1 || topo.Databases[0].PerShard[0].Followers != 1 {
+		len(topo.Databases[0].PerShard) != 1 || topo.Databases[0].PerShard[0].Version != 1 ||
+		topo.Databases[0].PerShard[0].Facts != 3 {
 		t.Fatalf("primary topology: %+v", topo)
 	}
 }
@@ -220,37 +145,5 @@ func TestRouterScatterGatherAndDegradation(t *testing.T) {
 	topo := decodeBody[ShardsResponse](t, hresp)
 	if topo.Role != "router" || len(topo.Shards) != 2 || !topo.Shards[0].Alive || topo.Shards[1].Alive {
 		t.Fatalf("router health: %+v", topo)
-	}
-}
-
-// Reads through the router prefer a shard's replica and fall back to
-// the primary when the replica is down.
-func TestRouterPrefersReplicas(t *testing.T) {
-	_, pts := newTestServer(t, Options{Databases: map[string]*db.Database{}})
-	mustCreate(t, pts.URL, DBCreateRequest{Name: "d", Facts: "R(a | 1)"})
-
-	// The "replica" is a plain server with different content, so the
-	// test can tell who answered.
-	_, replicaTS := newTestServer(t, Options{Databases: map[string]*db.Database{}})
-	mustCreate(t, replicaTS.URL, DBCreateRequest{Name: "d", Facts: "R(a | 1)\nR(a | 2)\n"})
-
-	rt := NewRouter(RouterOptions{
-		Shards:   []string{pts.URL},
-		Replicas: []string{replicaTS.URL},
-		Options:  Options{Engine: engine.New(engine.Options{})},
-	})
-	rts := httptest.NewServer(rt.Handler())
-	t.Cleanup(rts.Close)
-
-	resp := postJSON(t, rts.URL+"/v1/certain", CertainRequest{Query: "R('a' | '1')", Database: "d"})
-	ans := decodeBody[CertainResponse](t, resp)
-	if ans.Certain {
-		t.Fatalf("replica's inconsistent block should answer (not certain): %+v", ans)
-	}
-	replicaTS.Close()
-	resp = postJSON(t, rts.URL+"/v1/certain", CertainRequest{Query: "R('a' | '1')", Database: "d"})
-	ans = decodeBody[CertainResponse](t, resp)
-	if !ans.Certain {
-		t.Fatalf("primary fallback should answer (certain): %+v", ans)
 	}
 }

@@ -16,17 +16,6 @@ import (
 // immutable snapshots, and every write flows through its WAL when the
 // daemon runs with a data directory. See docs/STORE.md.
 
-// denyReadOnly rejects mutating requests on a follower. It reports true
-// when the request was handled (rejected).
-func (s *Server) denyReadOnly(w http.ResponseWriter) bool {
-	if !s.opt.ReadOnly {
-		return false
-	}
-	s.writeError(w, http.StatusForbidden, "read_only",
-		"this server is a read-only follower; write to the primary")
-	return true
-}
-
 // parseWrite parses a write request's facts and folds its explicit
 // relation signatures into the relations it declares: every relation of
 // the facts plus the declare list for a create or insert, the declare
@@ -70,9 +59,6 @@ func writeDB(r *http.Request, st *store.Store, decls, batch *db.Database, del bo
 // when the server's set has a data directory, seeded with inline facts
 // and explicit declarations in one batch — one version.
 func (s *Server) handleDBCreate(w http.ResponseWriter, r *http.Request) {
-	if s.denyReadOnly(w) {
-		return
-	}
 	var req DBCreateRequest
 	if err := readRequest(r.Body, &req, req.members()); err != nil {
 		s.writeDecodeError(w, err)
@@ -115,9 +101,6 @@ func (s *Server) handleDBCreate(w http.ResponseWriter, r *http.Request) {
 // (duplicate inserts, absent deletes) are filtered and do not bump.
 func (s *Server) handleDBWrite(del bool) func(w http.ResponseWriter, r *http.Request) {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.denyReadOnly(w) {
-			return
-		}
 		var req DBWriteRequest
 		if err := readRequest(r.Body, &req, req.members()); err != nil {
 			s.writeDecodeError(w, err)

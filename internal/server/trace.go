@@ -44,12 +44,11 @@ func (s *Server) traced(next http.Handler) http.Handler {
 	})
 }
 
-// traceablePath excludes operational probes (scrapes and health checks
-// would flood the ring) and the long-lived WAL stream (its trace would
-// only finish when the follower disconnects).
+// traceablePath excludes operational probes: scrapes and health checks
+// would flood the ring.
 func traceablePath(p string) bool {
 	switch p {
-	case "/healthz", "/readyz", "/metrics", "/debug/vars", "/debug/traces", "/v1/wal/stream":
+	case "/healthz", "/readyz", "/metrics", "/debug/vars", "/debug/traces":
 		return false
 	}
 	return !strings.HasPrefix(p, "/debug/pprof")

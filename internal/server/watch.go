@@ -16,9 +16,9 @@ const DefaultWatchHeartbeat = 3 * time.Second
 // handleWatch answers POST /v1/watch: it registers the query against
 // the named database for incremental certainty maintenance and streams
 // verdict-flip events as newline-delimited JSON until the client
-// disconnects or the database is dropped. Like /v1/wal/stream the
-// handler is registered outside the admission middleware — a watcher
-// neither occupies an admission slot nor trips the request timeout.
+// disconnects or the database is dropped. The handler is registered
+// outside the admission middleware: a watcher neither occupies an
+// admission slot nor trips the request timeout.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
 	var req WatchRequest

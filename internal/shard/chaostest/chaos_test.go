@@ -222,27 +222,6 @@ func (h *harness) mustAnswer(query string) {
 	}
 }
 
-// quiesceFollower waits until the follower's served version matches
-// its primary shard's, so replica-preferring reads see the shadow's
-// content.
-func (h *harness) quiesceFollower() {
-	if h.tp.Follower == nil {
-		return
-	}
-	h.t.Helper()
-	primary := h.tp.Shards[h.tp.FollowerShard]
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		pv, perr := h.version(primary.URL)
-		fv, ferr := h.version(h.tp.Follower.URL)
-		if perr == nil && ferr == nil && pv == fv {
-			return
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	h.t.Fatalf("follower did not catch up with %s within 15s", primary.Name)
-}
-
 // version reads a server's served version of the chaos database.
 func (h *harness) version(base string) (uint64, error) {
 	resp, err := h.client.Get(base + "/v1/db/info")
@@ -303,16 +282,7 @@ func (h *harness) post(url string, body, out any) error {
 // assert full recovery. CHAOS_ROUNDS=20 is the acceptance setting.
 func TestChaosKillRecover(t *testing.T) {
 	dir := t.TempDir()
-	tp, err := Boot(BootOptions{
-		Bin:      cqadBin,
-		Dir:      dir,
-		Shards:   4,
-		Durable:  true,
-		Follower: true,
-		// A non-zero shard carries the replica: the failover paths must
-		// not depend on the replicated shard being the first one.
-		FollowerShard: 2,
-	})
+	tp, err := Boot(BootOptions{Bin: cqadBin, Dir: dir, Shards: 4, Durable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +292,6 @@ func TestChaosKillRecover(t *testing.T) {
 
 	for round := 0; round < rounds; round++ {
 		h.writeBatch(8)
-		h.quiesceFollower()
 
 		// Background readers hammer across the kill window: every 200
 		// must match the shadow; errors must be explicit, never wrong.
@@ -353,76 +322,43 @@ func TestChaosKillRecover(t *testing.T) {
 			}(c)
 		}
 
-		victimShard := h.rng.Intn(len(tp.Shards) + 1) // len == the follower
-		followerDown := victimShard == len(tp.Shards)
-		if !followerDown {
-			victim := tp.Shards[victimShard]
-			t.Logf("round %d: SIGKILL %s", round, victim.Name)
-			if err := victim.Kill(); err != nil {
-				t.Fatal(err)
-			}
-			owned, other := h.keyOwnedBy(victimShard)
-			// Keys on live shards keep answering exactly.
-			h.mustAnswer(h.query(other))
-			if victimShard == tp.FollowerShard {
-				// The replicated shard: its reads fail over to the
-				// follower and must still be exact.
-				h.mustAnswer(h.query(owned))
-			} else {
-				// Unreplicated dead shard: reads touching it degrade to
-				// the explicit partial-result error.
-				if _, code := h.ask(h.query(owned)); code != "partial_result" {
-					t.Fatalf("round %d: read touching dead %s: got %q, want partial_result", round, victim.Name, code)
-				}
-			}
-			// Writes fan out to every shard (schema broadcast), so any
-			// dead shard makes writes fail explicitly — partial, named.
-			err := h.post(tp.Router.URL+"/v1/db/insert", server.DBWriteRequest{
-				Database: chaosDB, Facts: fmt.Sprintf("R(k%d | vX)\n", owned),
-			}, &server.DBWriteResponse{})
-			if se, ok := err.(*statusError); !ok || se.code != "partial_write" {
-				t.Fatalf("round %d: write with dead shard: %v, want partial_write", round, err)
-			}
-			// Restart: the shard recovers from its own WAL and rejoins
-			// (the router holds no state — pure hashing).
-			if err := victim.Start(); err != nil {
-				t.Fatal(err)
-			}
-			if err := victim.WaitHealthy(10 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			t.Logf("round %d: SIGKILL follower (cut the WAL stream)", round)
-			if err := tp.Follower.Kill(); err != nil {
-				t.Fatal(err)
-			}
-			// Replica-preferring reads fall back to the primary.
-			owned, _ := h.keyOwnedBy(tp.FollowerShard)
-			h.mustAnswer(h.query(owned))
+		victimShard := h.rng.Intn(len(tp.Shards))
+		victim := tp.Shards[victimShard]
+		t.Logf("round %d: SIGKILL %s", round, victim.Name)
+		if err := victim.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		owned, other := h.keyOwnedBy(victimShard)
+		// Keys on live shards keep answering exactly; reads touching the
+		// dead shard degrade to the explicit partial-result error.
+		h.mustAnswer(h.query(other))
+		if _, code := h.ask(h.query(owned)); code != "partial_result" {
+			t.Fatalf("round %d: read touching dead %s: got %q, want partial_result", round, victim.Name, code)
+		}
+		// Writes fan out to every shard (schema broadcast), so any dead
+		// shard makes writes fail explicitly — partial, named.
+		err := h.post(tp.Router.URL+"/v1/db/insert", server.DBWriteRequest{
+			Database: chaosDB, Facts: fmt.Sprintf("R(k%d | vX)\n", owned),
+		}, &server.DBWriteResponse{})
+		if se, ok := err.(*statusError); !ok || se.code != "partial_write" {
+			t.Fatalf("round %d: write with dead shard: %v, want partial_write", round, err)
+		}
+		// Restart: the shard recovers from its own WAL and rejoins (the
+		// router holds no state — pure hashing).
+		if err := victim.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := victim.WaitHealthy(10 * time.Second); err != nil {
+			t.Fatal(err)
 		}
 
-		// The background check compares every 200 against the *latest*
-		// shadow, which is only sound while replica reads are quiesced:
-		// a follower mid-bootstrap serves a consistent but stale
-		// version. So the readers cover the kill window, and the
-		// follower restarts only after they stop; its catch-up is
-		// validated by the quiesced sweep below.
 		close(stopBg)
 		bgWg.Wait()
 		if len(bgWrong) > 0 {
 			t.Fatalf("round %d: %d wrong background answer(s): %s", round, len(bgWrong), bgWrong[0])
 		}
-		if followerDown {
-			if err := tp.Follower.Start(); err != nil {
-				t.Fatal(err)
-			}
-			if err := tp.Follower.WaitHealthy(10 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-		}
 
 		// Full recovery: every key answers exactly through the router.
-		h.quiesceFollower()
 		for k := 0; k < chaosKeys; k++ {
 			h.mustAnswer(h.query(k))
 		}

@@ -110,25 +110,14 @@ func (wc *watchCollector) stop() []server.WatchEvent {
 // client shadow.
 func TestChaosWatchResume(t *testing.T) {
 	dir := t.TempDir()
-	tp, err := Boot(BootOptions{
-		Bin:           cqadBin,
-		Dir:           dir,
-		Shards:        4,
-		Durable:       true,
-		Follower:      true,
-		FollowerShard: 1,
-	})
+	tp, err := Boot(BootOptions{Bin: cqadBin, Dir: dir, Shards: 4, Durable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tp.Close()
 	h := newHarness(t, tp, 99)
 
-	// The victim must be unreplicated, so the stream genuinely breaks.
 	victim := 0
-	for victim == tp.FollowerShard {
-		victim++
-	}
 	key, _ := h.keyOwnedBy(victim)
 	watchQuery := fmt.Sprintf("R('k%d' | 'v0')", key)
 	q, err := parse.Query(watchQuery)

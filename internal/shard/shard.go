@@ -9,7 +9,7 @@
 //
 // Facts are routed by an FNV-1a hash of the canonical key strings —
 // not the interned integer ids, which are process-local and would route
-// the same block differently across restarts and replicas, and not the
+// the same block differently across restarts and processes, and not the
 // relation name, so same-key blocks of different relations co-locate
 // (the placement property PlanFor's co-keyed rule rests on).
 //

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -20,9 +19,7 @@ import (
 // block whose content differs between the consecutive snapshots. If a
 // query's certain answer flips across a batch, some reported dirty
 // block witnesses it — delta re-evaluation keyed off Change.Blocks can
-// therefore never miss a flip. The same property is asserted for the
-// replica apply path (WAL stream replay, including delete ops), whose
-// Changes must match the primary's batch for batch.
+// therefore never miss a flip.
 func TestChangeBlockCompleteness(t *testing.T) {
 	const (
 		rounds = 150
@@ -35,10 +32,7 @@ func TestChangeBlockCompleteness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seed through the WAL (not the adopted base) so the replica leg
-	// below can replay the whole history from version 0.
 	primary := NewMem("prop", nil)
-	primary.RegisterFollower("prop-test", 0)
 	seedChange, err := primary.ApplyDB(seed)
 	if err != nil {
 		t.Fatal(err)
@@ -146,42 +140,6 @@ func TestChangeBlockCompleteness(t *testing.T) {
 			}
 		}
 	}
-
-	// Replica leg: replay the whole run through the WAL stream protocol
-	// and require identical per-version Changes (delete ops flow through
-	// Replica.ApplyStream's op decoding) and an identical final state.
-	var buf bytes.Buffer
-	if err := primary.ServeStream(&buf, StreamOptions{From: 0}); err != nil {
-		t.Fatal(err)
-	}
-	replica := NewReplica("prop")
-	got := make(map[uint64]Change)
-	replica.Store().SetOnApply(func(c Change) { got[c.Version] = c })
-	replica.SetOnReset(func(version uint64) {
-		t.Fatalf("replica reset at v%d: the stream should have been a pure tail", version)
-	})
-	if err := replica.ApplyStream(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for v, want := range changes {
-		rc, ok := got[v]
-		if !ok {
-			t.Fatalf("replica never reported v%d", v)
-		}
-		if !sameBlockSet(want.Blocks, rc.Blocks) {
-			t.Fatalf("v%d: primary blocks %v, replica blocks %v", v, want.Blocks, rc.Blocks)
-		}
-	}
-	final := primary.Snapshot().DB
-	repl := replica.Store().Snapshot().DB
-	if final.Size() != repl.Size() {
-		t.Fatalf("replica size %d, primary size %d", repl.Size(), final.Size())
-	}
-	for _, f := range final.AllFacts() {
-		if !repl.Has(f) {
-			t.Fatalf("replica lacks %v", f)
-		}
-	}
 }
 
 func parseQueries(t *testing.T, srcs ...string) []schema.Query {
@@ -224,19 +182,6 @@ func blockSet(refs []BlockRef) map[string]bool {
 		out[blockID(b.Rel, b.Key)] = true
 	}
 	return out
-}
-
-func sameBlockSet(a, b []BlockRef) bool {
-	sa, sb := blockSet(a), blockSet(b)
-	if len(sa) != len(sb) {
-		return false
-	}
-	for k := range sa {
-		if !sb[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // blockDiff returns the blocks whose fact sets differ between two

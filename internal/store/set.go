@@ -106,8 +106,8 @@ func (s *Set) Create(name string) (*Store, error) {
 	return st, nil
 }
 
-// Adopt adds an existing store (a preloaded database or a follower's
-// replica) under its own name.
+// Adopt adds an existing store (a preloaded database) under its own
+// name.
 func (s *Set) Adopt(st *Store) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -18,26 +18,6 @@ import (
 
 var snapMagic = []byte("CQASNAP1")
 
-// snapshotRecords renders d as WAL-framed declare and insert records at
-// version, returning the frames and the record count. It is the shared
-// body of checkpoint files and stream snapshot bootstraps.
-func snapshotRecords(d *db.Database, version uint64) ([]byte, int) {
-	var buf bytes.Buffer
-	count := 0
-	for _, name := range d.RelationNames() {
-		r := d.Relation(name)
-		buf.Write(encodeRecord(walRec{version: version,
-			op: walOp{kind: opDeclare, rel: name, arity: r.Arity, key: r.Key}}))
-		count++
-		for _, f := range d.Facts(name) {
-			buf.Write(encodeRecord(walRec{version: version,
-				op: walOp{kind: opInsert, rel: name, args: f.Args}}))
-			count++
-		}
-	}
-	return buf.Bytes(), count
-}
-
 // writeSnapshotFile atomically replaces path with a checkpoint of d at
 // version.
 func writeSnapshotFile(path string, d *db.Database, version uint64) error {
@@ -46,8 +26,15 @@ func writeSnapshotFile(path string, d *db.Database, version uint64) error {
 	var vb [8]byte
 	binary.LittleEndian.PutUint64(vb[:], version)
 	buf.Write(vb[:])
-	body, _ := snapshotRecords(d, version)
-	buf.Write(body)
+	for _, name := range d.RelationNames() {
+		r := d.Relation(name)
+		buf.Write(encodeRecord(walRec{version: version,
+			op: walOp{kind: opDeclare, rel: name, arity: r.Arity, key: r.Key}}))
+		for _, f := range d.Facts(name) {
+			buf.Write(encodeRecord(walRec{version: version,
+				op: walOp{kind: opInsert, rel: name, args: f.Args}}))
+		}
+	}
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -99,10 +86,10 @@ func readSnapshotFile(path string) (*db.Database, uint64, error) {
 	return ld.Database(), version, nil
 }
 
-// loadOp adds one record of a snapshot — a checkpoint file or a
-// follower's bootstrap stream — to the database being loaded. A snapshot
-// holds declarations and inserts only (snapshotRecords); deletes belong
-// to the WAL, whose replay goes through applyEffective.
+// loadOp adds one record of a checkpoint file to the database being
+// loaded. A checkpoint holds declarations and inserts only
+// (writeSnapshotFile); deletes belong to the WAL, whose replay goes
+// through applyEffective.
 func loadOp(ld *db.Loader, o walOp) error {
 	switch o.kind {
 	case opDeclare:

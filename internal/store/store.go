@@ -47,12 +47,6 @@ var ErrExists = errors.New("store: database already exists")
 // checkpoints when Options.CheckpointEvery ≤ 0.
 const DefaultCheckpointEvery = 1024
 
-// DefaultMaxFollowerLag caps how many versions behind the current one a
-// registered follower may hold the retention floor. A follower lagging
-// further is evicted: its records are reclaimed and its next stream
-// request falls back to a snapshot bootstrap.
-const DefaultMaxFollowerLag = 4096
-
 // Options configures a store.
 type Options struct {
 	// Dir is the data directory; "" selects a memory-only store (no
@@ -111,9 +105,6 @@ type Stats struct {
 	WALRecords        uint64 // records appended since open
 	RecoveredRecords  uint64 // WAL records replayed at open
 	SegmentRecords    uint64 // records in the current WAL segment
-	TailRecords       uint64 // records retained in memory for streaming
-	TailFloor         uint64 // versions ≤ TailFloor need a snapshot bootstrap
-	Followers         int    // registered stream followers
 }
 
 // Store is a mutable, versioned fact database. Any number of goroutines
@@ -136,39 +127,17 @@ type Store struct {
 	recovered   uint64
 	checkpoints atomic.Uint64
 	checkpointV atomic.Uint64
-
-	// Streaming state (under mu). tail holds the encoded frames of every
-	// record with version > tailFloor, serving follower catch-up without
-	// touching disk; followers maps follower id → acknowledged version,
-	// and holds the retention floor down (see retentionFloorLocked).
-	tail      []tailRec
-	tailFloor uint64
-	followers map[string]uint64
-	changed   chan struct{} // closed and replaced on every publish
-}
-
-// tailRec is one retained record: its version and its encoded frame.
-type tailRec struct {
-	version uint64
-	frame   []byte
 }
 
 // NewMem returns a memory-only store adopting base (nil selects an
 // empty database) as its version-0 snapshot. The caller must not mutate
 // base afterwards.
 func NewMem(name string, base *db.Database) *Store {
-	return NewMemAt(name, base, 0)
-}
-
-// NewMemAt is NewMem starting at an arbitrary version — the seed of a
-// follower replica bootstrapped from a primary's snapshot.
-func NewMemAt(name string, base *db.Database, version uint64) *Store {
 	if base == nil {
 		base = db.New()
 	}
-	s := &Store{name: name, followers: make(map[string]uint64), changed: make(chan struct{})}
-	s.tailFloor = version
-	s.cur.Store(&Snapshot{DB: base, Version: version})
+	s := &Store{name: name}
+	s.cur.Store(&Snapshot{DB: base})
 	return s
 }
 
@@ -177,13 +146,11 @@ func NewMemAt(name string, base *db.Database, version uint64) *Store {
 // A torn WAL tail is truncated; everything acknowledged before it is
 // recovered exactly. With opt.Dir == "" Open degenerates to NewMem.
 func Open(name string, opt Options) (*Store, error) {
+	if opt.Dir == "" {
+		return NewMem(name, nil), nil
+	}
 	if opt.CheckpointEvery <= 0 {
 		opt.CheckpointEvery = DefaultCheckpointEvery
-	}
-	if opt.Dir == "" {
-		s := NewMem(name, nil)
-		s.opt = opt
-		return s, nil
 	}
 	if err := validName(name); err != nil {
 		return nil, err
@@ -191,7 +158,7 @@ func Open(name string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{name: name, opt: opt, followers: make(map[string]uint64), changed: make(chan struct{})}
+	s := &Store{name: name, opt: opt}
 
 	base := db.New()
 	var version uint64
@@ -234,21 +201,8 @@ func Open(name string, opt Options) (*Store, error) {
 			}
 		}
 		s.recovered = uint64(len(recs))
-		// Rebuild the streaming tail from the retained records, so a
-		// restarted primary can still serve incremental catch-up for
-		// versions the previous process retained on disk.
-		s.tailFloor = version
-		for _, rec := range recs {
-			if rec.version-1 < s.tailFloor {
-				s.tailFloor = rec.version - 1
-			}
-			s.tail = append(s.tail, tailRec{version: rec.version, frame: encodeRecord(rec)})
-		}
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, err
-	}
-	if len(s.tail) == 0 {
-		s.tailFloor = version
 	}
 
 	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
@@ -296,8 +250,7 @@ func (s *Store) Snapshot() Snapshot { return *s.cur.Load() }
 // Version returns the current published version.
 func (s *Store) Version() uint64 { return s.cur.Load().Version }
 
-// SetOnApply registers fn to run after every published write — every
-// effective write, and every batch a Replica commits — after the
+// SetOnApply registers fn to run after every effective write, after the
 // snapshot is published and while the writer lock is still held:
 // callbacks therefore observe changes in version order, and Snapshot
 // called from fn returns the write's own snapshot, which the engine's
@@ -311,7 +264,7 @@ func (s *Store) SetOnApply(fn func(Change)) {
 
 // Declare registers a relation with signature [arity, key].
 func (s *Store) Declare(name string, arity, key int) (Change, error) {
-	return s.apply(0, []walOp{{kind: opDeclare, rel: name, arity: arity, key: key}})
+	return s.apply([]walOp{{kind: opDeclare, rel: name, arity: arity, key: key}})
 }
 
 // Insert adds facts as one atomic batch (one version bump).
@@ -320,7 +273,7 @@ func (s *Store) Insert(facts ...db.Fact) (Change, error) {
 	for i, f := range facts {
 		ops[i] = walOp{kind: opInsert, rel: f.Rel, args: f.Args}
 	}
-	return s.apply(0, ops)
+	return s.apply(ops)
 }
 
 // Delete removes facts as one atomic batch.
@@ -329,7 +282,7 @@ func (s *Store) Delete(facts ...db.Fact) (Change, error) {
 	for i, f := range facts {
 		ops[i] = walOp{kind: opDelete, rel: f.Rel, args: f.Args}
 	}
-	return s.apply(0, ops)
+	return s.apply(ops)
 }
 
 // ApplyDB declares every relation of src and inserts every fact, as one
@@ -360,18 +313,12 @@ func (s *Store) WriteDB(decls, facts *db.Database, del bool) (Change, error) {
 			ops = append(ops, walOp{kind: kind, rel: name, args: f.Args})
 		}
 	}
-	return s.apply(0, ops)
+	return s.apply(ops)
 }
 
-// apply validates, filters, logs, and publishes one batch. A primary
-// write (at == 0) takes the next version and publishes only when some
-// op took effect. A replicated batch — the follower side of
-// ServeStream — takes the primary's version at, so exact-version reads
-// agree across the fleet: a version at or below the current one is a
-// duplicate delivery and does nothing, and the batch publishes even
-// when every op was a no-op locally. Replicated stores are memory-only;
-// their durability lives upstream.
-func (s *Store) apply(at uint64, ops []walOp) (Change, error) {
+// apply validates, filters, logs, and publishes one batch. The batch
+// takes the next version and publishes only when some op took effect.
+func (s *Store) apply(ops []walOp) (Change, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -379,15 +326,6 @@ func (s *Store) apply(at uint64, ops []walOp) (Change, error) {
 	}
 	cur := s.cur.Load()
 	version := cur.Version + 1
-	if at > 0 {
-		if s.wal != nil {
-			return Change{}, errors.New("store: replicated apply onto a durable store")
-		}
-		if at <= cur.Version {
-			return Change{Version: cur.Version}, nil // duplicate delivery
-		}
-		version = at
-	}
 
 	// Copy-on-write: deep-copy exactly the relations this batch names;
 	// everything else is shared with the previous snapshot.
@@ -403,7 +341,6 @@ func (s *Store) apply(at uint64, ops []walOp) (Change, error) {
 
 	var change Change
 	var logged []byte
-	var frames []tailRec
 	relSet := make(map[string]bool)
 	for _, o := range ops {
 		effective, block, err := applyEffective(next, o)
@@ -418,13 +355,11 @@ func (s *Store) apply(at uint64, ops []walOp) (Change, error) {
 		if block != nil {
 			change.Blocks = append(change.Blocks, BlockRef{Rel: o.rel, Key: block})
 		}
-		frame := encodeRecord(walRec{version: version, op: o})
-		frames = append(frames, tailRec{version: version, frame: frame})
 		if s.wal != nil {
-			logged = append(logged, frame...)
+			logged = append(logged, encodeRecord(walRec{version: version, op: o})...)
 		}
 	}
-	if change.Applied == 0 && at == 0 {
+	if change.Applied == 0 {
 		return Change{Version: cur.Version}, nil
 	}
 	for r := range relSet {
@@ -467,8 +402,6 @@ func (s *Store) apply(at uint64, ops []walOp) (Change, error) {
 	}
 
 	s.cur.Store(&Snapshot{DB: next, Version: version})
-	s.tail = append(s.tail, frames...)
-	s.notifyLocked()
 	if s.onApply != nil {
 		s.onApply(change)
 	}
@@ -476,83 +409,8 @@ func (s *Store) apply(at uint64, ops []walOp) (Change, error) {
 		if err := s.checkpointLocked(); err != nil {
 			return change, fmt.Errorf("store: checkpoint failed (write applied): %w", err)
 		}
-	} else if s.wal == nil {
-		s.maintainTailLocked(version)
 	}
 	return change, nil
-}
-
-// notifyLocked wakes Changed waiters by closing and replacing the
-// broadcast channel.
-func (s *Store) notifyLocked() {
-	if s.changed == nil {
-		s.changed = make(chan struct{})
-		return
-	}
-	close(s.changed)
-	s.changed = make(chan struct{})
-}
-
-// Changed returns a channel closed at the next publish (or Close). Take
-// it, check the version, and take a fresh one to wait again.
-func (s *Store) Changed() <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.changed == nil {
-		s.changed = make(chan struct{})
-	}
-	return s.changed
-}
-
-// maintainTailLocked bounds a memory-only store's streaming tail: once
-// it exceeds twice the checkpoint interval, records below the retention
-// floor are dropped (a durable store prunes at checkpoint instead).
-func (s *Store) maintainTailLocked(version uint64) {
-	every := s.opt.CheckpointEvery
-	if every <= 0 {
-		every = DefaultCheckpointEvery
-	}
-	if len(s.tail) <= 2*every {
-		return
-	}
-	s.pruneTailLocked(s.retentionFloorLocked(version))
-}
-
-// retentionFloorLocked computes the version below which records may be
-// reclaimed: target (the checkpoint or current version), held down by
-// the slowest registered follower. Followers lagging beyond
-// DefaultMaxFollowerLag are evicted first — their next stream request
-// gets a snapshot bootstrap rather than holding retention forever.
-func (s *Store) retentionFloorLocked(target uint64) uint64 {
-	cur := s.cur.Load().Version
-	for id, ack := range s.followers {
-		if cur-ack > DefaultMaxFollowerLag {
-			delete(s.followers, id)
-		}
-	}
-	floor := target
-	for _, ack := range s.followers {
-		if ack < floor {
-			floor = ack
-		}
-	}
-	return floor
-}
-
-// pruneTailLocked drops tail records with version ≤ floor and raises
-// the tail floor. It never lowers the floor.
-func (s *Store) pruneTailLocked(floor uint64) {
-	if floor < s.tailFloor {
-		floor = s.tailFloor
-	}
-	i := 0
-	for i < len(s.tail) && s.tail[i].version <= floor {
-		i++
-	}
-	if i > 0 {
-		s.tail = append([]tailRec(nil), s.tail[i:]...)
-	}
-	s.tailFloor = floor
 }
 
 // applyEffective applies one op to next, reporting whether it changed
@@ -588,20 +446,6 @@ func applyEffective(next *db.Database, o walOp) (bool, []string, error) {
 	}
 }
 
-// Checkpoint forces a snapshot checkpoint and WAL truncation now. It is
-// a no-op for memory-only stores.
-func (s *Store) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.wal == nil {
-		return nil
-	}
-	return s.checkpointLocked()
-}
-
 func (s *Store) checkpointLocked() error {
 	cur := s.cur.Load()
 	if err := writeSnapshotFile(s.snapPath(), cur.DB, cur.Version); err != nil {
@@ -610,41 +454,10 @@ func (s *Store) checkpointLocked() error {
 	// Only after the checkpoint is durably in place may the log shrink.
 	// A crash in between double-covers some records; replay's version
 	// filter (and op idempotence) makes that harmless.
-	//
-	// Retention floor: the checkpoint covers everything ≤ cur.Version,
-	// but a registered follower still needs records after its last
-	// acknowledged version, so the log keeps the suffix above
-	// min(checkpoint version, slowest follower ack) instead of
-	// truncating to zero unconditionally.
-	floor := s.retentionFloorLocked(cur.Version)
-	s.pruneTailLocked(floor)
-	if len(s.tail) == 0 {
-		if err := s.wal.Truncate(0); err != nil {
-			return err
-		}
-		s.segRecords = 0
-	} else {
-		var buf []byte
-		for _, tr := range s.tail {
-			buf = append(buf, tr.frame...)
-		}
-		tmp := s.walPath() + ".tmp"
-		if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, s.walPath()); err != nil {
-			os.Remove(tmp)
-			return err
-		}
-		// The old append fd points at the replaced inode; reopen.
-		f, err := os.OpenFile(s.walPath(), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		s.wal.Close()
-		s.wal = f
-		s.segRecords = uint64(len(s.tail))
+	if err := s.wal.Truncate(0); err != nil {
+		return err
 	}
+	s.segRecords = 0
 	s.sinceCkpt = 0
 	s.checkpoints.Add(1)
 	s.checkpointV.Store(cur.Version)
@@ -661,7 +474,6 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.notifyLocked() // wake stream waiters so they observe the close
 	if s.wal == nil {
 		return nil
 	}
@@ -680,9 +492,6 @@ func (s *Store) Stats() Stats {
 	cur := s.cur.Load()
 	s.mu.Lock()
 	seg := s.segRecords
-	tailN := uint64(len(s.tail))
-	tailFloor := s.tailFloor
-	followers := len(s.followers)
 	s.mu.Unlock()
 	return Stats{
 		Version:           cur.Version,
@@ -691,8 +500,5 @@ func (s *Store) Stats() Stats {
 		WALRecords:        s.walRecords.Load(),
 		RecoveredRecords:  s.recovered,
 		SegmentRecords:    seg,
-		TailRecords:       tailN,
-		TailFloor:         tailFloor,
-		Followers:         followers,
 	}
 }

@@ -25,15 +25,11 @@ import (
 	"hash/crc32"
 )
 
-// Op kinds. opCommit never appears in on-disk logs: it is synthesized
-// by the WAL streaming endpoint to mark a version boundary, so a
-// follower publishes a replicated batch only once it is known complete
-// (see stream.go and docs/SHARDING.md).
+// Op kinds.
 const (
 	opDeclare byte = 1
 	opInsert  byte = 2
 	opDelete  byte = 3
-	opCommit  byte = 4
 )
 
 // maxRecordLen bounds one record's payload; longer lengths in a header
@@ -69,8 +65,6 @@ func encodeRecord(rec walRec) []byte {
 	case opDeclare:
 		p = binary.AppendUvarint(p, uint64(rec.op.arity))
 		p = binary.AppendUvarint(p, uint64(rec.op.key))
-	case opCommit:
-		// Version and kind only; the empty relation name is already framed.
 	default:
 		p = binary.AppendUvarint(p, uint64(len(rec.op.args)))
 		for _, a := range rec.op.args {
@@ -149,10 +143,6 @@ func decodePayload(p []byte) (walRec, error) {
 			return rec, fmt.Errorf("store: invalid signature [%d, %d] in declare record", arity, key)
 		}
 		rec.op.arity, rec.op.key = int(arity), int(key)
-	case opCommit:
-		if rec.op.rel != "" {
-			return rec, fmt.Errorf("store: commit record names relation %q", rec.op.rel)
-		}
 	case opInsert, opDelete:
 		n, err := c.uvarint()
 		if err != nil {
