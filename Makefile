@@ -75,7 +75,9 @@ experiments:
 	$(GO) run ./cmd/certbench -quick
 
 # Boot a real cqad on a random port, hit /healthz and answer one
-# /v1/certain request, then shut it down. Fails loudly at each step.
+# /v1/certain request, check that /metrics counted it and that the API
+# port serves no /debug/vars, then shut it down. Fails loudly at each
+# step.
 serve-smoke:
 	$(GO) build -o /tmp/cqad-smoke ./cmd/cqad
 	@rm -f /tmp/cqad-smoke.addr; \
@@ -89,6 +91,10 @@ serve-smoke:
 	    "http://$$addr/v1/certain") || { kill $$pid; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | grep -q '"certain": *true' || { echo "unexpected answer"; kill $$pid; exit 1; }; \
+	curl -fsS "http://$$addr/metrics" | grep -qxF 'requests_by_endpoint_total{endpoint="certain"} 1' \
+	    || { echo "/metrics: requests_by_endpoint_total{endpoint=\"certain\"} is not 1"; kill $$pid; exit 1; }; \
+	code=$$(curl -s -o /dev/null -w '%{http_code}' "http://$$addr/debug/vars"); \
+	[ "$$code" = 404 ] || { echo "GET /debug/vars = $$code, want 404"; kill $$pid; exit 1; }; \
 	kill -TERM $$pid; wait $$pid; \
 	rm -f /tmp/cqad-smoke /tmp/cqad-smoke.addr; \
 	echo "serve-smoke OK"

@@ -27,20 +27,23 @@
 //	cqad -route http://s0,http://s1[,...]
 //
 // turns the daemon into the scatter-gather tier over N shard servers
-// (writes partition by block owner, reads scatter).
+// (writes partition by block owner, reads scatter). An empty entry in
+// the list is a usage error (exit 2).
 //
 // Every request carries a trace ID (minted at this daemon or joined
 // from the X-CQA-Trace request header); finished traces are retained in
 // a ring served at GET /debug/traces, -slow-query logs traces over the
 // threshold, and -trace-sample tunes what fraction of fresh root
-// requests record (joined traces always do). /metrics serves Prometheus
-// text exposition. See docs/OBSERVABILITY.md.
+// requests record (joined traces always do). /metrics serves the
+// metrics registry as Prometheus text exposition and /v1/stats serves
+// the same registry as JSON. See docs/OBSERVABILITY.md.
 //
 // Endpoints: POST /v1/classify, /v1/certain, /v1/watch,
 // /v1/db/{create,insert,delete}; GET /v1/db/info, /v1/db/facts,
-// /v1/shards, /v1/stats, /healthz, /readyz, /metrics,
-// /debug/vars, /debug/traces. Profiling (/debug/pprof) is served only on
-// the separate -pprof-addr listener. See docs/SERVING.md.
+// /v1/shards, /v1/stats, /healthz, /readyz, /metrics, /debug/traces.
+// Profiling (/debug/pprof, runtime memstats at /debug/pprof/heap?debug=1)
+// is served only on the separate -pprof-addr listener. See
+// docs/SERVING.md.
 //
 // On SIGINT/SIGTERM the daemon flips /readyz to 503, drains in-flight
 // requests (bounded by -drain-timeout), then closes the engine.
@@ -116,6 +119,12 @@ func parseFlags(args []string, errw *os.File) (config, error) {
 		fmt.Fprintf(errw, "cqad: unexpected arguments: %v\n", fs.Args())
 		return config{}, errors.New("unexpected arguments")
 	}
+	for i, u := range splitList(c.route) {
+		if u == "" {
+			fmt.Fprintf(errw, "cqad: -route entry %d of %q is empty\n", i+1, c.route)
+			return config{}, errors.New("empty -route entry")
+		}
+	}
 	return c, nil
 }
 
@@ -159,6 +168,7 @@ func run(cfg config) error {
 	// recovery-era writes land in the same instruments the server
 	// exposes at /metrics and /debug/traces.
 	reg := metrics.NewRegistry()
+	fsyncLatency := reg.Histogram("wal_fsync_latency")
 	sample := cfg.traceSample
 	if sample <= 0 {
 		sample = -1 // NewTracer treats the zero value as "record everything"
@@ -176,9 +186,7 @@ func run(cfg config) error {
 			Dir:             cfg.dataDir,
 			CheckpointEvery: cfg.checkpoint,
 			Sync:            cfg.fsync,
-			OnFsync: func(d time.Duration) {
-				reg.Histogram("wal_fsync_latency").Observe(d)
-			},
+			OnFsync:         fsyncLatency.Observe,
 		})
 		if err != nil {
 			return err

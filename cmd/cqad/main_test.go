@@ -82,6 +82,15 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-bogus"}, devNull(t)); err == nil {
 		t.Error("unknown flag should fail")
 	}
+	// An empty -route entry would be a shard with no URL.
+	for _, route := range []string{"http://127.0.0.1:9,,", ",http://127.0.0.1:9", "http://127.0.0.1:9, ,http://127.0.0.1:10"} {
+		if _, err := parseFlags([]string{"-route", route}, devNull(t)); err == nil || !strings.Contains(err.Error(), "empty -route entry") {
+			t.Errorf("-route %q: err = %v, want an empty-entry error", route, err)
+		}
+	}
+	if cfg, err := parseFlags([]string{"-route", "http://127.0.0.1:9, http://127.0.0.1:10"}, devNull(t)); err != nil || len(splitList(cfg.route)) != 2 {
+		t.Errorf("two-shard -route: %v", err)
+	}
 	// Deleted knobs: profiling lives on -pprof-addr only, the plan cache
 	// has a fixed capacity, there is no batch worker pool to size, and
 	// there is no replication.
@@ -162,6 +171,29 @@ func TestRunServesAndDrains(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 || len(body) == 0 {
 		t.Fatalf("pprof cmdline on -pprof-addr: %d %q", resp.StatusCode, body)
+	}
+	// Runtime memstats come from the heap profile's text form.
+	get := func(url string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if code, body := get("http://" + pprofAddr + "/debug/pprof/heap?debug=1"); code != 200 || !strings.Contains(body, "runtime.MemStats") {
+		t.Fatalf("heap profile on -pprof-addr: %d, memstats missing", code)
+	}
+	// The API port's one export is the registry: /metrics lists the
+	// daemon's own WAL fsync histogram before any fsync, and there is no
+	// expvar document.
+	if code, body := get("http://" + addr + "/metrics"); code != 200 || !strings.Contains(body, "wal_fsync_latency_seconds_count 0\n") {
+		t.Fatalf("/metrics: %d, wal_fsync_latency missing:\n%s", code, body)
+	}
+	if code, _ := get("http://" + addr + "/debug/vars"); code != http.StatusNotFound {
+		t.Fatalf("GET /debug/vars = %d, want 404", code)
 	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {

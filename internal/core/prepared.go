@@ -163,7 +163,7 @@ func (s *Shape) RewritingSize() int {
 	if !s.InFO() {
 		return 0
 	}
-	return fo.NodeCount(s.cls.Rewriting)
+	return fo.Size(s.cls.Rewriting)
 }
 
 // bound returns the compiled rewriting linked against d's interned view,

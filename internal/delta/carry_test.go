@@ -249,7 +249,7 @@ func TestDeltaCarriesCoKeyedGroups(t *testing.T) {
 	}
 	counters := func() [3]uint64 {
 		h.mgr.Quiesce("test")
-		s, r, f := h.mgr.Counters()
+		s, r, f := h.counters()
 		return [3]uint64{s, r, f}
 	}
 

@@ -120,7 +120,6 @@ type Manager struct {
 	closed bool
 
 	hits, misses, invalidations, carried uint64
-	decided                              map[string]uint64 // by Outcome*
 	watches, subscribed                  int
 }
 
@@ -155,7 +154,7 @@ type entry struct {
 
 // New builds a Manager.
 func New(Options) *Manager {
-	return &Manager{dbs: make(map[string]*dbState), lru: list.New(), decided: make(map[string]uint64)}
+	return &Manager{dbs: make(map[string]*dbState), lru: list.New()}
 }
 
 // SetHooks installs the observability callbacks. Call it before
@@ -397,7 +396,6 @@ func (m *Manager) Advance(dbName string, c store.Change, cur Snapshot) {
 		e.verdict, e.version = s.verdict, c.Version
 		if e.watches != nil {
 			n[s.outcome]++
-			m.decided[s.outcome]++
 		}
 	}
 	m.carried += uint64(carried)

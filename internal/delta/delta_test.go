@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"sync"
 	"testing"
 
 	"cqa/internal/core"
@@ -11,11 +12,30 @@ import (
 )
 
 // harness wires one memory store into a Manager the way the server
-// does: OnApply captures the (change, snapshot) pair synchronously.
+// does: OnApply captures the (change, snapshot) pair synchronously, and
+// the OnReeval hook counts decisions by outcome.
 type harness struct {
 	t   *testing.T
 	st  *store.Store
 	mgr *Manager
+
+	mu      sync.Mutex
+	decided map[string]uint64
+}
+
+// onReeval is the harness's Hooks.OnReeval.
+func (h *harness) onReeval(_, outcome string) {
+	h.mu.Lock()
+	h.decided[outcome]++
+	h.mu.Unlock()
+}
+
+// counters reports how many (change, subscribed entry) decisions
+// skipped, re-evaluated without a flip, and flipped.
+func (h *harness) counters() (skipped, reevaluated, flipped uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.decided[OutcomeSkipped], h.decided[OutcomeReevaluated], h.decided[OutcomeFlipped]
 }
 
 func newHarness(t *testing.T, seed string, opt Options) *harness {
@@ -24,7 +44,8 @@ func newHarness(t *testing.T, seed string, opt Options) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{t: t, st: store.NewMem("test", base), mgr: New(opt)}
+	h := &harness{t: t, st: store.NewMem("test", base), mgr: New(opt), decided: make(map[string]uint64)}
+	h.mgr.SetHooks(Hooks{OnReeval: h.onReeval})
 	h.st.SetOnApply(func(c store.Change) {
 		snap := h.st.Snapshot()
 		h.mgr.Apply("test", c, func() *db.Database { return snap.DB })
@@ -82,7 +103,7 @@ func TestDeltaSkipFlip(t *testing.T) {
 	// A write to an unmentioned relation must skip.
 	h.insert("T", "t1", "u1")
 	h.mgr.Quiesce("test")
-	skipped, reevaled, flipped := h.mgr.Counters()
+	skipped, reevaled, flipped := h.counters()
 	if skipped != 1 || reevaled != 0 || flipped != 0 {
 		t.Fatalf("after T write: counters=(%d,%d,%d), want (1,0,0)", skipped, reevaled, flipped)
 	}
@@ -92,7 +113,7 @@ func TestDeltaSkipFlip(t *testing.T) {
 	// and the registration must skip.
 	h.delete("R", "k9", "v1")
 	h.mgr.Quiesce("test")
-	skipped, reevaled, flipped = h.mgr.Counters()
+	skipped, reevaled, flipped = h.counters()
 	if skipped != 2 || reevaled != 0 || flipped != 0 {
 		t.Fatalf("after k9 delete: counters=(%d,%d,%d), want (2,0,0)", skipped, reevaled, flipped)
 	}
@@ -106,7 +127,7 @@ func TestDeltaSkipFlip(t *testing.T) {
 	// re-checks that block and flips the verdict.
 	c := h.insert("R", "k0", "v1")
 	h.mgr.Quiesce("test")
-	_, _, flipped = h.mgr.Counters()
+	_, _, flipped = h.counters()
 	if flipped != 1 {
 		t.Fatalf("flipped=%d, want 1", flipped)
 	}
@@ -157,11 +178,11 @@ func TestDeltaNonFOFallback(t *testing.T) {
 				t.Fatal("query is co-keyed; the carry rule would decide it")
 			}
 			h.insert("T", "t9", "u9")
-			if skipped, reevaled, flipped := h.mgr.Counters(); skipped != 1 || reevaled+flipped != 0 {
+			if skipped, reevaled, flipped := h.counters(); skipped != 1 || reevaled+flipped != 0 {
 				t.Fatalf("after T write: counters=(%d,%d,%d), want (1,0,0)", skipped, reevaled, flipped)
 			}
 			h.insert("S", "b", "c")
-			if skipped, reevaled, flipped := h.mgr.Counters(); skipped != 1 || reevaled+flipped != 1 {
+			if skipped, reevaled, flipped := h.counters(); skipped != 1 || reevaled+flipped != 1 {
 				t.Fatalf("after S write: counters=(%d,%d,%d), want one re-evaluation", skipped, reevaled, flipped)
 			}
 			if got, want := w.State().Verdict, naive.IsCertain(q, h.st.Snapshot().DB); got != want {

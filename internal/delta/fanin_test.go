@@ -13,6 +13,7 @@ func TestDeltaFanInShares(t *testing.T) {
 	var lastW, lastG int
 	h := newHarness(t, "R(k0 | v0)\nT(t0 | u0)\n", Options{})
 	h.mgr.SetHooks(Hooks{
+		OnReeval: h.onReeval,
 		OnFanin: func(watches, groups int) {
 			mu.Lock()
 			lastW, lastG = watches, groups
@@ -39,10 +40,10 @@ func TestDeltaFanInShares(t *testing.T) {
 	// One decision per group per change, not per watch: this insert
 	// touches only T, so the R-group skips and the T-group re-evaluates
 	// — two decisions for three watches.
-	base := func() uint64 { s, r, f := h.mgr.Counters(); return s + r + f }()
+	base := func() uint64 { s, r, f := h.counters(); return s + r + f }()
 	h.insert("T", "t1", "u1")
 	h.mgr.Quiesce("test")
-	if got := func() uint64 { s, r, f := h.mgr.Counters(); return s + r + f }() - base; got != 2 {
+	if got := func() uint64 { s, r, f := h.counters(); return s + r + f }() - base; got != 2 {
 		t.Fatalf("decisions per change = %d, want 2 (one per group)", got)
 	}
 

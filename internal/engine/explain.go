@@ -33,6 +33,9 @@ const (
 	StrategySearch       = planner.StrategySearch
 )
 
+// Strategies lists every name Strategy returns.
+var Strategies = []string{StrategyCompiled, StrategyCompiledBitmap, StrategyMatching, StrategyReachability, StrategySearch}
+
 // Strategy reports the evaluation strategy core.Prepared.Certain takes
 // for p: not in FO → the planner's verdict (a polynomial graph decider
 // when the query shape has one, search over block choices otherwise);

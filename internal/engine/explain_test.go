@@ -81,8 +81,8 @@ func TestExplainSurfaces(t *testing.T) {
 			t.Fatalf("malformed plan line %q", line)
 		}
 	}
-	if got := fo.NodeCount(fo.Truth(true)); got != 1 {
-		t.Fatalf("NodeCount(Truth) = %d", got)
+	if got := fo.Size(fo.Truth(true)); got != 1 {
+		t.Fatalf("Size(Truth) = %d", got)
 	}
 
 	np, err := e.Prepare(mustQuery(t, "R(x | y), S(y | x)"))

@@ -6,41 +6,9 @@ import (
 )
 
 // This file provides the introspection surface behind the server's
-// `"explain": true` option: the size of a rewriting and a human-readable
-// summary of the compile-time quantifier-restriction plans. Nothing here
-// runs on the evaluation hot path.
-
-// NodeCount returns the number of formula nodes in f — the "rewriting
-// size" reported by explain output. Counting is structural: every
-// connective, atom, equality, and quantifier block counts as one node.
-func NodeCount(f Formula) int {
-	switch g := f.(type) {
-	case Truth, Atom, Eq:
-		return 1
-	case Not:
-		return 1 + NodeCount(g.F)
-	case And:
-		n := 1
-		for _, sub := range g.Fs {
-			n += NodeCount(sub)
-		}
-		return n
-	case Or:
-		n := 1
-		for _, sub := range g.Fs {
-			n += NodeCount(sub)
-		}
-		return n
-	case Implies:
-		return 1 + NodeCount(g.L) + NodeCount(g.R)
-	case Exists:
-		return 1 + NodeCount(g.Body)
-	case Forall:
-		return 1 + NodeCount(g.Body)
-	default:
-		return 1
-	}
-}
+// `"explain": true` option: a human-readable summary of the compile-time
+// quantifier-restriction plans (the rewriting size is Size). Nothing
+// here runs on the evaluation hot path.
 
 // PlanSummary describes every quantifier's candidate-restriction plan,
 // one line per binder in compile order: "s0 ∈ R.1", "s1 ∈ min(R.0,

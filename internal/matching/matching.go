@@ -6,84 +6,19 @@
 package matching
 
 import (
-	"sort"
+	"slices"
+	"strconv"
 
 	"cqa/internal/graphx"
 )
 
 // HopcroftKarp computes a maximum matching in a bipartite graph given as
 // adjacency lists from nLeft left vertices (0-based) to right vertex
-// indexes (0-based, nRight vertices). It returns the matching size and the
-// matching itself as matchLeft (left index → right index or -1).
-func HopcroftKarp(nLeft, nRight int, adj [][]int) (int, []int) {
-	const inf = int(^uint(0) >> 1)
-	matchL := make([]int, nLeft)
-	matchR := make([]int, nRight)
-	for i := range matchL {
-		matchL[i] = -1
-	}
-	for i := range matchR {
-		matchR[i] = -1
-	}
-	dist := make([]int, nLeft)
-
-	bfs := func() bool {
-		queue := make([]int, 0, nLeft)
-		for u := 0; u < nLeft; u++ {
-			if matchL[u] == -1 {
-				dist[u] = 0
-				queue = append(queue, u)
-			} else {
-				dist[u] = inf
-			}
-		}
-		found := false
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range adj[u] {
-				w := matchR[v]
-				if w == -1 {
-					found = true
-				} else if dist[w] == inf {
-					dist[w] = dist[u] + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		return found
-	}
-
-	var dfs func(u int) bool
-	dfs = func(u int) bool {
-		for _, v := range adj[u] {
-			w := matchR[v]
-			if w == -1 || (dist[w] == dist[u]+1 && dfs(w)) {
-				matchL[u] = v
-				matchR[v] = u
-				return true
-			}
-		}
-		dist[u] = inf
-		return false
-	}
-
-	size := 0
-	for bfs() {
-		for u := 0; u < nLeft; u++ {
-			if matchL[u] == -1 && dfs(u) {
-				size++
-			}
-		}
-	}
-	return size, matchL
-}
-
-// HopcroftKarpIDs is HopcroftKarp over int32 adjacency lists, returning
-// only the matching size. It exists for the planner's graph deciders,
-// which build adjacency directly from interned int32 ids (dense posting
-// indexes) and only need to compare the size against the left side.
-func HopcroftKarpIDs(nLeft, nRight int, adj [][]int32) int {
+// indexes (0-based, nRight vertices). It returns the matching size and
+// the matching itself as matchL (left index → right index or -1). The
+// ids are int32 because the planner's graph deciders build adjacency
+// directly from interned ids (dense posting indexes).
+func HopcroftKarp(nLeft, nRight int, adj [][]int32) (int, []int32) {
 	const inf = int32(^uint32(0) >> 1)
 	matchL := make([]int32, nLeft)
 	matchR := make([]int32, nRight)
@@ -144,22 +79,22 @@ func HopcroftKarpIDs(nLeft, nRight int, adj [][]int32) int {
 			}
 		}
 	}
-	return size
+	return size, matchL
 }
 
 // MaxMatching computes a maximum matching of a named bipartite graph. It
 // returns the matching as a map from left vertex to right vertex.
 func MaxMatching(b *graphx.Bipartite) map[string]string {
-	rIndex := make(map[string]int, len(b.Right))
+	rIndex := make(map[string]int32, len(b.Right))
 	for i, r := range b.Right {
-		rIndex[r] = i
+		rIndex[r] = int32(i)
 	}
-	adj := make([][]int, len(b.Left))
+	adj := make([][]int32, len(b.Left))
 	for i, l := range b.Left {
 		for _, r := range b.Adj[l] {
 			adj[i] = append(adj[i], rIndex[r])
 		}
-		sort.Ints(adj[i])
+		slices.Sort(adj[i])
 	}
 	_, matchL := HopcroftKarp(len(b.Left), len(b.Right), adj)
 	out := make(map[string]string)
@@ -208,7 +143,7 @@ func (inst SCoveringInstance) Solvable() bool {
 	b := graphx.NewBipartite(inst.S, right)
 	for i, t := range inst.T {
 		for _, a := range t {
-			if containsStr(inst.S, a) {
+			if slices.Contains(inst.S, a) {
 				// Ignore duplicate memberships.
 				dup := false
 				for _, r := range b.Adj[a] {
@@ -229,28 +164,5 @@ func (inst SCoveringInstance) Solvable() bool {
 }
 
 func idxName(i int) string {
-	return "T" + itoa(i+1)
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	pos := len(buf)
-	for i > 0 {
-		pos--
-		buf[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[pos:])
-}
-
-func containsStr(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+	return "T" + strconv.Itoa(i+1)
 }

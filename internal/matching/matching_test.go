@@ -11,7 +11,7 @@ import (
 
 func TestHopcroftKarpSmall(t *testing.T) {
 	// 0-0, 0-1, 1-0: maximum matching 2.
-	size, matchL := matching.HopcroftKarp(2, 2, [][]int{{0, 1}, {0}})
+	size, matchL := matching.HopcroftKarp(2, 2, [][]int32{{0, 1}, {0}})
 	if size != 2 {
 		t.Fatalf("size = %d, want 2", size)
 	}
@@ -21,7 +21,7 @@ func TestHopcroftKarpSmall(t *testing.T) {
 }
 
 func TestHopcroftKarpNoEdges(t *testing.T) {
-	size, _ := matching.HopcroftKarp(3, 3, [][]int{{}, {}, {}})
+	size, _ := matching.HopcroftKarp(3, 3, [][]int32{{}, {}, {}})
 	if size != 0 {
 		t.Errorf("size = %d, want 0", size)
 	}
@@ -29,15 +29,15 @@ func TestHopcroftKarpNoEdges(t *testing.T) {
 
 func TestHopcroftKarpStar(t *testing.T) {
 	// All left vertices only connect to right 0: matching size 1.
-	size, _ := matching.HopcroftKarp(3, 3, [][]int{{0}, {0}, {0}})
+	size, _ := matching.HopcroftKarp(3, 3, [][]int32{{0}, {0}, {0}})
 	if size != 1 {
 		t.Errorf("size = %d, want 1", size)
 	}
 }
 
 // bruteMax computes a maximum matching by exhaustive search.
-func bruteMax(nLeft int, adj [][]int) int {
-	usedR := make(map[int]bool)
+func bruteMax(nLeft int, adj [][]int32) int {
+	usedR := make(map[int32]bool)
 	var rec func(i int) int
 	rec = func(i int) int {
 		if i == nLeft {
@@ -64,9 +64,9 @@ func TestHopcroftKarpAgainstBrute(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(5)
 		m := 1 + rng.Intn(5)
-		adj := make([][]int, n)
+		adj := make([][]int32, n)
 		for i := range adj {
-			for j := 0; j < m; j++ {
+			for j := int32(0); j < int32(m); j++ {
 				if rng.Intn(3) == 0 {
 					adj[i] = append(adj[i], j)
 				}
@@ -78,7 +78,7 @@ func TestHopcroftKarpAgainstBrute(t *testing.T) {
 		}
 		// The returned matching must be valid and of the right size.
 		cnt := 0
-		usedR := make(map[int]bool)
+		usedR := make(map[int32]bool)
 		for i, r := range matchL {
 			if r == -1 {
 				continue

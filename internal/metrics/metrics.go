@@ -1,18 +1,16 @@
 // Package metrics is a small stdlib-only instrumentation library for the
 // serving daemon: atomic counters and gauges, fixed-bucket latency
-// histograms with percentile snapshots, and a named registry that renders
-// either as expvar-compatible JSON (the Registry implements expvar.Var)
-// or as a one-line plain-text summary for GET /metrics.
+// histograms, and a named registry rendered in the Prometheus text
+// format for GET /metrics and as a flat map for GET /v1/stats.
 //
-// All types are safe for concurrent use. Recording on the hot path is a
-// handful of atomic adds; snapshots and rendering pay the iteration cost.
+// All types are safe for concurrent use. Recording is a handful of
+// atomic adds on a handle the caller resolved once; only creating a
+// handle and rendering take the registry's lock.
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,10 +57,9 @@ func (g *Gauge) Max(n int64) {
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// DefaultLatencyBuckets are the histogram upper bounds used for request
-// latencies: powers of two from 64µs to ~8.6s plus +Inf. Fixed buckets
-// keep Observe to one binary search and two atomic adds.
-var DefaultLatencyBuckets = func() []time.Duration {
+// latencyBuckets are the histogram upper bounds: powers of two from
+// 64µs to ~8.6s, then an implicit +Inf bucket.
+var latencyBuckets = func() []time.Duration {
 	var b []time.Duration
 	for d := 64 * time.Microsecond; d <= 8*time.Second; d *= 2 {
 		b = append(b, d)
@@ -70,298 +67,131 @@ var DefaultLatencyBuckets = func() []time.Duration {
 	return b
 }()
 
-// Histogram is a fixed-bucket duration histogram. The zero value is not
-// usable; construct with NewHistogram.
+// Histogram is a fixed-bucket duration histogram: what the Prometheus
+// exposition carries, bucket counts, their sum and their count.
 type Histogram struct {
-	bounds []time.Duration // sorted upper bounds; an implicit +Inf bucket follows
-	counts []atomic.Uint64 // len(bounds)+1
-	sum    atomic.Int64    // nanoseconds; durations this large never overflow in practice
-	mu     sync.Mutex      // guards min/max only
-	min    time.Duration
-	max    time.Duration
+	counts []atomic.Uint64 // len(latencyBuckets)+1; the last is +Inf
+	sum    atomic.Int64    // nanoseconds
 }
 
-// NewHistogram builds a histogram with the given sorted upper bounds;
-// nil selects DefaultLatencyBuckets.
-func NewHistogram(bounds []time.Duration) *Histogram {
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets
-	}
-	bounds = append([]time.Duration(nil), bounds...)
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1), min: math.MaxInt64}
+func newHistogram() *Histogram {
+	return &Histogram{counts: make([]atomic.Uint64, len(latencyBuckets)+1)}
 }
 
-// Observe records one duration.
+// Observe records one duration; a negative one counts as zero.
 func (h *Histogram) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	i := sort.Search(len(h.bounds), func(i int) bool { return d <= h.bounds[i] })
+	d = max(d, 0)
+	i, _ := slices.BinarySearch(latencyBuckets, d)
 	h.counts[i].Add(1)
 	h.sum.Add(int64(d))
-	h.mu.Lock()
-	if d < h.min {
-		h.min = d
-	}
-	if d > h.max {
-		h.max = d
-	}
-	h.mu.Unlock()
 }
 
-// HistogramSnapshot is a point-in-time view of a histogram.
-type HistogramSnapshot struct {
-	Count         uint64
-	Sum           time.Duration
-	Min, Max      time.Duration
-	Mean          time.Duration
-	P50, P95, P99 time.Duration
-	// Buckets holds cumulative counts per upper bound, ending with the
-	// +Inf bucket (whose bound is reported as 0).
-	Buckets []BucketCount
-}
-
-// BucketCount is one histogram bucket: Count observations ≤ UpperBound.
-type BucketCount struct {
-	UpperBound time.Duration // 0 means +Inf (the overflow bucket)
-	Count      uint64        // non-cumulative count in this bucket
-}
-
-// Snapshot returns a consistent-enough view (counters are read
-// individually, so a snapshot under concurrent Observe is approximate),
-// with two hard guarantees that hold even while observations race in:
-// Count equals the sum of the bucket counts actually snapshotted, and
-// P50 ≤ P95 ≤ P99.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Buckets: make([]BucketCount, len(h.counts))}
-	var total uint64
+// snapshot reads the per-bucket counts, their total and the sum. Under
+// concurrent Observe it is approximate, but count is always the sum of
+// the bucket counts it returns.
+func (h *Histogram) snapshot() (buckets []uint64, count uint64, sum time.Duration) {
+	buckets = make([]uint64, len(h.counts))
 	for i := range h.counts {
-		var ub time.Duration
-		if i < len(h.bounds) {
-			ub = h.bounds[i]
-		}
-		c := h.counts[i].Load()
-		s.Buckets[i] = BucketCount{UpperBound: ub, Count: c}
-		total += c
+		buckets[i] = h.counts[i].Load()
+		count += buckets[i]
 	}
-	// Count must come from the snapshotted buckets, not a separate total
-	// counter: under concurrent Observe the two reads disagree, and a
-	// Count above the bucket sum pushes quantile ranks past every bucket.
-	s.Count = total
-	s.Sum = time.Duration(h.sum.Load())
-	if s.Count > 0 {
-		s.Mean = s.Sum / time.Duration(s.Count)
-		h.mu.Lock()
-		s.Min, s.Max = h.min, h.max
-		h.mu.Unlock()
-		if s.Min > s.Max {
-			// An Observe raced between its bucket add and its min/max
-			// update; don't clamp quantiles against a sentinel min.
-			s.Min = 0
-		}
-	}
-	s.P50 = h.quantile(s, 0.50)
-	s.P95 = h.quantile(s, 0.95)
-	s.P99 = h.quantile(s, 0.99)
-	if s.P95 < s.P50 {
-		s.P95 = s.P50
-	}
-	if s.P99 < s.P95 {
-		s.P99 = s.P95
-	}
-	return s
+	return buckets, count, time.Duration(h.sum.Load())
 }
 
-// quantile estimates the q-quantile by linear interpolation inside the
-// bucket that holds the target rank. Values beyond the last finite bound
-// are clamped to the observed max.
-func (h *Histogram) quantile(s HistogramSnapshot, q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, b := range s.Buckets {
-		next := cum + float64(b.Count)
-		if rank <= next && b.Count > 0 {
-			lo := time.Duration(0)
-			if i > 0 {
-				lo = s.Buckets[i-1].UpperBound
-			}
-			hi := b.UpperBound
-			if hi == 0 { // +Inf bucket: clamp to the observed max
-				return s.Max
-			}
-			frac := (rank - cum) / float64(b.Count)
-			est := lo + time.Duration(frac*float64(hi-lo))
-			if est > s.Max {
-				est = s.Max
-			}
-			if est < s.Min {
-				est = s.Min
-			}
-			return est
-		}
-		cum = next
-	}
-	return s.Max
-}
-
-// String renders the snapshot compactly: count, mean, and percentiles.
-func (s HistogramSnapshot) String() string {
-	if s.Count == 0 {
-		return "count=0"
-	}
-	return fmt.Sprintf("count=%d mean=%s p50=%s p95=%s p99=%s max=%s",
-		s.Count, round(s.Mean), round(s.P50), round(s.P95), round(s.P99), round(s.Max))
-}
-
-// round trims sub-microsecond noise from printed durations.
-func round(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
-
-// Registry is a named collection of counters, gauges, and histograms.
-// Get-or-create accessors make call sites one-liners; iteration is in
-// name order so rendered output is stable.
+// Registry is one map from series name to instrument: *Counter, *Gauge,
+// *Histogram, or a func() float64 computed at render time. Names are
+// families or Label-built series; the renderings sort them.
 type Registry struct {
-	mu     sync.Mutex
-	order  []string
-	kind   map[string]byte // 'c', 'g', 'h'
-	ctrs   map[string]*Counter
-	gauges map[string]*Gauge
-	hists  map[string]*Histogram
-	// extra are callback-backed values included in renderings (e.g. the
-	// engine cache hit rate, computed from engine.Stats at read time).
-	extra map[string]func() any
+	mu sync.Mutex
+	m  map[string]any
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		kind:   make(map[string]byte),
-		ctrs:   make(map[string]*Counter),
-		gauges: make(map[string]*Gauge),
-		hists:  make(map[string]*Histogram),
-		extra:  make(map[string]func() any),
-	}
-}
+func NewRegistry() *Registry { return &Registry{m: make(map[string]any)} }
 
-func (r *Registry) register(name string, k byte) {
-	if prev, ok := r.kind[name]; ok {
-		if prev != k {
-			panic(fmt.Sprintf("metrics: %q registered as %c and %c", name, prev, k))
-		}
-		return
+// lookup returns the instrument registered under name, registering
+// mk() first if there is none. A name registered as another kind panics.
+func lookup[T any](r *Registry, name string, mk func() T) T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := r.m[name]
+	if !ok {
+		t := mk()
+		r.m[name] = t
+		return t
 	}
-	r.kind[name] = k
-	r.order = append(r.order, name)
-	sort.Strings(r.order)
+	t, ok := v.(T)
+	if !ok {
+		panic(fmt.Sprintf("metrics: %q registered as %T, requested as %T", name, v, t))
+	}
+	return t
 }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name, 'c')
-	c, ok := r.ctrs[name]
-	if !ok {
-		c = &Counter{}
-		r.ctrs[name] = c
-	}
-	return c
+	return lookup(r, name, func() *Counter { return new(Counter) })
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name, 'g')
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(r, name, func() *Gauge { return new(Gauge) })
 }
 
-// Histogram returns the named histogram (DefaultLatencyBuckets), creating
-// it on first use.
+// Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
+	return lookup(r, name, newHistogram)
+}
+
+// SetFunc registers fn under name: a gauge evaluated at every render.
+// fn must be safe for concurrent use.
+func (r *Registry) SetFunc(name string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.register(name, 'h')
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram(nil)
-		r.hists[name] = h
+	if v, ok := r.m[name]; ok {
+		panic(fmt.Sprintf("metrics: %q already registered as %T", name, v))
 	}
-	return h
+	r.m[name] = fn
 }
 
-// SetFunc registers a callback-backed value evaluated at render time.
-// Callbacks must be safe for concurrent use and should return a number,
-// string, or JSON-marshalable map.
-func (r *Registry) SetFunc(name string, fn func() any) {
+// entries returns the registered series in no particular order.
+func (r *Registry) entries() map[string]any {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.register(name, 'f')
-	r.extra[name] = fn
+	out := make(map[string]any, len(r.m))
+	for n, v := range r.m {
+		out[n] = v
+	}
+	return out
 }
 
-// Values returns every metric as a flat name → value map: counters and
-// gauges as numbers, histograms as nested maps with count/mean/p50/p95/
-// p99/max in nanoseconds, funcs as whatever they return.
+// Values renders every series as name → value, the JSON form GET
+// /v1/stats serves: counters and gauges as numbers, a histogram as
+// {"count", "sum_ns"}, a func as its value.
 func (r *Registry) Values() map[string]any {
-	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	r.mu.Unlock()
-	out := make(map[string]any, len(names))
-	for _, n := range names {
-		r.mu.Lock()
-		k := r.kind[n]
-		c, g, h, f := r.ctrs[n], r.gauges[n], r.hists[n], r.extra[n]
-		r.mu.Unlock()
-		switch k {
-		case 'c':
-			out[n] = c.Value()
-		case 'g':
-			out[n] = g.Value()
-		case 'h':
-			s := h.Snapshot()
-			out[n] = map[string]any{
-				"count":   s.Count,
-				"mean_ns": int64(s.Mean),
-				"p50_ns":  int64(s.P50),
-				"p95_ns":  int64(s.P95),
-				"p99_ns":  int64(s.P99),
-				"max_ns":  int64(s.Max),
-			}
-		case 'f':
-			out[n] = f()
+	out := r.entries()
+	for n, v := range out {
+		switch x := v.(type) {
+		case *Counter:
+			out[n] = x.Value()
+		case *Gauge:
+			out[n] = x.Value()
+		case *Histogram:
+			_, count, sum := x.snapshot()
+			out[n] = map[string]any{"count": count, "sum_ns": int64(sum)}
+		case func() float64:
+			out[n] = x()
 		}
 	}
 	return out
 }
 
-// String renders the registry as JSON, satisfying expvar.Var so a
-// Registry can be expvar.Publish'ed and served at /debug/vars.
-func (r *Registry) String() string {
-	b, err := json.Marshal(r.Values())
-	if err != nil {
-		// Only a misbehaving SetFunc callback can get here.
-		return fmt.Sprintf(`{"error":%q}`, err.Error())
-	}
-	return string(b)
-}
-
 // Label formats a metric name with label pairs in Prometheus series
 // form: Label("shard_rpc_total", "shard", "2", "outcome", "ok") yields
 // `shard_rpc_total{shard="2",outcome="ok"}`. The result is used directly
-// as a registry name — the registry get-or-create path is the series
-// cache — and the Prometheus renderer splits it back apart so all series
-// of one family share a base name and a single TYPE line. kv must be
-// alternating key/value; values are escaped, keys must already be valid
-// label names.
+// as a registry name, and the Prometheus renderer splits it back apart so
+// all series of one family share a base name and a single TYPE line. kv
+// must be alternating key/value; values are escaped, keys must already
+// be valid label names.
 func Label(name string, kv ...string) string {
 	if len(kv) == 0 {
 		return name

@@ -41,76 +41,74 @@ func TestRegistryKindConflictPanics(t *testing.T) {
 	r.Gauge("x")
 }
 
-func TestHistogramPercentiles(t *testing.T) {
-	h := NewHistogram(nil)
-	// 1000 observations uniform over (0, 100ms]: p50 ≈ 50ms, p99 ≈ 99ms.
+// TestHistogramBuckets: each observation lands in the first bucket whose
+// bound holds it, and the sum is exact.
+func TestHistogramBuckets(t *testing.T) {
+	h := newHistogram()
 	for i := 1; i <= 1000; i++ {
 		h.Observe(time.Duration(i) * 100 * time.Microsecond)
 	}
-	s := h.Snapshot()
-	if s.Count != 1000 {
-		t.Fatalf("count = %d", s.Count)
+	buckets, count, sum := h.snapshot()
+	if count != 1000 || sum != 50050*time.Millisecond {
+		t.Fatalf("count = %d, sum = %s", count, sum)
 	}
-	if s.Min != 100*time.Microsecond || s.Max != 100*time.Millisecond {
-		t.Errorf("min/max = %s/%s", s.Min, s.Max)
-	}
-	// Fixed power-of-two buckets bound the quantile error by the bucket
-	// width; accept a factor-of-two band around the exact value.
-	checks := []struct {
-		name  string
-		got   time.Duration
-		exact time.Duration
-	}{
-		{"p50", s.P50, 50 * time.Millisecond},
-		{"p95", s.P95, 95 * time.Millisecond},
-		{"p99", s.P99, 99 * time.Millisecond},
-	}
-	for _, c := range checks {
-		if c.got < c.exact/2 || c.got > 2*c.exact {
-			t.Errorf("%s = %s, want within [%s, %s]", c.name, c.got, c.exact/2, 2*c.exact)
+	var lo time.Duration
+	for i, b := range latencyBuckets {
+		// Observations are 100µs·k, so the bucket (lo, b] holds
+		// ⌊b/100µs⌋ − ⌊lo/100µs⌋ of them, capped at k = 1000.
+		step := 100 * time.Microsecond
+		want := uint64(min(b/step, 1000) - min(lo/step, 1000))
+		if buckets[i] != want {
+			t.Errorf("bucket ≤ %s = %d, want %d", b, buckets[i], want)
 		}
+		lo = b
 	}
-	if s.P50 > s.P95 || s.P95 > s.P99 || s.P99 > s.Max {
-		t.Errorf("percentiles not monotone: %s", s)
+	if buckets[len(latencyBuckets)] != 0 {
+		t.Errorf("+Inf bucket = %d, want 0", buckets[len(latencyBuckets)])
 	}
 }
 
 func TestHistogramEmptyAndOverflow(t *testing.T) {
-	h := NewHistogram(nil)
-	s := h.Snapshot()
-	if s.Count != 0 || s.P99 != 0 || s.String() != "count=0" {
-		t.Errorf("empty snapshot = %+v", s)
+	h := newHistogram()
+	if _, count, sum := h.snapshot(); count != 0 || sum != 0 {
+		t.Errorf("empty histogram: count %d, sum %s", count, sum)
 	}
-	// An observation beyond the last bound lands in the +Inf bucket and
-	// percentiles clamp to the observed max.
+	// An observation beyond the last bound lands in the +Inf bucket.
 	h.Observe(time.Minute)
-	s = h.Snapshot()
-	if s.P99 != time.Minute || s.Max != time.Minute {
-		t.Errorf("overflow: p99=%s max=%s", s.P99, s.Max)
+	buckets, _, _ := h.snapshot()
+	if buckets[len(buckets)-1] != 1 {
+		t.Errorf("overflow: buckets %v", buckets)
 	}
-	h.Observe(-time.Second) // negative durations clamp to zero
-	if got := h.Snapshot().Min; got != 0 {
-		t.Errorf("min after negative observe = %s, want 0", got)
+	h.Observe(-time.Second) // negative durations count as zero
+	buckets, count, sum := h.snapshot()
+	if buckets[0] != 1 || count != 2 || sum != time.Minute {
+		t.Errorf("after negative observe: first bucket %d, count %d, sum %s", buckets[0], count, sum)
 	}
 }
 
+// TestRegistryJSONAndSummary: Values is the JSON rendering /v1/stats
+// serves, a histogram as {count, sum_ns}.
 func TestRegistryJSONAndSummary(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("reqs").Add(3)
 	r.Gauge("inflight").Set(1)
 	r.Histogram("latency").Observe(2 * time.Millisecond)
-	r.SetFunc("hit_rate", func() any { return 0.75 })
+	r.SetFunc("hit_rate", func() float64 { return 0.75 })
 
+	raw, err := json.Marshal(r.Values())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var parsed map[string]any
-	if err := json.Unmarshal([]byte(r.String()), &parsed); err != nil {
-		t.Fatalf("String() is not JSON: %v\n%s", err, r.String())
+	if err := json.Unmarshal(raw, &parsed); err != nil {
+		t.Fatalf("Values is not JSON: %v\n%s", err, raw)
 	}
 	if parsed["reqs"] != float64(3) || parsed["inflight"] != float64(1) || parsed["hit_rate"] != 0.75 {
 		t.Errorf("JSON values wrong: %v", parsed)
 	}
 	lat, ok := parsed["latency"].(map[string]any)
-	if !ok || lat["count"] != float64(1) {
-		t.Errorf("latency histogram wrong: %v", parsed["latency"])
+	if !ok || len(lat) != 2 || lat["count"] != float64(1) || lat["sum_ns"] != float64(2e6) {
+		t.Errorf("latency histogram = %v, want {count 1, sum_ns 2e6}", parsed["latency"])
 	}
 }
 
@@ -126,7 +124,8 @@ func TestConcurrentRecording(t *testing.T) {
 				r.Gauge("g").Add(1)
 				r.Histogram("h").Observe(time.Duration(j) * time.Microsecond)
 				if j%100 == 0 {
-					_ = r.String()
+					_ = r.Prometheus()
+					_ = r.Values()
 				}
 			}
 		}()
@@ -135,7 +134,7 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 16*500 {
 		t.Errorf("counter = %d, want %d", got, 16*500)
 	}
-	if got := r.Histogram("h").Snapshot().Count; got != 16*500 {
+	if _, got, _ := r.Histogram("h").snapshot(); got != 16*500 {
 		t.Errorf("histogram count = %d, want %d", got, 16*500)
 	}
 }

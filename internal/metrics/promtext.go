@@ -1,92 +1,69 @@
 package metrics
 
 import (
+	"cmp"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Prometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4): one `# TYPE` line per family followed by its
-// samples. Registry names built with Label are split back into family +
-// label set, so `eval_total{strategy="compiled"}` and
-// `eval_total{strategy="matching"}` share one family. Histograms are
-// exposed with a `_seconds` unit suffix as cumulative `_bucket` series
-// (le in seconds) plus `_sum` and `_count`. Callback metrics (SetFunc)
-// are exposed as gauges when they return a number and omitted otherwise
-// (maps and strings only appear in /debug/vars).
+// samples, families and series in name order. Registry names built with
+// Label are split back into family + label set, so
+// `eval_total{strategy="compiled"}` and `eval_total{strategy="matching"}`
+// share one family. Histograms are exposed with a `_seconds` unit suffix
+// as cumulative `_bucket` series (le in seconds) plus `_sum` and
+// `_count`; a func is a gauge.
 func (r *Registry) Prometheus() string {
-	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	r.mu.Unlock()
-
 	type series struct {
-		labels string
-		kind   byte
-		c      *Counter
-		g      *Gauge
-		h      *Histogram
-		f      func() any
+		fam, labels string
+		inst        any
 	}
-	fams := make(map[string][]series)
-	for _, n := range names {
-		r.mu.Lock()
-		k := r.kind[n]
-		c, g, h, f := r.ctrs[n], r.gauges[n], r.hists[n], r.extra[n]
-		r.mu.Unlock()
-		base, labels := splitSeries(n)
-		if k == 'h' {
-			base += "_seconds"
+	var ss []series
+	for n, v := range r.entries() {
+		fam, labels := splitSeries(n)
+		if _, ok := v.(*Histogram); ok {
+			fam += "_seconds"
 		}
-		fams[base] = append(fams[base], series{labels: labels, kind: k, c: c, g: g, h: h, f: f})
+		ss = append(ss, series{fam, labels, v})
 	}
-	famOrder := make([]string, 0, len(fams))
-	for fam := range fams {
-		famOrder = append(famOrder, fam)
-	}
-	sort.Strings(famOrder)
+	slices.SortFunc(ss, func(a, b series) int {
+		return cmp.Or(cmp.Compare(a.fam, b.fam), cmp.Compare(a.labels, b.labels))
+	})
 
 	var b strings.Builder
-	for _, fam := range famOrder {
-		ss := fams[fam]
-		famType := promKind(ss[0].kind)
-		b.WriteString("# TYPE ")
-		b.WriteString(fam)
-		b.WriteByte(' ')
-		b.WriteString(famType)
-		b.WriteByte('\n')
-		for _, s := range ss {
-			if promKind(s.kind) != famType {
-				// A labeled series whose kind conflicts with its family
-				// would make the exposition invalid; registration should
-				// have prevented this, but never emit it.
-				continue
-			}
-			switch s.kind {
-			case 'c':
-				writeSample(&b, fam, s.labels, strconv.FormatUint(s.c.Value(), 10))
-			case 'g':
-				writeSample(&b, fam, s.labels, strconv.FormatInt(s.g.Value(), 10))
-			case 'f':
-				if v, ok := toFloat(s.f()); ok {
-					writeSample(&b, fam, s.labels, strconv.FormatFloat(v, 'g', -1, 64))
+	famType := ""
+	for i, s := range ss {
+		if i == 0 || s.fam != ss[i-1].fam {
+			famType = promType(s.inst)
+			b.WriteString("# TYPE " + s.fam + " " + famType + "\n")
+		} else if promType(s.inst) != famType {
+			// A labeled series whose kind conflicts with its family would
+			// make the exposition invalid; never emit it.
+			continue
+		}
+		switch x := s.inst.(type) {
+		case *Counter:
+			writeSample(&b, s.fam, s.labels, strconv.FormatUint(x.Value(), 10))
+		case *Gauge:
+			writeSample(&b, s.fam, s.labels, strconv.FormatInt(x.Value(), 10))
+		case func() float64:
+			writeSample(&b, s.fam, s.labels, strconv.FormatFloat(x(), 'g', -1, 64))
+		case *Histogram:
+			buckets, count, sum := x.snapshot()
+			var cum uint64
+			for i, c := range buckets {
+				cum += c
+				le := "+Inf"
+				if i < len(latencyBuckets) {
+					le = strconv.FormatFloat(latencyBuckets[i].Seconds(), 'g', -1, 64)
 				}
-			case 'h':
-				snap := s.h.Snapshot()
-				var cum uint64
-				for _, bk := range snap.Buckets {
-					cum += bk.Count
-					le := "+Inf"
-					if bk.UpperBound != 0 {
-						le = formatSeconds(bk.UpperBound)
-					}
-					writeSample(&b, fam+"_bucket", joinLabels(s.labels, `le="`+le+`"`), strconv.FormatUint(cum, 10))
-				}
-				writeSample(&b, fam+"_sum", s.labels, strconv.FormatFloat(snap.Sum.Seconds(), 'g', -1, 64))
-				writeSample(&b, fam+"_count", s.labels, strconv.FormatUint(snap.Count, 10))
+				writeSample(&b, s.fam+"_bucket", joinLabels(s.labels, `le="`+le+`"`), strconv.FormatUint(cum, 10))
 			}
+			writeSample(&b, s.fam+"_sum", s.labels, strconv.FormatFloat(sum.Seconds(), 'g', -1, 64))
+			writeSample(&b, s.fam+"_count", s.labels, strconv.FormatUint(count, 10))
 		}
 	}
 	return b.String()
@@ -98,14 +75,14 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// promKind maps a registry kind byte to the Prometheus family type.
-func promKind(k byte) string {
-	switch k {
-	case 'c':
+// promType names an instrument's Prometheus family type.
+func promType(inst any) string {
+	switch inst.(type) {
+	case *Counter:
 		return "counter"
-	case 'h':
+	case *Histogram:
 		return "histogram"
-	default: // 'g' and numeric 'f' callbacks
+	default: // *Gauge and func() float64
 		return "gauge"
 	}
 }
@@ -127,34 +104,4 @@ func joinLabels(a, b string) string {
 		return b
 	}
 	return a + "," + b
-}
-
-// formatSeconds renders a duration bound as a seconds float the way
-// Prometheus le labels expect.
-func formatSeconds(d time.Duration) string {
-	return strconv.FormatFloat(d.Seconds(), 'g', -1, 64)
-}
-
-// toFloat converts the numeric types SetFunc callbacks return.
-func toFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case float32:
-		return float64(x), true
-	case int:
-		return float64(x), true
-	case int32:
-		return float64(x), true
-	case int64:
-		return float64(x), true
-	case uint:
-		return float64(x), true
-	case uint32:
-		return float64(x), true
-	case uint64:
-		return float64(x), true
-	default:
-		return 0, false
-	}
 }

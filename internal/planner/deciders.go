@@ -59,7 +59,7 @@ func (p *Plan) certainMatching(ix *db.Interned) bool {
 			}
 		}
 	}
-	size := matching.HopcroftKarpIDs(len(left), len(right), adj)
+	size, _ := matching.HopcroftKarp(len(left), len(right), adj)
 	return size < len(left)
 }
 

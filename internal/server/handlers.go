@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,7 +12,6 @@ import (
 	"cqa/internal/core"
 	"cqa/internal/db"
 	"cqa/internal/engine"
-	"cqa/internal/metrics"
 	"cqa/internal/obs"
 	"cqa/internal/parse"
 	"cqa/internal/schema"
@@ -28,7 +26,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.reg.Counter("errors_total").Inc()
+		s.m.errors.Inc()
 	}
 }
 
@@ -40,7 +38,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string)
 // writeErrorDetail writes a fully built error detail (writeErrorTraced
 // adds the trace ID before calling here).
 func (s *Server) writeErrorDetail(w http.ResponseWriter, d ErrorDetail) {
-	s.reg.Counter("errors_total").Inc()
+	s.m.errors.Inc()
 	if d.Status >= 500 || d.Status == http.StatusTooManyRequests {
 		// Shedding and failures must not be cached by intermediaries.
 		w.Header().Set("Cache-Control", "no-store")
@@ -250,7 +248,9 @@ func (s *Server) answerCertain(rd *certainRead) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.reg.Counter(metrics.Label("eval_total", "strategy", strategy, "cache", ans.cache)).Inc()
+	if c := s.m.evals[[2]string{strategy, ans.cache}]; c != nil {
+		c.Inc()
+	}
 	return s.certainResponse(rd, read, strategy, snap, &ans), nil
 }
 
@@ -317,7 +317,7 @@ func explainFor(p *core.Prepared, strategy, planCache string, clock *stageClock)
 func (s *Server) writeWorkError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		s.reg.Counter("timeouts_total").Inc()
+		s.m.timeouts.Inc()
 		s.writeError(w, http.StatusServiceUnavailable, "timeout",
 			fmt.Sprintf("request exceeded the per-request timeout (%s)", s.opt.RequestTimeout))
 	case errors.Is(err, engine.ErrClosed):
@@ -388,24 +388,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.reg.WritePrometheus(w); err != nil {
-		s.reg.Counter("errors_total").Inc()
+		s.m.errors.Inc()
 	}
-}
-
-// handleDebugVars serves the expvar JSON document: every expvar-published
-// variable (cmdline, memstats, anything the process registered) plus this
-// server's registry under the key "cqad". Serving our own document —
-// rather than expvar.Publish'ing the registry — keeps multiple servers in
-// one process (tests, embedded use) from fighting over the global name.
-func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	fmt.Fprintf(w, "%q: %s", "cqad", s.reg.String())
-	expvar.Do(func(kv expvar.KeyValue) {
-		if kv.Key == "cqad" {
-			return // a globally published registry must not duplicate ours
-		}
-		fmt.Fprintf(w, ",\n%q: %s", kv.Key, kv.Value)
-	})
-	fmt.Fprintf(w, "\n}\n")
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,6 +55,15 @@ type Router struct {
 	handler     http.Handler
 	// scatterReads and gatherReads are router_read_total{plan}.
 	scatterReads, gatherReads *metrics.Counter
+	// rpcs holds shard i's shard_rpc_latency{shard} and
+	// shard_rpc_total{shard,outcome} series.
+	rpcs []shardRPC
+}
+
+// shardRPC is one shard's RPC series.
+type shardRPC struct {
+	latency    *metrics.Histogram
+	ok, failed *metrics.Counter
 }
 
 // RouterOptions configures NewRouter.
@@ -86,14 +96,22 @@ func NewRouter(opt RouterOptions) *Router {
 	rt.watchClient = &http.Client{}
 	rt.scatterReads = rt.inner.reg.Counter(metrics.Label("router_read_total", "plan", "scatter"))
 	rt.gatherReads = rt.inner.reg.Counter(metrics.Label("router_read_total", "plan", "gather"))
+	for i := range rt.shards {
+		sh := strconv.Itoa(i)
+		rt.rpcs = append(rt.rpcs, shardRPC{
+			latency: rt.inner.reg.Histogram(metrics.Label("shard_rpc_latency", "shard", sh)),
+			ok:      rt.inner.reg.Counter(metrics.Label("shard_rpc_total", "shard", sh, "outcome", "ok")),
+			failed:  rt.inner.reg.Counter(metrics.Label("shard_rpc_total", "shard", sh, "outcome", "error")),
+		})
+	}
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/certain", rt.inner.api("certain_total", rt.handleCertain))
+	mux.Handle("POST /v1/certain", rt.inner.api("certain", rt.handleCertain))
 	// Watch streams are long-lived: registered outside the admission
 	// middleware, like the shard servers' own /v1/watch.
 	mux.HandleFunc("POST /v1/watch", rt.handleWatch)
-	mux.Handle("POST /v1/db/create", rt.inner.api("db_create_total", rt.handleDBCreate))
-	mux.Handle("POST /v1/db/insert", rt.inner.api("db_insert_total", rt.handleDBWrite(false)))
-	mux.Handle("POST /v1/db/delete", rt.inner.api("db_delete_total", rt.handleDBWrite(true)))
+	mux.Handle("POST /v1/db/create", rt.inner.api("db_create", rt.handleDBCreate))
+	mux.Handle("POST /v1/db/insert", rt.inner.api("db_insert", rt.handleDBWrite(false)))
+	mux.Handle("POST /v1/db/delete", rt.inner.api("db_delete", rt.handleDBWrite(true)))
 	mux.HandleFunc("GET /v1/db/info", rt.handleDBInfo)
 	mux.HandleFunc("GET /v1/shards", rt.handleShards)
 	mux.HandleFunc("GET /v1/stats", rt.handleStats)
@@ -192,17 +210,17 @@ func (e *shardError) Error() string { return fmt.Sprintf("%s: %s", e.code, e.msg
 // failing call marks the span failed (the signal the chaos tests assert
 // after a SIGKILL).
 func (rt *Router) rpc(ctx context.Context, i int, name string, do func() error) error {
-	sh := strconv.Itoa(i)
-	sp := obs.FromContext(ctx).StartSpan("rpc").SetAttr("shard", sh).SetAttr("op", name)
+	sp := obs.FromContext(ctx).StartSpan("rpc").SetAttr("shard", strconv.Itoa(i)).SetAttr("op", name)
 	start := time.Now()
 	err := do()
-	rt.inner.reg.Histogram(metrics.Label("shard_rpc_latency", "shard", sh)).Observe(time.Since(start))
-	outcome := "ok"
+	m := rt.rpcs[i]
+	m.latency.Observe(time.Since(start))
 	if err != nil {
-		outcome = "error"
+		m.failed.Inc()
 		sp.Fail(err)
+	} else {
+		m.ok.Inc()
 	}
-	rt.inner.reg.Counter(metrics.Label("shard_rpc_total", "shard", sh, "outcome", outcome)).Inc()
 	sp.End()
 	return err
 }
@@ -224,7 +242,7 @@ func (rt *Router) readShard(ctx context.Context, i int, do func(base string) err
 // writePartialResult reports a read that needed a dead shard: the
 // explicit partial-result error of degraded serving.
 func (rt *Router) writePartialResult(w http.ResponseWriter, r *http.Request, err error) {
-	rt.inner.reg.Counter("partial_result_total").Inc()
+	rt.inner.m.partialResults.Inc()
 	rt.inner.writeErrorTraced(w, r, http.StatusServiceUnavailable, "partial_result",
 		fmt.Sprintf("query touches an unreachable shard: %v", err))
 }
@@ -550,7 +568,7 @@ func (rt *Router) relayWriteError(w http.ResponseWriter, r *http.Request, i int,
 		rt.inner.writeError(w, se.status, se.code, se.msg)
 		return
 	}
-	rt.inner.reg.Counter("partial_write_total").Inc()
+	rt.inner.m.partialWrites.Inc()
 	rt.inner.writeErrorTraced(w, r, http.StatusServiceUnavailable, "partial_write",
 		fmt.Sprintf("shard %d failed mid-batch; earlier shards applied their slices: %v", i, err))
 }
@@ -584,7 +602,7 @@ func (rt *Router) handleDBInfo(w http.ResponseWriter, r *http.Request) {
 			agg.CheckpointVersion += d.CheckpointVersion
 			agg.Checkpoints += d.Checkpoints
 			for _, rel := range d.Relations {
-				if !containsStr(agg.Relations, rel) {
+				if !slices.Contains(agg.Relations, rel) {
 					agg.Relations = append(agg.Relations, rel)
 				}
 			}
@@ -595,15 +613,6 @@ func (rt *Router) handleDBInfo(w http.ResponseWriter, r *http.Request) {
 		resp.Databases = append(resp.Databases, *byName[name])
 	}
 	rt.inner.writeJSON(w, http.StatusOK, resp)
-}
-
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // handleStats answers GET /v1/stats on the router: the local half's own

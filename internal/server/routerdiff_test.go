@@ -286,14 +286,15 @@ func TestRouterInlineFacts(t *testing.T) {
 }
 
 // TestRouterBatchNotFound: the router forwards unknown paths to its
-// local half, which routes neither /v1/batch nor /v1/wal/stream, so
-// either request is 404 and reaches no shard.
+// local half, which routes none of /v1/batch, /v1/wal/stream and
+// /debug/vars, so each request is 404 and reaches no shard.
 func TestRouterBatchNotFound(t *testing.T) {
 	var hits sync.Map
 	rt := NewRouter(RouterOptions{Shards: []string{countingShard(t, &hits).URL}, Options: Options{Engine: engine.New(engine.Options{})}})
 	for _, c := range []struct{ method, path string }{
 		{http.MethodPost, "/v1/batch"},
 		{http.MethodGet, "/v1/wal/stream"},
+		{http.MethodGet, "/debug/vars"},
 	} {
 		w := httptest.NewRecorder()
 		rt.Handler().ServeHTTP(w, httptest.NewRequest(c.method, c.path,

@@ -64,9 +64,8 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 		go rt.watchShard(ctx, i, req.Database, req.Query, events)
 	}
 
-	active := rt.inner.reg.Gauge("watch_active")
-	active.Add(1)
-	defer active.Add(-1)
+	rt.inner.m.watchActive.Add(1)
+	defer rt.inner.m.watchActive.Add(-1)
 
 	flusher, _ := w.(http.Flusher)
 	emit := func(ev WatchEvent) bool {

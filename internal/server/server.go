@@ -2,21 +2,23 @@
 // HTTP/JSON service: classification, CERTAINTY checks of one query on
 // one database, named-database writes and watches, with admission
 // control, per-request timeouts, request-size limits, panic isolation,
-// and operational endpoints (/healthz, /readyz, /metrics, /debug/vars,
-// /debug/traces). Profiling is not mounted on the API port; cqad serves
-// it on a separate -pprof-addr listener. Stdlib only; see
-// docs/SERVING.md for the API contract.
+// and operational endpoints (/healthz, /readyz, /metrics, /v1/stats,
+// /debug/traces). /metrics and /v1/stats render one metrics registry,
+// whose fixed series are resolved once when the server is built.
+// Profiling is not mounted on the API port; cqad serves it on a
+// separate -pprof-addr listener. Stdlib only; see docs/SERVING.md for
+// the API contract.
 package server
 
 import (
 	"context"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"cqa/internal/db"
+	"cqa/internal/delta"
 	"cqa/internal/engine"
 	"cqa/internal/metrics"
 	"cqa/internal/obs"
@@ -74,6 +76,21 @@ type Server struct {
 	draining atomic.Bool
 	handler  http.Handler
 	start    time.Time
+	m        serverMetrics
+}
+
+// serverMetrics are the server's fixed series, resolved once in New:
+// the request path holds only these handles.
+type serverMetrics struct {
+	requests, rejected, timeouts, errors, panics *metrics.Counter
+	partialResults, partialWrites                *metrics.Counter
+	walRecords, carried                          *metrics.Counter
+	inflight, watchActive, watchFanin, version   *metrics.Gauge
+	latency                                      *metrics.Histogram
+	// byEndpoint is requests_by_endpoint_total{endpoint}; evals is
+	// eval_total{strategy,cache}, keyed {strategy, cache}.
+	byEndpoint map[string]*metrics.Counter
+	evals      map[[2]string]*metrics.Counter
 }
 
 // New builds a server over the given options.
@@ -109,12 +126,57 @@ func New(opt Options) *Server {
 		sem:    make(chan struct{}, opt.MaxInFlight),
 		start:  time.Now(),
 	}
+	// Every fixed series is resolved here, once: creating a handle
+	// registers it, so /metrics lists it at zero before traffic.
+	m := &s.m
+	m.requests = s.reg.Counter("requests_total")
+	m.rejected = s.reg.Counter("rejected_total")
+	m.timeouts = s.reg.Counter("timeouts_total")
+	m.errors = s.reg.Counter("errors_total")
+	m.panics = s.reg.Counter("panics_total")
+	m.partialResults = s.reg.Counter("partial_result_total")
+	m.partialWrites = s.reg.Counter("partial_write_total")
+	m.walRecords = s.reg.Counter("wal_records")
+	m.carried = s.reg.Counter("result_cache_carried_total")
+	m.inflight = s.reg.Gauge("requests_inflight")
+	m.watchActive = s.reg.Gauge("watch_active")
+	m.watchFanin = s.reg.Gauge("watch_fanin")
+	m.version = s.reg.Gauge("snapshot_version")
+	m.latency = s.reg.Histogram("request_latency")
+	m.byEndpoint = make(map[string]*metrics.Counter)
+	for _, e := range []string{"classify", "certain", "db_create", "db_insert", "db_delete"} {
+		m.byEndpoint[e] = s.reg.Counter(metrics.Label("requests_by_endpoint_total", "endpoint", e))
+	}
+	m.evals = make(map[[2]string]*metrics.Counter)
+	for _, st := range engine.Strategies {
+		for _, c := range []string{engine.CacheHit, engine.CacheMiss, engine.CacheBypass} {
+			m.evals[[2]string{st, c}] = s.reg.Counter(metrics.Label("eval_total", "strategy", st, "cache", c))
+		}
+	}
+	reevals := make(map[string]*metrics.Counter)
+	for _, o := range []string{delta.OutcomeSkipped, delta.OutcomeReevaluated, delta.OutcomeFlipped} {
+		reevals[o] = s.reg.Counter(metrics.Label("delta_reeval_total", "outcome", o))
+	}
+	s.reg.SetFunc("traces_sampled", func() float64 { n, _, _ := s.tracer.Stats(); return float64(n) })
+	s.reg.SetFunc("traces_dropped", func() float64 { _, n, _ := s.tracer.Stats(); return float64(n) })
+	s.reg.SetFunc("slow_queries", func() float64 { _, _, n := s.tracer.Stats(); return float64(n) })
+	s.reg.SetFunc("engine_cache_hit_rate", func() float64 {
+		st := s.eng.Stats()
+		if total := st.CacheHits + st.CacheMisses; total > 0 {
+			return float64(st.CacheHits) / float64(total)
+		}
+		return 0
+	})
+
 	// The delta layer reports its decisions and flips through the
 	// server's registry; install the hooks before the stores attach so
-	// no change outruns them.
+	// no change outruns them. Flips and invalidations are labeled by
+	// data (database, relation), so those two are looked up by name.
 	s.eng.SetWatchHooks(engine.WatchHooks{
 		OnReeval: func(_, outcome string) {
-			s.reg.Counter(metrics.Label("delta_reeval_total", "outcome", outcome)).Inc()
+			if c := reevals[outcome]; c != nil {
+				c.Inc()
+			}
 		},
 		OnFlip: func(db string) {
 			s.reg.Counter(metrics.Label("watch_flips_total", "db", db)).Inc()
@@ -122,15 +184,13 @@ func New(opt Options) *Server {
 		OnFanin: func(watches, entries int) {
 			// Subscriptions answered by another subscription's shared
 			// evaluation (identical signature on the same database).
-			s.reg.Gauge("watch_fanin").Set(int64(watches - entries))
+			m.watchFanin.Set(int64(watches - entries))
 		},
 		OnInvalidate: func(rel string) {
 			s.reg.Counter(metrics.Label("result_cache_invalidations_total", "rel", rel)).Inc()
 		},
-		OnCarry: func(n int) {
-			s.reg.Counter("result_cache_carried_total").Add(uint64(n))
-		},
-		Tracer: s.tracer,
+		OnCarry: func(n int) { m.carried.Add(uint64(n)) },
+		Tracer:  s.tracer,
 	})
 	// Preloaded databases become memory-only stores; a durable store that
 	// already claimed the name wins (the preload seeded it originally).
@@ -142,51 +202,13 @@ func New(opt Options) *Server {
 	for _, name := range s.stores.Names() {
 		s.attach(name, s.stores.Get(name))
 	}
-	// Pre-register the counters so /metrics shows zeros before traffic,
-	// and surface the engine cache hit rate as a computed value.
-	for _, n := range []string{
-		"requests_total", "classify_total", "certain_total",
-		"rejected_total", "timeouts_total",
-		"errors_total", "panics_total",
-		"db_create_total", "db_insert_total", "db_delete_total",
-		"wal_records",
-	} {
-		s.reg.Counter(n)
-	}
-	s.reg.Counter("partial_result_total")
-	s.reg.Counter("partial_write_total")
-	s.reg.Counter("result_cache_carried_total")
-	for _, outcome := range []string{"skipped", "reevaluated", "flipped"} {
-		s.reg.Counter(metrics.Label("delta_reeval_total", "outcome", outcome))
-	}
-	s.reg.Gauge("watch_active")
-	s.reg.Gauge("watch_fanin")
-	s.reg.Gauge("requests_inflight")
-	s.reg.Gauge("snapshot_version")
-	s.reg.Histogram("request_latency")
-	s.reg.Histogram("wal_fsync_latency")
-	s.reg.SetFunc("admission_queue_depth", func() any { return uint64(len(s.sem)) })
-	s.reg.SetFunc("traces_sampled", func() any { n, _, _ := s.tracer.Stats(); return n })
-	s.reg.SetFunc("traces_dropped", func() any { _, n, _ := s.tracer.Stats(); return n })
-	s.reg.SetFunc("slow_queries", func() any { _, _, n := s.tracer.Stats(); return n })
-	s.reg.SetFunc("engine_cache_hit_rate", func() any {
-		st := s.eng.Stats()
-		total := st.CacheHits + st.CacheMisses
-		if total == 0 {
-			return 0.0
-		}
-		return float64(st.CacheHits) / float64(total)
-	})
-	s.reg.SetFunc("result_cache_hits", func() any { return s.eng.Stats().ResultHits })
-	s.reg.SetFunc("result_cache_misses", func() any { return s.eng.Stats().ResultMisses })
-	s.reg.SetFunc("result_cache_invalidations", func() any { return s.eng.Stats().ResultInvalidations })
 
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/classify", s.api("classify_total", s.handleClassify))
-	mux.Handle("POST /v1/certain", s.api("certain_total", s.handleCertain))
-	mux.Handle("POST /v1/db/create", s.api("db_create_total", s.handleDBCreate))
-	mux.Handle("POST /v1/db/insert", s.api("db_insert_total", s.handleDBWrite(false)))
-	mux.Handle("POST /v1/db/delete", s.api("db_delete_total", s.handleDBWrite(true)))
+	mux.Handle("POST /v1/classify", s.api("classify", s.handleClassify))
+	mux.Handle("POST /v1/certain", s.api("certain", s.handleCertain))
+	mux.Handle("POST /v1/db/create", s.api("db_create", s.handleDBCreate))
+	mux.Handle("POST /v1/db/insert", s.api("db_insert", s.handleDBWrite(false)))
+	mux.Handle("POST /v1/db/delete", s.api("db_delete", s.handleDBWrite(true)))
 	mux.HandleFunc("GET /v1/db/info", s.handleDBInfo)
 	mux.HandleFunc("GET /v1/shards", s.handleShards)
 	mux.HandleFunc("GET /v1/db/facts", s.handleDBFacts)
@@ -198,7 +220,6 @@ func New(opt Options) *Server {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/vars", s.handleDebugVars)
 	mux.HandleFunc("GET /debug/traces", s.handleDebugTraces)
 	// The trace middleware is outermost so panic-isolation responses can
 	// carry the request's trace ID.
@@ -212,11 +233,11 @@ func New(opt Options) *Server {
 // sees versions in order and the snapshot it is handed is the write's)
 // and feed the store metrics. Each effective mutation is one WAL record.
 func (s *Server) attach(name string, st *store.Store) {
-	s.reg.Gauge("snapshot_version").Max(int64(st.Version()))
+	s.m.version.Max(int64(st.Version()))
 	st.SetOnApply(func(c store.Change) {
 		s.eng.ApplyChange(name, c, st.Snapshot())
-		s.reg.Counter("wal_records").Add(uint64(c.Applied))
-		s.reg.Gauge("snapshot_version").Max(int64(c.Version))
+		s.m.walRecords.Add(uint64(c.Applied))
+		s.m.version.Max(int64(c.Version))
 	})
 }
 
@@ -229,28 +250,27 @@ func (s *Server) Handler() http.Handler { return s.handler }
 func (s *Server) Drain() { s.draining.Store(true) }
 
 // api wraps an API handler with admission control, the body-size limit,
-// the per-request timeout, and request metrics. counterName is the
-// per-endpoint counter to bump.
-func (s *Server) api(counterName string, h func(w http.ResponseWriter, r *http.Request)) http.Handler {
-	endpoint := strings.TrimSuffix(counterName, "_total")
+// the per-request timeout, and request metrics. Every arrival counts in
+// requests_total and requests_by_endpoint_total{endpoint}, shed or not.
+func (s *Server) api(endpoint string, h func(w http.ResponseWriter, r *http.Request)) http.Handler {
+	arrivals := s.m.byEndpoint[endpoint]
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.reg.Counter("requests_total").Inc()
-		s.reg.Counter(metrics.Label("requests_by_endpoint_total", "endpoint", endpoint)).Inc()
+		s.m.requests.Inc()
+		arrivals.Inc()
 		select {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
 		default:
-			s.reg.Counter("rejected_total").Inc()
+			s.m.rejected.Inc()
 			w.Header().Set("Retry-After", "1")
 			s.writeErrorTraced(w, r, http.StatusTooManyRequests, "overloaded",
 				fmt.Sprintf("server at max in-flight requests (%d)", s.opt.MaxInFlight))
 			return
 		}
-		s.reg.Counter(counterName).Inc()
-		s.reg.Gauge("requests_inflight").Add(1)
-		defer s.reg.Gauge("requests_inflight").Add(-1)
+		s.m.inflight.Add(1)
+		defer s.m.inflight.Add(-1)
 		start := time.Now()
-		defer func() { s.reg.Histogram("request_latency").Observe(time.Since(start)) }()
+		defer func() { s.m.latency.Observe(time.Since(start)) }()
 
 		r.Body = http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
 		ctx, cancel := context.WithTimeout(r.Context(), s.opt.RequestTimeout)
@@ -268,7 +288,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 				if rec == http.ErrAbortHandler {
 					panic(rec)
 				}
-				s.reg.Counter("panics_total").Inc()
+				s.m.panics.Inc()
 				s.writeErrorTraced(w, r, http.StatusInternalServerError, "internal_panic",
 					fmt.Sprintf("handler panicked: %v", rec))
 			}

@@ -157,8 +157,42 @@ func TestCertainEndpointNamedDatabase(t *testing.T) {
 
 func TestStatsAndOpsEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	// The exposition lints before any traffic too (absent and zero series).
-	scrapeMetrics(t, ts.URL)
+	// Before any traffic the exposition lints and already lists every
+	// fixed series at zero: New resolves each handle, and resolving one
+	// registers it.
+	exp := scrapeMetrics(t, ts.URL)
+	for _, name := range []string{
+		"requests_total", "rejected_total", "timeouts_total", "errors_total", "panics_total",
+		"partial_result_total", "partial_write_total", "wal_records", "result_cache_carried_total",
+		"requests_inflight", "watch_active", "watch_fanin", "request_latency_seconds_count",
+		"traces_sampled", "traces_dropped", "slow_queries", "engine_cache_hit_rate",
+	} {
+		if v, ok := exp.Value(name); !ok || v != 0 {
+			t.Errorf("pre-traffic /metrics %s = %v (present=%v), want 0", name, v, ok)
+		}
+	}
+	if _, ok := exp.Value("snapshot_version"); !ok {
+		t.Error("pre-traffic /metrics lacks snapshot_version")
+	}
+	labeled := [][]string{
+		{"delta_reeval_total", "outcome", "skipped"},
+		{"delta_reeval_total", "outcome", "reevaluated"},
+		{"delta_reeval_total", "outcome", "flipped"},
+	}
+	for _, e := range []string{"classify", "certain", "db_create", "db_insert", "db_delete"} {
+		labeled = append(labeled, []string{"requests_by_endpoint_total", "endpoint", e})
+	}
+	for _, st := range engine.Strategies {
+		for _, c := range []string{engine.CacheHit, engine.CacheMiss, engine.CacheBypass} {
+			labeled = append(labeled, []string{"eval_total", "strategy", st, "cache", c})
+		}
+	}
+	for _, l := range labeled {
+		if v, ok := exp.Value(l[0], l[1:]...); !ok || v != 0 {
+			t.Errorf("pre-traffic /metrics %v = %v (present=%v), want 0", l, v, ok)
+		}
+	}
+
 	// Drive a little traffic so the counters move.
 	for i := 0; i < 3; i++ {
 		resp := postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: "R(x | y)", Database: "people"})
@@ -187,8 +221,13 @@ func TestStatsAndOpsEndpoints(t *testing.T) {
 	if stats.Scope != "primary" {
 		t.Errorf("stats scope = %q, want primary", stats.Scope)
 	}
-	if stats.Server["certain_total"] != float64(3) {
-		t.Errorf("certain_total = %v, want 3", stats.Server["certain_total"])
+	if got := stats.Server[`requests_by_endpoint_total{endpoint="certain"}`]; got != float64(3) {
+		t.Errorf(`/v1/stats requests_by_endpoint_total{endpoint="certain"} = %v, want 3`, got)
+	}
+	// A histogram renders as its count and sum, nothing else.
+	lat, ok := stats.Server["request_latency"].(map[string]any)
+	if sum, _ := lat["sum_ns"].(float64); !ok || len(lat) != 2 || lat["count"] != float64(3) || sum <= 0 {
+		t.Errorf("/v1/stats request_latency = %v, want {count: 3, sum_ns > 0}", stats.Server["request_latency"])
 	}
 
 	for path, want := range map[string]string{
@@ -207,10 +246,20 @@ func TestStatsAndOpsEndpoints(t *testing.T) {
 		}
 	}
 
-	exp := scrapeMetrics(t, ts.URL)
+	exp = scrapeMetrics(t, ts.URL)
+	// /v1/stats and /metrics render one registry: every name of the one
+	// is a family of the other.
+	for name, v := range stats.Server {
+		fam, _, _ := strings.Cut(name, "{")
+		if _, hist := v.(map[string]any); hist {
+			fam += "_seconds"
+		}
+		if exp.Types[fam] == "" {
+			t.Errorf("/v1/stats %s has no /metrics family %s", name, fam)
+		}
+	}
 	for name, want := range map[string]float64{
 		"requests_total":                3,
-		"certain_total":                 3,
 		"request_latency_seconds_count": 3,
 		"engine_cache_hit_rate":         2.0 / 3,
 	} {
@@ -233,31 +282,12 @@ func TestStatsAndOpsEndpoints(t *testing.T) {
 	if v, ok := exp.Value("eval_total", "strategy", engine.StrategyCompiledBitmap, "cache", "hit"); !ok || v != 2 {
 		t.Errorf("eval_total hit = %v (present=%v), want 2", v, ok)
 	}
-
-	resp, err = http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vars := decodeBody[map[string]any](t, resp)
-	cqad, ok := vars["cqad"].(map[string]any)
-	if !ok {
-		t.Fatalf("/debug/vars lacks cqad: %v", vars)
-	}
-	if cqad["certain_total"] != float64(3) {
-		t.Errorf("expvar certain_total = %v", cqad["certain_total"])
-	}
-	if _, ok := vars["memstats"]; !ok {
-		t.Error("/debug/vars lacks the standard expvar memstats")
-	}
-	lat, ok := cqad["request_latency"].(map[string]any)
-	if !ok || lat["count"] != float64(3) || lat["p99_ns"] == float64(0) {
-		t.Errorf("expvar latency histogram wrong: %v", cqad["request_latency"])
-	}
 }
 
 // TestMethodAndRouteErrors also guards the deleted surfaces: the
-// API port serves no many-database batch and no profiling (cqad serves
-// pprof only on its -pprof-addr listener).
+// API port serves no many-database batch, no WAL stream, no expvar
+// document and no profiling (cqad serves pprof only on its -pprof-addr
+// listener).
 func TestMethodAndRouteErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	for _, c := range []struct {
@@ -268,6 +298,7 @@ func TestMethodAndRouteErrors(t *testing.T) {
 		{"GET", "/nope", http.StatusNotFound},
 		{"POST", "/v1/batch", http.StatusNotFound},
 		{"GET", "/v1/wal/stream", http.StatusNotFound},
+		{"GET", "/debug/vars", http.StatusNotFound},
 		{"GET", "/debug/pprof/", http.StatusNotFound},
 	} {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(`{"query":"R(x | y)","databases":["people"]}`))

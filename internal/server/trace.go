@@ -48,7 +48,7 @@ func (s *Server) traced(next http.Handler) http.Handler {
 // would flood the ring.
 func traceablePath(p string) bool {
 	switch p {
-	case "/healthz", "/readyz", "/metrics", "/debug/vars", "/debug/traces":
+	case "/healthz", "/readyz", "/metrics", "/debug/traces":
 		return false
 	}
 	return !strings.HasPrefix(p, "/debug/pprof")

@@ -51,9 +51,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.eng.UnregisterWatch(watch)
-	active := s.reg.Gauge("watch_active")
-	active.Add(1)
-	defer active.Add(-1)
+	s.m.watchActive.Add(1)
+	defer s.m.watchActive.Add(-1)
 
 	flusher, _ := w.(http.Flusher)
 	flush := func() {
