@@ -1,5 +1,7 @@
 package fo
 
+import "cqa/internal/db"
+
 // This file implements the bitmap lowering of compiled programs
 // ("compiled-bitmap"). A scalar nExists (compile.go) tests one
 // candidate assignment at a time: an innermost ∃x loops over a
@@ -30,6 +32,15 @@ package fo
 // Lowering replaces nodes of Program.root in place; a quantifier that
 // does not vectorize stays a scalar nExists, so Bound.Eval runs one tree
 // that mixes both.
+//
+// A scalar quantifier gets a block driver instead when its body has a
+// must atom F(k̄, …, x, …) whose key k̄ the outer environment fixes: the
+// guard of the paper's ∀z (F(x̄ | z) → φ). Every witness satisfies the
+// atom, so F's block of k̄ holds every witness, and its values are
+// database ids, inside the quantification domain: walking that block
+// (db.InternedRelation.BlockTail, NextInBlock) answers what the
+// candidate loop answers, in block-size steps instead of posting-size
+// ones, with no index to build.
 
 // vnode is one vectorized formula node, evaluated over the bound
 // quantifier's candidate ids. word returns the 64-candidate membership
@@ -256,6 +267,7 @@ type vecBuilder struct {
 	slot    int32
 	scalars []*vScalar
 	atoms   []*vAtom
+	sets    map[*nAtom]int32 // each hole atom's m.vsets index
 	eqs     []*vEqC
 	failed  bool
 }
@@ -277,14 +289,9 @@ func (vb *vecBuilder) build(n node) vnode {
 	}
 	switch g := n.(type) {
 	case *nAtom:
-		hole := -1
-		for i, t := range g.terms {
-			if t >= 0 && int32(t) == vb.slot {
-				if hole >= 0 {
-					return vb.fail() // x occurs twice, e.g. R(x, x)
-				}
-				hole = i
-			}
+		hole := g.hole(vb.slot)
+		if hole < 0 {
+			return vb.fail() // x occurs twice, e.g. R(x, x)
 		}
 		rest := make([]termRef, 0, len(g.terms)-1)
 		for i, t := range g.terms {
@@ -295,6 +302,7 @@ func (vb *vecBuilder) build(n node) vnode {
 		a := &vAtom{rel: g.rel, hole: hole, rest: rest, idx: vb.c.p.nVSets}
 		vb.c.p.nVSets++
 		vb.atoms = append(vb.atoms, a)
+		vb.sets[g] = int32(a.idx)
 		return a
 	case *nEq:
 		lIsX := g.l >= 0 && int32(g.l) == vb.slot
@@ -377,43 +385,111 @@ func usesSlot(n node, slot int32) bool {
 	}
 }
 
-// mustSets collects the vsets indexes of atoms that are forced true at
-// every id where the tree evaluates to pos. The polarity walk sees
-// through negation, so ¬(R(x) → φ) — the shape ∀-rewritings take after
-// ∀ ≡ ¬∃¬ — still yields R as a driver.
-func mustSets(v vnode, pos bool, out []int32) []int32 {
-	switch g := v.(type) {
-	case *vAtom:
-		if pos {
-			out = append(out, int32(g.idx))
+// blockDriver is a must atom of a scalar quantifier's body with the bound
+// variable at exactly one non-key column, hole, and every other column
+// fixed by the outer environment, a constant or a parameter.
+type blockDriver struct {
+	atom *nAtom
+	hole int
+}
+
+// walkBlock evaluates e over the hole values of the driver's block in r,
+// trying the body only at the rows whose other columns match. The fixed
+// terms are re-read with m.get at every row: the body's nested
+// quantifiers reuse the machine's scratch buffers while it runs.
+func (e *nExists) walkBlock(m *mach, r *db.InternedRelation) bool {
+	a, hole := e.block.atom, e.block.hole
+	key := m.argbuf[:a.key]
+	for i, t := range a.terms[:a.key] {
+		key[i] = m.get(t)
+	}
+	tail := r.BlockTail(key)
+	if tail < 0 {
+		return false
+	}
+	for i := r.NextInBlock(tail); ; i = r.NextInBlock(i) {
+		row := r.Row(i)
+		match := true
+		for j := a.key; j < len(row) && match; j++ {
+			match = j == hole || row[j] == m.get(a.terms[j])
 		}
-	case *vNot:
-		out = mustSets(g.f, !pos, out)
-	case *vAnd:
-		if pos {
-			for _, f := range g.fs {
-				out = mustSets(f, true, out)
+		if match {
+			m.env[e.slot] = row[hole]
+			if e.body.eval(m) {
+				return true
 			}
 		}
-	case *vOr:
-		if !pos {
+		if i == tail {
+			return false
+		}
+	}
+}
+
+// blockDriverOf returns the first must atom of body that can drive slot's
+// quantifier over one block, or nil.
+func blockDriverOf(body node, slot int32) *blockDriver {
+	for _, a := range mustAtoms(body, true, nil) {
+		if hole := a.hole(slot); hole >= a.key {
+			return &blockDriver{atom: a, hole: hole}
+		}
+	}
+	return nil
+}
+
+// hole returns the column of slot's only occurrence in a, or -1 when
+// slot occurs twice or not at all.
+func (a *nAtom) hole(slot int32) int {
+	hole := -1
+	for i, t := range a.terms {
+		if t >= 0 && int32(t) == slot {
+			if hole >= 0 {
+				return -1
+			}
+			hole = i
+		}
+	}
+	return hole
+}
+
+// mustAtoms collects the atoms forced true at every environment where n
+// evaluates to pos. The polarity walk sees through negation, so ¬(R(x) →
+// φ) — the shape ∀-rewritings take after ∀ ≡ ¬∃¬ — still yields R. It
+// stops at nested quantifiers, whose atoms need not hold.
+func mustAtoms(n node, pos bool, out []*nAtom) []*nAtom {
+	switch g := n.(type) {
+	case *nAtom:
+		if pos {
+			out = append(out, g)
+		}
+	case *nNot:
+		out = mustAtoms(g.f, !pos, out)
+	case *nAnd:
+		if pos {
 			for _, f := range g.fs {
-				out = mustSets(f, false, out)
+				out = mustAtoms(f, true, out)
 			}
 		}
-	case *vImplies:
+	case *nOr:
 		if !pos {
-			out = mustSets(g.l, true, out)
-			out = mustSets(g.r, false, out)
+			for _, f := range g.fs {
+				out = mustAtoms(f, false, out)
+			}
+		}
+	case *nImplies:
+		if !pos {
+			out = mustAtoms(g.l, true, out)
+			out = mustAtoms(g.r, false, out)
 		}
 	}
 	return out
 }
 
 // lowerBitmap runs after compile: it rewrites Program.root bottom-up,
-// replacing every vectorizable nExists with an nExistsVec.
+// replacing every vectorizable nExists with an nExistsVec and giving the
+// others a block driver where their body has one.
 func (c *compiler) lowerBitmap() {
 	c.p.vecCand = make([]bool, len(c.p.cands))
+	c.p.blocks = make([]*blockDriver, c.p.slots)
 	c.p.root, c.p.vecQuants = c.lowerNode(c.p.root)
 }
 
@@ -435,34 +511,49 @@ func (c *compiler) lowerNode(n node) (node, int) {
 		k += kr
 	case *nExists:
 		g.body, k = c.lowerNode(g.body)
-		if c.p.readsParam(int(g.cand)) {
-			// Its candidates depend on the call's parameter ids, while
-			// candidate sets are built once per Bind.
-			return g, k
+		// A quantifier whose candidates depend on the call's parameter ids
+		// stays scalar: candidate sets are built once per Bind.
+		if !c.p.readsParam(int(g.cand)) {
+			if v := c.vectorize(g); v != nil {
+				return v, k + 1
+			}
 		}
-		// Snapshot scratch counters so a failed attempt does not leak
-		// unused machine slots.
-		p := c.p
-		sets, bits, ids := p.nVSets, p.nVBits, p.nVIds
-		vb := &vecBuilder{c: c, slot: g.slot}
-		vec := vb.build(g.body)
-		if vb.failed {
-			p.nVSets, p.nVBits, p.nVIds = sets, bits, ids
-			return g, k
-		}
-		p.vecCand[g.cand] = true
-		return &nExistsVec{
-			slot:    g.slot,
-			cand:    g.cand,
-			body:    g.body,
-			vec:     vec,
-			scalars: vb.scalars,
-			atoms:   vb.atoms,
-			eqs:     vb.eqs,
-			musts:   mustSets(vec, true, nil),
-		}, k + 1
+		g.block = blockDriverOf(g.body, g.slot)
+		c.p.blocks[g.slot] = g.block
 	}
 	return n, k
+}
+
+// vectorize returns the vector form of g, or nil when its body does not
+// vectorize.
+func (c *compiler) vectorize(g *nExists) *nExistsVec {
+	// Snapshot scratch counters so a failed attempt does not leak unused
+	// machine slots.
+	p := c.p
+	sets, bits, ids := p.nVSets, p.nVBits, p.nVIds
+	vb := &vecBuilder{c: c, slot: g.slot, sets: make(map[*nAtom]int32)}
+	vec := vb.build(g.body)
+	if vb.failed {
+		p.nVSets, p.nVBits, p.nVIds = sets, bits, ids
+		return nil
+	}
+	p.vecCand[g.cand] = true
+	var musts []int32
+	for _, a := range mustAtoms(g.body, true, nil) {
+		if idx, ok := vb.sets[a]; ok {
+			musts = append(musts, idx)
+		}
+	}
+	return &nExistsVec{
+		slot:    g.slot,
+		cand:    g.cand,
+		body:    g.body,
+		vec:     vec,
+		scalars: vb.scalars,
+		atoms:   vb.atoms,
+		eqs:     vb.eqs,
+		musts:   musts,
+	}
 }
 
 func (c *compiler) lowerAll(fs []node) int {

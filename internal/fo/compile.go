@@ -80,6 +80,7 @@ type nTruth bool
 
 type nAtom struct {
 	rel   int // index into Bound.rels; nil entry = relation absent = false
+	key   int // the atom's primary-key length: terms[:key] name its block
 	terms []termRef
 }
 
@@ -94,11 +95,14 @@ type nOr struct{ fs []node }
 type nImplies struct{ l, r node }
 
 // nExists binds one variable (one slot) over one candidate list.
-// Multi-variable quantifier blocks compile to nested nExists.
+// Multi-variable quantifier blocks compile to nested nExists. block,
+// when set, names a must atom whose block holds every witness
+// (bitmap.go); eval then walks that block instead of the candidates.
 type nExists struct {
-	slot int32
-	cand int32 // index into Bound.cands
-	body node
+	slot  int32
+	cand  int32 // index into Bound.cands
+	body  node
+	block *blockDriver
 }
 
 func (t nTruth) eval(*mach) bool { return bool(t) }
@@ -140,8 +144,21 @@ func (n *nOr) eval(m *mach) bool {
 func (n *nImplies) eval(m *mach) bool { return !n.l.eval(m) || n.r.eval(m) }
 
 func (e *nExists) eval(m *mach) bool {
+	cands := m.cands[e.cand]
+	if d := e.block; d != nil {
+		r := m.b.rels[d.atom.rel]
+		if r == nil {
+			return false // the must atom never holds: no witness
+		}
+		// A view whose key or arity differs from the atom's keeps the
+		// loop, and so does one whose largest block outnumbers the
+		// candidates: the walk never tries more values than the loop.
+		if r.Key == d.atom.key && r.Arity == len(d.atom.terms) && r.MaxBlockSize() <= len(cands) {
+			return e.walkBlock(m, r)
+		}
+	}
 	body, env := e.body, m.env
-	for _, v := range m.cands[e.cand] {
+	for _, v := range cands {
 		env[e.slot] = v
 		if body.eval(m) {
 			return true
@@ -183,6 +200,9 @@ type Program struct {
 	nVSets    int
 	nVBits    int
 	nVIds     int
+	// blocks holds, per slot, the block driver of its scalar quantifier
+	// (nil for none); PlanSummary names them.
+	blocks []*blockDriver
 
 	needs []need
 }
@@ -370,7 +390,7 @@ func (c *compiler) compile(f Formula, scope map[string]int32) node {
 		if len(terms) > c.p.maxArity {
 			c.p.maxArity = len(terms)
 		}
-		return &nAtom{rel: c.relation(g.Rel), terms: terms}
+		return &nAtom{rel: c.relation(g.Rel), key: g.Key, terms: terms}
 	case Eq:
 		return &nEq{l: c.term(g.L, scope), r: c.term(g.R, scope)}
 	case Not:

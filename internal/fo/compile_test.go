@@ -2,6 +2,7 @@ package fo_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cqa/internal/db"
@@ -61,6 +62,117 @@ func TestCompiledAgreesOnRewritings(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCompiledDifferential checks the compiled pipeline against the
+// unoptimized reference on the shape of the paper's rewritings: every
+// quantifier guarded by an atom whose key is bound outside it, with
+// guarded quantifiers nested in its body, over databases with
+// multi-fact blocks. An outer guard whose variable occurs under a nested
+// quantifier stays scalar and walks its block while the nested
+// quantifiers reuse the machine's scratch, which is what this test
+// exists to exercise; it fails unless a fair share of the programs name
+// a block driver in PlanSummary.
+func TestCompiledDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(321))
+	driven := 0
+	const trials = 600
+	for trial := 0; trial < trials; trial++ {
+		f := randGuarded(rng, 1+rng.Intn(3), nil)
+		d := randBlockDB(rng)
+		want := fo.EvalReference(d, f)
+		p := fo.MustCompile(f)
+		if strings.Contains(strings.Join(p.PlanSummary(), "; "), "(block ") {
+			driven++
+		}
+		b := p.Bind(d.Interned())
+		for call := 1; call <= 2; call++ {
+			if got := b.Eval(); got != want {
+				t.Fatalf("call %d: compiled = %v, reference = %v on %s\nplan %v\ndb:\n%s",
+					call, got, want, f, p.PlanSummary(), d)
+			}
+		}
+	}
+	if driven < trials/2 {
+		t.Fatalf("only %d of %d programs have a block driver", driven, trials)
+	}
+}
+
+// randGuarded draws a closed formula whose quantifiers are guarded: ∀v
+// (G → φ), ∀v (¬G ∨ φ), ∃v (G ∧ φ), with G = R(k | v) or T(k | v, t) and
+// k, t terms of the enclosing scope or constants. The key is the
+// innermost enclosing variable half of the time, so nested guards
+// depend on their parent's variable.
+func randGuarded(rng *rand.Rand, depth int, scope []string) fo.Formula {
+	term := func() schema.Term {
+		if len(scope) > 0 && rng.Intn(4) != 0 {
+			return schema.Var(scope[rng.Intn(len(scope))])
+		}
+		return schema.Const([]string{"a", "b", "c", "d"}[rng.Intn(4)])
+	}
+	if depth == 0 {
+		switch rng.Intn(4) {
+		case 0:
+			return fo.Atom{Rel: "R", Key: 1, Terms: []schema.Term{term(), term()}}
+		case 1:
+			return fo.Atom{Rel: "T", Key: 1, Terms: []schema.Term{term(), term(), term()}}
+		case 2:
+			return fo.Atom{Rel: "S", Key: 1, Terms: []schema.Term{term()}}
+		default:
+			return fo.Eq{L: term(), R: term()}
+		}
+	}
+	key := term()
+	if len(scope) > 0 && rng.Intn(2) == 0 {
+		key = schema.Var(scope[len(scope)-1])
+	}
+	other := term()
+	v := newVar(scope)
+	inner := append(scope[:len(scope):len(scope)], v)
+	x := schema.Var(v)
+	guard := fo.Formula(fo.Atom{Rel: "R", Key: 1, Terms: []schema.Term{key, x}})
+	if rng.Intn(2) == 0 {
+		guard = fo.Atom{Rel: "T", Key: 1, Terms: []schema.Term{key, x, other}}
+	}
+	nested, leaf := randGuarded(rng, depth-1, inner), randGuarded(rng, 0, inner)
+	var body fo.Formula
+	switch rng.Intn(4) {
+	case 0:
+		body = fo.NewAnd(nested, leaf)
+	case 1:
+		body = fo.NewOr(nested, leaf)
+	case 2:
+		body = fo.Not{F: nested}
+	default:
+		body = fo.Implies{L: leaf, R: nested}
+	}
+	switch rng.Intn(3) {
+	case 0:
+		return fo.Forall{Vars: []string{v}, Body: fo.Implies{L: guard, R: body}}
+	case 1:
+		return fo.Forall{Vars: []string{v}, Body: fo.NewOr(fo.Not{F: guard}, body)}
+	default:
+		return fo.Exists{Vars: []string{v}, Body: fo.NewAnd(guard, body)}
+	}
+}
+
+// randBlockDB fills R(k | v), S(k) and T(k | v, w) over {a, b, c}, so
+// that blocks of one to three facts are common.
+func randBlockDB(rng *rand.Rand) *db.Database {
+	d := db.New()
+	d.MustDeclare("R", 2, 1)
+	d.MustDeclare("S", 1, 1)
+	d.MustDeclare("T", 3, 1)
+	dom := []string{"a", "b", "c"}
+	v := func() string { return dom[rng.Intn(len(dom))] }
+	for i := 0; i < 6; i++ {
+		d.MustInsert(db.F("R", v(), v()))
+		d.MustInsert(db.F("T", v(), v(), v()))
+		if rng.Intn(3) == 0 {
+			d.MustInsert(db.F("S", v()))
+		}
+	}
+	return d
 }
 
 // Compile rejects formulas with free variables.

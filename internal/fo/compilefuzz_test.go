@@ -17,6 +17,11 @@ func FuzzCompiledEval(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 5, 9, 200, 14, 3, 3, 7})
 	f.Add([]byte{7, 255, 1, 0, 42, 17, 6, 6, 6, 80, 80, 13, 2, 91})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	// ∀v0 ((R('b', v0) ∧ true) → ∃v1 R(v0, v1)) over R(b | a), R(b | c),
+	// R(a | d): the scalar ∀ walks the block of 'b' while the nested ∃,
+	// vectorized, resolves its own row into the machine's scratch; the
+	// counterexample v0 = c is the block's second row.
+	f.Add([]byte{3, 0, 1, 0, 0, 1, 2, 0, 0, 3, 6, 3, 1, 0, 1, 0, 3, 0, 4, 0, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fz := &fuzzDecoder{data: data}
 		d := fz.database()

@@ -333,15 +333,6 @@ func decodeRequest(body []byte, v any, members []member) error {
 	return decodeJSON(bytes.NewReader(body), v)
 }
 
-// readRequest reads a whole request body and decodes it as decodeRequest does.
-func readRequest(r io.Reader, v any, members []member) error {
-	body, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	return decodeRequest(body, v, members)
-}
-
 // ParseCertainRequest decodes and shape-checks a /v1/certain body. It is
 // exported (within the package tree) for the fuzz target: it must never
 // panic, whatever the bytes.

@@ -44,6 +44,47 @@ func TestOversizedBody413(t *testing.T) {
 	}
 }
 
+// A body is read into one buffer of its declared length when that lies
+// within MaxBodyBytes, and by the bounded fallback otherwise: a body of
+// the bound's exact size is served, one byte more is 413 whether the
+// length is declared or unknown (chunked).
+func TestBodyLengths(t *testing.T) {
+	const limit = 256
+	_, ts := newTestServer(t, Options{MaxBodyBytes: limit})
+	// JSON skips leading white space, so padding sizes a valid request.
+	body := func(n int) string {
+		req := `{"query":"R(x | y)","database":"people"}`
+		return strings.Repeat(" ", n-len(req)) + req
+	}
+	for _, tc := range []struct {
+		name   string
+		size   int
+		length int64 // declared Content-Length; -1 is unknown
+		want   int
+	}{
+		{"short", 64, 64, http.StatusOK},
+		{"exact", limit, limit, http.StatusOK},
+		{"over-limit", limit + 1, limit + 1, http.StatusRequestEntityTooLarge},
+		{"unknown", limit, -1, http.StatusOK},
+		{"unknown over-limit", limit + 1, -1, http.StatusRequestEntityTooLarge},
+	} {
+		req, err := http.NewRequest("POST", ts.URL+"/v1/certain", strings.NewReader(body(tc.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = tc.length
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status = %d, want %d: %s", tc.name, resp.StatusCode, tc.want, out)
+		}
+	}
+}
+
 func TestMalformedJSON400(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	for name, body := range map[string]string{

@@ -118,6 +118,31 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, v)
 }
 
+// readBody reads r's whole body. A declared length within MaxBodyBytes
+// sizes one buffer for it; an unknown or larger one is read by
+// io.ReadAll, which the http.MaxBytesReader the admission middleware
+// wraps the body in stops at the bound (413).
+func (s *Server) readBody(r *http.Request) ([]byte, error) {
+	n := r.ContentLength
+	if n <= 0 || n > s.opt.MaxBodyBytes {
+		return io.ReadAll(r.Body)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
+}
+
+// readRequest reads a whole request body and decodes it as decodeRequest does.
+func (s *Server) readRequest(r *http.Request, v any, members []member) error {
+	body, err := s.readBody(r)
+	if err != nil {
+		return err
+	}
+	return decodeRequest(body, v, members)
+}
+
 // handleCertain answers POST /v1/certain. The handler is fully
 // instrumented: parse/prepare/eval spans hang off the request trace,
 // the eval_total{strategy,cache} counter records what ran, and
@@ -125,7 +150,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // size, quantifier plan, shard plan, and per-stage timings.
 func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 	clock := &stageClock{tr: obs.FromContext(r.Context())}
-	body, err := io.ReadAll(r.Body)
+	body, err := s.readBody(r)
 	if err != nil {
 		s.writeDecodeError(w, err)
 		return

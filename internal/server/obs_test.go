@@ -300,6 +300,49 @@ func TestTraceIDInErrorBodies(t *testing.T) {
 	}
 }
 
+// Scraping /v1/stats and /v1/shards leaves every trace ring as it was:
+// a server's, a router's, and those of the shards the router's scrapes
+// fan out to.
+func TestScrapesAreNotTraced(t *testing.T) {
+	_, ts0 := newTestServer(t, Options{Databases: map[string]*db.Database{}})
+	_, ts1 := newTestServer(t, Options{Databases: map[string]*db.Database{}})
+	_, single := newTestServer(t, Options{})
+	rt := NewRouter(RouterOptions{Shards: []string{ts0.URL, ts1.URL}, Options: Options{Engine: engine.New(engine.Options{})}})
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+
+	bases := []string{single.URL, rts.URL, ts0.URL, ts1.URL}
+	// A traced read first, so the check below would see a ring move.
+	resp := postJSON(t, single.URL+"/v1/certain", CertainRequest{Query: "R(x | y)", Database: "people"})
+	resp.Body.Close()
+	before := make([]tracesDoc, len(bases))
+	for i, base := range bases {
+		before[i] = getTraces(t, base, "")
+	}
+	if before[0].Sampled == 0 {
+		t.Fatal("the read left no trace: tracing is off, the check below is void")
+	}
+	for _, base := range bases[:2] {
+		for _, path := range []string{"/v1/stats", "/v1/shards"} {
+			resp, err := http.Get(base + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if id := resp.Header.Get(obs.TraceHeader); id != "" {
+				t.Errorf("GET %s%s traced as %s", base, path, id)
+			}
+		}
+	}
+	for i, base := range bases {
+		after := getTraces(t, base, "")
+		if after.Sampled != before[i].Sampled || len(after.Traces) != len(before[i].Traces) {
+			t.Errorf("%s: scrapes moved the trace ring: sampled %d → %d, traces %d → %d",
+				base, before[i].Sampled, after.Sampled, len(before[i].Traces), len(after.Traces))
+		}
+	}
+}
+
 // TestRouterStatsAggregation asserts the /v1/stats satellite: the
 // router's response has scope "router" and one entry per shard server,
 // each carrying that server's own stats; a dead shard degrades to an

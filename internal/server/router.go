@@ -252,7 +252,7 @@ func (rt *Router) writePartialResult(w http.ResponseWriter, r *http.Request, err
 // plan: forwarded to the owning shards, or gathered and evaluated here.
 func (rt *Router) handleCertain(w http.ResponseWriter, r *http.Request) {
 	clock := &stageClock{tr: obs.FromContext(r.Context())}
-	body, err := io.ReadAll(r.Body)
+	body, err := rt.inner.readBody(r)
 	if err != nil {
 		rt.inner.writeDecodeError(w, err)
 		return
@@ -467,7 +467,7 @@ func (rt *Router) partition(d *db.Database, extra []RelSig) (perShard []string, 
 // schema and its slice of the seed facts.
 func (rt *Router) handleDBCreate(w http.ResponseWriter, r *http.Request) {
 	var req DBCreateRequest
-	if err := readRequest(r.Body, &req, req.members()); err != nil {
+	if err := rt.inner.readRequest(r, &req, req.members()); err != nil {
 		rt.inner.writeDecodeError(w, err)
 		return
 	}
@@ -514,7 +514,7 @@ func (rt *Router) handleDBWrite(del bool) func(w http.ResponseWriter, r *http.Re
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req DBWriteRequest
-		if err := readRequest(r.Body, &req, req.members()); err != nil {
+		if err := rt.inner.readRequest(r, &req, req.members()); err != nil {
 			rt.inner.writeDecodeError(w, err)
 			return
 		}

@@ -60,7 +60,7 @@ func writeDB(r *http.Request, st *store.Store, decls, batch *db.Database, del bo
 // and explicit declarations in one batch — one version.
 func (s *Server) handleDBCreate(w http.ResponseWriter, r *http.Request) {
 	var req DBCreateRequest
-	if err := readRequest(r.Body, &req, req.members()); err != nil {
+	if err := s.readRequest(r, &req, req.members()); err != nil {
 		s.writeDecodeError(w, err)
 		return
 	}
@@ -102,7 +102,7 @@ func (s *Server) handleDBCreate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDBWrite(del bool) func(w http.ResponseWriter, r *http.Request) {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req DBWriteRequest
-		if err := readRequest(r.Body, &req, req.members()); err != nil {
+		if err := s.readRequest(r, &req, req.members()); err != nil {
 			s.writeDecodeError(w, err)
 			return
 		}

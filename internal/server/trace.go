@@ -45,10 +45,11 @@ func (s *Server) traced(next http.Handler) http.Handler {
 }
 
 // traceablePath excludes operational probes: scrapes and health checks
-// would flood the ring.
+// would flood the ring. The JSON scrapes count too: a router's /v1/stats
+// and /v1/shards fan out to every shard.
 func traceablePath(p string) bool {
 	switch p {
-	case "/healthz", "/readyz", "/metrics", "/debug/traces":
+	case "/healthz", "/readyz", "/metrics", "/debug/traces", "/v1/stats", "/v1/shards":
 		return false
 	}
 	return !strings.HasPrefix(p, "/debug/pprof")
