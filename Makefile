@@ -102,7 +102,9 @@ serve-smoke:
 # Crash-recovery smoke: boot cqad with a data directory, create a
 # database and write facts over HTTP, SIGKILL the daemon (no graceful
 # shutdown, no checkpoint), restart on the same directory, and verify
-# the facts and the certainty answer survived WAL replay.
+# the facts and the certainty answer survived WAL replay. A second
+# database, created with a seed and never written, must come back from
+# the checkpoint its create wrote: version 1, no WAL records.
 store-smoke:
 	$(GO) build -o /tmp/cqad-store-smoke ./cmd/cqad
 	@rm -rf /tmp/cqad-store-smoke-data /tmp/cqad-store-smoke.addr; \
@@ -116,6 +118,8 @@ store-smoke:
 	    "http://$$addr/v1/db/create" || { kill -9 $$pid; exit 1; }; echo; \
 	curl -fsS -d '{"database": "smoke", "facts": "R(a | 2)\nR(b | 7)"}' \
 	    "http://$$addr/v1/db/insert" || { kill -9 $$pid; exit 1; }; echo; \
+	curl -fsS -d '{"name": "seeded", "facts": "P(a | 1)\nP(b | 2)\nQ(c | 3)"}' \
+	    "http://$$addr/v1/db/create" || { kill -9 $$pid; exit 1; }; echo; \
 	echo "SIGKILL $$pid (no graceful shutdown)"; \
 	kill -9 $$pid; wait $$pid 2>/dev/null; \
 	rm -f /tmp/cqad-store-smoke.addr; \
@@ -128,6 +132,8 @@ store-smoke:
 	info=$$(curl -fsS "http://$$addr/v1/db/info") || { kill -9 $$pid; exit 1; }; \
 	echo "$$info"; \
 	echo "$$info" | grep -q '"facts": *4' || { echo "facts lost in crash"; kill -9 $$pid; exit 1; }; \
+	echo "$$info" | grep -Eq '"name":"seeded","version":1,"shards":1,"facts":3,.*"segmentRecords":0,"checkpointVersion":1,' || \
+	    { echo "seeded database not recovered from its checkpoint"; kill -9 $$pid; exit 1; }; \
 	out=$$(curl -fsS -d '{"query": "R(x | y), !S(y | x)", "database": "smoke"}' \
 	    "http://$$addr/v1/certain") || { kill -9 $$pid; exit 1; }; \
 	echo "$$out"; \

@@ -196,18 +196,14 @@ func run(cfg config) error {
 			log.Printf("cqad: recovered %d durable database(s) from %s: %s",
 				n, cfg.dataDir, strings.Join(stores.Names(), ", "))
 		}
-		// First boot: seed durable stores from the preloaded databases.
-		// On later boots the recovered store wins and the .db file is
-		// only the original seed.
+		// First boot: each preloaded database becomes a durable store born
+		// holding it, written as its first checkpoint. On later boots the
+		// recovered store wins and the .db file is only the original seed.
 		for name, d := range dbs {
 			if stores.Get(name) != nil {
 				continue
 			}
-			st, err := stores.Create(name)
-			if err != nil {
-				return fmt.Errorf("seeding %s: %w", name, err)
-			}
-			if _, err := st.ApplyDB(d); err != nil {
+			if _, err := stores.Create(context.Background(), name, d, nil); err != nil {
 				return fmt.Errorf("seeding %s: %w", name, err)
 			}
 		}

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -185,5 +186,59 @@ func TestMultiRecordBatchSurvivesRecovery(t *testing.T) {
 	}
 	if got.DB.Size() != 5 {
 		t.Fatalf("recovered %d facts, want 5", got.DB.Size())
+	}
+}
+
+// A created store is born holding its seed as its first checkpoint, so
+// recovering it is a load: dropped without Close, as a kill leaves it,
+// it reopens with the seed's facts at version 1 and an empty WAL. A
+// later insert is logged and replays over that checkpoint.
+func TestCreatedStoreRecoversFromItsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	opt := store.Options{Dir: dir, CheckpointEvery: 1 << 30}
+	seed := parse.MustDatabase("R(a | 1)\nR(a | 2)\nS(b | c)\n")
+	if err := seed.DeclareRelation("T", 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := seed.String()
+	set, err := store.OpenSet(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := set.Create(context.Background(), "k", seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := st.Stats(); stats.Version != 1 || stats.CheckpointVersion != 1 || stats.SegmentRecords != 0 {
+		t.Fatalf("created store: %+v, want version 1, checkpointed, no WAL records", stats)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "k.wal")); err != nil || fi.Size() != 0 {
+		t.Fatalf("k.wal after create: %v, %v; want an empty file", fi, err)
+	}
+
+	re, err := store.Open("k", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, stats := re.Snapshot(), re.Stats()
+	if snap.Version != 1 || snap.DB.String() != want || stats.RecoveredRecords != 0 || stats.CheckpointVersion != 1 {
+		t.Fatalf("recovered version %d, %d records replayed, checkpoint %d:\n%s\nwant version 1, none replayed, checkpoint 1:\n%s",
+			snap.Version, stats.RecoveredRecords, stats.CheckpointVersion, snap.DB, want)
+	}
+	re.Close()
+
+	if c, err := st.Insert(db.F("R", "b", "3")); err != nil || c.Version != 2 {
+		t.Fatalf("insert after create: %+v, %v; want version 2", c, err)
+	}
+	want = st.Snapshot().DB.String()
+	re, err = store.Open("k", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	snap, stats = re.Snapshot(), re.Stats()
+	if snap.Version != 2 || snap.DB.String() != want || stats.RecoveredRecords != 1 {
+		t.Fatalf("recovered version %d, %d records replayed:\n%s\nwant version 2, 1 replayed:\n%s",
+			snap.Version, stats.RecoveredRecords, snap.DB, want)
 	}
 }

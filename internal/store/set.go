@@ -1,12 +1,15 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"regexp"
 	"sort"
 	"strings"
 	"sync"
+
+	"cqa/internal/db"
 )
 
 // shardSuffix matches the "<name>.s<i>" store names an earlier layout
@@ -22,13 +25,16 @@ type Set struct {
 
 	mu sync.Mutex
 	m  map[string]*Store
+	// creating holds the names whose Create is loading outside mu: taken,
+	// but not yet found by Get.
+	creating map[string]bool
 }
 
 // OpenSet opens every database found in opt.Dir: each "<name>.wal" or
 // "<name>.snap" file is one store. With opt.Dir == "" the set starts
 // empty and Create makes memory-only members.
 func OpenSet(opt Options) (*Set, error) {
-	set := &Set{opt: opt, m: make(map[string]*Store)}
+	set := &Set{opt: opt, m: make(map[string]*Store), creating: make(map[string]bool)}
 	if opt.Dir == "" {
 		return set, nil
 	}
@@ -84,21 +90,37 @@ func (s *Set) Names() []string {
 	return out
 }
 
-// Create opens a fresh database (durable when the set has a data
-// directory). It fails with ErrExists for a taken name.
-func (s *Set) Create(name string) (*Store, error) {
+// Create adds the database name, born holding seed (see the package's
+// create): seed is its first snapshot, at version 1 when it declares a
+// relation and 0 when it is empty, and a durable member writes it as its
+// first checkpoint. The store adopts seed; the caller must not mutate it
+// afterwards. ready, when non-nil, runs on the new store before Get can
+// find it, so a hook it installs sees every write. The name is reserved
+// under the lock and the store is built outside it, so no reader waits
+// on the checkpoint's I/O. Create fails with ErrExists for a taken name,
+// including one whose create is still in flight.
+func (s *Set) Create(ctx context.Context, name string, seed *db.Database, ready func(*Store)) (*Store, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
 	if shardSuffix.MatchString(name) {
-		return nil, fmt.Errorf("store: name %q ends in the reserved .s<i> suffix", name)
+		return nil, fmt.Errorf("%w: %q ends in the reserved .s<i> suffix", ErrBadName, name)
+	}
+	s.mu.Lock()
+	if _, ok := s.m[name]; ok || s.creating[name] {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("%w: %s", ErrExists, name)
+	}
+	s.creating[name] = true
+	s.mu.Unlock()
+
+	st, err := create(ctx, name, s.opt, seed)
+	if err == nil && ready != nil {
+		ready(st)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.m[name]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrExists, name)
-	}
-	st, err := Open(name, s.opt)
+	delete(s.creating, name)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +133,7 @@ func (s *Set) Create(name string) (*Store, error) {
 func (s *Set) Adopt(st *Store) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.m[st.Name()]; ok {
+	if _, ok := s.m[st.Name()]; ok || s.creating[st.Name()] {
 		return fmt.Errorf("%w: %s", ErrExists, st.Name())
 	}
 	s.m[st.Name()] = st

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -287,14 +288,14 @@ func TestSetCreateAdoptAndReopen(t *testing.T) {
 	if names := set.Names(); len(names) != 0 {
 		t.Fatalf("fresh set has members: %v", names)
 	}
-	st, err := set.Create("alpha")
+	st, err := set.Create(context.Background(), "alpha", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := set.Create("alpha"); !errors.Is(err, store.ErrExists) {
+	if _, err := set.Create(context.Background(), "alpha", nil, nil); !errors.Is(err, store.ErrExists) {
 		t.Fatalf("duplicate Create: %v, want ErrExists", err)
 	}
-	if _, err := set.Create("../evil"); err == nil {
+	if _, err := set.Create(context.Background(), "../evil", nil, nil); err == nil {
 		t.Fatal("path-traversal name should fail")
 	}
 	st.Declare("R", 1, 1)
@@ -347,10 +348,10 @@ func TestSetRefusesShardStoreFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.CloseAll()
-	if _, err := set.Create("x.s3"); err == nil {
+	if _, err := set.Create(context.Background(), "x.s3", nil, nil); err == nil {
 		t.Fatal("reserved shard-suffix name accepted")
 	}
-	if _, err := set.Create("x.s"); err != nil {
+	if _, err := set.Create(context.Background(), "x.s", nil, nil); err != nil {
 		t.Fatalf("plain dotted name refused: %v", err)
 	}
 }
