@@ -425,14 +425,28 @@ func storeText() string {
 	return sb.String()
 }
 
+// distinctText renders n facts in the matching shape of an inline
+// database, P(u | v) beside N(v | u), where no two rows share a value:
+// n distinct values, each met twice.
+func distinctText(n int) string {
+	var sb strings.Builder
+	for i := 0; i < n/2; i++ {
+		fmt.Fprintf(&sb, "P(u%d | v%d)\nN(v%d | u%d)\n", i, i, i, i)
+	}
+	return sb.String()
+}
+
 // The load path (docs/EVAL.md, "Loading"): fact text through the scanner
 // and the bulk loader into dictionary ids and id rows — a cold inline
-// request's 2 000 facts, and a store seed's 34 000.
+// request's 2 000 facts, in the FO shape (a third of them bring a new
+// value) and in the matching shape (every value new to its row), and a
+// store seed's 34 000.
 func BenchmarkLoadFacts(b *testing.B) {
 	for _, tc := range []struct {
 		name, text string
 	}{
 		{"facts=2000", gen.FactsText(rand.New(rand.NewSource(1)), 2000)},
+		{"facts=2000,distinct", distinctText(2000)},
 		{"facts=34000", storeText()},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

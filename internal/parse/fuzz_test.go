@@ -131,6 +131,27 @@ func FuzzDatabase(f *testing.F) {
 		"R(a | b)\nS(a)\nR(a | b, c)",
 		"R(a | b)\nS(a)\nT(x | y)\nU(a)\nV(a)\nW(a)\nX(a)\nY(a)\nZ(a)\nQ(a)\nR(c | d)\nQ(a, b)",
 		"R(a | b)\nR(a | b)",
+		// The text is read in one pass, so a line must not leak into the
+		// next: a quote left open at '\n' is unterminated on its own line.
+		"R('a | b)\nS(c | d)\n",
+		"R(a | b)\nR('x\nR(c | 'd')\n",
+		"R('a#b' | c) # it's a comment\nS('#' | '#')",
+		"R(a | b)\r\nS(b\r| a)\r\n",
+		"R(a | b)\rS(b | a)",
+		"R(a\u00a0|\u3000b)\u00a0\nS(\u3000a)\u3000",
+		"\u3000R(a | b)\u00a0# c\u3000\n\u00a0S(b | a)",
+		"R(a | b)\n   \n\t\n\u3000\n\u00a0\r\nS(b | a)",
+		"R(a | b)\nS(b | a) # no newline at the end",
+		// Errors past line 2, each with its line number and its offset in
+		// the line's text.
+		"R(a | b)\n\nS(b | a)\n  T(a, )\n",
+		"R(a | b)\n# c\n\u00a0 S(b | 'x)\n",
+		"A(a)\nB(b)\nC(c) junk\n",
+		"A(a)\nB(b)\n  C(c | d # x)\n",
+		"A(a)\nB(b)\n\tC(c | d   \t\n",
+		"A(a)\nB(b)\nC(c | d)\nC(c, d)\n",
+		"A(a)\nB(b)\n  c(d)\n",
+		"A(a)\nB(b)\nC(\u00a0)\u3000\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -156,12 +177,45 @@ func FuzzDatabase(f *testing.F) {
 	})
 }
 
+// inlineTexts renders about n facts in each shape of the benchmark's
+// inline databases: fo (gen.FactsText), hall, matching with all-distinct
+// values, reachability and hard, each with a few inconsistent blocks.
+func inlineTexts(rng *rand.Rand, n int) []string {
+	var hall, matching, reach, hard strings.Builder
+	for i := 0; i < 4; i++ {
+		fmt.Fprintf(&hall, "S(a%d)\n", i)
+	}
+	for j := 1; j <= 3; j++ {
+		for _, v := range rng.Perm(4)[:3] {
+			fmt.Fprintf(&hall, "N%d(c | a%d)\n", j, v)
+		}
+		for i := 0; i < n/3; i++ {
+			fmt.Fprintf(&hall, "N%d(d%d | a%d)\n", j, i, rng.Intn(4))
+		}
+	}
+	for i := 0; i < n/2; i++ {
+		fmt.Fprintf(&matching, "P(u%d | v%d)\nN(v%d | u%d)\n", i, i, i, i)
+		fmt.Fprintf(&reach, "E(a%d, b%d)\nB(a%d | b%d)\n", i, i, i, i)
+	}
+	for i := 0; i < n/3; i++ {
+		fmt.Fprintf(&hard, "P(u%d | v%d)\nN(v%d | u%d)\nM(u%d | w%d)\n", i, i, i, i, i, i)
+	}
+	for j := 0; j < 3; j++ {
+		fmt.Fprintf(&matching, "P(x%d | y0)\nP(x%d | z%d)\nN(y0 | x%d)\n", j, j, j, j)
+		fmt.Fprintf(&hard, "P(x%d | y0)\nP(x%d | z%d)\nN(y0 | x%d)\nM(x%d | y0)\n", j, j, j, j, j)
+		fmt.Fprintf(&reach, "E(g%d, h%d)\nB(g%d | h%d)\nC(h%d | g%d)\n", j, j+1, j, j+1, j+1, j)
+	}
+	return []string{gen.FactsText(rng, n), hall.String(), matching.String(), reach.String(), hard.String()}
+}
+
 // Bulk loading matches loading fact by fact on large texts too: the
-// workload-shaped one, and random ones whose duplicates and large blocks
-// leave the tables sized for the raw rows to be shrunk.
+// inline databases' shapes; random texts whose duplicates and large
+// blocks leave the tables sized for the raw rows to be shrunk; and a text
+// of more than 4 096 facts, duplicates among them, with more values than
+// lines, which grows the dictionary past the size the line count gives.
 func TestLoadMatchesPerFact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	texts := []string{gen.FactsText(rng, 2000)}
+	texts := inlineTexts(rng, 2000)
 	for _, spread := range []int{3, 40, 1000} {
 		var sb strings.Builder
 		for i := 0; i < 3000; i++ {
@@ -169,6 +223,11 @@ func TestLoadMatchesPerFact(t *testing.T) {
 		}
 		texts = append(texts, sb.String())
 	}
+	var wide strings.Builder
+	for i := 0; i < 2200; i++ {
+		fmt.Fprintf(&wide, "T(a%d, b%d | c%d)\nT(a%d, b%d | c%d)\n", i, i, i, i, i, rng.Intn(i+1))
+	}
+	texts = append(texts, wide.String())
 	for _, src := range texts {
 		d, err := parse.Database(src)
 		if err != nil {

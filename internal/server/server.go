@@ -231,12 +231,16 @@ func New(opt Options) *Server {
 // invalidate the engine's cached results and reach its watches (the hook
 // runs under the store's writer lock, after publication, so ApplyChange
 // sees versions in order and the snapshot it is handed is the write's)
-// and feed the store metrics. Each effective mutation is one WAL record.
+// and feed the store metrics. Each effective mutation of a durable store
+// is one WAL record; a memory-only store writes none.
 func (s *Server) attach(name string, st *store.Store) {
 	s.m.version.Max(int64(st.Version()))
+	durable := st.Durable()
 	st.SetOnApply(func(c store.Change) {
 		s.eng.ApplyChange(name, c, st.Snapshot())
-		s.m.walRecords.Add(uint64(c.Applied))
+		if durable {
+			s.m.walRecords.Add(uint64(c.Applied))
+		}
 		s.m.version.Max(int64(c.Version))
 	})
 }

@@ -174,6 +174,38 @@ func TestResultCacheCarryOverHTTP(t *testing.T) {
 	}
 }
 
+// wal_records counts the records durable stores append to their WAL: a
+// create's seed is a checkpoint, not records, and a memory-only store
+// writes no WAL at all.
+func TestWALRecordsCountsDurableWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  store.Options
+		want float64
+	}{
+		{"memory", store.Options{}, 0},
+		{"durable", store.Options{Dir: t.TempDir(), Sync: false}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			set, err := store.OpenSet(tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer set.CloseAll()
+			_, ts := newTestServer(t, Options{Stores: set})
+			mustCreate(t, ts.URL, DBCreateRequest{Name: "k", Facts: "R(a | 1)\n"})
+			resp := postJSON(t, ts.URL+"/v1/db/insert", DBWriteRequest{Database: "k", Facts: "R(b | 2)\nR(c | 3)\n"})
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("insert: status %d", resp.StatusCode)
+			}
+			if v, ok := scrapeMetrics(t, ts.URL).Value("wal_records"); !ok || v != tc.want {
+				t.Errorf("wal_records = %v (present=%v), want %v", v, ok, tc.want)
+			}
+		})
+	}
+}
+
 // A server handed a durable store set persists HTTP writes across a
 // restart of the whole stack.
 func TestDurableStoresSurviveRestart(t *testing.T) {

@@ -77,26 +77,28 @@ func readSnapshotFile(path string) (*db.Database, uint64, error) {
 	if valid != len(body) {
 		return nil, 0, fmt.Errorf("store: snapshot %s has %d trailing bytes", path, len(body)-valid)
 	}
-	ld := db.NewLoader()
+	// A checkpoint holds declarations and inserts only
+	// (writeSnapshotFile); deletes belong to the WAL, whose replay goes
+	// through applyEffective.
+	ld := db.NewLoader(len(recs))
+	var ids []int32
 	for _, rec := range recs {
-		if err := loadOp(ld, rec.op); err != nil {
+		o := rec.op
+		switch o.kind {
+		case opDeclare:
+			err = ld.Declare(o.rel, o.arity, o.key)
+		case opInsert:
+			ids = ids[:0]
+			for _, a := range o.args {
+				ids = append(ids, ld.ID(a))
+			}
+			err = ld.Add(o.rel, ids)
+		default:
+			err = fmt.Errorf("store: op kind %d in a snapshot", o.kind)
+		}
+		if err != nil {
 			return nil, 0, fmt.Errorf("store: snapshot %s: %w", path, err)
 		}
 	}
 	return ld.Database(), version, nil
-}
-
-// loadOp adds one record of a checkpoint file to the database being
-// loaded. A checkpoint holds declarations and inserts only
-// (writeSnapshotFile); deletes belong to the WAL, whose replay goes
-// through applyEffective.
-func loadOp(ld *db.Loader, o walOp) error {
-	switch o.kind {
-	case opDeclare:
-		return ld.Declare(o.rel, o.arity, o.key)
-	case opInsert:
-		return ld.Add(o.rel, o.args)
-	default:
-		return fmt.Errorf("store: op kind %d in a snapshot", o.kind)
-	}
 }
