@@ -191,3 +191,85 @@ func TestDatabasePrintsWhatItParses(t *testing.T) {
 		t.Errorf("err = %v, want unterminated quoted constant at offset 3", err)
 	}
 }
+
+// TestErrorTexts pins the exact error of each kind, from Database and
+// from Query, where the one-pass scanner could get a line number or an
+// offset wrong: non-ASCII space before the error, trailing space or a
+// comment after it, a quote left open at a line break, CRLF and a lone
+// '\r', and errors on line 3 or later.
+func TestErrorTexts(t *testing.T) {
+	facts := []struct{ src, err string }{
+		{"R(a)\nR(b)\nr(c)\n", "line 3: parse: relation name \"r\" must start with an uppercase letter"},
+		{"R(a)\n\n  R(b\n", "line 3: parse: expected ')' at offset 3"},
+		{"R(a)\nR(b)\n\u00a0R(a, b)\n", "line 3: db: relation R redeclared with signature [2, 2] (was [1, 1])"},
+		{"# c\nR(a)\n R( 'x  \nR(b)\n", "line 3: parse: unterminated quoted constant at offset 4"},
+		{"R(a)\nR(b)\nR(a, 'b\n')\n", "line 3: parse: unterminated quoted constant at offset 6"},
+		{"R(a)\nR(b)\nR(c) d # x\n", "line 3: trailing input after fact"},
+		{"R(a)\nR(b)\nR(c  # x\n", "line 3: parse: expected ')' at offset 3"},
+		{"R(a)\nR(b)\nR(c, \u3000)\n", "line 3: parse: expected term at offset 8"},
+		{"R(a)\nR(b)\n\u3000R(c,\u00a0\n", "line 3: parse: expected term at offset 4"},
+		{"R(a)\r\nR(b)\r\nR(c\r\n", "line 3: parse: expected ')' at offset 3"},
+		{"R(a)\r\nR(b)\r\nR(c) x\r\n", "line 3: trailing input after fact"},
+		{"\n\n\nR a\n", "line 4: parse: expected '(' at offset 2"},
+		{"R(a)\nR(b)\n(a)\n", "line 3: parse: expected relation name at offset 0"},
+		{"R(a)\nR(b)\nR(a|b|c)\n", "line 3: parse: atom R has two '|' separators"},
+		{"R(a)\nR(b)\nR()\n", "line 3: parse: expected term at offset 2"},
+		{"R(a)\nR(b)\nR(a) \u00a0 # trailing\nR(c\u00a0", "line 4: parse: expected ')' at offset 3"},
+		{"R(a | b)\nR(a | c)\nR(x|y, z)", "line 3: db: relation R redeclared with signature [3, 1] (was [2, 1])"},
+		{"R(a | b)\nR(a | c)\nR(x, y)", "line 3: db: relation R redeclared with signature [2, 2] (was [2, 1])"},
+		{"\u00a0\u00a0R(a\u3000", "line 1: parse: expected ')' at offset 3"},
+		{"\u3000R(\u00a0a\u3000b)\u3000# c\u3000", "line 1: parse: expected ')' at offset 8"},
+		{"R(a)\nR(b)\nR('a#b' | c) x # y", "line 3: trailing input after fact"},
+		{"R(a) \t\n  \n\t R(b,\n", "line 3: parse: expected term at offset 4"},
+		{"R(a)\nR(b)\nÉ(a) x\n", "line 3: trailing input after fact"},
+		{"R(a)\nR(b)\né(a)\n", "line 3: parse: relation name \"é\" must start with an uppercase letter"},
+		{"R(a)\nR(b)\nR(a\u00a0b)\n", "line 3: parse: expected ')' at offset 5"},
+		{"R(a)\nR(b)\nR(a)\nR(b)\nR(c)\nS('x\n", "line 6: parse: unterminated quoted constant at offset 3"},
+		{"R(a)\nR(b)\nR(a)\u00a0\u00a0junk\u3000\u3000\n", "line 3: trailing input after fact"},
+		{"R(a)\nR(b)\nR(a \u00a0\n", "line 3: parse: expected ')' at offset 3"},
+		{"R(a)\rR(b)\n\nR(c", "line 1: trailing input after fact"},
+		{"R(a)\nR(b)\nR(c)R(d)\n", "line 3: trailing input after fact"},
+		{"R(a)\nR(b)\nR(c) # ok\nR(d, 'e#f'\n", "line 4: parse: expected ')' at offset 10"},
+		{"R(a)\nR(b)\n   #only\nR(c|)\n", "line 4: parse: expected term at offset 4"},
+	}
+	for _, c := range facts {
+		_, err := parse.Database(c.src)
+		if err == nil || err.Error() != c.err {
+			t.Errorf("Database(%q) = %v, want %s", c.src, err, c.err)
+		}
+		if _, err := parse.PerFactDatabase(c.src); err == nil || err.Error() != c.err {
+			t.Errorf("PerFactDatabase(%q) = %v, want %s", c.src, err, c.err)
+		}
+	}
+	queries := []struct{ src, err string }{
+		{"", "parse: expected relation name at offset 0"},
+		{"R(x", "parse: expected ')' at offset 3"},
+		{"r(x)", "parse: relation name \"r\" must start with an uppercase letter"},
+		{"R(x) S(y)", "parse: trailing input at offset 5"},
+		{"R(x | y | z)", "parse: atom R has two '|' separators"},
+		{"R('c", "parse: unterminated quoted constant at offset 3"},
+		{"R(x),", "parse: expected relation name at offset 5"},
+		{"not", "parse: expected relation name at offset 3"},
+		{"!", "parse: expected relation name at offset 1"},
+		{"R(x)\u00a0\u00a0,\u3000S(", "parse: expected term at offset 14"},
+		{"R(x)\n, S(y", "parse: expected ')' at offset 10"},
+		{"R x", "parse: expected '(' at offset 2"},
+		{"R(x,)", "parse: expected term at offset 4"},
+		{"R(x) # c", "parse: trailing input at offset 5"},
+		{"R(x), R(y)", "schema: relation R occurs twice (self-join)"},
+		{"R(x), !S(y)", "schema: negated atom S(y) violates safety: variables {y} do not all occur in a non-negated atom"},
+		{"\u3000R(\u00a0x\u00a0", "parse: expected ')' at offset 10"},
+		{"R(x | y),\r\n!S(y | x\r\n", "parse: expected ')' at offset 21"},
+		{"not R(x), not", "parse: expected relation name at offset 13"},
+		{"R(x) & !S(x) & ", "parse: expected relation name at offset 15"},
+		{"R('a\nb' | x), S(x", "parse: expected ')' at offset 17"},
+		{"É(x) junk", "parse: trailing input at offset 6"},
+		{"é(x)", "parse: relation name \"é\" must start with an uppercase letter"},
+		{"R(x)\u00a0\u00a0junk", "parse: trailing input at offset 8"},
+	}
+	for _, c := range queries {
+		if _, err := parse.Query(c.src); err == nil || err.Error() != c.err {
+			t.Errorf("Query(%q) = %v, want %s", c.src, err, c.err)
+		}
+	}
+}
