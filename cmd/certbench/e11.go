@@ -9,7 +9,6 @@ import (
 	"cqa/internal/fo"
 	"cqa/internal/gen"
 	"cqa/internal/naive"
-	"cqa/internal/parse"
 	"cqa/internal/reduction"
 	"cqa/internal/rewrite"
 	"cqa/internal/special"
@@ -79,22 +78,24 @@ func runE11(quick bool) error {
 		if err != nil {
 			return err
 		}
+		prog, err := fo.Compile(f, nil)
+		if err != nil {
+			return err
+		}
 		agree := 0
 		var tM, tR time.Duration
 		for i := 0; i < trials; i++ {
 			inst := gen.SCovering(rng, 1+rng.Intn(5), l, 0.4)
 			d := reduction.SCoveringToQHall(inst)
-			if err := parse.DeclareQueryRelations(d, q); err != nil {
-				return err
-			}
 			t0 := time.Now()
 			got, err := special.QHallCertain(d, l)
 			if err != nil {
 				return err
 			}
 			tM += time.Since(t0)
+			ix := d.Interned()
 			t0 = time.Now()
-			want := fo.Eval(d, f)
+			want := prog.Bind(ix).Eval()
 			tR += time.Since(t0)
 			if got == want {
 				agree++

@@ -37,15 +37,14 @@ const (
 var exportAllowlist = map[string]exportReason{
 	// Definitions of the paper, the references the tests hold the
 	// production paths to.
-	"attack.Graph.TwoCycle":         paperOracle, // Lemma: a cyclic attack graph has a 2-cycle
-	"core.Prepared.CertainTreeWalk": paperOracle, // the rewriting's formula, walked
-	"db.Database.IsConsistent":      paperOracle, // consistency: every block a singleton
-	"db.TypeTransform":              paperOracle, // Definition 6.3
-	"fo.EvalReference":              paperOracle, // the semantics of FO formulas
-	"matching.HallCondition":        paperOracle, // Hall's condition behind the matching deciders
-	"naive.KeyRelevant":             paperOracle, // key-relevant facts
-	"reduction.DropNegated":         paperOracle, // a reduction builder
-	"reduction.EncodeDiseq":         paperOracle, // a reduction builder
+	"attack.Graph.TwoCycle":    paperOracle, // Lemma: a cyclic attack graph has a 2-cycle
+	"db.Database.IsConsistent": paperOracle, // consistency: every block a singleton
+	"db.TypeTransform":         paperOracle, // Definition 6.3
+	"fo.EvalReference":         paperOracle, // the semantics of FO formulas
+	"matching.HallCondition":   paperOracle, // Hall's condition behind the matching deciders
+	"naive.KeyRelevant":        paperOracle, // key-relevant facts
+	"reduction.DropNegated":    paperOracle, // a reduction builder
+	"reduction.EncodeDiseq":    paperOracle, // a reduction builder
 
 	// Helpers the tests of several packages share.
 	"db.Fact.Equal":                testHelper,

@@ -165,8 +165,9 @@ const (
 	// is in FO, otherwise the planner's graph decider for the query
 	// shape, or search over block choices.
 	EngineAuto Engine = iota
-	// EngineRewriting evaluates the consistent first-order rewriting
-	// with the tree walker (fo.Eval).
+	// EngineRewriting compiles the consistent first-order rewriting of
+	// the query as written, constants in place, and evaluates it once
+	// (fo.Eval), sharing nothing with the query's prepared shape.
 	EngineRewriting
 	// EngineDirect runs Algorithm 1 on the database.
 	EngineDirect
@@ -196,7 +197,7 @@ func Certain(q schema.Query, d *db.Database, engine Engine) (bool, error) {
 		if err != nil {
 			return false, fmt.Errorf("%w: %v", ErrNoRewriting, err)
 		}
-		return evalOn(d, q, f), nil
+		return fo.Eval(d, f), nil
 	case EngineAuto:
 		p, err := Prepare(q)
 		if err != nil {
@@ -206,31 +207,4 @@ func Certain(q schema.Query, d *db.Database, engine Engine) (bool, error) {
 	default:
 		return false, fmt.Errorf("core: unknown engine %d", engine)
 	}
-}
-
-// evalOn evaluates a rewriting after making sure every relation of q is
-// declared, so formulas over empty relations behave correctly.
-func evalOn(d *db.Database, q schema.Query, f fo.Formula) bool {
-	return fo.Eval(withQueryRels(d, q), f)
-}
-
-// withQueryRels returns d with every relation of q declared, cloning only
-// when a declaration is missing.
-func withQueryRels(d *db.Database, q schema.Query) *db.Database {
-	needsDeclare := false
-	for _, a := range q.Atoms() {
-		if d.Relation(a.Rel) == nil {
-			needsDeclare = true
-			break
-		}
-	}
-	if needsDeclare {
-		d = d.Clone()
-		for _, a := range q.Atoms() {
-			if d.Relation(a.Rel) == nil {
-				d.MustDeclare(a.Rel, a.Arity(), a.Key)
-			}
-		}
-	}
-	return d
 }

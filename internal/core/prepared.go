@@ -52,11 +52,11 @@ type Shape struct {
 }
 
 // Prepared is one query on its shape's plan: the Shape and the query's
-// parameter values. Its evaluation entry points — Certain,
-// CertainScratch, CertainTreeWalk — bind the values into the shape's
-// shared program; what depends on the shape alone (the planner's
-// Decision, the strategy, the rewriting's size) it inherits. Cheap to
-// make (Shape.Instance); read-only.
+// parameter values. Its evaluation entry points, Certain and
+// CertainScratch, bind the values into the shape's shared program; what
+// depends on the shape alone (the planner's Decision, the strategy, the
+// rewriting's size) it inherits. Cheap to make (Shape.Instance);
+// read-only.
 type Prepared struct {
 	*Shape
 	q    schema.Query
@@ -236,13 +236,13 @@ func (p *Prepared) Certain(d *db.Database) bool {
 }
 
 // CertainScratch answers like Certain on a database built for this one
-// question (the few-fact sub-databases of delta.Carry): the rewriting is
-// walked as is, since interning and binding a database nobody will ask
-// again costs more than the walk, and nothing is left in the bound and
-// decision caches, whose entries belong to the served snapshots.
+// question (the few-fact sub-databases of delta.Carry): the program is
+// bound to d with the query's values for this call only, so nothing is
+// left in the bound and decision caches, whose entries belong to the
+// served snapshots.
 func (p *Prepared) CertainScratch(d *db.Database) bool {
 	if p.InFO() {
-		return p.walk(d)
+		return p.prog.Bind(d.Interned(), p.vals...).Eval(p.vals...)
 	}
 	return p.certainNonFO(d)
 }
@@ -256,26 +256,4 @@ func (p *Prepared) certainNonFO(d *db.Database) bool {
 		return certain
 	}
 	return naive.RepairSearch(p.q, ix)
-}
-
-// CertainTreeWalk answers like Certain but evaluates the rewriting with
-// the interpreting tree walker (fo.EvalWith) instead of the compiled
-// program, and non-FO queries with repair enumeration instead of the
-// planner's graph deciders and the search. It is the reference oracle
-// the differential tests compare the serving path against.
-func (p *Prepared) CertainTreeWalk(d *db.Database) bool {
-	if p.InFO() {
-		return p.walk(d)
-	}
-	return naive.IsCertain(p.q, d)
-}
-
-// walk evaluates the shape's rewriting with the tree walker, the
-// parameters bound to the query's values.
-func (p *Prepared) walk(d *db.Database) bool {
-	env := make(map[string]string, len(p.vals))
-	for i, v := range p.vals {
-		env[p.params[i]] = v
-	}
-	return fo.EvalWith(withQueryRels(d, p.q), p.cls.Rewriting, env)
 }

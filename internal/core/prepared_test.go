@@ -65,8 +65,8 @@ func TestPreparedInvalid(t *testing.T) {
 }
 
 // Prepared answers match one-shot Certain across random queries and
-// databases. The one-shot side is an engine EngineAuto does not run
-// through the prepared shape: the tree walk over the rewriting for FO
+// databases. The one-shot side shares nothing with the prepared shape:
+// the literal query's rewriting, compiled and bound for one call, for FO
 // queries, repair enumeration for the rest.
 func TestPreparedMatchesOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
@@ -99,8 +99,8 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 // its column lacks makes the bound program constant-false. Random
 // queries with constants in key and non-key positions, over databases
 // where those constants are sometimes nowhere, sometimes only in another
-// column or relation, must answer on every compiled path what the tree
-// walker and repair enumeration answer.
+// column or relation, must answer on every compiled path what repair
+// enumeration answers.
 func TestEmptyScanMatchesOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	domain := []string{"a", "b", "c", "d"}
@@ -131,12 +131,12 @@ func TestEmptyScanMatchesOracles(t *testing.T) {
 		for n := rng.Intn(8); n > 0; n-- {
 			d.MustInsert(db.F([]string{"R", "S"}[rng.Intn(2)], domain[rng.Intn(3)], domain[rng.Intn(3)]))
 		}
-		want := p.CertainTreeWalk(d)
-		if oracle := naive.IsCertain(q, d); oracle != want {
-			t.Fatalf("%s: tree walk %v, repair enumeration %v\n%s", q, want, oracle, d)
-		}
+		want := naive.IsCertain(q, d)
 		if got := p.Certain(d); got != want {
-			t.Fatalf("%s: Certain = %v, tree walk %v\n%s", q, got, want, d)
+			t.Fatalf("%s: Certain = %v, repair enumeration %v\n%s", q, got, want, d)
+		}
+		if got := p.CertainScratch(d); got != want {
+			t.Fatalf("%s: CertainScratch = %v, repair enumeration %v\n%s", q, got, want, d)
 		}
 		if !want && len(q.Constants()) > 0 {
 			falseByNeed++
@@ -158,13 +158,13 @@ func TestEmptyScanFollowsLaterInsert(t *testing.T) {
 	// 'late' is known to the dictionary — S holds it — but not to R's
 	// value column.
 	d := parse.MustDatabase("R(k | early)\nS(other | late)")
-	if p.Certain(d) || p.CertainTreeWalk(d) {
+	if p.Certain(d) || naive.IsCertain(q, d) {
 		t.Fatal("certain before any R-fact carries the constant")
 	}
 	next := d.CloneCOW("R")
 	next.MustInsert(db.F("R", "k2", "late"))
 	next.SeedInterned(db.InternNext(d.Interned(), next))
-	if !p.Certain(next) || !p.CertainTreeWalk(next) || !naive.IsCertain(q, next) {
+	if !p.Certain(next) || !naive.IsCertain(q, next) {
 		t.Fatal("not certain once R(k2 | late) is in")
 	}
 	if p.Certain(d) {

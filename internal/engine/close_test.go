@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -72,8 +74,7 @@ func TestCloseWaitsForInflightBatch(t *testing.T) {
 		results = e.CertainBatch(context.Background(), items)
 		close(batchDone)
 	}()
-	// Give the batch a moment to begin before closing.
-	time.Sleep(time.Millisecond)
+	waitParkedInFlight(t)
 	closed := make(chan struct{})
 	go func() {
 		e.Close()
@@ -102,6 +103,23 @@ func TestCloseWaitsForInflightBatch(t *testing.T) {
 			t.Errorf("in-flight batch item %d errored during Close: %v", i, r.Err)
 		}
 	}
+}
+
+// waitParkedInFlight returns once some goroutine is parked on a plan
+// flight's Wait inside (*planCache).getOrPrepare: the batch has passed
+// its begin, so Close must wait for it.
+func waitParkedInFlight(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		n := runtime.Stack(buf, true)
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			if strings.Contains(g, "sync.(*WaitGroup).Wait") && strings.Contains(g, "(*planCache).getOrPrepare") {
+				return
+			}
+		}
+	}
+	t.Fatal("the batch never waited on the held flight")
 }
 
 func TestCloseConcurrentWithTraffic(t *testing.T) {

@@ -16,10 +16,12 @@ import (
 // TestDifferentialEngineVsNaive is the property-based oracle check for
 // the engine paths: for ≥ 500 random sjfBCQ¬ queries with acyclic attack
 // graphs (CERTAINTY in FO) and small random databases, the engine's
-// compiled path and the reference tree walker (core.Prepared.
-// CertainTreeWalk) must agree with brute-force repair enumeration, and
-// the strategy label must be compiled-bitmap exactly when the program
-// lowered a quantifier, on the single-item API and on the batch API. This extends the exhaustive_test.go style of
+// compiled path, the query's prepared shape bound for one call
+// (core.Prepared.CertainScratch, delta.Carry's path) and the literal
+// query's rewriting (core.EngineRewriting) must agree with brute-force
+// repair enumeration, and the strategy label must be compiled-bitmap
+// exactly when the program lowered a quantifier, on the single-item API
+// and on the batch API. This extends the exhaustive_test.go style of
 // internal/rewrite to the engine layer: the same oracle, but through the
 // plan cache and the concurrent paths. Every case also answers two
 // constant-renamed siblings of its query — one swapping the query's
@@ -67,8 +69,11 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 		if vec {
 			lowered++
 		}
-		if got := p.CertainTreeWalk(d); got != want {
-			t.Fatalf("case %d: tree walker = %v, naive oracle = %v\nquery: %s\ndb:\n%s", done, got, want, q, d)
+		if got := p.CertainScratch(d); got != want {
+			t.Fatalf("case %d: scratch = %v, naive oracle = %v\nquery: %s\ndb:\n%s", done, got, want, q, d)
+		}
+		if got, err := core.Certain(q, d, core.EngineRewriting); err != nil || got != want {
+			t.Fatalf("case %d: literal rewriting = %v (%v), naive oracle = %v\nquery: %s\ndb:\n%s", done, got, err, want, q, d)
 		}
 
 		// Twice, so the second call exercises a cache hit (alpha-variants
@@ -173,8 +178,8 @@ func renameConstants(q schema.Query, to map[string]string) schema.Query {
 
 // checkSibling answers sib on d through e, whose plan cache must already
 // hold sib's shape, and compares the verdict with repair enumeration,
-// with core's answers for sib alone and with the tree walker on the
-// cached shape.
+// with core's answers for sib alone and with the cached shape bound for
+// this one call (CertainScratch).
 func checkSibling(t *testing.T, e *Engine, sib schema.Query, d *db.Database) {
 	t.Helper()
 	r, err := e.Plan(sib)
@@ -197,7 +202,7 @@ func checkSibling(t *testing.T, e *Engine, sib schema.Query, d *db.Database) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want || oneShot != want || own.Certain(d) != want || r.Prepared.CertainTreeWalk(d) != want {
-		t.Fatalf("sibling %s: engine %v, core.Certain %v, core.Prepare %v, tree walker %v, naive oracle %v\ndb:\n%s", sib, got, oneShot, own.Certain(d), r.Prepared.CertainTreeWalk(d), want, d)
+	if got != want || oneShot != want || own.Certain(d) != want || r.Prepared.CertainScratch(d) != want {
+		t.Fatalf("sibling %s: engine %v, core.Certain %v, core.Prepare %v, scratch %v, naive oracle %v\ndb:\n%s", sib, got, oneShot, own.Certain(d), r.Prepared.CertainScratch(d), want, d)
 	}
 }

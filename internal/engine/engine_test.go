@@ -36,9 +36,9 @@ func TestCertainMatchesCore(t *testing.T) {
 	e := New(Options{})
 	q := mustQuery(t, "P(x | y), !N('c' | y)")
 	d := figure1()
-	// The tree walk over the rewriting: the compiled program the engine
-	// runs is not its own reference.
-	want, err := core.Certain(q, d, core.EngineRewriting)
+	// Repair enumeration: the compiled program the engine runs is not
+	// its own reference.
+	want, err := core.Certain(q, d, core.EngineNaive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"cqa/internal/core"
 	"cqa/internal/db"
 	"cqa/internal/delta"
 	"cqa/internal/engine"
@@ -52,17 +51,11 @@ func TestRegisterUnderConcurrentWrites(t *testing.T) {
 		})
 
 		var queries []schema.Query
-		var preps []*core.Prepared
 		for _, src := range []string{
 			"R(x | 'k1'), !S(x | 'k1')", "R('k2' | y), !S('k2' | y)", "R(x | y), !S(x | y)", // co-keyed
 			"R(x | y), S(y | z)", "R(x | y), !S(y | x)", "R(x | y), S(y | 'k0')", // not co-keyed
 		} {
-			q := parse.MustQuery(src)
-			p, err := core.Prepare(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			queries, preps = append(queries, q), append(preps, p)
+			queries = append(queries, parse.MustQuery(src))
 		}
 
 		var wg sync.WaitGroup
@@ -124,7 +117,7 @@ func TestRegisterUnderConcurrentWrites(t *testing.T) {
 			if !ok {
 				t.Fatalf("no snapshot recorded at v%d", v)
 			}
-			truth[k] = preps[q].CertainTreeWalk(snap.DB)
+			truth[k] = snapshotVerdict(t, queries[q], snap.DB)
 			return truth[k]
 		}
 		for _, rl := range logs {

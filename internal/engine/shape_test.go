@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"cqa/internal/core"
 	"cqa/internal/db"
 	"cqa/internal/engine"
 	"cqa/internal/parse"
@@ -52,8 +51,8 @@ func TestOnePlanPerShape(t *testing.T) {
 // Eight readers bind distinct keys of one shape into the plan they share
 // while a writer advances the store: every verdict, served from the
 // table of maintained verdicts or evaluated on the shared bound program,
-// is the tree walker's verdict on the snapshot of the version it was
-// read at. Run under -race (make delta-stress).
+// is the verdict of the snapshot of the version it was read at
+// (snapshotVerdict). Run under -race (make delta-stress).
 func TestParamBindRace(t *testing.T) {
 	const readers, reads, keys = 8, 300, 64
 	e := engine.New(engine.Options{})
@@ -86,12 +85,7 @@ func TestParamBindRace(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				p, err := core.Prepare(q)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if want := p.CertainTreeWalk(snap.DB); got != want {
+				if want := snapshotVerdict(t, q, snap.DB); got != want {
 					t.Errorf("%s at v%d: served %v, the snapshot says %v", q, snap.Version, got, want)
 					return
 				}

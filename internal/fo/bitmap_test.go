@@ -15,8 +15,8 @@ import (
 )
 
 // 500-case differential test: the compiled program (vectorized where a
-// quantifier lowers) agrees with the tree walker and the unoptimized
-// reference on random closed formulas — including formulas with
+// quantifier lowers) agrees with the unoptimized reference on random
+// closed formulas — including formulas with
 // constants outside the database and databases with empty or missing
 // relations.
 func TestBitmapDifferential(t *testing.T) {
@@ -36,9 +36,6 @@ func TestBitmapDifferential(t *testing.T) {
 			d.MustDeclare("S", 1, 1)
 		}
 		want := fo.EvalReference(d, f)
-		if got := fo.Eval(d, f); got != want {
-			t.Fatalf("tree walker = %v, reference = %v on %s with db:\n%s", got, want, f, d)
-		}
 		p, err := fo.Compile(f, nil)
 		if err != nil {
 			t.Fatalf("Compile(%s, nil): %v", f, err)
@@ -84,7 +81,7 @@ func TestBitmapConstantsOutsideDatabase(t *testing.T) {
 	}
 }
 
-// The compiled program agrees with the tree walker on real
+// The compiled program agrees with the reference on real
 // certain-answer rewritings over generated databases, and the rewriting
 // shapes the serving tier benchmarks actually vectorize.
 func TestBitmapAgreesOnRewritings(t *testing.T) {
@@ -100,7 +97,7 @@ func TestBitmapAgreesOnRewritings(t *testing.T) {
 		}
 		tested++
 		d := gen.Database(rng, q, dbOpts)
-		want := fo.Eval(d, f)
+		want := fo.EvalReference(d, f)
 		p := fo.MustCompile(f)
 		if p.VecQuants() > 0 {
 			vectorized++
@@ -108,11 +105,8 @@ func TestBitmapAgreesOnRewritings(t *testing.T) {
 		b := p.Bind(d.Interned())
 		for i := 0; i < 3; i++ {
 			if got := b.Eval(); got != want {
-				t.Fatalf("compiled = %v, tree walker = %v on rewriting of %s\n%s", got, want, q, d)
+				t.Fatalf("compiled = %v, reference = %v on rewriting of %s\n%s", got, want, q, d)
 			}
-		}
-		if ref := fo.EvalReference(d, f); ref != want {
-			t.Fatalf("tree walker = %v, reference = %v on rewriting of %s\n%s", want, ref, q, d)
 		}
 	}
 	if vectorized == 0 {
@@ -221,8 +215,8 @@ func TestBitmapDenseSparseBoundary(t *testing.T) {
 		}
 		p := fo.MustCompile(f)
 		b := p.Bind(d.Interned())
-		if got, want := b.Eval(), fo.Eval(d, f); got != want {
-			t.Fatalf("n=%d: compiled = %v, tree walker = %v", n, got, want)
+		if got, want := b.Eval(), fo.EvalReference(d, f); got != want {
+			t.Fatalf("n=%d: compiled = %v, reference = %v", n, got, want)
 		}
 	}
 }

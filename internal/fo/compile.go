@@ -10,16 +10,15 @@ import (
 	"cqa/internal/schema"
 )
 
-// This file implements the compiled evaluation pipeline: a Formula is
-// lowered once into a Program whose environments are slot-indexed []int32
-// (no map[string]string, no strings.Join tuple keys), whose constants are
-// resolved to dictionary ids, and whose quantifiers range over
-// precomputed candidate lists (column posting lists of the interned
-// database, constant singletons, or the active domain as a last resort).
-// The quantifier-restriction analysis is the compile-time mirror of
-// evaluator.candidates, so Program results are identical to Eval by
-// construction; FuzzCompiledEval and TestCompiledDifferential enforce it.
-// After compiling, every quantifier whose body vectorizes is lowered in
+// This file implements the compiled evaluation pipeline, the one FO
+// evaluator: a Formula is lowered once into a Program whose environments
+// are slot-indexed []int32, whose constants are resolved to dictionary
+// ids, and whose quantifiers range over precomputed candidate lists
+// (column posting lists of the interned database, constant singletons,
+// or the active domain as a last resort). The candidate lists are sound
+// over-approximations of the witnesses, so a Program answers what
+// EvalReference, which quantifies over the whole active domain, answers;
+// FuzzCompiledEval and TestCompiledDifferential check it. After compiling, every quantifier whose body vectorizes is lowered in
 // place to its bitmap form (bitmap.go), so a Program is one tree.
 //
 // Lifecycle: Compile once per formula → Bind once per (program, interned
@@ -413,7 +412,7 @@ func (c *compiler) compile(f Formula, scope map[string]int32) node {
 		return c.compileExists(g.Vars, g.Body, scope)
 	case Forall:
 		// ∀x⃗ φ ≡ ¬∃x⃗ ¬φ; the exists path restricts candidates using
-		// the guards inside ¬φ, exactly like the tree walker.
+		// the guards inside ¬φ.
 		return &nNot{f: c.compileExists(g.Vars, Not{F: g.Body}, scope)}
 	default:
 		c.fail("fo: compile: unknown formula %T", f)
@@ -451,9 +450,9 @@ func (c *compiler) compileExists(vars []string, body Formula, scope map[string]i
 	return &nExists{slot: slot, cand: int32(ci), body: inner}
 }
 
-// candidates is the compile-time mirror of evaluator.candidates: it
-// returns a plan for a sound over-approximation of the values of x for
-// which f can be true (positive) or false (negative). The boolean result
+// candidates returns a plan for a sound over-approximation of the values
+// of x for which f can be true (positive) or false (negative), by
+// scanning for guard atoms and ground equalities. The boolean result
 // reports whether a restriction exists; restriction existence is purely
 // structural, so it is decidable at compile time (an unknown relation
 // materializes as an empty posting list at Bind time).
@@ -535,7 +534,7 @@ func (c *compiler) candidates(x string, f Formula, positive bool) (candPlan, boo
 
 // pickRestriction: in a conjunctive context any single child restriction
 // is sound; Bind materializes every restricting child and keeps the
-// smallest list (the same choice the tree walker makes).
+// smallest list.
 func (c *compiler) pickRestriction(x string, fs []Formula, positive bool) (candPlan, bool) {
 	var of []candPlan
 	for _, sub := range fs {
@@ -617,8 +616,8 @@ type paramNeed struct {
 
 // Bind links the program against ix. Constants unknown to the database
 // receive synthetic ids (≥ ix.NumIDs()) that match no fact but
-// participate in equality and quantification, preserving the tree
-// walker's active-domain semantics (database constants ∪ formula
+// participate in equality and quantification, preserving the
+// active-domain semantics of EvalReference (database constants ∪ formula
 // constants). vals, when given, are parameter values that join the
 // quantification domain the same way: Eval binds a call-private Bound
 // with them when the program quantifies over the active domain and a

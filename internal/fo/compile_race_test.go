@@ -32,7 +32,7 @@ func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 	ix := d.Interned()
 	p := fo.MustCompile(f)
 	b := p.Bind(ix)
-	want := fo.Eval(d, f)
+	want := fo.EvalReference(d, f)
 
 	const goroutines = 32
 	const iters = 50

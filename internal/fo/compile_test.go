@@ -12,10 +12,9 @@ import (
 	"cqa/internal/schema"
 )
 
-// The compiled pipeline agrees with both the optimized tree walker and
-// the unoptimized reference on random closed formulas — this is the
-// correctness argument for the slot compiler and the compile-time
-// candidate-restriction analysis.
+// The compiled pipeline agrees with the unoptimized reference on random
+// closed formulas — this is the correctness argument for the slot
+// compiler and the compile-time candidate-restriction analysis.
 func TestCompiledAgreesWithReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(316))
 	for trial := 0; trial < 400; trial++ {
@@ -25,9 +24,6 @@ func TestCompiledAgreesWithReference(t *testing.T) {
 		}
 		d := randSmallDB(rng)
 		want := fo.EvalReference(d, f)
-		if got := fo.Eval(d, f); got != want {
-			t.Fatalf("tree walker disagrees with reference on %s with db:\n%s", f, d)
-		}
 		b := fo.MustCompile(f).Bind(d.Interned())
 		if got := b.Eval(); got != want {
 			t.Fatalf("compiled = %v, reference = %v on %s with db:\n%s", got, want, f, d)
@@ -50,7 +46,7 @@ func TestCompiledAgreesOnRewritings(t *testing.T) {
 		}
 		tested++
 		d := gen.Database(rng, q, dbOpts)
-		want := fo.Eval(d, f)
+		want := fo.EvalReference(d, f)
 		p, err := fo.Compile(f, nil)
 		if err != nil {
 			t.Fatalf("Compile(%s, nil): %v", f, err)
@@ -58,7 +54,7 @@ func TestCompiledAgreesOnRewritings(t *testing.T) {
 		b := p.Bind(d.Interned())
 		for i := 0; i < 3; i++ {
 			if got := b.Eval(); got != want {
-				t.Fatalf("compiled = %v, tree walker = %v on rewriting of %s\n%s", got, want, q, d)
+				t.Fatalf("compiled = %v, reference = %v on rewriting of %s\n%s", got, want, q, d)
 			}
 		}
 	}
@@ -185,8 +181,7 @@ func TestCompileRejectsFreeVariables(t *testing.T) {
 
 // Atoms over relations the database does not declare are false, and
 // quantifiers restricted by them range over the empty list — no clone or
-// declaration is needed (unlike the tree-walker path through
-// core.withQueryRels).
+// declaration is needed.
 func TestCompiledMissingRelation(t *testing.T) {
 	d := db.New()
 	d.MustDeclare("S", 1, 1)
@@ -215,8 +210,8 @@ func TestCompiledConstantsOutsideDatabase(t *testing.T) {
 		fo.Eq{L: schema.Var("x"), R: c},
 		fo.Not{F: fo.Atom{Rel: "S", Key: 1, Terms: []schema.Term{schema.Var("x")}}},
 	)}
-	if want := fo.Eval(d, f); !want {
-		t.Fatal("tree walker: expected true")
+	if want := fo.EvalReference(d, f); !want {
+		t.Fatal("reference: expected true")
 	}
 	if !fo.MustCompile(f).Bind(d.Interned()).Eval() {
 		t.Fatal("compiled: synthetic constant lost in quantification")
@@ -226,7 +221,7 @@ func TestCompiledConstantsOutsideDatabase(t *testing.T) {
 		fo.Eq{L: schema.Var("x"), R: schema.Const("u1")},
 		fo.Eq{L: schema.Var("x"), R: schema.Const("u2")},
 	)}
-	if fo.MustCompile(g).Bind(d.Interned()).Eval() != fo.Eval(d, g) {
+	if fo.MustCompile(g).Bind(d.Interned()).Eval() != fo.EvalReference(d, g) {
 		t.Fatal("distinct unseen constants compared equal")
 	}
 }
@@ -244,8 +239,8 @@ func TestCompiledShadowing(t *testing.T) {
 		fo.Exists{Vars: []string{"x"}, Body: fo.Eq{L: schema.Var("x"), R: schema.Const("b")}},
 		fo.Eq{L: schema.Var("x"), R: schema.Const("a")},
 	)}
-	if want, got := fo.Eval(d, f), fo.MustCompile(f).Bind(d.Interned()).Eval(); got != want {
-		t.Fatalf("shadowing: compiled = %v, tree walker = %v", got, want)
+	if want, got := fo.EvalReference(d, f), fo.MustCompile(f).Bind(d.Interned()).Eval(); got != want {
+		t.Fatalf("shadowing: compiled = %v, reference = %v", got, want)
 	}
 }
 

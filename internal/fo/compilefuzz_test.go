@@ -10,8 +10,8 @@ import (
 )
 
 // FuzzCompiledEval decodes a small database and a closed formula from the
-// fuzz input and checks that the compiled pipeline agrees with both the
-// tree walker and the unoptimized reference evaluator. Part of `make fuzz`.
+// fuzz input and checks that the compiled pipeline agrees with the
+// unoptimized reference evaluator. Part of `make fuzz`.
 func FuzzCompiledEval(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 2, 5, 9, 200, 14, 3, 3, 7})
@@ -27,9 +27,6 @@ func FuzzCompiledEval(f *testing.F) {
 		d := fz.database()
 		formula := fz.sentence()
 		want := fo.EvalReference(d, formula)
-		if got := fo.Eval(d, formula); got != want {
-			t.Fatalf("tree walker = %v, reference = %v on %s with db:\n%s", got, want, formula, d)
-		}
 		p, err := fo.Compile(formula, nil)
 		if err != nil {
 			t.Fatalf("Compile(%s, nil): %v", formula, err)

@@ -163,13 +163,6 @@ func TestEvalPanicsOnFreeVariable(t *testing.T) {
 	fo.Eval(testDB(t), atomR(x, y))
 }
 
-func TestEvalWith(t *testing.T) {
-	d := testDB(t)
-	if !fo.EvalWith(d, atomR(x, y), map[string]string{"x": "a", "y": "b"}) {
-		t.Error("EvalWith failed on bound atom")
-	}
-}
-
 func TestFreeVars(t *testing.T) {
 	f := fo.NewExists([]string{"x"}, fo.NewAnd(atomR(x, y), fo.Eq{L: z, R: a}))
 	free := fo.FreeVars(f)

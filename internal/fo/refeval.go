@@ -2,6 +2,7 @@ package fo
 
 import (
 	"fmt"
+	"sort"
 
 	"cqa/internal/db"
 	"cqa/internal/schema"
@@ -9,15 +10,33 @@ import (
 
 // EvalReference is a deliberately simple active-domain model checker with
 // no quantifier-range optimization: every quantifier iterates the whole
-// active domain. It exists to cross-validate Eval (whose guard-based
-// candidate restriction is the only clever part of the evaluator) and for
-// debugging; production code should use Eval.
+// active domain. It is the semantic oracle the compiled program (Compile,
+// Bind, Eval; its guard-based candidate plans, bitmap lowering and block
+// walks) is checked against, and a debugging aid; production code should
+// use the compiled program.
 func EvalReference(d *db.Database, f Formula) bool {
 	if free := FreeVars(f); !free.Empty() {
 		panic(fmt.Sprintf("fo: EvalReference on non-sentence with free variables %s", free))
 	}
-	domain := activeDomain(d, f, nil)
-	return refEval(d, domain, f, make(map[string]string))
+	return refEval(d, activeDomain(d, f), f, make(map[string]string))
+}
+
+// activeDomain is the quantification domain of f on d: the constants of
+// the database and of the formula, sorted.
+func activeDomain(d *db.Database, f Formula) []string {
+	set := make(map[string]bool)
+	for _, v := range d.ActiveDomain() {
+		set[v] = true
+	}
+	for c := range Constants(f) {
+		set[c] = true
+	}
+	out := make([]string, 0, len(set))
+	for v := range set {
+		out = append(out, v)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func refEval(d *db.Database, domain []string, f Formula, env map[string]string) bool {

@@ -14,9 +14,9 @@ import (
 // free variables frozen — which can change the classification: q1 =
 // {R(x|y), ¬S(y|x)} has no Boolean rewriting, but with x free it does.
 //
-// The returned formula has exactly the free variables free; evaluate it
-// with fo.EvalWith, or use core.CertainAnswers to enumerate the certain
-// answers.
+// The returned formula has exactly the free variables free; compile it
+// with them as parameters (fo.Compile) and bind each candidate answer
+// per call, or use core.CertainAnswers to enumerate the certain answers.
 func RewriteFree(q schema.Query, free []string) (fo.Formula, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err

@@ -170,9 +170,11 @@ func (h *harness) query(k int) string {
 	}
 }
 
-// want computes ground truth for a query on the current shadow by the
-// tree walk over the rewriting, independent of the compiled program the
-// servers run (every chaos query is a ground-key FO query). Safe for
+// want computes ground truth for a query on the current shadow from the
+// literal query's rewriting, compiled and bound to the shadow for this
+// call (core.EngineRewriting): no shape, shard plan or maintained verdict
+// of the servers is involved (every chaos query is a ground-key FO
+// query). Safe for
 // concurrent use (the background readers share the memo).
 func (h *harness) want(query string) bool {
 	h.truthMu.Lock()

@@ -140,8 +140,8 @@ func TestEndToEndPaperQueries(t *testing.T) {
 	}
 }
 
-// End-to-end on random generated queries: SQL execution equals the FO
-// evaluator on the same rewriting.
+// End-to-end on random generated queries: SQL execution equals the
+// reference model checker on the same rewriting.
 func TestEndToEndRandomQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(1618))
 	opts := gen.DefaultQueryOptions()
@@ -159,13 +159,13 @@ func TestEndToEndRandomQueries(t *testing.T) {
 		}
 		tested++
 		d := gen.Database(rng, q, dbOpts)
-		want := fo.Eval(d, f)
+		want := fo.EvalReference(d, f)
 		got, err := sqlexec.Run(sql, d)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 		if got != want {
-			t.Fatalf("SQL = %v, fo.Eval = %v for %s\ndb:\n%s\nSQL:\n%s", got, want, q, d, sql)
+			t.Fatalf("SQL = %v, fo.EvalReference = %v for %s\ndb:\n%s\nSQL:\n%s", got, want, q, d, sql)
 		}
 	}
 }

@@ -155,9 +155,10 @@ func parseQueries(t *testing.T, srcs ...string) []schema.Query {
 	return out
 }
 
-// mustCertain answers an FO query by the tree walk over its rewriting,
-// so the compiled program is not its own reference; other queries go
-// through EngineAuto, as repair enumeration is too slow at this size.
+// mustCertain answers an FO query from its literal rewriting, compiled
+// and bound to d for this call (core.EngineRewriting), so no prepared
+// shape or cached program is its own reference; other queries go through
+// EngineAuto, as repair enumeration is too slow at this size.
 func mustCertain(t *testing.T, q schema.Query, d *db.Database) bool {
 	t.Helper()
 	v, err := core.Certain(q, d, core.EngineRewriting)
